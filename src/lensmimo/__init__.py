@@ -1,10 +1,11 @@
 """Link-level simulator for millimeter-wave MIMO with lens antenna arrays.
 
 Core pieces: sinc-profile lens array responses with an aperture-integration
-oracle, a sparse multipath channel generator, path division multiplexing
-transceivers (orthogonal ideal-angle form, MRC/MMSE combining, path
-grouping), a conventional uniform-planar-array benchmark, and a Monte Carlo
-experiment harness with CLI and CSV output.
+oracle, a sparse multipath channel generator with one factored per-path
+response core (PathResponses) behind every channel form, path division
+multiplexing transceivers (orthogonal ideal-angle form, MRC/MMSE combining,
+path grouping), a conventional uniform-planar-array benchmark, and a Monte
+Carlo experiment harness with CLI and CSV output.
 """
 from .arrays import (
     LensArrayConfig,
@@ -18,11 +19,11 @@ from .arrays import (
 )
 from .channel import (
     ChannelStats,
+    PathResponses,
     PathSet,
     TappedChannel,
-    narrowband_matrix,
+    path_responses,
     sample_paths,
-    tapped_channel,
 )
 from .errors import (
     AccuracyError,
@@ -64,16 +65,13 @@ from .pdm import (
     simulate_symbols,
     two_term_sinr_approx,
 )
-from .selection import SupportSets, reduce_channel, support_sets
+from .selection import SupportSets, restrict_to_support, support_sets
 from .upa import (
     OfdmConfig,
     eigenmode_capacity,
     mimo_ofdm_capacity,
-    narrowband_upa_matrix,
     ofdm_subchannels,
     power_select_antennas,
-    restrict_taps,
-    upa_tapped_channel,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -8,6 +8,9 @@ The focal-arc field can also be obtained by direct numerical integration of
 the plane-wave input over the lens aperture, which serves as an independent
 oracle for the closed form. A conventional uniform planar array (UPA) with
 half-wavelength spacing is provided as a benchmark.
+
+Each array type computes its responses for a vector of spatial frequencies
+at once (``config.responses``); the scalar forms are views of one row.
 """
 from __future__ import annotations
 
@@ -20,6 +23,13 @@ from .errors import AccuracyError, InvalidInputError
 
 _FIRST_ORDER = "first-order"
 _EXACT = "exact"
+
+
+def _spatial_freqs(spatial_freqs) -> np.ndarray:
+    f = np.asarray(spatial_freqs, dtype=float)
+    if not np.all(np.abs(f) <= 1.0):
+        raise InvalidInputError("spatial frequency must lie in [-1, 1]")
+    return f
 
 
 @dataclass(frozen=True)
@@ -49,6 +59,24 @@ class LensArrayConfig:
     def element_indices(self) -> np.ndarray:
         half = (self.element_count - 1) // 2
         return np.arange(-half, half + 1)
+
+    def positions(self, indices) -> np.ndarray:
+        """Array positions 0..M-1 of a non-empty subset of antenna indices m."""
+        indices = np.asarray(indices, dtype=int)
+        half = (self.element_count - 1) // 2
+        if indices.size == 0:
+            raise InvalidInputError("antenna subset must be non-empty")
+        if np.any(np.abs(indices) > half):
+            raise InvalidInputError("antenna subset index outside the array")
+        return indices + half
+
+    def responses(self, spatial_freqs) -> np.ndarray:
+        """(L, M) lens responses, row l for spatial frequency spatial_freqs[l]."""
+        f = _spatial_freqs(spatial_freqs)
+        m = self.element_indices
+        return (
+            math.sqrt(self.aperture) * np.sinc(m[None, :] - self.azimuth_dim * f[:, None])
+        ).astype(complex)
 
 
 @dataclass(frozen=True)
@@ -83,6 +111,20 @@ class UpaConfig:
         n_y = int(round(2.0 * self.azimuth_dim))
         return n_y, self.element_count // n_y
 
+    def responses(self, spatial_freqs) -> np.ndarray:
+        """(L, count) steering vectors, row l for spatial frequency spatial_freqs[l].
+
+        Entry (i_y, i_z) is sqrt(A / count) * exp(j*pi*i_y*phi); the
+        elevation dimension carries no phase (zero elevation angles). The
+        flattened order is i_y-major. Every row has norm^2 equal to the
+        aperture exactly.
+        """
+        f = _spatial_freqs(spatial_freqs)
+        n_y, n_z = self.grid_shape
+        amp = math.sqrt(self.aperture / self.element_count)
+        ramp = np.exp(1j * math.pi * np.arange(n_y)[None, :] * f[:, None])
+        return amp * np.repeat(ramp, n_z, axis=1)
+
 
 @dataclass(frozen=True)
 class LensOracleConfig:
@@ -107,12 +149,7 @@ class LensOracleConfig:
 
 def lens_response_spatial(config: LensArrayConfig, spatial_freq: float) -> np.ndarray:
     """Lens array response for a given spatial frequency sin(aoa) in [-1, 1]."""
-    if not -1.0 <= spatial_freq <= 1.0:
-        raise InvalidInputError("spatial frequency must lie in [-1, 1]")
-    m = config.element_indices
-    return (math.sqrt(config.aperture) * np.sinc(m - config.azimuth_dim * spatial_freq)).astype(
-        complex
-    )
+    return config.responses([spatial_freq])[0]
 
 
 def lens_response(config: LensArrayConfig, aoa: float) -> np.ndarray:
@@ -132,21 +169,11 @@ def spatial_decompose(spatial_freq: float, azimuth_dim: float) -> tuple[int, flo
     return index, x - index
 
 
-def upa_response(config: UpaConfig, aoa: float, side: str = "receive") -> np.ndarray:
-    """UPA steering vector: phase ramp across the azimuth grid dimension.
-
-    Entry (i_y, i_z) is sqrt(A / count) * exp(j*pi*i_y*sin(aoa)); the
-    elevation dimension carries no phase (zero elevation angles). The
-    flattened order is i_y-major. norm^2 equals the aperture exactly.
-    """
-    if side not in ("receive", "transmit"):
-        raise InvalidInputError("side must be 'receive' or 'transmit'")
+def upa_response(config: UpaConfig, aoa: float) -> np.ndarray:
+    """UPA steering vector for azimuth AoA (radians in [-pi/2, pi/2])."""
     if not -math.pi / 2 <= aoa <= math.pi / 2:
         raise InvalidInputError("aoa must lie in [-pi/2, pi/2]")
-    n_y, n_z = config.grid_shape
-    amp = math.sqrt(config.aperture / config.element_count)
-    ramp = np.exp(1j * math.pi * np.arange(n_y) * math.sin(aoa))
-    return amp * np.repeat(ramp, n_z)
+    return config.responses([math.sin(aoa)])[0]
 
 
 def _focal_arc_field(

@@ -1,5 +1,6 @@
-"""Sparse multi-path mmWave channel: deterministic construction and the
-stochastic 73 GHz generator (path loss, shadowing, per-path power fractions).
+"""Sparse multi-path mmWave channel: the stochastic 73 GHz generator (path
+loss, shadowing, per-path power fractions) and the factored per-path
+response core from which every channel form is derived.
 """
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import LensArrayConfig, lens_response_spatial, spatial_decompose
+from .arrays import LensArrayConfig, UpaConfig, spatial_decompose
 from .errors import InvalidInputError
 
 _LN10_OVER_10 = math.log(10.0) / 10.0
@@ -131,16 +132,62 @@ class PathSet:
 
 @dataclass(frozen=True)
 class TappedChannel:
-    """Discrete-delay channel over selected antenna subsets.
-
-    ``taps`` merges paths with equal quantized delay (strictly increasing
-    delays); ``path_taps`` keeps one rank-1 tap per path, in path order.
-    """
+    """Discrete-delay channel: one (delay, matrix) tap per distinct quantized
+    path delay, in strictly increasing delay order."""
 
     taps: tuple[tuple[int, np.ndarray], ...]
-    path_taps: tuple[tuple[int, np.ndarray], ...]
-    rx_indices: tuple[int, ...]
-    tx_indices: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class PathResponses:
+    """The factored channel of one realization, over some antennas:
+    H(n) = sum_l alpha_l a_R,l a_T,l^H [n == n_l].
+
+    Every channel form is a view of these per-path factors: ``matrix`` is
+    the narrowband H = A_R^T diag(alpha) A_T^*, ``taps`` the tapped delay
+    line, and ``restrict`` the same paths seen by fewer antennas.
+    """
+
+    rx: np.ndarray  # (L, M) receive response rows a_R,l
+    tx: np.ndarray  # (L, Q) transmit response rows a_T,l
+    gains: np.ndarray  # (L,) complex alpha_l
+    delays: np.ndarray  # (L,) integer sample delays n_l
+
+    @property
+    def num_paths(self) -> int:
+        return len(self.gains)
+
+    def restrict(self, rx_pos, tx_pos, paths=None) -> PathResponses:
+        """Responses at the given receive/transmit array positions, for all
+        paths or only the listed path indices."""
+        keep = slice(None) if paths is None else np.asarray(paths, dtype=int)
+        return PathResponses(
+            rx=self.rx[keep][:, np.asarray(rx_pos, dtype=int)],
+            tx=self.tx[keep][:, np.asarray(tx_pos, dtype=int)],
+            gains=self.gains[keep],
+            delays=self.delays[keep],
+        )
+
+    def _sum(self, select) -> np.ndarray:
+        # Rank-1 path terms alpha * (a_R a_T^H) added to zero in path order.
+        # The sweep results depend on this order to the last bit, and on
+        # alpha being the first operand of the in-place product.
+        h = np.zeros((self.rx.shape[1], self.tx.shape[1]), dtype=complex)
+        for alpha, a_r, a_t in zip(self.gains[select], self.rx[select], self.tx[select]):
+            term = np.outer(a_r, a_t.conj())
+            h += np.multiply(alpha, term, out=term)
+        return h
+
+    def matrix(self) -> np.ndarray:
+        """Narrowband channel H = sum_l alpha_l a_R,l a_T,l^H (delays ignored)."""
+        return self._sum(slice(None))
+
+    def taps(self) -> TappedChannel:
+        """Tapped delay line; paths with equal quantized delay share one tap."""
+        # sorted(set()) rather than np.unique, which imports numpy.ma (~15 ms)
+        # on its first call.
+        delays = sorted(set(self.delays.tolist()))
+        return TappedChannel(taps=tuple((n, self._sum(self.delays == n)) for n in delays))
 
 
 def sample_paths(stats: ChannelStats, num_paths: int, rng) -> PathSet:
@@ -172,59 +219,17 @@ def sample_paths(stats: ChannelStats, num_paths: int, rng) -> PathSet:
     )
 
 
-def narrowband_matrix(paths: PathSet, tx: LensArrayConfig, rx: LensArrayConfig) -> np.ndarray:
-    """Narrow-band MIMO channel H = sum_l alpha_l a_R a_T^H (M x Q)."""
-    h = np.zeros((rx.element_count, tx.element_count), dtype=complex)
-    for alpha, phi_r, phi_t in zip(paths.gains, paths.aoa_spatial_freqs, paths.aod_spatial_freqs):
-        a_r = lens_response_spatial(rx, phi_r)
-        a_t = lens_response_spatial(tx, phi_t)
-        h += alpha * np.outer(a_r, a_t.conj())
-    return h
-
-
-def _subset_positions(config: LensArrayConfig, subset) -> np.ndarray:
-    subset = np.asarray(subset, dtype=int)
-    half = (config.element_count - 1) // 2
-    if subset.size == 0:
-        raise InvalidInputError("antenna subset must be non-empty")
-    if np.any(np.abs(subset) > half):
-        raise InvalidInputError("antenna subset index outside the array")
-    return subset + half
-
-
-def tapped_channel(
+def path_responses(
     paths: PathSet,
-    tx: LensArrayConfig,
-    rx: LensArrayConfig,
+    tx: LensArrayConfig | UpaConfig,
+    rx: LensArrayConfig | UpaConfig,
     sample_rate_hz: float,
-    rx_subset,
-    tx_subset,
-) -> TappedChannel:
-    """Discrete-time tapped channel restricted to antenna subsets.
-
-    Each path becomes a rank-1 tap at round(tau_l * W) samples; paths whose
-    delays quantize to the same sample are summed into one merged tap.
-    """
-    rx_pos = _subset_positions(rx, rx_subset)
-    tx_pos = _subset_positions(tx, tx_subset)
-    delays = paths.delay_samples(sample_rate_hz)
-    path_taps = []
-    merged: dict[int, np.ndarray] = {}
-    for alpha, phi_r, phi_t, n in zip(
-        paths.gains, paths.aoa_spatial_freqs, paths.aod_spatial_freqs, delays
-    ):
-        a_r = lens_response_spatial(rx, phi_r)[rx_pos]
-        a_t = lens_response_spatial(tx, phi_t)[tx_pos]
-        mat = alpha * np.outer(a_r, a_t.conj())
-        path_taps.append((int(n), mat))
-        if int(n) in merged:
-            merged[int(n)] = merged[int(n)] + mat
-        else:
-            merged[int(n)] = mat
-    taps = tuple((n, merged[n]) for n in sorted(merged))
-    return TappedChannel(
-        taps=taps,
-        path_taps=tuple(path_taps),
-        rx_indices=tuple(int(m) for m in np.asarray(rx_subset, dtype=int)),
-        tx_indices=tuple(int(q) for q in np.asarray(tx_subset, dtype=int)),
+) -> PathResponses:
+    """Per-path responses of a realization on a transmit/receive array pair
+    (lens or UPA), with delays quantized at sample_rate_hz."""
+    return PathResponses(
+        rx=rx.responses(paths.aoa_spatial_freqs),
+        tx=tx.responses(paths.aod_spatial_freqs),
+        gains=paths.gains,
+        delays=paths.delay_samples(sample_rate_hz),
     )

@@ -18,19 +18,37 @@ import numpy as np
 from .arrays import LensArrayConfig, lens_response_spatial
 from .channel import sample_paths
 from .errors import ConfigError, LensMimoError
-from .experiments import ExperimentConfig, preset, preset_names, rows_to_csv, sweep
-
-_CONFIG_KEYS = (
-    "scenario",
-    "trials",
-    "seed",
-    "snr_db",
-    "schemes",
-    "delta",
-    "num_paths",
-    "rx_rf",
-    "tx_rf",
+from .experiments import (
+    ExperimentConfig,
+    preset,
+    preset_names,
+    rows_to_csv,
+    run_experiment,
+    sweep,
 )
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.replace(",", " ").split())
+
+
+def _names(text: str) -> tuple[str, ...]:
+    return tuple(v.strip() for v in text.split(",") if v.strip())
+
+
+# Experiment settings: config file key, its converter and help. Each one is
+# also a flag (--snr-db for snr_db) that overrides the config file.
+_SETTINGS = {
+    "scenario": (str, f"scenario preset: {', '.join(preset_names())} (or fig5..fig10)"),
+    "trials": (int, "Monte Carlo trial count"),
+    "seed": (int, "experiment seed"),
+    "snr_db": (_floats, "SNR grid in dB, comma or space separated"),
+    "schemes": (_names, "comma-separated schemes to run"),
+    "delta": (int, "support-set radius in antenna indices"),
+    "num_paths": (int, "multipath count"),
+    "rx_rf": (int, "receive RF chains for UPA antenna selection"),
+    "tx_rf": (int, "transmit RF chains for UPA antenna selection"),
+}
 
 
 def parse_config_file(path: str) -> dict:
@@ -48,7 +66,7 @@ def parse_config_file(path: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        if key not in _SETTINGS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         out[key] = value
     return out
@@ -56,38 +74,16 @@ def parse_config_file(path: str) -> dict:
 
 def _build_experiment(args) -> ExperimentConfig:
     settings = parse_config_file(args.config) if args.config else {}
-    scenario = args.scenario or settings.get("scenario")
-    if scenario is None:
-        raise ConfigError("a scenario is required (--scenario or config file)")
-    overrides: dict = {}
+    flags = {key: getattr(args, key) for key in _SETTINGS}
+    settings.update({key: text for key, text in flags.items() if text is not None})
     try:
-        if "trials" in settings:
-            overrides["trials"] = int(settings["trials"])
-        if "seed" in settings:
-            overrides["seed"] = int(settings["seed"])
-        if "delta" in settings:
-            overrides["delta"] = int(settings["delta"])
-        if "num_paths" in settings:
-            overrides["num_paths"] = int(settings["num_paths"])
-        if "rx_rf" in settings:
-            overrides["rx_rf"] = int(settings["rx_rf"])
-        if "tx_rf" in settings:
-            overrides["tx_rf"] = int(settings["tx_rf"])
-        if "snr_db" in settings:
-            overrides["snr_db"] = tuple(
-                float(v) for v in settings["snr_db"].replace(",", " ").split()
-            )
-        if "schemes" in settings:
-            overrides["schemes"] = tuple(
-                v.strip() for v in settings["schemes"].split(",") if v.strip()
-            )
+        values = {key: _SETTINGS[key][0](text) for key, text in settings.items()}
     except ValueError as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    return preset(scenario, **overrides)
+    scenario = values.pop("scenario", None)
+    if scenario is None:
+        raise ConfigError("a scenario is required (--scenario or config file)")
+    return preset(scenario, **values)
 
 
 def _cmd_response(args) -> str:
@@ -138,13 +134,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="key=value config file")
-        p.add_argument("--seed", type=int, help="experiment seed")
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--trials", type=int, help="Monte Carlo trial count")
-        p.add_argument(
-            "--scenario",
-            help=f"scenario preset: {', '.join(preset_names())} (or fig5..fig10)",
-        )
+        for key, (_, flag_help) in _SETTINGS.items():
+            p.add_argument("--" + key.replace("_", "-"), dest=key, help=flag_help)
     return parser
 
 
@@ -156,18 +148,12 @@ def main(argv=None) -> int:
         elif args.command == "channel":
             _emit(_cmd_channel(args), args.out)
         elif args.command == "run":
-            cfg = _build_experiment(args)
-            from .experiments import run_experiment
-
-            _emit(rows_to_csv(run_experiment(cfg)), args.out)
+            _emit(rows_to_csv(run_experiment(_build_experiment(args))), args.out)
         else:
             cfg = _build_experiment(args)
             if args.out is None:
                 raise ConfigError("sweep requires --out")
             sweep(cfg, args.out)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except LensMimoError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

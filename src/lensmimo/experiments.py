@@ -20,23 +20,20 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .arrays import LensArrayConfig, UpaConfig
-from .channel import ChannelStats, PathSet, sample_paths
+from .channel import ChannelStats, PathResponses, PathSet, path_responses, sample_paths
 from .errors import ConfigError, IdealAngleError, InvalidInputError
 from .grouping import check_separation, group_channels, group_paths, grouped_capacity
-from .numerics import water_fill, waterfill_capacity
+from .numerics import water_fill
 from .opdm import opdm_capacity, opdm_decompose
 from .pdm import LinkDesign, mmse_combiners, mrc_combiners, mrt_precoders, pdm_sinr
-from .selection import support_sets
+from .selection import SupportSets, restrict_to_support, support_sets
 from .upa import (
     OfdmConfig,
     eigenmode_capacity,
-    narrowband_upa_matrix,
     ofdm_capacity_from_gains,
     ofdm_eigen_gains,
     ofdm_subchannels,
     power_select_antennas,
-    restrict_taps,
-    upa_tapped_channel,
 )
 
 SCHEMES = (
@@ -82,6 +79,14 @@ class ExperimentConfig:
                 raise InvalidInputError(f"unknown scheme {s!r}")
         if "UPA-OFDM-selection" in self.schemes and (self.rx_rf is None or self.tx_rf is None):
             raise InvalidInputError("antenna selection requires rx_rf and tx_rf budgets")
+        longest_tap = round(self.stats.max_excess_delay_s * self.stats.bandwidth_hz)
+        if {"UPA-OFDM", "UPA-OFDM-selection"} & set(self.schemes) and (
+            longest_tap > self.ofdm.cp_samples
+        ):
+            raise InvalidInputError(
+                f"the cyclic prefix ({self.ofdm.cp_samples} samples) is shorter than the "
+                f"longest channel tap ({longest_tap} samples)"
+            )
 
 
 @dataclass(frozen=True)
@@ -163,59 +168,59 @@ def preset(name: str, **overrides) -> ExperimentConfig:
 
 
 def _pdm_rates(
-    cfg: ExperimentConfig,
-    paths: PathSet,
+    support: PathResponses,
     tx: LensArrayConfig,
     rx: LensArrayConfig,
     budgets,
     noise: float,
     kind: str,
 ) -> np.ndarray:
-    sets = support_sets(paths, tx, rx, cfg.delta)
-    precoders = mrt_precoders(paths, sets, tx)
-    delays = paths.delay_samples(cfg.stats.bandwidth_hz)
-    gains = np.abs(paths.gains) ** 2 * rx.aperture * tx.aperture
+    precoders = mrt_precoders(support)
+    gains = np.abs(support.gains) ** 2 * rx.aperture * tx.aperture
     rates = np.empty(len(budgets))
     for i, p in enumerate(budgets):
         powers = water_fill(gains, p, noise).powers
         if kind == "MMSE":
-            combiners = mmse_combiners(paths, sets, tx, rx, powers, noise)
+            combiners = mmse_combiners(support, powers, noise)
         else:
-            combiners = mrc_combiners(paths, sets, rx)
+            combiners = mrc_combiners(support)
         design = LinkDesign(
             precoders=precoders,
             combiners=combiners,
             powers=powers,
-            stream_delays=delays,
+            stream_delays=support.delays,
             combiner_kind=kind,
         )
-        rates[i] = pdm_sinr(design, paths, sets, tx, rx, noise).sum_rate
+        rates[i] = pdm_sinr(design, support, noise).sum_rate
     return rates
 
 
 def _grouping_rates(
-    cfg: ExperimentConfig,
     paths: PathSet,
+    lens: PathResponses,
+    sets: SupportSets,
+    support: PathResponses,
     tx: LensArrayConfig,
     rx: LensArrayConfig,
     budgets,
     noise: float,
 ) -> tuple[np.ndarray, str | None]:
-    side = check_separation(paths, tx, rx, cfg.delta)
+    side = check_separation(paths, tx, rx, sets.delta)
     if side == "neither":
         # No side is separated, so the grouped decomposition does not apply;
         # fall back to the MMSE transceiver and flag the trial.
-        return _pdm_rates(cfg, paths, tx, rx, budgets, noise, "MMSE"), "grouping-fallback"
-    sets = support_sets(paths, tx, rx, cfg.delta)
+        return _pdm_rates(support, tx, rx, budgets, noise, "MMSE"), "grouping-fallback"
     partition = group_paths(sets, "aoa" if side in ("both", "aoa") else "aod")
-    mats = group_channels(paths, partition, tx, rx)
+    mats = group_channels(lens, partition, tx, rx)
     return np.array([grouped_capacity(mats, p, noise) for p in budgets]), None
 
 
 def _run_trial(cfg: ExperimentConfig, trial: int) -> dict:
     """One channel realization, evaluated under every configured scheme.
 
-    Returns scheme -> (rates over the SNR grid or None, flag or None).
+    The realization's lens and UPA path responses and its support sets are
+    built once and shared by the schemes. Returns scheme -> (rates over the
+    SNR grid or None, flag or None).
     """
     rng = np.random.default_rng([cfg.seed, trial])
     paths = sample_paths(cfg.stats, cfg.num_paths, rng)
@@ -223,8 +228,16 @@ def _run_trial(cfg: ExperimentConfig, trial: int) -> dict:
     budgets = [cfg.stats.tx_power(s) for s in cfg.snr_db]
     tx = LensArrayConfig(cfg.tx_aperture, cfg.tx_azimuth_dim)
     rx = LensArrayConfig(cfg.rx_aperture, cfg.rx_azimuth_dim)
-    upa_tx = UpaConfig(cfg.tx_aperture, cfg.tx_azimuth_dim)
-    upa_rx = UpaConfig(cfg.rx_aperture, cfg.rx_azimuth_dim)
+    rate = cfg.stats.bandwidth_hz
+    lens = path_responses(paths, tx, rx, rate)
+    upa = path_responses(
+        paths,
+        UpaConfig(cfg.tx_aperture, cfg.tx_azimuth_dim),
+        UpaConfig(cfg.rx_aperture, cfg.rx_azimuth_dim),
+        rate,
+    )
+    sets = support_sets(paths, tx, rx, cfg.delta)
+    support = restrict_to_support(lens, sets, tx, rx)
     out: dict = {}
     for scheme in cfg.schemes:
         flag = None
@@ -235,20 +248,20 @@ def _run_trial(cfg: ExperimentConfig, trial: int) -> dict:
             except IdealAngleError:
                 rates, flag = None, "opdm-skip"
         elif scheme == "PDM-MRC":
-            rates = _pdm_rates(cfg, paths, tx, rx, budgets, noise, "MRC")
+            rates = _pdm_rates(support, tx, rx, budgets, noise, "MRC")
         elif scheme == "PDM-MMSE":
-            rates = _pdm_rates(cfg, paths, tx, rx, budgets, noise, "MMSE")
+            rates = _pdm_rates(support, tx, rx, budgets, noise, "MMSE")
         elif scheme == "PDM-grouping":
-            rates, flag = _grouping_rates(cfg, paths, tx, rx, budgets, noise)
+            rates, flag = _grouping_rates(paths, lens, sets, support, tx, rx, budgets, noise)
         elif scheme == "UPA-eigenmode":
-            h = narrowband_upa_matrix(paths, upa_tx, upa_rx)
+            h = upa.matrix()
             rates = np.array([eigenmode_capacity(h, p, noise) for p in budgets])
         else:  # UPA-OFDM and UPA-OFDM-selection
-            tapped = upa_tapped_channel(paths, upa_tx, upa_rx, cfg.stats.bandwidth_hz)
+            channel = upa
             if scheme == "UPA-OFDM-selection":
-                rows, cols = power_select_antennas(tapped, cfg.rx_rf, cfg.tx_rf)
-                tapped = restrict_taps(tapped, rows, cols)
-            gains = ofdm_eigen_gains(ofdm_subchannels(tapped, cfg.ofdm.subcarriers))
+                rows, cols = power_select_antennas(upa.taps(), cfg.rx_rf, cfg.tx_rf)
+                channel = upa.restrict(rows, cols)
+            gains = ofdm_eigen_gains(ofdm_subchannels(channel.taps(), cfg.ofdm.subcarriers))
             rates = np.array(
                 [ofdm_capacity_from_gains(gains, p, noise, cfg.ofdm) for p in budgets]
             )

@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import LensArrayConfig, lens_response_spatial
-from .channel import PathSet
+from .arrays import LensArrayConfig
+from .channel import PathResponses, PathSet
 from .errors import InvalidInputError, UnsupportedConfigurationError
 from .numerics import RANK_TOL, svd, waterfill_capacity
 from .selection import SupportSets
@@ -111,7 +111,7 @@ def group_paths(sets: SupportSets, separated_side: str) -> GroupPartition:
 
 
 def group_channels(
-    paths: PathSet,
+    responses: PathResponses,
     partition: GroupPartition,
     tx: LensArrayConfig,
     rx: LensArrayConfig,
@@ -119,25 +119,17 @@ def group_channels(
     """Per-group MIMO matrices H_g = sum over group paths of alpha a_R a_T^H
     restricted to the group's antenna subsets.
 
-    Path delays are removed by per-subset compensation (receive side when the
-    AoAs are separated, transmit-side pre-compensation when the AoDs are), so
-    the matrices describe delay-free MIMO AWGN channels in both cases.
+    ``responses`` are the realization's full lens responses. Path delays are
+    removed by per-subset compensation (receive side when the AoAs are
+    separated, transmit-side pre-compensation when the AoDs are), so the
+    matrices describe delay-free MIMO AWGN channels in both cases.
     """
-    half_rx = (rx.element_count - 1) // 2
-    half_tx = (tx.element_count - 1) // 2
-    mats = []
-    for group, rx_sub, tx_sub in zip(
-        partition.groups, partition.rx_subsets, partition.tx_subsets
-    ):
-        rx_pos = np.asarray(rx_sub, dtype=int) + half_rx
-        tx_pos = np.asarray(tx_sub, dtype=int) + half_tx
-        h = np.zeros((len(rx_sub), len(tx_sub)), dtype=complex)
-        for l in group:
-            a_r = lens_response_spatial(rx, paths.aoa_spatial_freqs[l])[rx_pos]
-            a_t = lens_response_spatial(tx, paths.aod_spatial_freqs[l])[tx_pos]
-            h += paths.gains[l] * np.outer(a_r, a_t.conj())
-        mats.append(h)
-    return mats
+    return [
+        responses.restrict(rx.positions(rx_sub), tx.positions(tx_sub), group).matrix()
+        for group, rx_sub, tx_sub in zip(
+            partition.groups, partition.rx_subsets, partition.tx_subsets
+        )
+    ]
 
 
 def grouped_capacity(group_channels_list, power: float, noise: float) -> float:

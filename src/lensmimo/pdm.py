@@ -5,6 +5,10 @@ MMSE combining at the receiver, the exact per-stream SINR decomposition
 (desired / inter-symbol / inter-stream / noise), inter-path contamination
 coefficients, and a symbol-level wideband Monte Carlo simulation.
 
+Every function works on one realization's PathResponses restricted to the
+selected antennas M_S x Q_S (``selection.restrict_to_support``): row l of
+its receive/transmit responses is path l seen by those antennas.
+
 All SINRs here use exactly normalized beamformers; the approximate
 norm-equals-aperture identities appear only in the two-term diagnostic.
 """
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrays import LensArrayConfig
-from .channel import PathSet, TappedChannel
+from .channel import PathResponses
 from .errors import (
     DegenerateInputError,
     InvalidInputError,
@@ -24,12 +28,6 @@ from .errors import (
     StatisticalValidityError,
 )
 from .numerics import hermitian_solve
-from .selection import (
-    SupportSets,
-    reduce_channel,
-    restricted_rx_responses,
-    restricted_tx_responses,
-)
 
 _UNIT_TOL = 1e-12
 
@@ -86,53 +84,30 @@ def _normalized_rows(rows: np.ndarray, what: str) -> np.ndarray:
     return rows / norms[:, None]
 
 
-def mrt_precoders(paths: PathSet, sets: SupportSets, tx: LensArrayConfig) -> np.ndarray:
+def mrt_precoders(support: PathResponses) -> np.ndarray:
     """Unit-norm per-path MRT precoders over Q_S (exact normalization)."""
-    return _normalized_rows(restricted_tx_responses(paths, sets, tx), "MRT precoder")
+    return _normalized_rows(support.tx, "MRT precoder")
 
 
-def mrc_combiners(paths: PathSet, sets: SupportSets, rx: LensArrayConfig) -> np.ndarray:
+def mrc_combiners(support: PathResponses) -> np.ndarray:
     """Unit-norm per-path MRC combiners over M_S."""
-    return _normalized_rows(restricted_rx_responses(paths, sets, rx), "MRC combiner")
+    return _normalized_rows(support.rx, "MRC combiner")
 
 
 def ipc_coefficients(
-    paths: PathSet, sets: SupportSets, tx: LensArrayConfig, rx: LensArrayConfig
+    support: PathResponses, tx: LensArrayConfig, rx: LensArrayConfig
 ) -> IpcMatrix:
     """Transmit/receive inter-path contamination coefficients.
 
     rho[l, l'] = |sum over the union subset of the two paths' normalized
     sinc responses|^2; it vanishes for sufficiently separated angles.
     """
-    rx_resp, tx_resp = reduce_channel(paths, sets, tx, rx)
-    inner_t = (tx_resp.conj() @ tx_resp.T).real / tx.aperture
-    inner_r = (rx_resp.conj() @ rx_resp.T).real / rx.aperture
+    inner_t = (support.tx.conj() @ support.tx.T).real / tx.aperture
+    inner_r = (support.rx.conj() @ support.rx.T).real / rx.aperture
     return IpcMatrix(rho_t=inner_t**2, rho_r=inner_r**2)
 
 
-def _coupling(
-    paths: PathSet,
-    sets: SupportSets,
-    tx: LensArrayConfig,
-    rx: LensArrayConfig,
-    precoders: np.ndarray,
-    combiners: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """g_r[l, k] = v_l^H a_{R,k}; g_t[k, l'] = a_{T,k}^H w_{l'}."""
-    rx_resp, tx_resp = reduce_channel(paths, sets, tx, rx)
-    g_r = combiners.conj() @ rx_resp.T
-    g_t = tx_resp.conj() @ precoders.T
-    return g_r, g_t
-
-
-def mmse_combiners(
-    paths: PathSet,
-    sets: SupportSets,
-    tx: LensArrayConfig,
-    rx: LensArrayConfig,
-    powers,
-    noise: float,
-) -> np.ndarray:
+def mmse_combiners(support: PathResponses, powers, noise: float) -> np.ndarray:
     """Per-stream MMSE combiners v_l proportional to C_l^{-1} a_{R,l}.
 
     C_l collects the ISI covariance of stream l via the other paths, the
@@ -141,12 +116,12 @@ def mmse_combiners(
     (reachable only in noise-free degenerate setups).
     """
     powers = np.asarray(powers, dtype=float)
-    rx_resp = restricted_rx_responses(paths, sets, rx)
-    tx_resp = restricted_tx_responses(paths, sets, tx)
+    rx_resp = support.rx
+    tx_resp = support.tx
     precoders = _normalized_rows(tx_resp, "MRT precoder")
     g_t = tx_resp.conj() @ precoders.T  # (k, l')
-    num_paths = paths.num_paths
-    alpha_sq = np.abs(paths.gains) ** 2
+    num_paths = support.num_paths
+    alpha_sq = np.abs(support.gains) ** 2
     combiners = np.empty((num_paths, rx_resp.shape[1]), dtype=complex)
     for l in range(num_paths):
         weights = np.zeros(num_paths)
@@ -166,14 +141,7 @@ def mmse_combiners(
     return combiners
 
 
-def pdm_sinr(
-    design: LinkDesign,
-    paths: PathSet,
-    sets: SupportSets,
-    tx: LensArrayConfig,
-    rx: LensArrayConfig,
-    noise: float,
-) -> SinrReport:
+def pdm_sinr(design: LinkDesign, support: PathResponses, noise: float) -> SinrReport:
     """Exact analytic per-stream SINR for the given transceiver design.
 
     The coefficient of stream l' arriving via path k at detector l is
@@ -181,13 +149,14 @@ def pdm_sinr(
     (l, l, l), ISI collects k != l for stream l, inter-stream collects all
     paths of every other stream.
     """
-    g_r, g_t = _coupling(paths, sets, tx, rx, design.precoders, design.combiners)
-    num_paths = paths.num_paths
+    g_r = design.combiners.conj() @ support.rx.T  # g_r[l, k] = v_l^H a_{R,k}
+    g_t = support.tx.conj() @ design.precoders.T  # g_t[k, l'] = a_{T,k}^H w_{l'}
+    num_paths = support.num_paths
     amp = np.sqrt(np.asarray(design.powers, dtype=float))
     # power[l, l', k] = |c|^2 at detector l for stream l' via path k
     power = (
         (amp[None, :] ** 2)[:, :, None]
-        * (np.abs(paths.gains) ** 2)[None, None, :]
+        * (np.abs(support.gains) ** 2)[None, None, :]
         * (np.abs(g_r) ** 2)[:, None, :]
         * (np.abs(g_t.T) ** 2)[None, :, :]
     )
@@ -209,8 +178,7 @@ def pdm_sinr(
 
 
 def two_term_sinr_approx(
-    paths: PathSet,
-    sets: SupportSets,
+    support: PathResponses,
     tx: LensArrayConfig,
     rx: LensArrayConfig,
     powers,
@@ -219,9 +187,9 @@ def two_term_sinr_approx(
     """Diagnostic MRC SINR keeping only the two dominant inter-stream
     interference terms (k = l' and k = l). Not used for reported rates."""
     powers = np.asarray(powers, dtype=float)
-    ipc = ipc_coefficients(paths, sets, tx, rx)
-    alpha_sq = np.abs(paths.gains) ** 2
-    num_paths = paths.num_paths
+    ipc = ipc_coefficients(support, tx, rx)
+    alpha_sq = np.abs(support.gains) ** 2
+    num_paths = support.num_paths
     gammas = np.empty(num_paths)
     for l in range(num_paths):
         isi = sum(
@@ -240,7 +208,7 @@ def two_term_sinr_approx(
 
 def simulate_symbols(
     design: LinkDesign,
-    tapped: TappedChannel,
+    support: PathResponses,
     n_symbols: int,
     rng,
     noise: float,
@@ -249,32 +217,27 @@ def simulate_symbols(
 
     Draws i.i.d. unit-variance circular complex Gaussian symbols per stream,
     propagates each signal group (desired / ISI / inter-stream) separately
-    through the per-path taps, samples detector l at its stream delay, and
-    reports empirical powers. Delays wrap circularly, which leaves the
+    through every path at its delay, samples detector l at its stream delay,
+    and reports empirical powers. Delays wrap circularly, which leaves the
     stationary powers unchanged.
     """
     if n_symbols < 10_000:
         raise StatisticalValidityError("n_symbols must be at least 10^4")
     rng = np.random.default_rng(rng)
     num_streams = len(design.powers)
-    if len(tapped.path_taps) != num_streams:
+    if support.num_paths != num_streams:
         raise InvalidInputError("PDM expects one stream per path")
     symbols = (
         rng.standard_normal((num_streams, n_symbols))
         + 1j * rng.standard_normal((num_streams, n_symbols))
     ) / np.sqrt(2.0)
-    n_rx = len(tapped.rx_indices)
+    n_rx = support.rx.shape[1]
     noise_vec = np.sqrt(noise / 2.0) * (
         rng.standard_normal((n_rx, n_symbols)) + 1j * rng.standard_normal((n_rx, n_symbols))
     )
     amp = np.sqrt(np.asarray(design.powers, dtype=float))
-    # Receive-side vector produced by stream l' through path k (before the
-    # symbol sequence is applied).
-    path_delays = [n for n, _ in tapped.path_taps]
-    path_gain_vecs = [
-        [mat @ (amp[lp] * design.precoders[lp]) for lp in range(num_streams)]
-        for _, mat in tapped.path_taps
-    ]
+    # g_t[k, l'] = a_{T,k}^H w_{l'} sqrt(p_l'): stream l' launched into path k.
+    g_t = support.tx.conj() @ (amp[:, None] * design.precoders).T
     desired = np.empty(num_streams)
     isi = np.empty(num_streams)
     inter = np.empty(num_streams)
@@ -285,9 +248,10 @@ def simulate_symbols(
         sig_desired = np.zeros(n_symbols, dtype=complex)
         sig_isi = np.zeros(n_symbols, dtype=complex)
         sig_inter = np.zeros(n_symbols, dtype=complex)
-        for k, (n_k, vecs) in enumerate(zip(path_delays, path_gain_vecs)):
+        for k, n_k in enumerate(support.delays):
+            via_path = support.gains[k] * (v.conj() @ support.rx[k])
             for lp in range(num_streams):
-                out = (v.conj() @ vecs[lp]) * np.roll(symbols[lp], n_k - lag)
+                out = via_path * g_t[k, lp] * np.roll(symbols[lp], n_k - lag)
                 if lp == l and k == l:
                     sig_desired += out
                 elif lp == l:

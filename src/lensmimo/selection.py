@@ -1,13 +1,14 @@
-"""AoA/AoD-based antenna selection: per-path supporting antenna subsets and
-channel reduction to the selected antennas."""
+"""AoA/AoD-based antenna selection: per-path supporting antenna subsets,
+their unions, and a realization's path responses restricted to those unions
+(the view every PDM transceiver works on)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import LensArrayConfig, lens_response_spatial
-from .channel import PathSet
+from .arrays import LensArrayConfig
+from .channel import PathResponses, PathSet
 from .errors import InvalidInputError
 
 
@@ -56,31 +57,9 @@ def support_sets(
     )
 
 
-def _restricted(config: LensArrayConfig, spatial_freqs, subset) -> np.ndarray:
-    half = (config.element_count - 1) // 2
-    pos = np.asarray(subset, dtype=int) + half
-    return np.array([lens_response_spatial(config, phi)[pos] for phi in spatial_freqs])
-
-
-def restricted_rx_responses(paths: PathSet, sets: SupportSets, rx: LensArrayConfig) -> np.ndarray:
-    """(L, |M_S|) receive responses restricted to the union subset M_S."""
-    return _restricted(rx, paths.aoa_spatial_freqs, sets.rx_union)
-
-
-def restricted_tx_responses(paths: PathSet, sets: SupportSets, tx: LensArrayConfig) -> np.ndarray:
-    """(L, |Q_S|) transmit responses restricted to the union subset Q_S."""
-    return _restricted(tx, paths.aod_spatial_freqs, sets.tx_union)
-
-
-def reduce_channel(
-    paths: PathSet, sets: SupportSets, tx: LensArrayConfig, rx: LensArrayConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-path responses restricted to the selected antennas.
-
-    Returns (rx_responses, tx_responses) of shapes (L, |M_S|) and (L, |Q_S|);
-    row l is the path-l response over the union subset.
-    """
-    return (
-        restricted_rx_responses(paths, sets, rx),
-        restricted_tx_responses(paths, sets, tx),
-    )
+def restrict_to_support(
+    responses: PathResponses, sets: SupportSets, tx: LensArrayConfig, rx: LensArrayConfig
+) -> PathResponses:
+    """A realization's lens responses seen by the selected antennas only:
+    rows over the receive union M_S and the transmit union Q_S."""
+    return responses.restrict(rx.positions(sets.rx_union), tx.positions(sets.tx_union))

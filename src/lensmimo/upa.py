@@ -1,30 +1,32 @@
 """Conventional uniform-planar-array benchmark: narrowband eigenmode
 capacity, wideband MIMO-OFDM capacity with cyclic-prefix overhead, and
-power-based antenna selection under an RF-chain budget."""
+power-based antenna selection under an RF-chain budget.
+
+The UPA channel itself is ``channel.path_responses`` on a UpaConfig pair:
+its ``matrix()`` feeds the eigenmode capacity, its ``taps()`` the OFDM one.
+"""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import UpaConfig, upa_response
-from .channel import PathSet, TappedChannel
+from .channel import TappedChannel
 from .errors import InvalidInputError, UnsupportedConfigurationError
 from .numerics import RANK_TOL, svd, water_fill, waterfill_capacity
 
 
 @dataclass(frozen=True)
 class OfdmConfig:
-    """OFDM numerology: subcarrier count, cyclic-prefix length, bandwidth.
+    """OFDM numerology: subcarrier count and cyclic-prefix length.
 
     The cyclic prefix must cover the longest channel tap so that the
-    per-subcarrier channels are exactly parallel (no residual ISI).
+    per-subcarrier channels are exactly parallel (no residual ISI); the
+    sample rate is the channel bandwidth (``ChannelStats.bandwidth_hz``).
     """
 
     subcarriers: int = 512
     cp_samples: int = 50
-    bandwidth_hz: float = 500e6
 
     def __post_init__(self) -> None:
         n = self.subcarriers
@@ -32,8 +34,6 @@ class OfdmConfig:
             raise InvalidInputError("subcarrier count must be a power of two")
         if self.cp_samples < 0:
             raise InvalidInputError("cp_samples must be non-negative")
-        if self.bandwidth_hz <= 0:
-            raise InvalidInputError("bandwidth must be positive")
 
 
 def _eigen_gains(h: np.ndarray) -> np.ndarray:
@@ -50,41 +50,6 @@ def eigenmode_capacity(h: np.ndarray, power: float, noise: float) -> float:
     if not np.any(gains > 0):
         return 0.0
     return waterfill_capacity(gains, power, noise)
-
-
-def narrowband_upa_matrix(paths: PathSet, tx: UpaConfig, rx: UpaConfig) -> np.ndarray:
-    """Narrowband UPA channel H = sum_l alpha_l b_R(phi_l) b_T(theta_l)^H."""
-    h = np.zeros((rx.element_count, tx.element_count), dtype=complex)
-    for alpha, phi_r, phi_t in zip(paths.gains, paths.aoa_spatial_freqs, paths.aod_spatial_freqs):
-        b_r = upa_response(rx, math.asin(phi_r), "receive")
-        b_t = upa_response(tx, math.asin(phi_t), "transmit")
-        h += alpha * np.outer(b_r, b_t.conj())
-    return h
-
-
-def upa_tapped_channel(
-    paths: PathSet, tx: UpaConfig, rx: UpaConfig, sample_rate_hz: float
-) -> TappedChannel:
-    """Discrete-time tapped UPA channel; paths with equal quantized delay
-    are merged into one tap."""
-    delays = paths.delay_samples(sample_rate_hz)
-    path_taps = []
-    merged: dict[int, np.ndarray] = {}
-    for alpha, phi_r, phi_t, n in zip(
-        paths.gains, paths.aoa_spatial_freqs, paths.aod_spatial_freqs, delays
-    ):
-        b_r = upa_response(rx, math.asin(phi_r), "receive")
-        b_t = upa_response(tx, math.asin(phi_t), "transmit")
-        mat = alpha * np.outer(b_r, b_t.conj())
-        path_taps.append((int(n), mat))
-        merged[int(n)] = merged.get(int(n), 0) + mat
-    taps = tuple((n, merged[n]) for n in sorted(merged))
-    return TappedChannel(
-        taps=taps,
-        path_taps=tuple(path_taps),
-        rx_indices=tuple(range(rx.element_count)),
-        tx_indices=tuple(range(tx.element_count)),
-    )
 
 
 def ofdm_subchannels(tapped: TappedChannel, subcarriers: int) -> list[np.ndarray]:
@@ -152,15 +117,3 @@ def power_select_antennas(
     col_power = energy[rows].sum(axis=0)
     cols = np.sort(np.lexsort((np.arange(n_tx), -col_power))[:n_tx_rf])
     return rows, cols
-
-
-def restrict_taps(tapped: TappedChannel, rows: np.ndarray, cols: np.ndarray) -> TappedChannel:
-    """Tapped channel restricted to selected receive rows and transmit columns."""
-    rows = np.asarray(rows, dtype=int)
-    cols = np.asarray(cols, dtype=int)
-    return TappedChannel(
-        taps=tuple((n, mat[np.ix_(rows, cols)]) for n, mat in tapped.taps),
-        path_taps=tuple((n, mat[np.ix_(rows, cols)]) for n, mat in tapped.path_taps),
-        rx_indices=tuple(tapped.rx_indices[i] for i in rows),
-        tx_indices=tuple(tapped.tx_indices[j] for j in cols),
-    )

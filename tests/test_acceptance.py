@@ -88,13 +88,15 @@ def test_04_wideband_ideal_gap_is_cp_overhead():
 
 def _pdm_gammas(cfg, paths, kind, snr_db, noise, tx, rx):
     sets = lm.support_sets(paths, tx, rx, 1)
+    responses = lm.path_responses(paths, tx, rx, cfg.stats.bandwidth_hz)
+    support = lm.restrict_to_support(responses, sets, tx, rx)
     gains = np.abs(paths.gains) ** 2 * rx.aperture * tx.aperture
     powers = lm.water_fill(gains, cfg.stats.tx_power(snr_db), noise).powers
-    prec = lm.mrt_precoders(paths, sets, tx)
+    prec = lm.mrt_precoders(support)
     if kind == "MMSE":
-        comb = lm.mmse_combiners(paths, sets, tx, rx, powers, noise)
+        comb = lm.mmse_combiners(support, powers, noise)
     else:
-        comb = lm.mrc_combiners(paths, sets, rx)
+        comb = lm.mrc_combiners(support)
     design = lm.LinkDesign(
         precoders=prec,
         combiners=comb,
@@ -102,7 +104,7 @@ def _pdm_gammas(cfg, paths, kind, snr_db, noise, tx, rx):
         stream_delays=paths.delay_samples(cfg.stats.bandwidth_hz),
         combiner_kind=kind,
     )
-    return design, sets, lm.pdm_sinr(design, paths, sets, tx, rx, noise).gammas
+    return design, support, lm.pdm_sinr(design, support, noise).gammas
 
 
 def test_05_mmse_sinr_never_below_mrc():
@@ -133,12 +135,9 @@ def test_06_analytic_sinr_matches_symbol_simulation():
     worst = 0.0
     for t in range(20):
         paths = lm.sample_paths(cfg.stats, 3, np.random.default_rng([202, t]))
-        design, sets, analytic = _pdm_gammas(cfg, paths, "MRC", 10.0, noise, tx, rx)
-        tapped = lm.tapped_channel(
-            paths, tx, rx, cfg.stats.bandwidth_hz, sets.rx_union, sets.tx_union
-        )
+        design, support, analytic = _pdm_gammas(cfg, paths, "MRC", 10.0, noise, tx, rx)
         empirical = lm.simulate_symbols(
-            design, tapped, 100_000, np.random.default_rng([203, t]), noise
+            design, support, 100_000, np.random.default_rng([203, t]), noise
         ).gammas
         active = design.powers > 0
         gap = np.abs(10 * np.log10(empirical[active] / analytic[active]))
@@ -165,12 +164,9 @@ def test_07_isi_rejected_when_aoas_separated():
         if lm.check_separation(paths, tx, rx) not in ("aoa", "both"):
             continue
         checked += 1
-        design, sets, _ = _pdm_gammas(cfg, paths, "MRC", 20.0, noise, tx, rx)
-        tapped = lm.tapped_channel(
-            paths, tx, rx, cfg.stats.bandwidth_hz, sets.rx_union, sets.tx_union
-        )
+        design, support, _ = _pdm_gammas(cfg, paths, "MRC", 20.0, noise, tx, rx)
         rep = lm.simulate_symbols(
-            design, tapped, 100_000, np.random.default_rng([304, t]), noise
+            design, support, 100_000, np.random.default_rng([304, t]), noise
         )
         active = (design.powers > 0) & (rep.desired > 0)
         ratio_db = 10 * np.log10(
@@ -285,7 +281,10 @@ def test_11_interpath_coupling_small_when_separated():
                     aod_spatial_freqs=np.array([base, f2]),
                 )
                 sets = lm.support_sets(paths, cfg, cfg, 1)
-                rho = lm.ipc_coefficients(paths, sets, cfg, cfg).rho_t[0, 1]
+                support = lm.restrict_to_support(
+                    lm.path_responses(paths, cfg, cfg, 500e6), sets, cfg, cfg
+                )
+                rho = lm.ipc_coefficients(support, cfg, cfg).rho_t[0, 1]
                 worst = max(worst, float(rho))
         worst_by_dim[dim] = worst
         paths = lm.PathSet(
@@ -295,7 +294,8 @@ def test_11_interpath_coupling_small_when_separated():
             aod_spatial_freqs=np.array([0.0, 0.25]),
         )
         sets = lm.support_sets(paths, cfg, cfg, 1)
-        fixed_gap_rho[dim] = float(lm.ipc_coefficients(paths, sets, cfg, cfg).rho_t[0, 1])
+        support = lm.restrict_to_support(lm.path_responses(paths, cfg, cfg, 500e6), sets, cfg, cfg)
+        fixed_gap_rho[dim] = float(lm.ipc_coefficients(support, cfg, cfg).rho_t[0, 1])
     small = all(v < 0.05 for v in worst_by_dim.values())
     shrinks = fixed_gap_rho[20.0] < fixed_gap_rho[10.0]
     report(

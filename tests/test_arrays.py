@@ -112,11 +112,6 @@ class TestUpa:
         ratio = grid[1:, 0] / grid[:-1, 0]
         assert np.allclose(ratio, np.exp(1j * math.pi * math.sin(aoa)))
 
-    def test_side_validation(self):
-        cfg = UpaConfig(aperture=20.0, azimuth_dim=10.0)
-        with pytest.raises(InvalidInputError):
-            upa_response(cfg, 0.0, side="middle")
-
 
 class TestOracle:
     def test_first_order_matches_closed_form(self):

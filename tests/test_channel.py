@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from lensmimo.arrays import LensArrayConfig, lens_response_spatial
-from lensmimo.channel import (
-    ChannelStats,
-    PathSet,
-    narrowband_matrix,
-    sample_paths,
-    tapped_channel,
-)
+from lensmimo.channel import ChannelStats, PathSet, path_responses, sample_paths
 from lensmimo.errors import InvalidInputError
 
 IDEAL = dict(aoa_spatial_freqs=(0.0, 0.2, -0.2), aod_spatial_freqs=(0.0, 0.2, -0.2))
@@ -124,7 +118,7 @@ class TestChannelMatrices:
             aoa_spatial_freqs=np.array([0.17]),
             aod_spatial_freqs=np.array([-0.4]),
         )
-        h = narrowband_matrix(paths, tx, rx)
+        h = path_responses(paths, tx, rx, 500e6).matrix()
         a_r = lens_response_spatial(rx, 0.17)
         a_t = lens_response_spatial(tx, -0.4)
         assert np.allclose(h, paths.gains[0] * np.outer(a_r, a_t.conj()))
@@ -138,11 +132,17 @@ class TestChannelMatrices:
             aoa_spatial_freqs=np.array([0.0, 0.3]),
             aod_spatial_freqs=np.array([0.0, 0.3]),
         )
-        ch = tapped_channel(paths, tx, rx, 500e6, [0, 3], [0, 3])
+        resp = path_responses(paths, tx, rx, 500e6).restrict(
+            rx.positions([0, 3]), tx.positions([0, 3])
+        )
+        ch = resp.taps()
         assert len(ch.taps) == 1
         assert ch.taps[0][0] == 5
-        assert len(ch.path_taps) == 2
-        assert np.allclose(ch.taps[0][1], ch.path_taps[0][1] + ch.path_taps[1][1])
+        assert resp.num_paths == 2
+        path_taps = [
+            g * np.outer(a_r, a_t.conj()) for g, a_r, a_t in zip(resp.gains, resp.rx, resp.tx)
+        ]
+        assert np.allclose(ch.taps[0][1], path_taps[0] + path_taps[1])
 
     def test_subset_validation(self):
         tx = LensArrayConfig(10.0, 10.0)
@@ -153,7 +153,8 @@ class TestChannelMatrices:
             aoa_spatial_freqs=np.array([0.0]),
             aod_spatial_freqs=np.array([0.0]),
         )
+        resp = path_responses(paths, tx, rx, 500e6)
         with pytest.raises(InvalidInputError):
-            tapped_channel(paths, tx, rx, 500e6, [0, 11], [0])
+            resp.restrict(rx.positions([0, 11]), tx.positions([0]))
         with pytest.raises(InvalidInputError):
-            tapped_channel(paths, tx, rx, 500e6, [], [0])
+            resp.restrict(rx.positions([]), tx.positions([0]))

@@ -1,7 +1,11 @@
+from dataclasses import replace
+
 import pytest
 
+from lensmimo import cli
 from lensmimo.cli import main, parse_config_file
 from lensmimo.errors import ConfigError
+from lensmimo.experiments import preset
 
 
 class TestConfigFile:
@@ -81,6 +85,30 @@ class TestMain:
         assert main(["run", "--config", str(cfg), "--trials", "2"]) == 0
         out = capsys.readouterr().out
         assert out.strip().split("\n")[1].split(",")[4] == "2"
+
+    def test_snr_db_flag_overrides_config(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("scenario=fig5\ntrials=1\nschemes=OPDM\nsnr_db=0\n")
+        assert main(["run", "--config", str(cfg), "--snr-db", "5, 15, 25"]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")[1:]
+        assert [line.split(",")[1] for line in lines] == ["5", "15", "25"]
+
+    def test_schemes_flag_overrides_config(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("scenario=fig5\ntrials=1\nschemes=OPDM\nsnr_db=0\n")
+        assert main(["run", "--config", str(cfg), "--schemes", "UPA-eigenmode"]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")[1:]
+        assert [line.split(",")[0] for line in lines] == ["UPA-eigenmode"]
+
+    def test_short_cyclic_prefix_exit_code(self, monkeypatch, capsys):
+        # No setting reaches the delay spread, so stretch the preset's.
+        def long_delay_preset(name, **overrides):
+            stats = replace(preset(name).stats, max_excess_delay_s=200e-9)
+            return preset(name, stats=stats, **overrides)
+
+        monkeypatch.setattr(cli, "preset", long_delay_preset)
+        assert main(["run", "--scenario", "fig6", "--trials", "1"]) == 2
+        assert "cyclic prefix" in capsys.readouterr().err
 
     def test_missing_scenario_is_config_error(self, capsys):
         assert main(["run"]) == 2

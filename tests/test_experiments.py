@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,16 @@ class TestPresets:
             preset("fig5", schemes=("OPDM", "magic"))
         with pytest.raises(InvalidInputError):
             preset("fig5", schemes=("UPA-OFDM-selection",))  # no RF budgets
+
+    def test_cyclic_prefix_must_cover_longest_tap(self):
+        # 200 ns at 500 MHz is 100 samples, twice the 50-sample cyclic prefix.
+        stats = replace(preset("fig6").stats, max_excess_delay_s=200e-9)
+        with pytest.raises(InvalidInputError):
+            preset("fig6", stats=stats)
+        with pytest.raises(InvalidInputError):
+            preset("fig9", stats=replace(preset("fig9").stats, max_excess_delay_s=200e-9))
+        # Schemes without a cyclic prefix accept the long delay spread.
+        assert preset("fig6", stats=stats, schemes=("OPDM",)).stats is stats
 
 
 class TestRunExperiment:

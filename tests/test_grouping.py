@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lensmimo.arrays import LensArrayConfig
-from lensmimo.channel import ChannelStats, PathSet, sample_paths
+from lensmimo.channel import ChannelStats, PathSet, path_responses, sample_paths
 from lensmimo.errors import InvalidInputError, UnsupportedConfigurationError
 from lensmimo.grouping import (
     check_separation,
@@ -12,7 +12,7 @@ from lensmimo.grouping import (
 )
 from lensmimo.numerics import water_fill
 from lensmimo.pdm import LinkDesign, mmse_combiners, mrt_precoders, pdm_sinr
-from lensmimo.selection import reduce_channel, support_sets
+from lensmimo.selection import restrict_to_support, support_sets
 from lensmimo.upa import eigenmode_capacity
 
 TX = LensArrayConfig(10.0, 10.0)
@@ -92,7 +92,7 @@ class TestGroupedCapacity:
             tx_subsets=(sets.tx_union,),
             separated_side="aoa",
         )
-        mats = group_channels(REFERENCE, merged, TX, RX)
+        mats = group_channels(path_responses(REFERENCE, TX, RX, 500e6), merged, TX, RX)
         assert len(mats) == 1
         direct = eigenmode_capacity(mats[0], 2.0, 1e-10)
         grouped = grouped_capacity(mats, 2.0, 1e-10)
@@ -102,8 +102,10 @@ class TestGroupedCapacity:
         # Cross-group leakage through the discarded antennas is small.
         sets = support_sets(REFERENCE, TX, RX, 1)
         part = group_paths(sets, "aoa")
-        mats = group_channels(REFERENCE, part, TX, RX)
-        rx_resp, tx_resp = reduce_channel(REFERENCE, sets, TX, RX)
+        responses = path_responses(REFERENCE, TX, RX, 500e6)
+        mats = group_channels(responses, part, TX, RX)
+        support = restrict_to_support(responses, sets, TX, RX)
+        rx_resp, tx_resp = support.rx, support.tx
         h_full = sum(
             REFERENCE.gains[l] * np.outer(rx_resp[l], tx_resp[l].conj()) for l in range(3)
         )
@@ -130,19 +132,21 @@ class TestGroupedCapacity:
             checked += 1
             sets = support_sets(paths, tx, rx, 1)
             part = group_paths(sets, "aoa" if side in ("both", "aoa") else "aod")
-            mats = group_channels(paths, part, tx, rx)
+            responses = path_responses(paths, tx, rx, stats.bandwidth_hz)
+            support = restrict_to_support(responses, sets, tx, rx)
+            mats = group_channels(responses, part, tx, rx)
             grouped = grouped_capacity(mats, budget, noise)
             powers = water_fill(
                 np.abs(paths.gains) ** 2 * rx.aperture * tx.aperture, budget, noise
             ).powers
-            comb = mmse_combiners(paths, sets, tx, rx, powers, noise)
+            comb = mmse_combiners(support, powers, noise)
             design = LinkDesign(
-                precoders=mrt_precoders(paths, sets, tx),
+                precoders=mrt_precoders(support),
                 combiners=comb,
                 powers=powers,
                 stream_delays=np.zeros(3, int),
                 combiner_kind="MMSE",
             )
-            mmse_rate = pdm_sinr(design, paths, sets, tx, rx, noise).sum_rate
+            mmse_rate = pdm_sinr(design, support, noise).sum_rate
             assert grouped >= mmse_rate * (1 - 1e-9)
         assert checked > 0

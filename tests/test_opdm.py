@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lensmimo.arrays import LensArrayConfig
-from lensmimo.channel import PathSet, narrowband_matrix
+from lensmimo.channel import PathSet, path_responses
 from lensmimo.errors import IdealAngleError
 from lensmimo.opdm import opdm_capacity, opdm_decompose
 from lensmimo.upa import eigenmode_capacity
@@ -74,7 +74,7 @@ class TestCapacity:
         for _ in range(10):
             gains = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             paths = ideal_paths(gains)
-            h = narrowband_matrix(paths, TX, RX)
+            h = path_responses(paths, TX, RX, 500e6).matrix()
             direct = eigenmode_capacity(h, 2.0, 1.0)
             decoupled = opdm_capacity(opdm_decompose(paths, TX, RX), 2.0, 1.0)
             assert direct == pytest.approx(decoupled, rel=1e-9)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lensmimo.arrays import LensArrayConfig
-from lensmimo.channel import ChannelStats, PathSet, sample_paths, tapped_channel
+from lensmimo.channel import ChannelStats, PathSet, path_responses, sample_paths
 from lensmimo.errors import InvalidInputError, StatisticalValidityError
 from lensmimo.numerics import water_fill
 from lensmimo.pdm import (
@@ -15,7 +15,7 @@ from lensmimo.pdm import (
     simulate_symbols,
     two_term_sinr_approx,
 )
-from lensmimo.selection import support_sets
+from lensmimo.selection import restrict_to_support, support_sets
 
 TX = LensArrayConfig(100.0, 20.0)
 RX = LensArrayConfig(50.0, 10.0)
@@ -35,13 +35,18 @@ def make_paths(aoa, aod, gains=None, delays=None):
     )
 
 
+def support_of(paths, sets=None):
+    sets = support_sets(paths, TX, RX, 1) if sets is None else sets
+    return restrict_to_support(path_responses(paths, TX, RX, 500e6), sets, TX, RX)
+
+
 def random_design(paths, powers, noise, kind="MRC"):
-    sets = support_sets(paths, TX, RX, 1)
-    prec = mrt_precoders(paths, sets, TX)
+    support = support_of(paths)
+    prec = mrt_precoders(support)
     if kind == "MMSE":
-        comb = mmse_combiners(paths, sets, TX, RX, powers, noise)
+        comb = mmse_combiners(support, powers, noise)
     else:
-        comb = mrc_combiners(paths, sets, RX)
+        comb = mrc_combiners(support)
     design = LinkDesign(
         precoders=prec,
         combiners=comb,
@@ -49,15 +54,14 @@ def random_design(paths, powers, noise, kind="MRC"):
         stream_delays=paths.delay_samples(500e6),
         combiner_kind=kind,
     )
-    return design, sets
+    return design, support
 
 
 class TestBeamformers:
     def test_unit_norm(self):
-        paths = sample_paths(STATS, 3, np.random.default_rng(0))
-        sets = support_sets(paths, TX, RX, 1)
-        prec = mrt_precoders(paths, sets, TX)
-        comb = mrc_combiners(paths, sets, RX)
+        support = support_of(sample_paths(STATS, 3, np.random.default_rng(0)))
+        prec = mrt_precoders(support)
+        comb = mrc_combiners(support)
         assert np.allclose(np.linalg.norm(prec, axis=1), 1.0)
         assert np.allclose(np.linalg.norm(comb, axis=1), 1.0)
 
@@ -71,9 +75,8 @@ class TestBeamformers:
             )
 
     def test_mmse_unit_norm(self):
-        paths = sample_paths(STATS, 3, np.random.default_rng(1))
-        sets = support_sets(paths, TX, RX, 1)
-        comb = mmse_combiners(paths, sets, TX, RX, np.ones(3), 1e-9)
+        support = support_of(sample_paths(STATS, 3, np.random.default_rng(1)))
+        comb = mmse_combiners(support, np.ones(3), 1e-9)
         assert np.allclose(np.linalg.norm(comb, axis=1), 1.0)
 
 
@@ -83,8 +86,8 @@ class TestAnalyticSinr:
         paths = make_paths([-0.8, 0.0, 0.8], [-0.9, 0.0, 0.9], gains=[1e-6, 2e-6, 3e-6])
         noise = 1e-7
         powers = np.array([1.0, 2.0, 0.5])
-        design, sets = random_design(paths, powers, noise)
-        report = pdm_sinr(design, paths, sets, TX, RX, noise)
+        design, support = random_design(paths, powers, noise)
+        report = pdm_sinr(design, support, noise)
         expected = powers * np.abs(paths.gains) ** 2 * RX.aperture * TX.aperture / noise
         assert np.allclose(report.gammas, expected, rtol=0.01)
 
@@ -92,15 +95,15 @@ class TestAnalyticSinr:
         paths = sample_paths(STATS, 3, np.random.default_rng(2))
         noise = STATS.noise_power
         powers = water_fill(np.abs(paths.gains) ** 2, STATS.tx_power(10), noise).powers
-        design, sets = random_design(paths, powers, noise)
-        base = pdm_sinr(design, paths, sets, TX, RX, noise).gammas
+        design, support = random_design(paths, powers, noise)
+        base = pdm_sinr(design, support, noise).gammas
         scaled_design = LinkDesign(
             precoders=design.precoders,
             combiners=design.combiners,
             powers=design.powers * 7.0,
             stream_delays=design.stream_delays,
         )
-        scaled = pdm_sinr(scaled_design, paths, sets, TX, RX, 7.0 * noise).gammas
+        scaled = pdm_sinr(scaled_design, support, 7.0 * noise).gammas
         assert np.allclose(base, scaled, rtol=1e-9)
 
     def test_mmse_never_below_mrc(self):
@@ -108,25 +111,24 @@ class TestAnalyticSinr:
         for seed in range(20):
             paths = sample_paths(STATS, 3, np.random.default_rng(seed))
             powers = np.full(3, STATS.tx_power(15) / 3)
-            mrc_design, sets = random_design(paths, powers, noise)
+            mrc_design, support = random_design(paths, powers, noise)
             mmse_design, _ = random_design(paths, powers, noise, kind="MMSE")
-            g_mrc = pdm_sinr(mrc_design, paths, sets, TX, RX, noise).gammas
-            g_mmse = pdm_sinr(mmse_design, paths, sets, TX, RX, noise).gammas
+            g_mrc = pdm_sinr(mrc_design, support, noise).gammas
+            g_mmse = pdm_sinr(mmse_design, support, noise).gammas
             assert np.all(g_mmse >= g_mrc * (1 - 1e-9))
 
     def test_zero_power_stream_has_zero_sinr(self):
         paths = sample_paths(STATS, 3, np.random.default_rng(3))
         powers = np.array([1.0, 0.0, 1.0])
-        design, sets = random_design(paths, powers, STATS.noise_power)
-        report = pdm_sinr(design, paths, sets, TX, RX, STATS.noise_power)
+        design, support = random_design(paths, powers, STATS.noise_power)
+        report = pdm_sinr(design, support, STATS.noise_power)
         assert report.gammas[1] == 0.0
 
 
 class TestIpc:
     def test_symmetric_unit_diagonal_bounds(self):
-        paths = sample_paths(STATS, 3, np.random.default_rng(4))
-        sets = support_sets(paths, TX, RX, 1)
-        ipc = ipc_coefficients(paths, sets, TX, RX)
+        support = support_of(sample_paths(STATS, 3, np.random.default_rng(4)))
+        ipc = ipc_coefficients(support, TX, RX)
         for rho in (ipc.rho_t, ipc.rho_r):
             assert np.allclose(rho, rho.T)
             assert np.all(rho >= 0)
@@ -136,9 +138,9 @@ class TestIpc:
         paths = make_paths([-0.8, 0.0, 0.8], [-0.9, 0.0, 0.9], gains=[1e-6, 1e-6, 1e-6])
         noise = 1e-7
         powers = np.ones(3)
-        design, sets = random_design(paths, powers, noise)
-        exact = pdm_sinr(design, paths, sets, TX, RX, noise).gammas
-        approx = two_term_sinr_approx(paths, sets, TX, RX, powers, noise)
+        design, support = random_design(paths, powers, noise)
+        exact = pdm_sinr(design, support, noise).gammas
+        approx = two_term_sinr_approx(support, TX, RX, powers, noise)
         assert np.allclose(approx, exact, rtol=0.05)
 
 
@@ -146,10 +148,9 @@ class TestSymbolSimulation:
     def test_requires_enough_symbols(self):
         paths = sample_paths(STATS, 3, np.random.default_rng(5))
         noise = STATS.noise_power
-        design, sets = random_design(paths, np.ones(3), noise)
-        tapped = tapped_channel(paths, TX, RX, 500e6, sets.rx_union, sets.tx_union)
+        design, support = random_design(paths, np.ones(3), noise)
         with pytest.raises(StatisticalValidityError):
-            simulate_symbols(design, tapped, 100, np.random.default_rng(0), noise)
+            simulate_symbols(design, support, 100, np.random.default_rng(0), noise)
 
     def test_matches_analytic_sinr(self):
         noise = STATS.noise_power
@@ -157,11 +158,10 @@ class TestSymbolSimulation:
         powers = water_fill(
             np.abs(paths.gains) ** 2 * RX.aperture * TX.aperture, STATS.tx_power(10), noise
         ).powers
-        design, sets = random_design(paths, powers, noise)
-        tapped = tapped_channel(paths, TX, RX, 500e6, sets.rx_union, sets.tx_union)
-        analytic = pdm_sinr(design, paths, sets, TX, RX, noise).gammas
+        design, support = random_design(paths, powers, noise)
+        analytic = pdm_sinr(design, support, noise).gammas
         empirical = simulate_symbols(
-            design, tapped, 100_000, np.random.default_rng(7), noise
+            design, support, 100_000, np.random.default_rng(7), noise
         ).gammas
         active = design.powers > 0
         ratio_db = 10 * np.log10(empirical[active] / analytic[active])
@@ -170,13 +170,13 @@ class TestSymbolSimulation:
     def test_stream_count_must_match_paths(self):
         paths = sample_paths(STATS, 3, np.random.default_rng(8))
         noise = STATS.noise_power
-        design, sets = random_design(paths, np.ones(3), noise)
+        design, _ = random_design(paths, np.ones(3), noise)
         two = PathSet(
             gains=paths.gains[:2],
             delays_s=paths.delays_s[:2],
             aoa_spatial_freqs=paths.aoa_spatial_freqs[:2],
             aod_spatial_freqs=paths.aod_spatial_freqs[:2],
         )
-        tapped = tapped_channel(two, TX, RX, 500e6, sets.rx_union, sets.tx_union)
+        support = support_of(two, support_sets(paths, TX, RX, 1))
         with pytest.raises(InvalidInputError):
-            simulate_symbols(design, tapped, 10_000, np.random.default_rng(0), noise)
+            simulate_symbols(design, support, 10_000, np.random.default_rng(0), noise)

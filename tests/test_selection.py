@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from lensmimo.arrays import LensArrayConfig, lens_response_spatial
-from lensmimo.channel import PathSet
+from lensmimo.channel import PathSet, path_responses
 from lensmimo.errors import InvalidInputError
-from lensmimo.selection import reduce_channel, support_sets
+from lensmimo.selection import restrict_to_support, support_sets
 
 
 def make_paths(aoa, aod):
@@ -66,7 +66,8 @@ class TestReduceChannel:
         rx = LensArrayConfig(50.0, 10.0)
         paths = make_paths([0.36, -0.27], [0.12, 0.52])
         sets = support_sets(paths, tx, rx, delta=1)
-        rx_resp, tx_resp = reduce_channel(paths, sets, tx, rx)
+        support = restrict_to_support(path_responses(paths, tx, rx, 500e6), sets, tx, rx)
+        rx_resp, tx_resp = support.rx, support.tx
         assert rx_resp.shape == (2, len(sets.rx_union))
         assert tx_resp.shape == (2, len(sets.tx_union))
         full = lens_response_spatial(rx, 0.36)
@@ -81,5 +82,6 @@ class TestReduceChannel:
         for phi in rng.uniform(-0.9, 0.9, 50):
             paths = make_paths([phi], [phi])
             sets = support_sets(paths, cfg, cfg, delta=1)
-            rx_resp, _ = reduce_channel(paths, sets, cfg, cfg)
+            support = restrict_to_support(path_responses(paths, cfg, cfg, 500e6), sets, cfg, cfg)
+            rx_resp = support.rx
             assert np.linalg.norm(rx_resp[0]) ** 2 / cfg.aperture >= 0.81

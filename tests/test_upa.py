@@ -5,28 +5,19 @@ import numpy as np
 import pytest
 
 from lensmimo.arrays import UpaConfig
-from lensmimo.channel import PathSet, TappedChannel
+from lensmimo.channel import PathSet, TappedChannel, path_responses
 from lensmimo.errors import InvalidInputError, UnsupportedConfigurationError
 from lensmimo.upa import (
     OfdmConfig,
     eigenmode_capacity,
     mimo_ofdm_capacity,
-    narrowband_upa_matrix,
     ofdm_subchannels,
     power_select_antennas,
-    restrict_taps,
-    upa_tapped_channel,
 )
 
 
 def flat_channel(h):
-    h = np.asarray(h, complex)
-    return TappedChannel(
-        taps=((0, h),),
-        path_taps=((0, h),),
-        rx_indices=tuple(range(h.shape[0])),
-        tx_indices=tuple(range(h.shape[1])),
-    )
+    return TappedChannel(taps=((0, np.asarray(h, complex)),))
 
 
 class TestOfdmConfig:
@@ -61,9 +52,7 @@ class TestOfdmSubchannels:
 
     def test_pure_delay_is_all_pass(self):
         h = np.ones((2, 2), complex)
-        tapped = TappedChannel(
-            taps=((3, h),), path_taps=((3, h),), rx_indices=(0, 1), tx_indices=(0, 1)
-        )
+        tapped = TappedChannel(taps=((3, h),))
         subs = ofdm_subchannels(tapped, 16)
         for hk in subs:
             assert np.allclose(np.abs(hk), np.abs(h))
@@ -74,9 +63,7 @@ class TestOfdmSubchannels:
             (n, rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4)))
             for n in (0, 2, 5)
         )
-        tapped = TappedChannel(
-            taps=taps, path_taps=taps, rx_indices=(0, 1, 2), tx_indices=(0, 1, 2, 3)
-        )
+        tapped = TappedChannel(taps=taps)
         subs = ofdm_subchannels(tapped, 32)
         lhs = sum(np.linalg.norm(hk) ** 2 for hk in subs) / 32
         rhs = sum(np.linalg.norm(m) ** 2 for _, m in taps)
@@ -84,9 +71,7 @@ class TestOfdmSubchannels:
 
     def test_tap_beyond_symbol_rejected(self):
         h = np.ones((1, 1), complex)
-        tapped = TappedChannel(
-            taps=((8, h),), path_taps=((8, h),), rx_indices=(0,), tx_indices=(0,)
-        )
+        tapped = TappedChannel(taps=((8, h),))
         with pytest.raises(UnsupportedConfigurationError):
             ofdm_subchannels(tapped, 8)
 
@@ -114,9 +99,7 @@ class TestMimoOfdmCapacity:
         h = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
         cfg = OfdmConfig(subcarriers=16, cp_samples=4)
         base = mimo_ofdm_capacity(ofdm_subchannels(flat_channel(h), 16), 1.0, 0.5, cfg)
-        shifted = TappedChannel(
-            taps=((2, h),), path_taps=((2, h),), rx_indices=(0, 1), tx_indices=(0, 1, 2)
-        )
+        shifted = TappedChannel(taps=((2, h),))
         delayed = mimo_ofdm_capacity(ofdm_subchannels(shifted, 16), 1.0, 0.5, cfg)
         assert delayed == pytest.approx(base, rel=1e-9)
 
@@ -126,7 +109,7 @@ class TestMimoOfdmCapacity:
             (n, rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
             for n in (0, 3)
         )
-        tapped = TappedChannel(taps=taps, path_taps=taps, rx_indices=(0, 1), tx_indices=(0, 1))
+        tapped = TappedChannel(taps=taps)
         subs = ofdm_subchannels(tapped, 16)
         with_cp = mimo_ofdm_capacity(subs, 1.0, 1.0, OfdmConfig(16, 4))
         without = mimo_ofdm_capacity(subs, 1.0, 1.0, OfdmConfig(16, 0))
@@ -142,7 +125,7 @@ class TestUpaChannel:
             aoa_spatial_freqs=np.array([0.3]),
             aod_spatial_freqs=np.array([-0.2]),
         )
-        h = narrowband_upa_matrix(paths, cfg, cfg)
+        h = path_responses(paths, cfg, cfg, 500e6).matrix()
         # rank-1 with singular value |alpha| * sqrt(A_R A_T)
         s = np.linalg.svd(h, compute_uv=False)
         assert s[0] == pytest.approx(2.0 * 20.0)
@@ -156,8 +139,9 @@ class TestUpaChannel:
             aoa_spatial_freqs=np.array([0.0, 0.5]),
             aod_spatial_freqs=np.array([0.0, 0.5]),
         )
-        tapped = upa_tapped_channel(paths, cfg, cfg, 500e6)
-        assert len(tapped.taps) == 1 and len(tapped.path_taps) == 2
+        responses = path_responses(paths, cfg, cfg, 500e6)
+        tapped = responses.taps()
+        assert len(tapped.taps) == 1 and responses.num_paths == 2
 
 
 class TestPowerSelection:
@@ -208,14 +192,12 @@ class TestPowerSelection:
             (n, rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
             for n in (0, 2)
         )
-        tapped = TappedChannel(
-            taps=taps, path_taps=taps, rx_indices=tuple(range(6)), tx_indices=tuple(range(6))
-        )
+        tapped = TappedChannel(taps=taps)
         cfg = OfdmConfig(subcarriers=16, cp_samples=4)
         caps = []
         for k in (2, 4, 6):
             rows, cols = power_select_antennas(tapped, k, k)
-            sub = restrict_taps(tapped, rows, cols)
+            sub = TappedChannel(taps=tuple((n, m[np.ix_(rows, cols)]) for n, m in taps))
             caps.append(mimo_ofdm_capacity(ofdm_subchannels(sub, 16), 1.0, 1.0, cfg))
         assert caps[0] <= caps[1] <= caps[2]
 
