@@ -51,8 +51,14 @@ from .grouping import (
     group_paths,
     grouped_capacity,
 )
-from .numerics import PowerAllocation, hermitian_solve, svd, water_fill, waterfill_capacity
-from .opdm import ParallelChannels, opdm_capacity, opdm_decompose
+from .numerics import (
+    PowerAllocation,
+    eigen_gains,
+    hermitian_solve,
+    water_fill,
+    waterfill_capacity,
+)
+from .opdm import opdm_decompose
 from .pdm import (
     IpcMatrix,
     LinkDesign,
@@ -63,14 +69,12 @@ from .pdm import (
     mrt_precoders,
     pdm_sinr,
     simulate_symbols,
-    two_term_sinr_approx,
 )
 from .selection import SupportSets, restrict_to_support, support_sets
 from .upa import (
     OfdmConfig,
     eigenmode_capacity,
-    mimo_ofdm_capacity,
-    ofdm_subchannels,
+    ofdm_capacity,
     power_select_antennas,
 )
 

@@ -23,18 +23,11 @@ from .arrays import LensArrayConfig, UpaConfig
 from .channel import ChannelStats, PathResponses, PathSet, path_responses, sample_paths
 from .errors import ConfigError, IdealAngleError, InvalidInputError
 from .grouping import check_separation, group_channels, group_paths, grouped_capacity
-from .numerics import water_fill
-from .opdm import opdm_capacity, opdm_decompose
+from .numerics import water_fill, waterfill_capacity
+from .opdm import opdm_decompose
 from .pdm import LinkDesign, mmse_combiners, mrc_combiners, mrt_precoders, pdm_sinr
 from .selection import SupportSets, restrict_to_support, support_sets
-from .upa import (
-    OfdmConfig,
-    eigenmode_capacity,
-    ofdm_capacity_from_gains,
-    ofdm_eigen_gains,
-    ofdm_subchannels,
-    power_select_antennas,
-)
+from .upa import OfdmConfig, eigenmode_capacity, ofdm_capacity, power_select_antennas
 
 SCHEMES = (
     "OPDM",
@@ -177,16 +170,14 @@ def _pdm_rates(
 ) -> np.ndarray:
     precoders = mrt_precoders(support)
     gains = np.abs(support.gains) ** 2 * rx.aperture * tx.aperture
+    allocations = water_fill(gains, budgets, noise).powers
+    mrc = mrc_combiners(support) if kind == "MRC" else None
     rates = np.empty(len(budgets))
-    for i, p in enumerate(budgets):
-        powers = water_fill(gains, p, noise).powers
-        if kind == "MMSE":
-            combiners = mmse_combiners(support, powers, noise)
-        else:
-            combiners = mrc_combiners(support)
+    # The MMSE combiners depend on the stream powers, so they are per budget.
+    for i, powers in enumerate(allocations):
         design = LinkDesign(
             precoders=precoders,
-            combiners=combiners,
+            combiners=mrc if kind == "MRC" else mmse_combiners(support, powers, noise),
             powers=powers,
             stream_delays=support.delays,
             combiner_kind=kind,
@@ -212,7 +203,7 @@ def _grouping_rates(
         return _pdm_rates(support, tx, rx, budgets, noise, "MMSE"), "grouping-fallback"
     partition = group_paths(sets, "aoa" if side in ("both", "aoa") else "aod")
     mats = group_channels(lens, partition, tx, rx)
-    return np.array([grouped_capacity(mats, p, noise) for p in budgets]), None
+    return grouped_capacity(mats, budgets, noise), None
 
 
 def _run_trial(cfg: ExperimentConfig, trial: int) -> dict:
@@ -225,7 +216,7 @@ def _run_trial(cfg: ExperimentConfig, trial: int) -> dict:
     rng = np.random.default_rng([cfg.seed, trial])
     paths = sample_paths(cfg.stats, cfg.num_paths, rng)
     noise = cfg.stats.noise_power
-    budgets = [cfg.stats.tx_power(s) for s in cfg.snr_db]
+    budgets = np.array([cfg.stats.tx_power(s) for s in cfg.snr_db])
     tx = LensArrayConfig(cfg.tx_aperture, cfg.tx_azimuth_dim)
     rx = LensArrayConfig(cfg.rx_aperture, cfg.rx_azimuth_dim)
     rate = cfg.stats.bandwidth_hz
@@ -243,8 +234,7 @@ def _run_trial(cfg: ExperimentConfig, trial: int) -> dict:
         flag = None
         if scheme == "OPDM":
             try:
-                parallel = opdm_decompose(paths, tx, rx)
-                rates = np.array([opdm_capacity(parallel, p, noise) for p in budgets])
+                rates = waterfill_capacity(opdm_decompose(paths, tx, rx), budgets, noise)
             except IdealAngleError:
                 rates, flag = None, "opdm-skip"
         elif scheme == "PDM-MRC":
@@ -254,17 +244,13 @@ def _run_trial(cfg: ExperimentConfig, trial: int) -> dict:
         elif scheme == "PDM-grouping":
             rates, flag = _grouping_rates(paths, lens, sets, support, tx, rx, budgets, noise)
         elif scheme == "UPA-eigenmode":
-            h = upa.matrix()
-            rates = np.array([eigenmode_capacity(h, p, noise) for p in budgets])
+            rates = eigenmode_capacity(upa, budgets, noise)
         else:  # UPA-OFDM and UPA-OFDM-selection
             channel = upa
             if scheme == "UPA-OFDM-selection":
                 rows, cols = power_select_antennas(upa.taps(), cfg.rx_rf, cfg.tx_rf)
                 channel = upa.restrict(rows, cols)
-            gains = ofdm_eigen_gains(ofdm_subchannels(channel.taps(), cfg.ofdm.subcarriers))
-            rates = np.array(
-                [ofdm_capacity_from_gains(gains, p, noise, cfg.ofdm) for p in budgets]
-            )
+            rates = ofdm_capacity(channel, budgets, noise, cfg.ofdm)
         out[scheme] = (rates, flag)
     return out
 

@@ -11,7 +11,7 @@ import numpy as np
 from .arrays import LensArrayConfig
 from .channel import PathResponses, PathSet
 from .errors import InvalidInputError, UnsupportedConfigurationError
-from .numerics import RANK_TOL, svd, waterfill_capacity
+from .numerics import eigen_gains, waterfill_capacity
 from .selection import SupportSets
 
 
@@ -132,17 +132,12 @@ def group_channels(
     ]
 
 
-def grouped_capacity(group_channels_list, power: float, noise: float) -> float:
-    """Eigenmode water-filling capacity across all groups under one budget.
+def grouped_capacity(group_channels_list, budgets, noise: float) -> np.ndarray:
+    """Eigenmode water-filling capacity across all groups under one budget,
+    for each budget.
 
-    Pools the squared singular values of every group matrix and water-fills
-    the total transmit power over them globally.
+    Pools the eigen-gains of every group matrix and water-fills the total
+    transmit power over them globally.
     """
-    gains = []
-    for h in group_channels_list:
-        s, _, _ = svd(h)
-        gains.append(s**2)
-    gains = np.concatenate(gains)
-    if gains.size and gains.max() > 0:
-        gains[gains < (RANK_TOL * np.sqrt(gains.max())) ** 2] = 0.0
-    return waterfill_capacity(gains, power, noise)
+    gains = np.concatenate([eigen_gains(h) for h in group_channels_list])
+    return waterfill_capacity(gains, budgets, noise)

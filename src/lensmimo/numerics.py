@@ -1,6 +1,12 @@
-"""Shared numerical kernels: complex SVD, water-filling, Hermitian solve.
+"""Shared numerical kernels: eigen-gains, exact water-filling, Hermitian solve.
 
-All functions are pure and thread-safe.
+Every capacity the sweeps report is water-filling over parallel gains:
+OPDM's per-path gains, the eigenmodes of each path group, and the UPA
+eigenmodes of the reduced per-path cores (``upa``; ``PathResponses.taps()``
+feeds only the antenna selection); the PDM stream powers are water-filled
+the same way. ``eigen_gains`` turns a stack of matrices into squared
+singular values under one rank rule, and ``water_fill`` solves a whole grid
+of power budgets at once. All functions are pure and thread-safe.
 """
 from __future__ import annotations
 
@@ -10,79 +16,84 @@ import numpy as np
 
 from .errors import DegenerateInputError, InvalidInputError, NumericalError
 
-# Singular values below RANK_TOL * s_max are treated as exact zeros in
-# downstream capacity sums.
+# Singular values below RANK_TOL * s_max of their own matrix are treated as
+# exact zeros in downstream capacity sums.
 RANK_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class PowerAllocation:
-    """Water-filling result: per-channel powers and the water level mu."""
+    """Water-filling result: per-channel powers and the water level mu,
+    for each power budget."""
 
-    powers: np.ndarray  # non-negative, sum <= budget
-    water_level: float
+    powers: np.ndarray  # budgets.shape + gains.shape, non-negative, sum = budget
+    water_level: np.ndarray  # budgets.shape
 
 
-def svd(matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin SVD of a complex matrix.
+def eigen_gains(mats) -> np.ndarray:
+    """Squared singular values of each matrix of a (..., m, n) stack.
 
-    Returns (s, u, v) with s non-increasing and matrix = u @ diag(s) @ v^H.
+    Returns shape (..., min(m, n)), non-increasing along the last axis;
+    singular values below RANK_TOL times the largest one of the same matrix
+    are set to zero.
     """
-    m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.size == 0:
-        raise InvalidInputError("svd expects a non-empty 2-D matrix")
+    m = np.asarray(mats)
+    if m.ndim < 2 or m.size == 0:
+        raise InvalidInputError("eigen_gains expects a non-empty (..., m, n) stack")
     if not np.all(np.isfinite(m)):
-        raise InvalidInputError("svd input contains non-finite entries")
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    return s, u, vh.conj().T
+        raise InvalidInputError("eigen_gains input contains non-finite entries")
+    s = np.linalg.svd(m, compute_uv=False)
+    s = np.where(s < RANK_TOL * s[..., :1], 0.0, s)
+    return s**2
 
 
-def water_fill(gains, budget: float, noise: float) -> PowerAllocation:
-    """Water-filling power allocation over parallel channels.
+def water_fill(gains, budgets, noise: float) -> PowerAllocation:
+    """Exact water-filling power allocation over parallel channels.
 
-    Maximizes sum log2(1 + p_i g_i / noise) s.t. sum p_i <= budget, p_i >= 0.
-    The water level mu is found by bisection (p_i = max(0, mu - noise/g_i)),
-    then refined exactly on the identified active set. Channels with zero
-    gain get zero power; all-zero gains are an error.
+    For each budget P, maximizes sum log2(1 + p_i g_i / noise) s.t.
+    sum p_i = P, p_i >= 0. ``budgets`` is a scalar or an array; the result
+    holds one allocation per budget. Channels with zero gain get zero
+    power; all-zero gains are an error.
+
+    Finite-step solution: with the floors noise/g_i sorted and shifted by
+    the lowest, d_1 = 0 <= d_2 <= ..., the k best channels are active
+    exactly when P > T_k = sum_{j<=k} (d_k - d_j). The level above the
+    lowest floor is then (P + sum_{j<=k} d_j) / k and p_i = level - d_i, so
+    a budget far below the floors is never lost to cancellation.
     """
     g = np.asarray(gains, dtype=float)
+    b = np.asarray(budgets, dtype=float)
     if g.ndim != 1 or g.size == 0 or not np.all(np.isfinite(g)) or np.any(g < 0):
         raise InvalidInputError("gains must be a 1-D array of finite non-negative reals")
-    if budget <= 0 or noise <= 0:
-        raise InvalidInputError("budget and noise must be positive")
-    positive = g > 0
-    if not positive.any():
+    if not np.all(b > 0) or noise <= 0:
+        raise InvalidInputError("budgets and noise must be positive")
+    positive = np.flatnonzero(g > 0)
+    if positive.size == 0:
         raise DegenerateInputError("water_fill: all channel gains are zero")
 
     floors = noise / g[positive]
-    # mu <= floors.min() + budget: the best channel alone absorbs the budget.
-    lo, hi = 0.0, float(floors.min() + budget)
-    # 200 halvings shrink the bracket by 2^-200, far below any float gap,
-    # so the active set is identified exactly even for extreme floors.
-    for _ in range(200):
-        mu = 0.5 * (lo + hi)
-        total = np.maximum(0.0, mu - floors).sum()
-        if total > budget:
-            hi = mu
-        else:
-            lo = mu
-    mu = 0.5 * (lo + hi)
-    active = mu > floors
-    if active.any():
-        # Exact water level for the active set: sum(mu - floor_i) = budget.
-        mu = (budget + floors[active].sum()) / active.sum()
-    powers = np.zeros_like(g)
-    powers[positive] = np.maximum(0.0, mu - floors)
-    return PowerAllocation(powers=powers, water_level=float(mu))
+    order = np.argsort(floors, kind="stable")
+    d = floors[order] - floors[order[0]]
+    # T_{k+1} - T_k = k (d_{k+1} - d_k) >= 0, so the thresholds are sorted.
+    steps = np.arange(1, d.size) * np.diff(d)
+    thresholds = np.concatenate(([0.0], np.cumsum(steps)))
+    active = np.searchsorted(thresholds, b)  # >= 1, as every budget exceeds T_1 = 0
+    level = (b + np.cumsum(d)[active - 1]) / active
+    ranked = np.where(np.arange(d.size) < active[..., None], level[..., None] - d, 0.0)
+    powers = np.zeros(b.shape + g.shape)
+    powers[..., positive[order]] = np.maximum(ranked, 0.0)
+    return PowerAllocation(powers=powers, water_level=floors[order[0]] + level)
 
 
-def waterfill_capacity(gains, budget: float, noise: float) -> float:
-    """Spectral efficiency (bps/Hz) of water-filling over parallel channels."""
-    g = np.asarray(gains, dtype=float)
+def waterfill_capacity(gains, budgets, noise: float) -> np.ndarray:
+    """Spectral efficiency (bps/Hz) of water-filling over parallel channels,
+    one value per budget. ``gains`` may have any shape; all of them share
+    the budget."""
+    g = np.asarray(gains, dtype=float).ravel()
     if not (g > 0).any():
-        return 0.0
-    alloc = water_fill(g, budget, noise)
-    return float(np.log2(1.0 + alloc.powers * g / noise).sum())
+        return np.zeros(np.shape(budgets))
+    powers = water_fill(g, budgets, noise).powers
+    return np.log2(1.0 + powers * g / noise).sum(axis=-1)
 
 
 def hermitian_solve(c, b) -> np.ndarray:

@@ -1,40 +1,27 @@
 """Orthogonal path division multiplexing: with ideal (exactly focused,
 distinct) AoAs/AoDs the MIMO link decouples into L parallel SISO AWGN
-channels, one per multi-path, with power gains |alpha_l|^2 A_R A_T."""
+channels, one per multi-path, with power gains |alpha_l|^2 A_R A_T. Its
+rate is ``numerics.waterfill_capacity`` over those gains."""
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .arrays import LensArrayConfig
 from .channel import PathSet
 from .errors import IdealAngleError
-from .numerics import waterfill_capacity
 
 _IDEAL_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class ParallelChannels:
-    """L decoupled SISO sub-channels and their stream-to-antenna mapping."""
+def opdm_decompose(paths: PathSet, tx: LensArrayConfig, rx: LensArrayConfig) -> np.ndarray:
+    """Power gains |alpha_l|^2 A_R A_T of the L parallel SISO sub-channels
+    of an ideal-angle channel.
 
-    gains: np.ndarray  # |alpha_l|^2 * A_R * A_T
-    mapping: tuple[tuple[int, int], ...]  # (receive antenna m_l, transmit antenna q_l)
-    delays_samples: np.ndarray
-
-
-def opdm_decompose(
-    paths: PathSet,
-    tx: LensArrayConfig,
-    rx: LensArrayConfig,
-    sample_rate_hz: float | None = None,
-) -> ParallelChannels:
-    """Decompose an ideal-angle channel into parallel SISO sub-channels.
-
-    Requires every misalignment to vanish (|eps| < 1e-9) and all focusing
-    indices to be distinct on both sides; otherwise raises IdealAngleError
-    (use the PDM transceiver for arbitrary angles).
+    Path delays are perfectly compensated at the receiver, so the same
+    gains hold for narrow-band and wide-band operation. Requires every
+    misalignment to vanish (|eps| < 1e-9) and all focusing indices to be
+    distinct on both sides; otherwise raises IdealAngleError (use the PDM
+    transceiver for arbitrary angles).
     """
     m_idx, eps_r = paths.rx_focusing(rx)
     q_idx, eps_t = paths.tx_focusing(tx)
@@ -44,20 +31,4 @@ def opdm_decompose(
         )
     if len(set(m_idx)) < paths.num_paths or len(set(q_idx)) < paths.num_paths:
         raise IdealAngleError("duplicate focusing indices; paths are not separable")
-    delays = (
-        paths.delay_samples(sample_rate_hz)
-        if sample_rate_hz is not None
-        else np.zeros(paths.num_paths, dtype=int)
-    )
-    gains = np.abs(paths.gains) ** 2 * rx.aperture * tx.aperture
-    mapping = tuple((int(m), int(q)) for m, q in zip(m_idx, q_idx))
-    return ParallelChannels(gains=gains, mapping=mapping, delays_samples=delays)
-
-
-def opdm_capacity(channels: ParallelChannels, power: float, noise: float) -> float:
-    """Water-filling spectral efficiency over the parallel sub-channels.
-
-    Path delays are perfectly compensated at the receiver, so the same
-    formula holds for narrow-band and wide-band operation.
-    """
-    return waterfill_capacity(channels.gains, power, noise)
+    return np.abs(paths.gains) ** 2 * rx.aperture * tx.aperture

@@ -9,8 +9,7 @@ Every function works on one realization's PathResponses restricted to the
 selected antennas M_S x Q_S (``selection.restrict_to_support``): row l of
 its receive/transmit responses is path l seen by those antennas.
 
-All SINRs here use exactly normalized beamformers; the approximate
-norm-equals-aperture identities appear only in the two-term diagnostic.
+All SINRs here use exactly normalized beamformers.
 """
 from __future__ import annotations
 
@@ -119,19 +118,20 @@ def mmse_combiners(support: PathResponses, powers, noise: float) -> np.ndarray:
     rx_resp = support.rx
     tx_resp = support.tx
     precoders = _normalized_rows(tx_resp, "MRT precoder")
-    g_t = tx_resp.conj() @ precoders.T  # (k, l')
+    # launched[k, l'] = p_l' |a_{T,k}^H w_l'|^2: stream l' launched into path k.
+    launched = powers * np.abs(tx_resp.conj() @ precoders.T) ** 2
     num_paths = support.num_paths
-    alpha_sq = np.abs(support.gains) ** 2
+    other = ~np.eye(num_paths, dtype=bool)
+    # At detector l, path k carries every stream l' != k as interference,
+    # and stream k too unless k == l (then it is the desired signal). Summed
+    # without a subtraction: weights[l, k] = |alpha_k|^2 (sum_{l' != k}
+    # launched[k, l'] + [k != l] launched[k, k]).
+    crossing = np.where(other, launched, 0.0).sum(axis=1)
+    own = np.where(other, np.diag(launched), 0.0)
+    weights = np.abs(support.gains) ** 2 * (crossing + own)
     combiners = np.empty((num_paths, rx_resp.shape[1]), dtype=complex)
     for l in range(num_paths):
-        weights = np.zeros(num_paths)
-        for k in range(num_paths):
-            if k != l:
-                weights[k] += powers[l] * alpha_sq[k] * np.abs(g_t[k, l]) ** 2
-            for lp in range(num_paths):
-                if lp != l:
-                    weights[k] += powers[lp] * alpha_sq[k] * np.abs(g_t[k, lp]) ** 2
-        cov = (rx_resp.T * weights) @ rx_resp.conj() + noise * np.eye(rx_resp.shape[1])
+        cov = (rx_resp.T * weights[l]) @ rx_resp.conj() + noise * np.eye(rx_resp.shape[1])
         try:
             direction = hermitian_solve(cov, rx_resp[l])
         except NumericalError:
@@ -175,35 +175,6 @@ def pdm_sinr(design: LinkDesign, support: PathResponses, noise: float) -> SinrRe
         inter_stream=inter,
         noise=np.full(num_paths, float(noise)),
     )
-
-
-def two_term_sinr_approx(
-    support: PathResponses,
-    tx: LensArrayConfig,
-    rx: LensArrayConfig,
-    powers,
-    noise: float,
-) -> np.ndarray:
-    """Diagnostic MRC SINR keeping only the two dominant inter-stream
-    interference terms (k = l' and k = l). Not used for reported rates."""
-    powers = np.asarray(powers, dtype=float)
-    ipc = ipc_coefficients(support, tx, rx)
-    alpha_sq = np.abs(support.gains) ** 2
-    num_paths = support.num_paths
-    gammas = np.empty(num_paths)
-    for l in range(num_paths):
-        isi = sum(
-            powers[l] * alpha_sq[k] * ipc.rho_r[l, k] * ipc.rho_t[k, l]
-            for k in range(num_paths)
-            if k != l
-        )
-        inter = sum(
-            powers[lp] * (alpha_sq[lp] * ipc.rho_r[l, lp] + alpha_sq[l] * ipc.rho_t[l, lp])
-            for lp in range(num_paths)
-            if lp != l
-        )
-        gammas[l] = powers[l] * alpha_sq[l] / (isi + inter + noise / (rx.aperture * tx.aperture))
-    return gammas
 
 
 def simulate_symbols(

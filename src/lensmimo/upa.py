@@ -2,8 +2,12 @@
 capacity, wideband MIMO-OFDM capacity with cyclic-prefix overhead, and
 power-based antenna selection under an RF-chain budget.
 
-The UPA channel itself is ``channel.path_responses`` on a UpaConfig pair:
-its ``matrix()`` feeds the eigenmode capacity, its ``taps()`` the OFDM one.
+The UPA channel itself is ``channel.path_responses`` on a UpaConfig pair.
+Both capacities read those per-path factors directly: with A_R^T = Q_R R_R
+and A_T^T = Q_T R_T (thin QR), every subcarrier channel
+H_k = Q_R R_R diag(alpha_l e^{-j 2 pi k n_l / N}) R_T^H Q_T^H has the
+singular values of its at most L x L core, so no M x Q matrix is formed.
+``PathResponses.taps()`` feeds only the antenna selection.
 """
 from __future__ import annotations
 
@@ -11,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import TappedChannel
+from .channel import PathResponses, TappedChannel
 from .errors import InvalidInputError, UnsupportedConfigurationError
-from .numerics import RANK_TOL, svd, water_fill, waterfill_capacity
+from .numerics import eigen_gains, waterfill_capacity
 
 
 @dataclass(frozen=True)
@@ -36,64 +40,42 @@ class OfdmConfig:
             raise InvalidInputError("cp_samples must be non-negative")
 
 
-def _eigen_gains(h: np.ndarray) -> np.ndarray:
-    s, _, _ = svd(h)
-    if s.size and s[0] > 0:
-        s = np.where(s < RANK_TOL * s[0], 0.0, s)
-    return s**2
+def _cores(responses: PathResponses, phases: np.ndarray) -> np.ndarray:
+    """Stacked cores R_R diag(alpha * phases[k]) R_T^H, one per row of the
+    (K, L) ``phases``; core k has the singular values of
+    A_R^T diag(alpha * phases[k]) A_T^*."""
+    r_rx = np.linalg.qr(responses.rx.T, mode="r")
+    r_tx = np.linalg.qr(responses.tx.T, mode="r")
+    return (r_rx * (responses.gains * phases)[:, None, :]) @ r_tx.conj().T
 
 
-def eigenmode_capacity(h: np.ndarray, power: float, noise: float) -> float:
-    """SVD eigenmode transmission with water-filling: sum of
-    log2(1 + p_i s_i^2 / sigma^2) over the channel's singular values."""
-    gains = _eigen_gains(np.asarray(h))
-    if not np.any(gains > 0):
-        return 0.0
-    return waterfill_capacity(gains, power, noise)
+def eigenmode_capacity(responses: PathResponses, budgets, noise: float) -> np.ndarray:
+    """SVD eigenmode transmission with water-filling over the narrowband
+    channel H = sum_l alpha_l a_R,l a_T,l^H (delays ignored): sum of
+    log2(1 + p_i s_i^2 / sigma^2), for each budget."""
+    flat = np.ones((1, responses.num_paths))
+    return waterfill_capacity(eigen_gains(_cores(responses, flat)), budgets, noise)
 
 
-def ofdm_subchannels(tapped: TappedChannel, subcarriers: int) -> list[np.ndarray]:
-    """Frequency-domain subchannels H_k = sum_t tap_t exp(-j 2 pi k n_t / N)."""
-    if any(n >= subcarriers for n, _ in tapped.taps):
+def ofdm_capacity(
+    responses: PathResponses, budgets, noise: float, ofdm: OfdmConfig
+) -> np.ndarray:
+    """MIMO-OFDM spectral efficiency, for each per-subcarrier budget.
+
+    A global power budget N*P is water-filled over the eigen-gains of all
+    N subcarrier channels H_k = sum_l alpha_l e^{-j 2 pi k n_l / N}
+    a_R,l a_T,l^H, and the sum rate is discounted by the CP overhead factor
+    N/(N+cp). A path delay of N samples or more is refused.
+    """
+    n = ofdm.subcarriers
+    if np.any(responses.delays >= n):
         raise UnsupportedConfigurationError(
             "channel tap delay reaches or exceeds the OFDM symbol length"
         )
-    k = np.arange(subcarriers)
-    out = [np.zeros(tapped.taps[0][1].shape, dtype=complex) for _ in k]
-    for n, mat in tapped.taps:
-        phase = np.exp(-2j * np.pi * k * n / subcarriers)
-        for i in range(subcarriers):
-            out[i] = out[i] + phase[i] * mat
-    return out
-
-
-def ofdm_eigen_gains(subchannels: list[np.ndarray]) -> np.ndarray:
-    """Pooled squared singular values of every subcarrier matrix."""
-    return np.concatenate([_eigen_gains(h) for h in subchannels])
-
-
-def ofdm_capacity_from_gains(
-    gains: np.ndarray, power: float, noise: float, cfg: OfdmConfig
-) -> float:
-    """MIMO-OFDM spectral efficiency from pooled eigen-gains: a global power
-    budget N*P is water-filled over all subcarrier eigen-gains and the sum
-    rate is discounted by the CP overhead factor N/(N+cp)."""
-    n = cfg.subcarriers
-    if not np.any(gains > 0):
-        return 0.0
-    alloc = water_fill(gains, n * power, noise)
-    active = gains > 0
-    rate = np.log2(1.0 + alloc.powers[active] * gains[active] / noise).sum()
-    return (n / (n + cfg.cp_samples)) * rate / n
-
-
-def mimo_ofdm_capacity(
-    subchannels: list[np.ndarray], power: float, noise: float, cfg: OfdmConfig
-) -> float:
-    """MIMO-OFDM spectral efficiency of the given subcarrier matrices."""
-    if len(subchannels) != cfg.subcarriers:
-        raise InvalidInputError("subchannel count must equal the subcarrier count")
-    return ofdm_capacity_from_gains(ofdm_eigen_gains(subchannels), power, noise, cfg)
+    phases = np.exp(-2j * np.pi * np.outer(np.arange(n), responses.delays) / n)
+    gains = eigen_gains(_cores(responses, phases))
+    rate = waterfill_capacity(gains, n * np.asarray(budgets, dtype=float), noise)
+    return (n / (n + ofdm.cp_samples)) * rate / n
 
 
 def power_select_antennas(

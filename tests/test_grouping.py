@@ -10,10 +10,9 @@ from lensmimo.grouping import (
     group_paths,
     grouped_capacity,
 )
-from lensmimo.numerics import water_fill
+from lensmimo.numerics import eigen_gains, water_fill, waterfill_capacity
 from lensmimo.pdm import LinkDesign, mmse_combiners, mrt_precoders, pdm_sinr
 from lensmimo.selection import restrict_to_support, support_sets
-from lensmimo.upa import eigenmode_capacity
 
 TX = LensArrayConfig(10.0, 10.0)
 RX = LensArrayConfig(10.0, 10.0)
@@ -94,7 +93,7 @@ class TestGroupedCapacity:
         )
         mats = group_channels(path_responses(REFERENCE, TX, RX, 500e6), merged, TX, RX)
         assert len(mats) == 1
-        direct = eigenmode_capacity(mats[0], 2.0, 1e-10)
+        direct = waterfill_capacity(eigen_gains(mats[0]), 2.0, 1e-10)
         grouped = grouped_capacity(mats, 2.0, 1e-10)
         assert grouped == pytest.approx(direct, rel=1e-12)
 
@@ -110,7 +109,7 @@ class TestGroupedCapacity:
             REFERENCE.gains[l] * np.outer(rx_resp[l], tx_resp[l].conj()) for l in range(3)
         )
         noise = 1e-12
-        full = eigenmode_capacity(h_full, 1.0, noise)
+        full = waterfill_capacity(eigen_gains(h_full), 1.0, noise)
         grouped = grouped_capacity(mats, 1.0, noise)
         assert abs(grouped - full) / full < 0.01
 

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from lensmimo.errors import DegenerateInputError, InvalidInputError, NumericalError
-from lensmimo.numerics import hermitian_solve, svd, water_fill, waterfill_capacity
+from lensmimo.numerics import (
+    RANK_TOL,
+    eigen_gains,
+    hermitian_solve,
+    water_fill,
+    waterfill_capacity,
+)
 
 
 class TestWaterFill:
@@ -64,6 +70,8 @@ class TestWaterFill:
             water_fill([1.0], 1.0, 0.0)
         with pytest.raises(InvalidInputError):
             water_fill([-1.0], 1.0, 1.0)
+        with pytest.raises(InvalidInputError):
+            water_fill([1.0], [1.0, 0.0], 1.0)
 
     def test_tiny_gains_still_converge(self):
         g = np.array([1e-14, 3e-14])
@@ -72,21 +80,54 @@ class TestWaterFill:
 
     def test_capacity_zero_when_all_gains_zero(self):
         assert waterfill_capacity([0.0, 0.0], 1.0, 1.0) == 0.0
+        assert np.array_equal(waterfill_capacity([0.0], [1.0, 2.0], 1.0), [0.0, 0.0])
+
+    def test_budget_far_below_floor_is_kept(self):
+        # mu - noise/g would cancel the budget against the floor.
+        alloc = water_fill([1.0], 1e-20, 1.0)
+        assert alloc.powers[0] == 1e-20
+
+    def test_nearly_equal_floors_spend_exactly_the_budget(self):
+        alloc = water_fill([1.0, 0.999999], 1e-12, 1.0)
+        assert alloc.powers.sum() == 1e-12
+        assert alloc.powers[1] == 0.0
+
+    def test_budget_grid_shape(self):
+        g = np.array([0.5, 0.0, 2.0])
+        alloc = water_fill(g, np.array([[0.1, 1.0], [10.0, 100.0]]), 1.0)
+        assert alloc.powers.shape == (2, 2, 3)
+        assert alloc.water_level.shape == (2, 2)
+        assert np.allclose(alloc.powers.sum(axis=-1), [[0.1, 1.0], [10.0, 100.0]], rtol=1e-12)
+        assert np.all(alloc.powers[..., 1] == 0.0)
 
 
-class TestSvd:
-    def test_reconstruction(self):
+class TestEigenGains:
+    def test_stack_shape(self):
         rng = np.random.default_rng(2)
-        m = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
-        s, u, v = svd(m)
-        assert np.allclose(u @ np.diag(s) @ v.conj().T, m)
-        assert np.all(np.diff(s) <= 0)
+        m = rng.standard_normal((5, 4, 6)) + 1j * rng.standard_normal((5, 4, 6))
+        gains = eigen_gains(m)
+        assert gains.shape == (5, 4)
+        for g, h in zip(gains, m):
+            assert np.allclose(g, np.linalg.svd(h, compute_uv=False) ** 2, rtol=1e-12)
+            assert np.all(np.diff(g) <= 0)
+
+    def test_rank_tolerance_zeroing_is_per_matrix(self):
+        # Singular values 1 and 1e-13 (below RANK_TOL), then 1e-20 and
+        # 1e-21 (same ratio, but kept: the rule is relative to each matrix).
+        m = np.array([np.diag([1.0, 1e-13]), np.diag([1e-20, 1e-21])])
+        gains = eigen_gains(m)
+        assert 1e-13 < RANK_TOL
+        assert np.array_equal(gains[0], [1.0, 0.0])
+        assert np.allclose(gains[1], [1e-40, 1e-42], rtol=1e-12, atol=0.0)
+
+    def test_zero_matrix(self):
+        assert np.array_equal(eigen_gains(np.zeros((3, 2))), [0.0, 0.0])
 
     def test_invalid(self):
         with pytest.raises(InvalidInputError):
-            svd(np.zeros((0, 3)))
+            eigen_gains(np.zeros((0, 3)))
         with pytest.raises(InvalidInputError):
-            svd(np.array([[np.inf, 0.0]]))
+            eigen_gains(np.array([[np.inf, 0.0]]))
 
 
 class TestHermitianSolve:

@@ -1,10 +1,13 @@
-"""Property tests for the factored channel core and the water-filling kernel.
+"""Property tests for the factored channel core, the water-filling kernel
+and the PDM combiners.
 
 The channel properties draw random lens and UPA array pairs, 1-6 paths and
 quantized delays that often coincide, and check every channel form against
 a brute-force sum of per-path outer products. The water-filling properties
-check the KKT conditions and monotonicity in the power budget over the
-range of gains, budgets and noise levels the sweeps produce.
+check the KKT conditions, monotonicity in the power budget and that one
+call over a budget grid equals one call per budget, over budgets far wider
+than the sweeps produce. The combiner property checks that MMSE never
+loses to MRC on any stream.
 """
 import math
 
@@ -13,8 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lensmimo.arrays import LensArrayConfig, UpaConfig, lens_response_spatial, upa_response
-from lensmimo.channel import PathSet, path_responses
+from lensmimo.channel import ChannelStats, PathSet, path_responses, sample_paths
 from lensmimo.numerics import water_fill, waterfill_capacity
+from lensmimo.pdm import LinkDesign, mmse_combiners, mrc_combiners, mrt_precoders, pdm_sinr
+from lensmimo.selection import restrict_to_support, support_sets
 
 RATE = 500e6
 EXAMPLES = settings(max_examples=60, deadline=None)
@@ -120,8 +125,9 @@ gain_lists = st.lists(
 ).filter(lambda g: any(v > 0 for v in g))
 noises = st.floats(1e-2, 1e2)
 # Budget as the SNR of the strongest channel alone, budget * max(g) / noise:
-# -60..60 dB covers the sweeps' SNR grid, array gains and shadowing.
-best_snrs_db = st.floats(-60.0, 60.0)
+# -200..200 dB reaches far beyond the sweeps' SNR grid, array gains and
+# shadowing (about -60..60 dB), where a budget could cancel against a floor.
+best_snrs_db = st.floats(-200.0, 200.0)
 
 
 class TestWaterFillProperties:
@@ -151,3 +157,61 @@ class TestWaterFillProperties:
         low = waterfill_capacity(gains, budget, noise)
         high = waterfill_capacity(gains, budget * factor, noise)
         assert high >= low * (1 - 1e-12)
+
+    @EXAMPLES
+    @given(
+        gains=gain_lists,
+        noise=noises,
+        best_snrs=st.lists(best_snrs_db, min_size=1, max_size=12),
+    )
+    def test_budget_grid_equals_one_call_per_budget(self, gains, noise, best_snrs):
+        g = np.array(gains)
+        budgets = 10.0 ** (np.array(best_snrs) / 10.0) * noise / g.max()
+        grid = water_fill(g, budgets, noise)
+        rates = waterfill_capacity(g, budgets, noise)
+        for i, budget in enumerate(budgets):
+            single = water_fill(g, budget, noise)
+            assert np.array_equal(grid.powers[i], single.powers)
+            assert grid.water_level[i] == single.water_level
+            assert rates[i] == waterfill_capacity(g, budget, noise)
+
+
+# The fig9/fig10 lens pair, with both AoA spreads of those presets.
+PDM_TX = LensArrayConfig(100.0, 20.0)
+PDM_RX = LensArrayConfig(50.0, 10.0)
+
+
+class TestCombinerProperties:
+    @EXAMPLES
+    @given(
+        spread=st.sampled_from([10.0, 150.0]),
+        seed=st.integers(0, 2**32 - 1),
+        snr_db=st.floats(-10.0, 30.0),
+        shares=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+    )
+    def test_mmse_sinr_never_below_mrc(self, spread, seed, snr_db, shares):
+        stats = ChannelStats(
+            aoa_spread_deg=spread,
+            aod_spatial_freqs=tuple(np.sin(np.deg2rad([-15.0, 10.0, 45.0]))),
+        )
+        paths = sample_paths(stats, 3, np.random.default_rng(seed))
+        noise = stats.noise_power
+        powers = stats.tx_power(snr_db) * np.array(shares)
+        sets = support_sets(paths, PDM_TX, PDM_RX, 1)
+        support = restrict_to_support(
+            path_responses(paths, PDM_TX, PDM_RX, RATE), sets, PDM_TX, PDM_RX
+        )
+        gammas = {}
+        for kind, combiners in (
+            ("MRC", mrc_combiners(support)),
+            ("MMSE", mmse_combiners(support, powers, noise)),
+        ):
+            design = LinkDesign(
+                precoders=mrt_precoders(support),
+                combiners=combiners,
+                powers=powers,
+                stream_delays=support.delays,
+                combiner_kind=kind,
+            )
+            gammas[kind] = pdm_sinr(design, support, noise).gammas
+        assert np.all(gammas["MMSE"] >= gammas["MRC"] * (1 - 1e-9))

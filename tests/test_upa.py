@@ -5,19 +5,43 @@ import numpy as np
 import pytest
 
 from lensmimo.arrays import UpaConfig
-from lensmimo.channel import PathSet, TappedChannel, path_responses
+from lensmimo.channel import PathResponses, PathSet, TappedChannel, path_responses
 from lensmimo.errors import InvalidInputError, UnsupportedConfigurationError
-from lensmimo.upa import (
-    OfdmConfig,
-    eigenmode_capacity,
-    mimo_ofdm_capacity,
-    ofdm_subchannels,
-    power_select_antennas,
-)
+from lensmimo.numerics import RANK_TOL, waterfill_capacity
+from lensmimo.upa import OfdmConfig, eigenmode_capacity, ofdm_capacity, power_select_antennas
 
 
 def flat_channel(h):
     return TappedChannel(taps=((0, np.asarray(h, complex)),))
+
+
+def random_responses(rng, num_paths, n_rx, n_tx, delays=None):
+    def cn(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    return PathResponses(
+        rx=cn(num_paths, n_rx),
+        tx=cn(num_paths, n_tx),
+        gains=cn(num_paths),
+        delays=np.zeros(num_paths, int) if delays is None else np.asarray(delays, int),
+    )
+
+
+def oracle_subchannels(tapped, subcarriers):
+    """Per-subcarrier matrices H_k = sum_t tap_t exp(-j 2 pi k n_t / N)."""
+    k = np.arange(subcarriers)[:, None, None]
+    return sum(np.exp(-2j * np.pi * k * n / subcarriers) * mat for n, mat in tapped.taps)
+
+
+def oracle_ofdm_capacity(responses, budget, noise, cfg):
+    """MIMO-OFDM capacity from a full SVD of every dense subcarrier matrix."""
+    n = cfg.subcarriers
+    gains = []
+    for h in oracle_subchannels(responses.taps(), n):
+        s = np.linalg.svd(h, compute_uv=False)
+        gains.append(np.where(s < RANK_TOL * s[0], 0.0, s) ** 2)
+    rate = waterfill_capacity(np.concatenate(gains), n * budget, noise)
+    return (n / (n + cfg.cp_samples)) * rate / n
 
 
 class TestOfdmConfig:
@@ -30,22 +54,45 @@ class TestOfdmConfig:
 
 class TestEigenmodeCapacity:
     def test_scalar(self):
-        assert eigenmode_capacity(np.array([[1.0]]), 3.0, 1.0) == pytest.approx(2.0)
+        one = np.ones((1, 1), complex)
+        responses = PathResponses(rx=one, tx=one, gains=one[0], delays=np.zeros(1, int))
+        assert eigenmode_capacity(responses, 3.0, 1.0) == pytest.approx(2.0)
 
     def test_rank_one(self):
-        a = np.array([3.0, 4.0])  # singular value 5
-        h = np.outer(a, [1.0])
-        c = eigenmode_capacity(h, 2.0, 1.0)
+        # H = [3, 4]^T: singular value 5
+        responses = PathResponses(
+            rx=np.array([[3.0, 4.0]], complex),
+            tx=np.ones((1, 1), complex),
+            gains=np.ones(1, complex),
+            delays=np.zeros(1, int),
+        )
+        c = eigenmode_capacity(responses, 2.0, 1.0)
         assert c == pytest.approx(math.log2(1 + 2.0 * 25.0))
 
     def test_zero_matrix(self):
-        assert eigenmode_capacity(np.zeros((3, 3)), 1.0, 1.0) == 0.0
+        responses = random_responses(np.random.default_rng(0), 2, 3, 3)
+        zero = PathResponses(
+            rx=responses.rx, tx=responses.tx, gains=np.zeros(2, complex), delays=responses.delays
+        )
+        assert eigenmode_capacity(zero, 1.0, 1.0) == 0.0
+
+    def test_matches_full_matrix_svd(self):
+        rng = np.random.default_rng(8)
+        budgets = np.array([0.01, 1.0, 100.0])
+        for num_paths, n_rx, n_tx in ((3, 8, 5), (4, 2, 6), (5, 3, 2), (2, 1, 1)):
+            responses = random_responses(rng, num_paths, n_rx, n_tx)
+            s = np.linalg.svd(responses.matrix(), compute_uv=False)
+            direct = waterfill_capacity(np.where(s < RANK_TOL * s[0], 0.0, s) ** 2, budgets, 1.0)
+            assert np.allclose(eigenmode_capacity(responses, budgets, 1.0), direct, rtol=1e-9)
 
 
 class TestOfdmSubchannels:
+    """The per-subcarrier oracle the capacity tests below compare against,
+    and the refusal of taps that do not fit in one OFDM symbol."""
+
     def test_flat(self):
         h = np.arange(6, dtype=complex).reshape(2, 3)
-        subs = ofdm_subchannels(flat_channel(h), 8)
+        subs = oracle_subchannels(flat_channel(h), 8)
         assert len(subs) == 8
         for hk in subs:
             assert np.allclose(hk, h)
@@ -53,7 +100,7 @@ class TestOfdmSubchannels:
     def test_pure_delay_is_all_pass(self):
         h = np.ones((2, 2), complex)
         tapped = TappedChannel(taps=((3, h),))
-        subs = ofdm_subchannels(tapped, 16)
+        subs = oracle_subchannels(tapped, 16)
         for hk in subs:
             assert np.allclose(np.abs(hk), np.abs(h))
 
@@ -64,56 +111,71 @@ class TestOfdmSubchannels:
             for n in (0, 2, 5)
         )
         tapped = TappedChannel(taps=taps)
-        subs = ofdm_subchannels(tapped, 32)
+        subs = oracle_subchannels(tapped, 32)
         lhs = sum(np.linalg.norm(hk) ** 2 for hk in subs) / 32
         rhs = sum(np.linalg.norm(m) ** 2 for _, m in taps)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_tap_beyond_symbol_rejected(self):
-        h = np.ones((1, 1), complex)
-        tapped = TappedChannel(taps=((8, h),))
+        responses = random_responses(np.random.default_rng(1), 2, 1, 1, delays=(0, 8))
         with pytest.raises(UnsupportedConfigurationError):
-            ofdm_subchannels(tapped, 8)
+            ofdm_capacity(responses, 1.0, 1.0, OfdmConfig(subcarriers=8, cp_samples=0))
 
 
 class TestMimoOfdmCapacity:
     def test_flat_no_cp_equals_eigenmode(self):
-        rng = np.random.default_rng(1)
-        h = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        responses = random_responses(np.random.default_rng(1), 3, 3, 3)
         cfg = OfdmConfig(subcarriers=16, cp_samples=0)
-        subs = ofdm_subchannels(flat_channel(h), 16)
-        assert mimo_ofdm_capacity(subs, 2.0, 1.0, cfg) == pytest.approx(
-            eigenmode_capacity(h, 2.0, 1.0), rel=1e-9
+        assert ofdm_capacity(responses, 2.0, 1.0, cfg) == pytest.approx(
+            eigenmode_capacity(responses, 2.0, 1.0), rel=1e-9
         )
 
     def test_flat_cp_overhead_factor_exact(self):
-        rng = np.random.default_rng(2)
-        h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        subs = ofdm_subchannels(flat_channel(h), 512)
-        with_cp = mimo_ofdm_capacity(subs, 2.0, 1.0, OfdmConfig(512, 50))
-        without = mimo_ofdm_capacity(subs, 2.0, 1.0, OfdmConfig(512, 0))
+        responses = random_responses(np.random.default_rng(2), 2, 2, 2)
+        with_cp = ofdm_capacity(responses, 2.0, 1.0, OfdmConfig(512, 50))
+        without = ofdm_capacity(responses, 2.0, 1.0, OfdmConfig(512, 0))
         assert with_cp == pytest.approx((512 / 562) * without, rel=1e-12)
 
     def test_phase_ramp_invariance(self):
-        rng = np.random.default_rng(3)
-        h = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+        responses = random_responses(np.random.default_rng(3), 3, 2, 3)
         cfg = OfdmConfig(subcarriers=16, cp_samples=4)
-        base = mimo_ofdm_capacity(ofdm_subchannels(flat_channel(h), 16), 1.0, 0.5, cfg)
-        shifted = TappedChannel(taps=((2, h),))
-        delayed = mimo_ofdm_capacity(ofdm_subchannels(shifted, 16), 1.0, 0.5, cfg)
-        assert delayed == pytest.approx(base, rel=1e-9)
+        base = ofdm_capacity(responses, 1.0, 0.5, cfg)
+        shifted = PathResponses(
+            rx=responses.rx, tx=responses.tx, gains=responses.gains, delays=responses.delays + 2
+        )
+        assert ofdm_capacity(shifted, 1.0, 0.5, cfg) == pytest.approx(base, rel=1e-9)
 
     def test_cp_never_helps(self):
-        rng = np.random.default_rng(4)
-        taps = tuple(
-            (n, rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
-            for n in (0, 3)
-        )
-        tapped = TappedChannel(taps=taps)
-        subs = ofdm_subchannels(tapped, 16)
-        with_cp = mimo_ofdm_capacity(subs, 1.0, 1.0, OfdmConfig(16, 4))
-        without = mimo_ofdm_capacity(subs, 1.0, 1.0, OfdmConfig(16, 0))
+        responses = random_responses(np.random.default_rng(4), 4, 2, 2, delays=(0, 0, 3, 3))
+        with_cp = ofdm_capacity(responses, 1.0, 1.0, OfdmConfig(16, 4))
+        without = ofdm_capacity(responses, 1.0, 1.0, OfdmConfig(16, 0))
         assert with_cp <= (16 / 20) * without + 1e-12
+
+    def test_matches_per_subcarrier_svd_oracle(self):
+        # Reduced L x L cores against a full SVD of every dense subcarrier
+        # matrix, over draws with more paths than antennas on either side,
+        # repeated delays and duplicate path directions.
+        rng = np.random.default_rng(9)
+        cfg = OfdmConfig(subcarriers=16, cp_samples=4)
+        budgets = np.array([1e-3, 1.0, 1e3])
+        seen = dict(more_paths_than_rx=0, more_paths_than_tx=0, shared_delay=0, duplicate=0)
+        for _ in range(60):
+            num_paths = int(rng.integers(1, 7))
+            n_rx, n_tx = (int(v) for v in rng.integers(1, 9, size=2))
+            responses = random_responses(
+                rng, num_paths, n_rx, n_tx, delays=rng.integers(0, 4, size=num_paths)
+            )
+            if num_paths > 1 and rng.random() < 0.3:
+                # Path 1 arrives and departs along path 0's directions.
+                responses.rx[1] = responses.rx[0]
+                responses.tx[1] = responses.tx[0]
+                seen["duplicate"] += 1
+            seen["more_paths_than_rx"] += num_paths > n_rx
+            seen["more_paths_than_tx"] += num_paths > n_tx
+            seen["shared_delay"] += len(set(responses.delays.tolist())) < num_paths
+            oracle = [oracle_ofdm_capacity(responses, b, 0.5, cfg) for b in budgets]
+            assert np.allclose(ofdm_capacity(responses, budgets, 0.5, cfg), oracle, rtol=1e-9)
+        assert all(count > 0 for count in seen.values()), seen
 
 
 class TestUpaChannel:
@@ -187,18 +249,12 @@ class TestPowerSelection:
         assert greedy >= 0.8 * best
 
     def test_capacity_monotone_in_budget(self):
-        rng = np.random.default_rng(7)
-        taps = tuple(
-            (n, rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
-            for n in (0, 2)
-        )
-        tapped = TappedChannel(taps=taps)
+        responses = random_responses(np.random.default_rng(7), 4, 6, 6, delays=(0, 0, 2, 2))
         cfg = OfdmConfig(subcarriers=16, cp_samples=4)
         caps = []
         for k in (2, 4, 6):
-            rows, cols = power_select_antennas(tapped, k, k)
-            sub = TappedChannel(taps=tuple((n, m[np.ix_(rows, cols)]) for n, m in taps))
-            caps.append(mimo_ofdm_capacity(ofdm_subchannels(sub, 16), 1.0, 1.0, cfg))
+            rows, cols = power_select_antennas(responses.taps(), k, k)
+            caps.append(ofdm_capacity(responses.restrict(rows, cols), 1.0, 1.0, cfg))
         assert caps[0] <= caps[1] <= caps[2]
 
     def test_budget_validation(self):
