@@ -61,7 +61,6 @@ from .numerics import (
 from .opdm import opdm_decompose
 from .pdm import (
     IpcMatrix,
-    LinkDesign,
     SinrReport,
     ipc_coefficients,
     mmse_combiners,

@@ -12,6 +12,7 @@ seed) give identical output regardless of worker count.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -25,7 +26,7 @@ from .errors import ConfigError, IdealAngleError, InvalidInputError
 from .grouping import check_separation, group_channels, group_paths, grouped_capacity
 from .numerics import water_fill, waterfill_capacity
 from .opdm import opdm_decompose
-from .pdm import LinkDesign, mmse_combiners, mrc_combiners, mrt_precoders, pdm_sinr
+from .pdm import mmse_combiners, mrc_combiners, pdm_sinr
 from .selection import SupportSets, restrict_to_support, support_sets
 from .upa import OfdmConfig, eigenmode_capacity, ofdm_capacity, power_select_antennas
 
@@ -168,22 +169,10 @@ def _pdm_rates(
     noise: float,
     kind: str,
 ) -> np.ndarray:
-    precoders = mrt_precoders(support)
     gains = np.abs(support.gains) ** 2 * rx.aperture * tx.aperture
-    allocations = water_fill(gains, budgets, noise).powers
-    mrc = mrc_combiners(support) if kind == "MRC" else None
-    rates = np.empty(len(budgets))
-    # The MMSE combiners depend on the stream powers, so they are per budget.
-    for i, powers in enumerate(allocations):
-        design = LinkDesign(
-            precoders=precoders,
-            combiners=mrc if kind == "MRC" else mmse_combiners(support, powers, noise),
-            powers=powers,
-            stream_delays=support.delays,
-            combiner_kind=kind,
-        )
-        rates[i] = pdm_sinr(design, support, noise).sum_rate
-    return rates
+    powers = water_fill(gains, budgets, noise).powers
+    combiners = mrc_combiners(support) if kind == "MRC" else mmse_combiners(support, powers, noise)
+    return pdm_sinr(support, combiners, powers, noise).sum_rate
 
 
 def _grouping_rates(
@@ -255,16 +244,14 @@ def _run_trial(cfg: ExperimentConfig, trial: int) -> dict:
     return out
 
 
-def _worker(args) -> dict:
-    cfg, trial = args
-    return _run_trial(cfg, trial)
-
-
 def resolve_workers(workers: int | None = None) -> int:
     """Worker count: explicit argument, else SIM_THREADS, else CPU count."""
     if workers is None:
         env = os.environ.get("SIM_THREADS", "")
-        workers = int(env) if env else (os.cpu_count() or 1)
+        try:
+            workers = int(env) if env else (os.cpu_count() or 1)
+        except ValueError:
+            raise ConfigError(f"SIM_THREADS must be an integer, got {env!r}") from None
     if workers < 1:
         raise InvalidInputError("worker count must be at least 1")
     return workers
@@ -277,12 +264,11 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> list[Re
     fallback trials are counted in the flags column as name:count pairs.
     """
     workers = min(resolve_workers(workers), cfg.trials)
-    jobs = [(cfg, t) for t in range(cfg.trials)]
     if workers == 1:
         trial_results = [_run_trial(cfg, t) for t in range(cfg.trials)]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            trial_results = list(pool.map(_worker, jobs))
+            trial_results = list(pool.map(_run_trial, itertools.repeat(cfg), range(cfg.trials)))
     rows: list[ResultRow] = []
     for scheme in cfg.schemes:
         rates = [r[scheme][0] for r in trial_results if r[scheme][0] is not None]

@@ -6,7 +6,10 @@ eigenmodes of the reduced per-path cores (``upa``; ``PathResponses.taps()``
 feeds only the antenna selection); the PDM stream powers are water-filled
 the same way. ``eigen_gains`` turns a stack of matrices into squared
 singular values under one rank rule, and ``water_fill`` solves a whole grid
-of power budgets at once. All functions are pure and thread-safe.
+of power budgets at once. ``hermitian_solve`` solves a stack of Hermitian
+positive definite systems (the PDM MMSE covariances of every stream and
+budget) in one call and refuses a singular one. All functions are pure and
+thread-safe.
 """
 from __future__ import annotations
 
@@ -93,24 +96,30 @@ def waterfill_capacity(gains, budgets, noise: float) -> np.ndarray:
     if not (g > 0).any():
         return np.zeros(np.shape(budgets))
     powers = water_fill(g, budgets, noise).powers
-    return np.log2(1.0 + powers * g / noise).sum(axis=-1)
+    return (np.log1p(powers * g / noise) / np.log(2.0)).sum(axis=-1)
 
 
 def hermitian_solve(c, b) -> np.ndarray:
-    """Solve C x = b for Hermitian positive definite C."""
+    """Solve C x = b for each Hermitian positive definite C of a (..., m, m)
+    stack, with right-hand sides of shape (..., m).
+
+    Raises NumericalError if any matrix of the stack is singular or
+    indefinite in double precision.
+    """
     cm = np.asarray(c, dtype=complex)
     bv = np.asarray(b, dtype=complex)
-    if cm.ndim != 2 or cm.shape[0] != cm.shape[1]:
-        raise InvalidInputError("C must be square")
+    if cm.ndim < 2 or cm.shape[-1] != cm.shape[-2] or bv.shape != cm.shape[:-1]:
+        raise InvalidInputError("hermitian_solve expects C of (..., m, m) and b of (..., m)")
     if not (np.all(np.isfinite(cm)) and np.all(np.isfinite(bv))):
         raise InvalidInputError("hermitian_solve input contains non-finite entries")
-    scale = np.linalg.norm(cm)
-    if np.linalg.norm(cm - cm.conj().T) > 1e-12 * max(scale, 1e-300):
+    scale = np.linalg.norm(cm, axis=(-2, -1))
+    skew = np.linalg.norm(cm - cm.conj().swapaxes(-2, -1), axis=(-2, -1))
+    if np.any(skew > 1e-12 * np.maximum(scale, 1e-300)):
         raise InvalidInputError("C is not Hermitian to within 1e-12")
     try:
         np.linalg.cholesky(cm)  # positive definiteness check
+        return np.linalg.solve(cm, bv[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
-            f"C is singular or indefinite (condition number {np.linalg.cond(cm):.3e})"
+            f"C is singular or indefinite (condition number {np.linalg.cond(cm).max():.3e})"
         ) from exc
-    return np.linalg.solve(cm, bv)

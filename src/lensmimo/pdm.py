@@ -1,19 +1,23 @@
 """Path division multiplexing for arbitrary AoAs/AoDs.
 
-Per-path maximal-ratio transmission at the transmitter, per-stream MRC or
-MMSE combining at the receiver, the exact per-stream SINR decomposition
+Per-path maximal-ratio transmission (MRT) at the transmitter, per-stream MRC
+or MMSE combining at the receiver, the exact per-stream SINR decomposition
 (desired / inter-symbol / inter-stream / noise), inter-path contamination
 coefficients, and a symbol-level wideband Monte Carlo simulation.
 
 Every function works on one realization's PathResponses restricted to the
 selected antennas M_S x Q_S (``selection.restrict_to_support``): row l of
-its receive/transmit responses is path l seen by those antennas.
+its receive/transmit responses is path l seen by those antennas. Stream l
+is sent on path l with the MRT precoder of that path and detected at that
+path's delay. Stream powers have shape (..., L): a leading axis (one row
+per power budget) evaluates a whole SNR grid in one call, with the MRT
+precoders and their path couplings g_t formed once. An MMSE covariance that
+is singular in double precision is refused with NumericalError.
 
 All SINRs here use exactly normalized beamformers.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,27 +33,6 @@ from .errors import (
 from .numerics import hermitian_solve
 
 _UNIT_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class LinkDesign:
-    """Per-stream transceiver configuration over the selected antennas."""
-
-    precoders: np.ndarray  # (L, |Q_S|), unit-norm rows
-    combiners: np.ndarray  # (L, |M_S|), unit-norm rows
-    powers: np.ndarray  # (L,), non-negative
-    stream_delays: np.ndarray  # (L,) integer symbol delays n_l
-    combiner_kind: str = "MRC"
-
-    def __post_init__(self) -> None:
-        for name, mat in (("precoder", self.precoders), ("combiner", self.combiners)):
-            norms = np.linalg.norm(mat, axis=1)
-            if np.any(np.abs(norms - 1.0) > _UNIT_TOL):
-                raise InvalidInputError(f"every {name} must be unit-norm")
-        if np.any(self.powers < 0):
-            raise InvalidInputError("stream powers must be non-negative")
-        if self.combiner_kind not in ("MRC", "MMSE"):
-            raise InvalidInputError("combiner_kind must be 'MRC' or 'MMSE'")
 
 
 @dataclass(frozen=True)
@@ -71,9 +54,10 @@ class SinrReport:
     noise: np.ndarray
 
     @property
-    def sum_rate(self) -> float:
-        """Achievable sum rate sum_l log2(1 + gamma_l) in bps/Hz."""
-        return float(np.log2(1.0 + self.gammas).sum())
+    def sum_rate(self) -> np.ndarray:
+        """Achievable sum rate sum_l log2(1 + gamma_l) in bps/Hz, one value
+        per leading index of the stream powers."""
+        return (np.log1p(self.gammas) / np.log(2.0)).sum(axis=-1)
 
 
 def _normalized_rows(rows: np.ndarray, what: str) -> np.ndarray:
@@ -91,6 +75,16 @@ def mrt_precoders(support: PathResponses) -> np.ndarray:
 def mrc_combiners(support: PathResponses) -> np.ndarray:
     """Unit-norm per-path MRC combiners over M_S."""
     return _normalized_rows(support.rx, "MRC combiner")
+
+
+def _check_streams(support: PathResponses, combiners: np.ndarray, powers: np.ndarray) -> None:
+    streams = (support.num_paths,)
+    if powers.shape[-1:] != streams or combiners.shape[-2:-1] != streams:
+        raise InvalidInputError("PDM expects one stream per path")
+    if np.any(np.abs(np.linalg.norm(combiners, axis=-1) - 1.0) > _UNIT_TOL):
+        raise InvalidInputError("every combiner must be unit-norm")
+    if np.any(powers < 0):
+        raise InvalidInputError("stream powers must be non-negative")
 
 
 def ipc_coefficients(
@@ -111,59 +105,60 @@ def mmse_combiners(support: PathResponses, powers, noise: float) -> np.ndarray:
 
     C_l collects the ISI covariance of stream l via the other paths, the
     inter-stream covariance of all other streams via every path, and the
-    noise floor. Falls back to MRC with a warning if C_l is singular
-    (reachable only in noise-free degenerate setups).
+    noise floor. ``powers`` has shape (..., L); the result has shape
+    (..., L, M_S), and all covariances are solved in one stacked call.
+    Raises NumericalError if any C_l is singular in double precision (the
+    noise floor lost against the path terms, e.g. at an extreme SNR).
     """
     powers = np.asarray(powers, dtype=float)
     rx_resp = support.rx
-    tx_resp = support.tx
-    precoders = _normalized_rows(tx_resp, "MRT precoder")
-    # launched[k, l'] = p_l' |a_{T,k}^H w_l'|^2: stream l' launched into path k.
-    launched = powers * np.abs(tx_resp.conj() @ precoders.T) ** 2
-    num_paths = support.num_paths
-    other = ~np.eye(num_paths, dtype=bool)
+    # launched[..., k, l'] = p_l' |a_{T,k}^H w_l'|^2: stream l' launched into path k.
+    launched = powers[..., None, :] * np.abs(support.tx.conj() @ mrt_precoders(support).T) ** 2
+    other = ~np.eye(support.num_paths, dtype=bool)
     # At detector l, path k carries every stream l' != k as interference,
     # and stream k too unless k == l (then it is the desired signal). Summed
-    # without a subtraction: weights[l, k] = |alpha_k|^2 (sum_{l' != k}
+    # without a subtraction: weights[..., l, k] = |alpha_k|^2 (sum_{l' != k}
     # launched[k, l'] + [k != l] launched[k, k]).
-    crossing = np.where(other, launched, 0.0).sum(axis=1)
-    own = np.where(other, np.diag(launched), 0.0)
+    crossing = np.where(other, launched, 0.0).sum(axis=-1)[..., None, :]
+    own = np.where(other, np.diagonal(launched, axis1=-2, axis2=-1)[..., None, :], 0.0)
     weights = np.abs(support.gains) ** 2 * (crossing + own)
-    combiners = np.empty((num_paths, rx_resp.shape[1]), dtype=complex)
-    for l in range(num_paths):
-        cov = (rx_resp.T * weights[l]) @ rx_resp.conj() + noise * np.eye(rx_resp.shape[1])
-        try:
-            direction = hermitian_solve(cov, rx_resp[l])
-        except NumericalError:
-            warnings.warn("singular MMSE covariance; falling back to MRC", RuntimeWarning)
-            direction = rx_resp[l]
-        combiners[l] = direction / np.linalg.norm(direction)
-    return combiners
+    n_rx = rx_resp.shape[1]
+    cov = (rx_resp.T * weights[..., None, :]) @ rx_resp.conj() + noise * np.eye(n_rx)
+    try:
+        directions = hermitian_solve(cov, np.broadcast_to(rx_resp, cov.shape[:-1]))
+    except NumericalError as exc:
+        raise NumericalError(f"MMSE covariance lost its noise floor: {exc}") from exc
+    return directions / np.linalg.norm(directions, axis=-1, keepdims=True)
 
 
-def pdm_sinr(design: LinkDesign, support: PathResponses, noise: float) -> SinrReport:
-    """Exact analytic per-stream SINR for the given transceiver design.
+def pdm_sinr(support: PathResponses, combiners, powers, noise: float) -> SinrReport:
+    """Exact analytic per-stream SINR under per-path MRT precoding.
 
     The coefficient of stream l' arriving via path k at detector l is
     sqrt(p_l') * alpha_k * (v_l^H a_{R,k}) * (a_{T,k}^H w_{l'}); desired is
     (l, l, l), ISI collects k != l for stream l, inter-stream collects all
-    paths of every other stream.
+    paths of every other stream. ``powers`` has shape (..., L) and
+    ``combiners`` (L, M_S) or (..., L, M_S); every report field has the
+    broadcast shape (..., L).
     """
-    g_r = design.combiners.conj() @ support.rx.T  # g_r[l, k] = v_l^H a_{R,k}
-    g_t = support.tx.conj() @ design.precoders.T  # g_t[k, l'] = a_{T,k}^H w_{l'}
-    num_paths = support.num_paths
-    amp = np.sqrt(np.asarray(design.powers, dtype=float))
-    # power[l, l', k] = |c|^2 at detector l for stream l' via path k
+    combiners = np.asarray(combiners)
+    powers = np.asarray(powers, dtype=float)
+    _check_streams(support, combiners, powers)
+    g_r = combiners.conj() @ support.rx.T  # g_r[..., l, k] = v_l^H a_{R,k}
+    g_t = support.tx.conj() @ mrt_precoders(support).T  # g_t[k, l'] = a_{T,k}^H w_{l'}
+    amp = np.sqrt(powers)
+    # power[..., l, l', k] = |c|^2 at detector l for stream l' via path k
     power = (
-        (amp[None, :] ** 2)[:, :, None]
-        * (np.abs(support.gains) ** 2)[None, None, :]
-        * (np.abs(g_r) ** 2)[:, None, :]
-        * (np.abs(g_t.T) ** 2)[None, :, :]
+        (amp**2)[..., None, :, None]
+        * np.abs(support.gains) ** 2
+        * (np.abs(g_r) ** 2)[..., :, None, :]
+        * np.abs(g_t.T) ** 2
     )
-    idx = np.arange(num_paths)
-    desired = power[idx, idx, idx]
-    isi = power[idx, idx, :].sum(axis=1) - desired
-    inter = power.sum(axis=(1, 2)) - power[idx, idx, :].sum(axis=1)
+    idx = np.arange(support.num_paths)
+    desired = power[..., idx, idx, idx]
+    own_stream = power[..., idx, idx, :].sum(axis=-1)
+    isi = own_stream - desired
+    inter = power.sum(axis=(-2, -1)) - own_stream
     denom = isi + inter + noise
     with np.errstate(divide="ignore", invalid="ignore"):
         gammas = np.where(denom > 0, desired / np.where(denom > 0, denom, 1.0), np.inf)
@@ -173,13 +168,14 @@ def pdm_sinr(design: LinkDesign, support: PathResponses, noise: float) -> SinrRe
         desired=desired,
         isi=isi,
         inter_stream=inter,
-        noise=np.full(num_paths, float(noise)),
+        noise=np.full(desired.shape, float(noise)),
     )
 
 
 def simulate_symbols(
-    design: LinkDesign,
     support: PathResponses,
+    combiners,
+    powers,
     n_symbols: int,
     rng,
     noise: float,
@@ -188,16 +184,17 @@ def simulate_symbols(
 
     Draws i.i.d. unit-variance circular complex Gaussian symbols per stream,
     propagates each signal group (desired / ISI / inter-stream) separately
-    through every path at its delay, samples detector l at its stream delay,
-    and reports empirical powers. Delays wrap circularly, which leaves the
+    through every path at its delay under per-path MRT precoding, samples
+    detector l at the delay of path l, and reports empirical powers. Delays wrap circularly, which leaves the
     stationary powers unchanged.
     """
     if n_symbols < 10_000:
         raise StatisticalValidityError("n_symbols must be at least 10^4")
+    combiners = np.asarray(combiners)
+    powers = np.asarray(powers, dtype=float)
+    _check_streams(support, combiners, powers)
     rng = np.random.default_rng(rng)
-    num_streams = len(design.powers)
-    if support.num_paths != num_streams:
-        raise InvalidInputError("PDM expects one stream per path")
+    num_streams = support.num_paths
     symbols = (
         rng.standard_normal((num_streams, n_symbols))
         + 1j * rng.standard_normal((num_streams, n_symbols))
@@ -206,16 +203,16 @@ def simulate_symbols(
     noise_vec = np.sqrt(noise / 2.0) * (
         rng.standard_normal((n_rx, n_symbols)) + 1j * rng.standard_normal((n_rx, n_symbols))
     )
-    amp = np.sqrt(np.asarray(design.powers, dtype=float))
+    amp = np.sqrt(powers)
     # g_t[k, l'] = a_{T,k}^H w_{l'} sqrt(p_l'): stream l' launched into path k.
-    g_t = support.tx.conj() @ (amp[:, None] * design.precoders).T
+    g_t = support.tx.conj() @ (amp[:, None] * mrt_precoders(support)).T
     desired = np.empty(num_streams)
     isi = np.empty(num_streams)
     inter = np.empty(num_streams)
     noise_pow = np.empty(num_streams)
     for l in range(num_streams):
-        v = design.combiners[l]
-        lag = int(design.stream_delays[l])
+        v = combiners[l]
+        lag = int(support.delays[l])
         sig_desired = np.zeros(n_symbols, dtype=complex)
         sig_isi = np.zeros(n_symbols, dtype=complex)
         sig_inter = np.zeros(n_symbols, dtype=complex)

@@ -92,19 +92,11 @@ def _pdm_gammas(cfg, paths, kind, snr_db, noise, tx, rx):
     support = lm.restrict_to_support(responses, sets, tx, rx)
     gains = np.abs(paths.gains) ** 2 * rx.aperture * tx.aperture
     powers = lm.water_fill(gains, cfg.stats.tx_power(snr_db), noise).powers
-    prec = lm.mrt_precoders(support)
     if kind == "MMSE":
         comb = lm.mmse_combiners(support, powers, noise)
     else:
         comb = lm.mrc_combiners(support)
-    design = lm.LinkDesign(
-        precoders=prec,
-        combiners=comb,
-        powers=powers,
-        stream_delays=paths.delay_samples(cfg.stats.bandwidth_hz),
-        combiner_kind=kind,
-    )
-    return design, support, lm.pdm_sinr(design, support, noise).gammas
+    return support, comb, powers, lm.pdm_sinr(support, comb, powers, noise).gammas
 
 
 def test_05_mmse_sinr_never_below_mrc():
@@ -115,8 +107,8 @@ def test_05_mmse_sinr_never_below_mrc():
     violations = 0
     for t in range(1000):
         paths = lm.sample_paths(cfg.stats, 3, np.random.default_rng([101, t]))
-        _, _, g_mrc = _pdm_gammas(cfg, paths, "MRC", 20.0, noise, tx, rx)
-        _, _, g_mmse = _pdm_gammas(cfg, paths, "MMSE", 20.0, noise, tx, rx)
+        *_, g_mrc = _pdm_gammas(cfg, paths, "MRC", 20.0, noise, tx, rx)
+        *_, g_mmse = _pdm_gammas(cfg, paths, "MMSE", 20.0, noise, tx, rx)
         if np.any(g_mmse < g_mrc * (1 - 1e-9)):
             violations += 1
     report(
@@ -135,11 +127,11 @@ def test_06_analytic_sinr_matches_symbol_simulation():
     worst = 0.0
     for t in range(20):
         paths = lm.sample_paths(cfg.stats, 3, np.random.default_rng([202, t]))
-        design, support, analytic = _pdm_gammas(cfg, paths, "MRC", 10.0, noise, tx, rx)
+        support, comb, powers, analytic = _pdm_gammas(cfg, paths, "MRC", 10.0, noise, tx, rx)
         empirical = lm.simulate_symbols(
-            design, support, 100_000, np.random.default_rng([203, t]), noise
+            support, comb, powers, 100_000, np.random.default_rng([203, t]), noise
         ).gammas
-        active = design.powers > 0
+        active = powers > 0
         gap = np.abs(10 * np.log10(empirical[active] / analytic[active]))
         worst = max(worst, float(gap.max()))
     report(
@@ -164,11 +156,11 @@ def test_07_isi_rejected_when_aoas_separated():
         if lm.check_separation(paths, tx, rx) not in ("aoa", "both"):
             continue
         checked += 1
-        design, support, _ = _pdm_gammas(cfg, paths, "MRC", 20.0, noise, tx, rx)
+        support, comb, powers, _ = _pdm_gammas(cfg, paths, "MRC", 20.0, noise, tx, rx)
         rep = lm.simulate_symbols(
-            design, support, 100_000, np.random.default_rng([304, t]), noise
+            support, comb, powers, 100_000, np.random.default_rng([304, t]), noise
         )
-        active = (design.powers > 0) & (rep.desired > 0)
+        active = (powers > 0) & (rep.desired > 0)
         ratio_db = 10 * np.log10(
             np.maximum(rep.isi[active], 1e-300) / rep.desired[active]
         )

@@ -110,6 +110,18 @@ class TestMain:
         assert main(["run", "--scenario", "fig6", "--trials", "1"]) == 2
         assert "cyclic prefix" in capsys.readouterr().err
 
+    def test_singular_mmse_covariance_exit_code(self, capsys):
+        args = ["run", "--scenario", "fig9", "--trials", "30", "--snr-db", "140"]
+        assert main(args + ["--schemes", "PDM-MMSE"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "MMSE covariance" in err
+        assert "Traceback" not in err
+
+    def test_bad_sim_threads_exit_code(self, monkeypatch, capsys):
+        monkeypatch.setenv("SIM_THREADS", "abc")
+        assert main(["run", "--scenario", "fig5", "--trials", "2"]) == 2
+        assert "SIM_THREADS" in capsys.readouterr().err
+
     def test_missing_scenario_is_config_error(self, capsys):
         assert main(["run"]) == 2
         assert "scenario" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,12 @@ class TestWaterFill:
         assert np.all(alloc.powers[..., 1] == 0.0)
 
 
+    def test_capacity_of_a_tiny_snr_keeps_its_digits(self):
+        # log2(1 + 1e-13) loses about 8e-4 of its value to the rounding of 1 + x.
+        rate = waterfill_capacity([1.0], 1e-13, 1.0)
+        assert rate == pytest.approx(math.log1p(1e-13) / math.log(2), rel=1e-15)
+
+
 class TestEigenGains:
     def test_stack_shape(self):
         rng = np.random.default_rng(2)
@@ -146,3 +154,29 @@ class TestHermitianSolve:
     def test_rejects_singular(self):
         with pytest.raises(NumericalError):
             hermitian_solve(np.zeros((2, 2)), np.ones(2))
+
+    def test_stack_solves_each_matrix(self):
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal((3, 2, 4, 4)) + 1j * rng.standard_normal((3, 2, 4, 4))
+        c = a @ a.conj().swapaxes(-2, -1) + np.eye(4)
+        b = rng.standard_normal((3, 2, 4)) + 1j * rng.standard_normal((3, 2, 4))
+        x = hermitian_solve(c, b)
+        assert x.shape == b.shape
+        for i in np.ndindex(3, 2):
+            assert np.array_equal(x[i], hermitian_solve(c[i], b[i]))
+
+    def test_one_singular_matrix_fails_the_stack(self):
+        c = np.stack([np.eye(3), np.eye(3), np.diag([1.0, 1.0, 0.0])]).astype(complex)
+        with pytest.raises(NumericalError):
+            hermitian_solve(c, np.ones((3, 3)))
+
+    def test_rejects_mismatched_right_hand_side(self):
+        with pytest.raises(InvalidInputError):
+            hermitian_solve(np.stack([np.eye(2)] * 3), np.ones(2))
+
+    def test_singular_solve_is_numerical_error(self):
+        # Rank two: the Cholesky factorization of this matrix can pass on a
+        # rounded pivot while the solve then meets an exact zero.
+        a = np.array([[3 - 1j, 2], [-3 + 1j, 3], [3 - 2j, -2 + 3j]])
+        with pytest.raises(NumericalError):
+            hermitian_solve(a @ a.conj().T, np.ones(3))

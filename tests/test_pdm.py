@@ -3,10 +3,10 @@ import pytest
 
 from lensmimo.arrays import LensArrayConfig
 from lensmimo.channel import ChannelStats, PathSet, path_responses, sample_paths
-from lensmimo.errors import InvalidInputError, StatisticalValidityError
+from lensmimo.errors import InvalidInputError, NumericalError, StatisticalValidityError
+from lensmimo.experiments import preset
 from lensmimo.numerics import water_fill
 from lensmimo.pdm import (
-    LinkDesign,
     ipc_coefficients,
     mmse_combiners,
     mrc_combiners,
@@ -39,21 +39,12 @@ def support_of(paths, sets=None):
     return restrict_to_support(path_responses(paths, TX, RX, 500e6), sets, TX, RX)
 
 
-def random_design(paths, powers, noise, kind="MRC"):
+def link(paths, powers, noise, kind="MRC"):
+    """The support view and the MRC or MMSE combiners of one realization."""
     support = support_of(paths)
-    prec = mrt_precoders(support)
     if kind == "MMSE":
-        comb = mmse_combiners(support, powers, noise)
-    else:
-        comb = mrc_combiners(support)
-    design = LinkDesign(
-        precoders=prec,
-        combiners=comb,
-        powers=np.asarray(powers, float),
-        stream_delays=paths.delay_samples(500e6),
-        combiner_kind=kind,
-    )
-    return design, support
+        return support, mmse_combiners(support, powers, noise)
+    return support, mrc_combiners(support)
 
 
 class TestBeamformers:
@@ -64,14 +55,11 @@ class TestBeamformers:
         assert np.allclose(np.linalg.norm(prec, axis=1), 1.0)
         assert np.allclose(np.linalg.norm(comb, axis=1), 1.0)
 
-    def test_link_design_validates_norms(self):
+    def test_pdm_sinr_validates_combiner_norms(self):
+        support = support_of(sample_paths(STATS, 3, np.random.default_rng(0)))
+        comb = 2.0 * mrc_combiners(support)
         with pytest.raises(InvalidInputError):
-            LinkDesign(
-                precoders=2.0 * np.ones((1, 2), complex) / np.sqrt(2),
-                combiners=np.ones((1, 2), complex) / np.sqrt(2),
-                powers=np.ones(1),
-                stream_delays=np.zeros(1, int),
-            )
+            pdm_sinr(support, comb, np.ones(3), STATS.noise_power)
 
     def test_mmse_unit_norm(self):
         support = support_of(sample_paths(STATS, 3, np.random.default_rng(1)))
@@ -110,8 +98,8 @@ class TestAnalyticSinr:
         paths = make_paths([-0.8, 0.0, 0.8], [-0.9, 0.0, 0.9], gains=[1e-6, 2e-6, 3e-6])
         noise = 1e-7
         powers = np.array([1.0, 2.0, 0.5])
-        design, support = random_design(paths, powers, noise)
-        report = pdm_sinr(design, support, noise)
+        support, comb = link(paths, powers, noise)
+        report = pdm_sinr(support, comb, powers, noise)
         expected = powers * np.abs(paths.gains) ** 2 * RX.aperture * TX.aperture / noise
         assert np.allclose(report.gammas, expected, rtol=0.01)
 
@@ -119,15 +107,9 @@ class TestAnalyticSinr:
         paths = sample_paths(STATS, 3, np.random.default_rng(2))
         noise = STATS.noise_power
         powers = water_fill(np.abs(paths.gains) ** 2, STATS.tx_power(10), noise).powers
-        design, support = random_design(paths, powers, noise)
-        base = pdm_sinr(design, support, noise).gammas
-        scaled_design = LinkDesign(
-            precoders=design.precoders,
-            combiners=design.combiners,
-            powers=design.powers * 7.0,
-            stream_delays=design.stream_delays,
-        )
-        scaled = pdm_sinr(scaled_design, support, 7.0 * noise).gammas
+        support, comb = link(paths, powers, noise)
+        base = pdm_sinr(support, comb, powers, noise).gammas
+        scaled = pdm_sinr(support, comb, powers * 7.0, 7.0 * noise).gammas
         assert np.allclose(base, scaled, rtol=1e-9)
 
     def test_mmse_never_below_mrc(self):
@@ -135,18 +117,34 @@ class TestAnalyticSinr:
         for seed in range(20):
             paths = sample_paths(STATS, 3, np.random.default_rng(seed))
             powers = np.full(3, STATS.tx_power(15) / 3)
-            mrc_design, support = random_design(paths, powers, noise)
-            mmse_design, _ = random_design(paths, powers, noise, kind="MMSE")
-            g_mrc = pdm_sinr(mrc_design, support, noise).gammas
-            g_mmse = pdm_sinr(mmse_design, support, noise).gammas
+            support, mrc = link(paths, powers, noise)
+            _, mmse = link(paths, powers, noise, kind="MMSE")
+            g_mrc = pdm_sinr(support, mrc, powers, noise).gammas
+            g_mmse = pdm_sinr(support, mmse, powers, noise).gammas
             assert np.all(g_mmse >= g_mrc * (1 - 1e-9))
 
     def test_zero_power_stream_has_zero_sinr(self):
         paths = sample_paths(STATS, 3, np.random.default_rng(3))
         powers = np.array([1.0, 0.0, 1.0])
-        design, support = random_design(paths, powers, STATS.noise_power)
-        report = pdm_sinr(design, support, STATS.noise_power)
+        support, comb = link(paths, powers, STATS.noise_power)
+        report = pdm_sinr(support, comb, powers, STATS.noise_power)
         assert report.gammas[1] == 0.0
+
+
+class TestMmseRefusal:
+    def test_mmse_refuses_singular_covariance(self):
+        # At 140 dB the noise floor vanishes against the path terms, so the
+        # covariances of these fig9 trials are singular in double precision
+        # (with OpenBLAS, trial 27 passes the Cholesky factorization and fails
+        # the solve).
+        cfg = preset("fig9")
+        noise = cfg.stats.noise_power
+        for trial in (2, 27):
+            support = support_of(sample_paths(cfg.stats, 3, np.random.default_rng([0, trial])))
+            gains = np.abs(support.gains) ** 2 * RX.aperture * TX.aperture
+            powers = water_fill(gains, cfg.stats.tx_power(140.0), noise).powers
+            with pytest.raises(NumericalError):
+                mmse_combiners(support, powers, noise)
 
 
 class TestIpc:
@@ -163,9 +161,9 @@ class TestSymbolSimulation:
     def test_requires_enough_symbols(self):
         paths = sample_paths(STATS, 3, np.random.default_rng(5))
         noise = STATS.noise_power
-        design, support = random_design(paths, np.ones(3), noise)
+        support, comb = link(paths, np.ones(3), noise)
         with pytest.raises(StatisticalValidityError):
-            simulate_symbols(design, support, 100, np.random.default_rng(0), noise)
+            simulate_symbols(support, comb, np.ones(3), 100, np.random.default_rng(0), noise)
 
     def test_matches_analytic_sinr(self):
         noise = STATS.noise_power
@@ -173,19 +171,19 @@ class TestSymbolSimulation:
         powers = water_fill(
             np.abs(paths.gains) ** 2 * RX.aperture * TX.aperture, STATS.tx_power(10), noise
         ).powers
-        design, support = random_design(paths, powers, noise)
-        analytic = pdm_sinr(design, support, noise).gammas
+        support, comb = link(paths, powers, noise)
+        analytic = pdm_sinr(support, comb, powers, noise).gammas
         empirical = simulate_symbols(
-            design, support, 100_000, np.random.default_rng(7), noise
+            support, comb, powers, 100_000, np.random.default_rng(7), noise
         ).gammas
-        active = design.powers > 0
+        active = powers > 0
         ratio_db = 10 * np.log10(empirical[active] / analytic[active])
         assert np.all(np.abs(ratio_db) < 0.5)
 
     def test_stream_count_must_match_paths(self):
         paths = sample_paths(STATS, 3, np.random.default_rng(8))
         noise = STATS.noise_power
-        design, _ = random_design(paths, np.ones(3), noise)
+        _, comb = link(paths, np.ones(3), noise)
         two = PathSet(
             gains=paths.gains[:2],
             delays_s=paths.delays_s[:2],
@@ -194,4 +192,4 @@ class TestSymbolSimulation:
         )
         support = support_of(two, support_sets(paths, TX, RX, 1))
         with pytest.raises(InvalidInputError):
-            simulate_symbols(design, support, 10_000, np.random.default_rng(0), noise)
+            simulate_symbols(support, comb, np.ones(3), 10_000, np.random.default_rng(0), noise)

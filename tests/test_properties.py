@@ -6,8 +6,9 @@ quantized delays that often coincide, and check every channel form against
 a brute-force sum of per-path outer products. The water-filling properties
 check the KKT conditions, monotonicity in the power budget and that one
 call over a budget grid equals one call per budget, over budgets far wider
-than the sweeps produce. The combiner property checks that MMSE never
-loses to MRC on any stream.
+than the sweeps produce. The combiner properties check that MMSE never
+loses to MRC on any stream, and that one MMSE combiner and SINR call over a
+grid of water-filled stream powers equals one call per budget.
 """
 import math
 
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from lensmimo.arrays import LensArrayConfig, UpaConfig, lens_response_spatial, upa_response
 from lensmimo.channel import ChannelStats, PathSet, path_responses, sample_paths
 from lensmimo.numerics import water_fill, waterfill_capacity
-from lensmimo.pdm import LinkDesign, mmse_combiners, mrc_combiners, mrt_precoders, pdm_sinr
+from lensmimo.pdm import mmse_combiners, mrc_combiners, pdm_sinr
 from lensmimo.selection import restrict_to_support, support_sets
 
 RATE = 500e6
@@ -181,6 +182,19 @@ PDM_TX = LensArrayConfig(100.0, 20.0)
 PDM_RX = LensArrayConfig(50.0, 10.0)
 
 
+def pdm_link(spread, seed):
+    """Channel statistics and support view of one fig9/fig10-like draw."""
+    stats = ChannelStats(
+        aoa_spread_deg=spread,
+        aod_spatial_freqs=tuple(np.sin(np.deg2rad([-15.0, 10.0, 45.0]))),
+    )
+    paths = sample_paths(stats, 3, np.random.default_rng(seed))
+    sets = support_sets(paths, PDM_TX, PDM_RX, 1)
+    return stats, restrict_to_support(
+        path_responses(paths, PDM_TX, PDM_RX, RATE), sets, PDM_TX, PDM_RX
+    )
+
+
 class TestCombinerProperties:
     @EXAMPLES
     @given(
@@ -190,28 +204,35 @@ class TestCombinerProperties:
         shares=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
     )
     def test_mmse_sinr_never_below_mrc(self, spread, seed, snr_db, shares):
-        stats = ChannelStats(
-            aoa_spread_deg=spread,
-            aod_spatial_freqs=tuple(np.sin(np.deg2rad([-15.0, 10.0, 45.0]))),
-        )
-        paths = sample_paths(stats, 3, np.random.default_rng(seed))
+        stats, support = pdm_link(spread, seed)
         noise = stats.noise_power
         powers = stats.tx_power(snr_db) * np.array(shares)
-        sets = support_sets(paths, PDM_TX, PDM_RX, 1)
-        support = restrict_to_support(
-            path_responses(paths, PDM_TX, PDM_RX, RATE), sets, PDM_TX, PDM_RX
-        )
-        gammas = {}
-        for kind, combiners in (
-            ("MRC", mrc_combiners(support)),
-            ("MMSE", mmse_combiners(support, powers, noise)),
-        ):
-            design = LinkDesign(
-                precoders=mrt_precoders(support),
-                combiners=combiners,
-                powers=powers,
-                stream_delays=support.delays,
-                combiner_kind=kind,
-            )
-            gammas[kind] = pdm_sinr(design, support, noise).gammas
-        assert np.all(gammas["MMSE"] >= gammas["MRC"] * (1 - 1e-9))
+        g_mrc = pdm_sinr(support, mrc_combiners(support), powers, noise).gammas
+        g_mmse = pdm_sinr(support, mmse_combiners(support, powers, noise), powers, noise).gammas
+        assert np.all(g_mmse >= g_mrc * (1 - 1e-9))
+
+    @EXAMPLES
+    @given(
+        spread=st.sampled_from([10.0, 150.0]),
+        seed=st.integers(0, 2**32 - 1),
+        snrs_db=st.lists(st.floats(-10.0, 30.0), min_size=1, max_size=12),
+    )
+    def test_power_grid_equals_one_call_per_budget(self, spread, seed, snrs_db):
+        stats, support = pdm_link(spread, seed)
+        noise = stats.noise_power
+        gains = np.abs(support.gains) ** 2 * PDM_RX.aperture * PDM_TX.aperture
+        budgets = np.array([stats.tx_power(s) for s in snrs_db])
+        powers = water_fill(gains, budgets, noise).powers
+        mrc = mrc_combiners(support)
+        mmse = mmse_combiners(support, powers, noise)
+        for kind, combiners in (("MRC", mrc), ("MMSE", mmse)):
+            grid = pdm_sinr(support, combiners, powers, noise)
+            assert grid.sum_rate.shape == budgets.shape
+            for i, p in enumerate(powers):
+                single_comb = mrc if kind == "MRC" else mmse_combiners(support, p, noise)
+                if kind == "MMSE":
+                    assert np.array_equal(mmse[i], single_comb)
+                single = pdm_sinr(support, single_comb, p, noise)
+                for field in ("gammas", "desired", "isi", "inter_stream", "noise"):
+                    assert np.array_equal(getattr(grid, field)[i], getattr(single, field))
+                assert grid.sum_rate[i] == single.sum_rate
