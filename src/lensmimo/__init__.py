@@ -7,24 +7,8 @@ multiplexing transceivers (orthogonal ideal-angle form, MRC/MMSE combining,
 path grouping), a conventional uniform-planar-array benchmark, and a Monte
 Carlo experiment harness with CLI and CSV output.
 """
-from .arrays import (
-    LensArrayConfig,
-    LensOracleConfig,
-    UpaConfig,
-    lens_response,
-    lens_response_oracle,
-    lens_response_spatial,
-    spatial_decompose,
-    upa_response,
-)
-from .channel import (
-    ChannelStats,
-    PathResponses,
-    PathSet,
-    TappedChannel,
-    path_responses,
-    sample_paths,
-)
+from .arrays import LensArrayConfig, LensOracleConfig, UpaConfig, lens_response_oracle
+from .channel import ChannelStats, PathResponses, PathSet, path_responses, sample_paths
 from .errors import (
     AccuracyError,
     ConfigError,
@@ -44,13 +28,7 @@ from .experiments import (
     run_experiment,
     sweep,
 )
-from .grouping import (
-    GroupPartition,
-    check_separation,
-    group_channels,
-    group_paths,
-    grouped_capacity,
-)
+from .grouping import group_channels, grouped_capacity
 from .numerics import (
     PowerAllocation,
     eigen_gains,

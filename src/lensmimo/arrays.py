@@ -10,7 +10,9 @@ oracle for the closed form. A conventional uniform planar array (UPA) with
 half-wavelength spacing is provided as a benchmark.
 
 Each array type computes its responses for a vector of spatial frequencies
-at once (``config.responses``); the scalar forms are views of one row.
+at once (``config.responses``). ``LensArrayConfig.focusing`` is the one
+home of the lens focusing rule: path l lands on antenna round(D * phi_l),
+off by a misalignment in [-1/2, 1/2].
 """
 from __future__ import annotations
 
@@ -69,6 +71,13 @@ class LensArrayConfig:
         if np.any(np.abs(indices) > half):
             raise InvalidInputError("antenna subset index outside the array")
         return indices + half
+
+    def focusing(self, spatial_freqs) -> tuple[np.ndarray, np.ndarray]:
+        """Per-path (focusing index, misalignment): D * phi split into its
+        nearest integer antenna index and a remainder in [-1/2, 1/2]."""
+        x = _spatial_freqs(spatial_freqs) * self.azimuth_dim
+        index = np.floor(x + 0.5)
+        return index.astype(int), x - index
 
     def responses(self, spatial_freqs) -> np.ndarray:
         """(L, M) lens responses, row l for spatial frequency spatial_freqs[l]."""
@@ -145,35 +154,6 @@ class LensOracleConfig:
             raise InvalidInputError("quad_points must be at least 64")
         if self.phase_mode not in (_FIRST_ORDER, _EXACT):
             raise InvalidInputError(f"unknown phase_mode {self.phase_mode!r}")
-
-
-def lens_response_spatial(config: LensArrayConfig, spatial_freq: float) -> np.ndarray:
-    """Lens array response for a given spatial frequency sin(aoa) in [-1, 1]."""
-    return config.responses([spatial_freq])[0]
-
-
-def lens_response(config: LensArrayConfig, aoa: float) -> np.ndarray:
-    """Lens array response vector for azimuth AoA (radians in [-pi/2, pi/2])."""
-    if not -math.pi / 2 <= aoa <= math.pi / 2:
-        raise InvalidInputError("aoa must lie in [-pi/2, pi/2]")
-    return lens_response_spatial(config, math.sin(aoa))
-
-
-def spatial_decompose(spatial_freq: float, azimuth_dim: float) -> tuple[int, float]:
-    """Split spatial_freq * azimuth_dim into nearest integer focusing index
-    and fractional misalignment in [-1/2, 1/2]."""
-    if not -1.0 <= spatial_freq <= 1.0:
-        raise InvalidInputError("spatial frequency must lie in [-1, 1]")
-    x = spatial_freq * azimuth_dim
-    index = int(math.floor(x + 0.5))
-    return index, x - index
-
-
-def upa_response(config: UpaConfig, aoa: float) -> np.ndarray:
-    """UPA steering vector for azimuth AoA (radians in [-pi/2, pi/2])."""
-    if not -math.pi / 2 <= aoa <= math.pi / 2:
-        raise InvalidInputError("aoa must lie in [-pi/2, pi/2]")
-    return config.responses([math.sin(aoa)])[0]
 
 
 def _focal_arc_field(

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import LensArrayConfig, UpaConfig, spatial_decompose
+from .arrays import LensArrayConfig, UpaConfig
 from .errors import InvalidInputError
 
 _LN10_OVER_10 = math.log(10.0) / 10.0
@@ -116,26 +116,9 @@ class PathSet:
     def num_paths(self) -> int:
         return len(self.gains)
 
-    def rx_focusing(self, rx: LensArrayConfig) -> tuple[np.ndarray, np.ndarray]:
-        """Per-path (focusing index, misalignment) on the receive side."""
-        pairs = [spatial_decompose(v, rx.azimuth_dim) for v in self.aoa_spatial_freqs]
-        return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
-
-    def tx_focusing(self, tx: LensArrayConfig) -> tuple[np.ndarray, np.ndarray]:
-        pairs = [spatial_decompose(v, tx.azimuth_dim) for v in self.aod_spatial_freqs]
-        return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
-
     def delay_samples(self, sample_rate_hz: float) -> np.ndarray:
         """Path delays quantized to integer symbol intervals."""
         return np.rint(self.delays_s * sample_rate_hz).astype(int)
-
-
-@dataclass(frozen=True)
-class TappedChannel:
-    """Discrete-delay channel: one (delay, matrix) tap per distinct quantized
-    path delay, in strictly increasing delay order."""
-
-    taps: tuple[tuple[int, np.ndarray], ...]
 
 
 @dataclass(frozen=True)
@@ -182,12 +165,14 @@ class PathResponses:
         """Narrowband channel H = sum_l alpha_l a_R,l a_T,l^H (delays ignored)."""
         return self._sum(slice(None))
 
-    def taps(self) -> TappedChannel:
-        """Tapped delay line; paths with equal quantized delay share one tap."""
+    def taps(self) -> tuple[tuple[int, np.ndarray], ...]:
+        """Tapped delay line: one (delay, matrix) pair per distinct quantized
+        path delay, in increasing delay order; paths with equal delay share
+        one tap."""
         # sorted(set()) rather than np.unique, which imports numpy.ma (~15 ms)
         # on its first call.
         delays = sorted(set(self.delays.tolist()))
-        return TappedChannel(taps=tuple((n, self._sum(self.delays == n)) for n in delays))
+        return tuple((n, self._sum(self.delays == n)) for n in delays)
 
 
 def sample_paths(stats: ChannelStats, num_paths: int, rng) -> PathSet:

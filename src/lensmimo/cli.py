@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .arrays import LensArrayConfig, lens_response_spatial
+from .arrays import LensArrayConfig
 from .channel import sample_paths
 from .errors import ConfigError, LensMimoError
 from .experiments import (
@@ -89,9 +89,9 @@ def _build_experiment(args) -> ExperimentConfig:
 def _cmd_response(args) -> str:
     cfg = _build_experiment(args)
     rx = LensArrayConfig(cfg.rx_aperture, cfg.rx_azimuth_dim)
+    freqs = np.linspace(-1.0, 1.0, 81)
     lines = ["spatial_freq,element,response"]
-    for freq in np.linspace(-1.0, 1.0, 81):
-        resp = lens_response_spatial(rx, float(freq)).real
+    for freq, resp in zip(freqs, rx.responses(freqs).real):
         for m, value in zip(rx.element_indices, resp):
             lines.append(f"{freq:.6g},{m},{value:.12g}")
     return "\n".join(lines) + "\n"

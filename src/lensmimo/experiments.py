@@ -21,13 +21,18 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .arrays import LensArrayConfig, UpaConfig
-from .channel import ChannelStats, PathResponses, PathSet, path_responses, sample_paths
-from .errors import ConfigError, IdealAngleError, InvalidInputError
-from .grouping import check_separation, group_channels, group_paths, grouped_capacity
+from .channel import ChannelStats, PathResponses, path_responses, sample_paths
+from .errors import (
+    ConfigError,
+    IdealAngleError,
+    InvalidInputError,
+    UnsupportedConfigurationError,
+)
+from .grouping import group_channels, grouped_capacity
 from .numerics import water_fill, waterfill_capacity
 from .opdm import opdm_decompose
 from .pdm import mmse_combiners, mrc_combiners, pdm_sinr
-from .selection import SupportSets, restrict_to_support, support_sets
+from .selection import restrict_to_support, support_sets
 from .upa import OfdmConfig, eigenmode_capacity, ofdm_capacity, power_select_antennas
 
 SCHEMES = (
@@ -175,26 +180,6 @@ def _pdm_rates(
     return pdm_sinr(support, combiners, powers, noise).sum_rate
 
 
-def _grouping_rates(
-    paths: PathSet,
-    lens: PathResponses,
-    sets: SupportSets,
-    support: PathResponses,
-    tx: LensArrayConfig,
-    rx: LensArrayConfig,
-    budgets,
-    noise: float,
-) -> tuple[np.ndarray, str | None]:
-    side = check_separation(paths, tx, rx, sets.delta)
-    if side == "neither":
-        # No side is separated, so the grouped decomposition does not apply;
-        # fall back to the MMSE transceiver and flag the trial.
-        return _pdm_rates(support, tx, rx, budgets, noise, "MMSE"), "grouping-fallback"
-    partition = group_paths(sets, "aoa" if side in ("both", "aoa") else "aod")
-    mats = group_channels(lens, partition, tx, rx)
-    return grouped_capacity(mats, budgets, noise), None
-
-
 def _run_trial(cfg: ExperimentConfig, trial: int) -> dict:
     """One channel realization, evaluated under every configured scheme.
 
@@ -231,7 +216,13 @@ def _run_trial(cfg: ExperimentConfig, trial: int) -> dict:
         elif scheme == "PDM-MMSE":
             rates = _pdm_rates(support, tx, rx, budgets, noise, "MMSE")
         elif scheme == "PDM-grouping":
-            rates, flag = _grouping_rates(paths, lens, sets, support, tx, rx, budgets, noise)
+            try:
+                rates = grouped_capacity(group_channels(lens, sets, tx, rx), budgets, noise)
+            except UnsupportedConfigurationError:
+                # No side is separated, so the grouped decomposition does not
+                # apply; fall back to the MMSE transceiver and flag the trial.
+                rates = _pdm_rates(support, tx, rx, budgets, noise, "MMSE")
+                flag = "grouping-fallback"
         elif scheme == "UPA-eigenmode":
             rates = eigenmode_capacity(upa, budgets, noise)
         else:  # UPA-OFDM and UPA-OFDM-selection

@@ -23,8 +23,8 @@ def opdm_decompose(paths: PathSet, tx: LensArrayConfig, rx: LensArrayConfig) -> 
     distinct on both sides; otherwise raises IdealAngleError (use the PDM
     transceiver for arbitrary angles).
     """
-    m_idx, eps_r = paths.rx_focusing(rx)
-    q_idx, eps_t = paths.tx_focusing(tx)
+    m_idx, eps_r = rx.focusing(paths.aoa_spatial_freqs)
+    q_idx, eps_t = tx.focusing(paths.aod_spatial_freqs)
     if np.any(np.abs(eps_r) > _IDEAL_TOL) or np.any(np.abs(eps_t) > _IDEAL_TOL):
         raise IdealAngleError(
             "angles are not ideal (nonzero misalignment); use the pdm module"

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import PathResponses, TappedChannel
+from .channel import PathResponses
 from .errors import InvalidInputError, UnsupportedConfigurationError
 from .numerics import eigen_gains, waterfill_capacity
 
@@ -79,19 +79,20 @@ def ofdm_capacity(
 
 
 def power_select_antennas(
-    tapped: TappedChannel, n_rx_rf: int, n_tx_rf: int
+    taps: tuple[tuple[int, np.ndarray], ...], n_rx_rf: int, n_tx_rf: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Two-stage power-based selection under RF-chain budgets.
+    """Two-stage power-based selection under RF-chain budgets, on the
+    (delay, matrix) taps of ``PathResponses.taps()``.
 
     Picks the n_rx_rf rows with the largest squared channel magnitude summed
     over taps and columns, then the n_tx_rf columns on the row-restricted
     channel. Ties go to the lower antenna index.
     """
-    n_rx, n_tx = tapped.taps[0][1].shape
+    n_rx, n_tx = taps[0][1].shape
     if not (1 <= n_rx_rf <= n_rx and 1 <= n_tx_rf <= n_tx):
         raise InvalidInputError("RF budgets must be between 1 and the array size")
     energy = np.zeros((n_rx, n_tx))
-    for _, mat in tapped.taps:
+    for _, mat in taps:
         energy += np.abs(mat) ** 2
     row_power = energy.sum(axis=1)
     # lexsort: primary key descending power, secondary ascending index

@@ -153,7 +153,7 @@ def test_07_isi_rejected_when_aoas_separated():
     while checked < 10 and t < 200:
         paths = lm.sample_paths(cfg.stats, 3, np.random.default_rng([303, t]))
         t += 1
-        if lm.check_separation(paths, tx, rx) not in ("aoa", "both"):
+        if not lm.support_sets(paths, tx, rx).rx_separated:
             continue
         checked += 1
         support, comb, powers, _ = _pdm_gammas(cfg, paths, "MRC", 20.0, noise, tx, rx)

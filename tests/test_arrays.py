@@ -3,16 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lensmimo.arrays import (
-    LensArrayConfig,
-    LensOracleConfig,
-    UpaConfig,
-    lens_response,
-    lens_response_oracle,
-    lens_response_spatial,
-    spatial_decompose,
-    upa_response,
-)
+from lensmimo.arrays import LensArrayConfig, LensOracleConfig, UpaConfig, lens_response_oracle
 from lensmimo.errors import AccuracyError, InvalidInputError
 
 
@@ -35,7 +26,7 @@ class TestLensArrayConfig:
 class TestLensResponse:
     def test_focused_angle_is_one_hot(self):
         cfg = LensArrayConfig(aperture=20.0, azimuth_dim=10.0)
-        resp = lens_response_spatial(cfg, 0.3)  # focuses exactly on m = 3
+        resp = cfg.responses([0.3])[0]  # focuses exactly on m = 3
         expected = np.zeros(21)
         expected[13] = math.sqrt(20.0)
         assert np.allclose(resp, expected)
@@ -43,45 +34,40 @@ class TestLensResponse:
     def test_sinc_profile(self):
         cfg = LensArrayConfig(aperture=10.0, azimuth_dim=10.0)
         phi = 0.123
-        resp = lens_response_spatial(cfg, phi)
+        resp = cfg.responses([phi])[0]
         m = cfg.element_indices
         assert np.allclose(resp, math.sqrt(10.0) * np.sinc(m - 10.0 * phi))
-
-    def test_radian_wrapper(self):
-        cfg = LensArrayConfig(aperture=10.0, azimuth_dim=10.0)
-        aoa = 0.4
-        assert np.allclose(lens_response(cfg, aoa), lens_response_spatial(cfg, math.sin(aoa)))
 
     def test_range_validation(self):
         cfg = LensArrayConfig(aperture=10.0, azimuth_dim=10.0)
         with pytest.raises(InvalidInputError):
-            lens_response_spatial(cfg, 1.2)
+            cfg.responses([1.2])
         with pytest.raises(InvalidInputError):
-            lens_response(cfg, 2.0)
+            cfg.focusing([0.0, -1.2])
 
     def test_energy_mostly_on_two_nearest_elements(self):
         # Worst case misalignment 1/2: the two flanking antennas hold
         # 2*sinc(1/2)^2 of the (normalized) energy, about 0.81.
         cfg = LensArrayConfig(aperture=10.0, azimuth_dim=10.0)
-        resp = lens_response_spatial(cfg, 0.25)  # focusing point 2.5
+        resp = cfg.responses([0.25])[0]  # focusing point 2.5
         top2 = np.sort(np.abs(resp) ** 2)[-2:].sum()
         assert top2 / cfg.aperture >= 0.81
 
 
 class TestSpatialDecompose:
+    """``LensArrayConfig.focusing``: focusing index and misalignment."""
+
     def test_examples(self):
-        assert spatial_decompose(0.3, 10.0) == (3, pytest.approx(0.0))
-        idx, eps = spatial_decompose(0.25, 10.0)
-        assert idx == 3 and eps == pytest.approx(-0.5)
-        idx, eps = spatial_decompose(-0.26, 10.0)
-        assert idx == -3 and eps == pytest.approx(0.4)
+        idx, eps = LensArrayConfig(10.0, 10.0).focusing([0.3, 0.25, -0.26])
+        assert idx.tolist() == [3, 3, -3]
+        assert eps == pytest.approx([0.0, -0.5, 0.4])
 
     def test_misalignment_range(self):
-        rng = np.random.default_rng(0)
-        for phi in rng.uniform(-1, 1, 200):
-            idx, eps = spatial_decompose(phi, 17.0)
-            assert -0.5 <= eps <= 0.5
-            assert idx + eps == pytest.approx(17.0 * phi)
+        phi = np.random.default_rng(0).uniform(-1, 1, 200)
+        idx, eps = LensArrayConfig(17.0, 17.0).focusing(phi)
+        assert idx.dtype.kind == "i"
+        assert np.all((-0.5 <= eps) & (eps <= 0.5))
+        assert np.allclose(idx + eps, 17.0 * phi)
 
 
 class TestUpa:
@@ -99,13 +85,13 @@ class TestUpa:
     def test_response_norm_is_aperture(self):
         cfg = UpaConfig(aperture=20.0, azimuth_dim=10.0)
         for aoa in (-1.0, 0.0, 0.7):
-            resp = upa_response(cfg, aoa)
+            resp = cfg.responses([math.sin(aoa)])[0]
             assert np.linalg.norm(resp) ** 2 == pytest.approx(cfg.aperture)
 
     def test_phase_ramp(self):
         cfg = UpaConfig(aperture=20.0, azimuth_dim=10.0)
         aoa = 0.3
-        resp = upa_response(cfg, aoa)
+        resp = cfg.responses([math.sin(aoa)])[0]
         n_y, n_z = cfg.grid_shape
         grid = resp.reshape(n_y, n_z)
         assert np.allclose(grid, grid[:, :1])  # flat along elevation

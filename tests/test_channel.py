@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lensmimo.arrays import LensArrayConfig, lens_response_spatial
+from lensmimo.arrays import LensArrayConfig
 from lensmimo.channel import ChannelStats, PathSet, path_responses, sample_paths
 from lensmimo.errors import InvalidInputError
 
@@ -94,7 +94,7 @@ class TestPathSet:
             aod_spatial_freqs=np.array([0.12, 0.24]),
         )
         rx = LensArrayConfig(10.0, 10.0)
-        idx, eps = paths.rx_focusing(rx)
+        idx, eps = rx.focusing(paths.aoa_spatial_freqs)
         assert list(idx) == [4, -3]
         assert np.allclose(eps, [-0.4, 0.3])
 
@@ -119,8 +119,8 @@ class TestChannelMatrices:
             aod_spatial_freqs=np.array([-0.4]),
         )
         h = path_responses(paths, tx, rx, 500e6).matrix()
-        a_r = lens_response_spatial(rx, 0.17)
-        a_t = lens_response_spatial(tx, -0.4)
+        a_r = rx.responses([0.17])[0]
+        a_t = tx.responses([-0.4])[0]
         assert np.allclose(h, paths.gains[0] * np.outer(a_r, a_t.conj()))
 
     def test_tapped_merges_equal_delays(self):
@@ -135,14 +135,14 @@ class TestChannelMatrices:
         resp = path_responses(paths, tx, rx, 500e6).restrict(
             rx.positions([0, 3]), tx.positions([0, 3])
         )
-        ch = resp.taps()
-        assert len(ch.taps) == 1
-        assert ch.taps[0][0] == 5
+        taps = resp.taps()
+        assert len(taps) == 1
+        assert taps[0][0] == 5
         assert resp.num_paths == 2
         path_taps = [
             g * np.outer(a_r, a_t.conj()) for g, a_r, a_t in zip(resp.gains, resp.rx, resp.tx)
         ]
-        assert np.allclose(ch.taps[0][1], path_taps[0] + path_taps[1])
+        assert np.allclose(taps[0][1], path_taps[0] + path_taps[1])
 
     def test_subset_validation(self):
         tx = LensArrayConfig(10.0, 10.0)

@@ -3,13 +3,8 @@ import pytest
 
 from lensmimo.arrays import LensArrayConfig
 from lensmimo.channel import ChannelStats, PathSet, path_responses, sample_paths
-from lensmimo.errors import InvalidInputError, UnsupportedConfigurationError
-from lensmimo.grouping import (
-    check_separation,
-    group_channels,
-    group_paths,
-    grouped_capacity,
-)
+from lensmimo.errors import UnsupportedConfigurationError
+from lensmimo.grouping import group_channels, grouped_capacity
 from lensmimo.numerics import eigen_gains, water_fill, waterfill_capacity
 from lensmimo.pdm import mmse_combiners, pdm_sinr
 from lensmimo.selection import restrict_to_support, support_sets
@@ -32,49 +27,78 @@ def make_paths(aoa, aod, gains=None):
 REFERENCE = make_paths([0.36, -0.27, 0.08], [-0.2, 0.12, 0.24], gains=[1e-6, 2e-6, 1.5e-6])
 
 
+def separation(paths):
+    sets = support_sets(paths, TX, RX, 1)
+    return sets.rx_separated, sets.tx_separated
+
+
+def restricted_matrix(responses, group, rx_sub, tx_sub):
+    return responses.restrict(RX.positions(rx_sub), TX.positions(tx_sub), group).matrix()
+
+
 class TestCheckSeparation:
+    """The 2 * delta / D gap rule, as recorded by ``support_sets``."""
+
     def test_reference_instance_is_aoa_separated(self):
-        assert check_separation(REFERENCE, TX, RX) == "aoa"
+        assert separation(REFERENCE) == (True, False)
 
     def test_both_and_neither(self):
         wide = make_paths([-0.8, 0.0, 0.8], [-0.8, 0.0, 0.8])
-        assert check_separation(wide, TX, RX) == "both"
+        assert separation(wide) == (True, True)
         tight = make_paths([0.0, 0.05, 0.1], [0.0, 0.05, 0.1])
-        assert check_separation(tight, TX, RX) == "neither"
+        assert separation(tight) == (False, False)
 
     def test_aod_only(self):
         paths = make_paths([0.0, 0.05, 0.5], [-0.8, 0.0, 0.8])
-        assert check_separation(paths, TX, RX) == "aod"
-
-    def test_delta_validation(self):
-        with pytest.raises(InvalidInputError):
-            check_separation(REFERENCE, TX, RX, delta=0)
+        assert separation(paths) == (False, True)
 
 
 class TestGroupPaths:
+    """The groups ``group_channels`` forms: transmit-overlap components when
+    the AoAs are separated, receive-overlap components when only the AoDs
+    are."""
+
     def test_reference_partition(self):
-        sets = support_sets(REFERENCE, TX, RX, 1)
-        part = group_paths(sets, "aoa")
-        assert part.groups == ((0,), (1, 2))
-        assert part.tx_subsets == ((-2,), (1, 2, 3))
-        assert part.rx_subsets == ((3, 4), (-3, -2, 0, 1))
+        responses = path_responses(REFERENCE, TX, RX, 500e6)
+        mats = group_channels(responses, support_sets(REFERENCE, TX, RX, 1), TX, RX)
+        expected = (
+            restricted_matrix(responses, (0,), (3, 4), (-2,)),
+            restricted_matrix(responses, (1, 2), (-3, -2, 0, 1), (1, 2, 3)),
+        )
+        assert len(mats) == len(expected)
+        for got, want in zip(mats, expected):
+            assert np.array_equal(got, want)
 
     def test_all_separated_gives_singletons(self):
         paths = make_paths([-0.8, 0.0, 0.8], [-0.8, 0.0, 0.8])
         sets = support_sets(paths, TX, RX, 1)
-        part = group_paths(sets, "aoa")
-        assert part.groups == ((0,), (1,), (2,))
+        responses = path_responses(paths, TX, RX, 500e6)
+        mats = group_channels(responses, sets, TX, RX)
+        assert len(mats) == 3
+        for l, got in enumerate(mats):
+            want = restricted_matrix(responses, (l,), sets.rx_sets[l], sets.tx_sets[l])
+            assert np.array_equal(got, want)
+
+    def test_groups_by_receive_overlap_when_only_aods_separated(self):
+        # AoAs 0 and 0.05 share receive antennas; the AoDs are far apart.
+        paths = make_paths([0.0, 0.05, 0.5], [-0.8, 0.0, 0.8])
+        sets = support_sets(paths, TX, RX, 1)
+        responses = path_responses(paths, TX, RX, 500e6)
+        mats = group_channels(responses, sets, TX, RX)
+        expected = (
+            restricted_matrix(responses, (0, 1), (0, 1), (-8, 0)),
+            restricted_matrix(responses, (2,), (5,), (8,)),
+        )
+        assert sets.rx_sets[:2] == ((0,), (0, 1))
+        assert len(mats) == len(expected)
+        for got, want in zip(mats, expected):
+            assert np.array_equal(got, want)
 
     def test_rejects_unseparated_claim(self):
         tight = make_paths([0.0, 0.05, 0.1], [0.0, 0.05, 0.1])
         sets = support_sets(tight, TX, RX, 1)
         with pytest.raises(UnsupportedConfigurationError):
-            group_paths(sets, "aoa")
-
-    def test_side_validation(self):
-        sets = support_sets(REFERENCE, TX, RX, 1)
-        with pytest.raises(InvalidInputError):
-            group_paths(sets, "upwards")
+            group_channels(path_responses(tight, TX, RX, 500e6), sets, TX, RX)
 
 
 class TestGroupedCapacity:
@@ -82,17 +106,8 @@ class TestGroupedCapacity:
         # Degenerate partition: everything in one group reproduces the
         # eigenmode capacity of the full reduced channel.
         sets = support_sets(REFERENCE, TX, RX, 1)
-        part = group_paths(sets, "aoa")
-        from lensmimo.grouping import GroupPartition
-
-        merged = GroupPartition(
-            groups=(tuple(range(3)),),
-            rx_subsets=(sets.rx_union,),
-            tx_subsets=(sets.tx_union,),
-            separated_side="aoa",
-        )
-        mats = group_channels(path_responses(REFERENCE, TX, RX, 500e6), merged, TX, RX)
-        assert len(mats) == 1
+        responses = path_responses(REFERENCE, TX, RX, 500e6)
+        mats = [restrict_to_support(responses, sets, TX, RX).matrix()]
         direct = waterfill_capacity(eigen_gains(mats[0]), 2.0, 1e-10)
         grouped = grouped_capacity(mats, 2.0, 1e-10)
         assert grouped == pytest.approx(direct, rel=1e-12)
@@ -100,9 +115,8 @@ class TestGroupedCapacity:
     def test_close_to_full_matrix_capacity(self):
         # Cross-group leakage through the discarded antennas is small.
         sets = support_sets(REFERENCE, TX, RX, 1)
-        part = group_paths(sets, "aoa")
         responses = path_responses(REFERENCE, TX, RX, 500e6)
-        mats = group_channels(responses, part, TX, RX)
+        mats = group_channels(responses, sets, TX, RX)
         support = restrict_to_support(responses, sets, TX, RX)
         rx_resp, tx_resp = support.rx, support.tx
         h_full = sum(
@@ -113,7 +127,12 @@ class TestGroupedCapacity:
         grouped = grouped_capacity(mats, 1.0, noise)
         assert abs(grouped - full) / full < 0.01
 
-    def test_beats_mmse_rate(self):
+    def test_fig9_fixture_grouping_at_least_mmse(self):
+        """Regression fixture, not an invariant: on these 10 fixed fig9 draws
+        at 20 dB, grouping reaches the PDM-MMSE rate. Over other draws MMSE
+        can beat grouping (sinc-tail leakage outside the support sets; see
+        ROADMAP aim 3), so a failure here after a change to the draws or the
+        geometry needs a look at the numbers, not a looser tolerance."""
         stats = ChannelStats(
             aoa_spread_deg=150.0,
             aod_spatial_freqs=tuple(np.sin(np.deg2rad([-15.0, 10.0, 45.0]))),
@@ -125,15 +144,14 @@ class TestGroupedCapacity:
         checked = 0
         for seed in range(10):
             paths = sample_paths(stats, 3, np.random.default_rng(seed))
-            side = check_separation(paths, tx, rx)
-            if side == "neither":
+            sets = support_sets(paths, tx, rx, 1)
+            responses = path_responses(paths, tx, rx, stats.bandwidth_hz)
+            try:
+                mats = group_channels(responses, sets, tx, rx)
+            except UnsupportedConfigurationError:
                 continue
             checked += 1
-            sets = support_sets(paths, tx, rx, 1)
-            part = group_paths(sets, "aoa" if side in ("both", "aoa") else "aod")
-            responses = path_responses(paths, tx, rx, stats.bandwidth_hz)
             support = restrict_to_support(responses, sets, tx, rx)
-            mats = group_channels(responses, part, tx, rx)
             grouped = grouped_capacity(mats, budget, noise)
             powers = water_fill(
                 np.abs(paths.gains) ** 2 * rx.aperture * tx.aperture, budget, noise

@@ -1,22 +1,27 @@
-"""Property tests for the factored channel core, the water-filling kernel
-and the PDM combiners.
+"""Property tests for the factored channel core, the support sets, the
+water-filling kernel and the PDM combiners.
 
 The channel properties draw random lens and UPA array pairs, 1-6 paths and
 quantized delays that often coincide, and check every channel form against
-a brute-force sum of per-path outer products. The water-filling properties
+a brute-force sum of per-path outer products. The support-set properties
+check the vectorised subsets and separation flags against the per-path
+definition, and that a side flagged separated has pairwise-disjoint
+subsets, also for angles chained at the separation gap. The water-filling properties
 check the KKT conditions, monotonicity in the power budget and that one
 call over a budget grid equals one call per budget, over budgets far wider
 than the sweeps produce. The combiner properties check that MMSE never
 loses to MRC on any stream, and that one MMSE combiner and SINR call over a
 grid of water-filled stream powers equals one call per budget.
 """
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lensmimo.arrays import LensArrayConfig, UpaConfig, lens_response_spatial, upa_response
+from lensmimo.arrays import LensArrayConfig, UpaConfig
 from lensmimo.channel import ChannelStats, PathSet, path_responses, sample_paths
 from lensmimo.numerics import water_fill, waterfill_capacity
 from lensmimo.pdm import mmse_combiners, mrc_combiners, pdm_sinr
@@ -55,12 +60,6 @@ def path_sets(draw):
     )
 
 
-def _scalar_response(config, spatial_freq):
-    if isinstance(config, LensArrayConfig):
-        return lens_response_spatial(config, spatial_freq)
-    return upa_response(config, math.asin(spatial_freq))
-
-
 array_pairs = st.one_of(
     st.tuples(lens_configs(), lens_configs()), st.tuples(upa_configs(), upa_configs())
 )
@@ -79,7 +78,7 @@ class TestPathResponses:
         tx, rx = arrays
         brute = sum(
             alpha
-            * np.outer(_scalar_response(rx, phi_r), _scalar_response(tx, phi_t).conj())
+            * np.outer(rx.responses([phi_r])[0], tx.responses([phi_t])[0].conj())
             for alpha, phi_r, phi_t in zip(
                 paths.gains, paths.aoa_spatial_freqs, paths.aod_spatial_freqs
             )
@@ -93,7 +92,7 @@ class TestPathResponses:
     def test_taps_sum_to_matrix(self, arrays, paths):
         tx, rx = arrays
         responses = path_responses(paths, tx, rx, RATE)
-        taps = responses.taps().taps
+        taps = responses.taps()
         delays = [n for n, _ in taps]
         assert delays == sorted(set(paths.delay_samples(RATE).tolist()))
         total = sum(mat for _, mat in taps)
@@ -106,8 +105,8 @@ class TestPathResponses:
         rows = data.draw(subsets(rx.element_count))
         cols = data.draw(subsets(tx.element_count))
         responses = path_responses(paths, tx, rx, RATE)
-        restricted = responses.restrict(rows, cols).taps().taps
-        indexed = [(n, mat[np.ix_(rows, cols)]) for n, mat in responses.taps().taps]
+        restricted = responses.restrict(rows, cols).taps()
+        indexed = [(n, mat[np.ix_(rows, cols)]) for n, mat in responses.taps()]
         assert [n for n, _ in restricted] == [n for n, _ in indexed]
         # Same per-entry arithmetic, but numpy's vector kernels may round an
         # entry differently with the array's length: allow a few ulps of the
@@ -119,6 +118,79 @@ class TestPathResponses:
         )
         for (_, a), (_, b) in zip(restricted, indexed):
             assert np.allclose(a, b, rtol=0.0, atol=8 * np.finfo(float).eps * term_scale)
+
+
+@st.composite
+def gap_edge_freqs(draw, dim, delta, n):
+    """n spatial frequencies chained at the separation gap 2 * delta / dim,
+    each step moved by a few ulps either way, where the gap rule flips."""
+    gap = 2.0 * delta / dim
+    freqs = [draw(st.floats(-1.0, max(-1.0, 1.0 - (n - 1) * gap)))]
+    for _ in range(n - 1):
+        f = freqs[-1] + gap
+        for _ in range(draw(st.integers(0, 3))):
+            f = np.nextafter(f, draw(st.sampled_from([-2.0, 2.0])))
+        freqs.append(float(np.clip(f, -1.0, 1.0)))
+    return np.array(freqs)
+
+
+@st.composite
+def support_cases(draw):
+    """A lens pair, a support radius and paths whose angles on each side are
+    either arbitrary or chained at that side's separation gap."""
+    tx, rx = draw(lens_configs()), draw(lens_configs())
+    delta = draw(st.integers(1, 4))
+    paths = draw(path_sets())
+    n = paths.num_paths
+    aoa = draw(st.just(paths.aoa_spatial_freqs) | gap_edge_freqs(rx.azimuth_dim, delta, n))
+    aod = draw(st.just(paths.aod_spatial_freqs) | gap_edge_freqs(tx.azimuth_dim, delta, n))
+    return tx, rx, delta, replace(paths, aoa_spatial_freqs=aoa, aod_spatial_freqs=aod)
+
+
+def scalar_subset(config, phi, delta):
+    """M_l by definition: the antenna indices m with |m - D * phi| < delta."""
+    half = (config.element_count - 1) // 2
+    center = config.azimuth_dim * float(phi)
+    return tuple(m for m in range(-half, half + 1) if abs(m - center) < delta)
+
+
+def scalar_separated(config, freqs, delta):
+    """The gap rule by definition: every pair of paths more than
+    2 * delta / D apart."""
+    return all(
+        abs(float(a) - float(b)) > 2.0 * delta / config.azimuth_dim
+        for a, b in itertools.permutations(freqs, 2)
+    )
+
+
+def sides(paths, tx, rx, sets):
+    return (
+        (rx, paths.aoa_spatial_freqs, sets.rx_sets, sets.rx_union, sets.rx_separated),
+        (tx, paths.aod_spatial_freqs, sets.tx_sets, sets.tx_union, sets.tx_separated),
+    )
+
+
+class TestSupportSetProperties:
+    @EXAMPLES
+    @given(case=support_cases())
+    def test_matches_scalar_per_path_rule(self, case):
+        tx, rx, delta, paths = case
+        sets = support_sets(paths, tx, rx, delta)
+        for config, freqs, subsets, union, separated in sides(paths, tx, rx, sets):
+            want = tuple(scalar_subset(config, phi, delta) for phi in freqs)
+            assert subsets == want
+            assert union == tuple(sorted(set().union(*want)))
+            assert separated == scalar_separated(config, freqs, delta)
+
+    @EXAMPLES
+    @given(case=support_cases())
+    def test_separated_side_has_disjoint_subsets(self, case):
+        tx, rx, delta, paths = case
+        sets = support_sets(paths, tx, rx, delta)
+        for _, _, subsets, _, separated in sides(paths, tx, rx, sets):
+            if separated:
+                for a, b in itertools.combinations(subsets, 2):
+                    assert not set(a) & set(b)
 
 
 gain_lists = st.lists(

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from lensmimo.arrays import LensArrayConfig, lens_response_spatial
-from lensmimo.channel import PathSet, path_responses
-from lensmimo.errors import InvalidInputError
+from lensmimo.arrays import LensArrayConfig
+from lensmimo.channel import PathSet, path_responses, sample_paths
+from lensmimo.errors import InvalidInputError, UnsupportedConfigurationError
+from lensmimo.experiments import preset
+from lensmimo.grouping import group_channels
 from lensmimo.selection import restrict_to_support, support_sets
 
 
@@ -59,6 +61,21 @@ class TestSupportSets:
         with pytest.raises(InvalidInputError):
             support_sets(make_paths([0.0], [0.0]), cfg, cfg, delta=0)
 
+    def test_gap_rule_is_stricter_than_disjoint_subsets(self):
+        # Pinned so that the separation test is not swapped for subset
+        # disjointness unnoticed: that would change results. On a fig9 draw
+        # with delta = 5 the AoAs sin(-75, 0, 75 deg) are 0.966 apart, below
+        # 2 * delta / D = 1, yet their receive subsets do not overlap.
+        cfg = preset("fig9", delta=5)
+        tx = LensArrayConfig(cfg.tx_aperture, cfg.tx_azimuth_dim)
+        rx = LensArrayConfig(cfg.rx_aperture, cfg.rx_azimuth_dim)
+        paths = sample_paths(cfg.stats, cfg.num_paths, np.random.default_rng([cfg.seed, 0]))
+        sets = support_sets(paths, tx, rx, cfg.delta)
+        assert sets.rx_sets == (tuple(range(-10, -4)), tuple(range(-4, 5)), tuple(range(5, 11)))
+        assert not sets.rx_separated and not sets.tx_separated
+        with pytest.raises(UnsupportedConfigurationError):
+            group_channels(path_responses(paths, tx, rx, 500e6), sets, tx, rx)
+
 
 class TestReduceChannel:
     def test_shapes_and_values(self):
@@ -70,7 +87,7 @@ class TestReduceChannel:
         rx_resp, tx_resp = support.rx, support.tx
         assert rx_resp.shape == (2, len(sets.rx_union))
         assert tx_resp.shape == (2, len(sets.tx_union))
-        full = lens_response_spatial(rx, 0.36)
+        full = rx.responses([0.36])[0]
         positions = np.asarray(sets.rx_union) + 10
         assert np.allclose(rx_resp[0], full[positions])
 

@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 from lensmimo.arrays import UpaConfig
-from lensmimo.channel import PathResponses, PathSet, TappedChannel, path_responses
+from lensmimo.channel import PathResponses, PathSet, path_responses
 from lensmimo.errors import InvalidInputError, UnsupportedConfigurationError
 from lensmimo.numerics import RANK_TOL, waterfill_capacity
 from lensmimo.upa import OfdmConfig, eigenmode_capacity, ofdm_capacity, power_select_antennas
 
 
 def flat_channel(h):
-    return TappedChannel(taps=((0, np.asarray(h, complex)),))
+    return ((0, np.asarray(h, complex)),)
 
 
 def random_responses(rng, num_paths, n_rx, n_tx, delays=None):
@@ -27,10 +27,10 @@ def random_responses(rng, num_paths, n_rx, n_tx, delays=None):
     )
 
 
-def oracle_subchannels(tapped, subcarriers):
+def oracle_subchannels(taps, subcarriers):
     """Per-subcarrier matrices H_k = sum_t tap_t exp(-j 2 pi k n_t / N)."""
     k = np.arange(subcarriers)[:, None, None]
-    return sum(np.exp(-2j * np.pi * k * n / subcarriers) * mat for n, mat in tapped.taps)
+    return sum(np.exp(-2j * np.pi * k * n / subcarriers) * mat for n, mat in taps)
 
 
 def oracle_ofdm_capacity(responses, budget, noise, cfg):
@@ -99,8 +99,7 @@ class TestOfdmSubchannels:
 
     def test_pure_delay_is_all_pass(self):
         h = np.ones((2, 2), complex)
-        tapped = TappedChannel(taps=((3, h),))
-        subs = oracle_subchannels(tapped, 16)
+        subs = oracle_subchannels(((3, h),), 16)
         for hk in subs:
             assert np.allclose(np.abs(hk), np.abs(h))
 
@@ -110,8 +109,7 @@ class TestOfdmSubchannels:
             (n, rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4)))
             for n in (0, 2, 5)
         )
-        tapped = TappedChannel(taps=taps)
-        subs = oracle_subchannels(tapped, 32)
+        subs = oracle_subchannels(taps, 32)
         lhs = sum(np.linalg.norm(hk) ** 2 for hk in subs) / 32
         rhs = sum(np.linalg.norm(m) ** 2 for _, m in taps)
         assert lhs == pytest.approx(rhs, rel=1e-12)
@@ -202,8 +200,7 @@ class TestUpaChannel:
             aod_spatial_freqs=np.array([0.0, 0.5]),
         )
         responses = path_responses(paths, cfg, cfg, 500e6)
-        tapped = responses.taps()
-        assert len(tapped.taps) == 1 and responses.num_paths == 2
+        assert len(responses.taps()) == 1 and responses.num_paths == 2
 
 
 class TestPowerSelection:
@@ -238,8 +235,7 @@ class TestPowerSelection:
             )
             for _ in range(3)
         )
-        tapped = flat_channel(h)
-        rows, cols = power_select_antennas(tapped, 4, 4)
+        rows, cols = power_select_antennas(flat_channel(h), 4, 4)
         greedy = np.linalg.norm(h[np.ix_(rows, cols)]) ** 2
         best = max(
             np.linalg.norm(h[np.ix_(r, c)]) ** 2
