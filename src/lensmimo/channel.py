@@ -24,7 +24,6 @@ class ChannelStats:
     angles are equally spaced in [-spread/2, spread/2].
     """
 
-    carrier_ghz: float = 73.0
     pathloss_intercept_db: float = 86.6
     pathloss_exponent: float = 2.45
     shadowing_std_db: float = 8.0
@@ -126,9 +125,11 @@ class PathResponses:
     """The factored channel of one realization, over some antennas:
     H(n) = sum_l alpha_l a_R,l a_T,l^H [n == n_l].
 
-    Every channel form is a view of these per-path factors: ``matrix`` is
-    the narrowband H = A_R^T diag(alpha) A_T^*, ``taps`` the tapped delay
-    line, and ``restrict`` the same paths seen by fewer antennas.
+    Every channel form is a view of these per-path factors: ``cores`` is
+    the path-space reduction that carries the singular values of
+    H = A_R^T diag(alpha) A_T^* (and of each OFDM subcarrier channel),
+    ``taps`` the dense tapped delay line, and ``restrict`` the same paths
+    seen by fewer antennas.
     """
 
     rx: np.ndarray  # (L, M) receive response rows a_R,l
@@ -161,9 +162,20 @@ class PathResponses:
             h += np.multiply(alpha, term, out=term)
         return h
 
-    def matrix(self) -> np.ndarray:
-        """Narrowband channel H = sum_l alpha_l a_R,l a_T,l^H (delays ignored)."""
-        return self._sum(slice(None))
+    def cores(self, phases=None) -> np.ndarray:
+        """Path-space cores R_R diag(alpha * phases) R_T^H of the channel.
+
+        With the thin QRs A_R^T = Q_R R_R and A_T^T = Q_T R_T of the
+        response rows, A_R^T diag(c) A_T^* = Q_R R_R diag(c) R_T^H Q_T^H has
+        the singular values of its core, which is at most L x L. Without
+        ``phases`` the result is the core of the narrowband H (delays
+        ignored); a (K, L) ``phases`` gives a (K, ., .) stack, core k for
+        the per-path coefficients alpha * phases[k].
+        """
+        r_rx = np.linalg.qr(self.rx.T, mode="r")
+        r_tx = np.linalg.qr(self.tx.T, mode="r")
+        coeffs = self.gains if phases is None else self.gains * phases
+        return (r_rx * coeffs[..., None, :]) @ r_tx.conj().T
 
     def taps(self) -> tuple[tuple[int, np.ndarray], ...]:
         """Tapped delay line: one (delay, matrix) pair per distinct quantized

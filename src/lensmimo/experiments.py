@@ -73,9 +73,17 @@ class ExperimentConfig:
             raise InvalidInputError("trials must be at least 1")
         if self.num_paths < 1 or self.delta < 1:
             raise InvalidInputError("num_paths and delta must be positive")
-        for s in self.schemes:
+        if len(self.snr_db) == 0:
+            raise InvalidInputError("snr_db must list at least one SNR point")
+        if not all(math.isfinite(s) for s in self.snr_db):
+            raise InvalidInputError(f"snr_db values must be finite, got {tuple(self.snr_db)}")
+        if len(self.schemes) == 0:
+            raise InvalidInputError("schemes must name at least one scheme")
+        for i, s in enumerate(self.schemes):
             if s not in SCHEMES:
                 raise InvalidInputError(f"unknown scheme {s!r}")
+            if s in self.schemes[:i]:
+                raise InvalidInputError(f"schemes lists {s!r} more than once")
         if "UPA-OFDM-selection" in self.schemes and (self.rx_rf is None or self.tx_rf is None):
             raise InvalidInputError("antenna selection requires rx_rf and tx_rf budgets")
         longest_tap = round(self.stats.max_excess_delay_s * self.stats.bandwidth_hz)

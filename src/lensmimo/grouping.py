@@ -41,8 +41,9 @@ def group_channels(
     tx: LensArrayConfig,
     rx: LensArrayConfig,
 ) -> list[np.ndarray]:
-    """Per-group MIMO matrices H_g = sum over group paths of alpha a_R a_T^H
-    restricted to the group's antenna subsets.
+    """Per-group MIMO channels H_g = sum over group paths of alpha a_R a_T^H
+    restricted to the group's antenna subsets, each as its path-space core
+    (``PathResponses.cores``), which has the singular values of H_g.
 
     Paths are grouped by transmit-subset overlap when the AoAs are
     separated, else by receive-subset overlap when the AoDs are; with
@@ -61,19 +62,19 @@ def group_channels(
         raise UnsupportedConfigurationError(
             "neither side is angle-separated; path grouping is undefined"
         )
-    mats = []
+    cores = []
     for group in groups:
         rx_pos = rx.positions(sorted({m for l in group for m in sets.rx_sets[l]}))
         tx_pos = tx.positions(sorted({q for l in group for q in sets.tx_sets[l]}))
-        mats.append(responses.restrict(rx_pos, tx_pos, group).matrix())
-    return mats
+        cores.append(responses.restrict(rx_pos, tx_pos, group).cores())
+    return cores
 
 
 def grouped_capacity(group_channels_list, budgets, noise: float) -> np.ndarray:
     """Eigenmode water-filling capacity across all groups under one budget,
     for each budget.
 
-    Pools the eigen-gains of every group matrix and water-fills the total
+    Pools the eigen-gains of every group channel and water-fills the total
     transmit power over them globally.
     """
     gains = np.concatenate([eigen_gains(h) for h in group_channels_list])

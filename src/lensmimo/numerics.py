@@ -1,14 +1,14 @@
 """Shared numerical kernels: eigen-gains, exact water-filling, Hermitian solve.
 
 Every capacity the sweeps report is water-filling over parallel gains:
-OPDM's per-path gains, the eigenmodes of each path group, and the UPA
-eigenmodes of the reduced per-path cores (``upa``; ``PathResponses.taps()``
-feeds only the antenna selection); the PDM stream powers are water-filled
-the same way. ``eigen_gains`` turns a stack of matrices into squared
-singular values under one rank rule, and ``water_fill`` solves a whole grid
-of power budgets at once. ``hermitian_solve`` solves a stack of Hermitian
-positive definite systems (the PDM MMSE covariances of every stream and
-budget) in one call and refuses a singular one. All functions are pure and
+OPDM's per-path gains, and the eigenmodes of the path-space cores
+(``PathResponses.cores``) of each path group and of the UPA channels; the
+PDM stream powers are water-filled the same way. ``eigen_gains`` turns a
+stack of matrices into squared singular values under one rank rule, and
+``water_fill`` solves a whole grid of power budgets at once.
+``hermitian_solve`` solves a stack of Hermitian positive definite systems
+(the PDM MMSE covariances in path space, for every stream and budget) in
+one call and refuses a singular one. All functions are pure and
 thread-safe.
 """
 from __future__ import annotations

@@ -11,8 +11,9 @@ its receive/transmit responses is path l seen by those antennas. Stream l
 is sent on path l with the MRT precoder of that path and detected at that
 path's delay. Stream powers have shape (..., L): a leading axis (one row
 per power budget) evaluates a whole SNR grid in one call, with the MRT
-precoders and their path couplings g_t formed once. An MMSE covariance that
-is singular in double precision is refused with NumericalError.
+precoders and their path couplings g_t formed once. The MMSE covariances
+have rank L plus noise, so the combiners are solved in the L-dimensional
+path space of the receive responses, never as M_S x M_S systems.
 
 All SINRs here use exactly normalized beamformers.
 """
@@ -24,12 +25,7 @@ import numpy as np
 
 from .arrays import LensArrayConfig
 from .channel import PathResponses
-from .errors import (
-    DegenerateInputError,
-    InvalidInputError,
-    NumericalError,
-    StatisticalValidityError,
-)
+from .errors import DegenerateInputError, InvalidInputError, StatisticalValidityError
 from .numerics import hermitian_solve
 
 _UNIT_TOL = 1e-12
@@ -103,15 +99,17 @@ def ipc_coefficients(
 def mmse_combiners(support: PathResponses, powers, noise: float) -> np.ndarray:
     """Per-stream MMSE combiners v_l proportional to C_l^{-1} a_{R,l}.
 
-    C_l collects the ISI covariance of stream l via the other paths, the
-    inter-stream covariance of all other streams via every path, and the
-    noise floor. ``powers`` has shape (..., L); the result has shape
-    (..., L, M_S), and all covariances are solved in one stacked call.
-    Raises NumericalError if any C_l is singular in double precision (the
-    noise floor lost against the path terms, e.g. at an extreme SNR).
+    C_l = A^T W_l A^* + sigma^2 I collects, through the receive responses
+    A (L x M_S), the ISI of stream l via the other paths, all other streams
+    via every path (the diagonal weights W_l) and the noise floor. With the
+    thin QR A^T = Q R (r = min(L, M_S)), C_l^{-1} a_{R,l} =
+    Q (R W_l R^H + sigma^2 I_r)^{-1} R e_l, so only r x r systems are
+    solved, all in one stacked call. ``powers`` has shape (..., L); the
+    result has shape (..., L, M_S). A path-space system that is still
+    singular in double precision raises ``hermitian_solve``'s
+    NumericalError.
     """
     powers = np.asarray(powers, dtype=float)
-    rx_resp = support.rx
     # launched[..., k, l'] = p_l' |a_{T,k}^H w_l'|^2: stream l' launched into path k.
     launched = powers[..., None, :] * np.abs(support.tx.conj() @ mrt_precoders(support).T) ** 2
     other = ~np.eye(support.num_paths, dtype=bool)
@@ -122,12 +120,9 @@ def mmse_combiners(support: PathResponses, powers, noise: float) -> np.ndarray:
     crossing = np.where(other, launched, 0.0).sum(axis=-1)[..., None, :]
     own = np.where(other, np.diagonal(launched, axis1=-2, axis2=-1)[..., None, :], 0.0)
     weights = np.abs(support.gains) ** 2 * (crossing + own)
-    n_rx = rx_resp.shape[1]
-    cov = (rx_resp.T * weights[..., None, :]) @ rx_resp.conj() + noise * np.eye(n_rx)
-    try:
-        directions = hermitian_solve(cov, np.broadcast_to(rx_resp, cov.shape[:-1]))
-    except NumericalError as exc:
-        raise NumericalError(f"MMSE covariance lost its noise floor: {exc}") from exc
+    q, r = np.linalg.qr(support.rx.T)
+    cov = (r * weights[..., None, :]) @ r.conj().T + noise * np.eye(r.shape[0])
+    directions = hermitian_solve(cov, np.broadcast_to(r.T, cov.shape[:-1])) @ q.T
     return directions / np.linalg.norm(directions, axis=-1, keepdims=True)
 
 

@@ -3,11 +3,10 @@ capacity, wideband MIMO-OFDM capacity with cyclic-prefix overhead, and
 power-based antenna selection under an RF-chain budget.
 
 The UPA channel itself is ``channel.path_responses`` on a UpaConfig pair.
-Both capacities read those per-path factors directly: with A_R^T = Q_R R_R
-and A_T^T = Q_T R_T (thin QR), every subcarrier channel
-H_k = Q_R R_R diag(alpha_l e^{-j 2 pi k n_l / N}) R_T^H Q_T^H has the
-singular values of its at most L x L core, so no M x Q matrix is formed.
-``PathResponses.taps()`` feeds only the antenna selection.
+Both capacities take their singular values from the path-space cores of
+``PathResponses.cores`` (at most L x L, one per subcarrier for OFDM), so no
+M x Q matrix is formed. ``PathResponses.taps()`` feeds only the antenna
+selection.
 """
 from __future__ import annotations
 
@@ -40,21 +39,11 @@ class OfdmConfig:
             raise InvalidInputError("cp_samples must be non-negative")
 
 
-def _cores(responses: PathResponses, phases: np.ndarray) -> np.ndarray:
-    """Stacked cores R_R diag(alpha * phases[k]) R_T^H, one per row of the
-    (K, L) ``phases``; core k has the singular values of
-    A_R^T diag(alpha * phases[k]) A_T^*."""
-    r_rx = np.linalg.qr(responses.rx.T, mode="r")
-    r_tx = np.linalg.qr(responses.tx.T, mode="r")
-    return (r_rx * (responses.gains * phases)[:, None, :]) @ r_tx.conj().T
-
-
 def eigenmode_capacity(responses: PathResponses, budgets, noise: float) -> np.ndarray:
     """SVD eigenmode transmission with water-filling over the narrowband
     channel H = sum_l alpha_l a_R,l a_T,l^H (delays ignored): sum of
     log2(1 + p_i s_i^2 / sigma^2), for each budget."""
-    flat = np.ones((1, responses.num_paths))
-    return waterfill_capacity(eigen_gains(_cores(responses, flat)), budgets, noise)
+    return waterfill_capacity(eigen_gains(responses.cores()), budgets, noise)
 
 
 def ofdm_capacity(
@@ -73,7 +62,7 @@ def ofdm_capacity(
             "channel tap delay reaches or exceeds the OFDM symbol length"
         )
     phases = np.exp(-2j * np.pi * np.outer(np.arange(n), responses.delays) / n)
-    gains = eigen_gains(_cores(responses, phases))
+    gains = eigen_gains(responses.cores(phases))
     rate = waterfill_capacity(gains, n * np.asarray(budgets, dtype=float), noise)
     return (n / (n + ofdm.cp_samples)) * rate / n
 

@@ -118,10 +118,13 @@ class TestChannelMatrices:
             aoa_spatial_freqs=np.array([0.17]),
             aod_spatial_freqs=np.array([-0.4]),
         )
-        h = path_responses(paths, tx, rx, 500e6).matrix()
+        core = path_responses(paths, tx, rx, 500e6).cores()
         a_r = rx.responses([0.17])[0]
         a_t = tx.responses([-0.4])[0]
-        assert np.allclose(h, paths.gains[0] * np.outer(a_r, a_t.conj()))
+        h = paths.gains[0] * np.outer(a_r, a_t.conj())
+        # One path: a 1 x 1 core carrying the one nonzero singular value of H.
+        assert core.shape == (1, 1)
+        assert abs(core[0, 0]) == pytest.approx(np.linalg.svd(h, compute_uv=False)[0], rel=1e-12)
 
     def test_tapped_merges_equal_delays(self):
         tx = LensArrayConfig(10.0, 10.0)

@@ -110,12 +110,41 @@ class TestMain:
         assert main(["run", "--scenario", "fig6", "--trials", "1"]) == 2
         assert "cyclic prefix" in capsys.readouterr().err
 
-    def test_singular_mmse_covariance_exit_code(self, capsys):
-        args = ["run", "--scenario", "fig9", "--trials", "30", "--snr-db", "140"]
-        assert main(args + ["--schemes", "PDM-MMSE"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "MMSE covariance" in err
-        assert "Traceback" not in err
+    def test_extreme_snr_sweep_prints_every_row(self, capsys):
+        # At 140 dB the antenna-space MMSE covariances of some fig9 trials
+        # are singular in double precision; the path-space solve is not, so
+        # the sweep keeps every scheme and SNR point.
+        args = ["run", "--scenario", "fig9", "--trials", "30", "--snr-db", "0,140"]
+        assert main(args) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.strip().split("\n")[1:]]
+        assert len(rows) == 8
+        assert all(row[4] == "30" for row in rows)
+        se = {(row[0], row[1]): float(row[2]) for row in rows}
+        assert se["PDM-MMSE", "140"] >= se["PDM-MRC", "140"]
+
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [
+            ("--snr-db", "", "snr_db"),
+            ("--snr-db", "inf", "snr_db"),
+            ("--snr-db", "nan", "snr_db"),
+            ("--schemes", "", "schemes"),
+            ("--schemes", "PDM-MRC,PDM-MRC", "schemes"),
+        ],
+        ids=["empty-snr", "inf-snr", "nan-snr", "empty-schemes", "repeated-scheme"],
+    )
+    def test_malformed_sweep_grid_exit_code(self, flag, value, field, capsys):
+        assert main(["run", "--scenario", "fig9", "--trials", "1", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {field} ")
+        assert "Traceback" not in captured.err
+
+    def test_malformed_sweep_grid_in_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("scenario=fig9\ntrials=1\nsnr_db=\n")
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error: snr_db ")
 
     def test_bad_sim_threads_exit_code(self, monkeypatch, capsys):
         monkeypatch.setenv("SIM_THREADS", "abc")

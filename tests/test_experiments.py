@@ -131,14 +131,8 @@ class TestSweep:
         sweep(cfg, str(out2), workers=2)
         assert out2.read_bytes() == out.read_bytes()
 
-    def test_empty_schemes_header_only(self, tmp_path):
-        cfg = preset("fig5", trials=1, schemes=())
-        out = tmp_path / "empty.csv"
-        sweep(cfg, str(out), workers=1)
-        assert out.read_text() == CSV_HEADER + "\n"
-
     def test_unwritable_path(self):
-        cfg = preset("fig5", trials=1, schemes=())
+        cfg = preset("fig5", trials=1, schemes=("OPDM",), snr_db=(0.0,))
         with pytest.raises(OSError):
             sweep(cfg, "/nonexistent-dir/out.csv", workers=1)
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from lensmimo.arrays import LensArrayConfig
-from lensmimo.channel import ChannelStats, PathSet, path_responses, sample_paths
-from lensmimo.errors import InvalidInputError, NumericalError, StatisticalValidityError
+from lensmimo.channel import ChannelStats, PathResponses, PathSet, path_responses, sample_paths
+from lensmimo.errors import InvalidInputError, StatisticalValidityError
 from lensmimo.experiments import preset
 from lensmimo.numerics import water_fill
 from lensmimo.pdm import (
@@ -69,18 +69,40 @@ class TestBeamformers:
     def test_mmse_matches_per_stream_loop(self):
         # Reference: the interference weights of detector l summed term by
         # term, ISI of stream l via paths k != l plus every other stream via
-        # every path.
+        # every path, and the M_S x M_S covariance solved directly. Lens
+        # draws have real responses, so complex random responses (with L
+        # below and above M_S) check the conjugations too.
         noise = STATS.noise_power
-        for seed in range(10):
-            support = support_of(sample_paths(STATS, 3, np.random.default_rng(seed)))
-            powers = STATS.tx_power(20) * np.array([0.5, 0.3, 0.2])
+        cases = [
+            (
+                support_of(sample_paths(STATS, 3, np.random.default_rng(seed))),
+                STATS.tx_power(20) * np.array([0.5, 0.3, 0.2]),
+                noise,
+            )
+            for seed in range(10)
+        ]
+        rng = np.random.default_rng(11)
+
+        def cn(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        for num_paths, n_rx, n_tx in ((3, 5, 4), (4, 2, 6), (2, 6, 1), (1, 3, 3)):
+            support = PathResponses(
+                rx=cn(num_paths, n_rx),
+                tx=cn(num_paths, n_tx),
+                gains=cn(num_paths),
+                delays=np.zeros(num_paths, int),
+            )
+            cases.append((support, rng.uniform(0.5, 2.0, num_paths), 0.1))
+        for support, powers, noise in cases:
+            n = support.num_paths
             g_t = support.tx.conj() @ mrt_precoders(support).T
             alpha_sq = np.abs(support.gains) ** 2
             reference = []
-            for l in range(3):
-                weights = np.zeros(3)
-                for k in range(3):
-                    for lp in range(3):
+            for l in range(n):
+                weights = np.zeros(n)
+                for k in range(n):
+                    for lp in range(n):
                         if (lp, k) != (l, l):
                             weights[k] += powers[lp] * alpha_sq[k] * np.abs(g_t[k, lp]) ** 2
                 cov = (support.rx.T * weights) @ support.rx.conj() + noise * np.eye(
@@ -131,20 +153,24 @@ class TestAnalyticSinr:
         assert report.gammas[1] == 0.0
 
 
-class TestMmseRefusal:
-    def test_mmse_refuses_singular_covariance(self):
-        # At 140 dB the noise floor vanishes against the path terms, so the
-        # covariances of these fig9 trials are singular in double precision
-        # (with OpenBLAS, trial 27 passes the Cholesky factorization and fails
-        # the solve).
+class TestMmseExtremeSnr:
+    def test_fig9_draws_at_140_db_are_finite_and_beat_mrc(self):
+        # At 140 dB the noise floor vanishes against the path terms: the
+        # antenna-space covariances of these fig9 trials are singular in
+        # double precision (trial 27 passes its Cholesky factorization and
+        # fails the solve). The path-space solve stays finite on them.
         cfg = preset("fig9")
         noise = cfg.stats.noise_power
         for trial in (2, 27):
             support = support_of(sample_paths(cfg.stats, 3, np.random.default_rng([0, trial])))
             gains = np.abs(support.gains) ** 2 * RX.aperture * TX.aperture
             powers = water_fill(gains, cfg.stats.tx_power(140.0), noise).powers
-            with pytest.raises(NumericalError):
-                mmse_combiners(support, powers, noise)
+            mmse = mmse_combiners(support, powers, noise)
+            assert np.all(np.isfinite(mmse))
+            g_mmse = pdm_sinr(support, mmse, powers, noise).gammas
+            g_mrc = pdm_sinr(support, mrc_combiners(support), powers, noise).gammas
+            assert np.all(np.isfinite(g_mmse))
+            assert np.all(g_mmse >= g_mrc * (1 - 1e-9))
 
 
 class TestIpc:

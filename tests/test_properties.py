@@ -3,15 +3,17 @@ water-filling kernel and the PDM combiners.
 
 The channel properties draw random lens and UPA array pairs, 1-6 paths and
 quantized delays that often coincide, and check every channel form against
-a brute-force sum of per-path outer products. The support-set properties
-check the vectorised subsets and separation flags against the per-path
-definition, and that a side flagged separated has pairwise-disjoint
-subsets, also for angles chained at the separation gap. The water-filling properties
+a brute-force sum of per-path outer products (the path-space cores by their
+singular values). The support-set properties check the vectorised subsets
+and separation flags against the per-path definition, and that a side
+flagged separated has pairwise-disjoint subsets, also for angles chained at
+the separation gap. The water-filling properties
 check the KKT conditions, monotonicity in the power budget and that one
 call over a budget grid equals one call per budget, over budgets far wider
-than the sweeps produce. The combiner properties check that MMSE never
-loses to MRC on any stream, and that one MMSE combiner and SINR call over a
-grid of water-filled stream powers equals one call per budget.
+than the sweeps produce. The combiner properties check that the path-space
+MMSE combiners equal a dense M_S x M_S solve, that MMSE never loses to MRC
+on any stream (up to 160 dB), and that one MMSE combiner and SINR call over
+a grid of water-filled stream powers equals one call per budget.
 """
 import itertools
 import math
@@ -24,7 +26,7 @@ from hypothesis import strategies as st
 from lensmimo.arrays import LensArrayConfig, UpaConfig
 from lensmimo.channel import ChannelStats, PathSet, path_responses, sample_paths
 from lensmimo.numerics import water_fill, waterfill_capacity
-from lensmimo.pdm import mmse_combiners, mrc_combiners, pdm_sinr
+from lensmimo.pdm import mmse_combiners, mrc_combiners, mrt_precoders, pdm_sinr
 from lensmimo.selection import restrict_to_support, support_sets
 
 RATE = 500e6
@@ -71,21 +73,41 @@ def subsets(draw, size):
     return np.array(sorted(picks))
 
 
+def dense(responses):
+    """Oracle: the dense channel sum_l alpha_l a_R,l a_T,l^H (delays ignored)."""
+    return np.einsum("l,lm,lq->mq", responses.gains, responses.rx, responses.tx.conj())
+
+
 class TestPathResponses:
     @EXAMPLES
     @given(arrays=array_pairs, paths=path_sets())
-    def test_matrix_is_sum_of_path_outer_products(self, arrays, paths):
+    def test_cores_have_singular_values_of_path_sum(self, arrays, paths):
         tx, rx = arrays
-        brute = sum(
-            alpha
-            * np.outer(rx.responses([phi_r])[0], tx.responses([phi_t])[0].conj())
-            for alpha, phi_r, phi_t in zip(
-                paths.gains, paths.aoa_spatial_freqs, paths.aod_spatial_freqs
-            )
+        responses = path_responses(paths, tx, rx, RATE)
+        # Per-path coefficients of the narrowband channel and of a few
+        # subcarriers of a 64-point OFDM symbol.
+        phases = np.exp(-2j * np.pi * np.outer(np.arange(4), responses.delays) / 64)
+        cases = [(responses.cores(), paths.gains)]
+        cases += zip(responses.cores(phases), paths.gains * phases)
+        scale = np.sum(
+            np.abs(paths.gains)
+            * np.linalg.norm(responses.rx, axis=1)
+            * np.linalg.norm(responses.tx, axis=1)
         )
-        h = path_responses(paths, tx, rx, RATE).matrix()
-        assert h.shape == (rx.element_count, tx.element_count)
-        assert np.allclose(h, brute, rtol=1e-12, atol=1e-12)
+        for core, coeffs in cases:
+            brute = sum(
+                c * np.outer(rx.responses([phi_r])[0], tx.responses([phi_t])[0].conj())
+                for c, phi_r, phi_t in zip(
+                    coeffs, paths.aoa_spatial_freqs, paths.aod_spatial_freqs
+                )
+            )
+            assert core.shape[0] <= min(paths.num_paths, rx.element_count)
+            assert core.shape[1] <= min(paths.num_paths, tx.element_count)
+            got = np.linalg.svd(core, compute_uv=False)
+            want = np.linalg.svd(brute, compute_uv=False)
+            # The dense sum has at most min(L, M, Q) nonzero singular values.
+            assert np.allclose(got, want[: got.size], rtol=0.0, atol=1e-12 * max(scale, 1.0))
+            assert np.all(want[got.size :] <= 1e-12 * max(scale, 1.0))
 
     @EXAMPLES
     @given(arrays=array_pairs, paths=path_sets())
@@ -96,7 +118,7 @@ class TestPathResponses:
         delays = [n for n, _ in taps]
         assert delays == sorted(set(paths.delay_samples(RATE).tolist()))
         total = sum(mat for _, mat in taps)
-        assert np.allclose(total, responses.matrix(), rtol=1e-12, atol=1e-12)
+        assert np.allclose(total, dense(responses), rtol=1e-12, atol=1e-12)
 
     @EXAMPLES
     @given(arrays=array_pairs, paths=path_sets(), data=st.data())
@@ -267,12 +289,50 @@ def pdm_link(spread, seed):
     )
 
 
+def dense_mmse_combiners(support, powers, noise):
+    """Oracle: v_l proportional to C_l^{-1} a_{R,l}, with the M_S x M_S
+    covariance C_l summed term by term (ISI of stream l via paths k != l,
+    every other stream via every path) and solved directly."""
+    g_t = support.tx.conj() @ mrt_precoders(support).T  # g_t[k, l'] = a_{T,k}^H w_{l'}
+    alpha_sq = np.abs(support.gains) ** 2
+    n = support.num_paths
+    combiners = []
+    for l in range(n):
+        weights = np.zeros(n)
+        for k, lp in itertools.product(range(n), range(n)):
+            if (lp, k) != (l, l):
+                weights[k] += powers[lp] * alpha_sq[k] * np.abs(g_t[k, lp]) ** 2
+        cov = (support.rx.T * weights) @ support.rx.conj() + noise * np.eye(support.rx.shape[1])
+        v = np.linalg.solve(cov, support.rx[l])
+        combiners.append(v / np.linalg.norm(v))
+    return np.array(combiners)
+
+
 class TestCombinerProperties:
     @EXAMPLES
     @given(
         spread=st.sampled_from([10.0, 150.0]),
         seed=st.integers(0, 2**32 - 1),
         snr_db=st.floats(-10.0, 30.0),
+        shares=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+    )
+    def test_path_space_mmse_equals_dense_solve(self, spread, seed, snr_db, shares):
+        stats, support = pdm_link(spread, seed)
+        noise = stats.noise_power
+        powers = stats.tx_power(snr_db) * np.array(shares)
+        got = mmse_combiners(support, powers, noise)
+        want = dense_mmse_combiners(support, powers, noise)
+        overlap = np.abs(np.sum(got.conj() * want, axis=-1))
+        assert np.all(1.0 - overlap <= 1e-12)
+        rate = pdm_sinr(support, got, powers, noise).sum_rate
+        dense_rate = pdm_sinr(support, want, powers, noise).sum_rate
+        assert math.isclose(rate, dense_rate, rel_tol=1e-12)
+
+    @EXAMPLES
+    @given(
+        spread=st.sampled_from([10.0, 150.0]),
+        seed=st.integers(0, 2**32 - 1),
+        snr_db=st.floats(-10.0, 160.0),
         shares=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
     )
     def test_mmse_sinr_never_below_mrc(self, spread, seed, snr_db, shares):

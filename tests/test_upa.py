@@ -27,6 +27,11 @@ def random_responses(rng, num_paths, n_rx, n_tx, delays=None):
     )
 
 
+def dense_channel(responses):
+    """Oracle: the narrowband H = sum_l alpha_l a_R,l a_T,l^H (delays ignored)."""
+    return np.einsum("l,lm,lq->mq", responses.gains, responses.rx, responses.tx.conj())
+
+
 def oracle_subchannels(taps, subcarriers):
     """Per-subcarrier matrices H_k = sum_t tap_t exp(-j 2 pi k n_t / N)."""
     k = np.arange(subcarriers)[:, None, None]
@@ -81,7 +86,7 @@ class TestEigenmodeCapacity:
         budgets = np.array([0.01, 1.0, 100.0])
         for num_paths, n_rx, n_tx in ((3, 8, 5), (4, 2, 6), (5, 3, 2), (2, 1, 1)):
             responses = random_responses(rng, num_paths, n_rx, n_tx)
-            s = np.linalg.svd(responses.matrix(), compute_uv=False)
+            s = np.linalg.svd(dense_channel(responses), compute_uv=False)
             direct = waterfill_capacity(np.where(s < RANK_TOL * s[0], 0.0, s) ** 2, budgets, 1.0)
             assert np.allclose(eigenmode_capacity(responses, budgets, 1.0), direct, rtol=1e-9)
 
@@ -185,11 +190,11 @@ class TestUpaChannel:
             aoa_spatial_freqs=np.array([0.3]),
             aod_spatial_freqs=np.array([-0.2]),
         )
-        h = path_responses(paths, cfg, cfg, 500e6).matrix()
-        # rank-1 with singular value |alpha| * sqrt(A_R A_T)
-        s = np.linalg.svd(h, compute_uv=False)
-        assert s[0] == pytest.approx(2.0 * 20.0)
-        assert np.all(s[1:] < 1e-12)
+        core = path_responses(paths, cfg, cfg, 500e6).cores()
+        # rank-1 with singular value |alpha| * sqrt(A_R A_T): the one entry
+        # of its 1 x 1 path-space core
+        assert core.shape == (1, 1)
+        assert abs(core[0, 0]) == pytest.approx(2.0 * 20.0)
 
     def test_tapped_channel_merges(self):
         cfg = UpaConfig(20.0, 10.0)
