@@ -77,6 +77,9 @@ class ExperimentConfig:
             raise InvalidInputError("snr_db must list at least one SNR point")
         if not all(math.isfinite(s) for s in self.snr_db):
             raise InvalidInputError(f"snr_db values must be finite, got {tuple(self.snr_db)}")
+        for i, s in enumerate(self.snr_db):
+            if s in self.snr_db[:i]:
+                raise InvalidInputError(f"snr_db lists {s:g} dB more than once")
         if len(self.schemes) == 0:
             raise InvalidInputError("schemes must name at least one scheme")
         for i, s in enumerate(self.schemes):
@@ -203,12 +206,8 @@ def _run_trial(cfg: ExperimentConfig, trial: int) -> dict:
     rx = LensArrayConfig(cfg.rx_aperture, cfg.rx_azimuth_dim)
     rate = cfg.stats.bandwidth_hz
     lens = path_responses(paths, tx, rx, rate)
-    upa = path_responses(
-        paths,
-        UpaConfig(cfg.tx_aperture, cfg.tx_azimuth_dim),
-        UpaConfig(cfg.rx_aperture, cfg.rx_azimuth_dim),
-        rate,
-    )
+    upa_rx = UpaConfig(cfg.rx_aperture, cfg.rx_azimuth_dim)
+    upa = path_responses(paths, UpaConfig(cfg.tx_aperture, cfg.tx_azimuth_dim), upa_rx, rate)
     sets = support_sets(paths, tx, rx, cfg.delta)
     support = restrict_to_support(lens, sets, tx, rx)
     out: dict = {}
@@ -236,7 +235,7 @@ def _run_trial(cfg: ExperimentConfig, trial: int) -> dict:
         else:  # UPA-OFDM and UPA-OFDM-selection
             channel = upa
             if scheme == "UPA-OFDM-selection":
-                rows, cols = power_select_antennas(upa.taps(), cfg.rx_rf, cfg.tx_rf)
+                rows, cols = power_select_antennas(upa, upa_rx, cfg.rx_rf, cfg.tx_rf)
                 channel = upa.restrict(rows, cols)
             rates = ofdm_capacity(channel, budgets, noise, cfg.ofdm)
         out[scheme] = (rates, flag)

@@ -5,8 +5,8 @@ power-based antenna selection under an RF-chain budget.
 The UPA channel itself is ``channel.path_responses`` on a UpaConfig pair.
 Both capacities take their singular values from the path-space cores of
 ``PathResponses.cores`` (at most L x L, one per subcarrier for OFDM), so no
-M x Q matrix is formed. ``PathResponses.taps()`` feeds only the antenna
-selection.
+M x Q matrix is formed. The antenna selection ranks the tapped delay line
+of one receive antenna per azimuth index, an n_y x Q matrix per tap.
 """
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .arrays import UpaConfig
 from .channel import PathResponses
 from .errors import InvalidInputError, UnsupportedConfigurationError
 from .numerics import eigen_gains, waterfill_capacity
@@ -68,24 +69,42 @@ def ofdm_capacity(
 
 
 def power_select_antennas(
-    taps: tuple[tuple[int, np.ndarray], ...], n_rx_rf: int, n_tx_rf: int
+    responses: PathResponses, rx_array: UpaConfig, n_rx_rf: int, n_tx_rf: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Two-stage power-based selection under RF-chain budgets, on the
-    (delay, matrix) taps of ``PathResponses.taps()``.
+    """Two-stage power-based selection under RF-chain budgets, on the UPA
+    responses of one realization and its receive array.
 
-    Picks the n_rx_rf rows with the largest squared channel magnitude summed
-    over taps and columns, then the n_tx_rf columns on the row-restricted
-    channel. Ties go to the lower antenna index.
+    Picks the n_rx_rf receive antennas with the largest squared channel
+    magnitude summed over taps and transmit antennas, then the n_tx_rf
+    transmit antennas on the channel seen by the picked receive antennas.
+    Ties go to the lower antenna index.
+
+    The UPA carries no elevation phase, so the n_z receive antennas of one
+    azimuth index (i_y-major: i_y*n_z ... i_y*n_z + n_z - 1) have identical
+    responses and powers. The ranking reads only the n_y x Q taps of one
+    antenna per azimuth index, with full transmit rows so that each row sum
+    rounds as it would on the whole array.
+
+    Transmit antennas of one azimuth index tie in the same way. So with each
+    budget at most its array's n_z (6 of 10 on fig9/fig10), the lower-index
+    rule takes every pick of a side from one azimuth index, each side sees
+    every path with one phase on all its picks, and the selected link has
+    rank 1: UPA-OFDM-selection is a single-stream baseline. A rule that
+    keeps several streams is ROADMAP item 3.
     """
-    n_rx, n_tx = taps[0][1].shape
+    n_rx, n_tx = responses.rx.shape[1], responses.tx.shape[1]
+    if n_rx != rx_array.element_count:
+        raise InvalidInputError("receive responses do not match the receive array size")
     if not (1 <= n_rx_rf <= n_rx and 1 <= n_tx_rf <= n_tx):
         raise InvalidInputError("RF budgets must be between 1 and the array size")
-    energy = np.zeros((n_rx, n_tx))
-    for _, mat in taps:
+    n_z = rx_array.grid_shape[1]
+    # Energy row i_y stands for receive antennas i_y*n_z ... i_y*n_z + n_z - 1.
+    energy = np.zeros((n_rx // n_z, n_tx))
+    for _, mat in responses.restrict(np.arange(0, n_rx, n_z), np.arange(n_tx)).taps():
         energy += np.abs(mat) ** 2
-    row_power = energy.sum(axis=1)
+    row_power = np.repeat(energy.sum(axis=1), n_z)
     # lexsort: primary key descending power, secondary ascending index
     rows = np.sort(np.lexsort((np.arange(n_rx), -row_power))[:n_rx_rf])
-    col_power = energy[rows].sum(axis=0)
+    col_power = energy[rows // n_z].sum(axis=0)
     cols = np.sort(np.lexsort((np.arange(n_tx), -col_power))[:n_tx_rf])
     return rows, cols

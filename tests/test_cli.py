@@ -128,10 +128,13 @@ class TestMain:
             ("--snr-db", "", "snr_db"),
             ("--snr-db", "inf", "snr_db"),
             ("--snr-db", "nan", "snr_db"),
+            ("--snr-db", "0,10,0", "snr_db"),
             ("--schemes", "", "schemes"),
             ("--schemes", "PDM-MRC,PDM-MRC", "schemes"),
         ],
-        ids=["empty-snr", "inf-snr", "nan-snr", "empty-schemes", "repeated-scheme"],
+        ids=[
+            "empty-snr", "inf-snr", "nan-snr", "repeated-snr", "empty-schemes", "repeated-scheme"
+        ],
     )
     def test_malformed_sweep_grid_exit_code(self, flag, value, field, capsys):
         assert main(["run", "--scenario", "fig9", "--trials", "1", flag, value]) == 2

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,6 +48,12 @@ class TestPresets:
             preset("fig5", schemes=("OPDM", "magic"))
         with pytest.raises(InvalidInputError):
             preset("fig5", schemes=("UPA-OFDM-selection",))  # no RF budgets
+
+    def test_repeated_snr_point_refused(self):
+        with pytest.raises(InvalidInputError, match="snr_db lists 10 dB more than once"):
+            preset("fig5", snr_db=(0.0, 10.0, 10.0))
+        with pytest.raises(InvalidInputError, match="snr_db lists -0 dB"):
+            preset("fig5", snr_db=(0.0, -0.0))
 
     def test_cyclic_prefix_must_cover_longest_tap(self):
         # 200 ns at 500 MHz is 100 samples, twice the 50-sample cyclic prefix.
@@ -111,6 +121,26 @@ class TestRunExperiment:
         mmse = [r for r in rows if r.scheme == "PDM-MMSE"][0]
         assert "grouping-fallback:2" in grouping.flags
         assert grouping.se_bpshz == pytest.approx(mmse.se_bpshz)
+
+    def test_sweeps_import_neither_numpy_ma_nor_scipy(self):
+        # Either import would add to every sweep's start-up time (numpy.ma
+        # alone costs ~15 ms, and np.unique pulls it in), so a fresh process
+        # runs one trial of each preset and reports what got imported.
+        script = (
+            "import sys\n"
+            "from lensmimo.experiments import preset, run_experiment\n"
+            "for name in ('fig5', 'fig6', 'fig9', 'fig10'):\n"
+            "    run_experiment(preset(name, trials=1), workers=1)\n"
+            "print(sorted(m for m in ('numpy.ma', 'scipy') if m in sys.modules))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
     def test_stderr_nonnegative_finite(self):
         rows = run_experiment(preset("fig5", trials=4), workers=1)

@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lensmimo.arrays import UpaConfig
-from lensmimo.channel import PathResponses, PathSet, path_responses
+from lensmimo.channel import PathResponses, PathSet, path_responses, sample_paths
 from lensmimo.errors import InvalidInputError, UnsupportedConfigurationError
+from lensmimo.experiments import preset
 from lensmimo.numerics import RANK_TOL, waterfill_capacity
 from lensmimo.upa import OfdmConfig, eigenmode_capacity, ofdm_capacity, power_select_antennas
 
@@ -208,39 +211,104 @@ class TestUpaChannel:
         assert len(responses.taps()) == 1 and responses.num_paths == 2
 
 
+def dense_energy(taps):
+    """Squared channel magnitude of every antenna pair, summed over taps."""
+    energy = np.zeros(taps[0][1].shape)
+    for _, mat in taps:
+        energy += np.abs(mat) ** 2
+    return energy
+
+
+def top(powers, k):
+    """The k largest powers' indices, ties to the lower index, sorted."""
+    return np.sort(np.lexsort((np.arange(len(powers)), -powers))[:k])
+
+
+def oracle_power_select(taps, n_rx_rf, n_tx_rf):
+    """Oracle: the power-based selection ranked on the whole dense tapped
+    channel, every receive row and transmit column."""
+    energy = dense_energy(taps)
+    rows = top(energy.sum(axis=1), n_rx_rf)
+    return rows, top(energy[rows].sum(axis=0), n_tx_rf)
+
+
+def assert_top_up_to_ulps(picked, powers, k):
+    """picked is the top-k of powers, or differs from it only among antennas
+    whose powers lie within 4 ulps of the oracle's cut-off power."""
+    expected = top(powers, k)
+    assert len(picked) == k and np.all(np.diff(picked) > 0)
+    if np.array_equal(picked, expected):
+        return
+    cutoff = powers[expected].min()
+    differing = np.setxor1d(picked, expected)
+    assert np.all(np.abs(powers[differing] - cutoff) <= 4 * np.spacing(cutoff)), (
+        picked, expected, powers[differing] - cutoff
+    )
+
+
+def upa_with(count):
+    """A count x 1 UPA grid (n_z = 1): one antenna per azimuth index."""
+    return UpaConfig(aperture=count / 4.0, azimuth_dim=count / 2.0)
+
+
+def single_path(a_rx, a_tx):
+    """A one-path flat channel with H = outer(a_rx, conj(a_tx))."""
+    return PathResponses(
+        rx=np.asarray(a_rx, complex)[None, :],
+        tx=np.asarray(a_tx, complex)[None, :],
+        gains=np.ones(1, complex),
+        delays=np.zeros(1, int),
+    )
+
+
 class TestPowerSelection:
     def test_full_budget_is_identity(self):
-        rng = np.random.default_rng(5)
-        h = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
-        rows, cols = power_select_antennas(flat_channel(h), 4, 5)
+        responses = random_responses(np.random.default_rng(5), 4, 4, 5)
+        rows, cols = power_select_antennas(responses, upa_with(4), 4, 5)
         assert list(rows) == [0, 1, 2, 3]
         assert list(cols) == [0, 1, 2, 3, 4]
 
     def test_rank_one_separable(self):
         a = np.array([1.0, 3.0, 2.0, 0.5])
         b = np.array([0.2, 1.0, 0.7])
-        rows, cols = power_select_antennas(flat_channel(np.outer(a, b)), 2, 2)
+        rows, cols = power_select_antennas(single_path(a, b), upa_with(4), 2, 2)
         assert set(rows) == {1, 2}
         assert set(cols) == {1, 2}
 
     def test_ties_prefer_lower_index(self):
-        h = np.ones((3, 3), complex)
-        rows, cols = power_select_antennas(flat_channel(h), 2, 2)
+        rows, cols = power_select_antennas(single_path(np.ones(3), np.ones(3)), upa_with(3), 2, 2)
         assert list(rows) == [0, 1]
         assert list(cols) == [0, 1]
+        # A UPA has no elevation phase, so the n_z antennas of one azimuth
+        # index tie exactly. At broadside every antenna ties.
+        rx, tx = UpaConfig(2.0, 1.0), UpaConfig(3.0, 2.0)  # 2 x 4 and 4 x 3 grids
+        for phi, exact in ((0.0, True), (0.3, False), (-0.7, False)):
+            paths = PathSet(
+                gains=np.array([0.5 - 1j]),
+                delays_s=np.zeros(1),
+                aoa_spatial_freqs=np.array([phi]),
+                aod_spatial_freqs=np.array([-phi]),
+            )
+            rows, cols = power_select_antennas(path_responses(paths, tx, rx, 500e6), rx, 3, 2)
+            # The first three of one azimuth index, the first two of another.
+            assert list(rows) == [4 * (rows[0] // 4) + i for i in range(3)]
+            assert list(cols) == [3 * (cols[0] // 3) + i for i in range(2)]
+            if exact:
+                assert list(rows) == [0, 1, 2] and list(cols) == [0, 1]
 
     def test_greedy_near_exhaustive_on_small_instance(self):
         # 3-path 8x8 channel: greedy retained energy vs brute force over all
         # 4-row/4-column subsets.
         rng = np.random.default_rng(6)
-        h = sum(
-            rng.standard_normal() * np.outer(
-                np.exp(1j * math.pi * np.arange(8) * rng.uniform(-1, 1)),
-                np.exp(1j * math.pi * np.arange(8) * rng.uniform(-1, 1)),
-            )
-            for _ in range(3)
+        ramps = [
+            np.exp(1j * math.pi * np.arange(8)[None, :] * rng.uniform(-1, 1, size=(3, 1)))
+            for _ in range(2)
+        ]
+        responses = PathResponses(
+            rx=ramps[0], tx=ramps[1], gains=rng.standard_normal(3) + 0j, delays=np.zeros(3, int)
         )
-        rows, cols = power_select_antennas(flat_channel(h), 4, 4)
+        h = dense_channel(responses)
+        rows, cols = power_select_antennas(responses, upa_with(8), 4, 4)
         greedy = np.linalg.norm(h[np.ix_(rows, cols)]) ** 2
         best = max(
             np.linalg.norm(h[np.ix_(r, c)]) ** 2
@@ -254,11 +322,69 @@ class TestPowerSelection:
         cfg = OfdmConfig(subcarriers=16, cp_samples=4)
         caps = []
         for k in (2, 4, 6):
-            rows, cols = power_select_antennas(responses.taps(), k, k)
+            rows, cols = power_select_antennas(responses, upa_with(6), k, k)
             caps.append(ofdm_capacity(responses.restrict(rows, cols), 1.0, 1.0, cfg))
         assert caps[0] <= caps[1] <= caps[2]
 
     def test_budget_validation(self):
-        h = np.ones((2, 2), complex)
+        responses = single_path(np.ones(2), np.ones(2))
         with pytest.raises(InvalidInputError):
-            power_select_antennas(flat_channel(h), 3, 1)
+            power_select_antennas(responses, upa_with(2), 3, 1)
+        with pytest.raises(InvalidInputError):
+            power_select_antennas(responses, upa_with(2), 1, 0)
+        with pytest.raises(InvalidInputError):  # responses of another array
+            power_select_antennas(responses, upa_with(4), 1, 1)
+
+    @pytest.mark.parametrize("name", ["fig9", "fig10"])
+    def test_matches_dense_oracle_on_preset_draws(self, name):
+        # The sweeps' own draws (trial t of seed s), at budgets within one
+        # azimuth index (1, 6) and across two (15 > n_z = 10).
+        cfg = preset(name)
+        rx = UpaConfig(cfg.rx_aperture, cfg.rx_azimuth_dim)
+        tx = UpaConfig(cfg.tx_aperture, cfg.tx_azimuth_dim)
+        n_z = rx.grid_shape[1], tx.grid_shape[1]
+        for seed, trial in itertools.product(range(5), range(30)):
+            paths = sample_paths(cfg.stats, cfg.num_paths, np.random.default_rng([seed, trial]))
+            responses = path_responses(paths, tx, rx, cfg.stats.bandwidth_hz)
+            taps = responses.taps()
+            for rf in (1, 6, 15):
+                rows, cols = power_select_antennas(responses, rx, rf, rf)
+                want_rows, want_cols = oracle_power_select(taps, rf, rf)
+                assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
+                if rf <= min(n_z):
+                    # One azimuth index per side: a rank-1, single-stream link.
+                    assert len(set(rows // n_z[0])) == 1 and len(set(cols // n_z[1])) == 1
+                    picked = responses.restrict(rows, cols)
+                    assert np.linalg.matrix_rank(picked.rx) == 1
+                    assert np.linalg.matrix_rank(picked.tx) == 1
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_matches_dense_oracle_up_to_ulp_ties(self, data):
+        # Random UPA shapes (n_z = 1 included) and draws whose delays often
+        # share a tap. The dense oracle's flattened numpy kernels may round
+        # a lane differently when Q is not a multiple of the SIMD width (see test_properties.py,
+        # test_restrict_then_merge_equals_merge_then_index), so equal powers
+        # may differ by an ulp or so there.
+        def upa():
+            n_y, n_z = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 4))
+            return UpaConfig(aperture=n_y * n_z / 4.0, azimuth_dim=n_y / 2.0)
+
+        rx, tx = upa(), upa()
+        n = data.draw(st.integers(1, 5))
+        unit = st.floats(-1.0, 1.0)
+        draws = [data.draw(st.lists(unit, min_size=n, max_size=n)) for _ in range(4)]
+        delays = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        paths = PathSet(
+            gains=np.array(draws[0]) + 1j * np.array(draws[1]),
+            delays_s=np.sort(delays) / 500e6,
+            aoa_spatial_freqs=np.array(draws[2]),
+            aod_spatial_freqs=np.array(draws[3]),
+        )
+        responses = path_responses(paths, tx, rx, 500e6)
+        k_rx = data.draw(st.integers(1, rx.element_count))
+        k_tx = data.draw(st.integers(1, tx.element_count))
+        rows, cols = power_select_antennas(responses, rx, k_rx, k_tx)
+        energy = dense_energy(responses.taps())
+        assert_top_up_to_ulps(rows, energy.sum(axis=1), k_rx)
+        assert_top_up_to_ulps(cols, energy[rows].sum(axis=0), k_tx)
