@@ -1,16 +1,15 @@
 """Link-level simulator for millimeter-wave MIMO with lens antenna arrays.
 
-Core pieces: sinc-profile lens array responses with an aperture-integration
-oracle, a sparse multipath channel generator with one factored per-path
-response core (PathResponses) behind every channel form, path division
-multiplexing transceivers (orthogonal ideal-angle form, MRC/MMSE combining,
-path grouping), a conventional uniform-planar-array benchmark, and a Monte
-Carlo experiment harness with CLI and CSV output.
+Core pieces: sinc-profile lens array responses, a sparse multipath channel
+generator with one factored per-path response core (PathResponses) behind
+every channel form, path division multiplexing transceivers (orthogonal
+ideal-angle form, MRC/MMSE combining, path grouping), a conventional
+uniform-planar-array benchmark, and a Monte Carlo experiment harness with
+CLI and CSV output.
 """
-from .arrays import LensArrayConfig, LensOracleConfig, UpaConfig, lens_response_oracle
+from .arrays import LensArrayConfig, UpaConfig
 from .channel import ChannelStats, PathResponses, PathSet, path_responses, sample_paths
 from .errors import (
-    AccuracyError,
     ConfigError,
     DegenerateInputError,
     IdealAngleError,

@@ -11,6 +11,7 @@ import numpy as np
 
 from .arrays import LensArrayConfig, UpaConfig
 from .errors import InvalidInputError
+from .numerics import RANK_TOL
 
 _LN10_OVER_10 = math.log(10.0) / 10.0
 
@@ -126,8 +127,9 @@ class PathResponses:
     H(n) = sum_l alpha_l a_R,l a_T,l^H [n == n_l].
 
     Every channel form is a view of these per-path factors: ``cores`` is
-    the path-space reduction that carries the singular values of
-    H = A_R^T diag(alpha) A_T^* (and of each OFDM subcarrier channel),
+    the rank-revealing path-space reduction that carries the singular
+    values of H = A_R^T diag(alpha) A_T^* (and of each OFDM subcarrier
+    channel) in an r_R x r_T matrix,
     ``taps`` the dense tapped delay line, and ``restrict`` the same paths
     seen by fewer antennas.
     """
@@ -165,15 +167,16 @@ class PathResponses:
     def cores(self, phases=None) -> np.ndarray:
         """Path-space cores R_R diag(alpha * phases) R_T^H of the channel.
 
-        With the thin QRs A_R^T = Q_R R_R and A_T^T = Q_T R_T of the
-        response rows, A_R^T diag(c) A_T^* = Q_R R_R diag(c) R_T^H Q_T^H has
-        the singular values of its core, which is at most L x L. Without
-        ``phases`` the result is the core of the narrowband H (delays
-        ignored); a (K, L) ``phases`` gives a (K, ., .) stack, core k for
-        the per-path coefficients alpha * phases[k].
+        The rank-revealing factors A_R^T = U_R R_R and A_T^T = U_T R_T of the
+        response rows (``_factor``, orthonormal U) give
+        A_R^T diag(c) A_T^* = U_R R_R diag(c) R_T^H U_T^H, so the r_R x r_T
+        core has its singular values, where r_R and r_T are the numerical
+        ranks of the two sides (at most L). Without ``phases`` the result is
+        the core of the narrowband H (delays ignored); a (K, L) ``phases``
+        gives a (K, r_R, r_T) stack, core k for the per-path coefficients
+        alpha * phases[k].
         """
-        r_rx = np.linalg.qr(self.rx.T, mode="r")
-        r_tx = np.linalg.qr(self.tx.T, mode="r")
+        r_rx, r_tx = _factor(self.rx), _factor(self.tx)
         coeffs = self.gains if phases is None else self.gains * phases
         return (r_rx * coeffs[..., None, :]) @ r_tx.conj().T
 
@@ -185,6 +188,14 @@ class PathResponses:
         # on its first call.
         delays = sorted(set(self.delays.tolist()))
         return tuple((n, self._sum(self.delays == n)) for n in delays)
+
+
+def _factor(rows: np.ndarray) -> np.ndarray:
+    """The r x L factor S V^H of the thin SVD rows.T = U S V^H, keeping the
+    r singular values at or above RANK_TOL times the largest."""
+    _, s, vh = np.linalg.svd(rows.T, full_matrices=False)
+    keep = s >= RANK_TOL * s[0]
+    return s[keep, None] * vh[keep]
 
 
 def sample_paths(stats: ChannelStats, num_paths: int, rng) -> PathSet:

@@ -17,10 +17,6 @@ class NumericalError(LensMimoError):
     """A numerical routine failed (singular/indefinite matrix, ...)."""
 
 
-class AccuracyError(LensMimoError):
-    """A quadrature did not converge to the requested accuracy."""
-
-
 class IdealAngleError(InvalidInputError):
     """Angles are not ideal (nonzero misalignment or duplicate focusing
     indices); the caller should use the general PDM transceiver instead."""

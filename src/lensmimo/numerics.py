@@ -2,10 +2,11 @@
 
 Every capacity the sweeps report is water-filling over parallel gains:
 OPDM's per-path gains, and the eigenmodes of the path-space cores
-(``PathResponses.cores``) of each path group and of the UPA channels; the
-PDM stream powers are water-filled the same way. ``eigen_gains`` turns a
-stack of matrices into squared singular values under one rank rule, and
-``water_fill`` solves a whole grid of power budgets at once.
+(``PathResponses.cores``, r_R x r_T for side ranks r_R and r_T) of each
+path group and of the UPA channels; the PDM stream powers are water-filled
+the same way. ``eigen_gains`` turns a stack of matrices into squared
+singular values under one rank rule, and ``water_fill`` solves a whole grid
+of power budgets at once.
 ``hermitian_solve`` solves a stack of Hermitian positive definite systems
 (the PDM MMSE covariances in path space, for every stream and budget) in
 one call and refuses a singular one. All functions are pure and
@@ -38,14 +39,18 @@ def eigen_gains(mats) -> np.ndarray:
 
     Returns shape (..., min(m, n)), non-increasing along the last axis;
     singular values below RANK_TOL times the largest one of the same matrix
-    are set to zero.
+    are set to zero. A matrix with one row or one column has one singular
+    value, its norm, which is taken without an SVD.
     """
     m = np.asarray(mats)
     if m.ndim < 2 or m.size == 0:
         raise InvalidInputError("eigen_gains expects a non-empty (..., m, n) stack")
     if not np.all(np.isfinite(m)):
         raise InvalidInputError("eigen_gains input contains non-finite entries")
-    s = np.linalg.svd(m, compute_uv=False)
+    if min(m.shape[-2:]) == 1:
+        s = np.linalg.norm(m, axis=(-2, -1))[..., None]
+    else:
+        s = np.linalg.svd(m, compute_uv=False)
     s = np.where(s < RANK_TOL * s[..., :1], 0.0, s)
     return s**2
 

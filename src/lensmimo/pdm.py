@@ -104,7 +104,9 @@ def mmse_combiners(support: PathResponses, powers, noise: float) -> np.ndarray:
     via every path (the diagonal weights W_l) and the noise floor. With the
     thin QR A^T = Q R (r = min(L, M_S)), C_l^{-1} a_{R,l} =
     Q (R W_l R^H + sigma^2 I_r)^{-1} R e_l, so only r x r systems are
-    solved, all in one stacked call. ``powers`` has shape (..., L); the
+    solved, all in one stacked call. The combiners need the basis Q itself,
+    which ``PathResponses.cores`` does not keep, so this is the one other
+    path-space factorization. ``powers`` has shape (..., L); the
     result has shape (..., L, M_S). A path-space system that is still
     singular in double precision raises ``hermitian_solve``'s
     NumericalError.

@@ -4,9 +4,11 @@ power-based antenna selection under an RF-chain budget.
 
 The UPA channel itself is ``channel.path_responses`` on a UpaConfig pair.
 Both capacities take their singular values from the path-space cores of
-``PathResponses.cores`` (at most L x L, one per subcarrier for OFDM), so no
-M x Q matrix is formed. The antenna selection ranks the tapped delay line
-of one receive antenna per azimuth index, an n_y x Q matrix per tap.
+``PathResponses.cores`` (r_R x r_T, the numerical ranks of the receive and
+transmit responses; one per subcarrier for OFDM), so no M x Q matrix is
+formed. The antenna selection ranks the tapped delay line of one receive
+antenna per azimuth index, an n_y x Q matrix per tap; the link it selects
+at the fig9/fig10 budgets has rank 1, so its subcarrier cores are 1 x 1.
 """
 from __future__ import annotations
 

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from lensmimo.arrays import LensArrayConfig, LensOracleConfig, UpaConfig, lens_response_oracle
-from lensmimo.errors import AccuracyError, InvalidInputError
+from lens_oracle import AccuracyError, LensOracleConfig, lens_response_oracle
+from lensmimo.arrays import LensArrayConfig, UpaConfig
+from lensmimo.errors import InvalidInputError
 
 
 class TestLensArrayConfig:

@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from lensmimo.errors import DegenerateInputError, InvalidInputError, NumericalError
+from lensmimo.experiments import preset, run_experiment
 from lensmimo.numerics import (
     RANK_TOL,
     eigen_gains,
@@ -127,6 +129,39 @@ class TestEigenGains:
         assert 1e-13 < RANK_TOL
         assert np.array_equal(gains[0], [1.0, 0.0])
         assert np.allclose(gains[1], [1e-40, 1e-42], rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("shape", [(7, 1, 5), (2, 3, 4, 1), (512, 1, 1), (1, 8)])
+    def test_one_row_or_column_matches_svd(self, shape):
+        # Matrices with a side of 1 take their one singular value as a norm.
+        rng = np.random.default_rng(5)
+        m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        gains = eigen_gains(m)
+        want = np.linalg.svd(m, compute_uv=False)
+        assert gains.shape == want.shape
+        assert np.allclose(np.sqrt(gains), want, rtol=1e-15, atol=0.0)
+
+    def test_zero_vector_gives_zero_gain(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gains = eigen_gains(np.zeros((3, 1, 4), dtype=complex))
+        assert np.array_equal(gains, np.zeros((3, 1)))
+
+    def test_selection_sweep_calls_no_svd_on_a_vector_stack(self, monkeypatch):
+        # The selected fig9 link has rank 1 at the default budgets, so its 512
+        # subcarrier cores are 1 x 1, and their singular values are absolute
+        # values that need no LAPACK call. Record the shape of every SVD the
+        # sweep makes.
+        shapes = []
+        svd = np.linalg.svd
+
+        def counting_svd(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        run_experiment(preset("fig9", trials=1, schemes=("UPA-OFDM-selection",)), workers=1)
+        assert shapes, "the sweep made no SVD call at all"
+        assert all(min(shape[-2:]) > 1 for shape in shapes), shapes
 
     def test_zero_matrix(self):
         assert np.array_equal(eigen_gains(np.zeros((3, 2))), [0.0, 0.0])

@@ -1,10 +1,11 @@
 """Property tests for the factored channel core, the support sets, the
 water-filling kernel and the PDM combiners.
 
-The channel properties draw random lens and UPA array pairs, 1-6 paths and
-quantized delays that often coincide, and check every channel form against
-a brute-force sum of per-path outer products (the path-space cores by their
-singular values). The support-set properties check the vectorised subsets
+The channel properties draw random lens and UPA array pairs, 1-6 paths,
+quantized delays that often coincide and angles that often repeat, and
+check every channel form against a brute-force sum of per-path outer
+products (the path-space cores by their singular values, and by a shape
+equal to the numerical ranks of the two sides). The support-set properties check the vectorised subsets
 and separation flags against the per-path definition, and that a side
 flagged separated has pairwise-disjoint subsets, also for angles chained at
 the separation gap. The water-filling properties
@@ -25,7 +26,7 @@ from hypothesis import strategies as st
 
 from lensmimo.arrays import LensArrayConfig, UpaConfig
 from lensmimo.channel import ChannelStats, PathSet, path_responses, sample_paths
-from lensmimo.numerics import water_fill, waterfill_capacity
+from lensmimo.numerics import RANK_TOL, water_fill, waterfill_capacity
 from lensmimo.pdm import mmse_combiners, mrc_combiners, mrt_precoders, pdm_sinr
 from lensmimo.selection import restrict_to_support, support_sets
 
@@ -68,6 +69,17 @@ array_pairs = st.one_of(
 
 
 @st.composite
+def repeats(draw, freqs):
+    """The spatial frequencies with each one either kept or replaced by a
+    copy of an earlier one."""
+    out = np.array(freqs)
+    for i in range(1, out.size):
+        if draw(st.booleans()):
+            out[i] = out[draw(st.integers(0, i - 1))]
+    return out
+
+
+@st.composite
 def subsets(draw, size):
     picks = draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=size, unique=True))
     return np.array(sorted(picks))
@@ -78,15 +90,35 @@ def dense(responses):
     return np.einsum("l,lm,lq->mq", responses.gains, responses.rx, responses.tx.conj())
 
 
+def numerical_rank(rows):
+    """The number of singular values of a response matrix at or above
+    RANK_TOL times its largest."""
+    s = np.linalg.svd(rows, compute_uv=False)
+    return int(np.count_nonzero(s >= RANK_TOL * s[0]))
+
+
 class TestPathResponses:
     @EXAMPLES
-    @given(arrays=array_pairs, paths=path_sets())
-    def test_cores_have_singular_values_of_path_sum(self, arrays, paths):
+    @given(arrays=array_pairs, paths=path_sets(), data=st.data())
+    def test_cores_have_singular_values_of_path_sum(self, arrays, paths, data):
         tx, rx = arrays
-        responses = path_responses(paths, tx, rx, RATE)
+        # Repeated response rows: AoAs and AoDs copied from earlier paths,
+        # the UPA's n_z identical antennas per azimuth index, antenna subsets
+        # (one azimuth index, as UPA selection picks) and L > M.
+        paths = replace(
+            paths,
+            aoa_spatial_freqs=data.draw(repeats(paths.aoa_spatial_freqs)),
+            aod_spatial_freqs=data.draw(repeats(paths.aod_spatial_freqs)),
+        )
+        rows = data.draw(subsets(rx.element_count))
+        cols = data.draw(subsets(tx.element_count))
+        responses = path_responses(paths, tx, rx, RATE).restrict(rows, cols)
         # Per-path coefficients of the narrowband channel and of a few
         # subcarriers of a 64-point OFDM symbol.
         phases = np.exp(-2j * np.pi * np.outer(np.arange(4), responses.delays) / 64)
+        ranks = (numerical_rank(responses.rx), numerical_rank(responses.tx))
+        assert responses.cores().shape == ranks
+        assert responses.cores(phases).shape == (4, *ranks)
         cases = [(responses.cores(), paths.gains)]
         cases += zip(responses.cores(phases), paths.gains * phases)
         scale = np.sum(
@@ -96,16 +128,14 @@ class TestPathResponses:
         )
         for core, coeffs in cases:
             brute = sum(
-                c * np.outer(rx.responses([phi_r])[0], tx.responses([phi_t])[0].conj())
+                c * np.outer(rx.responses([phi_r])[0][rows], tx.responses([phi_t])[0][cols].conj())
                 for c, phi_r, phi_t in zip(
                     coeffs, paths.aoa_spatial_freqs, paths.aod_spatial_freqs
                 )
             )
-            assert core.shape[0] <= min(paths.num_paths, rx.element_count)
-            assert core.shape[1] <= min(paths.num_paths, tx.element_count)
             got = np.linalg.svd(core, compute_uv=False)
             want = np.linalg.svd(brute, compute_uv=False)
-            # The dense sum has at most min(L, M, Q) nonzero singular values.
+            # The dense sum has at most min(r_R, r_T) nonzero singular values.
             assert np.allclose(got, want[: got.size], rtol=0.0, atol=1e-12 * max(scale, 1.0))
             assert np.all(want[got.size :] <= 1e-12 * max(scale, 1.0))
 

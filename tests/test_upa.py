@@ -52,6 +52,16 @@ def oracle_ofdm_capacity(responses, budget, noise, cfg):
     return (n / (n + cfg.cp_samples)) * rate / n
 
 
+def selected_link(cfg, seed, trial, n_rx_rf, n_tx_rf):
+    """The UPA link a sweep of ``cfg`` selects in trial ``trial`` of seed
+    ``seed`` under the given RF budgets."""
+    rx = UpaConfig(cfg.rx_aperture, cfg.rx_azimuth_dim)
+    tx = UpaConfig(cfg.tx_aperture, cfg.tx_azimuth_dim)
+    paths = sample_paths(cfg.stats, cfg.num_paths, np.random.default_rng([seed, trial]))
+    responses = path_responses(paths, tx, rx, cfg.stats.bandwidth_hz)
+    return responses.restrict(*power_select_antennas(responses, rx, n_rx_rf, n_tx_rf))
+
+
 class TestOfdmConfig:
     def test_validation(self):
         with pytest.raises(InvalidInputError):
@@ -158,7 +168,7 @@ class TestMimoOfdmCapacity:
         assert with_cp <= (16 / 20) * without + 1e-12
 
     def test_matches_per_subcarrier_svd_oracle(self):
-        # Reduced L x L cores against a full SVD of every dense subcarrier
+        # Reduced r_R x r_T cores against a full SVD of every dense subcarrier
         # matrix, over draws with more paths than antennas on either side,
         # repeated delays and duplicate path directions.
         rng = np.random.default_rng(9)
@@ -182,6 +192,32 @@ class TestMimoOfdmCapacity:
             oracle = [oracle_ofdm_capacity(responses, b, 0.5, cfg) for b in budgets]
             assert np.allclose(ofdm_capacity(responses, budgets, 0.5, cfg), oracle, rtol=1e-9)
         assert all(count > 0 for count in seen.values()), seen
+
+    @pytest.mark.parametrize("name", ["fig9", "fig10"])
+    def test_selected_preset_links_match_per_subcarrier_svd_oracle(self, name):
+        # The sweeps' selected links: rank 1 at budgets within one azimuth
+        # index (1, 6), rank 2 across two (15 > n_z = 10), so the cores are
+        # 1 x 1 or 2 x 2 and the oracle's dense subcarrier matrices are not.
+        cfg = preset(name)
+        budgets = np.array([cfg.stats.tx_power(s) for s in cfg.snr_db])
+        noise = cfg.stats.noise_power
+        ranks = set()
+        for seed, trial, rf in itertools.product(range(3), range(4), (1, 6, 15)):
+            picked = selected_link(cfg, seed, trial, rf, rf)
+            ranks.add(picked.cores().shape)
+            oracle = oracle_ofdm_capacity(picked, budgets, noise, cfg.ofdm)
+            got = ofdm_capacity(picked, budgets, noise, cfg.ofdm)
+            assert np.allclose(got, oracle, rtol=1e-9, atol=0.0)
+        assert ranks == {(1, 1), (2, 2)}, ranks
+
+    @pytest.mark.parametrize("name", ["fig9", "fig10"])
+    def test_selected_link_has_one_by_one_subcarrier_cores(self, name):
+        cfg = preset(name)
+        n = cfg.ofdm.subcarriers
+        for seed in range(3):
+            picked = selected_link(cfg, seed, 0, cfg.rx_rf, cfg.tx_rf)
+            phases = np.exp(-2j * np.pi * np.outer(np.arange(n), picked.delays) / n)
+            assert picked.cores(phases).shape == (n, 1, 1)
 
 
 class TestUpaChannel:
