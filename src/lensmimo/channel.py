@@ -1,6 +1,7 @@
 """Sparse multi-path mmWave channel: the stochastic 73 GHz generator (path
 loss, shadowing, per-path power fractions) and the factored per-path
-response core from which every channel form is derived.
+response core that every scheme reads. No dense channel matrix or tapped
+delay line is built; the tests keep a dense oracle of their own.
 """
 from __future__ import annotations
 
@@ -126,12 +127,11 @@ class PathResponses:
     """The factored channel of one realization, over some antennas:
     H(n) = sum_l alpha_l a_R,l a_T,l^H [n == n_l].
 
-    Every channel form is a view of these per-path factors: ``cores`` is
-    the rank-revealing path-space reduction that carries the singular
-    values of H = A_R^T diag(alpha) A_T^* (and of each OFDM subcarrier
-    channel) in an r_R x r_T matrix,
-    ``taps`` the dense tapped delay line, and ``restrict`` the same paths
-    seen by fewer antennas.
+    Every scheme reads these per-path factors: ``cores`` is the
+    rank-revealing path-space reduction that carries the singular values
+    of H = A_R^T diag(alpha) A_T^* (and of each OFDM subcarrier channel) in
+    an r_R x r_T matrix, and ``restrict`` the same paths seen by fewer
+    antennas.
     """
 
     rx: np.ndarray  # (L, M) receive response rows a_R,l
@@ -154,16 +154,6 @@ class PathResponses:
             delays=self.delays[keep],
         )
 
-    def _sum(self, select) -> np.ndarray:
-        # Rank-1 path terms alpha * (a_R a_T^H) added to zero in path order.
-        # The sweep results depend on this order to the last bit, and on
-        # alpha being the first operand of the in-place product.
-        h = np.zeros((self.rx.shape[1], self.tx.shape[1]), dtype=complex)
-        for alpha, a_r, a_t in zip(self.gains[select], self.rx[select], self.tx[select]):
-            term = np.outer(a_r, a_t.conj())
-            h += np.multiply(alpha, term, out=term)
-        return h
-
     def cores(self, phases=None) -> np.ndarray:
         """Path-space cores R_R diag(alpha * phases) R_T^H of the channel.
 
@@ -179,15 +169,6 @@ class PathResponses:
         r_rx, r_tx = _factor(self.rx), _factor(self.tx)
         coeffs = self.gains if phases is None else self.gains * phases
         return (r_rx * coeffs[..., None, :]) @ r_tx.conj().T
-
-    def taps(self) -> tuple[tuple[int, np.ndarray], ...]:
-        """Tapped delay line: one (delay, matrix) pair per distinct quantized
-        path delay, in increasing delay order; paths with equal delay share
-        one tap."""
-        # sorted(set()) rather than np.unique, which imports numpy.ma (~15 ms)
-        # on its first call.
-        delays = sorted(set(self.delays.tolist()))
-        return tuple((n, self._sum(self.delays == n)) for n in delays)
 
 
 def _factor(rows: np.ndarray) -> np.ndarray:

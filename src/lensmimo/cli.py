@@ -52,7 +52,8 @@ _SETTINGS = {
 
 
 def parse_config_file(path: str) -> dict:
-    """Flat key=value config with # comments; unknown keys are errors."""
+    """Flat key=value config with # comments; unknown or repeated keys are
+    errors."""
     out: dict = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -68,6 +69,8 @@ def parse_config_file(path: str) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _SETTINGS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in out:
+            raise ConfigError(f"{path}:{lineno}: repeated key {key!r}")
         out[key] = value
     return out
 

@@ -27,9 +27,5 @@ class UnsupportedConfigurationError(LensMimoError):
     path grouping is undefined."""
 
 
-class StatisticalValidityError(InvalidInputError):
-    """Too few Monte Carlo samples for a statistically meaningful result."""
-
-
 class ConfigError(LensMimoError):
     """Bad experiment configuration (unknown key, missing value, ...)."""

@@ -73,6 +73,8 @@ class ExperimentConfig:
             raise InvalidInputError("trials must be at least 1")
         if self.num_paths < 1 or self.delta < 1:
             raise InvalidInputError("num_paths and delta must be positive")
+        if self.seed < 0:
+            raise InvalidInputError(f"seed must be non-negative, got {self.seed}")
         if len(self.snr_db) == 0:
             raise InvalidInputError("snr_db must list at least one SNR point")
         if not all(math.isfinite(s) for s in self.snr_db):
@@ -186,7 +188,7 @@ def _pdm_rates(
     kind: str,
 ) -> np.ndarray:
     gains = np.abs(support.gains) ** 2 * rx.aperture * tx.aperture
-    powers = water_fill(gains, budgets, noise).powers
+    powers = water_fill(gains, budgets, noise)
     combiners = mrc_combiners(support) if kind == "MRC" else mmse_combiners(support, powers, noise)
     return pdm_sinr(support, combiners, powers, noise).sum_rate
 

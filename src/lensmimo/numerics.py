@@ -5,16 +5,14 @@ OPDM's per-path gains, and the eigenmodes of the path-space cores
 (``PathResponses.cores``, r_R x r_T for side ranks r_R and r_T) of each
 path group and of the UPA channels; the PDM stream powers are water-filled
 the same way. ``eigen_gains`` turns a stack of matrices into squared
-singular values under one rank rule, and ``water_fill`` solves a whole grid
-of power budgets at once.
+singular values under one rank rule, and ``water_fill`` returns the
+powers for a whole grid of power budgets at once.
 ``hermitian_solve`` solves a stack of Hermitian positive definite systems
 (the PDM MMSE covariances in path space, for every stream and budget) in
 one call and refuses a singular one. All functions are pure and
 thread-safe.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,15 +21,6 @@ from .errors import DegenerateInputError, InvalidInputError, NumericalError
 # Singular values below RANK_TOL * s_max of their own matrix are treated as
 # exact zeros in downstream capacity sums.
 RANK_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class PowerAllocation:
-    """Water-filling result: per-channel powers and the water level mu,
-    for each power budget."""
-
-    powers: np.ndarray  # budgets.shape + gains.shape, non-negative, sum = budget
-    water_level: np.ndarray  # budgets.shape
 
 
 def eigen_gains(mats) -> np.ndarray:
@@ -55,13 +44,14 @@ def eigen_gains(mats) -> np.ndarray:
     return s**2
 
 
-def water_fill(gains, budgets, noise: float) -> PowerAllocation:
+def water_fill(gains, budgets, noise: float) -> np.ndarray:
     """Exact water-filling power allocation over parallel channels.
 
     For each budget P, maximizes sum log2(1 + p_i g_i / noise) s.t.
     sum p_i = P, p_i >= 0. ``budgets`` is a scalar or an array; the result
-    holds one allocation per budget. Channels with zero gain get zero
-    power; all-zero gains are an error.
+    holds the non-negative powers of each budget, of shape
+    budgets.shape + gains.shape. Channels with zero gain get zero power;
+    all-zero gains are an error.
 
     Finite-step solution: with the floors noise/g_i sorted and shifted by
     the lowest, d_1 = 0 <= d_2 <= ..., the k best channels are active
@@ -90,7 +80,7 @@ def water_fill(gains, budgets, noise: float) -> PowerAllocation:
     ranked = np.where(np.arange(d.size) < active[..., None], level[..., None] - d, 0.0)
     powers = np.zeros(b.shape + g.shape)
     powers[..., positive[order]] = np.maximum(ranked, 0.0)
-    return PowerAllocation(powers=powers, water_level=floors[order[0]] + level)
+    return powers
 
 
 def waterfill_capacity(gains, budgets, noise: float) -> np.ndarray:
@@ -100,7 +90,7 @@ def waterfill_capacity(gains, budgets, noise: float) -> np.ndarray:
     g = np.asarray(gains, dtype=float).ravel()
     if not (g > 0).any():
         return np.zeros(np.shape(budgets))
-    powers = water_fill(g, budgets, noise).powers
+    powers = water_fill(g, budgets, noise)
     return (np.log1p(powers * g / noise) / np.log(2.0)).sum(axis=-1)
 
 

@@ -1,9 +1,10 @@
 """Path division multiplexing for arbitrary AoAs/AoDs.
 
 Per-path maximal-ratio transmission (MRT) at the transmitter, per-stream MRC
-or MMSE combining at the receiver, the exact per-stream SINR decomposition
-(desired / inter-symbol / inter-stream / noise), inter-path contamination
-coefficients, and a symbol-level wideband Monte Carlo simulation.
+or MMSE combining at the receiver, and the exact per-stream SINR
+decomposition (desired / inter-symbol / inter-stream / noise). The
+symbol-level Monte Carlo check of that decomposition and the inter-path
+contamination coefficients are test oracles and live with the tests.
 
 Every function works on one realization's PathResponses restricted to the
 selected antennas M_S x Q_S (``selection.restrict_to_support``): row l of
@@ -23,20 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import LensArrayConfig
 from .channel import PathResponses
-from .errors import DegenerateInputError, InvalidInputError, StatisticalValidityError
+from .errors import DegenerateInputError, InvalidInputError
 from .numerics import hermitian_solve
 
 _UNIT_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class IpcMatrix:
-    """Inter-path contamination coefficients on each link side."""
-
-    rho_t: np.ndarray  # (L, L), symmetric, in [0, 1 + finite-array slack]
-    rho_r: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -71,29 +63,6 @@ def mrt_precoders(support: PathResponses) -> np.ndarray:
 def mrc_combiners(support: PathResponses) -> np.ndarray:
     """Unit-norm per-path MRC combiners over M_S."""
     return _normalized_rows(support.rx, "MRC combiner")
-
-
-def _check_streams(support: PathResponses, combiners: np.ndarray, powers: np.ndarray) -> None:
-    streams = (support.num_paths,)
-    if powers.shape[-1:] != streams or combiners.shape[-2:-1] != streams:
-        raise InvalidInputError("PDM expects one stream per path")
-    if np.any(np.abs(np.linalg.norm(combiners, axis=-1) - 1.0) > _UNIT_TOL):
-        raise InvalidInputError("every combiner must be unit-norm")
-    if np.any(powers < 0):
-        raise InvalidInputError("stream powers must be non-negative")
-
-
-def ipc_coefficients(
-    support: PathResponses, tx: LensArrayConfig, rx: LensArrayConfig
-) -> IpcMatrix:
-    """Transmit/receive inter-path contamination coefficients.
-
-    rho[l, l'] = |sum over the union subset of the two paths' normalized
-    sinc responses|^2; it vanishes for sufficiently separated angles.
-    """
-    inner_t = (support.tx.conj() @ support.tx.T).real / tx.aperture
-    inner_r = (support.rx.conj() @ support.rx.T).real / rx.aperture
-    return IpcMatrix(rho_t=inner_t**2, rho_r=inner_r**2)
 
 
 def mmse_combiners(support: PathResponses, powers, noise: float) -> np.ndarray:
@@ -140,7 +109,13 @@ def pdm_sinr(support: PathResponses, combiners, powers, noise: float) -> SinrRep
     """
     combiners = np.asarray(combiners)
     powers = np.asarray(powers, dtype=float)
-    _check_streams(support, combiners, powers)
+    streams = (support.num_paths,)
+    if powers.shape[-1:] != streams or combiners.shape[-2:-1] != streams:
+        raise InvalidInputError("PDM expects one stream per path")
+    if np.any(np.abs(np.linalg.norm(combiners, axis=-1) - 1.0) > _UNIT_TOL):
+        raise InvalidInputError("every combiner must be unit-norm")
+    if np.any(powers < 0):
+        raise InvalidInputError("stream powers must be non-negative")
     g_r = combiners.conj() @ support.rx.T  # g_r[..., l, k] = v_l^H a_{R,k}
     g_t = support.tx.conj() @ mrt_precoders(support).T  # g_t[k, l'] = a_{T,k}^H w_{l'}
     amp = np.sqrt(powers)
@@ -167,67 +142,3 @@ def pdm_sinr(support: PathResponses, combiners, powers, noise: float) -> SinrRep
         inter_stream=inter,
         noise=np.full(desired.shape, float(noise)),
     )
-
-
-def simulate_symbols(
-    support: PathResponses,
-    combiners,
-    powers,
-    n_symbols: int,
-    rng,
-    noise: float,
-) -> SinrReport:
-    """Symbol-level Monte Carlo SINR measurement.
-
-    Draws i.i.d. unit-variance circular complex Gaussian symbols per stream,
-    propagates each signal group (desired / ISI / inter-stream) separately
-    through every path at its delay under per-path MRT precoding, samples
-    detector l at the delay of path l, and reports empirical powers. Delays wrap circularly, which leaves the
-    stationary powers unchanged.
-    """
-    if n_symbols < 10_000:
-        raise StatisticalValidityError("n_symbols must be at least 10^4")
-    combiners = np.asarray(combiners)
-    powers = np.asarray(powers, dtype=float)
-    _check_streams(support, combiners, powers)
-    rng = np.random.default_rng(rng)
-    num_streams = support.num_paths
-    symbols = (
-        rng.standard_normal((num_streams, n_symbols))
-        + 1j * rng.standard_normal((num_streams, n_symbols))
-    ) / np.sqrt(2.0)
-    n_rx = support.rx.shape[1]
-    noise_vec = np.sqrt(noise / 2.0) * (
-        rng.standard_normal((n_rx, n_symbols)) + 1j * rng.standard_normal((n_rx, n_symbols))
-    )
-    amp = np.sqrt(powers)
-    # g_t[k, l'] = a_{T,k}^H w_{l'} sqrt(p_l'): stream l' launched into path k.
-    g_t = support.tx.conj() @ (amp[:, None] * mrt_precoders(support)).T
-    desired = np.empty(num_streams)
-    isi = np.empty(num_streams)
-    inter = np.empty(num_streams)
-    noise_pow = np.empty(num_streams)
-    for l in range(num_streams):
-        v = combiners[l]
-        lag = int(support.delays[l])
-        sig_desired = np.zeros(n_symbols, dtype=complex)
-        sig_isi = np.zeros(n_symbols, dtype=complex)
-        sig_inter = np.zeros(n_symbols, dtype=complex)
-        for k, n_k in enumerate(support.delays):
-            via_path = support.gains[k] * (v.conj() @ support.rx[k])
-            for lp in range(num_streams):
-                out = via_path * g_t[k, lp] * np.roll(symbols[lp], n_k - lag)
-                if lp == l and k == l:
-                    sig_desired += out
-                elif lp == l:
-                    sig_isi += out
-                else:
-                    sig_inter += out
-        desired[l] = np.mean(np.abs(sig_desired) ** 2)
-        isi[l] = np.mean(np.abs(sig_isi) ** 2)
-        inter[l] = np.mean(np.abs(sig_inter) ** 2)
-        noise_pow[l] = np.mean(np.abs(v.conj() @ noise_vec) ** 2)
-    denom = isi + inter + noise_pow
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gammas = np.where(denom > 0, desired / np.where(denom > 0, denom, 1.0), np.inf)
-    return SinrReport(gammas=gammas, desired=desired, isi=isi, inter_stream=inter, noise=noise_pow)

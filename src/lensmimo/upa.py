@@ -6,9 +6,10 @@ The UPA channel itself is ``channel.path_responses`` on a UpaConfig pair.
 Both capacities take their singular values from the path-space cores of
 ``PathResponses.cores`` (r_R x r_T, the numerical ranks of the receive and
 transmit responses; one per subcarrier for OFDM), so no M x Q matrix is
-formed. The antenna selection ranks the tapped delay line of one receive
-antenna per azimuth index, an n_y x Q matrix per tap; the link it selects
-at the fig9/fig10 budgets has rank 1, so its subcarrier cores are 1 x 1.
+formed. The antenna selection ranks the channel energy of one receive
+antenna per azimuth index, an n_y x Q tap per distinct path delay formed
+from the path terms; the link it selects at the fig9/fig10 budgets has
+rank 1, so its subcarrier cores are 1 x 1.
 """
 from __future__ import annotations
 
@@ -77,15 +78,15 @@ def power_select_antennas(
     responses of one realization and its receive array.
 
     Picks the n_rx_rf receive antennas with the largest squared channel
-    magnitude summed over taps and transmit antennas, then the n_tx_rf
+    magnitude summed over path delays and transmit antennas, then the n_tx_rf
     transmit antennas on the channel seen by the picked receive antennas.
     Ties go to the lower antenna index.
 
     The UPA carries no elevation phase, so the n_z receive antennas of one
     azimuth index (i_y-major: i_y*n_z ... i_y*n_z + n_z - 1) have identical
-    responses and powers. The ranking reads only the n_y x Q taps of one
-    antenna per azimuth index, with full transmit rows so that each row sum
-    rounds as it would on the whole array.
+    responses and powers. The ranking reads only the n_y x Q tap matrices
+    of one antenna per azimuth index, with full transmit rows so that each
+    row sum rounds as it would on the whole array.
 
     Transmit antennas of one azimuth index tie in the same way. So with each
     budget at most its array's n_z (6 of 10 on fig9/fig10), the lower-index
@@ -101,9 +102,16 @@ def power_select_antennas(
         raise InvalidInputError("RF budgets must be between 1 and the array size")
     n_z = rx_array.grid_shape[1]
     # Energy row i_y stands for receive antennas i_y*n_z ... i_y*n_z + n_z - 1.
+    sub = responses.restrict(np.arange(0, n_rx, n_z), np.arange(n_tx))
     energy = np.zeros((n_rx // n_z, n_tx))
-    for _, mat in responses.restrict(np.arange(0, n_rx, n_z), np.arange(n_tx)).taps():
-        energy += np.abs(mat) ** 2
+    # One tap per distinct delay: alpha_l (a_R,l a_T,l^H) summed in path
+    # order, alpha the first operand, as the near-tied picks depend on this
+    # arithmetic to the last bit. sorted(set()) rather than np.unique, which
+    # imports numpy.ma (~15 ms) on its first call.
+    for n in sorted(set(sub.delays.tolist())):
+        on = sub.delays == n
+        tap = sub.gains[on, None, None] * (sub.rx[on, :, None] * sub.tx[on, None, :].conj())
+        energy += np.abs(tap.sum(axis=0)) ** 2
     row_power = np.repeat(energy.sum(axis=1), n_z)
     # lexsort: primary key descending power, secondary ascending index
     rows = np.sort(np.lexsort((np.arange(n_rx), -row_power))[:n_rx_rf])

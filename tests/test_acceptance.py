@@ -14,6 +14,7 @@ import pytest
 
 import lensmimo as lm
 from lens_oracle import LensOracleConfig, lens_response_oracle
+from oracles import ipc_coefficients, simulate_symbols
 from lensmimo.experiments import _run_trial, preset, rows_to_csv, run_experiment, sweep
 
 
@@ -92,7 +93,7 @@ def _pdm_gammas(cfg, paths, kind, snr_db, noise, tx, rx):
     responses = lm.path_responses(paths, tx, rx, cfg.stats.bandwidth_hz)
     support = lm.restrict_to_support(responses, sets, tx, rx)
     gains = np.abs(paths.gains) ** 2 * rx.aperture * tx.aperture
-    powers = lm.water_fill(gains, cfg.stats.tx_power(snr_db), noise).powers
+    powers = lm.water_fill(gains, cfg.stats.tx_power(snr_db), noise)
     if kind == "MMSE":
         comb = lm.mmse_combiners(support, powers, noise)
     else:
@@ -129,7 +130,7 @@ def test_06_analytic_sinr_matches_symbol_simulation():
     for t in range(20):
         paths = lm.sample_paths(cfg.stats, 3, np.random.default_rng([202, t]))
         support, comb, powers, analytic = _pdm_gammas(cfg, paths, "MRC", 10.0, noise, tx, rx)
-        empirical = lm.simulate_symbols(
+        empirical = simulate_symbols(
             support, comb, powers, 100_000, np.random.default_rng([203, t]), noise
         ).gammas
         active = powers > 0
@@ -158,7 +159,7 @@ def test_07_isi_rejected_when_aoas_separated():
             continue
         checked += 1
         support, comb, powers, _ = _pdm_gammas(cfg, paths, "MRC", 20.0, noise, tx, rx)
-        rep = lm.simulate_symbols(
+        rep = simulate_symbols(
             support, comb, powers, 100_000, np.random.default_rng([304, t]), noise
         )
         active = (powers > 0) & (rep.desired > 0)
@@ -277,7 +278,7 @@ def test_11_interpath_coupling_small_when_separated():
                 support = lm.restrict_to_support(
                     lm.path_responses(paths, cfg, cfg, 500e6), sets, cfg, cfg
                 )
-                rho = lm.ipc_coefficients(support, cfg, cfg).rho_t[0, 1]
+                rho = ipc_coefficients(support, cfg, cfg).rho_t[0, 1]
                 worst = max(worst, float(rho))
         worst_by_dim[dim] = worst
         paths = lm.PathSet(
@@ -288,7 +289,7 @@ def test_11_interpath_coupling_small_when_separated():
         )
         sets = lm.support_sets(paths, cfg, cfg, 1)
         support = lm.restrict_to_support(lm.path_responses(paths, cfg, cfg, 500e6), sets, cfg, cfg)
-        fixed_gap_rho[dim] = float(lm.ipc_coefficients(support, cfg, cfg).rho_t[0, 1])
+        fixed_gap_rho[dim] = float(ipc_coefficients(support, cfg, cfg).rho_t[0, 1])
     small = all(v < 0.05 for v in worst_by_dim.values())
     shrinks = fixed_gap_rho[20.0] < fixed_gap_rho[10.0]
     report(

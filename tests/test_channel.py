@@ -6,6 +6,7 @@ import pytest
 from lensmimo.arrays import LensArrayConfig
 from lensmimo.channel import ChannelStats, PathSet, path_responses, sample_paths
 from lensmimo.errors import InvalidInputError
+from oracles import dense_channel, dense_taps
 
 IDEAL = dict(aoa_spatial_freqs=(0.0, 0.2, -0.2), aod_spatial_freqs=(0.0, 0.2, -0.2))
 
@@ -138,14 +139,13 @@ class TestChannelMatrices:
         resp = path_responses(paths, tx, rx, 500e6).restrict(
             rx.positions([0, 3]), tx.positions([0, 3])
         )
-        taps = resp.taps()
+        assert list(resp.delays) == [5, 5]
+        # Both paths on one tap, so that tap is the whole narrowband channel.
+        taps = dense_taps(resp)
         assert len(taps) == 1
         assert taps[0][0] == 5
         assert resp.num_paths == 2
-        path_taps = [
-            g * np.outer(a_r, a_t.conj()) for g, a_r, a_t in zip(resp.gains, resp.rx, resp.tx)
-        ]
-        assert np.allclose(taps[0][1], path_taps[0] + path_taps[1])
+        assert np.allclose(taps[0][1], dense_channel(resp))
 
     def test_subset_validation(self):
         tx = LensArrayConfig(10.0, 10.0)

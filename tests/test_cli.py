@@ -26,6 +26,12 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             parse_config_file(str(p))
 
+    def test_repeated_key(self, tmp_path):
+        p = tmp_path / "c.cfg"
+        p.write_text("scenario=fig5\ntrials = 2\ntrials = 3\n")
+        with pytest.raises(ConfigError, match=r"c\.cfg:3: repeated key 'trials'"):
+            parse_config_file(str(p))
+
     def test_missing_equals(self, tmp_path):
         p = tmp_path / "c.cfg"
         p.write_text("scenario fig5\n")
@@ -131,9 +137,16 @@ class TestMain:
             ("--snr-db", "0,10,0", "snr_db"),
             ("--schemes", "", "schemes"),
             ("--schemes", "PDM-MRC,PDM-MRC", "schemes"),
+            ("--seed", "-1", "seed"),
         ],
         ids=[
-            "empty-snr", "inf-snr", "nan-snr", "repeated-snr", "empty-schemes", "repeated-scheme"
+            "empty-snr",
+            "inf-snr",
+            "nan-snr",
+            "repeated-snr",
+            "empty-schemes",
+            "repeated-scheme",
+            "negative-seed",
         ],
     )
     def test_malformed_sweep_grid_exit_code(self, flag, value, field, capsys):
@@ -148,6 +161,12 @@ class TestMain:
         cfg.write_text("scenario=fig9\ntrials=1\nsnr_db=\n")
         assert main(["run", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("error: snr_db ")
+
+    def test_negative_seed_refused_by_channel(self, capsys):
+        assert main(["channel", "--scenario", "fig5", "--seed", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: seed ")
 
     def test_bad_sim_threads_exit_code(self, monkeypatch, capsys):
         monkeypatch.setenv("SIM_THREADS", "abc")

@@ -8,6 +8,7 @@ from lensmimo.grouping import group_channels, grouped_capacity
 from lensmimo.numerics import eigen_gains, water_fill, waterfill_capacity
 from lensmimo.pdm import mmse_combiners, pdm_sinr
 from lensmimo.selection import restrict_to_support, support_sets
+from oracles import dense_channel
 
 TX = LensArrayConfig(10.0, 10.0)
 RX = LensArrayConfig(10.0, 10.0)
@@ -32,13 +33,8 @@ def separation(paths):
     return sets.rx_separated, sets.tx_separated
 
 
-def dense(responses):
-    """Oracle: the dense channel sum_l alpha_l a_R,l a_T,l^H (delays ignored)."""
-    return np.einsum("l,lm,lq->mq", responses.gains, responses.rx, responses.tx.conj())
-
-
 def restricted_matrix(responses, group, rx_sub, tx_sub):
-    return dense(responses.restrict(RX.positions(rx_sub), TX.positions(tx_sub), group))
+    return dense_channel(responses.restrict(RX.positions(rx_sub), TX.positions(tx_sub), group))
 
 
 def assert_same_eigen_gains(core, matrix):
@@ -120,7 +116,7 @@ class TestGroupedCapacity:
         # eigenmode capacity of the full reduced channel.
         sets = support_sets(REFERENCE, TX, RX, 1)
         responses = path_responses(REFERENCE, TX, RX, 500e6)
-        mats = [dense(restrict_to_support(responses, sets, TX, RX))]
+        mats = [dense_channel(restrict_to_support(responses, sets, TX, RX))]
         direct = waterfill_capacity(eigen_gains(mats[0]), 2.0, 1e-10)
         grouped = grouped_capacity(mats, 2.0, 1e-10)
         assert grouped == pytest.approx(direct, rel=1e-12)
@@ -166,9 +162,7 @@ class TestGroupedCapacity:
             checked += 1
             support = restrict_to_support(responses, sets, tx, rx)
             grouped = grouped_capacity(mats, budget, noise)
-            powers = water_fill(
-                np.abs(paths.gains) ** 2 * rx.aperture * tx.aperture, budget, noise
-            ).powers
+            powers = water_fill(np.abs(paths.gains) ** 2 * rx.aperture * tx.aperture, budget, noise)
             comb = mmse_combiners(support, powers, noise)
             mmse_rate = pdm_sinr(support, comb, powers, noise).sum_rate
             assert grouped >= mmse_rate * (1 - 1e-9)

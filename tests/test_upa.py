@@ -12,6 +12,7 @@ from lensmimo.errors import InvalidInputError, UnsupportedConfigurationError
 from lensmimo.experiments import preset
 from lensmimo.numerics import RANK_TOL, waterfill_capacity
 from lensmimo.upa import OfdmConfig, eigenmode_capacity, ofdm_capacity, power_select_antennas
+from oracles import dense_channel, dense_taps
 
 
 def flat_channel(h):
@@ -30,11 +31,6 @@ def random_responses(rng, num_paths, n_rx, n_tx, delays=None):
     )
 
 
-def dense_channel(responses):
-    """Oracle: the narrowband H = sum_l alpha_l a_R,l a_T,l^H (delays ignored)."""
-    return np.einsum("l,lm,lq->mq", responses.gains, responses.rx, responses.tx.conj())
-
-
 def oracle_subchannels(taps, subcarriers):
     """Per-subcarrier matrices H_k = sum_t tap_t exp(-j 2 pi k n_t / N)."""
     k = np.arange(subcarriers)[:, None, None]
@@ -45,7 +41,7 @@ def oracle_ofdm_capacity(responses, budget, noise, cfg):
     """MIMO-OFDM capacity from a full SVD of every dense subcarrier matrix."""
     n = cfg.subcarriers
     gains = []
-    for h in oracle_subchannels(responses.taps(), n):
+    for h in oracle_subchannels(dense_taps(responses), n):
         s = np.linalg.svd(h, compute_uv=False)
         gains.append(np.where(s < RANK_TOL * s[0], 0.0, s) ** 2)
     rate = waterfill_capacity(np.concatenate(gains), n * budget, noise)
@@ -244,7 +240,8 @@ class TestUpaChannel:
             aod_spatial_freqs=np.array([0.0, 0.5]),
         )
         responses = path_responses(paths, cfg, cfg, 500e6)
-        assert len(responses.taps()) == 1 and responses.num_paths == 2
+        assert list(responses.delays) == [0, 0]
+        assert len(dense_taps(responses)) == 1 and responses.num_paths == 2
 
 
 def dense_energy(taps):
@@ -382,7 +379,7 @@ class TestPowerSelection:
         for seed, trial in itertools.product(range(5), range(30)):
             paths = sample_paths(cfg.stats, cfg.num_paths, np.random.default_rng([seed, trial]))
             responses = path_responses(paths, tx, rx, cfg.stats.bandwidth_hz)
-            taps = responses.taps()
+            taps = dense_taps(responses)
             for rf in (1, 6, 15):
                 rows, cols = power_select_antennas(responses, rx, rf, rf)
                 want_rows, want_cols = oracle_power_select(taps, rf, rf)
@@ -421,6 +418,6 @@ class TestPowerSelection:
         k_rx = data.draw(st.integers(1, rx.element_count))
         k_tx = data.draw(st.integers(1, tx.element_count))
         rows, cols = power_select_antennas(responses, rx, k_rx, k_tx)
-        energy = dense_energy(responses.taps())
+        energy = dense_energy(dense_taps(responses))
         assert_top_up_to_ulps(rows, energy.sum(axis=1), k_rx)
         assert_top_up_to_ulps(cols, energy[rows].sum(axis=0), k_tx)
