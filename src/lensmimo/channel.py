@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -130,8 +131,9 @@ class PathResponses:
     Every scheme reads these per-path factors: ``cores`` is the
     rank-revealing path-space reduction that carries the singular values
     of H = A_R^T diag(alpha) A_T^* (and of each OFDM subcarrier channel) in
-    an r_R x r_T matrix, and ``restrict`` the same paths seen by fewer
-    antennas.
+    an r_R x r_T matrix, ``grams`` the Hermitian Grams of the subcarrier
+    cores that carry their squared singular values, and ``restrict`` the
+    same paths seen by fewer antennas.
     """
 
     rx: np.ndarray  # (L, M) receive response rows a_R,l
@@ -154,6 +156,19 @@ class PathResponses:
             delays=self.delays[keep],
         )
 
+    @cached_property
+    def _factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rank-revealing factors (R_R, R_T) of the receive and transmit
+        rows, computed on first use and shared by ``ranks``, ``cores`` and
+        ``grams``; the rows must not be changed in place after that."""
+        return _factor(self.rx), _factor(self.tx)
+
+    @property
+    def ranks(self) -> tuple[int, int]:
+        """Numerical ranks (r_R, r_T) of the receive and transmit responses."""
+        r_rx, r_tx = self._factors
+        return len(r_rx), len(r_tx)
+
     def cores(self, phases=None) -> np.ndarray:
         """Path-space cores R_R diag(alpha * phases) R_T^H of the channel.
 
@@ -166,9 +181,34 @@ class PathResponses:
         gives a (K, r_R, r_T) stack, core k for the per-path coefficients
         alpha * phases[k].
         """
-        r_rx, r_tx = _factor(self.rx), _factor(self.tx)
+        r_rx, r_tx = self._factors
         coeffs = self.gains if phases is None else self.gains * phases
         return (r_rx * coeffs[..., None, :]) @ r_tx.conj().T
+
+    def grams(self, phases) -> np.ndarray:
+        """Hermitian Grams of the smaller side of each core of
+        ``cores(phases)``: a (K, r, r) stack, r = min(r_R, r_T), whose
+        eigenvalues are the squared singular values of the cores.
+
+        With c_k = alpha * phases[k], W_k = c_k c_k^H, R the smaller side's
+        factor and Gamma = P^H P the L x L Gram of the larger side's factor
+        P, G_k = R (W_k o Gamma) R^H (o the entrywise product). For the
+        transmit side both factors are conjugated, which conjugates G_k and
+        keeps its eigenvalues. The stack is one (K, L^2) @ (L^2, r^2)
+        product. A Gram squares the condition number of its core.
+        """
+        r_rx, r_tx = self._factors
+        if len(r_rx) <= len(r_tx):
+            small, large = r_rx, r_tx
+        else:
+            small, large = r_tx.conj(), r_rx.conj()
+        gamma = large.conj().T @ large
+        # kernel[(l, m), (i, j)] = R[i, l] Gamma[l, m] R[j, m]^*
+        kernel = np.einsum("il,lm,jm->lmij", small, gamma, small.conj())
+        c = self.gains * phases
+        w = c[:, :, None] * c[:, None, :].conj()
+        r, n = small.shape
+        return (w.reshape(len(c), n * n) @ kernel.reshape(n * n, r * r)).reshape(-1, r, r)
 
 
 def _factor(rows: np.ndarray) -> np.ndarray:

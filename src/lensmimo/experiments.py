@@ -45,6 +45,9 @@ SCHEMES = (
     "UPA-OFDM-selection",
 )
 
+# The schemes that read the lens path responses and support sets.
+_LENS_SCHEMES = frozenset({"PDM-MRC", "PDM-MMSE", "PDM-grouping"})
+
 _DEFAULT_SNR_DB = tuple(float(s) for s in range(-10, 31, 5))
 
 
@@ -197,8 +200,9 @@ def _run_trial(cfg: ExperimentConfig, trial: int) -> dict:
     """One channel realization, evaluated under every configured scheme.
 
     The realization's lens and UPA path responses and its support sets are
-    built once and shared by the schemes. Returns scheme -> (rates over the
-    SNR grid or None, flag or None).
+    built once and shared by the schemes; the lens responses and support
+    sets only when a PDM or grouping scheme reads them. Returns scheme ->
+    (rates over the SNR grid or None, flag or None).
     """
     rng = np.random.default_rng([cfg.seed, trial])
     paths = sample_paths(cfg.stats, cfg.num_paths, rng)
@@ -207,11 +211,12 @@ def _run_trial(cfg: ExperimentConfig, trial: int) -> dict:
     tx = LensArrayConfig(cfg.tx_aperture, cfg.tx_azimuth_dim)
     rx = LensArrayConfig(cfg.rx_aperture, cfg.rx_azimuth_dim)
     rate = cfg.stats.bandwidth_hz
-    lens = path_responses(paths, tx, rx, rate)
     upa_rx = UpaConfig(cfg.rx_aperture, cfg.rx_azimuth_dim)
     upa = path_responses(paths, UpaConfig(cfg.tx_aperture, cfg.tx_azimuth_dim), upa_rx, rate)
-    sets = support_sets(paths, tx, rx, cfg.delta)
-    support = restrict_to_support(lens, sets, tx, rx)
+    if _LENS_SCHEMES.intersection(cfg.schemes):
+        lens = path_responses(paths, tx, rx, rate)
+        sets = support_sets(paths, tx, rx, cfg.delta)
+        support = restrict_to_support(lens, sets, tx, rx)
     out: dict = {}
     for scheme in cfg.schemes:
         flag = None
@@ -267,8 +272,13 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> list[Re
     if workers == 1:
         trial_results = [_run_trial(cfg, t) for t in range(cfg.trials)]
     else:
+        # About two chunks per worker: one round trip per chunk rather than
+        # per trial, with a second round left to even out the finish.
+        chunk = math.ceil(cfg.trials / (2 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            trial_results = list(pool.map(_run_trial, itertools.repeat(cfg), range(cfg.trials)))
+            trial_results = list(
+                pool.map(_run_trial, itertools.repeat(cfg), range(cfg.trials), chunksize=chunk)
+            )
     rows: list[ResultRow] = []
     for scheme in cfg.schemes:
         rates = [r[scheme][0] for r in trial_results if r[scheme][0] is not None]

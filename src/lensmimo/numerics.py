@@ -5,7 +5,9 @@ OPDM's per-path gains, and the eigenmodes of the path-space cores
 (``PathResponses.cores``, r_R x r_T for side ranks r_R and r_T) of each
 path group and of the UPA channels; the PDM stream powers are water-filled
 the same way. ``eigen_gains`` turns a stack of matrices into squared
-singular values under one rank rule, and ``water_fill`` returns the
+singular values under one rank rule; the UPA-OFDM subcarriers take theirs
+from Hermitian Grams instead (``upa.ofdm_capacity``), and fall back to
+``eigen_gains`` where a Gram is ill-conditioned. ``water_fill`` returns the
 powers for a whole grid of power budgets at once.
 ``hermitian_solve`` solves a stack of Hermitian positive definite systems
 (the PDM MMSE covariances in path space, for every stream and budget) in

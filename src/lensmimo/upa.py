@@ -2,14 +2,18 @@
 capacity, wideband MIMO-OFDM capacity with cyclic-prefix overhead, and
 power-based antenna selection under an RF-chain budget.
 
-The UPA channel itself is ``channel.path_responses`` on a UpaConfig pair.
-Both capacities take their singular values from the path-space cores of
-``PathResponses.cores`` (r_R x r_T, the numerical ranks of the receive and
-transmit responses; one per subcarrier for OFDM), so no M x Q matrix is
-formed. The antenna selection ranks the channel energy of one receive
-antenna per azimuth index, an n_y x Q tap per distinct path delay formed
-from the path terms; the link it selects at the fig9/fig10 budgets has
-rank 1, so its subcarrier cores are 1 x 1.
+The UPA channel itself is ``channel.path_responses`` on a UpaConfig pair,
+and no M x Q matrix is formed. The eigenmode capacity takes its singular
+values from the path-space core of ``PathResponses.cores`` (r_R x r_T, the
+numerical ranks of the receive and transmit responses). The OFDM capacity
+takes them per subcarrier as the eigenvalues of the r x r Grams of
+``PathResponses.grams`` (r = min(r_R, r_T)), with one Hermitian eigensolve
+of the whole stack; a rank-1 link, or a subcarrier whose Gram is too
+ill-conditioned (GRAM_TOL), takes its cores instead. The antenna
+selection ranks the channel energy of one receive antenna per azimuth
+index, an n_y x Q tap per distinct path delay formed from the path terms;
+the link it selects at the fig9/fig10 budgets has rank 1, so its
+subcarrier cores are 1 x 1.
 """
 from __future__ import annotations
 
@@ -21,6 +25,10 @@ from .arrays import UpaConfig
 from .channel import PathResponses
 from .errors import InvalidInputError, UnsupportedConfigurationError
 from .numerics import eigen_gains, waterfill_capacity
+
+# Smallest eigenvalue of a subcarrier Gram, relative to its largest, that
+# ofdm_capacity takes from the Gram (a core singular-value ratio of 1e-3).
+GRAM_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -66,9 +74,33 @@ def ofdm_capacity(
             "channel tap delay reaches or exceeds the OFDM symbol length"
         )
     phases = np.exp(-2j * np.pi * np.outer(np.arange(n), responses.delays) / n)
-    gains = eigen_gains(responses.cores(phases))
+    if min(responses.ranks) == 1:
+        # One singular value per subcarrier: eigen_gains takes the norm.
+        gains = eigen_gains(responses.cores(phases))
+    else:
+        gains = _gram_eigen_gains(responses, phases)
     rate = waterfill_capacity(gains, n * np.asarray(budgets, dtype=float), noise)
     return (n / (n + ofdm.cp_samples)) * rate / n
+
+
+def _gram_eigen_gains(responses: PathResponses, phases: np.ndarray) -> np.ndarray:
+    """eigen_gains of ``responses.cores(phases)``, from the eigenvalues of
+    ``responses.grams(phases)``: (K, r) non-increasing, clipped at 0.
+
+    A Gram squares its core's condition number, so a subcarrier whose
+    smallest eigenvalue is below GRAM_TOL times its largest takes the SVD of
+    its core instead, under the RANK_TOL rule of ``eigen_gains``. Above that
+    threshold every singular value is far above RANK_TOL of the largest.
+    """
+    grams = responses.grams(phases)
+    if not np.all(np.isfinite(grams)):
+        raise InvalidInputError("eigen_gains input contains non-finite entries")
+    gains = np.linalg.eigvalsh(grams)[:, ::-1]
+    ill = gains[:, -1] < GRAM_TOL * gains[:, 0]
+    gains = np.maximum(gains, 0.0)
+    if ill.any():
+        gains[ill] = eigen_gains(responses.cores(phases[ill]))
+    return gains
 
 
 def power_select_antennas(

@@ -159,6 +159,27 @@ class TestEigenGains:
         assert shapes, "the sweep made no SVD call at all"
         assert all(min(shape[-2:]) > 1 for shape in shapes), shapes
 
+    def test_ofdm_sweep_calls_no_svd_on_a_subcarrier_stack(self, monkeypatch):
+        # fig6's UPA-OFDM link has side ranks 3 and 3, so its subcarrier
+        # eigen-gains come from one Hermitian eigensolve of the (512, 3, 3)
+        # Gram stack. The only SVDs left are the two per-side factors.
+        calls = {"svd": [], "eigvalsh": []}
+
+        def recording(name):
+            original = getattr(np.linalg, name)
+
+            def wrapper(a, *args, **kwargs):
+                calls[name].append(np.shape(a))
+                return original(a, *args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, recording(name))
+        run_experiment(preset("fig6", trials=1, schemes=("UPA-OFDM",)), workers=1)
+        assert len(calls["svd"]) == 2 and all(len(s) == 2 for s in calls["svd"]), calls
+        assert calls["eigvalsh"] == [(512, 3, 3)], calls
+
     def test_zero_matrix(self):
         assert np.array_equal(eigen_gains(np.zeros((3, 2))), [0.0, 0.0])
 

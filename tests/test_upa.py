@@ -100,7 +100,7 @@ class TestEigenmodeCapacity:
             assert np.allclose(eigenmode_capacity(responses, budgets, 1.0), direct, rtol=1e-9)
 
 
-class TestOfdmSubchannels:
+class TestOfdmOracle:
     """The per-subcarrier oracle the capacity tests below compare against,
     and the refusal of taps that do not fit in one OFDM symbol."""
 
@@ -188,6 +188,39 @@ class TestMimoOfdmCapacity:
             oracle = [oracle_ofdm_capacity(responses, b, 0.5, cfg) for b in budgets]
             assert np.allclose(ofdm_capacity(responses, budgets, 0.5, cfg), oracle, rtol=1e-9)
         assert all(count > 0 for count in seen.values()), seen
+
+    def test_singular_subcarriers_take_the_svd(self, monkeypatch):
+        # A subcarrier Gram squares its core's condition number. Path 1
+        # duplicates path 0 (directions and gain) with a delay of N/2, so the
+        # two cancel on every odd subcarrier and leave a rank-1 core, whose
+        # second singular value is rounding noise. Those 8 subcarriers must
+        # take the SVD of their cores under the RANK_TOL rule: from the Gram,
+        # the noise would count as a mode at budgets 200 dB above the noise.
+        rng = np.random.default_rng(10)
+        cfg = OfdmConfig(subcarriers=16, cp_samples=4)
+        responses = random_responses(rng, 3, 4, 5, delays=(0, 8, 3))
+        responses.gains[1] = responses.gains[0]
+        responses.rx[1], responses.tx[1] = responses.rx[0], responses.tx[0]
+        svd_stacks = []
+        cores = PathResponses.cores
+
+        def spy(self, phases=None):
+            svd_stacks.append(len(phases))
+            return cores(self, phases)
+
+        monkeypatch.setattr(PathResponses, "cores", spy)
+        budgets = np.array([1.0, 1e10, 1e20])
+        got = ofdm_capacity(responses, budgets, 1.0, cfg)
+        oracle = [oracle_ofdm_capacity(responses, b, 1.0, cfg) for b in budgets]
+        assert np.allclose(got, oracle, rtol=1e-9, atol=0.0)
+        assert responses.ranks == (2, 2) and svd_stacks == [8]
+
+    def test_non_finite_gains_refused(self):
+        responses = random_responses(np.random.default_rng(11), 3, 4, 4)
+        responses.gains[2] = np.nan
+        assert min(responses.ranks) > 1
+        with pytest.raises(InvalidInputError):
+            ofdm_capacity(responses, 1.0, 1.0, OfdmConfig(subcarriers=8, cp_samples=0))
 
     @pytest.mark.parametrize("name", ["fig9", "fig10"])
     def test_selected_preset_links_match_per_subcarrier_svd_oracle(self, name):
