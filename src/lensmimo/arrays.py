@@ -54,18 +54,10 @@ class LensArrayConfig:
 
     @property
     def element_indices(self) -> np.ndarray:
+        """Antenna index m of each array position 0..M-1; antenna subsets are
+        boolean masks over the positions (``selection.SupportSets``)."""
         half = (self.element_count - 1) // 2
         return np.arange(-half, half + 1)
-
-    def positions(self, indices) -> np.ndarray:
-        """Array positions 0..M-1 of a non-empty subset of antenna indices m."""
-        indices = np.asarray(indices, dtype=int)
-        half = (self.element_count - 1) // 2
-        if indices.size == 0:
-            raise InvalidInputError("antenna subset must be non-empty")
-        if np.any(np.abs(indices) > half):
-            raise InvalidInputError("antenna subset index outside the array")
-        return indices + half
 
     def focusing(self, spatial_freqs) -> tuple[np.ndarray, np.ndarray]:
         """Per-path (focusing index, misalignment): D * phi split into its

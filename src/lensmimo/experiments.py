@@ -216,7 +216,7 @@ def _run_trial(cfg: ExperimentConfig, trial: int) -> dict:
     if _LENS_SCHEMES.intersection(cfg.schemes):
         lens = path_responses(paths, tx, rx, rate)
         sets = support_sets(paths, tx, rx, cfg.delta)
-        support = restrict_to_support(lens, sets, tx, rx)
+        support = restrict_to_support(lens, sets)
     out: dict = {}
     for scheme in cfg.schemes:
         flag = None
@@ -231,7 +231,7 @@ def _run_trial(cfg: ExperimentConfig, trial: int) -> dict:
             rates = _pdm_rates(support, tx, rx, budgets, noise, "MMSE")
         elif scheme == "PDM-grouping":
             try:
-                rates = grouped_capacity(group_channels(lens, sets, tx, rx), budgets, noise)
+                rates = grouped_capacity(group_channels(lens, sets), budgets, noise)
             except UnsupportedConfigurationError:
                 # No side is separated, so the grouped decomposition does not
                 # apply; fall back to the MMSE transceiver and flag the trial.

@@ -1,49 +1,37 @@
 """Path grouping: when one link side has separated angles (see
-``selection.SupportSets``), paths whose supporting subsets overlap on the
-other side are merged into groups, reducing the link to parallel small MIMO
-AWGN channels (one per group) with eigenmode transmission and a single
+``selection.SupportSets``), paths whose supporting subset masks overlap on
+the other side are merged into groups, reducing the link to parallel small
+MIMO AWGN channels (one per group) with eigenmode transmission and a single
 global power budget."""
 from __future__ import annotations
 
 import numpy as np
 
-from .arrays import LensArrayConfig
 from .channel import PathResponses
 from .errors import UnsupportedConfigurationError
 from .numerics import eigen_gains, waterfill_capacity
 from .selection import SupportSets
 
 
-def _components(subsets: tuple[tuple[int, ...], ...]) -> list[list[int]]:
-    """Connected components of the pairwise-intersection graph (union-find)."""
-    n = len(subsets)
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if set(subsets[i]) & set(subsets[j]):
-                parent[find(i)] = find(j)
-    comps: dict[int, list[int]] = {}
-    for i in range(n):
-        comps.setdefault(find(i), []).append(i)
-    return sorted(comps.values(), key=min)
+def _components(members: np.ndarray) -> list[np.ndarray]:
+    """Connected components of the subset-overlap graph of an (L, N) mask:
+    paths whose rows share a position, closed transitively by squaring the
+    overlap matrix. Each component lists its paths in ascending order, and
+    components come in the order of their first path."""
+    reach = (members @ members.T) | np.eye(len(members), dtype=bool)
+    while not np.array_equal(wider := reach @ reach, reach):
+        reach = wider
+    # Every path of a component has the component's row; the first path is
+    # the one whose row starts at itself.
+    firsts = np.flatnonzero(reach.argmax(axis=1) == np.arange(len(reach)))
+    return [np.flatnonzero(reach[l]) for l in firsts]
 
 
-def group_channels(
-    responses: PathResponses,
-    sets: SupportSets,
-    tx: LensArrayConfig,
-    rx: LensArrayConfig,
-) -> list[np.ndarray]:
+def group_channels(responses: PathResponses, sets: SupportSets) -> list[np.ndarray]:
     """Per-group MIMO channels H_g = sum over group paths of alpha a_R a_T^H
-    restricted to the group's antenna subsets, each as its path-space core
-    (``PathResponses.cores``), which has the singular values of H_g.
+    restricted to the group's antenna subsets (the union of its rows of the
+    support masks), each as its path-space core (``PathResponses.cores``),
+    which has the singular values of H_g.
 
     Paths are grouped by transmit-subset overlap when the AoAs are
     separated, else by receive-subset overlap when the AoDs are; with
@@ -55,19 +43,21 @@ def group_channels(
     describe delay-free MIMO AWGN channels in both cases.
     """
     if sets.rx_separated:
-        groups = _components(sets.tx_sets)
+        groups = _components(sets.tx)
     elif sets.tx_separated:
-        groups = _components(sets.rx_sets)
+        groups = _components(sets.rx)
     else:
         raise UnsupportedConfigurationError(
             "neither side is angle-separated; path grouping is undefined"
         )
-    cores = []
-    for group in groups:
-        rx_pos = rx.positions(sorted({m for l in group for m in sets.rx_sets[l]}))
-        tx_pos = tx.positions(sorted({q for l in group for q in sets.tx_sets[l]}))
-        cores.append(responses.restrict(rx_pos, tx_pos, group).cores())
-    return cores
+    return [
+        responses.restrict(
+            np.flatnonzero(sets.rx[group].any(axis=0)),
+            np.flatnonzero(sets.tx[group].any(axis=0)),
+            group,
+        ).cores()
+        for group in groups
+    ]
 
 
 def grouped_capacity(group_channels_list, budgets, noise: float) -> np.ndarray:

@@ -33,13 +33,13 @@ _UNIT_TOL = 1e-12
 
 @dataclass(frozen=True)
 class SinrReport:
-    """Per-stream SINR and its power decomposition (linear units)."""
+    """Per-stream SINR and its signal and interference powers (linear
+    units); the noise term is the noise power the caller passed."""
 
     gammas: np.ndarray
     desired: np.ndarray
     isi: np.ndarray
     inter_stream: np.ndarray
-    noise: np.ndarray
 
     @property
     def sum_rate(self) -> np.ndarray:
@@ -135,10 +135,4 @@ def pdm_sinr(support: PathResponses, combiners, powers, noise: float) -> SinrRep
     with np.errstate(divide="ignore", invalid="ignore"):
         gammas = np.where(denom > 0, desired / np.where(denom > 0, denom, 1.0), np.inf)
     gammas = np.where(desired == 0, 0.0, gammas)
-    return SinrReport(
-        gammas=gammas,
-        desired=desired,
-        isi=isi,
-        inter_stream=inter,
-        noise=np.full(desired.shape, float(noise)),
-    )
+    return SinrReport(gammas=gammas, desired=desired, isi=isi, inter_stream=inter)

@@ -125,7 +125,7 @@ def power_select_antennas(
     rule takes every pick of a side from one azimuth index, each side sees
     every path with one phase on all its picks, and the selected link has
     rank 1: UPA-OFDM-selection is a single-stream baseline. A rule that
-    keeps several streams is ROADMAP item 3.
+    keeps several streams is ROADMAP item 5.
     """
     n_rx, n_tx = responses.rx.shape[1], responses.tx.shape[1]
     if n_rx != rx_array.element_count:

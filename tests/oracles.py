@@ -1,10 +1,11 @@
 """Reference computations the tests check the package against.
 
 Dense forms of the factored channel (the tapped delay line and the
-narrowband matrix, as sums of per-path outer products), the inter-path
-contamination coefficients of the PDM support view, and a symbol-level
-Monte Carlo measurement of the PDM SINR decomposition. None of them feeds
-a sweep, so they live here and not in the package.
+narrowband matrix, as sums of per-path outer products), the paper's
+antenna indices m of a support mask row, the inter-path contamination
+coefficients of the PDM support view, and a symbol-level Monte Carlo
+measurement of the PDM SINR decomposition. None of them feeds a sweep, so
+they live here and not in the package.
 """
 from __future__ import annotations
 
@@ -18,6 +19,11 @@ from lensmimo.pdm import SinrReport, mrt_precoders
 
 class StatisticalValidityError(InvalidInputError):
     """Too few Monte Carlo samples for a statistically meaningful result."""
+
+
+def antenna_indices(config, row):
+    """The antenna indices m of a boolean mask row over array positions."""
+    return tuple(config.element_indices[row].tolist())
 
 
 def dense_taps(responses):
@@ -122,4 +128,4 @@ def simulate_symbols(support, combiners, powers, n_symbols: int, rng, noise: flo
     denom = isi + inter + noise_pow
     with np.errstate(divide="ignore", invalid="ignore"):
         gammas = np.where(denom > 0, desired / np.where(denom > 0, denom, 1.0), np.inf)
-    return SinrReport(gammas=gammas, desired=desired, isi=isi, inter_stream=inter, noise=noise_pow)
+    return SinrReport(gammas=gammas, desired=desired, isi=isi, inter_stream=inter)

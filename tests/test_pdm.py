@@ -30,7 +30,7 @@ def make_paths(aoa, aod, gains=None, delays=None):
 
 def support_of(paths, sets=None):
     sets = support_sets(paths, TX, RX, 1) if sets is None else sets
-    return restrict_to_support(path_responses(paths, TX, RX, 500e6), sets, TX, RX)
+    return restrict_to_support(path_responses(paths, TX, RX, 500e6), sets)
 
 
 def link(paths, powers, noise, kind="MRC"):

@@ -7,7 +7,7 @@ check the path-space cores against a brute-force sum of per-path outer
 products (by their singular values, and by a shape equal to the numerical
 ranks of the two sides), and that restricting the responses to antenna
 subsets and then forming the dense tapped oracle equals indexing the dense
-oracle. The support-set properties check the vectorised subsets
+oracle. The support-set properties check the vectorised subset masks
 and separation flags against the per-path definition, and that a side
 flagged separated has pairwise-disjoint subsets, also for angles chained at
 the separation gap. The water-filling properties
@@ -31,7 +31,7 @@ from lensmimo.channel import ChannelStats, PathSet, path_responses, sample_paths
 from lensmimo.numerics import RANK_TOL, water_fill, waterfill_capacity
 from lensmimo.pdm import mmse_combiners, mrc_combiners, mrt_precoders, pdm_sinr
 from lensmimo.selection import restrict_to_support, support_sets
-from oracles import dense_taps
+from oracles import antenna_indices, dense_taps
 
 RATE = 500e6
 EXAMPLES = settings(max_examples=60, deadline=None)
@@ -204,8 +204,8 @@ def scalar_separated(config, freqs, delta):
 
 def sides(paths, tx, rx, sets):
     return (
-        (rx, paths.aoa_spatial_freqs, sets.rx_sets, sets.rx_union, sets.rx_separated),
-        (tx, paths.aod_spatial_freqs, sets.tx_sets, sets.tx_union, sets.tx_separated),
+        (rx, paths.aoa_spatial_freqs, sets.rx, sets.rx_separated),
+        (tx, paths.aod_spatial_freqs, sets.tx, sets.tx_separated),
     )
 
 
@@ -215,10 +215,11 @@ class TestSupportSetProperties:
     def test_matches_scalar_per_path_rule(self, case):
         tx, rx, delta, paths = case
         sets = support_sets(paths, tx, rx, delta)
-        for config, freqs, subsets, union, separated in sides(paths, tx, rx, sets):
+        for config, freqs, mask, separated in sides(paths, tx, rx, sets):
             want = tuple(scalar_subset(config, phi, delta) for phi in freqs)
-            assert subsets == want
-            assert union == tuple(sorted(set().union(*want)))
+            assert mask.shape == (len(freqs), config.element_count)
+            assert tuple(antenna_indices(config, row) for row in mask) == want
+            assert antenna_indices(config, mask.any(axis=0)) == tuple(sorted(set().union(*want)))
             assert separated == scalar_separated(config, freqs, delta)
 
     @EXAMPLES
@@ -226,10 +227,10 @@ class TestSupportSetProperties:
     def test_separated_side_has_disjoint_subsets(self, case):
         tx, rx, delta, paths = case
         sets = support_sets(paths, tx, rx, delta)
-        for _, _, subsets, _, separated in sides(paths, tx, rx, sets):
+        for _, _, mask, separated in sides(paths, tx, rx, sets):
             if separated:
-                for a, b in itertools.combinations(subsets, 2):
-                    assert not set(a) & set(b)
+                for a, b in itertools.combinations(mask, 2):
+                    assert not np.any(a & b)
 
 
 gain_lists = st.lists(
@@ -301,9 +302,7 @@ def pdm_link(spread, seed):
     )
     paths = sample_paths(stats, 3, np.random.default_rng(seed))
     sets = support_sets(paths, PDM_TX, PDM_RX, 1)
-    return stats, restrict_to_support(
-        path_responses(paths, PDM_TX, PDM_RX, RATE), sets, PDM_TX, PDM_RX
-    )
+    return stats, restrict_to_support(path_responses(paths, PDM_TX, PDM_RX, RATE), sets)
 
 
 def dense_mmse_combiners(support, powers, noise):
@@ -382,6 +381,6 @@ class TestCombinerProperties:
                 if kind == "MMSE":
                     assert np.array_equal(mmse[i], single_comb)
                 single = pdm_sinr(support, single_comb, p, noise)
-                for field in ("gammas", "desired", "isi", "inter_stream", "noise"):
+                for field in ("gammas", "desired", "isi", "inter_stream"):
                     assert np.array_equal(getattr(grid, field)[i], getattr(single, field))
                 assert grid.sum_rate[i] == single.sum_rate
