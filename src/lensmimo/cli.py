@@ -6,7 +6,7 @@ sweep to stdout, and `simulate sweep` persists it as CSV. Scenario presets
 or a flat key=value config file select the experiment; command line flags
 override config file values.
 
-Exit codes: 0 success, 2 configuration error, 3 I/O error.
+Exit codes: 0 success, 2 configuration error or non-finite rate, 3 I/O error.
 """
 from __future__ import annotations
 

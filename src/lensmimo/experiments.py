@@ -26,6 +26,7 @@ from .errors import (
     ConfigError,
     IdealAngleError,
     InvalidInputError,
+    NumericalError,
     UnsupportedConfigurationError,
 )
 from .grouping import group_channels, grouped_capacity
@@ -85,6 +86,12 @@ class ExperimentConfig:
         for i, s in enumerate(self.snr_db):
             if s in self.snr_db[:i]:
                 raise InvalidInputError(f"snr_db lists {s:g} dB more than once")
+            try:
+                power = self.stats.tx_power(s)
+            except OverflowError:
+                power = math.inf
+            if not 0.0 < power < math.inf:
+                raise InvalidInputError(f"snr_db point {s:g} dB gives transmit power {power:g} mW")
         if len(self.schemes) == 0:
             raise InvalidInputError("schemes must name at least one scheme")
         for i, s in enumerate(self.schemes):
@@ -202,7 +209,8 @@ def _run_trial(cfg: ExperimentConfig, trial: int) -> dict:
     The realization's lens and UPA path responses and its support sets are
     built once and shared by the schemes; the lens responses and support
     sets only when a PDM or grouping scheme reads them. Returns scheme ->
-    (rates over the SNR grid or None, flag or None).
+    (rates over the SNR grid or None, flag or None); a rate that is not
+    finite raises NumericalError.
     """
     rng = np.random.default_rng([cfg.seed, trial])
     paths = sample_paths(cfg.stats, cfg.num_paths, rng)
@@ -245,6 +253,9 @@ def _run_trial(cfg: ExperimentConfig, trial: int) -> dict:
                 rows, cols = power_select_antennas(upa, upa_rx, cfg.rx_rf, cfg.tx_rf)
                 channel = upa.restrict(rows, cols)
             rates = ofdm_capacity(channel, budgets, noise, cfg.ofdm)
+        if rates is not None and not np.all(np.isfinite(rates)):
+            snr = cfg.snr_db[np.flatnonzero(~np.isfinite(rates))[0]]
+            raise NumericalError(f"{scheme} rate at {snr:g} dB SNR is not finite (trial {trial})")
         out[scheme] = (rates, flag)
     return out
 

@@ -10,8 +10,8 @@ from Hermitian Grams instead (``upa.ofdm_capacity``), and fall back to
 ``eigen_gains`` where a Gram is ill-conditioned. ``water_fill`` returns the
 powers for a whole grid of power budgets at once.
 ``hermitian_solve`` solves a stack of Hermitian positive definite systems
-(the PDM MMSE covariances in path space, for every stream and budget) in
-one call and refuses a singular one. All functions are pure and
+(the PDM MMSE covariances in path space, one per budget, with a column per
+stream) in one call and refuses a singular one. All functions are pure and
 thread-safe.
 """
 from __future__ import annotations
@@ -97,17 +97,17 @@ def waterfill_capacity(gains, budgets, noise: float) -> np.ndarray:
 
 
 def hermitian_solve(c, b) -> np.ndarray:
-    """Solve C x = b for each Hermitian positive definite C of a (..., m, m)
-    stack, with right-hand sides of shape (..., m).
+    """Solve C X = B for each Hermitian positive definite C of a (..., m, m)
+    stack, with k right-hand sides as the columns of B, of shape (..., m, k).
 
     Raises NumericalError if any matrix of the stack is singular or
     indefinite in double precision.
     """
     cm = np.asarray(c, dtype=complex)
-    bv = np.asarray(b, dtype=complex)
-    if cm.ndim < 2 or cm.shape[-1] != cm.shape[-2] or bv.shape != cm.shape[:-1]:
-        raise InvalidInputError("hermitian_solve expects C of (..., m, m) and b of (..., m)")
-    if not (np.all(np.isfinite(cm)) and np.all(np.isfinite(bv))):
+    bm = np.asarray(b, dtype=complex)
+    if cm.ndim < 2 or cm.shape[-1] != cm.shape[-2] or bm.shape[:-1] != cm.shape[:-1]:
+        raise InvalidInputError("hermitian_solve expects C of (..., m, m) and B of (..., m, k)")
+    if not (np.all(np.isfinite(cm)) and np.all(np.isfinite(bm))):
         raise InvalidInputError("hermitian_solve input contains non-finite entries")
     scale = np.linalg.norm(cm, axis=(-2, -1))
     skew = np.linalg.norm(cm - cm.conj().swapaxes(-2, -1), axis=(-2, -1))
@@ -115,7 +115,7 @@ def hermitian_solve(c, b) -> np.ndarray:
         raise InvalidInputError("C is not Hermitian to within 1e-12")
     try:
         np.linalg.cholesky(cm)  # positive definiteness check
-        return np.linalg.solve(cm, bv[..., None])[..., 0]
+        return np.linalg.solve(cm, bm)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"C is singular or indefinite (condition number {np.linalg.cond(cm).max():.3e})"

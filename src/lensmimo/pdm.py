@@ -12,9 +12,10 @@ its receive/transmit responses is path l seen by those antennas. Stream l
 is sent on path l with the MRT precoder of that path and detected at that
 path's delay. Stream powers have shape (..., L): a leading axis (one row
 per power budget) evaluates a whole SNR grid in one call, with the MRT
-precoders and their path couplings g_t formed once. The MMSE covariances
-have rank L plus noise, so the combiners are solved in the L-dimensional
-path space of the receive responses, never as M_S x M_S systems.
+precoders and the power each stream launches into each path formed once.
+The MMSE combiners of all L streams come from one covariance of rank L
+plus noise per budget, solved in the L-dimensional path space of the
+receive responses, never as an M_S x M_S system.
 
 All SINRs here use exactly normalized beamformers.
 """
@@ -65,47 +66,42 @@ def mrc_combiners(support: PathResponses) -> np.ndarray:
     return _normalized_rows(support.rx, "MRC combiner")
 
 
+def _launched(support: PathResponses, powers) -> np.ndarray:
+    """launched[..., k, l'] = p_l' |a_{T,k}^H w_l'|^2: stream l' launched into path k."""
+    coupling = np.abs(support.tx.conj() @ mrt_precoders(support).T) ** 2
+    return np.asarray(powers, dtype=float)[..., None, :] * coupling
+
+
 def mmse_combiners(support: PathResponses, powers, noise: float) -> np.ndarray:
     """Per-stream MMSE combiners v_l proportional to C_l^{-1} a_{R,l}.
 
-    C_l = A^T W_l A^* + sigma^2 I collects, through the receive responses
-    A (L x M_S), the ISI of stream l via the other paths, all other streams
-    via every path (the diagonal weights W_l) and the noise floor. With the
-    thin QR A^T = Q R (r = min(L, M_S)), C_l^{-1} a_{R,l} =
-    Q (R W_l R^H + sigma^2 I_r)^{-1} R e_l, so only r x r systems are
-    solved, all in one stacked call. The combiners need the basis Q itself,
-    which ``PathResponses.cores`` does not keep, so this is the one other
-    path-space factorization. ``powers`` has shape (..., L); the
-    result has shape (..., L, M_S). A path-space system that is still
-    singular in double precision raises ``hermitian_solve``'s
-    NumericalError.
+    C_l, the ISI and inter-stream interference of stream l plus noise, is
+    C = A^T diag(t) A^* + sigma^2 I (A the L x M_S receive responses, t_k
+    all power through path k) less stream l's desired term, so by the
+    matrix inversion lemma C_l^{-1} a_{R,l} is a positive multiple of
+    C^{-1} a_{R,l}. With the thin QR A^T = Q R (r = min(L, M_S)) that is
+    Q (R diag(t) R^H + sigma^2 I_r)^{-1} R e_l: one r x r system per budget,
+    with the L columns of R as right-hand sides. ``PathResponses.cores``
+    does not keep the basis Q, so this is the one other path-space
+    factorization. ``powers`` has shape (..., L), the result (..., L, M_S);
+    a system still singular in double precision raises NumericalError.
     """
-    powers = np.asarray(powers, dtype=float)
-    # launched[..., k, l'] = p_l' |a_{T,k}^H w_l'|^2: stream l' launched into path k.
-    launched = powers[..., None, :] * np.abs(support.tx.conj() @ mrt_precoders(support).T) ** 2
-    other = ~np.eye(support.num_paths, dtype=bool)
-    # At detector l, path k carries every stream l' != k as interference,
-    # and stream k too unless k == l (then it is the desired signal). Summed
-    # without a subtraction: weights[..., l, k] = |alpha_k|^2 (sum_{l' != k}
-    # launched[k, l'] + [k != l] launched[k, k]).
-    crossing = np.where(other, launched, 0.0).sum(axis=-1)[..., None, :]
-    own = np.where(other, np.diagonal(launched, axis1=-2, axis2=-1)[..., None, :], 0.0)
-    weights = np.abs(support.gains) ** 2 * (crossing + own)
+    through = np.abs(support.gains) ** 2 * _launched(support, powers).sum(axis=-1)
     q, r = np.linalg.qr(support.rx.T)
-    cov = (r * weights[..., None, :]) @ r.conj().T + noise * np.eye(r.shape[0])
-    directions = hermitian_solve(cov, np.broadcast_to(r.T, cov.shape[:-1])) @ q.T
+    cov = (r * through[..., None, :]) @ r.conj().T + noise * np.eye(r.shape[0])
+    rhs = np.broadcast_to(r, cov.shape[:-2] + r.shape)
+    directions = hermitian_solve(cov, rhs).swapaxes(-2, -1) @ q.T
     return directions / np.linalg.norm(directions, axis=-1, keepdims=True)
 
 
 def pdm_sinr(support: PathResponses, combiners, powers, noise: float) -> SinrReport:
     """Exact analytic per-stream SINR under per-path MRT precoding.
 
-    The coefficient of stream l' arriving via path k at detector l is
-    sqrt(p_l') * alpha_k * (v_l^H a_{R,k}) * (a_{T,k}^H w_{l'}); desired is
-    (l, l, l), ISI collects k != l for stream l, inter-stream collects all
-    paths of every other stream. ``powers`` has shape (..., L) and
-    ``combiners`` (L, M_S) or (..., L, M_S); every report field has the
-    broadcast shape (..., L).
+    Stream l' reaches detector l via path k with power |alpha_k|^2
+    |v_l^H a_{R,k}|^2 p_l' |a_{T,k}^H w_{l'}|^2; desired is (l, l, l), ISI
+    collects k != l for stream l, inter-stream all paths of every other
+    stream. ``powers`` has shape (..., L) and ``combiners`` (L, M_S) or
+    (..., L, M_S); every report field has the broadcast shape (..., L).
     """
     combiners = np.asarray(combiners)
     powers = np.asarray(powers, dtype=float)
@@ -116,21 +112,13 @@ def pdm_sinr(support: PathResponses, combiners, powers, noise: float) -> SinrRep
         raise InvalidInputError("every combiner must be unit-norm")
     if np.any(powers < 0):
         raise InvalidInputError("stream powers must be non-negative")
-    g_r = combiners.conj() @ support.rx.T  # g_r[..., l, k] = v_l^H a_{R,k}
-    g_t = support.tx.conj() @ mrt_precoders(support).T  # g_t[k, l'] = a_{T,k}^H w_{l'}
-    amp = np.sqrt(powers)
-    # power[..., l, l', k] = |c|^2 at detector l for stream l' via path k
-    power = (
-        (amp**2)[..., None, :, None]
-        * np.abs(support.gains) ** 2
-        * (np.abs(g_r) ** 2)[..., :, None, :]
-        * np.abs(g_t.T) ** 2
-    )
-    idx = np.arange(support.num_paths)
-    desired = power[..., idx, idx, idx]
-    own_stream = power[..., idx, idx, :].sum(axis=-1)
-    isi = own_stream - desired
-    inter = power.sum(axis=(-2, -1)) - own_stream
+    # reach[..., l, k] = |alpha_k|^2 |v_l^H a_{R,k}|^2: path k at detector l.
+    reach = np.abs(support.gains) ** 2 * np.abs(combiners.conj() @ support.rx.T) ** 2
+    launched = _launched(support, powers)
+    own = reach * launched.swapaxes(-2, -1)  # own[..., l, k]: stream l via path k
+    desired = np.diagonal(own, axis1=-2, axis2=-1)
+    isi = own.sum(axis=-1) - desired
+    inter = (reach * launched.sum(axis=-1)[..., None, :]).sum(axis=-1) - own.sum(axis=-1)
     denom = isi + inter + noise
     with np.errstate(divide="ignore", invalid="ignore"):
         gammas = np.where(denom > 0, desired / np.where(denom > 0, denom, 1.0), np.inf)

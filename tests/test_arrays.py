@@ -55,7 +55,7 @@ class TestLensResponse:
         assert top2 / cfg.aperture >= 0.81
 
 
-class TestSpatialDecompose:
+class TestFocusing:
     """``LensArrayConfig.focusing``: focusing index and misalignment."""
 
     def test_examples(self):

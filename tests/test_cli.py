@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -138,6 +142,9 @@ class TestMain:
             ("--schemes", "", "schemes"),
             ("--schemes", "PDM-MRC,PDM-MRC", "schemes"),
             ("--seed", "-1", "seed"),
+            ("--snr-db", "4000", "snr_db"),
+            ("--snr-db", "3080", "snr_db"),
+            ("--snr-db", "-4000", "snr_db"),
         ],
         ids=[
             "empty-snr",
@@ -147,6 +154,9 @@ class TestMain:
             "empty-schemes",
             "repeated-scheme",
             "negative-seed",
+            "overflowing-power",
+            "infinite-power",
+            "zero-power",
         ],
     )
     def test_malformed_sweep_grid_exit_code(self, flag, value, field, capsys):
@@ -155,6 +165,27 @@ class TestMain:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {field} ")
         assert "Traceback" not in captured.err
+
+    def test_non_finite_rate_exit_code(self):
+        # At 2000 dB the transmit power is finite, but the PDM-MMSE
+        # covariance overflows and its rate comes out non-finite. The sweep
+        # is refused, naming the scheme and the SNR point, instead of
+        # printing inf. A fresh process runs the command as a user would,
+        # with its worker pool; numpy may warn on stderr before the error.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        args = ["run", "--scenario", "fig9", "--trials", "2", "--snr-db=2000"]
+        done = subprocess.run(
+            [sys.executable, "-m", "lensmimo.cli", *args],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 2, done.stderr
+        assert done.stdout == ""
+        assert done.stderr.splitlines()[-1].startswith("error: PDM-MMSE rate at 2000 dB ")
+        assert "Traceback" not in done.stderr
 
     def test_malformed_sweep_grid_in_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"

@@ -53,7 +53,7 @@ def assert_same_eigen_gains(core, matrix):
     assert np.allclose(got, want[: got.size], rtol=1e-12, atol=0.0)
 
 
-class TestCheckSeparation:
+class TestSeparation:
     """The 2 * delta / D gap rule, as recorded by ``support_sets``."""
 
     def test_reference_instance_is_aoa_separated(self):

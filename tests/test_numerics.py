@@ -195,40 +195,54 @@ class TestHermitianSolve:
         rng = np.random.default_rng(3)
         a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         c = a @ a.conj().T + np.eye(5)
-        b = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+        b = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
         x = hermitian_solve(c, b)
+        assert x.shape == b.shape
         assert np.allclose(c @ x, b)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(InvalidInputError):
-            hermitian_solve(np.array([[1.0, 2.0], [0.0, 1.0]]), np.ones(2))
+            hermitian_solve(np.array([[1.0, 2.0], [0.0, 1.0]]), np.ones((2, 1)))
 
     def test_rejects_singular(self):
         with pytest.raises(NumericalError):
-            hermitian_solve(np.zeros((2, 2)), np.ones(2))
+            hermitian_solve(np.zeros((2, 2)), np.ones((2, 1)))
 
     def test_stack_solves_each_matrix(self):
         rng = np.random.default_rng(4)
         a = rng.standard_normal((3, 2, 4, 4)) + 1j * rng.standard_normal((3, 2, 4, 4))
         c = a @ a.conj().swapaxes(-2, -1) + np.eye(4)
-        b = rng.standard_normal((3, 2, 4)) + 1j * rng.standard_normal((3, 2, 4))
+        b = rng.standard_normal((3, 2, 4, 3)) + 1j * rng.standard_normal((3, 2, 4, 3))
         x = hermitian_solve(c, b)
         assert x.shape == b.shape
         for i in np.ndindex(3, 2):
             assert np.array_equal(x[i], hermitian_solve(c[i], b[i]))
 
+    def test_columns_equal_one_column_calls(self):
+        # The streams of a budget share one call; each of its k columns is
+        # bit for bit what a call with that column alone returns.
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((9, 3, 3)) + 1j * rng.standard_normal((9, 3, 3))
+        c = a @ a.conj().swapaxes(-2, -1) + 1e-3 * np.eye(3)
+        b = rng.standard_normal((9, 3, 4)) + 1j * rng.standard_normal((9, 3, 4))
+        x = hermitian_solve(c, b)
+        for j in range(4):
+            assert np.array_equal(x[..., j : j + 1], hermitian_solve(c, b[..., j : j + 1]))
+
     def test_one_singular_matrix_fails_the_stack(self):
         c = np.stack([np.eye(3), np.eye(3), np.diag([1.0, 1.0, 0.0])]).astype(complex)
         with pytest.raises(NumericalError):
-            hermitian_solve(c, np.ones((3, 3)))
+            hermitian_solve(c, np.ones((3, 3, 2)))
 
     def test_rejects_mismatched_right_hand_side(self):
         with pytest.raises(InvalidInputError):
-            hermitian_solve(np.stack([np.eye(2)] * 3), np.ones(2))
+            hermitian_solve(np.stack([np.eye(2)] * 3), np.ones((2, 1)))
+        with pytest.raises(InvalidInputError):
+            hermitian_solve(np.stack([np.eye(2)] * 3), np.ones((3, 2)))
 
     def test_singular_solve_is_numerical_error(self):
         # Rank two: the Cholesky factorization of this matrix can pass on a
         # rounded pivot while the solve then meets an exact zero.
         a = np.array([[3 - 1j, 2], [-3 + 1j, 3], [3 - 2j, -2 + 3j]])
         with pytest.raises(NumericalError):
-            hermitian_solve(a @ a.conj().T, np.ones(3))
+            hermitian_solve(a @ a.conj().T, np.ones((3, 1)))

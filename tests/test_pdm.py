@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from lensmimo import pdm
 from lensmimo.arrays import LensArrayConfig
 from lensmimo.channel import ChannelStats, PathResponses, PathSet, path_responses, sample_paths
 from lensmimo.errors import InvalidInputError
-from lensmimo.experiments import preset
+from lensmimo.experiments import preset, run_experiment
 from lensmimo.numerics import water_fill
 from lensmimo.pdm import mmse_combiners, mrc_combiners, mrt_precoders, pdm_sinr
 from lensmimo.selection import restrict_to_support, support_sets
@@ -88,7 +89,10 @@ class TestBeamformers:
                 delays=np.zeros(num_paths, int),
             )
             cases.append((support, rng.uniform(0.5, 2.0, num_paths), 0.1))
-        for support, powers, noise in cases:
+            # The same link on a 3-budget grid: one call, one row per budget.
+            cases.append((support, rng.uniform(0.5, 2.0, (3, num_paths)), 0.1))
+
+        def per_stream(support, powers, noise):
             n = support.num_paths
             g_t = support.tx.conj() @ mrt_precoders(support).T
             alpha_sq = np.abs(support.gains) ** 2
@@ -104,8 +108,33 @@ class TestBeamformers:
                 )
                 v = np.linalg.solve(cov, support.rx[l])
                 reference.append(v / np.linalg.norm(v))
+            return reference
+
+        for support, powers, noise in cases:
             comb = mmse_combiners(support, powers, noise)
-            assert np.allclose(comb, reference, rtol=0.0, atol=1e-9)
+            assert comb.shape == powers.shape + support.rx.shape[1:]
+            for budget in np.ndindex(powers.shape[:-1]):
+                reference = per_stream(support, powers[budget], noise)
+                assert np.allclose(comb[budget], reference, rtol=0.0, atol=1e-9)
+
+    def test_fig9_trial_makes_one_solve(self, monkeypatch):
+        # One covariance per budget: a fig9 trial's PDM-MMSE combiners come
+        # from a single call on the (9, r, r) stack of its default grid, with
+        # the L = 3 streams as the columns of the right-hand sides.
+        calls = []
+        original = pdm.hermitian_solve
+
+        def recording(c, b):
+            calls.append((np.shape(c), np.shape(b)))
+            return original(c, b)
+
+        monkeypatch.setattr(pdm, "hermitian_solve", recording)
+        run_experiment(preset("fig9", trials=1), workers=1)
+        assert len(calls) == 1, calls
+        (c_shape, b_shape), = calls
+        r = c_shape[-1]
+        assert 1 <= r <= 3
+        assert c_shape == (9, r, r) and b_shape == (9, r, 3), calls
 
 
 class TestAnalyticSinr:
