@@ -38,7 +38,7 @@ from .pdm import (
     mrt_precoders,
     pdm_sinr,
 )
-from .selection import SupportSets, restrict_to_support, support_sets
+from .selection import SupportSets, support_sets
 from .upa import (
     OfdmConfig,
     eigenmode_capacity,

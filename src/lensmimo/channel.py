@@ -101,7 +101,9 @@ class ChannelStats:
 
 @dataclass(frozen=True)
 class PathSet:
-    """The L multi-path parameters of one channel realization."""
+    """The L multi-path parameters of one channel realization, or of a block
+    of realizations that share their angles: gains and delays of shape
+    (L,) or (T, L), angles of shape (L,)."""
 
     gains: np.ndarray  # complex linear amplitudes alpha_l
     delays_s: np.ndarray
@@ -116,7 +118,7 @@ class PathSet:
 
     @property
     def num_paths(self) -> int:
-        return len(self.gains)
+        return self.gains.shape[-1]
 
     def delay_samples(self, sample_rate_hz: float) -> np.ndarray:
         """Path delays quantized to integer symbol intervals."""
@@ -125,8 +127,13 @@ class PathSet:
 
 @dataclass(frozen=True)
 class PathResponses:
-    """The factored channel of one realization, over some antennas:
+    """The factored channel over some antennas:
     H(n) = sum_l alpha_l a_R,l a_T,l^H [n == n_l].
+
+    The response rows are geometry, fixed by the path angles. The gains
+    and delays are of one realization, (L,), or of a block of realizations
+    on the same angles, (T, L) with a leading trial axis; every method then
+    works on all T at once, and the factors of the rows are taken once.
 
     Every scheme reads these per-path factors: ``cores`` is the
     rank-revealing path-space reduction that carries the singular values
@@ -138,22 +145,23 @@ class PathResponses:
 
     rx: np.ndarray  # (L, M) receive response rows a_R,l
     tx: np.ndarray  # (L, Q) transmit response rows a_T,l
-    gains: np.ndarray  # (L,) complex alpha_l
-    delays: np.ndarray  # (L,) integer sample delays n_l
+    gains: np.ndarray  # (L,) or (T, L) complex alpha_l
+    delays: np.ndarray  # (L,) or (T, L) integer sample delays n_l
 
     @property
     def num_paths(self) -> int:
-        return len(self.gains)
+        return len(self.rx)
 
     def restrict(self, rx_pos, tx_pos, paths=None) -> PathResponses:
-        """Responses at the given receive/transmit array positions, for all
-        paths or only the listed path indices."""
+        """Responses at the given receive/transmit array positions (index
+        arrays or boolean masks), for all paths or only the listed path
+        indices."""
         keep = slice(None) if paths is None else np.asarray(paths, dtype=int)
         return PathResponses(
-            rx=self.rx[keep][:, np.asarray(rx_pos, dtype=int)],
-            tx=self.tx[keep][:, np.asarray(tx_pos, dtype=int)],
-            gains=self.gains[keep],
-            delays=self.delays[keep],
+            rx=self.rx[keep][:, rx_pos],
+            tx=self.tx[keep][:, tx_pos],
+            gains=self.gains[..., keep],
+            delays=self.delays[..., keep],
         )
 
     @cached_property
@@ -169,33 +177,35 @@ class PathResponses:
         r_rx, r_tx = self._factors
         return len(r_rx), len(r_tx)
 
-    def cores(self, phases=None) -> np.ndarray:
-        """Path-space cores R_R diag(alpha * phases) R_T^H of the channel.
+    def cores(self, coeffs=None) -> np.ndarray:
+        """Path-space cores R_R diag(c) R_T^H for per-path coefficients c.
 
         The rank-revealing factors A_R^T = U_R R_R and A_T^T = U_T R_T of the
         response rows (``_factor``, orthonormal U) give
         A_R^T diag(c) A_T^* = U_R R_R diag(c) R_T^H U_T^H, so the r_R x r_T
         core has its singular values, where r_R and r_T are the numerical
-        ranks of the two sides (at most L). Without ``phases`` the result is
-        the core of the narrowband H (delays ignored); a (K, L) ``phases``
-        gives a (K, r_R, r_T) stack, core k for the per-path coefficients
-        alpha * phases[k].
+        ranks of the two sides (at most L). ``coeffs`` of shape (..., L)
+        gives a (..., r_R, r_T) stack; without it c is the gains, (L,) or
+        (T, L), and the cores are those of the narrowband H (delays
+        ignored). An OFDM subcarrier k takes c = alpha * phases[k].
         """
         r_rx, r_tx = self._factors
-        coeffs = self.gains if phases is None else self.gains * phases
-        return (r_rx * coeffs[..., None, :]) @ r_tx.conj().T
+        c = self.gains if coeffs is None else coeffs
+        return (r_rx * c[..., None, :]) @ r_tx.conj().T
 
-    def grams(self, phases) -> np.ndarray:
+    def grams(self, coeffs) -> np.ndarray:
         """Hermitian Grams of the smaller side of each core of
-        ``cores(phases)``: a (K, r, r) stack, r = min(r_R, r_T), whose
-        eigenvalues are the squared singular values of the cores.
+        ``cores(coeffs)``: for coefficients of shape (..., L) a (..., r, r)
+        stack, r = min(r_R, r_T), whose eigenvalues are the squared
+        singular values of the cores.
 
-        With c_k = alpha * phases[k], W_k = c_k c_k^H, R the smaller side's
+        With c the coefficients of one core, W = c c^H, R the smaller side's
         factor and Gamma = P^H P the L x L Gram of the larger side's factor
-        P, G_k = R (W_k o Gamma) R^H (o the entrywise product). For the
-        transmit side both factors are conjugated, which conjugates G_k and
-        keeps its eigenvalues. The stack is one (K, L^2) @ (L^2, r^2)
-        product. A Gram squares the condition number of its core.
+        P, G = R (W o Gamma) R^H (o the entrywise product). For the
+        transmit side both factors are conjugated, which conjugates G and
+        keeps its eigenvalues. The stack is one (..., L^2) @ (L^2, r^2)
+        product, whatever the leading axes (trials, subcarriers). A Gram
+        squares the condition number of its core.
         """
         r_rx, r_tx = self._factors
         if len(r_rx) <= len(r_tx):
@@ -205,10 +215,10 @@ class PathResponses:
         gamma = large.conj().T @ large
         # kernel[(l, m), (i, j)] = R[i, l] Gamma[l, m] R[j, m]^*
         kernel = np.einsum("il,lm,jm->lmij", small, gamma, small.conj())
-        c = self.gains * phases
-        w = c[:, :, None] * c[:, None, :].conj()
+        w = coeffs[..., :, None] * coeffs[..., None, :].conj()
         r, n = small.shape
-        return (w.reshape(len(c), n * n) @ kernel.reshape(n * n, r * r)).reshape(-1, r, r)
+        lead = coeffs.shape[:-1]
+        return (w.reshape(lead + (n * n,)) @ kernel.reshape(n * n, r * r)).reshape(lead + (r, r))
 
 
 def _factor(rows: np.ndarray) -> np.ndarray:

@@ -6,9 +6,17 @@ Four scenario presets reproduce the reference comparisons at desk scale:
 narrowband and wideband ideal-angle links (lens vs conventional UPA) and
 two wideband random-angle links with small and large AoA spreads.
 
-Determinism contract: trial t uses the RNG substream seeded by
-(seed, t), and results are reduced in trial order, so identical (config,
-seed) give identical output regardless of worker count.
+Trials run in blocks. Every preset places its path angles the same way in
+every trial, so a block builds the trial geometry once: the lens and UPA
+responses and their factors, the support sets and the support view, the
+path groups and the beamformer couplings. Its trials differ only in their
+gains and delays, which the schemes take as (T, L) stacks.
+
+Determinism contract: trial t draws its gains and delays from the RNG
+substream seeded by (seed, t), every scheme computes each trial's rates
+with the same arithmetic whatever block holds it, and results are reduced
+in trial order. So identical (config, seed) give identical output
+regardless of the block size and the worker count.
 """
 from __future__ import annotations
 
@@ -17,11 +25,12 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .arrays import LensArrayConfig, UpaConfig
-from .channel import ChannelStats, PathResponses, path_responses, sample_paths
+from .channel import ChannelStats, PathResponses, PathSet, path_responses, sample_paths
 from .errors import (
     ConfigError,
     IdealAngleError,
@@ -33,7 +42,7 @@ from .grouping import group_channels, grouped_capacity
 from .numerics import water_fill, waterfill_capacity
 from .opdm import opdm_decompose
 from .pdm import mmse_combiners, mrc_combiners, pdm_sinr
-from .selection import restrict_to_support, support_sets
+from .selection import support_sets
 from .upa import OfdmConfig, eigenmode_capacity, ofdm_capacity, power_select_antennas
 
 SCHEMES = (
@@ -46,8 +55,9 @@ SCHEMES = (
     "UPA-OFDM-selection",
 )
 
-# The schemes that read the lens path responses and support sets.
-_LENS_SCHEMES = frozenset({"PDM-MRC", "PDM-MMSE", "PDM-grouping"})
+# Trials per block: the geometry is built once per block, and a block's
+# stacks (T x 512 subcarrier Grams on fig6) stay a few MB.
+_BLOCK = 32
 
 _DEFAULT_SNR_DB = tuple(float(s) for s in range(-10, 31, 5))
 
@@ -189,74 +199,140 @@ def preset(name: str, **overrides) -> ExperimentConfig:
         raise ConfigError(str(exc)) from None
 
 
-def _pdm_rates(
-    support: PathResponses,
-    tx: LensArrayConfig,
-    rx: LensArrayConfig,
-    budgets,
-    noise: float,
-    kind: str,
-) -> np.ndarray:
-    gains = np.abs(support.gains) ** 2 * rx.aperture * tx.aperture
-    powers = water_fill(gains, budgets, noise)
-    combiners = mrc_combiners(support) if kind == "MRC" else mmse_combiners(support, powers, noise)
-    return pdm_sinr(support, combiners, powers, noise).sum_rate
+class _Block:
+    """A block of trials on one geometry: the realizations' stacked (T, L)
+    gains and delays, and the geometry each scheme reads, built on first
+    use and shared by the schemes."""
+
+    def __init__(self, cfg: ExperimentConfig, trials: range) -> None:
+        draws = [
+            sample_paths(cfg.stats, cfg.num_paths, np.random.default_rng([cfg.seed, t]))
+            for t in trials
+        ]
+        aoa, aod = cfg.stats.placed_angles(cfg.num_paths)
+        self.paths = PathSet(
+            gains=np.stack([p.gains for p in draws]),
+            delays_s=np.stack([p.delays_s for p in draws]),
+            aoa_spatial_freqs=aoa,
+            aod_spatial_freqs=aod,
+        )
+        self.cfg = cfg
+        self.noise = cfg.stats.noise_power
+        self.budgets = np.array([cfg.stats.tx_power(s) for s in cfg.snr_db])
+        self.tx = LensArrayConfig(cfg.tx_aperture, cfg.tx_azimuth_dim)
+        self.rx = LensArrayConfig(cfg.rx_aperture, cfg.rx_azimuth_dim)
+        self.upa_rx = UpaConfig(cfg.rx_aperture, cfg.rx_azimuth_dim)
+
+    @cached_property
+    def lens(self):
+        return path_responses(self.paths, self.tx, self.rx, self.cfg.stats.bandwidth_hz)
+
+    @cached_property
+    def upa(self):
+        upa_tx = UpaConfig(self.cfg.tx_aperture, self.cfg.tx_azimuth_dim)
+        return path_responses(self.paths, upa_tx, self.upa_rx, self.cfg.stats.bandwidth_hz)
+
+    @cached_property
+    def sets(self):
+        return support_sets(self.paths, self.tx, self.rx, self.cfg.delta)
+
+    @cached_property
+    def support(self):
+        """The lens responses over the unions M_S x Q_S of the support sets."""
+        return self.lens.restrict(self.sets.rx.any(axis=0), self.sets.tx.any(axis=0))
+
+    @cached_property
+    def pdm_powers(self):
+        """(T, B, L) water-filled PDM stream powers, shared by MRC and MMSE."""
+        gains = np.abs(self.support.gains) ** 2 * self.rx.aperture * self.tx.aperture
+        return water_fill(gains, self.budgets, self.noise)
+
+    def _pdm(self, combiners):
+        return pdm_sinr(self.support, combiners, self.pdm_powers, self.noise).sum_rate
+
+    def opdm(self):
+        try:
+            gains = opdm_decompose(self.paths, self.tx, self.rx)
+        except IdealAngleError:
+            return None, "opdm-skip"
+        return waterfill_capacity(gains, self.budgets, self.noise), None
+
+    def pdm_mrc(self):
+        return self._pdm(mrc_combiners(self.support)), None
+
+    def pdm_mmse(self):
+        return self._pdm(mmse_combiners(self.support, self.pdm_powers, self.noise)), None
+
+    def pdm_grouping(self):
+        try:
+            groups = group_channels(self.lens, self.sets)
+        except UnsupportedConfigurationError:
+            # No side is separated, so the grouped decomposition does not
+            # apply; fall back to the MMSE transceiver and flag the trials.
+            return self.pdm_mmse()[0], "grouping-fallback"
+        return grouped_capacity(groups, self.budgets, self.noise), None
+
+    def upa_eigenmode(self):
+        return eigenmode_capacity(self.upa, self.budgets, self.noise), None
+
+    def upa_ofdm(self):
+        return ofdm_capacity(self.upa, self.budgets, self.noise, self.cfg.ofdm), None
+
+    def upa_ofdm_selection(self):
+        """Antennas picked per trial, as their near-tied picks depend on the
+        per-trial arithmetic to the last bit. Trials whose picked antennas
+        have the same responses (the n_z antennas of one azimuth index do)
+        share one restricted channel and one capacity call."""
+        upa, cfg = self.upa, self.cfg
+        picked: dict[tuple[bytes, bytes], tuple[PathResponses, list[int]]] = {}
+        for t in range(len(upa.gains)):
+            trial = replace(upa, gains=upa.gains[t], delays=upa.delays[t])
+            rows, cols = power_select_antennas(trial, self.upa_rx, cfg.rx_rf, cfg.tx_rf)
+            channel = upa.restrict(rows, cols)
+            key = (channel.rx.tobytes(), channel.tx.tobytes())
+            picked.setdefault(key, (channel, []))[1].append(t)
+        rates = np.empty((len(upa.gains), len(self.budgets)))
+        for channel, trials in picked.values():
+            channel = replace(channel, gains=channel.gains[trials], delays=channel.delays[trials])
+            rates[trials] = ofdm_capacity(channel, self.budgets, self.noise, cfg.ofdm)
+        return rates, None
 
 
-def _run_trial(cfg: ExperimentConfig, trial: int) -> dict:
-    """One channel realization, evaluated under every configured scheme.
+_EVALUATE = {
+    "OPDM": _Block.opdm,
+    "PDM-MRC": _Block.pdm_mrc,
+    "PDM-MMSE": _Block.pdm_mmse,
+    "PDM-grouping": _Block.pdm_grouping,
+    "UPA-eigenmode": _Block.upa_eigenmode,
+    "UPA-OFDM": _Block.upa_ofdm,
+    "UPA-OFDM-selection": _Block.upa_ofdm_selection,
+}
 
-    The realization's lens and UPA path responses and its support sets are
-    built once and shared by the schemes; the lens responses and support
-    sets only when a PDM or grouping scheme reads them. Returns scheme ->
-    (rates over the SNR grid or None, flag or None); a rate that is not
-    finite raises NumericalError.
+
+def _run_block(cfg: ExperimentConfig, trials: range) -> dict:
+    """The given trials, evaluated under every configured scheme on one
+    geometry.
+
+    Returns scheme -> (rates of shape (len(trials), len(snr_db)) or None,
+    flag or None); the flag and the None hold for every trial of the block,
+    as both follow from the geometry. A rate that is not finite raises
+    NumericalError naming the first such trial, and so does a scheme that
+    meets a numerical failure.
     """
-    rng = np.random.default_rng([cfg.seed, trial])
-    paths = sample_paths(cfg.stats, cfg.num_paths, rng)
-    noise = cfg.stats.noise_power
-    budgets = np.array([cfg.stats.tx_power(s) for s in cfg.snr_db])
-    tx = LensArrayConfig(cfg.tx_aperture, cfg.tx_azimuth_dim)
-    rx = LensArrayConfig(cfg.rx_aperture, cfg.rx_azimuth_dim)
-    rate = cfg.stats.bandwidth_hz
-    upa_rx = UpaConfig(cfg.rx_aperture, cfg.rx_azimuth_dim)
-    upa = path_responses(paths, UpaConfig(cfg.tx_aperture, cfg.tx_azimuth_dim), upa_rx, rate)
-    if _LENS_SCHEMES.intersection(cfg.schemes):
-        lens = path_responses(paths, tx, rx, rate)
-        sets = support_sets(paths, tx, rx, cfg.delta)
-        support = restrict_to_support(lens, sets)
-    out: dict = {}
+    block = _Block(cfg, trials)
+    out = {}
     for scheme in cfg.schemes:
-        flag = None
-        if scheme == "OPDM":
-            try:
-                rates = waterfill_capacity(opdm_decompose(paths, tx, rx), budgets, noise)
-            except IdealAngleError:
-                rates, flag = None, "opdm-skip"
-        elif scheme == "PDM-MRC":
-            rates = _pdm_rates(support, tx, rx, budgets, noise, "MRC")
-        elif scheme == "PDM-MMSE":
-            rates = _pdm_rates(support, tx, rx, budgets, noise, "MMSE")
-        elif scheme == "PDM-grouping":
-            try:
-                rates = grouped_capacity(group_channels(lens, sets), budgets, noise)
-            except UnsupportedConfigurationError:
-                # No side is separated, so the grouped decomposition does not
-                # apply; fall back to the MMSE transceiver and flag the trial.
-                rates = _pdm_rates(support, tx, rx, budgets, noise, "MMSE")
-                flag = "grouping-fallback"
-        elif scheme == "UPA-eigenmode":
-            rates = eigenmode_capacity(upa, budgets, noise)
-        else:  # UPA-OFDM and UPA-OFDM-selection
-            channel = upa
-            if scheme == "UPA-OFDM-selection":
-                rows, cols = power_select_antennas(upa, upa_rx, cfg.rx_rf, cfg.tx_rf)
-                channel = upa.restrict(rows, cols)
-            rates = ofdm_capacity(channel, budgets, noise, cfg.ofdm)
-        if rates is not None and not np.all(np.isfinite(rates)):
-            snr = cfg.snr_db[np.flatnonzero(~np.isfinite(rates))[0]]
-            raise NumericalError(f"{scheme} rate at {snr:g} dB SNR is not finite (trial {trial})")
-        out[scheme] = (rates, flag)
+        try:
+            out[scheme] = _EVALUATE[scheme](block)
+        except NumericalError as exc:
+            raise NumericalError(f"{scheme}: {exc}") from None
+    for i, trial in enumerate(trials):
+        for scheme, (rates, _) in out.items():
+            if rates is not None and not np.all(np.isfinite(rates[i])):
+                snr = cfg.snr_db[np.flatnonzero(~np.isfinite(rates[i]))[0]]
+                raise NumericalError(
+                    f"{scheme} rate at {snr:g} dB SNR is not finite (trial {trial})"
+                )
     return out
 
 
@@ -281,25 +357,29 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> list[Re
     """
     workers = min(resolve_workers(workers), cfg.trials)
     if workers == 1:
-        trial_results = [_run_trial(cfg, t) for t in range(cfg.trials)]
+        size = _BLOCK
     else:
-        # About two chunks per worker: one round trip per chunk rather than
-        # per trial, with a second round left to even out the finish.
-        chunk = math.ceil(cfg.trials / (2 * workers))
+        # At least two blocks per worker, so a short sweep still spreads
+        # over the pool, with a second round left to even out the finish.
+        size = min(_BLOCK, math.ceil(cfg.trials / (2 * workers)))
+    blocks = [range(t, min(t + size, cfg.trials)) for t in range(0, cfg.trials, size)]
+    if workers == 1:
+        results = [_run_block(cfg, b) for b in blocks]
+    else:
+        # About two chunks of blocks per worker: one round trip per chunk.
+        chunk = math.ceil(len(blocks) / (2 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            trial_results = list(
-                pool.map(_run_trial, itertools.repeat(cfg), range(cfg.trials), chunksize=chunk)
-            )
+            results = list(pool.map(_run_block, itertools.repeat(cfg), blocks, chunksize=chunk))
     rows: list[ResultRow] = []
     for scheme in cfg.schemes:
-        rates = [r[scheme][0] for r in trial_results if r[scheme][0] is not None]
+        rates = [r[scheme][0] for r in results if r[scheme][0] is not None]
         flag_counts: dict[str, int] = {}
-        for r in trial_results:
+        for r, b in zip(results, blocks):
             f = r[scheme][1]
             if f is not None:
-                flag_counts[f] = flag_counts.get(f, 0) + 1
+                flag_counts[f] = flag_counts.get(f, 0) + len(b)
         flags = ";".join(f"{k}:{v}" for k, v in sorted(flag_counts.items()))
-        n = len(rates)
+        n = sum(len(r) for r in rates)
         if n == 0:
             mean = np.zeros(len(cfg.snr_db))
             err = np.zeros(len(cfg.snr_db))

@@ -37,7 +37,8 @@ def group_channels(responses: PathResponses, sets: SupportSets) -> list[np.ndarr
     separated, else by receive-subset overlap when the AoDs are; with
     neither side separated grouping is undefined and
     UnsupportedConfigurationError is raised. ``responses`` are the
-    realization's full lens responses. Path delays are removed by
+    full lens responses, of one realization or a block of them: each core
+    is (r_R, r_T) or (T, r_R, r_T). Path delays are removed by
     per-subset compensation (receive side when the AoAs are separated,
     transmit-side pre-compensation when the AoDs are), so the matrices
     describe delay-free MIMO AWGN channels in both cases.
@@ -51,21 +52,17 @@ def group_channels(responses: PathResponses, sets: SupportSets) -> list[np.ndarr
             "neither side is angle-separated; path grouping is undefined"
         )
     return [
-        responses.restrict(
-            np.flatnonzero(sets.rx[group].any(axis=0)),
-            np.flatnonzero(sets.tx[group].any(axis=0)),
-            group,
-        ).cores()
+        responses.restrict(sets.rx[group].any(axis=0), sets.tx[group].any(axis=0), group).cores()
         for group in groups
     ]
 
 
 def grouped_capacity(group_channels_list, budgets, noise: float) -> np.ndarray:
     """Eigenmode water-filling capacity across all groups under one budget,
-    for each budget.
+    for each budget (and each realization of a block).
 
     Pools the eigen-gains of every group channel and water-fills the total
     transmit power over them globally.
     """
-    gains = np.concatenate([eigen_gains(h) for h in group_channels_list])
+    gains = np.concatenate([eigen_gains(h) for h in group_channels_list], axis=-1)
     return waterfill_capacity(gains, budgets, noise)

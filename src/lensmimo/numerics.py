@@ -8,11 +8,11 @@ the same way. ``eigen_gains`` turns a stack of matrices into squared
 singular values under one rank rule; the UPA-OFDM subcarriers take theirs
 from Hermitian Grams instead (``upa.ofdm_capacity``), and fall back to
 ``eigen_gains`` where a Gram is ill-conditioned. ``water_fill`` returns the
-powers for a whole grid of power budgets at once.
-``hermitian_solve`` solves a stack of Hermitian positive definite systems
-(the PDM MMSE covariances in path space, one per budget, with a column per
-stream) in one call and refuses a singular one. All functions are pure and
-thread-safe.
+powers for a whole grid of power budgets, and for a stack of links (the
+trials of a block), at once. ``hermitian_solve`` solves a stack of
+Hermitian positive definite systems (the PDM MMSE covariances in path
+space, one per trial and budget, with a column per stream) in one call and
+refuses a singular one. All functions are pure and thread-safe.
 """
 from __future__ import annotations
 
@@ -50,50 +50,75 @@ def water_fill(gains, budgets, noise: float) -> np.ndarray:
     """Exact water-filling power allocation over parallel channels.
 
     For each budget P, maximizes sum log2(1 + p_i g_i / noise) s.t.
-    sum p_i = P, p_i >= 0. ``budgets`` is a scalar or an array; the result
-    holds the non-negative powers of each budget, of shape
-    budgets.shape + gains.shape. Channels with zero gain get zero power;
-    all-zero gains are an error.
+    sum p_i = P, p_i >= 0. ``gains`` has shape (..., n): the last axis holds
+    the n channels of one link, and any leading axes (the trials of a block)
+    are independent links. ``budgets`` is a scalar or an array; the result
+    holds the non-negative powers of each link and budget, of shape
+    gains.shape[:-1] + budgets.shape + (n,). Channels with zero gain get
+    zero power; a link whose gains are all zero is an error. Each link's
+    powers are bit for bit those of a call with that link alone.
 
     Finite-step solution: with the floors noise/g_i sorted and shifted by
     the lowest, d_1 = 0 <= d_2 <= ..., the k best channels are active
     exactly when P > T_k = sum_{j<=k} (d_k - d_j). The level above the
     lowest floor is then (P + sum_{j<=k} d_j) / k and p_i = level - d_i, so
-    a budget far below the floors is never lost to cancellation.
+    a budget far below the floors is never lost to cancellation. A zero
+    gain has an infinite floor: it sorts last, and its threshold is never
+    below a budget.
     """
     g = np.asarray(gains, dtype=float)
     b = np.asarray(budgets, dtype=float)
-    if g.ndim != 1 or g.size == 0 or not np.all(np.isfinite(g)) or np.any(g < 0):
-        raise InvalidInputError("gains must be a 1-D array of finite non-negative reals")
+    if g.ndim == 0 or g.size == 0 or not np.all(np.isfinite(g)) or np.any(g < 0):
+        raise InvalidInputError("gains must be a (..., n) array of finite non-negative reals")
     if not np.all(b > 0) or noise <= 0:
         raise InvalidInputError("budgets and noise must be positive")
-    positive = np.flatnonzero(g > 0)
-    if positive.size == 0:
+    if not np.all((g > 0).any(axis=-1)):
         raise DegenerateInputError("water_fill: all channel gains are zero")
 
-    floors = noise / g[positive]
-    order = np.argsort(floors, kind="stable")
-    d = floors[order] - floors[order[0]]
-    # T_{k+1} - T_k = k (d_{k+1} - d_k) >= 0, so the thresholds are sorted.
-    steps = np.arange(1, d.size) * np.diff(d)
-    thresholds = np.concatenate(([0.0], np.cumsum(steps)))
-    active = np.searchsorted(thresholds, b)  # >= 1, as every budget exceeds T_1 = 0
-    level = (b + np.cumsum(d)[active - 1]) / active
-    ranked = np.where(np.arange(d.size) < active[..., None], level[..., None] - d, 0.0)
-    powers = np.zeros(b.shape + g.shape)
-    powers[..., positive[order]] = np.maximum(ranked, 0.0)
+    with np.errstate(divide="ignore"):
+        floors = noise / g
+    ranked = np.sort(floors, axis=-1)
+    lowest = ranked[..., :1]
+    d = ranked - lowest
+    # T_{k+1} - T_k = k (d_{k+1} - d_k) >= 0, so the thresholds are sorted;
+    # past the last positive gain they are inf, or nan where two infinite
+    # floors meet, and neither is below a budget.
+    with np.errstate(invalid="ignore"):
+        steps = np.arange(1, g.shape[-1]) * np.diff(d, axis=-1)
+    thresholds = np.concatenate((np.zeros_like(lowest), np.cumsum(steps, axis=-1)), axis=-1)
+    # Each link's values against its budgets: (links..., budgets..., n).
+    per_budget = g.shape[:-1] + (1,) * b.ndim + g.shape[-1:]
+    # The count searchsorted gives; >= 1, as every budget exceeds T_1 = 0.
+    active = np.count_nonzero(thresholds.reshape(per_budget) < b[..., None], axis=-1)
+    last = active[..., None] - 1
+    filled = np.take_along_axis(np.cumsum(d, axis=-1).reshape(per_budget), last, -1)
+    level = (b + filled[..., 0]) / active
+    # Equal floors have equal thresholds, so they are active together: the
+    # active channels are those whose floor is at most the k-th lowest.
+    top = np.take_along_axis(d.reshape(per_budget), last, -1)
+    above = (floors - lowest).reshape(per_budget)
+    powers = level[..., None] - above
+    np.maximum(powers, 0.0, out=powers)
+    powers *= above <= top  # exactly 0 when inactive, a zero gain's -inf included
     return powers
 
 
 def waterfill_capacity(gains, budgets, noise: float) -> np.ndarray:
     """Spectral efficiency (bps/Hz) of water-filling over parallel channels,
-    one value per budget. ``gains`` may have any shape; all of them share
-    the budget."""
-    g = np.asarray(gains, dtype=float).ravel()
-    if not (g > 0).any():
-        return np.zeros(np.shape(budgets))
-    powers = water_fill(g, budgets, noise)
-    return (np.log1p(powers * g / noise) / np.log(2.0)).sum(axis=-1)
+    of shape gains.shape[:-1] + budgets.shape: the n channels on the last
+    axis of ``gains`` share each budget, and a link whose gains are all
+    zero has rate 0."""
+    g = np.asarray(gains, dtype=float)
+    silent = np.all(g == 0, axis=-1, keepdims=True)
+    powers = water_fill(np.where(silent, 1.0, g), budgets, noise)
+    g = g.reshape(g.shape[:-1] + (1,) * np.ndim(budgets) + g.shape[-1:])
+    # log2(1 + p g / noise) in place: a block's (T, B, n) temporaries pass
+    # the allocator's mmap threshold.
+    rates = np.multiply(powers, g, out=powers)
+    rates /= noise
+    np.log1p(rates, out=rates)
+    rates /= np.log(2.0)
+    return rates.sum(axis=-1)
 
 
 def hermitian_solve(c, b) -> np.ndarray:
@@ -109,9 +134,13 @@ def hermitian_solve(c, b) -> np.ndarray:
         raise InvalidInputError("hermitian_solve expects C of (..., m, m) and B of (..., m, k)")
     if not (np.all(np.isfinite(cm)) and np.all(np.isfinite(bm))):
         raise InvalidInputError("hermitian_solve input contains non-finite entries")
-    scale = np.linalg.norm(cm, axis=(-2, -1))
-    skew = np.linalg.norm(cm - cm.conj().swapaxes(-2, -1), axis=(-2, -1))
-    if np.any(skew > 1e-12 * np.maximum(scale, 1e-300)):
+    # Frobenius norms of each matrix scaled by its largest entry, so that
+    # squaring entries beyond 1e154 cannot overflow.
+    peak = np.abs(cm).max(axis=(-2, -1), keepdims=True)
+    unit = cm / np.where(peak > 0, peak, 1.0)
+    scale = np.linalg.norm(unit, axis=(-2, -1))
+    skew = np.linalg.norm(unit - unit.conj().swapaxes(-2, -1), axis=(-2, -1))
+    if np.any(skew > 1e-12 * scale):
         raise InvalidInputError("C is not Hermitian to within 1e-12")
     try:
         np.linalg.cholesky(cm)  # positive definiteness check

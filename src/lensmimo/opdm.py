@@ -15,7 +15,7 @@ _IDEAL_TOL = 1e-9
 
 def opdm_decompose(paths: PathSet, tx: LensArrayConfig, rx: LensArrayConfig) -> np.ndarray:
     """Power gains |alpha_l|^2 A_R A_T of the L parallel SISO sub-channels
-    of an ideal-angle channel.
+    of an ideal-angle channel: (L,), or (T, L) for a block of realizations.
 
     Path delays are perfectly compensated at the receiver, so the same
     gains hold for narrow-band and wide-band operation. Requires every

@@ -1,8 +1,9 @@
 """AoA/AoD-based antenna selection: per-path supporting antenna subsets as
-boolean masks over array positions, which link sides are angle-separated,
-and a realization's path responses restricted to the union of the subsets
-(the view every PDM transceiver works on). Path grouping reads the masks
-and the separation flags."""
+boolean masks over array positions, and which link sides are
+angle-separated. Both depend only on the path angles. The unions of the
+masks, passed to ``PathResponses.restrict``, give the view every PDM
+transceiver works on; path grouping reads the masks and the separation
+flags."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -10,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrays import LensArrayConfig
-from .channel import PathResponses, PathSet
+from .channel import PathSet
 from .errors import InvalidInputError
 
 
@@ -63,10 +64,3 @@ def support_sets(
         rx=rx_mask, tx=tx_mask, rx_separated=rx_separated, tx_separated=tx_separated
     )
 
-
-def restrict_to_support(responses: PathResponses, sets: SupportSets) -> PathResponses:
-    """A realization's lens responses seen by the selected antennas only:
-    rows over the receive union M_S and the transmit union Q_S."""
-    return responses.restrict(
-        np.flatnonzero(sets.rx.any(axis=0)), np.flatnonzero(sets.tx.any(axis=0))
-    )

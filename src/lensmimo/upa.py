@@ -9,11 +9,12 @@ numerical ranks of the receive and transmit responses). The OFDM capacity
 takes them per subcarrier as the eigenvalues of the r x r Grams of
 ``PathResponses.grams`` (r = min(r_R, r_T)), with one Hermitian eigensolve
 of the whole stack; a rank-1 link, or a subcarrier whose Gram is too
-ill-conditioned (GRAM_TOL), takes its cores instead. The antenna
-selection ranks the channel energy of one receive antenna per azimuth
-index, an n_y x Q tap per distinct path delay formed from the path terms;
-the link it selects at the fig9/fig10 budgets has rank 1, so its
-subcarrier cores are 1 x 1.
+ill-conditioned (GRAM_TOL), takes its cores instead. Both capacities take
+a block of realizations on one geometry at once. The antenna selection,
+one realization at a time, ranks the channel energy of one receive antenna
+per azimuth index, an n_y x Q tap per distinct path delay formed from the
+path terms; the link it selects at the fig9/fig10 budgets has rank 1, so
+its subcarrier cores are 1 x 1.
 """
 from __future__ import annotations
 
@@ -54,52 +55,61 @@ class OfdmConfig:
 def eigenmode_capacity(responses: PathResponses, budgets, noise: float) -> np.ndarray:
     """SVD eigenmode transmission with water-filling over the narrowband
     channel H = sum_l alpha_l a_R,l a_T,l^H (delays ignored): sum of
-    log2(1 + p_i s_i^2 / sigma^2), for each budget."""
+    log2(1 + p_i s_i^2 / sigma^2), for each budget (and each realization of
+    a block)."""
     return waterfill_capacity(eigen_gains(responses.cores()), budgets, noise)
 
 
 def ofdm_capacity(
     responses: PathResponses, budgets, noise: float, ofdm: OfdmConfig
 ) -> np.ndarray:
-    """MIMO-OFDM spectral efficiency, for each per-subcarrier budget.
+    """MIMO-OFDM spectral efficiency, for each per-subcarrier budget (and
+    each realization of a block).
 
     A global power budget N*P is water-filled over the eigen-gains of all
     N subcarrier channels H_k = sum_l alpha_l e^{-j 2 pi k n_l / N}
     a_R,l a_T,l^H, and the sum rate is discounted by the CP overhead factor
-    N/(N+cp). A path delay of N samples or more is refused.
+    N/(N+cp). A path delay of N samples or more is refused. With (T, L)
+    gains and delays the T realizations share the factors of the response
+    rows, and their T * N subcarrier Grams take one eigensolve.
     """
     n = ofdm.subcarriers
     if np.any(responses.delays >= n):
         raise UnsupportedConfigurationError(
             "channel tap delay reaches or exceeds the OFDM symbol length"
         )
-    phases = np.exp(-2j * np.pi * np.outer(np.arange(n), responses.delays) / n)
+    # phases[..., k, l] = e^{-j 2 pi k n_l / N}, with k n_l formed first.
+    delays = responses.delays[..., None, :]
+    phases = np.exp(-2j * np.pi * (np.arange(n)[:, None] * delays) / n)
+    coeffs = responses.gains[..., None, :] * phases
     if min(responses.ranks) == 1:
         # One singular value per subcarrier: eigen_gains takes the norm.
-        gains = eigen_gains(responses.cores(phases))
+        gains = eigen_gains(responses.cores(coeffs))
     else:
-        gains = _gram_eigen_gains(responses, phases)
-    rate = waterfill_capacity(gains, n * np.asarray(budgets, dtype=float), noise)
+        gains = _gram_eigen_gains(responses, coeffs)
+    rate = waterfill_capacity(
+        gains.reshape(gains.shape[:-2] + (-1,)), n * np.asarray(budgets, dtype=float), noise
+    )
     return (n / (n + ofdm.cp_samples)) * rate / n
 
 
-def _gram_eigen_gains(responses: PathResponses, phases: np.ndarray) -> np.ndarray:
-    """eigen_gains of ``responses.cores(phases)``, from the eigenvalues of
-    ``responses.grams(phases)``: (K, r) non-increasing, clipped at 0.
+def _gram_eigen_gains(responses: PathResponses, coeffs: np.ndarray) -> np.ndarray:
+    """eigen_gains of ``responses.cores(coeffs)``, from the eigenvalues of
+    ``responses.grams(coeffs)``: (..., r) non-increasing, clipped at 0.
 
     A Gram squares its core's condition number, so a subcarrier whose
     smallest eigenvalue is below GRAM_TOL times its largest takes the SVD of
     its core instead, under the RANK_TOL rule of ``eigen_gains``. Above that
     threshold every singular value is far above RANK_TOL of the largest.
     """
-    grams = responses.grams(phases)
+    grams = responses.grams(coeffs)
     if not np.all(np.isfinite(grams)):
         raise InvalidInputError("eigen_gains input contains non-finite entries")
-    gains = np.linalg.eigvalsh(grams)[:, ::-1]
-    ill = gains[:, -1] < GRAM_TOL * gains[:, 0]
+    gains = np.linalg.eigvalsh(grams)[..., ::-1]
+    ill = gains[..., -1] < GRAM_TOL * gains[..., 0]
     gains = np.maximum(gains, 0.0)
     if ill.any():
-        gains[ill] = eigen_gains(responses.cores(phases[ill]))
+        gains[ill] = eigen_gains(responses.cores(coeffs[ill]))
     return gains
 
 

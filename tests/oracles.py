@@ -2,7 +2,7 @@
 
 Dense forms of the factored channel (the tapped delay line and the
 narrowband matrix, as sums of per-path outer products), the paper's
-antenna indices m of a support mask row, the inter-path contamination
+antenna indices m of a support mask row, the PDM support view, the inter-path contamination
 coefficients of the PDM support view, and a symbol-level Monte Carlo
 measurement of the PDM SINR decomposition. None of them feeds a sweep, so
 they live here and not in the package.
@@ -24,6 +24,12 @@ class StatisticalValidityError(InvalidInputError):
 def antenna_indices(config, row):
     """The antenna indices m of a boolean mask row over array positions."""
     return tuple(config.element_indices[row].tolist())
+
+
+def support_view(responses, sets):
+    """The responses over the unions M_S x Q_S of the support masks: the view
+    the PDM transceivers work on, as a sweep builds it once per block."""
+    return responses.restrict(sets.rx.any(axis=0), sets.tx.any(axis=0))
 
 
 def dense_taps(responses):

@@ -14,8 +14,8 @@ import pytest
 
 import lensmimo as lm
 from lens_oracle import LensOracleConfig, lens_response_oracle
-from oracles import antenna_indices, ipc_coefficients, simulate_symbols
-from lensmimo.experiments import _run_trial, preset, rows_to_csv, run_experiment, sweep
+from oracles import antenna_indices, ipc_coefficients, simulate_symbols, support_view
+from lensmimo.experiments import _BLOCK, _run_block, preset, rows_to_csv, run_experiment, sweep
 
 
 def report(num, text, ok):
@@ -91,7 +91,7 @@ def test_04_wideband_ideal_gap_is_cp_overhead():
 def _pdm_gammas(cfg, paths, kind, snr_db, noise, tx, rx):
     sets = lm.support_sets(paths, tx, rx, 1)
     responses = lm.path_responses(paths, tx, rx, cfg.stats.bandwidth_hz)
-    support = lm.restrict_to_support(responses, sets)
+    support = support_view(responses, sets)
     gains = np.abs(paths.gains) ** 2 * rx.aperture * tx.aperture
     powers = lm.water_fill(gains, cfg.stats.tx_power(snr_db), noise)
     if kind == "MMSE":
@@ -190,8 +190,9 @@ def test_08_random_angle_scenarios_scheme_ordering():
     for name in ("fig9", "fig10"):
         cfg = preset(name, trials=500)
         per_scheme = {s: [] for s in cfg.schemes}
-        for t in range(cfg.trials):
-            result = _run_trial(cfg, t)
+        for start in range(0, cfg.trials, _BLOCK):
+            # Rows of a block's (trials, SNR) rates are its trials' rates.
+            result = _run_block(cfg, range(start, min(start + _BLOCK, cfg.trials)))
             for s in cfg.schemes:
                 per_scheme[s].append(result[s][0])
             mrc, mmse, grp = (
@@ -277,7 +278,7 @@ def test_11_interpath_coupling_small_when_separated():
                     aod_spatial_freqs=np.array([base, f2]),
                 )
                 sets = lm.support_sets(paths, cfg, cfg, 1)
-                support = lm.restrict_to_support(lm.path_responses(paths, cfg, cfg, 500e6), sets)
+                support = support_view(lm.path_responses(paths, cfg, cfg, 500e6), sets)
                 rho = ipc_coefficients(support, cfg, cfg).rho_t[0, 1]
                 worst = max(worst, float(rho))
         worst_by_dim[dim] = worst
@@ -288,7 +289,7 @@ def test_11_interpath_coupling_small_when_separated():
             aod_spatial_freqs=np.array([0.0, 0.25]),
         )
         sets = lm.support_sets(paths, cfg, cfg, 1)
-        support = lm.restrict_to_support(lm.path_responses(paths, cfg, cfg, 500e6), sets)
+        support = support_view(lm.path_responses(paths, cfg, cfg, 500e6), sets)
         fixed_gap_rho[dim] = float(ipc_coefficients(support, cfg, cfg).rho_t[0, 1])
     small = all(v < 0.05 for v in worst_by_dim.values())
     shrinks = fixed_gap_rho[20.0] < fixed_gap_rho[10.0]
@@ -302,11 +303,14 @@ def test_11_interpath_coupling_small_when_separated():
 
 
 def test_12_sweep_csv_determinism_across_workers(tmp_path):
-    cfg = preset("fig9", trials=8, seed=77)
-    blobs = []
-    for w in (1, 2, 8):
-        out = tmp_path / f"w{w}.csv"
-        sweep(cfg, str(out), workers=w)
-        blobs.append(out.read_bytes())
-    ok = blobs[0] == blobs[1] == blobs[2]
-    report(12, f"sweep CSV byte-identical under 1/2/8 workers: {ok}", ok)
+    # 8 trials run as one block at 1 worker, 4 blocks at 2 and 8 at 8.
+    ok = True
+    for name in ("fig9", "fig6"):
+        cfg = preset(name, trials=8, seed=77)
+        blobs = []
+        for w in (1, 2, 8):
+            out = tmp_path / f"{name}-w{w}.csv"
+            sweep(cfg, str(out), workers=w)
+            blobs.append(out.read_bytes())
+        ok = ok and blobs[0] == blobs[1] == blobs[2]
+    report(12, f"fig9 and fig6 sweep CSVs byte-identical under 1/2/8 workers: {ok}", ok)

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lensmimo import channel, experiments
 from lensmimo.channel import ChannelStats
 from lensmimo.errors import ConfigError, InvalidInputError
 from lensmimo.experiments import (
@@ -146,6 +147,53 @@ class TestRunExperiment:
         rows = run_experiment(preset("fig5", trials=4), workers=1)
         for r in rows:
             assert r.stderr >= 0 and np.isfinite(r.se_bpshz)
+
+
+class TestBlocks:
+    @pytest.mark.parametrize(
+        "name, overrides",
+        [("fig5", {}), ("fig6", {}), ("fig9", {}), ("fig10", {}), ("fig9", {"delta": 5})],
+        ids=["fig5", "fig6", "fig9", "fig10", "fig9-delta5"],
+    )
+    def test_csv_independent_of_block_size(self, monkeypatch, name, overrides):
+        cfg = preset(name, trials=16, seed=3, **overrides)
+        texts = []
+        for size in (1, 7, cfg.trials):
+            monkeypatch.setattr(experiments, "_BLOCK", size)
+            texts.append(rows_to_csv(run_experiment(cfg, workers=1)))
+        assert texts[0] == texts[1] == texts[2]
+        if overrides:  # no side separated at delta 5: every trial falls back
+            assert "grouping-fallback:16" in texts[0]
+
+    def test_geometry_built_once_per_block(self, monkeypatch):
+        # A sweep of three blocks makes three support_sets calls and three
+        # times the rank-revealing factors of a one-trial sweep: on fig9's
+        # lens schemes a pair for each of its three single-path groups, on
+        # fig6's UPA-OFDM the pair of the UPA responses.
+        counts = {}
+
+        def spy(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        spy(experiments, "support_sets")
+        spy(channel, "_factor")
+
+        def count(name, trials, schemes):
+            counts.update(support_sets=0, _factor=0)
+            run_experiment(preset(name, trials=trials, schemes=schemes), workers=1)
+            return dict(counts)
+
+        lens = ("PDM-MRC", "PDM-MMSE", "PDM-grouping")
+        three = 3 * experiments._BLOCK
+        assert count("fig9", 1, lens) == {"support_sets": 1, "_factor": 6}
+        assert count("fig9", three, lens) == {"support_sets": 3, "_factor": 18}
+        assert count("fig6", three, ("UPA-OFDM",)) == {"support_sets": 0, "_factor": 6}
 
 
 class TestSweep:

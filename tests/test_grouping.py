@@ -11,8 +11,8 @@ from lensmimo.errors import UnsupportedConfigurationError
 from lensmimo.grouping import _components, group_channels, grouped_capacity
 from lensmimo.numerics import eigen_gains, water_fill, waterfill_capacity
 from lensmimo.pdm import mmse_combiners, pdm_sinr
-from lensmimo.selection import SupportSets, restrict_to_support, support_sets
-from oracles import antenna_indices, dense_channel
+from lensmimo.selection import SupportSets, support_sets
+from oracles import antenna_indices, dense_channel, support_view
 
 TX = LensArrayConfig(10.0, 10.0)
 RX = LensArrayConfig(10.0, 10.0)
@@ -157,10 +157,11 @@ def sparse_masks(draw, num_paths=None):
 
 class _RecordingResponses:
     """Stands in for PathResponses: each group's ``cores()`` returns the
-    positions and paths ``group_channels`` restricted it to."""
+    positions (``group_channels`` passes them as boolean masks) and paths it
+    was restricted to."""
 
     def restrict(self, rx_pos, tx_pos, paths):
-        picked = (np.asarray(rx_pos).tolist(), np.asarray(tx_pos).tolist(), list(paths))
+        picked = (np.flatnonzero(rx_pos).tolist(), np.flatnonzero(tx_pos).tolist(), list(paths))
         return SimpleNamespace(cores=lambda: picked)
 
 
@@ -209,7 +210,7 @@ class TestGroupedCapacity:
         # eigenmode capacity of the full reduced channel.
         sets = support_sets(REFERENCE, TX, RX, 1)
         responses = path_responses(REFERENCE, TX, RX, 500e6)
-        mats = [dense_channel(restrict_to_support(responses, sets))]
+        mats = [dense_channel(support_view(responses, sets))]
         direct = waterfill_capacity(eigen_gains(mats[0]), 2.0, 1e-10)
         grouped = grouped_capacity(mats, 2.0, 1e-10)
         assert grouped == pytest.approx(direct, rel=1e-12)
@@ -219,7 +220,7 @@ class TestGroupedCapacity:
         sets = support_sets(REFERENCE, TX, RX, 1)
         responses = path_responses(REFERENCE, TX, RX, 500e6)
         mats = group_channels(responses, sets)
-        support = restrict_to_support(responses, sets)
+        support = support_view(responses, sets)
         rx_resp, tx_resp = support.rx, support.tx
         h_full = sum(
             REFERENCE.gains[l] * np.outer(rx_resp[l], tx_resp[l].conj()) for l in range(3)
@@ -253,7 +254,7 @@ class TestGroupedCapacity:
             except UnsupportedConfigurationError:
                 continue
             checked += 1
-            support = restrict_to_support(responses, sets)
+            support = support_view(responses, sets)
             grouped = grouped_capacity(mats, budget, noise)
             powers = water_fill(np.abs(paths.gains) ** 2 * rx.aperture * tx.aperture, budget, noise)
             comb = mmse_combiners(support, powers, noise)

@@ -100,6 +100,29 @@ class TestWaterFill:
         assert np.allclose(powers.sum(axis=-1), [[0.1, 1.0], [10.0, 100.0]], rtol=1e-12)
         assert np.all(powers[..., 1] == 0.0)
 
+    def test_stack_rows_are_independent_links(self):
+        # A zero gain, equal floors, and a budget below the first threshold
+        # step (only the best channel active), each in its own row.
+        g = np.array([[0.0, 2.0, 0.0], [1.0, 1.0, 1.0], [4.0, 1.0, 0.0]])
+        budgets = np.array([0.1, 3.0, 100.0])
+        powers = water_fill(g, budgets, 1.0)
+        rates = waterfill_capacity(g, budgets, 1.0)
+        assert powers.shape == (3, 3, 3) and rates.shape == (3, 3)
+        for t in range(3):
+            assert np.array_equal(powers[t], water_fill(g[t], budgets, 1.0))
+            assert np.array_equal(rates[t], waterfill_capacity(g[t], budgets, 1.0))
+        assert np.array_equal(powers[2, 0], [0.1, 0.0, 0.0])
+
+    def test_stack_refusals(self):
+        with pytest.raises(DegenerateInputError):
+            water_fill([[1.0, 2.0], [0.0, 0.0]], 1.0, 1.0)
+        silent = waterfill_capacity([[0.0, 0.0], [0.0, 0.0]], [1.0, 2.0], 1.0)
+        assert np.array_equal(silent, np.zeros((2, 2)))
+        for bad in (-1.0, np.nan, np.inf):
+            with pytest.raises(InvalidInputError):
+                water_fill([[1.0, 2.0], [bad, 1.0]], 1.0, 1.0)
+            with pytest.raises(InvalidInputError):
+                waterfill_capacity([[1.0, 2.0], [bad, 0.0]], 1.0, 1.0)
 
     def test_capacity_of_a_tiny_snr_keeps_its_digits(self):
         # log2(1 + 1e-13) loses about 8e-4 of its value to the rounding of 1 + x.
@@ -161,8 +184,9 @@ class TestEigenGains:
 
     def test_ofdm_sweep_calls_no_svd_on_a_subcarrier_stack(self, monkeypatch):
         # fig6's UPA-OFDM link has side ranks 3 and 3, so its subcarrier
-        # eigen-gains come from one Hermitian eigensolve of the (512, 3, 3)
-        # Gram stack. The only SVDs left are the two per-side factors.
+        # eigen-gains come from one Hermitian eigensolve of the block's
+        # (trials, 512, 3, 3) Gram stack. The only SVDs left are the two
+        # per-side factors.
         calls = {"svd": [], "eigvalsh": []}
 
         def recording(name):
@@ -178,7 +202,7 @@ class TestEigenGains:
             monkeypatch.setattr(np.linalg, name, recording(name))
         run_experiment(preset("fig6", trials=1, schemes=("UPA-OFDM",)), workers=1)
         assert len(calls["svd"]) == 2 and all(len(s) == 2 for s in calls["svd"]), calls
-        assert calls["eigvalsh"] == [(512, 3, 3)], calls
+        assert calls["eigvalsh"] == [(1, 512, 3, 3)], calls
 
     def test_zero_matrix(self):
         assert np.array_equal(eigen_gains(np.zeros((3, 2))), [0.0, 0.0])
@@ -228,6 +252,23 @@ class TestHermitianSolve:
         x = hermitian_solve(c, b)
         for j in range(4):
             assert np.array_equal(x[..., j : j + 1], hermitian_solve(c, b[..., j : j + 1]))
+
+    def test_huge_entries_checked_without_overflow(self):
+        # Squaring entries near 1e190 overflows a Frobenius norm; the check
+        # scales each matrix by its largest entry first, so it solves a
+        # Hermitian matrix without a warning and still refuses a
+        # non-Hermitian one.
+        c = 1e190 * np.array([[2.0, 1.0], [1.0, 2.0]], dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = hermitian_solve(c, np.ones((2, 1)))
+        assert np.allclose(c @ x, 1.0)
+        with pytest.raises(InvalidInputError):
+            hermitian_solve(1e190 * np.array([[2.0, 1.0], [0.0, 2.0]]), np.ones((2, 1)))
+        # The same skew relative to the same scale as before the scaling.
+        with pytest.raises(InvalidInputError):
+            hermitian_solve(np.array([[1.0, 1e-11], [0.0, 1.0]]), np.ones((2, 1)))
+        hermitian_solve(np.array([[1.0, 1e-13], [0.0, 1.0]]), np.ones((2, 1)))
 
     def test_one_singular_matrix_fails_the_stack(self):
         c = np.stack([np.eye(3), np.eye(3), np.diag([1.0, 1.0, 0.0])]).astype(complex)

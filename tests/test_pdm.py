@@ -1,15 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from lensmimo import pdm
 from lensmimo.arrays import LensArrayConfig
 from lensmimo.channel import ChannelStats, PathResponses, PathSet, path_responses, sample_paths
-from lensmimo.errors import InvalidInputError
+from lensmimo.errors import InvalidInputError, NumericalError
 from lensmimo.experiments import preset, run_experiment
 from lensmimo.numerics import water_fill
 from lensmimo.pdm import mmse_combiners, mrc_combiners, mrt_precoders, pdm_sinr
-from lensmimo.selection import restrict_to_support, support_sets
-from oracles import StatisticalValidityError, ipc_coefficients, simulate_symbols
+from lensmimo.selection import support_sets
+from oracles import StatisticalValidityError, ipc_coefficients, simulate_symbols, support_view
 
 TX = LensArrayConfig(100.0, 20.0)
 RX = LensArrayConfig(50.0, 10.0)
@@ -31,7 +33,7 @@ def make_paths(aoa, aod, gains=None, delays=None):
 
 def support_of(paths, sets=None):
     sets = support_sets(paths, TX, RX, 1) if sets is None else sets
-    return restrict_to_support(path_responses(paths, TX, RX, 500e6), sets)
+    return support_view(path_responses(paths, TX, RX, 500e6), sets)
 
 
 def link(paths, powers, noise, kind="MRC"):
@@ -60,6 +62,33 @@ class TestBeamformers:
         support = support_of(sample_paths(STATS, 3, np.random.default_rng(1)))
         comb = mmse_combiners(support, np.ones(3), 1e-9)
         assert np.allclose(np.linalg.norm(comb, axis=1), 1.0)
+
+    def test_underflowing_combiner_direction_is_refused(self):
+        # Stream powers of 1e200 put the path-space covariance near 1e190,
+        # so the solved directions underflow to zero norm: refused rather
+        # than divided into nan combiners.
+        support = support_of(sample_paths(STATS, 3, np.random.default_rng(1)))
+        with pytest.raises(NumericalError, match="zero or non-finite norm"):
+            mmse_combiners(support, np.full(3, 1e200), STATS.noise_power)
+
+    def test_block_of_realizations_equals_one_call_each(self):
+        # (T, L) gains with (T, B, L) powers: every realization's combiners
+        # and SINRs are bit for bit those of its own call.
+        draws = [sample_paths(STATS, 3, np.random.default_rng([4, t])) for t in range(5)]
+        paths = replace(draws[0], gains=np.stack([p.gains for p in draws]))
+        block = support_of(paths)
+        budgets = np.array([STATS.tx_power(s) for s in (-10.0, 10.0, 30.0)])
+        noise = STATS.noise_power
+        powers = water_fill(np.abs(block.gains) ** 2 * RX.aperture * TX.aperture, budgets, noise)
+        mrc, mmse = mrc_combiners(block), mmse_combiners(block, powers, noise)
+        mrc_rates = pdm_sinr(block, mrc, powers, noise).sum_rate
+        mmse_rates = pdm_sinr(block, mmse, powers, noise).sum_rate
+        assert mmse.shape == (5, 3, 3, block.rx.shape[1]) and mmse_rates.shape == (5, 3)
+        for t in range(5):
+            one = replace(block, gains=block.gains[t])
+            assert np.array_equal(mmse[t], mmse_combiners(one, powers[t], noise))
+            assert np.array_equal(mrc_rates[t], pdm_sinr(one, mrc, powers[t], noise).sum_rate)
+            assert np.array_equal(mmse_rates[t], pdm_sinr(one, mmse[t], powers[t], noise).sum_rate)
 
     def test_mmse_matches_per_stream_loop(self):
         # Reference: the interference weights of detector l summed term by
@@ -118,9 +147,10 @@ class TestBeamformers:
                 assert np.allclose(comb[budget], reference, rtol=0.0, atol=1e-9)
 
     def test_fig9_trial_makes_one_solve(self, monkeypatch):
-        # One covariance per budget: a fig9 trial's PDM-MMSE combiners come
-        # from a single call on the (9, r, r) stack of its default grid, with
-        # the L = 3 streams as the columns of the right-hand sides.
+        # One covariance per trial and budget: a fig9 trial's PDM-MMSE
+        # combiners come from a single call on the (1, 9, r, r) stack of its
+        # block (one trial) and default grid, with the L = 3 streams as the
+        # columns of the right-hand sides.
         calls = []
         original = pdm.hermitian_solve
 
@@ -134,7 +164,7 @@ class TestBeamformers:
         (c_shape, b_shape), = calls
         r = c_shape[-1]
         assert 1 <= r <= 3
-        assert c_shape == (9, r, r) and b_shape == (9, r, 3), calls
+        assert c_shape == (1, 9, r, r) and b_shape == (1, 9, r, 3), calls
 
 
 class TestAnalyticSinr:

@@ -10,28 +10,32 @@ subsets and then forming the dense tapped oracle equals indexing the dense
 oracle. The support-set properties check the vectorised subset masks
 and separation flags against the per-path definition, and that a side
 flagged separated has pairwise-disjoint subsets, also for angles chained at
-the separation gap. The water-filling properties
-check the KKT conditions, monotonicity in the power budget and that one
-call over a budget grid equals one call per budget, over budgets far wider
-than the sweeps produce. The combiner properties check that the path-space
-MMSE combiners equal a dense M_S x M_S solve, that MMSE never loses to MRC
-on any stream (up to 160 dB), and that one MMSE combiner and SINR call over
-a grid of water-filled stream powers equals one call per budget.
+the separation gap. The water-filling properties check the KKT
+conditions, monotonicity in the power budget, that one call over a budget
+grid equals one call per budget, and that one call over a stack of links
+(zero gains, equal floors, all-zero rows) equals one call per link, bit
+for bit, over budgets far wider than the sweeps produce. The combiner
+properties check that the path-space MMSE combiners equal a dense
+M_S x M_S solve, that MMSE never loses to MRC on any stream (up to
+160 dB), and that one MMSE combiner and SINR call over a grid of
+water-filled stream powers equals one call per budget.
 """
 import itertools
 import math
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lensmimo.arrays import LensArrayConfig, UpaConfig
 from lensmimo.channel import ChannelStats, PathSet, path_responses, sample_paths
+from lensmimo.errors import DegenerateInputError
 from lensmimo.numerics import RANK_TOL, water_fill, waterfill_capacity
 from lensmimo.pdm import mmse_combiners, mrc_combiners, mrt_precoders, pdm_sinr
-from lensmimo.selection import restrict_to_support, support_sets
-from oracles import antenna_indices, dense_taps
+from lensmimo.selection import support_sets
+from oracles import antenna_indices, dense_taps, support_view
 
 RATE = 500e6
 EXAMPLES = settings(max_examples=60, deadline=None)
@@ -114,11 +118,12 @@ class TestPathResponses:
         # Per-path coefficients of the narrowband channel and of a few
         # subcarriers of a 64-point OFDM symbol.
         phases = np.exp(-2j * np.pi * np.outer(np.arange(4), responses.delays) / 64)
+        coeffs = paths.gains * phases
         ranks = (numerical_rank(responses.rx), numerical_rank(responses.tx))
         assert responses.cores().shape == ranks
-        assert responses.cores(phases).shape == (4, *ranks)
+        assert responses.cores(coeffs).shape == (4, *ranks)
         cases = [(responses.cores(), paths.gains)]
-        cases += zip(responses.cores(phases), paths.gains * phases)
+        cases += zip(responses.cores(coeffs), coeffs)
         scale = np.sum(
             np.abs(paths.gains)
             * np.linalg.norm(responses.rx, axis=1)
@@ -243,6 +248,17 @@ noises = st.floats(1e-2, 1e2)
 best_snrs_db = st.floats(-200.0, 200.0)
 
 
+@st.composite
+def gain_stacks(draw):
+    """(T, n) gains, one link per row: rows mix zero gains, gains drawn from
+    a small pool (equal floors) and free ones, and may be all zero."""
+    pool = draw(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=3))
+    value = st.sampled_from(pool) | st.floats(1e-3, 1e3) | st.just(0.0)
+    t, n = draw(st.integers(1, 5)), draw(st.integers(1, 8))
+    row = st.lists(value, min_size=n, max_size=n)
+    return np.array(draw(st.lists(row, min_size=t, max_size=t)))
+
+
 class TestWaterFillProperties:
     @EXAMPLES
     @given(gains=gain_lists, noise=noises, best_snr_db=best_snrs_db)
@@ -288,6 +304,30 @@ class TestWaterFillProperties:
             assert np.array_equal(grid[i], single)
             assert rates[i] == waterfill_capacity(g, budget, noise)
 
+    @EXAMPLES
+    @given(
+        gains=gain_stacks(),
+        noise=noises,
+        best_snrs=st.lists(best_snrs_db, min_size=1, max_size=6),
+    )
+    def test_stack_rows_equal_one_call_per_row(self, gains, noise, best_snrs):
+        # Budgets as SNRs of the stack's strongest gain: down to -200 dB, far
+        # below the first threshold step of every row.
+        budgets = 10.0 ** (np.array(best_snrs) / 10.0) * noise / max(gains.max(), 1e-3)
+        rates = waterfill_capacity(gains, budgets, noise)
+        assert rates.shape == (len(gains), len(budgets))
+        live = (gains > 0).any(axis=-1)
+        for t, row in enumerate(gains):
+            assert np.array_equal(rates[t], waterfill_capacity(row, budgets, noise))
+        if not live.all():
+            with pytest.raises(DegenerateInputError):
+                water_fill(gains, budgets, noise)
+            gains = gains[live]
+        if len(gains):
+            powers = water_fill(gains, budgets, noise)
+            for t, row in enumerate(gains):
+                assert np.array_equal(powers[t], water_fill(row, budgets, noise))
+
 
 # The fig9/fig10 lens pair, with both AoA spreads of those presets.
 PDM_TX = LensArrayConfig(100.0, 20.0)
@@ -302,7 +342,7 @@ def pdm_link(spread, seed):
     )
     paths = sample_paths(stats, 3, np.random.default_rng(seed))
     sets = support_sets(paths, PDM_TX, PDM_RX, 1)
-    return stats, restrict_to_support(path_responses(paths, PDM_TX, PDM_RX, RATE), sets)
+    return stats, support_view(path_responses(paths, PDM_TX, PDM_RX, RATE), sets)
 
 
 def dense_mmse_combiners(support, powers, noise):
