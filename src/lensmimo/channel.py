@@ -134,6 +134,10 @@ class PathResponses:
     and delays are of one realization, (L,), or of a block of realizations
     on the same angles, (T, L) with a leading trial axis; every method then
     works on all T at once, and the factors of the rows are taken once.
+    Rows of shape (T, L, N) give each trial antennas of its own (the
+    selected UPA links); each side then takes one stacked SVD, and every
+    trial of such a block must have the same side ranks (``by_rank``
+    splits a block that does not).
 
     Every scheme reads these per-path factors: ``cores`` is the
     rank-revealing path-space reduction that carries the singular values
@@ -143,39 +147,73 @@ class PathResponses:
     same paths seen by fewer antennas.
     """
 
-    rx: np.ndarray  # (L, M) receive response rows a_R,l
-    tx: np.ndarray  # (L, Q) transmit response rows a_T,l
+    rx: np.ndarray  # (L, M) or (T, L, M) receive response rows a_R,l
+    tx: np.ndarray  # (L, Q) or (T, L, Q) transmit response rows a_T,l
     gains: np.ndarray  # (L,) or (T, L) complex alpha_l
     delays: np.ndarray  # (L,) or (T, L) integer sample delays n_l
 
     @property
     def num_paths(self) -> int:
-        return len(self.rx)
+        return self.rx.shape[-2]
 
     def restrict(self, rx_pos, tx_pos, paths=None) -> PathResponses:
         """Responses at the given receive/transmit array positions (index
         arrays or boolean masks), for all paths or only the listed path
-        indices."""
+        indices. Position arrays of shape (T, k) pick k positions per
+        trial and give (T, L, k) rows."""
         keep = slice(None) if paths is None else np.asarray(paths, dtype=int)
         return PathResponses(
-            rx=self.rx[keep][:, rx_pos],
-            tx=self.tx[keep][:, tx_pos],
+            rx=np.moveaxis(self.rx[keep][:, rx_pos], 0, -2),
+            tx=np.moveaxis(self.tx[keep][:, tx_pos], 0, -2),
             gains=self.gains[..., keep],
             delays=self.delays[..., keep],
         )
 
+    def trials(self, index) -> PathResponses:
+        """The given trials of responses with (T, L, N) rows, sharing the
+        SVDs the block has already taken."""
+        part = PathResponses(
+            rx=self.rx[index], tx=self.tx[index], gains=self.gains[index], delays=self.delays[index]
+        )
+        if "_svds" in self.__dict__:
+            # Seeds the part's cached_property, as its first use would.
+            part.__dict__["_svds"] = tuple((f[index], keep[index]) for f, keep in self._svds)
+        return part
+
+    def by_rank(self) -> list[tuple[np.ndarray, PathResponses]]:
+        """Responses with (T, L, N) rows split into groups of trials with
+        the same side ranks (r_R, r_T): (trial indices, their responses)
+        pairs in ascending rank order, all factored from one stacked SVD
+        per side."""
+        ranks = np.stack([keep.sum(axis=-1) for _, keep in self._svds], axis=-1)
+        pairs = sorted(set(map(tuple, ranks.tolist())))
+        groups = (np.flatnonzero((ranks == pair).all(axis=-1)) for pair in pairs)
+        return [(index, self.trials(index)) for index in groups]
+
+    @cached_property
+    def _svds(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+        """``_factor`` of the receive and transmit rows, computed on first
+        use; the rows must not be changed in place after that."""
+        return _factor(self.rx), _factor(self.tx)
+
     @cached_property
     def _factors(self) -> tuple[np.ndarray, np.ndarray]:
         """The rank-revealing factors (R_R, R_T) of the receive and transmit
-        rows, computed on first use and shared by ``ranks``, ``cores`` and
-        ``grams``; the rows must not be changed in place after that."""
-        return _factor(self.rx), _factor(self.tx)
+        rows, shared by ``ranks``, ``cores`` and ``grams``: the rows of
+        S V^H kept by ``_factor``, (r, L) or, for (T, L, N) rows, (T, r, L)."""
+        out = []
+        for factor, keep in self._svds:
+            rank = keep.sum(axis=-1)
+            if np.any(rank != rank.flat[0]):
+                raise InvalidInputError("the trials' response ranks differ; split them by_rank")
+            out.append(factor[..., : rank.flat[0], :])
+        return out[0], out[1]
 
     @property
     def ranks(self) -> tuple[int, int]:
         """Numerical ranks (r_R, r_T) of the receive and transmit responses."""
         r_rx, r_tx = self._factors
-        return len(r_rx), len(r_tx)
+        return r_rx.shape[-2], r_tx.shape[-2]
 
     def cores(self, coeffs=None) -> np.ndarray:
         """Path-space cores R_R diag(c) R_T^H for per-path coefficients c.
@@ -187,11 +225,16 @@ class PathResponses:
         ranks of the two sides (at most L). ``coeffs`` of shape (..., L)
         gives a (..., r_R, r_T) stack; without it c is the gains, (L,) or
         (T, L), and the cores are those of the narrowband H (delays
-        ignored). An OFDM subcarrier k takes c = alpha * phases[k].
+        ignored). An OFDM subcarrier k takes c = alpha * phases[k]. With
+        (T, L, N) rows, ``coeffs`` is (T, ..., L).
         """
         r_rx, r_tx = self._factors
         c = self.gains if coeffs is None else coeffs
-        return (r_rx * c[..., None, :]) @ r_tx.conj().T
+        if r_rx.ndim == 3:
+            # Per-trial (T, r, L) factors meet (T, ..., L) coefficients.
+            axes = tuple(range(1, c.ndim - 1))
+            r_rx, r_tx = np.expand_dims(r_rx, axes), np.expand_dims(r_tx, axes)
+        return (r_rx * c[..., None, :]) @ r_tx.conj().swapaxes(-1, -2)
 
     def grams(self, coeffs) -> np.ndarray:
         """Hermitian Grams of the smaller side of each core of
@@ -204,29 +247,34 @@ class PathResponses:
         P, G = R (W o Gamma) R^H (o the entrywise product). For the
         transmit side both factors are conjugated, which conjugates G and
         keeps its eigenvalues. The stack is one (..., L^2) @ (L^2, r^2)
-        product, whatever the leading axes (trials, subcarriers). A Gram
-        squares the condition number of its core.
+        product, whatever the leading axes (trials, subcarriers); with
+        (T, L, N) rows each trial takes its own kernel. A Gram squares the
+        condition number of its core.
         """
         r_rx, r_tx = self._factors
-        if len(r_rx) <= len(r_tx):
+        if r_rx.shape[-2] <= r_tx.shape[-2]:
             small, large = r_rx, r_tx
         else:
             small, large = r_tx.conj(), r_rx.conj()
-        gamma = large.conj().T @ large
-        # kernel[(l, m), (i, j)] = R[i, l] Gamma[l, m] R[j, m]^*
-        kernel = np.einsum("il,lm,jm->lmij", small, gamma, small.conj())
+        gamma = large.conj().swapaxes(-1, -2) @ large
+        # kernel[..., (l, m), (i, j)] = R[..., i, l] Gamma[..., l, m] R[..., j, m]^*
+        kernel = np.einsum("...il,...lm,...jm->...lmij", small, gamma, small.conj())
         w = coeffs[..., :, None] * coeffs[..., None, :].conj()
-        r, n = small.shape
+        r, n = small.shape[-2:]
         lead = coeffs.shape[:-1]
-        return (w.reshape(lead + (n * n,)) @ kernel.reshape(n * n, r * r)).reshape(lead + (r, r))
+        kernel = kernel.reshape(kernel.shape[:-4] + (n * n, r * r))
+        w = w.reshape(lead + (n * n,) if kernel.ndim == 2 else (len(w), -1, n * n))
+        return (w @ kernel).reshape(lead + (r, r))
 
 
-def _factor(rows: np.ndarray) -> np.ndarray:
-    """The r x L factor S V^H of the thin SVD rows.T = U S V^H, keeping the
-    r singular values at or above RANK_TOL times the largest."""
-    _, s, vh = np.linalg.svd(rows.T, full_matrices=False)
-    keep = s >= RANK_TOL * s[0]
-    return s[keep, None] * vh[keep]
+def _factor(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The n x L factor S V^H of the thin SVD rows^T = U S V^H of (L, N)
+    rows, n = min(L, N), and the mask of its rows whose singular values are
+    at or above RANK_TOL times the largest (a leading run, as S is sorted).
+    A (T, L, N) stack takes one stacked SVD and gives (T, n, L) and (T, n).
+    """
+    _, s, vh = np.linalg.svd(rows.swapaxes(-1, -2), full_matrices=False)
+    return s[..., None] * vh, s >= RANK_TOL * s[..., :1]
 
 
 def sample_paths(stats: ChannelStats, num_paths: int, rng) -> PathSet:

@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .arrays import LensArrayConfig, UpaConfig
-from .channel import ChannelStats, PathResponses, PathSet, path_responses, sample_paths
+from .channel import ChannelStats, PathSet, path_responses, sample_paths
 from .errors import (
     ConfigError,
     IdealAngleError,
@@ -109,8 +109,18 @@ class ExperimentConfig:
                 raise InvalidInputError(f"unknown scheme {s!r}")
             if s in self.schemes[:i]:
                 raise InvalidInputError(f"schemes lists {s!r} more than once")
-        if "UPA-OFDM-selection" in self.schemes and (self.rx_rf is None or self.tx_rf is None):
-            raise InvalidInputError("antenna selection requires rx_rf and tx_rf budgets")
+        if "UPA-OFDM-selection" in self.schemes:
+            if self.rx_rf is None or self.tx_rf is None:
+                raise InvalidInputError("antenna selection requires rx_rf and tx_rf budgets")
+            for field, rf, aperture, side in (
+                ("rx_rf", self.rx_rf, self.rx_aperture, "receive"),
+                ("tx_rf", self.tx_rf, self.tx_aperture, "transmit"),
+            ):
+                if not 1 <= rf <= 4.0 * aperture:
+                    raise InvalidInputError(
+                        f"{field} must be between 1 and {4.0 * aperture:g}, the {side} UPA "
+                        f"element count; got {rf}"
+                    )
         longest_tap = round(self.stats.max_excess_delay_s * self.stats.bandwidth_hz)
         if {"UPA-OFDM", "UPA-OFDM-selection"} & set(self.schemes) and (
             longest_tap > self.ofdm.cp_samples
@@ -222,6 +232,7 @@ class _Block:
         self.tx = LensArrayConfig(cfg.tx_aperture, cfg.tx_azimuth_dim)
         self.rx = LensArrayConfig(cfg.rx_aperture, cfg.rx_azimuth_dim)
         self.upa_rx = UpaConfig(cfg.rx_aperture, cfg.rx_azimuth_dim)
+        self.upa_tx = UpaConfig(cfg.tx_aperture, cfg.tx_azimuth_dim)
 
     @cached_property
     def lens(self):
@@ -229,8 +240,7 @@ class _Block:
 
     @cached_property
     def upa(self):
-        upa_tx = UpaConfig(self.cfg.tx_aperture, self.cfg.tx_azimuth_dim)
-        return path_responses(self.paths, upa_tx, self.upa_rx, self.cfg.stats.bandwidth_hz)
+        return path_responses(self.paths, self.upa_tx, self.upa_rx, self.cfg.stats.bandwidth_hz)
 
     @cached_property
     def sets(self):
@@ -279,22 +289,16 @@ class _Block:
         return ofdm_capacity(self.upa, self.budgets, self.noise, self.cfg.ofdm), None
 
     def upa_ofdm_selection(self):
-        """Antennas picked per trial, as their near-tied picks depend on the
-        per-trial arithmetic to the last bit. Trials whose picked antennas
-        have the same responses (the n_z antennas of one azimuth index do)
-        share one restricted channel and one capacity call."""
+        """Antennas picked for the whole block in one ranking, with each
+        trial's picks bit for bit those of its own call (the near-tied picks
+        depend on the per-trial arithmetic to the last bit). Each trial's
+        picked link keeps its own (T, L, k) response rows; the trials are
+        grouped by their side ranks, one capacity call per group."""
         upa, cfg = self.upa, self.cfg
-        picked: dict[tuple[bytes, bytes], tuple[PathResponses, list[int]]] = {}
-        for t in range(len(upa.gains)):
-            trial = replace(upa, gains=upa.gains[t], delays=upa.delays[t])
-            rows, cols = power_select_antennas(trial, self.upa_rx, cfg.rx_rf, cfg.tx_rf)
-            channel = upa.restrict(rows, cols)
-            key = (channel.rx.tobytes(), channel.tx.tobytes())
-            picked.setdefault(key, (channel, []))[1].append(t)
+        picks = power_select_antennas(upa, self.upa_rx, self.upa_tx, cfg.rx_rf, cfg.tx_rf)
         rates = np.empty((len(upa.gains), len(self.budgets)))
-        for channel, trials in picked.values():
-            channel = replace(channel, gains=channel.gains[trials], delays=channel.delays[trials])
-            rates[trials] = ofdm_capacity(channel, self.budgets, self.noise, cfg.ofdm)
+        for trials, link in upa.restrict(*picks).by_rank():
+            rates[trials] = ofdm_capacity(link, self.budgets, self.noise, cfg.ofdm)
         return rates, None
 
 

@@ -10,11 +10,13 @@ takes them per subcarrier as the eigenvalues of the r x r Grams of
 ``PathResponses.grams`` (r = min(r_R, r_T)), with one Hermitian eigensolve
 of the whole stack; a rank-1 link, or a subcarrier whose Gram is too
 ill-conditioned (GRAM_TOL), takes its cores instead. Both capacities take
-a block of realizations on one geometry at once. The antenna selection,
-one realization at a time, ranks the channel energy of one receive antenna
-per azimuth index, an n_y x Q tap per distinct path delay formed from the
-path terms; the link it selects at the fig9/fig10 budgets has rank 1, so
-its subcarrier cores are 1 x 1.
+a block of realizations on one geometry at once, and so does the antenna
+selection: it ranks the channel energy of one antenna per azimuth index on
+both sides, from an n_y,R x n_y,T tap per distinct path delay formed from
+the path terms, with each realization's picks bit for bit those of its own
+call. The link it selects at the fig9/fig10 budgets has rank 1, so its
+subcarrier cores are 1 x 1; each realization's picked link keeps response
+rows of its own, (T, L, k), for ``ofdm_capacity``.
 """
 from __future__ import annotations
 
@@ -78,15 +80,18 @@ def ofdm_capacity(
         raise UnsupportedConfigurationError(
             "channel tap delay reaches or exceeds the OFDM symbol length"
         )
-    # phases[..., k, l] = e^{-j 2 pi k n_l / N}, with k n_l formed first.
-    delays = responses.delays[..., None, :]
-    phases = np.exp(-2j * np.pi * (np.arange(n)[:, None] * delays) / n)
-    coeffs = responses.gains[..., None, :] * phases
+    # coeffs[..., k, l] = alpha_l e^{-j 2 pi k n_l / N}, with k n_l formed
+    # first, built in place: a block's (T, N, L) stack is its largest array.
+    coeffs = np.multiply(-2j * np.pi, np.arange(n)[:, None] * responses.delays[..., None, :])
+    coeffs /= n
+    np.exp(coeffs, out=coeffs)
+    np.multiply(responses.gains[..., None, :], coeffs, out=coeffs)
     if min(responses.ranks) == 1:
         # One singular value per subcarrier: eigen_gains takes the norm.
         gains = eigen_gains(responses.cores(coeffs))
     else:
         gains = _gram_eigen_gains(responses, coeffs)
+    del coeffs  # released before the water-fill allocates its own arrays
     rate = waterfill_capacity(
         gains.reshape(gains.shape[:-2] + (-1,)), n * np.asarray(budgets, dtype=float), noise
     )
@@ -109,54 +114,70 @@ def _gram_eigen_gains(responses: PathResponses, coeffs: np.ndarray) -> np.ndarra
     ill = gains[..., -1] < GRAM_TOL * gains[..., 0]
     gains = np.maximum(gains, 0.0)
     if ill.any():
+        if responses.rx.ndim == 3:  # per-trial rows: the factors of each pick
+            responses = responses.trials(np.nonzero(ill)[0])
         gains[ill] = eigen_gains(responses.cores(coeffs[ill]))
     return gains
 
 
 def power_select_antennas(
-    responses: PathResponses, rx_array: UpaConfig, n_rx_rf: int, n_tx_rf: int
+    responses: PathResponses, rx_array: UpaConfig, tx_array: UpaConfig, n_rx_rf: int, n_tx_rf: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Two-stage power-based selection under RF-chain budgets, on the UPA
-    responses of one realization and its receive array.
+    responses of one realization, (L,) gains and delays, or of a block,
+    (T, L), and the two arrays: (..., n_rx_rf) receive rows and
+    (..., n_tx_rf) transmit columns, ascending.
 
     Picks the n_rx_rf receive antennas with the largest squared channel
     magnitude summed over path delays and transmit antennas, then the n_tx_rf
     transmit antennas on the channel seen by the picked receive antennas.
     Ties go to the lower antenna index.
 
-    The UPA carries no elevation phase, so the n_z receive antennas of one
-    azimuth index (i_y-major: i_y*n_z ... i_y*n_z + n_z - 1) have identical
-    responses and powers. The ranking reads only the n_y x Q tap matrices
-    of one antenna per azimuth index, with full transmit rows so that each
-    row sum rounds as it would on the whole array.
+    The UPA carries no elevation phase, so the n_z antennas of one azimuth
+    index (i_y-major: i_y*n_z ... i_y*n_z + n_z - 1) have identical
+    responses and powers, on either side. The taps are formed once per
+    block over one antenna per azimuth index on both sides (n_y,R x n_y,T
+    per delay) and repeated back to full transmit rows before each row
+    sum, so that it rounds as it would on the whole array; a trial's picks
+    are bit for bit those of its own call.
 
-    Transmit antennas of one azimuth index tie in the same way. So with each
-    budget at most its array's n_z (6 of 10 on fig9/fig10), the lower-index
-    rule takes every pick of a side from one azimuth index, each side sees
-    every path with one phase on all its picks, and the selected link has
-    rank 1: UPA-OFDM-selection is a single-stream baseline. A rule that
-    keeps several streams is ROADMAP item 5.
+    So with each budget at most its array's n_z (6 of 10 on fig9/fig10),
+    the lower-index rule takes every pick of a side from one azimuth index,
+    each side sees every path with one phase on all its picks, and the
+    selected link has rank 1: UPA-OFDM-selection is a single-stream
+    baseline. A rule that keeps several streams is ROADMAP item 5.
     """
     n_rx, n_tx = responses.rx.shape[1], responses.tx.shape[1]
     if n_rx != rx_array.element_count:
         raise InvalidInputError("receive responses do not match the receive array size")
+    if n_tx != tx_array.element_count:
+        raise InvalidInputError("transmit responses do not match the transmit array size")
     if not (1 <= n_rx_rf <= n_rx and 1 <= n_tx_rf <= n_tx):
         raise InvalidInputError("RF budgets must be between 1 and the array size")
-    n_z = rx_array.grid_shape[1]
-    # Energy row i_y stands for receive antennas i_y*n_z ... i_y*n_z + n_z - 1.
-    sub = responses.restrict(np.arange(0, n_rx, n_z), np.arange(n_tx))
-    energy = np.zeros((n_rx // n_z, n_tx))
+    z_rx, z_tx = rx_array.grid_shape[1], tx_array.grid_shape[1]
+    product = responses.rx[:, ::z_rx, None] * responses.tx[:, None, ::z_tx].conj()
     # One tap per distinct delay: alpha_l (a_R,l a_T,l^H) summed in path
-    # order, alpha the first operand, as the near-tied picks depend on this
-    # arithmetic to the last bit. sorted(set()) rather than np.unique, which
-    # imports numpy.ma (~15 ms) on its first call.
-    for n in sorted(set(sub.delays.tolist())):
-        on = sub.delays == n
-        tap = sub.gains[on, None, None] * (sub.rx[on, :, None] * sub.tx[on, None, :].conj())
-        energy += np.abs(tap.sum(axis=0)) ** 2
-    row_power = np.repeat(energy.sum(axis=1), n_z)
-    # lexsort: primary key descending power, secondary ascending index
-    rows = np.sort(np.lexsort((np.arange(n_rx), -row_power))[:n_rx_rf])
-    col_power = energy[rows // n_z].sum(axis=0)
-    cols = np.sort(np.lexsort((np.arange(n_tx), -col_power))[:n_tx_rf])
+    # order, alpha the first operand, and |tap|^2 added in ascending delay
+    # order, as the near-tied picks depend on this arithmetic to the last
+    # bit. A stable sort by delay puts each tap's paths next to each other.
+    order = np.argsort(responses.delays, axis=-1, kind="stable")
+    gains = np.take_along_axis(responses.gains, order, axis=-1)
+    delays = np.take_along_axis(responses.delays, order, axis=-1)
+    ends = np.ones(delays.shape, dtype=bool)  # the last path of each tap
+    ends[..., :-1] = delays[..., 1:] != delays[..., :-1]
+    energy = np.zeros(gains.shape[:-1] + product.shape[1:])
+    for j in range(delays.shape[-1]):
+        term = gains[..., j, None, None] * product[order[..., j]]
+        tap = term if j == 0 else np.where(ends[..., j - 1, None, None], term, tap + term)
+        np.add(energy, np.abs(tap) ** 2, out=energy, where=ends[..., j, None, None])
+    rows = np.empty(energy.shape[:-2] + (n_rx_rf,), dtype=int)
+    cols = np.empty(energy.shape[:-2] + (n_tx_rf,), dtype=int)
+    for t in np.ndindex(energy.shape[:-2]):
+        # Row i of energy[t] stands for receive antennas i*n_z,R ... and its
+        # column j for transmit antennas j*n_z,T ...; lexsort: primary key
+        # descending power, secondary ascending index.
+        row_power = np.repeat(np.repeat(energy[t], z_tx, axis=-1).sum(axis=-1), z_rx)
+        rows[t] = np.sort(np.lexsort((np.arange(n_rx), -row_power))[:n_rx_rf])
+        col_power = np.repeat(energy[t][rows[t] // z_rx].sum(axis=0), z_tx)
+        cols[t] = np.sort(np.lexsort((np.arange(n_tx), -col_power))[:n_tx_rf])
     return rows, cols

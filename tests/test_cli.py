@@ -120,6 +120,26 @@ class TestMain:
         assert main(["run", "--scenario", "fig6", "--trials", "1"]) == 2
         assert "cyclic prefix" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--rx-rf", "500", "rx_rf must be between 1 and 200, the receive UPA element count"),
+            ("--rx-rf", "0", "rx_rf must be between 1 and 200, the receive UPA element count"),
+            ("--tx-rf", "-3", "tx_rf must be between 1 and 400, the transmit UPA element count"),
+        ],
+        ids=["rx-rf-500", "rx-rf-0", "tx-rf-minus-3"],
+    )
+    def test_rf_budget_beyond_the_upa_exit_code(self, monkeypatch, capsys, flag, value, message):
+        # Refused with the config, before any trial is drawn or scored.
+        def no_trials(*args):
+            raise AssertionError("a trial ran before the RF budgets were checked")
+
+        monkeypatch.setattr(cli, "run_experiment", no_trials)
+        assert main(["run", "--scenario", "fig9", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}; got {value}\n"
+
     def test_extreme_snr_sweep_prints_every_row(self, capsys):
         # At 140 dB the antenna-space MMSE covariances of some fig9 trials
         # are singular in double precision; the path-space solve is not, so

@@ -50,6 +50,27 @@ class TestPresets:
         with pytest.raises(InvalidInputError):
             preset("fig5", schemes=("UPA-OFDM-selection",))  # no RF budgets
 
+    @pytest.mark.parametrize(
+        "field, value, count, side",
+        [
+            ("rx_rf", 500, 200, "receive"),
+            ("rx_rf", 0, 200, "receive"),
+            ("tx_rf", -3, 400, "transmit"),
+            ("tx_rf", 401, 400, "transmit"),
+        ],
+    )
+    def test_rf_budgets_beyond_the_upa_refused(self, field, value, count, side):
+        # fig9's UPAs have 4 * 50 receive and 4 * 100 transmit elements.
+        with pytest.raises(InvalidInputError) as info:
+            preset("fig9", **{field: value})
+        assert str(info.value) == (
+            f"{field} must be between 1 and {count}, the {side} UPA element count; got {value}"
+        )
+        # Full budgets are accepted, and the budgets are not checked when no
+        # scheme selects antennas.
+        assert preset("fig9", rx_rf=200, tx_rf=400).rx_rf == 200
+        assert preset("fig9", schemes=("PDM-MRC",), **{field: value}).schemes == ("PDM-MRC",)
+
     def test_repeated_snr_point_refused(self):
         with pytest.raises(InvalidInputError, match="snr_db lists 10 dB more than once"):
             preset("fig5", snr_db=(0.0, 10.0, 10.0))
@@ -149,27 +170,58 @@ class TestRunExperiment:
             assert r.stderr >= 0 and np.isfinite(r.se_bpshz)
 
 
+# Spatial frequencies 0, 1 and -0.5: on two UPA azimuth indices d apart the
+# three paths' responses are parallel when d is a multiple of 4 (two of them
+# when d is even), so a selected link's side ranks depend on its picks.
+_COMMENSURATE = ChannelStats(aoa_spatial_freqs=(0.0, 1.0, -0.5), aod_spatial_freqs=(0.0, 1.0, -0.5))
+
+
 class TestBlocks:
     @pytest.mark.parametrize(
         "name, overrides",
-        [("fig5", {}), ("fig6", {}), ("fig9", {}), ("fig10", {}), ("fig9", {"delta": 5})],
-        ids=["fig5", "fig6", "fig9", "fig10", "fig9-delta5"],
+        [
+            ("fig5", {}),
+            ("fig6", {}),
+            ("fig9", {}),
+            ("fig10", {}),
+            ("fig9", {"delta": 5}),
+            ("fig9", {"rx_rf": 15, "tx_rf": 15}),
+            ("fig10", {"rx_rf": 1, "tx_rf": 1}),
+            ("fig9", {"rx_rf": 12, "tx_rf": 12, "stats": _COMMENSURATE}),
+        ],
+        ids=[
+            "fig5",
+            "fig6",
+            "fig9",
+            "fig10",
+            "fig9-delta5",
+            "fig9-rf15",
+            "fig10-rf1",
+            "fig9-mixed-ranks",
+        ],
     )
     def test_csv_independent_of_block_size(self, monkeypatch, name, overrides):
+        # At 15 RF chains (> n_z = 10) the selected links have rank 2 and take
+        # the Gram route; at 1 they have rank 1. At 12 chains with
+        # _COMMENSURATE angles the 16 selected links have side ranks (1, 2),
+        # (2, 1) and (2, 2), one capacity call each.
         cfg = preset(name, trials=16, seed=3, **overrides)
         texts = []
         for size in (1, 7, cfg.trials):
             monkeypatch.setattr(experiments, "_BLOCK", size)
             texts.append(rows_to_csv(run_experiment(cfg, workers=1)))
         assert texts[0] == texts[1] == texts[2]
-        if overrides:  # no side separated at delta 5: every trial falls back
+        if "delta" in overrides:  # no side separated at delta 5: every trial falls back
             assert "grouping-fallback:16" in texts[0]
 
     def test_geometry_built_once_per_block(self, monkeypatch):
         # A sweep of three blocks makes three support_sets calls and three
         # times the rank-revealing factors of a one-trial sweep: on fig9's
         # lens schemes a pair for each of its three single-path groups, on
-        # fig6's UPA-OFDM the pair of the UPA responses.
+        # fig6's UPA-OFDM the pair of the UPA responses, on fig9's
+        # UPA-OFDM-selection one stacked pair for the block's picked links
+        # (one side-rank group per block, also at 15 RF chains), not a pair
+        # per distinct pick.
         counts = {}
 
         def spy(module, name):
@@ -184,9 +236,9 @@ class TestBlocks:
         spy(experiments, "support_sets")
         spy(channel, "_factor")
 
-        def count(name, trials, schemes):
+        def count(name, trials, schemes, **overrides):
             counts.update(support_sets=0, _factor=0)
-            run_experiment(preset(name, trials=trials, schemes=schemes), workers=1)
+            run_experiment(preset(name, trials=trials, schemes=schemes, **overrides), workers=1)
             return dict(counts)
 
         lens = ("PDM-MRC", "PDM-MMSE", "PDM-grouping")
@@ -194,6 +246,10 @@ class TestBlocks:
         assert count("fig9", 1, lens) == {"support_sets": 1, "_factor": 6}
         assert count("fig9", three, lens) == {"support_sets": 3, "_factor": 18}
         assert count("fig6", three, ("UPA-OFDM",)) == {"support_sets": 0, "_factor": 6}
+        selection = ("UPA-OFDM-selection",)
+        assert count("fig9", three, selection) == {"support_sets": 0, "_factor": 6}
+        rf15 = count("fig9", three, selection, rx_rf=15, tx_rf=15)
+        assert rf15 == {"support_sets": 0, "_factor": 6}
 
 
 class TestSweep:

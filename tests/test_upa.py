@@ -1,9 +1,10 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lensmimo.arrays import UpaConfig
@@ -55,7 +56,7 @@ def selected_link(cfg, seed, trial, n_rx_rf, n_tx_rf):
     tx = UpaConfig(cfg.tx_aperture, cfg.tx_azimuth_dim)
     paths = sample_paths(cfg.stats, cfg.num_paths, np.random.default_rng([seed, trial]))
     responses = path_responses(paths, tx, rx, cfg.stats.bandwidth_hz)
-    return responses.restrict(*power_select_antennas(responses, rx, n_rx_rf, n_tx_rf))
+    return responses.restrict(*power_select_antennas(responses, rx, tx, n_rx_rf, n_tx_rf))
 
 
 class TestOfdmConfig:
@@ -222,6 +223,11 @@ class TestMimoOfdmCapacity:
         with pytest.raises(InvalidInputError):
             ofdm_capacity(responses, 1.0, 1.0, OfdmConfig(subcarriers=8, cp_samples=0))
 
+
+class TestSelectedLink:
+    """The links UPA-OFDM-selection picks on the preset draws, and the block
+    route that picks and scores a whole block at once."""
+
     @pytest.mark.parametrize("name", ["fig9", "fig10"])
     def test_selected_preset_links_match_per_subcarrier_svd_oracle(self, name):
         # The sweeps' selected links: rank 1 at budgets within one azimuth
@@ -247,6 +253,34 @@ class TestMimoOfdmCapacity:
             picked = selected_link(cfg, seed, 0, cfg.rx_rf, cfg.tx_rf)
             phases = np.exp(-2j * np.pi * np.outer(np.arange(n), picked.delays) / n)
             assert picked.cores(picked.gains * phases).shape == (n, 1, 1)
+
+    def test_by_rank_splits_trials_and_keeps_their_rates(self):
+        # Per-trial rows of three side-rank pairs. Trial 1 sees paths 0 and
+        # 1 along one receive direction (ranks 2, 3). In trials 2 and 4 path
+        # 1 duplicates path 0 with a delay of N/2 (ranks 2, 2), so their odd
+        # subcarriers take the SVD of their cores. Each group's capacity is
+        # bit for bit that of the trial's own call.
+        rng = np.random.default_rng(12)
+        cfg = OfdmConfig(subcarriers=16, cp_samples=4)
+        trials = [random_responses(rng, 3, 4, 5, delays=(0, 2, 3)) for _ in range(5)]
+        trials[1].rx[1] = 2.0 * trials[1].rx[0]
+        for t in (2, 4):
+            trials[t].rx[1], trials[t].tx[1] = trials[t].rx[0], trials[t].tx[0]
+            trials[t].gains[1] = trials[t].gains[0]
+            trials[t].delays[1] = 8
+        fields = ("rx", "tx", "gains", "delays")
+        block = PathResponses(*(np.stack([getattr(t, f) for t in trials]) for f in fields))
+        with pytest.raises(InvalidInputError, match="by_rank"):
+            block.cores()
+        groups = block.by_rank()
+        assert [(list(i), part.ranks) for i, part in groups] == [
+            ([2, 4], (2, 2)), ([1], (2, 3)), ([0, 3], (3, 3))
+        ]
+        budgets = np.array([1e-2, 1.0, 1e20])
+        for index, part in groups:
+            got = ofdm_capacity(part, budgets, 1.0, cfg)
+            for row, t in zip(got, index):
+                assert np.array_equal(row, ofdm_capacity(trials[t], budgets, 1.0, cfg))
 
 
 class TestUpaChannel:
@@ -330,19 +364,20 @@ def single_path(a_rx, a_tx):
 class TestPowerSelection:
     def test_full_budget_is_identity(self):
         responses = random_responses(np.random.default_rng(5), 4, 4, 5)
-        rows, cols = power_select_antennas(responses, upa_with(4), 4, 5)
+        rows, cols = power_select_antennas(responses, upa_with(4), upa_with(5), 4, 5)
         assert list(rows) == [0, 1, 2, 3]
         assert list(cols) == [0, 1, 2, 3, 4]
 
     def test_rank_one_separable(self):
         a = np.array([1.0, 3.0, 2.0, 0.5])
         b = np.array([0.2, 1.0, 0.7])
-        rows, cols = power_select_antennas(single_path(a, b), upa_with(4), 2, 2)
+        rows, cols = power_select_antennas(single_path(a, b), upa_with(4), upa_with(3), 2, 2)
         assert set(rows) == {1, 2}
         assert set(cols) == {1, 2}
 
     def test_ties_prefer_lower_index(self):
-        rows, cols = power_select_antennas(single_path(np.ones(3), np.ones(3)), upa_with(3), 2, 2)
+        three = upa_with(3)
+        rows, cols = power_select_antennas(single_path(np.ones(3), np.ones(3)), three, three, 2, 2)
         assert list(rows) == [0, 1]
         assert list(cols) == [0, 1]
         # A UPA has no elevation phase, so the n_z antennas of one azimuth
@@ -355,7 +390,7 @@ class TestPowerSelection:
                 aoa_spatial_freqs=np.array([phi]),
                 aod_spatial_freqs=np.array([-phi]),
             )
-            rows, cols = power_select_antennas(path_responses(paths, tx, rx, 500e6), rx, 3, 2)
+            rows, cols = power_select_antennas(path_responses(paths, tx, rx, 500e6), rx, tx, 3, 2)
             # The first three of one azimuth index, the first two of another.
             assert list(rows) == [4 * (rows[0] // 4) + i for i in range(3)]
             assert list(cols) == [3 * (cols[0] // 3) + i for i in range(2)]
@@ -374,7 +409,7 @@ class TestPowerSelection:
             rx=ramps[0], tx=ramps[1], gains=rng.standard_normal(3) + 0j, delays=np.zeros(3, int)
         )
         h = dense_channel(responses)
-        rows, cols = power_select_antennas(responses, upa_with(8), 4, 4)
+        rows, cols = power_select_antennas(responses, upa_with(8), upa_with(8), 4, 4)
         greedy = np.linalg.norm(h[np.ix_(rows, cols)]) ** 2
         best = max(
             np.linalg.norm(h[np.ix_(r, c)]) ** 2
@@ -388,18 +423,21 @@ class TestPowerSelection:
         cfg = OfdmConfig(subcarriers=16, cp_samples=4)
         caps = []
         for k in (2, 4, 6):
-            rows, cols = power_select_antennas(responses, upa_with(6), k, k)
+            rows, cols = power_select_antennas(responses, upa_with(6), upa_with(6), k, k)
             caps.append(ofdm_capacity(responses.restrict(rows, cols), 1.0, 1.0, cfg))
         assert caps[0] <= caps[1] <= caps[2]
 
     def test_budget_validation(self):
         responses = single_path(np.ones(2), np.ones(2))
+        two = upa_with(2)
         with pytest.raises(InvalidInputError):
-            power_select_antennas(responses, upa_with(2), 3, 1)
+            power_select_antennas(responses, two, two, 3, 1)
         with pytest.raises(InvalidInputError):
-            power_select_antennas(responses, upa_with(2), 1, 0)
-        with pytest.raises(InvalidInputError):  # responses of another array
-            power_select_antennas(responses, upa_with(4), 1, 1)
+            power_select_antennas(responses, two, two, 1, 0)
+        with pytest.raises(InvalidInputError, match="receive"):  # responses of another array
+            power_select_antennas(responses, upa_with(4), two, 1, 1)
+        with pytest.raises(InvalidInputError, match="transmit"):
+            power_select_antennas(responses, two, upa_with(4), 1, 1)
 
     @pytest.mark.parametrize("name", ["fig9", "fig10"])
     def test_matches_dense_oracle_on_preset_draws(self, name):
@@ -414,7 +452,7 @@ class TestPowerSelection:
             responses = path_responses(paths, tx, rx, cfg.stats.bandwidth_hz)
             taps = dense_taps(responses)
             for rf in (1, 6, 15):
-                rows, cols = power_select_antennas(responses, rx, rf, rf)
+                rows, cols = power_select_antennas(responses, rx, tx, rf, rf)
                 want_rows, want_cols = oracle_power_select(taps, rf, rf)
                 assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
                 if rf <= min(n_z):
@@ -450,7 +488,52 @@ class TestPowerSelection:
         responses = path_responses(paths, tx, rx, 500e6)
         k_rx = data.draw(st.integers(1, rx.element_count))
         k_tx = data.draw(st.integers(1, tx.element_count))
-        rows, cols = power_select_antennas(responses, rx, k_rx, k_tx)
+        rows, cols = power_select_antennas(responses, rx, tx, k_rx, k_tx)
         energy = dense_energy(dense_taps(responses))
         assert_top_up_to_ulps(rows, energy.sum(axis=1), k_rx)
         assert_top_up_to_ulps(cols, energy[rows].sum(axis=0), k_tx)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_block_picks_and_rates_equal_the_one_trial_calls(self, data):
+        # The block route of UPA-OFDM-selection: one ranking of T trials,
+        # their picked links split by side rank, one capacity call per
+        # group. Every pick and rate must be bit for bit those of the
+        # trial's own calls. Random UPA shapes with n_z > 1 on both sides
+        # and n_y,R * n_y,T not a multiple of 8, so no kernel lane width
+        # divides the ranked taps; unsorted delays that often share a tap.
+        def upa():
+            n_y, n_z = data.draw(st.integers(1, 6)), data.draw(st.integers(2, 4))
+            return UpaConfig(aperture=n_y * n_z / 4.0, azimuth_dim=n_y / 2.0)
+
+        rx, tx = upa(), upa()
+        assume((rx.grid_shape[0] * tx.grid_shape[0]) % 8 != 0)
+        t, n = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+
+        def floats(count, low=-1.0, high=1.0):
+            unit = st.floats(low, high)
+            return np.array(data.draw(st.lists(unit, min_size=count, max_size=count)))
+
+        phases = np.exp(1j * np.pi * floats(t * n))
+        gains = (floats(t * n, 0.1, 1.0) * phases).reshape(t, n)
+        delays = np.array(data.draw(st.lists(st.integers(0, 2), min_size=t * n, max_size=t * n)))
+        paths = PathSet(
+            gains=gains,
+            delays_s=delays.reshape(t, n) / 500e6,
+            aoa_spatial_freqs=floats(n),
+            aod_spatial_freqs=floats(n),
+        )
+        block = path_responses(paths, tx, rx, 500e6)
+        k_rx = data.draw(st.integers(1, rx.element_count))
+        k_tx = data.draw(st.integers(1, tx.element_count))
+        rows, cols = power_select_antennas(block, rx, tx, k_rx, k_tx)
+        cfg = OfdmConfig(subcarriers=8, cp_samples=2)
+        rates = np.empty((t, 2))
+        for index, link in block.restrict(rows, cols).by_rank():
+            rates[index] = ofdm_capacity(link, np.array([1e-2, 1e2]), 1.0, cfg)
+        for i in range(t):
+            trial = replace(block, gains=block.gains[i], delays=block.delays[i])
+            one = power_select_antennas(trial, rx, tx, k_rx, k_tx)
+            assert np.array_equal(rows[i], one[0]) and np.array_equal(cols[i], one[1])
+            rate = ofdm_capacity(trial.restrict(*one), np.array([1e-2, 1e2]), 1.0, cfg)
+            assert np.array_equal(rates[i], rate)
