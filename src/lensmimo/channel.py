@@ -283,11 +283,19 @@ def sample_paths(stats: ChannelStats, num_paths: int, rng) -> PathSet:
     alpha_l = sqrt(beta * kappa_l) * exp(j*eta_l) with lognormal-shadowed
     large-scale gain beta and normalized per-path power fractions kappa_l;
     delays are i.i.d. uniform over [0, T_m], sorted ascending. Angles follow
-    the placement rule in ``stats``.
+    the placement rule in ``stats``, which takes no random numbers: a sweep
+    draws only the gains and delays of each trial and places the angles
+    once per block.
     """
     if num_paths < 1:
         raise InvalidInputError("num_paths must be at least 1")
-    rng = np.random.default_rng(rng)
+    gains, delays = _draw(stats, num_paths, np.random.default_rng(rng))
+    aoa, aod = stats.placed_angles(num_paths)
+    return PathSet(gains=gains, delays_s=delays, aoa_spatial_freqs=aoa, aod_spatial_freqs=aod)
+
+
+def _draw(stats: ChannelStats, num_paths: int, rng: np.random.Generator):
+    """The random part of ``sample_paths``: (L,) gains and delays in s."""
     shadowing = rng.normal(0.0, stats.shadowing_std_db)
     beta_db = -(stats.mean_pathloss_db + shadowing)
     beta = 10.0 ** (beta_db / 10.0)
@@ -297,13 +305,7 @@ def sample_paths(stats: ChannelStats, num_paths: int, rng) -> PathSet:
     kappa = raw / raw.sum()
     eta = rng.uniform(0.0, 2.0 * np.pi, num_paths)
     delays = np.sort(rng.uniform(0.0, stats.max_excess_delay_s, num_paths))
-    aoa, aod = stats.placed_angles(num_paths)
-    return PathSet(
-        gains=np.sqrt(beta * kappa) * np.exp(1j * eta),
-        delays_s=delays,
-        aoa_spatial_freqs=aoa,
-        aod_spatial_freqs=aod,
-    )
+    return np.sqrt(beta * kappa) * np.exp(1j * eta), delays
 
 
 def path_responses(

@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .arrays import LensArrayConfig, UpaConfig
-from .channel import ChannelStats, PathSet, path_responses, sample_paths
+from .channel import ChannelStats, PathSet, _draw, path_responses
 from .errors import (
     ConfigError,
     IdealAngleError,
@@ -212,17 +212,18 @@ def preset(name: str, **overrides) -> ExperimentConfig:
 class _Block:
     """A block of trials on one geometry: the realizations' stacked (T, L)
     gains and delays, and the geometry each scheme reads, built on first
-    use and shared by the schemes."""
+    use and shared by the schemes. Each trial draws only the random part
+    of ``sample_paths``; the block places the angles once."""
 
     def __init__(self, cfg: ExperimentConfig, trials: range) -> None:
-        draws = [
-            sample_paths(cfg.stats, cfg.num_paths, np.random.default_rng([cfg.seed, t]))
-            for t in trials
-        ]
-        aoa, aod = cfg.stats.placed_angles(cfg.num_paths)
+        stats, num_paths = cfg.stats, cfg.num_paths
+        gains, delays = zip(
+            *(_draw(stats, num_paths, np.random.default_rng([cfg.seed, t])) for t in trials)
+        )
+        aoa, aod = stats.placed_angles(num_paths)
         self.paths = PathSet(
-            gains=np.stack([p.gains for p in draws]),
-            delays_s=np.stack([p.delays_s for p in draws]),
+            gains=np.stack(gains),
+            delays_s=np.stack(delays),
             aoa_spatial_freqs=aoa,
             aod_spatial_freqs=aod,
         )
@@ -330,14 +331,15 @@ def _run_block(cfg: ExperimentConfig, trials: range) -> dict:
             out[scheme] = _EVALUATE[scheme](block)
         except NumericalError as exc:
             raise NumericalError(f"{scheme}: {exc}") from None
-    for i, trial in enumerate(trials):
+    if all(np.isfinite(rates).all() for rates, _ in out.values() if rates is not None):
+        return out
+    for i, trial in enumerate(trials):  # name the first trial with a non-finite rate
         for scheme, (rates, _) in out.items():
             if rates is not None and not np.all(np.isfinite(rates[i])):
                 snr = cfg.snr_db[np.flatnonzero(~np.isfinite(rates[i]))[0]]
                 raise NumericalError(
                     f"{scheme} rate at {snr:g} dB SNR is not finite (trial {trial})"
                 )
-    return out
 
 
 def resolve_workers(workers: int | None = None) -> int:

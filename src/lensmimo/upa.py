@@ -9,14 +9,18 @@ numerical ranks of the receive and transmit responses). The OFDM capacity
 takes them per subcarrier as the eigenvalues of the r x r Grams of
 ``PathResponses.grams`` (r = min(r_R, r_T)), with one Hermitian eigensolve
 of the whole stack; a rank-1 link, or a subcarrier whose Gram is too
-ill-conditioned (GRAM_TOL), takes its cores instead. Both capacities take
-a block of realizations on one geometry at once, and so does the antenna
-selection: it ranks the channel energy of one antenna per azimuth index on
-both sides, from an n_y,R x n_y,T tap per distinct path delay formed from
-the path terms, with each realization's picks bit for bit those of its own
-call. The link it selects at the fig9/fig10 budgets has rank 1, so its
-subcarrier cores are 1 x 1; each realization's picked link keeps response
-rows of its own, (T, L, k), for ``ofdm_capacity``.
+ill-conditioned (GRAM_TOL), takes its cores instead. Its subcarrier
+phases e^{-j 2 pi k n / N} come from a cached read-only table per
+subcarrier count N, one row per integer delay n up to the longest met so
+far (at most N rows; 51 x 512 at the presets, 418 KB). Both capacities
+take a block of realizations on one geometry at once, and so does the
+antenna selection: it ranks the channel energy of one antenna per azimuth
+index on both sides, from an n_y,R x n_y,T tap per distinct path delay
+formed from the path terms, with each realization's picks bit for bit
+those of its own call; only the row sums over the full transmit rows run
+one realization at a time. The link it selects at the fig9/fig10 budgets
+has rank 1, so its subcarrier cores are 1 x 1; each realization's picked
+link keeps response rows of its own, (T, L, k), for ``ofdm_capacity``.
 """
 from __future__ import annotations
 
@@ -71,20 +75,29 @@ def ofdm_capacity(
     A global power budget N*P is water-filled over the eigen-gains of all
     N subcarrier channels H_k = sum_l alpha_l e^{-j 2 pi k n_l / N}
     a_R,l a_T,l^H, and the sum rate is discounted by the CP overhead factor
-    N/(N+cp). A path delay of N samples or more is refused. With (T, L)
-    gains and delays the T realizations share the factors of the response
-    rows, and their T * N subcarrier Grams take one eigensolve.
+    N/(N+cp). A path delay of N samples or more is refused, and so is a
+    negative one. With (T, L) gains and delays the T realizations share the
+    factors of the response rows, and their T * N subcarrier Grams take one
+    eigensolve.
+
+    The phases are rows of the table of N, built with the per-entry
+    expression -2j pi (k n), divided by N, exponentiated, so every
+    coefficient is bit for bit the one-exponential-per-entry value. The
+    table grows to the longest delay + 1 rows and never shrinks, whatever
+    the cyclic prefix; a pool worker forked after a call inherits it.
     """
-    n = ofdm.subcarriers
-    if np.any(responses.delays >= n):
+    n, delays = ofdm.subcarriers, responses.delays
+    if np.any(delays >= n):
         raise UnsupportedConfigurationError(
             "channel tap delay reaches or exceeds the OFDM symbol length"
         )
-    # coeffs[..., k, l] = alpha_l e^{-j 2 pi k n_l / N}, with k n_l formed
-    # first, built in place: a block's (T, N, L) stack is its largest array.
-    coeffs = np.multiply(-2j * np.pi, np.arange(n)[:, None] * responses.delays[..., None, :])
-    coeffs /= n
-    np.exp(coeffs, out=coeffs)
+    if np.any(delays < 0):
+        raise InvalidInputError("path delays must be non-negative")
+    # coeffs[..., k, l] = alpha_l e^{-j 2 pi k n_l / N}, the phases copied
+    # from the table's rows. The stack is C-ordered and alpha is the first
+    # operand, as the rounding depends on both: numpy's contiguous complex
+    # multiply may fuse a multiply-add where its strided loop does not.
+    coeffs = _phase_table(n, int(delays.max()))[delays].swapaxes(-1, -2).copy()
     np.multiply(responses.gains[..., None, :], coeffs, out=coeffs)
     if min(responses.ranks) == 1:
         # One singular value per subcarrier: eigen_gains takes the norm.
@@ -96,6 +109,28 @@ def ofdm_capacity(
         gains.reshape(gains.shape[:-2] + (-1,)), n * np.asarray(budgets, dtype=float), noise
     )
     return (n / (n + ofdm.cp_samples)) * rate / n
+
+
+# Subcarrier count N -> read-only table of exp(-j 2 pi k d / N), row d for
+# the delays d = 0 ... D met so far, column k for the subcarriers. It only
+# grows, to (longest delay + 1) x N; forked workers inherit it.
+_PHASES: dict[int, np.ndarray] = {}
+
+
+def _phase_table(n: int, longest: int) -> np.ndarray:
+    """The phase table of N = n subcarriers with at least the rows
+    0 ... longest, each entry formed as in the per-path expression
+    -2j pi (k d), divided by N, then exponentiated, so bit for bit the same.
+    A longer delay adds only the missing rows to a copy of the table."""
+    table = _PHASES.get(n, np.empty((0, n), dtype=complex))
+    if len(table) <= longest:
+        rows = np.multiply(-2j * np.pi, np.arange(len(table), longest + 1)[:, None] * np.arange(n))
+        rows /= n
+        np.exp(rows, out=rows)
+        table = np.concatenate((table, rows))
+        table.flags.writeable = False
+        _PHASES[n] = table
+    return table
 
 
 def _gram_eigen_gains(responses: PathResponses, coeffs: np.ndarray) -> np.ndarray:
@@ -139,7 +174,10 @@ def power_select_antennas(
     block over one antenna per azimuth index on both sides (n_y,R x n_y,T
     per delay) and repeated back to full transmit rows before each row
     sum, so that it rounds as it would on the whole array; a trial's picks
-    are bit for bit those of its own call.
+    are bit for bit those of its own call. Only those row sums (numpy's
+    pairwise sum over the full transmit rows) run one trial at a time; the
+    sorts, the gather of the picked rows and their column sums take the
+    whole block at once, each trial reduced in the order of its own call.
 
     So with each budget at most its array's n_z (6 of 10 on fig9/fig10),
     the lower-index rule takes every pick of a side from one azimuth index,
@@ -155,11 +193,29 @@ def power_select_antennas(
     if not (1 <= n_rx_rf <= n_rx and 1 <= n_tx_rf <= n_tx):
         raise InvalidInputError("RF budgets must be between 1 and the array size")
     z_rx, z_tx = rx_array.grid_shape[1], tx_array.grid_shape[1]
+    energy = _tap_energy(responses, z_rx, z_tx)
+    # Row i of energy stands for receive antennas i*n_z,R ... and its
+    # column j for transmit antennas j*n_z,T ...; each trial's row sums run
+    # over its full transmit rows, the column sums over its picked rows.
+    row_sums = np.empty(energy.shape[:-1])
+    for t in np.ndindex(energy.shape[:-2]):
+        row_sums[t] = np.repeat(energy[t], z_tx, axis=-1).sum(axis=-1)
+    rows = _strongest(np.repeat(row_sums, z_rx, axis=-1), n_rx_rf)
+    picked = np.take_along_axis(energy, rows[..., None] // z_rx, axis=-2)
+    cols = _strongest(np.repeat(picked.sum(axis=-2), z_tx, axis=-1), n_tx_rf)
+    return rows, cols
+
+
+def _tap_energy(responses: PathResponses, z_rx: int, z_tx: int) -> np.ndarray:
+    """Channel energy summed over the taps, (..., n_y,R, n_y,T), for one
+    antenna per azimuth index on both sides (every n_z-th response entry).
+
+    One tap per distinct delay: alpha_l (a_R,l a_T,l^H) summed in path
+    order, alpha the first operand, and |tap|^2 added in ascending delay
+    order, as the near-tied picks depend on this arithmetic to the last
+    bit. A stable sort by delay puts each tap's paths next to each other.
+    """
     product = responses.rx[:, ::z_rx, None] * responses.tx[:, None, ::z_tx].conj()
-    # One tap per distinct delay: alpha_l (a_R,l a_T,l^H) summed in path
-    # order, alpha the first operand, and |tap|^2 added in ascending delay
-    # order, as the near-tied picks depend on this arithmetic to the last
-    # bit. A stable sort by delay puts each tap's paths next to each other.
     order = np.argsort(responses.delays, axis=-1, kind="stable")
     gains = np.take_along_axis(responses.gains, order, axis=-1)
     delays = np.take_along_axis(responses.delays, order, axis=-1)
@@ -170,14 +226,10 @@ def power_select_antennas(
         term = gains[..., j, None, None] * product[order[..., j]]
         tap = term if j == 0 else np.where(ends[..., j - 1, None, None], term, tap + term)
         np.add(energy, np.abs(tap) ** 2, out=energy, where=ends[..., j, None, None])
-    rows = np.empty(energy.shape[:-2] + (n_rx_rf,), dtype=int)
-    cols = np.empty(energy.shape[:-2] + (n_tx_rf,), dtype=int)
-    for t in np.ndindex(energy.shape[:-2]):
-        # Row i of energy[t] stands for receive antennas i*n_z,R ... and its
-        # column j for transmit antennas j*n_z,T ...; lexsort: primary key
-        # descending power, secondary ascending index.
-        row_power = np.repeat(np.repeat(energy[t], z_tx, axis=-1).sum(axis=-1), z_rx)
-        rows[t] = np.sort(np.lexsort((np.arange(n_rx), -row_power))[:n_rx_rf])
-        col_power = np.repeat(energy[t][rows[t] // z_rx].sum(axis=0), z_tx)
-        cols[t] = np.sort(np.lexsort((np.arange(n_tx), -col_power))[:n_tx_rf])
-    return rows, cols
+    return energy
+
+
+def _strongest(power: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k largest entries along the last axis, ascending;
+    ties go to the lower index (a stable sort of the negated powers)."""
+    return np.sort(np.argsort(-power, axis=-1, kind="stable")[..., :k], axis=-1)

@@ -5,7 +5,9 @@ narrowband matrix, as sums of per-path outer products), the paper's
 antenna indices m of a support mask row, the PDM support view, the inter-path contamination
 coefficients of the PDM support view, and a symbol-level Monte Carlo
 measurement of the PDM SINR decomposition. None of them feeds a sweep, so
-they live here and not in the package.
+they live here and not in the package. Two more keep the per-element and
+per-trial forms of kernels the package batches: the OFDM subcarrier
+coefficients and the antenna ranking of the power-based selection.
 """
 from __future__ import annotations
 
@@ -50,6 +52,34 @@ def dense_taps(responses):
             h += np.multiply(alpha, term, out=term)
         out.append((n, h))
     return tuple(out)
+
+
+def ofdm_coefficients(gains, delays, subcarriers):
+    """(..., N, L) subcarrier coefficients alpha_l e^{-j 2 pi k n_l / N} of
+    (..., L) gains and integer delays, one complex exponential per entry:
+    -2j pi (k n_l), divided by N, exponentiated, then alpha_l times it."""
+    n = subcarriers
+    coeffs = np.multiply(-2j * np.pi, np.arange(n)[:, None] * delays[..., None, :])
+    coeffs /= n
+    np.exp(coeffs, out=coeffs)
+    np.multiply(gains[..., None, :], coeffs, out=coeffs)
+    return coeffs
+
+
+def rank_per_trial(energy, z_rx, z_tx, n_rx_rf, n_tx_rf):
+    """The power-based antenna picks of (..., n_y,R, n_y,T) tap energies
+    (one antenna per azimuth index on each side), one trial at a time:
+    rows by descending row power over the full transmit rows, then columns
+    by descending power over the picked rows, ties to the lower index."""
+    n_rx, n_tx = energy.shape[-2] * z_rx, energy.shape[-1] * z_tx
+    rows = np.empty(energy.shape[:-2] + (n_rx_rf,), dtype=int)
+    cols = np.empty(energy.shape[:-2] + (n_tx_rf,), dtype=int)
+    for t in np.ndindex(energy.shape[:-2]):
+        row_power = np.repeat(np.repeat(energy[t], z_tx, axis=-1).sum(axis=-1), z_rx)
+        rows[t] = np.sort(np.lexsort((np.arange(n_rx), -row_power))[:n_rx_rf])
+        col_power = np.repeat(energy[t][rows[t] // z_rx].sum(axis=0), z_tx)
+        cols[t] = np.sort(np.lexsort((np.arange(n_tx), -col_power))[:n_tx_rf])
+    return rows, cols
 
 
 def dense_channel(responses):

@@ -9,7 +9,7 @@ import pytest
 from lensmimo import cli
 from lensmimo.cli import main, parse_config_file
 from lensmimo.errors import ConfigError
-from lensmimo.experiments import preset
+from lensmimo.experiments import _Block, preset
 
 
 class TestConfigFile:
@@ -76,6 +76,18 @@ class TestMain:
         out = capsys.readouterr().out
         assert out.startswith("path,gain_real,")
         assert len(out.strip().split("\n")) == 4
+
+    def test_channel_matches_trial_0_of_a_sweep(self, capsys):
+        # `simulate channel` draws through sample_paths, a sweep block
+        # through its random part alone: the same realization either way.
+        assert main(["channel", "--scenario", "fig9", "--seed", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        paths = _Block(preset("fig9", seed=3), range(4)).paths
+        assert len(lines) == paths.num_paths
+        for l, line in enumerate(lines):
+            g, delay = paths.gains[0, l], paths.delays_s[0, l]
+            aoa, aod = paths.aoa_spatial_freqs[l], paths.aod_spatial_freqs[l]
+            assert line == f"{l},{g.real:.12g},{g.imag:.12g},{delay:.12g},{aoa:.12g},{aod:.12g}"
 
     def test_response_output(self, tmp_path):
         out = tmp_path / "resp.csv"

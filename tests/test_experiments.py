@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -9,7 +10,7 @@ import pytest
 
 from lensmimo import channel, experiments
 from lensmimo.channel import ChannelStats
-from lensmimo.errors import ConfigError, InvalidInputError
+from lensmimo.errors import ConfigError, InvalidInputError, NumericalError
 from lensmimo.experiments import (
     CSV_HEADER,
     ExperimentConfig,
@@ -250,6 +251,27 @@ class TestBlocks:
         assert count("fig9", three, selection) == {"support_sets": 0, "_factor": 6}
         rf15 = count("fig9", three, selection, rx_rf=15, tx_rf=15)
         assert rf15 == {"support_sets": 0, "_factor": 6}
+
+    def test_non_finite_rate_names_the_first_trial(self, monkeypatch):
+        # Trials 4..7 in one block: a NaN for PDM-MRC in trial 6 and an inf
+        # for UPA-OFDM-selection at the fourth SNR point of trial 5. The
+        # error names the earlier trial, though PDM-MRC is listed first.
+        def poison(scheme, row, column, value):
+            original = experiments._EVALUATE[scheme]
+
+            def evaluate(block):
+                rates, flag = original(block)
+                rates[row, column] = value
+                return rates, flag
+
+            monkeypatch.setitem(experiments._EVALUATE, scheme, evaluate)
+
+        poison("PDM-MRC", 2, 0, np.nan)
+        poison("UPA-OFDM-selection", 1, 3, np.inf)
+        cfg = preset("fig9", trials=8, schemes=("PDM-MRC", "UPA-OFDM-selection"))
+        message = f"UPA-OFDM-selection rate at {cfg.snr_db[3]:g} dB SNR is not finite (trial 5)"
+        with pytest.raises(NumericalError, match=re.escape(message)):
+            experiments._run_block(cfg, range(4, 8))
 
 
 class TestSweep:

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from lensmimo import upa as upa_module
 from lensmimo.arrays import UpaConfig
 from lensmimo.channel import PathResponses, PathSet, path_responses, sample_paths
 from lensmimo.errors import InvalidInputError, UnsupportedConfigurationError
 from lensmimo.experiments import preset
-from lensmimo.numerics import RANK_TOL, waterfill_capacity
+from lensmimo.numerics import RANK_TOL, eigen_gains, waterfill_capacity
 from lensmimo.upa import OfdmConfig, eigenmode_capacity, ofdm_capacity, power_select_antennas
-from oracles import dense_channel, dense_taps
+from oracles import dense_channel, dense_taps, ofdm_coefficients, rank_per_trial
 
 
 def flat_channel(h):
@@ -47,6 +48,35 @@ def oracle_ofdm_capacity(responses, budget, noise, cfg):
         gains.append(np.where(s < RANK_TOL * s[0], 0.0, s) ** 2)
     rate = waterfill_capacity(np.concatenate(gains), n * budget, noise)
     return (n / (n + cfg.cp_samples)) * rate / n
+
+
+def per_element_ofdm_capacity(responses, budgets, noise, cfg):
+    """ofdm_capacity with one complex exponential per (trial, subcarrier,
+    path) coefficient, from ``ofdm_coefficients``."""
+    n = cfg.subcarriers
+    coeffs = ofdm_coefficients(responses.gains, responses.delays, n)
+    if min(responses.ranks) == 1:
+        gains = eigen_gains(responses.cores(coeffs))
+    else:
+        gains = upa_module._gram_eigen_gains(responses, coeffs)
+    rate = waterfill_capacity(
+        gains.reshape(gains.shape[:-2] + (-1,)), n * np.asarray(budgets, dtype=float), noise
+    )
+    return (n / (n + cfg.cp_samples)) * rate / n
+
+
+def block_responses(rng, lead, num_paths, n_rx, n_tx, subcarriers, longest=None):
+    """Random responses with gains and delays of shape lead + (L,), delays
+    below ``subcarriers``; ``longest`` sets the largest delay."""
+    responses = random_responses(rng, num_paths, n_rx, n_tx)
+    gains = rng.standard_normal(lead + (num_paths,)) + 1j * rng.standard_normal(
+        lead + (num_paths,)
+    )
+    high = subcarriers if longest is None else longest + 1
+    delays = rng.integers(0, high, size=lead + (num_paths,))
+    if longest is not None:
+        delays.flat[0] = longest
+    return replace(responses, gains=gains, delays=delays)
 
 
 def selected_link(cfg, seed, trial, n_rx_rf, n_tx_rf):
@@ -135,7 +165,7 @@ class TestOfdmOracle:
             ofdm_capacity(responses, 1.0, 1.0, OfdmConfig(subcarriers=8, cp_samples=0))
 
 
-class TestMimoOfdmCapacity:
+class TestOfdmCapacity:
     def test_flat_no_cp_equals_eigenmode(self):
         responses = random_responses(np.random.default_rng(1), 3, 3, 3)
         cfg = OfdmConfig(subcarriers=16, cp_samples=0)
@@ -222,6 +252,90 @@ class TestMimoOfdmCapacity:
         assert min(responses.ranks) > 1
         with pytest.raises(InvalidInputError):
             ofdm_capacity(responses, 1.0, 1.0, OfdmConfig(subcarriers=8, cp_samples=0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([1, 2, 8, 512]),
+        st.sampled_from([(), (1,), (7,)]),
+        st.integers(1, 4),
+        st.integers(1, 4),
+        st.integers(1, 4),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_per_element_coefficients(
+        self, n, lead, num_paths, n_rx, n_tx, duplicate, seed
+    ):
+        # The phase table against one exponential per coefficient, bit for
+        # bit: both routes (rank 1 and Grams), and with a duplicated path
+        # half a symbol later the Gram-guard subcarriers too. The examples
+        # share the tables of one process, so their largest delays rise and
+        # fall and the subcarrier counts alternate.
+        rng = np.random.default_rng(seed)
+        responses = block_responses(rng, lead, num_paths, n_rx, n_tx, n)
+        if duplicate and num_paths > 1 and n > 1:
+            responses.rx[1], responses.tx[1] = responses.rx[0], responses.tx[0]
+            responses.gains[..., 1] = responses.gains[..., 0]
+            responses.delays[..., 1] = (responses.delays[..., 0] + n // 2) % n
+        cfg = OfdmConfig(subcarriers=n, cp_samples=4)
+        budgets = np.array([1e-3, 1.0, 1e3, 1e12])
+        got = ofdm_capacity(responses, budgets, 0.5, cfg)
+        assert np.array_equal(got, per_element_ofdm_capacity(responses, budgets, 0.5, cfg))
+
+    def test_successive_calls_equal_the_per_element_coefficients(self, monkeypatch):
+        # From empty tables: rising and falling largest delays, alternating
+        # subcarrier counts, with and without a trial axis.
+        monkeypatch.setattr(upa_module, "_PHASES", {})
+        rng = np.random.default_rng(12)
+        budgets = np.array([1e-2, 1e2])
+        calls = (
+            (8, 2, ()), (512, 40, (7,)), (8, 7, (1,)), (512, 3, ()), (2, 1, (7,)),
+            (8, 0, ()), (1, 0, (1,)), (512, 511, (1,)), (512, 50, (7,)),
+        )
+        for n, longest, lead in calls:
+            responses = block_responses(rng, lead, 3, 3, 2, n, longest)
+            cfg = OfdmConfig(subcarriers=n, cp_samples=0)
+            got = ofdm_capacity(responses, budgets, 1.0, cfg)
+            assert np.array_equal(got, per_element_ofdm_capacity(responses, budgets, 1.0, cfg))
+
+    def test_negative_delay_refused(self):
+        responses = random_responses(np.random.default_rng(13), 2, 2, 2, delays=(0, -1))
+        with pytest.raises(InvalidInputError):
+            ofdm_capacity(responses, 1.0, 1.0, OfdmConfig(subcarriers=8, cp_samples=0))
+
+
+class TestPhaseTable:
+    """The cached exp(-j 2 pi k d / N) tables of ofdm_capacity."""
+
+    def call(self, n, longest, cp_samples=0, lead=(3,)):
+        rng = np.random.default_rng(n + longest)
+        responses = block_responses(rng, lead, 3, 2, 2, n, longest)
+        ofdm_capacity(responses, 1.0, 1.0, OfdmConfig(subcarriers=n, cp_samples=cp_samples))
+
+    def test_table_is_read_only(self, monkeypatch):
+        monkeypatch.setattr(upa_module, "_PHASES", {})
+        self.call(8, 5)
+        table = upa_module._PHASES[8]
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            table *= 2.0
+
+    def test_rows_never_exceed_the_longest_delay_seen(self, monkeypatch):
+        monkeypatch.setattr(upa_module, "_PHASES", {})
+        seen = {}
+        for n, longest in ((16, 3), (16, 9), (512, 20), (16, 2), (512, 50), (512, 7), (16, 15)):
+            self.call(n, longest)
+            seen[n] = max(seen.get(n, 0), longest)
+            assert {k: len(v) for k, v in upa_module._PHASES.items()} == {
+                k: d + 1 for k, d in seen.items()
+            }
+            assert all(v.shape[1] == k for k, v in upa_module._PHASES.items())
+
+    def test_long_cyclic_prefix_builds_no_extra_rows(self, monkeypatch):
+        monkeypatch.setattr(upa_module, "_PHASES", {})
+        self.call(8, 3, cp_samples=100)
+        assert upa_module._PHASES[8].shape == (4, 8)
 
 
 class TestSelectedLink:
@@ -492,6 +606,37 @@ class TestPowerSelection:
         energy = dense_energy(dense_taps(responses))
         assert_top_up_to_ulps(rows, energy.sum(axis=1), k_rx)
         assert_top_up_to_ulps(cols, energy[rows].sum(axis=0), k_tx)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_picks_equal_the_per_trial_ranking(self, data):
+        # The batched ranking against one sort per trial, pick for pick,
+        # on the tap energies of random UPA shapes with n_z > 1 on both
+        # sides, with and without a trial axis, and budgets up to the full
+        # arrays: above 8 picked rows a pairwise column sum would round
+        # differently from the sequential one.
+        def upa():
+            n_y, n_z = data.draw(st.integers(1, 6)), data.draw(st.integers(2, 4))
+            return UpaConfig(aperture=n_y * n_z / 4.0, azimuth_dim=n_y / 2.0)
+
+        rx, tx = upa(), upa()
+        lead = data.draw(st.sampled_from([(), (1,), (5,)]))
+        n = data.draw(st.integers(1, 4))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        paths = PathSet(
+            gains=rng.standard_normal(lead + (n,)) * np.exp(2j * np.pi * rng.random(lead + (n,))),
+            delays_s=rng.integers(0, 3, size=lead + (n,)) / 500e6,
+            aoa_spatial_freqs=rng.uniform(-1.0, 1.0, n),
+            aod_spatial_freqs=rng.uniform(-1.0, 1.0, n),
+        )
+        block = path_responses(paths, tx, rx, 500e6)
+        k_rx = data.draw(st.integers(1, rx.element_count))
+        k_tx = data.draw(st.integers(1, tx.element_count))
+        rows, cols = power_select_antennas(block, rx, tx, k_rx, k_tx)
+        z_rx, z_tx = rx.grid_shape[1], tx.grid_shape[1]
+        energy = upa_module._tap_energy(block, z_rx, z_tx)
+        want_rows, want_cols = rank_per_trial(energy, z_rx, z_tx, k_rx, k_tx)
+        assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
