@@ -131,13 +131,13 @@ class PathResponses:
     H(n) = sum_l alpha_l a_R,l a_T,l^H [n == n_l].
 
     The response rows are geometry, fixed by the path angles. The gains
-    and delays are of one realization, (L,), or of a block of realizations
-    on the same angles, (T, L) with a leading trial axis; every method then
-    works on all T at once, and the factors of the rows are taken once.
-    Rows of shape (T, L, N) give each trial antennas of its own (the
-    selected UPA links); each side then takes one stacked SVD, and every
-    trial of such a block must have the same side ranks (``by_rank``
-    splits a block that does not).
+    and delays are of one realization, (L,), or of a block, (T, L) with a
+    leading trial axis; every method works on all T at once. The rows,
+    (..., L, N), carry none or all of the gains' leading axes and broadcast
+    against them: a block's (L, N) rows are shared and factored once, and
+    (T, L, N) rows give each trial antennas of its own (the selected UPA
+    links), one stacked SVD per side. Every trial must have the same side
+    ranks (``by_rank`` splits a block that does not).
 
     Every scheme reads these per-path factors: ``cores`` is the
     rank-revealing path-space reduction that carries the singular values
@@ -147,8 +147,8 @@ class PathResponses:
     same paths seen by fewer antennas.
     """
 
-    rx: np.ndarray  # (L, M) or (T, L, M) receive response rows a_R,l
-    tx: np.ndarray  # (L, Q) or (T, L, Q) transmit response rows a_T,l
+    rx: np.ndarray  # (..., L, M) receive response rows a_R,l
+    tx: np.ndarray  # (..., L, Q) transmit response rows a_T,l
     gains: np.ndarray  # (L,) or (T, L) complex alpha_l
     delays: np.ndarray  # (L,) or (T, L) integer sample delays n_l
 
@@ -169,15 +169,16 @@ class PathResponses:
             delays=self.delays[..., keep],
         )
 
-    def trials(self, index) -> PathResponses:
-        """The given trials of responses with (T, L, N) rows, sharing the
-        SVDs the block has already taken."""
-        part = PathResponses(
-            rx=self.rx[index], tx=self.tx[index], gains=self.gains[index], delays=self.delays[index]
-        )
+    def trials(self, index: tuple) -> PathResponses:
+        """The given trials, a tuple of index arrays into the gains' leading
+        axes, with the SVDs taken so far; rows without those axes stay shared."""
+        def pick(a, core=2):  # a has all of the indexed leading axes or none
+            return a[index[len(index) + core - a.ndim :]]
+
+        part = PathResponses(pick(self.rx), pick(self.tx), self.gains[index], self.delays[index])
         if "_svds" in self.__dict__:
             # Seeds the part's cached_property, as its first use would.
-            part.__dict__["_svds"] = tuple((f[index], keep[index]) for f, keep in self._svds)
+            part.__dict__["_svds"] = tuple((pick(f), pick(keep, 1)) for f, keep in self._svds)
         return part
 
     def by_rank(self) -> list[tuple[np.ndarray, PathResponses]]:
@@ -188,7 +189,7 @@ class PathResponses:
         ranks = np.stack([keep.sum(axis=-1) for _, keep in self._svds], axis=-1)
         pairs = sorted(set(map(tuple, ranks.tolist())))
         groups = (np.flatnonzero((ranks == pair).all(axis=-1)) for pair in pairs)
-        return [(index, self.trials(index)) for index in groups]
+        return [(index, self.trials((index,))) for index in groups]
 
     @cached_property
     def _svds(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
@@ -200,7 +201,7 @@ class PathResponses:
     def _factors(self) -> tuple[np.ndarray, np.ndarray]:
         """The rank-revealing factors (R_R, R_T) of the receive and transmit
         rows, shared by ``ranks``, ``cores`` and ``grams``: the rows of
-        S V^H kept by ``_factor``, (r, L) or, for (T, L, N) rows, (T, r, L)."""
+        S V^H kept by ``_factor``, (..., r, L) with the rows' leading axes."""
         out = []
         for factor, keep in self._svds:
             rank = keep.sum(axis=-1)
@@ -230,10 +231,9 @@ class PathResponses:
         """
         r_rx, r_tx = self._factors
         c = self.gains if coeffs is None else coeffs
-        if r_rx.ndim == 3:
-            # Per-trial (T, r, L) factors meet (T, ..., L) coefficients.
-            axes = tuple(range(1, c.ndim - 1))
-            r_rx, r_tx = np.expand_dims(r_rx, axes), np.expand_dims(r_tx, axes)
+        # The coefficients' extra (subcarrier) axes go just before (r, L).
+        axes = tuple(range(r_rx.ndim - 2, c.ndim - 1))
+        r_rx, r_tx = np.expand_dims(r_rx, axes), np.expand_dims(r_tx, axes)
         return (r_rx * c[..., None, :]) @ r_tx.conj().swapaxes(-1, -2)
 
     def grams(self, coeffs) -> np.ndarray:
@@ -246,10 +246,10 @@ class PathResponses:
         factor and Gamma = P^H P the L x L Gram of the larger side's factor
         P, G = R (W o Gamma) R^H (o the entrywise product). For the
         transmit side both factors are conjugated, which conjugates G and
-        keeps its eigenvalues. The stack is one (..., L^2) @ (L^2, r^2)
-        product, whatever the leading axes (trials, subcarriers); with
-        (T, L, N) rows each trial takes its own kernel. A Gram squares the
-        condition number of its core.
+        keeps its eigenvalues. The stack is one (-1, L^2) @ (L^2, r^2)
+        product per leading index of the rows, over all the other leading
+        axes (trials, subcarriers) at once. A Gram squares the condition
+        number of its core.
         """
         r_rx, r_tx = self._factors
         if r_rx.shape[-2] <= r_tx.shape[-2]:
@@ -263,7 +263,7 @@ class PathResponses:
         r, n = small.shape[-2:]
         lead = coeffs.shape[:-1]
         kernel = kernel.reshape(kernel.shape[:-4] + (n * n, r * r))
-        w = w.reshape(lead + (n * n,) if kernel.ndim == 2 else (len(w), -1, n * n))
+        w = w.reshape(lead[: kernel.ndim - 2] + (-1, n * n))
         return (w @ kernel).reshape(lead + (r, r))
 
 

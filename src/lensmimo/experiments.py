@@ -87,6 +87,7 @@ class ExperimentConfig:
             raise InvalidInputError("trials must be at least 1")
         if self.num_paths < 1 or self.delta < 1:
             raise InvalidInputError("num_paths and delta must be positive")
+        self.stats.placed_angles(self.num_paths)  # a fixed angle list must have num_paths entries
         if self.seed < 0:
             raise InvalidInputError(f"seed must be non-negative, got {self.seed}")
         if len(self.snr_db) == 0:

@@ -13,14 +13,14 @@ ill-conditioned (GRAM_TOL), takes its cores instead. Its subcarrier
 phases e^{-j 2 pi k n / N} come from a cached read-only table per
 subcarrier count N, one row per integer delay n up to the longest met so
 far (at most N rows; 51 x 512 at the presets, 418 KB). Both capacities
-take a block of realizations on one geometry at once, and so does the
-antenna selection: it ranks the channel energy of one antenna per azimuth
-index on both sides, from an n_y,R x n_y,T tap per distinct path delay
-formed from the path terms, with each realization's picks bit for bit
-those of its own call; only the row sums over the full transmit rows run
-one realization at a time. The link it selects at the fig9/fig10 budgets
-has rank 1, so its subcarrier cores are 1 x 1; each realization's picked
-link keeps response rows of its own, (T, L, k), for ``ofdm_capacity``.
+take a block of realizations at once, and so does the antenna
+selection: it ranks the channel energy of one antenna per azimuth index
+on both sides, from an n_y,R x n_y,T tap per distinct path delay formed
+from the path terms, with no loop over the realizations and each one's
+picks bit for bit those of its own call. The link it selects at the
+fig9/fig10 budgets has rank 1, so its subcarrier cores are 1 x 1; each
+realization's picked link keeps response rows of its own, (T, L, k),
+which ``ofdm_capacity`` reads as it reads a block's shared rows.
 """
 from __future__ import annotations
 
@@ -149,9 +149,8 @@ def _gram_eigen_gains(responses: PathResponses, coeffs: np.ndarray) -> np.ndarra
     ill = gains[..., -1] < GRAM_TOL * gains[..., 0]
     gains = np.maximum(gains, 0.0)
     if ill.any():
-        if responses.rx.ndim == 3:  # per-trial rows: the factors of each pick
-            responses = responses.trials(np.nonzero(ill)[0])
-        gains[ill] = eigen_gains(responses.cores(coeffs[ill]))
+        part = responses.trials(np.nonzero(ill)[:-1])
+        gains[ill] = eigen_gains(part.cores(coeffs[ill]))
     return gains
 
 
@@ -172,20 +171,20 @@ def power_select_antennas(
     index (i_y-major: i_y*n_z ... i_y*n_z + n_z - 1) have identical
     responses and powers, on either side. The taps are formed once per
     block over one antenna per azimuth index on both sides (n_y,R x n_y,T
-    per delay) and repeated back to full transmit rows before each row
-    sum, so that it rounds as it would on the whole array; a trial's picks
-    are bit for bit those of its own call. Only those row sums (numpy's
-    pairwise sum over the full transmit rows) run one trial at a time; the
-    sorts, the gather of the picked rows and their column sums take the
-    whole block at once, each trial reduced in the order of its own call.
+    per delay) and repeated back to full transmit rows before the row
+    sums, so that they round as they would on the whole array; a trial's
+    picks are bit for bit those of its own call. The row sums (numpy's
+    pairwise sum over each contiguous full transmit row), the sorts, the
+    gather of the picked rows and their column sums all take the whole
+    block at once, each trial reduced in the order of its own call.
 
     So with each budget at most its array's n_z (6 of 10 on fig9/fig10),
     the lower-index rule takes every pick of a side from one azimuth index,
     each side sees every path with one phase on all its picks, and the
     selected link has rank 1: UPA-OFDM-selection is a single-stream
-    baseline. A rule that keeps several streams is ROADMAP item 5.
+    baseline. ROADMAP's "A fair conventional baseline" keeps several.
     """
-    n_rx, n_tx = responses.rx.shape[1], responses.tx.shape[1]
+    n_rx, n_tx = responses.rx.shape[-1], responses.tx.shape[-1]
     if n_rx != rx_array.element_count:
         raise InvalidInputError("receive responses do not match the receive array size")
     if n_tx != tx_array.element_count:
@@ -195,11 +194,9 @@ def power_select_antennas(
     z_rx, z_tx = rx_array.grid_shape[1], tx_array.grid_shape[1]
     energy = _tap_energy(responses, z_rx, z_tx)
     # Row i of energy stands for receive antennas i*n_z,R ... and its
-    # column j for transmit antennas j*n_z,T ...; each trial's row sums run
-    # over its full transmit rows, the column sums over its picked rows.
-    row_sums = np.empty(energy.shape[:-1])
-    for t in np.ndindex(energy.shape[:-2]):
-        row_sums[t] = np.repeat(energy[t], z_tx, axis=-1).sum(axis=-1)
+    # column j for transmit antennas j*n_z,T ...; the row sums run over the
+    # full transmit rows, the column sums over the picked rows.
+    row_sums = np.repeat(energy, z_tx, axis=-1).sum(axis=-1)
     rows = _strongest(np.repeat(row_sums, z_rx, axis=-1), n_rx_rf)
     picked = np.take_along_axis(energy, rows[..., None] // z_rx, axis=-2)
     cols = _strongest(np.repeat(picked.sum(axis=-2), z_tx, axis=-1), n_tx_rf)

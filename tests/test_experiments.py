@@ -72,6 +72,14 @@ class TestPresets:
         assert preset("fig9", rx_rf=200, tx_rf=400).rx_rf == 200
         assert preset("fig9", schemes=("PDM-MRC",), **{field: value}).schemes == ("PDM-MRC",)
 
+    def test_num_paths_must_match_a_fixed_angle_list(self):
+        # fig9 fixes three AoDs; the mismatch is refused before any trial is drawn.
+        with pytest.raises(InvalidInputError, match="AoD list has 3 entries for 4 paths"):
+            preset("fig9", num_paths=4)
+        with pytest.raises(InvalidInputError, match="AoA list has 3 entries for 2 paths"):
+            preset("fig5", num_paths=2)
+        assert preset("fig9", num_paths=3).num_paths == 3
+
     def test_repeated_snr_point_refused(self):
         with pytest.raises(InvalidInputError, match="snr_db lists 10 dB more than once"):
             preset("fig5", snr_db=(0.0, 10.0, 10.0))

@@ -397,6 +397,49 @@ class TestSelectedLink:
                 assert np.array_equal(row, ofdm_capacity(trials[t], budgets, 1.0, cfg))
 
 
+class TestRowForms:
+    """A block's shared (L, N) rows and the same rows stacked per trial,
+    (T, L, N), run the same code and must give the same bits."""
+
+    @pytest.mark.parametrize("t", [1, 5])
+    @pytest.mark.parametrize("route", ["rank-1", "gram", "gram-guard"])
+    @settings(max_examples=20, deadline=None)
+    @given(st.data())
+    def test_shared_rows_equal_the_rows_stacked_per_trial(self, route, t, data):
+        n = data.draw(st.sampled_from([2, 8, 512]))
+        dims = [data.draw(st.integers(2, 4)) for _ in range(3)]  # L, n_rx, n_tx
+        if route == "rank-1":
+            dims[data.draw(st.integers(0, 2))] = 1
+        elif route == "gram-guard":
+            dims[0] = 3
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        shared = block_responses(rng, (t,), *dims, n)
+        if route == "gram-guard":
+            # Path 1 repeats path 0 half a symbol later, as in the by_rank
+            # test: the two cancel on every odd subcarrier, whose core keeps
+            # path 2 alone.
+            shared.rx[1], shared.tx[1] = shared.rx[0], shared.tx[0]
+            shared.gains[:, 1] = shared.gains[:, 0]
+            shared.delays[:, 1] = (shared.delays[:, 0] + n // 2) % n
+        stacked = replace(shared, rx=np.stack([shared.rx] * t), tx=np.stack([shared.tx] * t))
+        coeffs = ofdm_coefficients(shared.gains, shared.delays, n)
+        assert (min(shared.ranks) == 1) == (route == "rank-1")
+        if route == "gram-guard":
+            ev = np.linalg.eigvalsh(shared.grams(coeffs))
+            assert np.any(ev[..., 0] < upa_module.GRAM_TOL * ev[..., -1])
+        assert np.array_equal(stacked.cores(), shared.cores())
+        assert np.array_equal(stacked.cores(coeffs), shared.cores(coeffs))
+        assert np.array_equal(stacked.grams(coeffs), shared.grams(coeffs))
+        budgets = np.array([1e-3, 1.0, 1e3, 1e12])
+        assert np.array_equal(
+            eigenmode_capacity(stacked, budgets, 0.5), eigenmode_capacity(shared, budgets, 0.5)
+        )
+        cfg = OfdmConfig(subcarriers=n, cp_samples=4)
+        assert np.array_equal(
+            ofdm_capacity(stacked, budgets, 0.5, cfg), ofdm_capacity(shared, budgets, 0.5, cfg)
+        )
+
+
 class TestUpaChannel:
     def test_narrowband_matrix_energy(self):
         cfg = UpaConfig(20.0, 10.0)
