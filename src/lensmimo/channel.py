@@ -182,11 +182,14 @@ class PathResponses:
         return part
 
     def by_rank(self) -> list[tuple[np.ndarray, PathResponses]]:
-        """Responses with (T, L, N) rows split into groups of trials with
-        the same side ranks (r_R, r_T): (trial indices, their responses)
-        pairs in ascending rank order, all factored from one stacked SVD
-        per side."""
-        ranks = np.stack([keep.sum(axis=-1) for _, keep in self._svds], axis=-1)
+        """Responses with (T, L) gains split into groups of trials with the
+        same side ranks (r_R, r_T): (trial indices, their responses) pairs
+        in ascending rank order, all factored from one stacked SVD per side.
+        Shared (L, N) rows give one group of every trial."""
+        lead = self.gains.shape[:-1]
+        ranks = np.stack(
+            [np.broadcast_to(keep.sum(axis=-1), lead) for _, keep in self._svds], axis=-1
+        )
         pairs = sorted(set(map(tuple, ranks.tolist())))
         groups = (np.flatnonzero((ranks == pair).all(axis=-1)) for pair in pairs)
         return [(index, self.trials((index,))) for index in groups]

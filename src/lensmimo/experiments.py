@@ -17,17 +17,28 @@ substream seeded by (seed, t), every scheme computes each trial's rates
 with the same arithmetic whatever block holds it, and results are reduced
 in trial order. So identical (config, seed) give identical output
 regardless of the block size and the worker count.
+
+Parallelism: a sweep runs in-process unless the pool pays for itself. The
+first block runs in-process and is timed; the other trials go to a pool of
+forked worker processes only if the time that block predicts they save
+exceeds the pool's cost. Each worker runs one thread of numpy's bundled
+OpenBLAS, so the workers do not compete with BLAS threads for the cores.
 """
 from __future__ import annotations
 
+import ctypes
 import itertools
 import math
 import os
+import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
+from pathlib import Path
 
 import numpy as np
+from numpy.random import default_rng  # numpy 2 imports its random module on first use
 
 from .arrays import LensArrayConfig, UpaConfig
 from .channel import ChannelStats, PathSet, _draw, path_responses
@@ -58,6 +69,19 @@ SCHEMES = (
 # Trials per block: the geometry is built once per block, and a block's
 # stacks (T x 512 subcarrier Grams on fig6) stay a few MB.
 _BLOCK = 32
+
+# What the worker pool costs, per worker, beyond dividing the work. On a
+# 2-vCPU VM (Python 3.11, numpy 2.4) a fork pool that ran no work started
+# and stopped in 10-24 ms at 2 workers (median 13) and 29-38 ms at 8, and
+# two workers running side by side each took 1.4-1.7x the time one process
+# alone took for the same blocks. Forced 2-worker pools first beat the
+# serial sweep (warm, medians of 7, fig5, fig6 and fig9 at 64-2000 trials)
+# where this rule predicted a saving of 30-55 ms, so the pool starts only
+# for a predicted saving above 50 ms at 2 workers.
+_WORKER_COST_S = 0.025
+
+# Where numpy's Linux wheels keep their bundled libraries, OpenBLAS among them.
+_NUMPY_LIBS = Path(np.__file__).resolve().parent.parent / "numpy.libs"
 
 _DEFAULT_SNR_DB = tuple(float(s) for s in range(-10, 31, 5))
 
@@ -148,7 +172,9 @@ _IDEAL_FREQS = (0.0, 0.2, -0.2)
 _SPREAD_AODS = tuple(math.sin(math.radians(d)) for d in (-15.0, 10.0, 45.0))
 
 
+@cache
 def _preset_table() -> dict[str, ExperimentConfig]:
+    """The presets, built and validated once; read-only to every caller."""
     ideal = dict(aoa_spatial_freqs=_IDEAL_FREQS, aod_spatial_freqs=_IDEAL_FREQS)
     small = dict(tx_aperture=20.0, rx_aperture=20.0, tx_azimuth_dim=10.0, rx_azimuth_dim=10.0)
     large = dict(tx_aperture=100.0, rx_aperture=50.0, tx_azimuth_dim=20.0, rx_azimuth_dim=10.0)
@@ -219,7 +245,7 @@ class _Block:
     def __init__(self, cfg: ExperimentConfig, trials: range) -> None:
         stats, num_paths = cfg.stats, cfg.num_paths
         gains, delays = zip(
-            *(_draw(stats, num_paths, np.random.default_rng([cfg.seed, t])) for t in trials)
+            *(_draw(stats, num_paths, default_rng([cfg.seed, t])) for t in trials)
         )
         aoa, aod = stats.placed_angles(num_paths)
         self.paths = PathSet(
@@ -343,6 +369,51 @@ def _run_block(cfg: ExperimentConfig, trials: range) -> dict:
                 )
 
 
+def _blocks(start: int, stop: int, size: int) -> list[range]:
+    return [range(t, min(t + size, stop)) for t in range(start, stop, size)]
+
+
+@cache
+def _openblas_threads():
+    """(get, set) for the thread count of the OpenBLAS bundled in numpy's
+    wheel, or None where numpy links another BLAS."""
+    for path in sorted(_NUMPY_LIBS.glob("lib*openblas*.so*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for prefix, suffix in itertools.product(("scipy_", ""), ("64_", "")):
+            try:
+                get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}")
+                put = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}")
+            except AttributeError:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """numpy's OpenBLAS held at one thread, the caller's count restored on
+    exit, so that each worker of a pool forked inside runs one BLAS thread.
+
+    The count is set before the fork and inherited: set in a worker
+    instead, it would start a BLAS thread there (the fork stops the
+    parent's), and that thread spins for about 0.1 s.
+    """
+    get, put = _openblas_threads() or (lambda: 1, None)
+    before = get()
+    if before != 1:
+        put(1)
+    try:
+        yield
+    finally:
+        if before != 1:
+            put(before)
+
+
 def resolve_workers(workers: int | None = None) -> int:
     """Worker count: explicit argument, else SIM_THREADS, else CPU count."""
     if workers is None:
@@ -361,22 +432,31 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> list[Re
 
     Rates are averaged over the trials where the scheme applies; skipped or
     fallback trials are counted in the flags column as name:count pairs.
+
+    The first block runs in-process and is timed. The other trials go to a
+    pool of worker processes only if the time this predicts the pool saves
+    exceeds its cost; otherwise they run in-process as well.
     """
-    workers = min(resolve_workers(workers), cfg.trials)
-    if workers == 1:
-        size = _BLOCK
-    else:
-        # At least two blocks per worker, so a short sweep still spreads
-        # over the pool, with a second round left to even out the finish.
-        size = min(_BLOCK, math.ceil(cfg.trials / (2 * workers)))
-    blocks = [range(t, min(t + size, cfg.trials)) for t in range(0, cfg.trials, size)]
-    if workers == 1:
-        results = [_run_block(cfg, b) for b in blocks]
-    else:
+    workers = resolve_workers(workers)
+    blocks = _blocks(0, cfg.trials, _BLOCK)
+    start = time.perf_counter()
+    results = [_run_block(cfg, blocks[0])]
+    block_s = time.perf_counter() - start
+    rest = cfg.trials - len(blocks[0])
+    workers = min(workers, rest)
+    if workers > 1 and (
+        block_s * rest / len(blocks[0]) * (1 - 1 / workers) > _WORKER_COST_S * workers
+    ):
+        # At least two blocks per worker, so the pool's share still spreads
+        # over every worker, with a second round left to even out the finish.
+        size = min(_BLOCK, math.ceil(rest / (2 * workers)))
+        blocks[1:] = _blocks(len(blocks[0]), cfg.trials, size)
         # About two chunks of blocks per worker: one round trip per chunk.
-        chunk = math.ceil(len(blocks) / (2 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_block, itertools.repeat(cfg), blocks, chunksize=chunk))
+        chunk = math.ceil((len(blocks) - 1) / (2 * workers))
+        with _one_blas_thread(), ProcessPoolExecutor(max_workers=workers) as pool:
+            results += pool.map(_run_block, itertools.repeat(cfg), blocks[1:], chunksize=chunk)
+    else:
+        results += [_run_block(cfg, b) for b in blocks[1:]]
     rows: list[ResultRow] = []
     for scheme in cfg.schemes:
         rates = [r[scheme][0] for r in results if r[scheme][0] is not None]

@@ -302,8 +302,12 @@ def test_11_interpath_coupling_small_when_separated():
     )
 
 
-def test_12_sweep_csv_determinism_across_workers(tmp_path):
-    # 8 trials run as one block at 1 worker, 4 blocks at 2 and 8 at 8.
+def test_12_sweep_csv_determinism_across_workers(tmp_path, monkeypatch):
+    # Blocks of 2 and a free pool: 8 trials run as 4 blocks at 1 worker; at
+    # 2 and 8 workers the first block runs in-process and the other 6 trials
+    # go to the pool, as 3 blocks over 2 workers and 6 over 6.
+    monkeypatch.setattr(lm.experiments, "_BLOCK", 2)
+    monkeypatch.setattr(lm.experiments, "_WORKER_COST_S", 0.0)
     ok = True
     for name in ("fig9", "fig6"):
         cfg = preset(name, trials=8, seed=77)

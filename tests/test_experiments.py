@@ -1,9 +1,12 @@
+import itertools
 import os
 import re
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +23,24 @@ from lensmimo.experiments import (
     run_experiment,
     sweep,
 )
+
+
+def _blas_threads(_):
+    return experiments._openblas_threads()[0]()
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker counts of the pools the sweeps start."""
+    started = []
+
+    class Spy(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", Spy)
+    return started
 
 
 class TestPresets:
@@ -86,6 +107,21 @@ class TestPresets:
         with pytest.raises(InvalidInputError, match="snr_db lists -0 dB"):
             preset("fig5", snr_db=(0.0, -0.0))
 
+    def test_table_built_once(self, monkeypatch):
+        preset("fig6", trials=2)  # builds the table unless an earlier call did
+        built = []
+        original = ExperimentConfig.__post_init__
+
+        def counting(cfg):
+            built.append(cfg.scenario)
+            original(cfg)
+
+        monkeypatch.setattr(ExperimentConfig, "__post_init__", counting)
+        assert preset("fig6", trials=2).trials == 2
+        assert built == ["fig6-wideband-ideal"]  # its own replace only
+        with pytest.raises(InvalidInputError):
+            preset("fig6", trials=0)  # the overrides are still validated
+
     def test_cyclic_prefix_must_cover_longest_tap(self):
         # 200 ns at 500 MHz is 100 samples, twice the 50-sample cyclic prefix.
         stats = replace(preset("fig6").stats, max_excess_delay_s=200e-9)
@@ -110,11 +146,47 @@ class TestRunExperiment:
             se = [r.se_bpshz for r in rows if r.scheme == scheme]
             assert all(a <= b + 1e-12 for a, b in zip(se, se[1:]))
 
-    def test_worker_count_invariance(self):
+    def test_worker_count_invariance(self, monkeypatch, pools):
+        # Blocks of 2 and a free pool: trials 2 and 3 run in the workers.
+        monkeypatch.setattr(experiments, "_BLOCK", 2)
+        monkeypatch.setattr(experiments, "_WORKER_COST_S", 0.0)
         cfg = preset("fig9", trials=4)
         serial = run_experiment(cfg, workers=1)
         parallel = run_experiment(cfg, workers=2)
         assert serial == parallel
+        assert pools == [2]
+
+    def test_short_sweep_starts_no_pool(self, pools):
+        run_experiment(preset("fig9", trials=30), workers=2)
+        assert pools == []
+
+    @pytest.mark.parametrize("factor, started", [(0.9, []), (1.1, [2])])
+    def test_pool_only_when_it_saves_its_cost(self, monkeypatch, pools, factor, started):
+        # The first block's 32 trials take block_s, so the pool is predicted
+        # to save block_s / 2 on the other 32 at two workers, against a cost
+        # of two workers.
+        block_s = factor * 4 * experiments._WORKER_COST_S
+        clock = itertools.cycle([0.0, block_s])
+        monkeypatch.setattr(experiments, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+        cfg = preset("fig5", trials=64, seed=4)
+        rows = run_experiment(cfg, workers=2)
+        assert pools == started
+        assert rows == run_experiment(cfg, workers=1)
+
+    def test_pool_workers_run_one_blas_thread(self):
+        threads = experiments._openblas_threads()
+        if threads is None:
+            pytest.skip("numpy links a BLAS other than its bundled OpenBLAS")
+        get, put = threads
+        before = get()
+        put(2)
+        try:
+            with experiments._one_blas_thread(), ProcessPoolExecutor(max_workers=2) as pool:
+                assert get() == 1
+                assert list(pool.map(_blas_threads, range(2))) == [1, 1]
+            assert get() == 2
+        finally:
+            put(before)
 
     def test_opdm_skip_flag_on_random_angles(self):
         cfg = ExperimentConfig(

@@ -396,6 +396,15 @@ class TestSelectedLink:
             for row, t in zip(got, index):
                 assert np.array_equal(row, ofdm_capacity(trials[t], budgets, 1.0, cfg))
 
+    def test_by_rank_on_shared_rows_gives_one_group(self):
+        rng = np.random.default_rng(3)
+        one = random_responses(rng, 3, 4, 5)
+        gains = np.stack([one.gains, 2j * one.gains])
+        block = PathResponses(one.rx, one.tx, gains, np.zeros((2, 3), int))
+        [(index, part)] = block.by_rank()
+        assert list(index) == [0, 1]
+        assert np.array_equal(part.cores(), block.cores())
+
 
 class TestRowForms:
     """A block's shared (L, N) rows and the same rows stacked per trial,
