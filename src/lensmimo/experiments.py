@@ -80,9 +80,6 @@ _BLOCK = 32
 # for a predicted saving above 50 ms at 2 workers.
 _WORKER_COST_S = 0.025
 
-# Where numpy's Linux wheels keep their bundled libraries, OpenBLAS among them.
-_NUMPY_LIBS = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-
 _DEFAULT_SNR_DB = tuple(float(s) for s in range(-10, 31, 5))
 
 
@@ -377,7 +374,9 @@ def _blocks(start: int, stop: int, size: int) -> list[range]:
 def _openblas_threads():
     """(get, set) for the thread count of the OpenBLAS bundled in numpy's
     wheel, or None where numpy links another BLAS."""
-    for path in sorted(_NUMPY_LIBS.glob("lib*openblas*.so*")):
+    # numpy's Linux wheels bundle their OpenBLAS in numpy.libs.
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("lib*openblas*.so*")):
         try:
             lib = ctypes.CDLL(str(path))
         except OSError:
