@@ -1,4 +1,5 @@
-"""Shared numerical kernels: eigen-gains, exact water-filling, Hermitian solve.
+"""Shared numerical kernels: eigen-gains, Hermitian eigenvalues, exact
+water-filling, Hermitian solve.
 
 Every capacity the sweeps report is water-filling over parallel gains:
 OPDM's per-path gains, and the eigenmodes of the path-space cores
@@ -6,8 +7,10 @@ OPDM's per-path gains, and the eigenmodes of the path-space cores
 path group and of the UPA channels; the PDM stream powers are water-filled
 the same way. ``eigen_gains`` turns a stack of matrices into squared
 singular values under one rank rule; the UPA-OFDM subcarriers take theirs
-from Hermitian Grams instead (``upa.ofdm_capacity``), and fall back to
-``eigen_gains`` where a Gram is ill-conditioned. ``water_fill`` returns the
+from Hermitian Grams instead (``upa.ofdm_capacity``), as the
+``hermitian_eigvals`` of the stack: closed forms for r <= 3, with no LAPACK
+call per matrix, and ``np.linalg.eigvalsh`` above that. Where a Gram is
+ill-conditioned they fall back to ``eigen_gains``. ``water_fill`` returns the
 powers for a whole grid of power budgets, and for a stack of links (the
 trials of a block), at once. ``hermitian_solve`` solves a stack of
 Hermitian positive definite systems (the PDM MMSE covariances in path
@@ -44,6 +47,100 @@ def eigen_gains(mats) -> np.ndarray:
         s = np.linalg.svd(m, compute_uv=False)
     s = np.where(s < RANK_TOL * s[..., :1], 0.0, s)
     return s**2
+
+
+def hermitian_eigvals(mats) -> np.ndarray:
+    """Eigenvalues of each Hermitian matrix of a (..., r, r) stack, of shape
+    (..., r) and non-increasing along the last axis. Like
+    ``np.linalg.eigvalsh``, it reads the lower triangle and the real part of
+    the diagonal.
+
+    For r = 2 and 3 the eigenvalues come from closed forms, in a few ufunc
+    passes over the whole stack: r = 2 from the roots of the quadratic,
+    r = 3 as in ``_eigvals3``. Each is within a few eps of the largest
+    eigenvalue magnitude of its matrix, for repeated eigenvalues too. Other
+    sizes take ``eigvalsh``, which makes one LAPACK call per matrix.
+    """
+    a = np.asarray(mats)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise InvalidInputError("hermitian_eigvals expects a (..., r, r) stack")
+    r = a.shape[-1]
+    if r not in (2, 3):
+        return np.linalg.eigvalsh(a)[..., ::-1]
+    if r == 2:
+        x, y = a[..., 0, 0].real, a[..., 1, 1].real
+        mid = x / 2 + y / 2
+        radius = np.hypot(x / 2 - y / 2, np.abs(a[..., 1, 0]))
+        return np.stack((mid + radius, mid - radius), axis=-1)
+    return _eigvals3(a)
+
+
+def _eigvals3(a: np.ndarray) -> np.ndarray:
+    """``hermitian_eigvals`` of a (..., 3, 3) stack.
+
+    Each matrix is scaled by its largest entry s, so that the squares and
+    cubes below neither overflow nor underflow, and shifted by its mean
+    eigenvalue q: D = (A / s - q I) / p with p^2 = tr(C^2) / 6 for C the
+    shifted matrix has trace 0 and tr D^2 = 6. Its eigenvalues are
+    2 cos(theta / 3 + 2 pi k / 3) with cos(theta) = det(D) / 2 (Smith, CACM
+    1961), the determinant written out. Only the eigenvalue farthest from
+    the other two, mu = 2 sign(rho) cos(arccos(|rho|) / 3) for rho = det(D)
+    / 2, is taken that way: its derivative in rho is bounded, while near
+    |rho| = 1 (two close eigenvalues, or a rank-1 matrix) the other two
+    would lose half the digits to arccos. For those two: M = D - mu I has
+    rank 2, its other eigenvalues m_1, m_2 are both at least sqrt(3) from
+    0 on the same side, so adj(M) = m_1 m_2 v v^H for the unit eigenvector
+    v of mu, and P = I - adj(M) / tr(adj(M)) projects onto their plane.
+    K = M - (tr(M) / 2) P has eigenvalues +-(m_1 - m_2) / 2 there and 0 on
+    v, so the two are (tr(D) - mu) / 2 +- ||K||_F / sqrt(2), the norm taken
+    from K's entries without a cancelling difference.
+    """
+    x, y, z = a[..., 0, 0].real, a[..., 1, 1].real, a[..., 2, 2].real
+    u, v, w = a[..., 1, 0], a[..., 2, 0], a[..., 2, 1]
+    s = np.abs(x)
+    for entry in (y, z, u, v, w):
+        s = np.maximum(s, np.abs(entry))
+    s = np.where(s > 0, s, 1.0)
+    q = (x / s + y / s + z / s) / 3
+    x, y, z, u, v, w = x / s - q, y / s - q, z / s - q, u / s, v / s, w / s
+    # q is rounded, so the shifted trace need not vanish next to p when the
+    # three eigenvalues nearly coincide: shift once more by what is left.
+    rest = (x + y + z) / 3
+    x, y, z, q = x - rest, y - rest, z - rest, q + rest
+    p = np.sqrt((x * x + y * y + z * z + 2 * (_abs2(u) + _abs2(v) + _abs2(w))) / 6)
+    unit = np.where(p > 0, p, 1.0)
+    x, y, z, u, v, w = x / unit, y / unit, z / unit, u / unit, v / unit, w / unit
+    uu, vv, ww = _abs2(u), _abs2(v), _abs2(w)
+    rho = (x * (y * z - ww) - y * vv - z * uu) / 2 + (u * w * v.conj()).real
+    top = rho >= 0  # mu is the largest eigenvalue, else the smallest
+    mu = np.where(top, 2.0, -2.0) * np.cos(np.arccos(np.minimum(np.abs(rho), 1.0)) / 3)
+    trace = x + y + z
+    x, y, z = x - mu, y - mu, z - mu  # now M
+    adj0, adj1, adj2 = y * z - ww, x * z - vv, x * y - uu
+    half = (trace - 3 * mu) / 2
+    h = half / (adj0 + adj1 + adj2)
+    k_diag = (x - half + h * adj0) ** 2 + (y - half + h * adj1) ** 2 + (z - half + h * adj2) ** 2
+    k_off = (
+        _abs2(u + h * (w.conj() * v - u * z))
+        + _abs2(v + h * (u * w - y * v))
+        + _abs2(w + h * (u.conj() * v - x * w))
+    )
+    gap = np.sqrt(k_diag / 2 + k_off)
+    mid = (trace - mu) / 2
+    e = np.stack(
+        (
+            np.where(top, mu, mid + gap),
+            np.where(top, mid + gap, mid - gap),
+            np.where(top, mid - gap, mu),
+        ),
+        axis=-1,
+    )
+    return s[..., None] * (q[..., None] + p[..., None] * e)
+
+
+def _abs2(c: np.ndarray) -> np.ndarray:
+    """|c|^2 of a complex array, without the square root of np.abs."""
+    return c.real * c.real + c.imag * c.imag
 
 
 def water_fill(gains, budgets, noise: float) -> np.ndarray:

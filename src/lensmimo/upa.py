@@ -7,9 +7,11 @@ and no M x Q matrix is formed. The eigenmode capacity takes its singular
 values from the path-space core of ``PathResponses.cores`` (r_R x r_T, the
 numerical ranks of the receive and transmit responses). The OFDM capacity
 takes them per subcarrier as the eigenvalues of the r x r Grams of
-``PathResponses.grams`` (r = min(r_R, r_T)), with one Hermitian eigensolve
-of the whole stack; a rank-1 link, or a subcarrier whose Gram is too
-ill-conditioned (GRAM_TOL), takes its cores instead. Its subcarrier
+``PathResponses.grams`` (r = min(r_R, r_T)), from
+``numerics.hermitian_eigvals`` over the whole stack: closed forms for
+r <= 3, with no LAPACK call per subcarrier, and ``eigvalsh`` above that. A
+rank-1 link, or a subcarrier whose Gram is too ill-conditioned (GRAM_TOL),
+takes its cores instead. Its subcarrier
 phases e^{-j 2 pi k n / N} come from a cached read-only table per
 subcarrier count N, one row per integer delay n up to the longest met so
 far (at most N rows; 51 x 512 at the presets, 418 KB). Both capacities
@@ -31,7 +33,7 @@ import numpy as np
 from .arrays import UpaConfig
 from .channel import PathResponses
 from .errors import InvalidInputError, UnsupportedConfigurationError
-from .numerics import eigen_gains, waterfill_capacity
+from .numerics import eigen_gains, hermitian_eigvals, waterfill_capacity
 
 # Smallest eigenvalue of a subcarrier Gram, relative to its largest, that
 # ofdm_capacity takes from the Gram (a core singular-value ratio of 1e-3).
@@ -78,7 +80,9 @@ def ofdm_capacity(
     N/(N+cp). A path delay of N samples or more is refused, and so is a
     negative one. With (T, L) gains and delays the T realizations share the
     factors of the response rows, and their T * N subcarrier Grams take one
-    eigensolve.
+    ``hermitian_eigvals`` call: closed forms for r <= 3, ``eigvalsh`` for a
+    larger r, and the SVD of the core where a Gram is ill-conditioned
+    (GRAM_TOL).
 
     The phases are rows of the table of N, built with the per-entry
     expression -2j pi (k n), divided by N, exponentiated, so every
@@ -145,7 +149,7 @@ def _gram_eigen_gains(responses: PathResponses, coeffs: np.ndarray) -> np.ndarra
     grams = responses.grams(coeffs)
     if not np.all(np.isfinite(grams)):
         raise InvalidInputError("eigen_gains input contains non-finite entries")
-    gains = np.linalg.eigvalsh(grams)[..., ::-1]
+    gains = hermitian_eigvals(grams)
     ill = gains[..., -1] < GRAM_TOL * gains[..., 0]
     gains = np.maximum(gains, 0.0)
     if ill.any():

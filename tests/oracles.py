@@ -5,9 +5,10 @@ narrowband matrix, as sums of per-path outer products), the paper's
 antenna indices m of a support mask row, the PDM support view, the inter-path contamination
 coefficients of the PDM support view, and a symbol-level Monte Carlo
 measurement of the PDM SINR decomposition. None of them feeds a sweep, so
-they live here and not in the package. Two more keep the per-element and
-per-trial forms of kernels the package batches: the OFDM subcarrier
-coefficients and the antenna ranking of the power-based selection.
+they live here and not in the package. Three more keep the per-element,
+per-trial and per-matrix forms of kernels the package batches: the OFDM
+subcarrier coefficients, the antenna ranking of the power-based selection,
+and the subcarrier eigen-gains by one LAPACK eigensolve per Gram.
 """
 from __future__ import annotations
 
@@ -16,7 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from lensmimo.errors import InvalidInputError
+from lensmimo.numerics import eigen_gains
 from lensmimo.pdm import SinrReport, mrt_precoders
+from lensmimo.upa import GRAM_TOL
 
 
 class StatisticalValidityError(InvalidInputError):
@@ -64,6 +67,20 @@ def ofdm_coefficients(gains, delays, subcarriers):
     np.exp(coeffs, out=coeffs)
     np.multiply(gains[..., None, :], coeffs, out=coeffs)
     return coeffs
+
+
+def eigvalsh_gram_gains(responses, coeffs):
+    """The (..., N, r) subcarrier eigen-gains of ``upa._gram_eigen_gains``
+    with LAPACK's eigvalsh, one call per Gram, in place of the closed forms:
+    the same GRAM_TOL guard sends an ill-conditioned subcarrier to the SVD
+    of its core."""
+    gains = np.linalg.eigvalsh(responses.grams(coeffs))[..., ::-1]
+    ill = gains[..., -1] < GRAM_TOL * gains[..., 0]
+    gains = np.maximum(gains, 0.0)
+    if ill.any():
+        part = responses.trials(np.nonzero(ill)[:-1])
+        gains[ill] = eigen_gains(part.cores(coeffs[ill]))
+    return gains
 
 
 def rank_per_trial(energy, z_rx, z_tx, n_rx_rf, n_tx_rf):

@@ -4,15 +4,37 @@ import warnings
 import numpy as np
 import pytest
 
+from lensmimo.channel import PathResponses
 from lensmimo.errors import DegenerateInputError, InvalidInputError, NumericalError
 from lensmimo.experiments import preset, run_experiment
 from lensmimo.numerics import (
     RANK_TOL,
     eigen_gains,
+    hermitian_eigvals,
     hermitian_solve,
     water_fill,
     waterfill_capacity,
 )
+from lensmimo.upa import OfdmConfig, ofdm_capacity
+
+
+def record_linalg(monkeypatch):
+    """Record every call of a public np.linalg function as (name, shape of
+    its first argument), in call order."""
+    calls = []
+
+    def recording(name, original):
+        def wrapper(a, *args, **kwargs):
+            calls.append((name, np.shape(a)))
+            return original(a, *args, **kwargs)
+
+        return wrapper
+
+    for name in dir(np.linalg):
+        original = getattr(np.linalg, name)
+        if not name.startswith("_") and callable(original) and not isinstance(original, type):
+            monkeypatch.setattr(np.linalg, name, recording(name, original))
+    return calls
 
 
 class TestWaterFill:
@@ -184,25 +206,30 @@ class TestEigenGains:
 
     def test_ofdm_sweep_calls_no_svd_on_a_subcarrier_stack(self, monkeypatch):
         # fig6's UPA-OFDM link has side ranks 3 and 3, so its subcarrier
-        # eigen-gains come from one Hermitian eigensolve of the block's
-        # (trials, 512, 3, 3) Gram stack. The only SVDs left are the two
-        # per-side factors.
-        calls = {"svd": [], "eigvalsh": []}
-
-        def recording(name):
-            original = getattr(np.linalg, name)
-
-            def wrapper(a, *args, **kwargs):
-                calls[name].append(np.shape(a))
-                return original(a, *args, **kwargs)
-
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(np.linalg, name, recording(name))
+        # eigen-gains are the closed-form eigenvalues of the block's
+        # (trials, 512, 3, 3) Gram stack. No np.linalg function (eigvalsh,
+        # eigh, svd or any other) sees a subcarrier stack: the only calls
+        # left are the SVDs of the two per-side factors.
+        calls = record_linalg(monkeypatch)
         run_experiment(preset("fig6", trials=1, schemes=("UPA-OFDM",)), workers=1)
-        assert len(calls["svd"]) == 2 and all(len(s) == 2 for s in calls["svd"]), calls
-        assert calls["eigvalsh"] == [(1, 512, 3, 3)], calls
+        assert [name for name, _ in calls] == ["svd", "svd"], calls
+        assert all(len(shape) == 2 for _, shape in calls), calls
+
+    def test_ofdm_grams_above_three_take_one_eigvalsh(self, monkeypatch):
+        # Four paths and more antennas than that on both sides give 4 x 4
+        # Grams, which have no closed form here: the (T, N, 4, 4) stack takes
+        # one eigvalsh call, besides the two factor SVDs.
+        rng = np.random.default_rng(13)
+
+        def cn(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        responses = PathResponses(
+            rx=cn(4, 5), tx=cn(4, 6), gains=cn(2, 4), delays=rng.integers(0, 8, (2, 4))
+        )
+        calls = record_linalg(monkeypatch)
+        ofdm_capacity(responses, 1.0, 1.0, OfdmConfig(subcarriers=8, cp_samples=0))
+        assert calls == [("svd", (5, 4)), ("svd", (6, 4)), ("eigvalsh", (2, 8, 4, 4))], calls
 
     def test_zero_matrix(self):
         assert np.array_equal(eigen_gains(np.zeros((3, 2))), [0.0, 0.0])
@@ -212,6 +239,67 @@ class TestEigenGains:
             eigen_gains(np.zeros((0, 3)))
         with pytest.raises(InvalidInputError):
             eigen_gains(np.array([[np.inf, 0.0]]))
+
+
+class TestHermitianEigvals:
+    def test_diagonal_matrices_sorted(self):
+        got = hermitian_eigvals(np.diag([2.0, -1.0, 5.0]))
+        assert np.allclose(got, [5.0, 2.0, -1.0], rtol=0, atol=4 * np.finfo(float).eps * 5.0)
+        assert np.array_equal(hermitian_eigvals(np.diag([1.0, 3.0])), [3.0, 1.0])
+        assert np.array_equal(hermitian_eigvals([[[4.0 + 0j]]]), [[4.0]])
+        assert np.array_equal(hermitian_eigvals(np.zeros((2, 3, 3))), np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_small_matrices_make_no_linalg_call(self, monkeypatch, r):
+        rng = np.random.default_rng(r)
+        g = rng.standard_normal((4, 7, r, r)) + 1j * rng.standard_normal((4, 7, r, r))
+        grams = g @ g.conj().swapaxes(-1, -2)
+        want = np.linalg.eigvalsh(grams)[..., ::-1]
+        calls = record_linalg(monkeypatch)
+        got = hermitian_eigvals(grams)
+        assert calls == []
+        assert got.shape == (4, 7, r)
+        assert np.all(np.abs(got - want) <= 32 * np.finfo(float).eps * want[..., :1])
+
+    @pytest.mark.parametrize("r", [1, 4])
+    def test_other_sizes_take_eigvalsh(self, monkeypatch, r):
+        rng = np.random.default_rng(4)
+        g = rng.standard_normal((3, r, r)) + 1j * rng.standard_normal((3, r, r))
+        grams = g @ g.conj().swapaxes(-1, -2)
+        want = np.linalg.eigvalsh(grams)[..., ::-1]
+        calls = record_linalg(monkeypatch)
+        assert np.array_equal(hermitian_eigvals(grams), want)
+        assert calls == [("eigvalsh", (3, r, r))]
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    def test_extreme_scales_without_overflow(self, scale):
+        # Squares of 1e150 and cubes of 1e-150 leave double precision; each
+        # matrix is scaled by its largest entry first.
+        rng = np.random.default_rng(6)
+        for r in (2, 3):
+            g = rng.standard_normal((5, r, r)) + 1j * rng.standard_normal((5, r, r))
+            grams = scale * (g @ g.conj().swapaxes(-1, -2))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = hermitian_eigvals(grams)
+            want = np.linalg.eigvalsh(grams)[..., ::-1]
+            assert np.all(np.abs(got - want) <= 32 * np.finfo(float).eps * want[..., :1])
+
+    def test_reads_the_lower_triangle(self):
+        # As eigvalsh does: the upper triangle and the imaginary part of the
+        # diagonal are never read.
+        lower = np.array([[2.0, 0, 0], [1 - 1j, 3.0, 0], [0.5j, 2.0, 1.0]])
+        hermitian = np.tril(lower) + np.tril(lower, -1).conj().T
+        junk = lower + np.triu(np.full((3, 3), 7.0 + 9j), 1) + 9j * np.eye(3)
+        got = hermitian_eigvals(junk)
+        assert np.allclose(got, np.linalg.eigvalsh(hermitian)[::-1], rtol=0, atol=1e-14)
+        assert np.array_equal(got, hermitian_eigvals(hermitian))
+
+    def test_invalid(self):
+        with pytest.raises(InvalidInputError):
+            hermitian_eigvals(np.zeros((2, 3)))
+        with pytest.raises(InvalidInputError):
+            hermitian_eigvals(np.zeros(3))
 
 
 class TestHermitianSolve:

@@ -14,7 +14,11 @@ the separation gap. The water-filling properties check the KKT
 conditions, monotonicity in the power budget, that one call over a budget
 grid equals one call per budget, and that one call over a stack of links
 (zero gains, equal floors, all-zero rows) equals one call per link, bit
-for bit, over budgets far wider than the sweeps produce. The combiner
+for bit, over budgets far wider than the sweeps produce. The Hermitian
+eigenvalue properties check the closed forms for 2 x 2 and 3 x 3 against
+LAPACK's eigvalsh on near-repeated, rank-deficient, diagonal and zero
+matrices over sixty decades of scale, and that 4 x 4 still takes eigvalsh.
+The combiner
 properties check that the path-space MMSE combiners equal a dense
 M_S x M_S solve, that MMSE never loses to MRC on any stream (up to
 160 dB), and that one MMSE combiner and SINR call over a grid of
@@ -32,7 +36,7 @@ from hypothesis import strategies as st
 from lensmimo.arrays import LensArrayConfig, UpaConfig
 from lensmimo.channel import ChannelStats, PathSet, path_responses, sample_paths
 from lensmimo.errors import DegenerateInputError
-from lensmimo.numerics import RANK_TOL, water_fill, waterfill_capacity
+from lensmimo.numerics import RANK_TOL, hermitian_eigvals, water_fill, waterfill_capacity
 from lensmimo.pdm import mmse_combiners, mrc_combiners, mrt_precoders, pdm_sinr
 from lensmimo.selection import support_sets
 from oracles import antenna_indices, dense_taps, support_view
@@ -328,6 +332,59 @@ class TestWaterFillProperties:
             for t, row in enumerate(gains):
                 assert np.array_equal(powers[t], water_fill(row, budgets, noise))
 
+
+
+# Largest |difference| from eigvalsh allowed per eigenvalue, in units of eps
+# times the largest eigenvalue magnitude of the matrix. Over about 10^7
+# random 2 x 2 and 3 x 3 matrices of the spectra below, the largest seen was
+# 10.8.
+EIGVALS_C = 32
+SPECTRA = ("free", "double", "triple", "rank-1", "rank-2", "zero")
+
+
+@st.composite
+def hermitian_stacks(draw):
+    """(n, r, r) Hermitian positive semidefinite stacks U diag(lam) U^H, r in
+    2..4, U a random unitary or, for diagonal matrices, the identity. The
+    spectra: free; two or three eigenvalues equal up to a relative 10^-k,
+    k in 0..17 (so exactly equal too); rank 1 or rank 2; all zero. The
+    whole stack is scaled by 10^e, e in -30..30."""
+    r = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 6))
+    spectrum = draw(st.sampled_from(SPECTRA))
+    close = 10.0 ** -draw(st.integers(0, 17))
+    scale = 10.0 ** draw(st.floats(-30.0, 30.0))
+    diagonal = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = rng.random((n, 1))
+    lam = {
+        "free": rng.random((n, 4)),
+        "double": np.hstack((base, base * (1 + close), rng.random((n, 2)))),
+        "triple": np.hstack((base * (1 + close * rng.random((n, 3))), rng.random((n, 1)))),
+        "rank-1": np.hstack((base, np.zeros((n, 3)))),
+        "rank-2": np.hstack((base, rng.random((n, 1)), np.zeros((n, 2)))),
+        "zero": np.zeros((n, 4)),
+    }[spectrum]
+    lam = scale * rng.permuted(lam[:, :r], axis=-1)
+    if diagonal:
+        return lam[..., None] * np.eye(r)
+    g = rng.standard_normal((n, r, r)) + 1j * rng.standard_normal((n, r, r))
+    u = np.linalg.qr(g)[0]
+    return (u * lam[:, None, :]) @ u.conj().swapaxes(-1, -2)
+
+
+class TestHermitianEigvalsProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(mats=hermitian_stacks())
+    def test_matches_eigvalsh(self, mats):
+        got = hermitian_eigvals(mats)
+        want = np.linalg.eigvalsh(mats)[..., ::-1]
+        assert got.shape == want.shape
+        assert np.all(np.diff(got, axis=-1) <= 0)
+        if mats.shape[-1] > 3:
+            assert np.array_equal(got, want)
+        bound = EIGVALS_C * np.finfo(float).eps * np.abs(want).max(axis=-1, keepdims=True)
+        assert np.all(np.abs(got - want) <= bound)
 
 # The fig9/fig10 lens pair, with both AoA spreads of those presets.
 PDM_TX = LensArrayConfig(100.0, 20.0)

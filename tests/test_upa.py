@@ -14,7 +14,13 @@ from lensmimo.errors import InvalidInputError, UnsupportedConfigurationError
 from lensmimo.experiments import preset
 from lensmimo.numerics import RANK_TOL, eigen_gains, waterfill_capacity
 from lensmimo.upa import OfdmConfig, eigenmode_capacity, ofdm_capacity, power_select_antennas
-from oracles import dense_channel, dense_taps, ofdm_coefficients, rank_per_trial
+from oracles import (
+    dense_channel,
+    dense_taps,
+    eigvalsh_gram_gains,
+    ofdm_coefficients,
+    rank_per_trial,
+)
 
 
 def flat_channel(h):
@@ -50,15 +56,16 @@ def oracle_ofdm_capacity(responses, budget, noise, cfg):
     return (n / (n + cfg.cp_samples)) * rate / n
 
 
-def per_element_ofdm_capacity(responses, budgets, noise, cfg):
+def per_element_ofdm_capacity(responses, budgets, noise, cfg, gram_gains=None):
     """ofdm_capacity with one complex exponential per (trial, subcarrier,
-    path) coefficient, from ``ofdm_coefficients``."""
+    path) coefficient, from ``ofdm_coefficients``; ``gram_gains`` replaces
+    ``upa._gram_eigen_gains`` if given."""
     n = cfg.subcarriers
     coeffs = ofdm_coefficients(responses.gains, responses.delays, n)
     if min(responses.ranks) == 1:
         gains = eigen_gains(responses.cores(coeffs))
     else:
-        gains = upa_module._gram_eigen_gains(responses, coeffs)
+        gains = (gram_gains or upa_module._gram_eigen_gains)(responses, coeffs)
     rate = waterfill_capacity(
         gains.reshape(gains.shape[:-2] + (-1,)), n * np.asarray(budgets, dtype=float), noise
     )
@@ -281,6 +288,35 @@ class TestOfdmCapacity:
         budgets = np.array([1e-3, 1.0, 1e3, 1e12])
         got = ofdm_capacity(responses, budgets, 0.5, cfg)
         assert np.array_equal(got, per_element_ofdm_capacity(responses, budgets, 0.5, cfg))
+
+    @pytest.mark.parametrize("route", ["rank-2", "rank-3", "gram-guard"])
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_rates_match_the_eigvalsh_oracle(self, route, data):
+        # The closed-form Gram eigenvalues against one LAPACK eigensolve per
+        # Gram, through the water-fill: 2 x 2 and 3 x 3 Grams, and 3 x 3 from
+        # four paths, path 1 repeating path 0 half a symbol later, which
+        # sends the odd subcarriers to the SVD of their cores.
+        n = data.draw(st.sampled_from([8, 64, 512]))
+        lead = data.draw(st.sampled_from([(), (3,)]))
+        rank = 2 if route == "rank-2" else 3
+        n_rx, n_tx = (data.draw(st.integers(rank, 5)) for _ in range(2))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        num_paths = rank + (route == "gram-guard")
+        responses = block_responses(rng, lead, num_paths, n_rx, n_tx, n)
+        if route == "gram-guard":
+            responses.rx[1], responses.tx[1] = responses.rx[0], responses.tx[0]
+            responses.gains[..., 1] = responses.gains[..., 0]
+            responses.delays[..., 1] = (responses.delays[..., 0] + n // 2) % n
+            coeffs = ofdm_coefficients(responses.gains, responses.delays, n)
+            ev = np.linalg.eigvalsh(responses.grams(coeffs))
+            assert np.any(ev[..., 0] < upa_module.GRAM_TOL * ev[..., -1])
+        assert responses.ranks == (rank, rank)
+        cfg = OfdmConfig(subcarriers=n, cp_samples=4)
+        budgets = np.array([1e-3, 1.0, 1e3, 1e12])
+        got = ofdm_capacity(responses, budgets, 0.5, cfg)
+        want = per_element_ofdm_capacity(responses, budgets, 0.5, cfg, eigvalsh_gram_gains)
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
     def test_successive_calls_equal_the_per_element_coefficients(self, monkeypatch):
         # From empty tables: rising and falling largest delays, alternating
