@@ -15,26 +15,40 @@ from .arrays import LensArrayConfig, UpaConfig
 from .errors import InvalidInputError
 from .numerics import RANK_TOL
 
-_LN10_OVER_10 = math.log(10.0) / 10.0
+# The 73 GHz measurement fit (Akdeniz et al., IEEE JSAC 2014) of every
+# scenario, at 100 m over a 500 MHz band, which is also the delay sample rate.
+PATHLOSS_INTERCEPT_DB = 86.6
+PATHLOSS_EXPONENT = 2.45
+SHADOWING_STD_DB = 8.0
+DELAY_POWER_EXPONENT = 3.0
+PER_PATH_SHADOWING_STD_DB = 4.0
+DISTANCE_M = 100.0
+BANDWIDTH_HZ = 500e6
+NOISE_DENSITY_DBM_HZ = -174.0
+
+# The path loss in dB without shadowing, the analytic mean of the linear
+# large-scale gain over lognormal shadowing, and the noise power N0 W in mW.
+MEAN_PATHLOSS_DB = PATHLOSS_INTERCEPT_DB + 10.0 * PATHLOSS_EXPONENT * math.log10(DISTANCE_M)
+MEAN_BETA = 10.0 ** (-MEAN_PATHLOSS_DB / 10.0) * math.exp(
+    (math.log(10.0) / 10.0 * SHADOWING_STD_DB) ** 2 / 2.0
+)
+NOISE_POWER = 10.0 ** (NOISE_DENSITY_DBM_HZ / 10.0) * BANDWIDTH_HZ
+
+
+def tx_power(snr_db: float) -> float:
+    """Transmit power (mW) for a target average SNR = P * E[beta] / sigma^2."""
+    return 10.0 ** (snr_db / 10.0) * NOISE_POWER / MEAN_BETA
 
 
 @dataclass(frozen=True)
 class ChannelStats:
-    """Stochastic channel model parameters (73 GHz measurement fit).
+    """Per-scenario channel settings: excess-delay spread and angle placement.
 
     Angle placement: exactly one of (fixed spatial-frequency list, angular
     spread in degrees) must be set per side. With a spread, the L path
     angles are equally spaced in [-spread/2, spread/2].
     """
 
-    pathloss_intercept_db: float = 86.6
-    pathloss_exponent: float = 2.45
-    shadowing_std_db: float = 8.0
-    delay_power_exponent: float = 3.0
-    per_path_shadowing_std_db: float = 4.0
-    distance_m: float = 100.0
-    bandwidth_hz: float = 500e6
-    noise_density_dbm_hz: float = -174.0
     max_excess_delay_s: float = 100e-9
     aoa_spatial_freqs: tuple[float, ...] | None = None
     aoa_spread_deg: float | None = None
@@ -42,8 +56,6 @@ class ChannelStats:
     aod_spread_deg: float | None = None
 
     def __post_init__(self) -> None:
-        if self.distance_m <= 0 or self.bandwidth_hz <= 0:
-            raise InvalidInputError("distance and bandwidth must be positive")
         if self.max_excess_delay_s < 0:
             raise InvalidInputError("max excess delay must be non-negative")
         for fixed, spread, name in (
@@ -56,29 +68,6 @@ class ChannelStats:
                 )
             if fixed is not None and any(abs(v) > 1.0 for v in fixed):
                 raise InvalidInputError(f"{name} spatial frequencies must lie in [-1, 1]")
-
-    @property
-    def mean_pathloss_db(self) -> float:
-        """Distance-dependent path loss in dB, excluding shadowing."""
-        return self.pathloss_intercept_db + 10.0 * self.pathloss_exponent * math.log10(
-            self.distance_m
-        )
-
-    @property
-    def mean_beta(self) -> float:
-        """Analytic mean of the linear large-scale gain over lognormal shadowing."""
-        return 10.0 ** (-self.mean_pathloss_db / 10.0) * math.exp(
-            (_LN10_OVER_10 * self.shadowing_std_db) ** 2 / 2.0
-        )
-
-    @property
-    def noise_power(self) -> float:
-        """Receiver noise power (linear mW) = N0 * W."""
-        return 10.0 ** (self.noise_density_dbm_hz / 10.0) * self.bandwidth_hz
-
-    def tx_power(self, snr_db: float) -> float:
-        """Transmit power (mW) for a target average SNR = P * E[beta] / sigma^2."""
-        return 10.0 ** (snr_db / 10.0) * self.noise_power / self.mean_beta
 
     def placed_angles(self, num_paths: int) -> tuple[np.ndarray, np.ndarray]:
         """Per-path AoA and AoD spatial frequencies under the placement rule."""
@@ -102,8 +91,8 @@ class ChannelStats:
 @dataclass(frozen=True)
 class PathSet:
     """The L multi-path parameters of one channel realization, or of a block
-    of realizations that share their angles: gains and delays of shape
-    (L,) or (T, L), angles of shape (L,)."""
+    of realizations that share their angles: gains and delays (in s) of
+    shape (L,) or (T, L), angles of shape (L,)."""
 
     gains: np.ndarray  # complex linear amplitudes alpha_l
     delays_s: np.ndarray
@@ -120,9 +109,9 @@ class PathSet:
     def num_paths(self) -> int:
         return self.gains.shape[-1]
 
-    def delay_samples(self, sample_rate_hz: float) -> np.ndarray:
-        """Path delays quantized to integer symbol intervals."""
-        return np.rint(self.delays_s * sample_rate_hz).astype(int)
+    def delay_samples(self) -> np.ndarray:
+        """Path delays quantized to integer sample intervals at BANDWIDTH_HZ."""
+        return np.rint(self.delays_s * BANDWIDTH_HZ).astype(int)
 
 
 @dataclass(frozen=True)
@@ -160,7 +149,10 @@ class PathResponses:
         """Responses at the given receive/transmit array positions (index
         arrays or boolean masks), for all paths or only the listed path
         indices. Position arrays of shape (T, k) pick k positions per
-        trial and give (T, L, k) rows."""
+        trial and give (T, L, k) rows. The rows must be a block's shared
+        (L, N) rows: rows with a trial axis are refused."""
+        if self.rx.ndim != 2:
+            raise InvalidInputError("restrict takes shared (L, N) rows, not rows per trial")
         keep = slice(None) if paths is None else np.asarray(paths, dtype=int)
         return PathResponses(
             rx=np.moveaxis(self.rx[keep][:, rx_pos], 0, -2),
@@ -299,12 +291,12 @@ def sample_paths(stats: ChannelStats, num_paths: int, rng) -> PathSet:
 
 def _draw(stats: ChannelStats, num_paths: int, rng: np.random.Generator):
     """The random part of ``sample_paths``: (L,) gains and delays in s."""
-    shadowing = rng.normal(0.0, stats.shadowing_std_db)
-    beta_db = -(stats.mean_pathloss_db + shadowing)
+    shadowing = rng.normal(0.0, SHADOWING_STD_DB)
+    beta_db = -(MEAN_PATHLOSS_DB + shadowing)
     beta = 10.0 ** (beta_db / 10.0)
     u = rng.random(num_paths)
-    z = rng.normal(0.0, stats.per_path_shadowing_std_db, num_paths)
-    raw = u ** (stats.delay_power_exponent - 1.0) * 10.0 ** (-0.1 * z)
+    z = rng.normal(0.0, PER_PATH_SHADOWING_STD_DB, num_paths)
+    raw = u ** (DELAY_POWER_EXPONENT - 1.0) * 10.0 ** (-0.1 * z)
     kappa = raw / raw.sum()
     eta = rng.uniform(0.0, 2.0 * np.pi, num_paths)
     delays = np.sort(rng.uniform(0.0, stats.max_excess_delay_s, num_paths))
@@ -315,13 +307,13 @@ def path_responses(
     paths: PathSet,
     tx: LensArrayConfig | UpaConfig,
     rx: LensArrayConfig | UpaConfig,
-    sample_rate_hz: float,
 ) -> PathResponses:
-    """Per-path responses of a realization on a transmit/receive array pair
-    (lens or UPA), with delays quantized at sample_rate_hz."""
+    """Per-path responses of a realization, or of a block, on a
+    transmit/receive array pair (lens or UPA), with the delays in samples
+    at BANDWIDTH_HZ (``PathSet.delay_samples``)."""
     return PathResponses(
         rx=rx.responses(paths.aoa_spatial_freqs),
         tx=tx.responses(paths.aod_spatial_freqs),
         gains=paths.gains,
-        delays=paths.delay_samples(sample_rate_hz),
+        delays=paths.delay_samples(),
     )

@@ -41,7 +41,15 @@ import numpy as np
 from numpy.random import default_rng  # numpy 2 imports its random module on first use
 
 from .arrays import LensArrayConfig, UpaConfig
-from .channel import ChannelStats, PathSet, _draw, path_responses
+from .channel import (
+    BANDWIDTH_HZ,
+    NOISE_POWER,
+    ChannelStats,
+    PathSet,
+    _draw,
+    path_responses,
+    tx_power,
+)
 from .errors import (
     ConfigError,
     IdealAngleError,
@@ -55,16 +63,6 @@ from .opdm import opdm_decompose
 from .pdm import mmse_combiners, mrc_combiners, pdm_sinr
 from .selection import support_sets
 from .upa import OfdmConfig, eigenmode_capacity, ofdm_capacity, power_select_antennas
-
-SCHEMES = (
-    "OPDM",
-    "PDM-MRC",
-    "PDM-MMSE",
-    "PDM-grouping",
-    "UPA-eigenmode",
-    "UPA-OFDM",
-    "UPA-OFDM-selection",
-)
 
 # Trials per block: the geometry is built once per block, and a block's
 # stacks (T x 512 subcarrier Grams on fig6) stay a few MB.
@@ -119,7 +117,7 @@ class ExperimentConfig:
             if s in self.snr_db[:i]:
                 raise InvalidInputError(f"snr_db lists {s:g} dB more than once")
             try:
-                power = self.stats.tx_power(s)
+                power = tx_power(s)
             except OverflowError:
                 power = math.inf
             if not 0.0 < power < math.inf:
@@ -143,7 +141,7 @@ class ExperimentConfig:
                         f"{field} must be between 1 and {4.0 * aperture:g}, the {side} UPA "
                         f"element count; got {rf}"
                     )
-        longest_tap = round(self.stats.max_excess_delay_s * self.stats.bandwidth_hz)
+        longest_tap = round(self.stats.max_excess_delay_s * BANDWIDTH_HZ)
         if {"UPA-OFDM", "UPA-OFDM-selection"} & set(self.schemes) and (
             longest_tap > self.ofdm.cp_samples
         ):
@@ -252,8 +250,7 @@ class _Block:
             aod_spatial_freqs=aod,
         )
         self.cfg = cfg
-        self.noise = cfg.stats.noise_power
-        self.budgets = np.array([cfg.stats.tx_power(s) for s in cfg.snr_db])
+        self.budgets = np.array([tx_power(s) for s in cfg.snr_db])
         self.tx = LensArrayConfig(cfg.tx_aperture, cfg.tx_azimuth_dim)
         self.rx = LensArrayConfig(cfg.rx_aperture, cfg.rx_azimuth_dim)
         self.upa_rx = UpaConfig(cfg.rx_aperture, cfg.rx_azimuth_dim)
@@ -261,11 +258,11 @@ class _Block:
 
     @cached_property
     def lens(self):
-        return path_responses(self.paths, self.tx, self.rx, self.cfg.stats.bandwidth_hz)
+        return path_responses(self.paths, self.tx, self.rx)
 
     @cached_property
     def upa(self):
-        return path_responses(self.paths, self.upa_tx, self.upa_rx, self.cfg.stats.bandwidth_hz)
+        return path_responses(self.paths, self.upa_tx, self.upa_rx)
 
     @cached_property
     def sets(self):
@@ -280,23 +277,27 @@ class _Block:
     def pdm_powers(self):
         """(T, B, L) water-filled PDM stream powers, shared by MRC and MMSE."""
         gains = np.abs(self.support.gains) ** 2 * self.rx.aperture * self.tx.aperture
-        return water_fill(gains, self.budgets, self.noise)
+        return water_fill(gains, self.budgets, NOISE_POWER)
 
     def _pdm(self, combiners):
-        return pdm_sinr(self.support, combiners, self.pdm_powers, self.noise).sum_rate
+        return pdm_sinr(self.support, combiners, self.pdm_powers, NOISE_POWER).sum_rate
 
     def opdm(self):
         try:
             gains = opdm_decompose(self.paths, self.tx, self.rx)
         except IdealAngleError:
             return None, "opdm-skip"
-        return waterfill_capacity(gains, self.budgets, self.noise), None
+        return waterfill_capacity(gains, self.budgets, NOISE_POWER), None
+
+    @cached_property
+    def mmse_rates(self):  # PDM-MMSE's, and PDM-grouping's where it falls back
+        return self._pdm(mmse_combiners(self.support, self.pdm_powers, NOISE_POWER))
 
     def pdm_mrc(self):
         return self._pdm(mrc_combiners(self.support)), None
 
     def pdm_mmse(self):
-        return self._pdm(mmse_combiners(self.support, self.pdm_powers, self.noise)), None
+        return self.mmse_rates, None
 
     def pdm_grouping(self):
         try:
@@ -304,14 +305,14 @@ class _Block:
         except UnsupportedConfigurationError:
             # No side is separated, so the grouped decomposition does not
             # apply; fall back to the MMSE transceiver and flag the trials.
-            return self.pdm_mmse()[0], "grouping-fallback"
-        return grouped_capacity(groups, self.budgets, self.noise), None
+            return self.mmse_rates, "grouping-fallback"
+        return grouped_capacity(groups, self.budgets, NOISE_POWER), None
 
     def upa_eigenmode(self):
-        return eigenmode_capacity(self.upa, self.budgets, self.noise), None
+        return eigenmode_capacity(self.upa, self.budgets, NOISE_POWER), None
 
     def upa_ofdm(self):
-        return ofdm_capacity(self.upa, self.budgets, self.noise, self.cfg.ofdm), None
+        return ofdm_capacity(self.upa, self.budgets, NOISE_POWER, self.cfg.ofdm), None
 
     def upa_ofdm_selection(self):
         """Antennas picked for the whole block in one ranking, with each
@@ -323,7 +324,7 @@ class _Block:
         picks = power_select_antennas(upa, self.upa_rx, self.upa_tx, cfg.rx_rf, cfg.tx_rf)
         rates = np.empty((len(upa.gains), len(self.budgets)))
         for trials, link in upa.restrict(*picks).by_rank():
-            rates[trials] = ofdm_capacity(link, self.budgets, self.noise, cfg.ofdm)
+            rates[trials] = ofdm_capacity(link, self.budgets, NOISE_POWER, cfg.ofdm)
         return rates, None
 
 
@@ -336,6 +337,7 @@ _EVALUATE = {
     "UPA-OFDM": _Block.upa_ofdm,
     "UPA-OFDM-selection": _Block.upa_ofdm_selection,
 }
+SCHEMES = tuple(_EVALUATE)
 
 
 def _run_block(cfg: ExperimentConfig, trials: range) -> dict:

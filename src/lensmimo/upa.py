@@ -42,11 +42,12 @@ GRAM_TOL = 1e-6
 
 @dataclass(frozen=True)
 class OfdmConfig:
-    """OFDM numerology: subcarrier count and cyclic-prefix length.
+    """OFDM numerology: subcarrier count (a power of two, at least 2; one
+    subcarrier is the narrowband link of UPA-eigenmode) and cyclic prefix.
 
     The cyclic prefix must cover the longest channel tap so that the
     per-subcarrier channels are exactly parallel (no residual ISI); the
-    sample rate is the channel bandwidth (``ChannelStats.bandwidth_hz``).
+    sample rate is the channel bandwidth (``channel.BANDWIDTH_HZ``).
     """
 
     subcarriers: int = 512
@@ -54,8 +55,8 @@ class OfdmConfig:
 
     def __post_init__(self) -> None:
         n = self.subcarriers
-        if n < 1 or (n & (n - 1)) != 0:
-            raise InvalidInputError("subcarrier count must be a power of two")
+        if n < 2 or (n & (n - 1)) != 0:
+            raise InvalidInputError("subcarrier count must be a power of two, at least 2")
         if self.cp_samples < 0:
             raise InvalidInputError("cp_samples must be non-negative")
 

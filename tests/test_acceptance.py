@@ -90,10 +90,10 @@ def test_04_wideband_ideal_gap_is_cp_overhead():
 
 def _pdm_gammas(cfg, paths, kind, snr_db, noise, tx, rx):
     sets = lm.support_sets(paths, tx, rx, 1)
-    responses = lm.path_responses(paths, tx, rx, cfg.stats.bandwidth_hz)
+    responses = lm.path_responses(paths, tx, rx)
     support = support_view(responses, sets)
     gains = np.abs(paths.gains) ** 2 * rx.aperture * tx.aperture
-    powers = lm.water_fill(gains, cfg.stats.tx_power(snr_db), noise)
+    powers = lm.water_fill(gains, lm.channel.tx_power(snr_db), noise)
     if kind == "MMSE":
         comb = lm.mmse_combiners(support, powers, noise)
     else:
@@ -105,7 +105,7 @@ def test_05_mmse_sinr_never_below_mrc():
     cfg = preset("fig10")
     tx = lm.LensArrayConfig(cfg.tx_aperture, cfg.tx_azimuth_dim)
     rx = lm.LensArrayConfig(cfg.rx_aperture, cfg.rx_azimuth_dim)
-    noise = cfg.stats.noise_power
+    noise = lm.channel.NOISE_POWER
     violations = 0
     for t in range(1000):
         paths = lm.sample_paths(cfg.stats, 3, np.random.default_rng([101, t]))
@@ -125,7 +125,7 @@ def test_06_analytic_sinr_matches_symbol_simulation():
     cfg = preset("fig9")
     tx = lm.LensArrayConfig(cfg.tx_aperture, cfg.tx_azimuth_dim)
     rx = lm.LensArrayConfig(cfg.rx_aperture, cfg.rx_azimuth_dim)
-    noise = cfg.stats.noise_power
+    noise = lm.channel.NOISE_POWER
     worst = 0.0
     for t in range(20):
         paths = lm.sample_paths(cfg.stats, 3, np.random.default_rng([202, t]))
@@ -148,7 +148,7 @@ def test_07_isi_rejected_when_aoas_separated():
     cfg = preset("fig9")
     tx = lm.LensArrayConfig(cfg.tx_aperture, cfg.tx_azimuth_dim)
     rx = lm.LensArrayConfig(cfg.rx_aperture, cfg.rx_azimuth_dim)
-    noise = cfg.stats.noise_power
+    noise = lm.channel.NOISE_POWER
     worst = -np.inf
     checked = 0
     t = 0
@@ -278,7 +278,7 @@ def test_11_interpath_coupling_small_when_separated():
                     aod_spatial_freqs=np.array([base, f2]),
                 )
                 sets = lm.support_sets(paths, cfg, cfg, 1)
-                support = support_view(lm.path_responses(paths, cfg, cfg, 500e6), sets)
+                support = support_view(lm.path_responses(paths, cfg, cfg), sets)
                 rho = ipc_coefficients(support, cfg, cfg).rho_t[0, 1]
                 worst = max(worst, float(rho))
         worst_by_dim[dim] = worst
@@ -289,7 +289,7 @@ def test_11_interpath_coupling_small_when_separated():
             aod_spatial_freqs=np.array([0.0, 0.25]),
         )
         sets = lm.support_sets(paths, cfg, cfg, 1)
-        support = support_view(lm.path_responses(paths, cfg, cfg, 500e6), sets)
+        support = support_view(lm.path_responses(paths, cfg, cfg), sets)
         fixed_gap_rho[dim] = float(ipc_coefficients(support, cfg, cfg).rho_t[0, 1])
     small = all(v < 0.05 for v in worst_by_dim.values())
     shrinks = fixed_gap_rho[20.0] < fixed_gap_rho[10.0]

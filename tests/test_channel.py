@@ -1,10 +1,21 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from lensmimo.arrays import LensArrayConfig
-from lensmimo.channel import ChannelStats, PathSet, path_responses, sample_paths
+from lensmimo.channel import (
+    MEAN_BETA,
+    MEAN_PATHLOSS_DB,
+    NOISE_POWER,
+    ChannelStats,
+    PathResponses,
+    PathSet,
+    path_responses,
+    sample_paths,
+    tx_power,
+)
 from lensmimo.errors import InvalidInputError
 from oracles import dense_channel, dense_taps
 
@@ -18,24 +29,29 @@ class TestChannelStats:
         with pytest.raises(InvalidInputError):
             ChannelStats(aoa_spatial_freqs=(0.0,), aoa_spread_deg=10.0, aod_spread_deg=10.0)
 
+    def test_only_the_scenario_settings_are_fields(self):
+        # The 73 GHz fit is module constants; a preset sets these five.
+        assert [f.name for f in fields(ChannelStats)] == [
+            "max_excess_delay_s",
+            "aoa_spatial_freqs",
+            "aoa_spread_deg",
+            "aod_spatial_freqs",
+            "aod_spread_deg",
+        ]
+
     def test_mean_pathloss(self):
-        stats = ChannelStats(**IDEAL)
-        assert stats.mean_pathloss_db == pytest.approx(86.6 + 24.5 * 2)
+        assert MEAN_PATHLOSS_DB == pytest.approx(86.6 + 24.5 * 2)
 
     def test_mean_beta_is_lognormal_mean(self):
-        stats = ChannelStats(**IDEAL)
         rng = np.random.default_rng(0)
-        draws = 10.0 ** ((-stats.mean_pathloss_db - rng.normal(0, 8.0, 200_000)) / 10.0)
-        assert stats.mean_beta == pytest.approx(draws.mean(), rel=0.02)
+        draws = 10.0 ** ((-MEAN_PATHLOSS_DB - rng.normal(0, 8.0, 200_000)) / 10.0)
+        assert MEAN_BETA == pytest.approx(draws.mean(), rel=0.02)
 
     def test_noise_power(self):
-        stats = ChannelStats(**IDEAL)
-        assert stats.noise_power == pytest.approx(10 ** (-174 / 10) * 500e6)
+        assert NOISE_POWER == pytest.approx(10 ** (-174 / 10) * 500e6)
 
     def test_tx_power_snr_roundtrip(self):
-        stats = ChannelStats(**IDEAL)
-        p = stats.tx_power(20.0)
-        assert p * stats.mean_beta / stats.noise_power == pytest.approx(100.0)
+        assert tx_power(20.0) * MEAN_BETA / NOISE_POWER == pytest.approx(100.0)
 
     def test_spread_placement(self):
         stats = ChannelStats(aoa_spread_deg=150.0, aod_spread_deg=60.0)
@@ -106,7 +122,7 @@ class TestPathSet:
             aoa_spatial_freqs=np.zeros(2),
             aod_spatial_freqs=np.zeros(2),
         )
-        assert list(paths.delay_samples(500e6)) == [5, 25]
+        assert list(paths.delay_samples()) == [5, 25]
 
 
 class TestChannelMatrices:
@@ -119,7 +135,7 @@ class TestChannelMatrices:
             aoa_spatial_freqs=np.array([0.17]),
             aod_spatial_freqs=np.array([-0.4]),
         )
-        core = path_responses(paths, tx, rx, 500e6).cores()
+        core = path_responses(paths, tx, rx).cores()
         a_r = rx.responses([0.17])[0]
         a_t = tx.responses([-0.4])[0]
         h = paths.gains[0] * np.outer(a_r, a_t.conj())
@@ -137,7 +153,7 @@ class TestChannelMatrices:
             aod_spatial_freqs=np.array([0.0, 0.3]),
         )
         # Array positions 10 and 13 hold the antenna indices m = 0 and 3.
-        resp = path_responses(paths, tx, rx, 500e6).restrict([10, 13], [10, 13])
+        resp = path_responses(paths, tx, rx).restrict([10, 13], [10, 13])
         assert list(resp.delays) == [5, 5]
         # Both paths on one tap, so that tap is the whole narrowband channel.
         taps = dense_taps(resp)
@@ -145,3 +161,15 @@ class TestChannelMatrices:
         assert taps[0][0] == 5
         assert resp.num_paths == 2
         assert np.allclose(taps[0][1], dense_channel(resp))
+
+    def test_restrict_refuses_rows_per_trial(self):
+        # Indexing (T, L, N) rows as (L, N) would take the trials for the
+        # paths and the paths for the positions: (4, 3, 5) rows at positions
+        # [0, 1] and [0, 2] would come back as (2, 4, 5), not (4, 3, 2).
+        rng = np.random.default_rng(4)
+        rows = rng.standard_normal((4, 3, 5)) + 0j
+        responses = PathResponses(
+            rx=rows, tx=rows.copy(), gains=np.ones((4, 3), complex), delays=np.zeros((4, 3), int)
+        )
+        with pytest.raises(InvalidInputError, match="rows per trial"):
+            responses.restrict([0, 1], [0, 2])

@@ -332,6 +332,22 @@ class TestBlocks:
         rf15 = count("fig9", three, selection, rx_rf=15, tx_rf=15)
         assert rf15 == {"support_sets": 0, "_factor": 6}
 
+    def test_mmse_evaluated_once_per_block(self, monkeypatch):
+        # At delta 5 no side is separated, so PDM-grouping falls back on
+        # every trial to the MMSE rates that PDM-MMSE computed.
+        calls = []
+        original = experiments.mmse_combiners
+
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(experiments, "mmse_combiners", spy)
+        out = experiments._run_block(preset("fig9", delta=5), range(4))
+        assert len(calls) == 1
+        assert out["PDM-grouping"][1] == "grouping-fallback"
+        assert np.array_equal(out["PDM-grouping"][0], out["PDM-MMSE"][0])
+
     def test_non_finite_rate_names_the_first_trial(self, monkeypatch):
         # Trials 4..7 in one block: a NaN for PDM-MRC in trial 6 and an inf
         # for UPA-OFDM-selection at the fourth SNR point of trial 5. The

@@ -6,7 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lensmimo.arrays import LensArrayConfig
-from lensmimo.channel import ChannelStats, PathSet, path_responses, sample_paths
+from lensmimo.channel import (
+    NOISE_POWER,
+    ChannelStats,
+    PathSet,
+    path_responses,
+    sample_paths,
+    tx_power,
+)
 from lensmimo.errors import UnsupportedConfigurationError
 from lensmimo.grouping import _components, group_channels, grouped_capacity
 from lensmimo.numerics import eigen_gains, water_fill, waterfill_capacity
@@ -76,7 +83,7 @@ class TestGroupChannels:
     are."""
 
     def test_reference_partition(self):
-        responses = path_responses(REFERENCE, TX, RX, 500e6)
+        responses = path_responses(REFERENCE, TX, RX)
         mats = group_channels(responses, support_sets(REFERENCE, TX, RX, 1))
         expected = (
             restricted_matrix(responses, (0,), (3, 4), (-2,)),
@@ -89,7 +96,7 @@ class TestGroupChannels:
     def test_all_separated_gives_singletons(self):
         paths = make_paths([-0.8, 0.0, 0.8], [-0.8, 0.0, 0.8])
         sets = support_sets(paths, TX, RX, 1)
-        responses = path_responses(paths, TX, RX, 500e6)
+        responses = path_responses(paths, TX, RX)
         mats = group_channels(responses, sets)
         assert len(mats) == 3
         for l, got in enumerate(mats):
@@ -101,7 +108,7 @@ class TestGroupChannels:
         # AoAs 0 and 0.05 share receive antennas; the AoDs are far apart.
         paths = make_paths([0.0, 0.05, 0.5], [-0.8, 0.0, 0.8])
         sets = support_sets(paths, TX, RX, 1)
-        responses = path_responses(paths, TX, RX, 500e6)
+        responses = path_responses(paths, TX, RX)
         mats = group_channels(responses, sets)
         expected = (
             restricted_matrix(responses, (0, 1), (0, 1), (-8, 0)),
@@ -116,7 +123,7 @@ class TestGroupChannels:
         tight = make_paths([0.0, 0.05, 0.1], [0.0, 0.05, 0.1])
         sets = support_sets(tight, TX, RX, 1)
         with pytest.raises(UnsupportedConfigurationError):
-            group_channels(path_responses(tight, TX, RX, 500e6), sets)
+            group_channels(path_responses(tight, TX, RX), sets)
 
 
 def union_find_components(members):
@@ -209,7 +216,7 @@ class TestGroupedCapacity:
         # Degenerate partition: everything in one group reproduces the
         # eigenmode capacity of the full reduced channel.
         sets = support_sets(REFERENCE, TX, RX, 1)
-        responses = path_responses(REFERENCE, TX, RX, 500e6)
+        responses = path_responses(REFERENCE, TX, RX)
         mats = [dense_channel(support_view(responses, sets))]
         direct = waterfill_capacity(eigen_gains(mats[0]), 2.0, 1e-10)
         grouped = grouped_capacity(mats, 2.0, 1e-10)
@@ -218,7 +225,7 @@ class TestGroupedCapacity:
     def test_close_to_full_matrix_capacity(self):
         # Cross-group leakage through the discarded antennas is small.
         sets = support_sets(REFERENCE, TX, RX, 1)
-        responses = path_responses(REFERENCE, TX, RX, 500e6)
+        responses = path_responses(REFERENCE, TX, RX)
         mats = group_channels(responses, sets)
         support = support_view(responses, sets)
         rx_resp, tx_resp = support.rx, support.tx
@@ -242,13 +249,13 @@ class TestGroupedCapacity:
         )
         tx = LensArrayConfig(100.0, 20.0)
         rx = LensArrayConfig(50.0, 10.0)
-        noise = stats.noise_power
-        budget = stats.tx_power(20)
+        noise = NOISE_POWER
+        budget = tx_power(20)
         checked = 0
         for seed in range(10):
             paths = sample_paths(stats, 3, np.random.default_rng(seed))
             sets = support_sets(paths, tx, rx, 1)
-            responses = path_responses(paths, tx, rx, stats.bandwidth_hz)
+            responses = path_responses(paths, tx, rx)
             try:
                 mats = group_channels(responses, sets)
             except UnsupportedConfigurationError:

@@ -63,7 +63,7 @@ class TestCapacity:
         for _ in range(10):
             gains = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             paths = ideal_paths(gains)
-            direct = eigenmode_capacity(path_responses(paths, TX, RX, 500e6), 2.0, 1.0)
+            direct = eigenmode_capacity(path_responses(paths, TX, RX), 2.0, 1.0)
             decoupled = waterfill_capacity(opdm_decompose(paths, TX, RX), 2.0, 1.0)
             assert direct == pytest.approx(decoupled, rel=1e-9)
 

@@ -5,7 +5,15 @@ import pytest
 
 from lensmimo import pdm
 from lensmimo.arrays import LensArrayConfig
-from lensmimo.channel import ChannelStats, PathResponses, PathSet, path_responses, sample_paths
+from lensmimo.channel import (
+    NOISE_POWER,
+    ChannelStats,
+    PathResponses,
+    PathSet,
+    path_responses,
+    sample_paths,
+    tx_power,
+)
 from lensmimo.errors import InvalidInputError, NumericalError
 from lensmimo.experiments import preset, run_experiment
 from lensmimo.numerics import water_fill
@@ -33,7 +41,7 @@ def make_paths(aoa, aod, gains=None, delays=None):
 
 def support_of(paths, sets=None):
     sets = support_sets(paths, TX, RX, 1) if sets is None else sets
-    return support_view(path_responses(paths, TX, RX, 500e6), sets)
+    return support_view(path_responses(paths, TX, RX), sets)
 
 
 def link(paths, powers, noise, kind="MRC"):
@@ -56,7 +64,7 @@ class TestBeamformers:
         support = support_of(sample_paths(STATS, 3, np.random.default_rng(0)))
         comb = 2.0 * mrc_combiners(support)
         with pytest.raises(InvalidInputError):
-            pdm_sinr(support, comb, np.ones(3), STATS.noise_power)
+            pdm_sinr(support, comb, np.ones(3), NOISE_POWER)
 
     def test_mmse_unit_norm(self):
         support = support_of(sample_paths(STATS, 3, np.random.default_rng(1)))
@@ -69,7 +77,7 @@ class TestBeamformers:
         # than divided into nan combiners.
         support = support_of(sample_paths(STATS, 3, np.random.default_rng(1)))
         with pytest.raises(NumericalError, match="zero or non-finite norm"):
-            mmse_combiners(support, np.full(3, 1e200), STATS.noise_power)
+            mmse_combiners(support, np.full(3, 1e200), NOISE_POWER)
 
     def test_block_of_realizations_equals_one_call_each(self):
         # (T, L) gains with (T, B, L) powers: every realization's combiners
@@ -77,8 +85,8 @@ class TestBeamformers:
         draws = [sample_paths(STATS, 3, np.random.default_rng([4, t])) for t in range(5)]
         paths = replace(draws[0], gains=np.stack([p.gains for p in draws]))
         block = support_of(paths)
-        budgets = np.array([STATS.tx_power(s) for s in (-10.0, 10.0, 30.0)])
-        noise = STATS.noise_power
+        budgets = np.array([tx_power(s) for s in (-10.0, 10.0, 30.0)])
+        noise = NOISE_POWER
         powers = water_fill(np.abs(block.gains) ** 2 * RX.aperture * TX.aperture, budgets, noise)
         mrc, mmse = mrc_combiners(block), mmse_combiners(block, powers, noise)
         mrc_rates = pdm_sinr(block, mrc, powers, noise).sum_rate
@@ -96,11 +104,11 @@ class TestBeamformers:
         # every path, and the M_S x M_S covariance solved directly. Lens
         # draws have real responses, so complex random responses (with L
         # below and above M_S) check the conjugations too.
-        noise = STATS.noise_power
+        noise = NOISE_POWER
         cases = [
             (
                 support_of(sample_paths(STATS, 3, np.random.default_rng(seed))),
-                STATS.tx_power(20) * np.array([0.5, 0.3, 0.2]),
+                tx_power(20) * np.array([0.5, 0.3, 0.2]),
                 noise,
             )
             for seed in range(10)
@@ -180,18 +188,18 @@ class TestAnalyticSinr:
 
     def test_homogeneity(self):
         paths = sample_paths(STATS, 3, np.random.default_rng(2))
-        noise = STATS.noise_power
-        powers = water_fill(np.abs(paths.gains) ** 2, STATS.tx_power(10), noise)
+        noise = NOISE_POWER
+        powers = water_fill(np.abs(paths.gains) ** 2, tx_power(10), noise)
         support, comb = link(paths, powers, noise)
         base = pdm_sinr(support, comb, powers, noise).gammas
         scaled = pdm_sinr(support, comb, powers * 7.0, 7.0 * noise).gammas
         assert np.allclose(base, scaled, rtol=1e-9)
 
     def test_mmse_never_below_mrc(self):
-        noise = STATS.noise_power
+        noise = NOISE_POWER
         for seed in range(20):
             paths = sample_paths(STATS, 3, np.random.default_rng(seed))
-            powers = np.full(3, STATS.tx_power(15) / 3)
+            powers = np.full(3, tx_power(15) / 3)
             support, mrc = link(paths, powers, noise)
             _, mmse = link(paths, powers, noise, kind="MMSE")
             g_mrc = pdm_sinr(support, mrc, powers, noise).gammas
@@ -201,8 +209,8 @@ class TestAnalyticSinr:
     def test_zero_power_stream_has_zero_sinr(self):
         paths = sample_paths(STATS, 3, np.random.default_rng(3))
         powers = np.array([1.0, 0.0, 1.0])
-        support, comb = link(paths, powers, STATS.noise_power)
-        report = pdm_sinr(support, comb, powers, STATS.noise_power)
+        support, comb = link(paths, powers, NOISE_POWER)
+        report = pdm_sinr(support, comb, powers, NOISE_POWER)
         assert report.gammas[1] == 0.0
 
 
@@ -213,11 +221,11 @@ class TestMmseExtremeSnr:
         # double precision (trial 27 passes its Cholesky factorization and
         # fails the solve). The path-space solve stays finite on them.
         cfg = preset("fig9")
-        noise = cfg.stats.noise_power
+        noise = NOISE_POWER
         for trial in (2, 27):
             support = support_of(sample_paths(cfg.stats, 3, np.random.default_rng([0, trial])))
             gains = np.abs(support.gains) ** 2 * RX.aperture * TX.aperture
-            powers = water_fill(gains, cfg.stats.tx_power(140.0), noise)
+            powers = water_fill(gains, tx_power(140.0), noise)
             mmse = mmse_combiners(support, powers, noise)
             assert np.all(np.isfinite(mmse))
             g_mmse = pdm_sinr(support, mmse, powers, noise).gammas
@@ -239,16 +247,16 @@ class TestIpc:
 class TestSymbolSimulation:
     def test_requires_enough_symbols(self):
         paths = sample_paths(STATS, 3, np.random.default_rng(5))
-        noise = STATS.noise_power
+        noise = NOISE_POWER
         support, comb = link(paths, np.ones(3), noise)
         with pytest.raises(StatisticalValidityError):
             simulate_symbols(support, comb, np.ones(3), 100, np.random.default_rng(0), noise)
 
     def test_matches_analytic_sinr(self):
-        noise = STATS.noise_power
+        noise = NOISE_POWER
         paths = sample_paths(STATS, 3, np.random.default_rng(6))
         powers = water_fill(
-            np.abs(paths.gains) ** 2 * RX.aperture * TX.aperture, STATS.tx_power(10), noise
+            np.abs(paths.gains) ** 2 * RX.aperture * TX.aperture, tx_power(10), noise
         )
         support, comb = link(paths, powers, noise)
         analytic = pdm_sinr(support, comb, powers, noise).gammas
@@ -261,7 +269,7 @@ class TestSymbolSimulation:
 
     def test_stream_count_must_match_paths(self):
         paths = sample_paths(STATS, 3, np.random.default_rng(8))
-        noise = STATS.noise_power
+        noise = NOISE_POWER
         _, comb = link(paths, np.ones(3), noise)
         two = PathSet(
             gains=paths.gains[:2],

@@ -34,14 +34,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lensmimo.arrays import LensArrayConfig, UpaConfig
-from lensmimo.channel import ChannelStats, PathSet, path_responses, sample_paths
+from lensmimo.channel import (
+    BANDWIDTH_HZ,
+    NOISE_POWER,
+    ChannelStats,
+    PathSet,
+    path_responses,
+    sample_paths,
+    tx_power,
+)
 from lensmimo.errors import DegenerateInputError
 from lensmimo.numerics import RANK_TOL, hermitian_eigvals, water_fill, waterfill_capacity
 from lensmimo.pdm import mmse_combiners, mrc_combiners, mrt_precoders, pdm_sinr
 from lensmimo.selection import support_sets
 from oracles import antenna_indices, dense_taps, support_view
 
-RATE = 500e6
 EXAMPLES = settings(max_examples=60, deadline=None)
 
 unit_floats = st.floats(-1.0, 1.0)
@@ -68,7 +75,7 @@ def path_sets(draw):
     gains = [complex(draw(unit_floats), draw(unit_floats)) for _ in range(n)]
     return PathSet(
         gains=np.array(gains, dtype=complex),
-        delays_s=np.sort(np.array(samples, dtype=float)) / RATE,
+        delays_s=np.sort(np.array(samples, dtype=float)) / BANDWIDTH_HZ,
         aoa_spatial_freqs=np.array(draw(st.lists(unit_floats, min_size=n, max_size=n))),
         aod_spatial_freqs=np.array(draw(st.lists(unit_floats, min_size=n, max_size=n))),
     )
@@ -118,7 +125,7 @@ class TestPathResponses:
         )
         rows = data.draw(subsets(rx.element_count))
         cols = data.draw(subsets(tx.element_count))
-        responses = path_responses(paths, tx, rx, RATE).restrict(rows, cols)
+        responses = path_responses(paths, tx, rx).restrict(rows, cols)
         # Per-path coefficients of the narrowband channel and of a few
         # subcarriers of a 64-point OFDM symbol.
         phases = np.exp(-2j * np.pi * np.outer(np.arange(4), responses.delays) / 64)
@@ -152,7 +159,7 @@ class TestPathResponses:
         tx, rx = arrays
         rows = data.draw(subsets(rx.element_count))
         cols = data.draw(subsets(tx.element_count))
-        responses = path_responses(paths, tx, rx, RATE)
+        responses = path_responses(paths, tx, rx)
         restricted = dense_taps(responses.restrict(rows, cols))
         indexed = [(n, mat[np.ix_(rows, cols)]) for n, mat in dense_taps(responses)]
         assert [n for n, _ in restricted] == [n for n, _ in indexed]
@@ -392,14 +399,14 @@ PDM_RX = LensArrayConfig(50.0, 10.0)
 
 
 def pdm_link(spread, seed):
-    """Channel statistics and support view of one fig9/fig10-like draw."""
+    """Support view of one fig9/fig10-like draw."""
     stats = ChannelStats(
         aoa_spread_deg=spread,
         aod_spatial_freqs=tuple(np.sin(np.deg2rad([-15.0, 10.0, 45.0]))),
     )
     paths = sample_paths(stats, 3, np.random.default_rng(seed))
     sets = support_sets(paths, PDM_TX, PDM_RX, 1)
-    return stats, support_view(path_responses(paths, PDM_TX, PDM_RX, RATE), sets)
+    return support_view(path_responses(paths, PDM_TX, PDM_RX), sets)
 
 
 def dense_mmse_combiners(support, powers, noise):
@@ -430,9 +437,9 @@ class TestCombinerProperties:
         shares=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
     )
     def test_path_space_mmse_equals_dense_solve(self, spread, seed, snr_db, shares):
-        stats, support = pdm_link(spread, seed)
-        noise = stats.noise_power
-        powers = stats.tx_power(snr_db) * np.array(shares)
+        support = pdm_link(spread, seed)
+        noise = NOISE_POWER
+        powers = tx_power(snr_db) * np.array(shares)
         got = mmse_combiners(support, powers, noise)
         want = dense_mmse_combiners(support, powers, noise)
         overlap = np.abs(np.sum(got.conj() * want, axis=-1))
@@ -449,9 +456,9 @@ class TestCombinerProperties:
         shares=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
     )
     def test_mmse_sinr_never_below_mrc(self, spread, seed, snr_db, shares):
-        stats, support = pdm_link(spread, seed)
-        noise = stats.noise_power
-        powers = stats.tx_power(snr_db) * np.array(shares)
+        support = pdm_link(spread, seed)
+        noise = NOISE_POWER
+        powers = tx_power(snr_db) * np.array(shares)
         g_mrc = pdm_sinr(support, mrc_combiners(support), powers, noise).gammas
         g_mmse = pdm_sinr(support, mmse_combiners(support, powers, noise), powers, noise).gammas
         assert np.all(g_mmse >= g_mrc * (1 - 1e-9))
@@ -463,10 +470,10 @@ class TestCombinerProperties:
         snrs_db=st.lists(st.floats(-10.0, 30.0), min_size=1, max_size=12),
     )
     def test_power_grid_equals_one_call_per_budget(self, spread, seed, snrs_db):
-        stats, support = pdm_link(spread, seed)
-        noise = stats.noise_power
+        support = pdm_link(spread, seed)
+        noise = NOISE_POWER
         gains = np.abs(support.gains) ** 2 * PDM_RX.aperture * PDM_TX.aperture
-        budgets = np.array([stats.tx_power(s) for s in snrs_db])
+        budgets = np.array([tx_power(s) for s in snrs_db])
         powers = water_fill(gains, budgets, noise)
         mrc = mrc_combiners(support)
         mmse = mmse_combiners(support, powers, noise)

@@ -82,7 +82,7 @@ class TestSupportSets:
         )
         assert not sets.rx_separated and not sets.tx_separated
         with pytest.raises(UnsupportedConfigurationError):
-            group_channels(path_responses(paths, tx, rx, 500e6), sets)
+            group_channels(path_responses(paths, tx, rx), sets)
 
 
 class TestRestrictToSupport:
@@ -91,7 +91,7 @@ class TestRestrictToSupport:
         rx = LensArrayConfig(50.0, 10.0)
         paths = make_paths([0.36, -0.27], [0.12, 0.52])
         sets = support_sets(paths, tx, rx, delta=1)
-        support = support_view(path_responses(paths, tx, rx, 500e6), sets)
+        support = support_view(path_responses(paths, tx, rx), sets)
         rx_union, tx_union = sets.rx.any(axis=0), sets.tx.any(axis=0)
         assert support.rx.shape == (2, rx_union.sum())
         assert support.tx.shape == (2, tx_union.sum())
@@ -106,6 +106,6 @@ class TestRestrictToSupport:
         for phi in rng.uniform(-0.9, 0.9, 50):
             paths = make_paths([phi], [phi])
             sets = support_sets(paths, cfg, cfg, delta=1)
-            support = support_view(path_responses(paths, cfg, cfg, 500e6), sets)
+            support = support_view(path_responses(paths, cfg, cfg), sets)
             rx_resp = support.rx
             assert np.linalg.norm(rx_resp[0]) ** 2 / cfg.aperture >= 0.81
