@@ -92,7 +92,8 @@ class ChannelStats:
 class PathSet:
     """The L multi-path parameters of one channel realization, or of a block
     of realizations that share their angles: gains and delays (in s) of
-    shape (L,) or (T, L), angles of shape (L,)."""
+    one shape, (L,) or (T, L), and angles of shape (L,). Other shapes are
+    refused."""
 
     gains: np.ndarray  # complex linear amplitudes alpha_l
     delays_s: np.ndarray
@@ -102,6 +103,17 @@ class PathSet:
     def __post_init__(self) -> None:
         if self.num_paths < 1:
             raise InvalidInputError("a PathSet needs at least one path")
+        if np.shape(self.delays_s) != np.shape(self.gains):
+            raise InvalidInputError(
+                f"path delays of shape {np.shape(self.delays_s)} do not match gains of shape "
+                f"{np.shape(self.gains)}"
+            )
+        for name in ("aoa_spatial_freqs", "aod_spatial_freqs"):
+            if np.shape(getattr(self, name)) != (self.num_paths,):
+                raise InvalidInputError(
+                    f"{name} of shape {np.shape(getattr(self, name))} does not list one angle "
+                    f"for each of the {self.num_paths} paths"
+                )
         if np.any(self.delays_s < 0):
             raise InvalidInputError("path delays must be non-negative")
 
@@ -284,23 +296,38 @@ def sample_paths(stats: ChannelStats, num_paths: int, rng) -> PathSet:
     """
     if num_paths < 1:
         raise InvalidInputError("num_paths must be at least 1")
-    gains, delays = _draw(stats, num_paths, np.random.default_rng(rng))
+    gains, delays = _draw_block(stats, num_paths, [np.random.default_rng(rng)])
     aoa, aod = stats.placed_angles(num_paths)
-    return PathSet(gains=gains, delays_s=delays, aoa_spatial_freqs=aoa, aod_spatial_freqs=aod)
+    return PathSet(gains=gains[0], delays_s=delays[0], aoa_spatial_freqs=aoa, aod_spatial_freqs=aod)
 
 
-def _draw(stats: ChannelStats, num_paths: int, rng: np.random.Generator):
-    """The random part of ``sample_paths``: (L,) gains and delays in s."""
-    shadowing = rng.normal(0.0, SHADOWING_STD_DB)
-    beta_db = -(MEAN_PATHLOSS_DB + shadowing)
-    beta = 10.0 ** (beta_db / 10.0)
-    u = rng.random(num_paths)
-    z = rng.normal(0.0, PER_PATH_SHADOWING_STD_DB, num_paths)
-    raw = u ** (DELAY_POWER_EXPONENT - 1.0) * 10.0 ** (-0.1 * z)
-    kappa = raw / raw.sum()
-    eta = rng.uniform(0.0, 2.0 * np.pi, num_paths)
-    delays = np.sort(rng.uniform(0.0, stats.max_excess_delay_s, num_paths))
-    return np.sqrt(beta * kappa) * np.exp(1j * eta), delays
+def _draw_block(stats: ChannelStats, num_paths: int, rngs) -> tuple[np.ndarray, np.ndarray]:
+    """The random part of ``sample_paths`` for T realizations, one generator
+    each: (T, L) gains and delays in s.
+
+    Each generator makes only its five draws: the shadowing, then L each of
+    the delay-power uniforms, the per-path shadowings, the phases and the
+    delays. The rest runs once on the block's arrays, each realization's
+    values bit for bit those of a block of one. beta = 10^(beta_dB / 10)
+    is a Python float power per realization, as numpy's vectorised power
+    may round it differently.
+    """
+    draws = [
+        (
+            rng.normal(0.0, SHADOWING_STD_DB),
+            rng.random(num_paths),
+            rng.normal(0.0, PER_PATH_SHADOWING_STD_DB, num_paths),
+            rng.uniform(0.0, 2.0 * np.pi, num_paths),
+            rng.uniform(0.0, stats.max_excess_delay_s, num_paths),
+        )
+        for rng in rngs
+    ]
+    shadowing, u, z, eta, delays = zip(*draws)
+    beta = np.array([10.0 ** (-(MEAN_PATHLOSS_DB + s) / 10.0) for s in shadowing])
+    raw = np.array(u) ** (DELAY_POWER_EXPONENT - 1.0) * 10.0 ** (-0.1 * np.array(z))
+    kappa = raw / raw.sum(axis=-1, keepdims=True)
+    gains = np.sqrt(beta[:, None] * kappa) * np.exp(1j * np.array(eta))
+    return gains, np.sort(np.array(delays), axis=-1)
 
 
 def path_responses(

@@ -46,7 +46,7 @@ from .channel import (
     NOISE_POWER,
     ChannelStats,
     PathSet,
-    _draw,
+    _draw_block,
     path_responses,
     tx_power,
 )
@@ -142,13 +142,17 @@ class ExperimentConfig:
                         f"element count; got {rf}"
                     )
         longest_tap = round(self.stats.max_excess_delay_s * BANDWIDTH_HZ)
-        if {"UPA-OFDM", "UPA-OFDM-selection"} & set(self.schemes) and (
-            longest_tap > self.ofdm.cp_samples
-        ):
-            raise InvalidInputError(
-                f"the cyclic prefix ({self.ofdm.cp_samples} samples) is shorter than the "
-                f"longest channel tap ({longest_tap} samples)"
-            )
+        if {"UPA-OFDM", "UPA-OFDM-selection"} & set(self.schemes):
+            if longest_tap > self.ofdm.cp_samples:
+                raise InvalidInputError(
+                    f"the cyclic prefix ({self.ofdm.cp_samples} samples) is shorter than the "
+                    f"longest channel tap ({longest_tap} samples)"
+                )
+            if longest_tap >= self.ofdm.subcarriers:
+                raise InvalidInputError(
+                    f"the longest channel tap ({longest_tap} samples) does not fit in the "
+                    f"OFDM symbol ({self.ofdm.subcarriers} samples)"
+                )
 
 
 @dataclass(frozen=True)
@@ -234,20 +238,17 @@ def preset(name: str, **overrides) -> ExperimentConfig:
 class _Block:
     """A block of trials on one geometry: the realizations' stacked (T, L)
     gains and delays, and the geometry each scheme reads, built on first
-    use and shared by the schemes. Each trial draws only the random part
-    of ``sample_paths``; the block places the angles once."""
+    use and shared by the schemes. Each trial's generator makes only the
+    draws of ``sample_paths``; the rest of their arithmetic runs once on
+    the block's (T, L) arrays, and the block places the angles once."""
 
     def __init__(self, cfg: ExperimentConfig, trials: range) -> None:
         stats, num_paths = cfg.stats, cfg.num_paths
-        gains, delays = zip(
-            *(_draw(stats, num_paths, default_rng([cfg.seed, t])) for t in trials)
-        )
+        rngs = (default_rng([cfg.seed, t]) for t in trials)
+        gains, delays = _draw_block(stats, num_paths, rngs)
         aoa, aod = stats.placed_angles(num_paths)
         self.paths = PathSet(
-            gains=np.stack(gains),
-            delays_s=np.stack(delays),
-            aoa_spatial_freqs=aoa,
-            aod_spatial_freqs=aod,
+            gains=gains, delays_s=delays, aoa_spatial_freqs=aoa, aod_spatial_freqs=aod
         )
         self.cfg = cfg
         self.budgets = np.array([tx_power(s) for s in cfg.snr_db])
@@ -472,13 +473,16 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> list[Re
             mean = np.zeros(len(cfg.snr_db))
             err = np.zeros(len(cfg.snr_db))
         else:
+            # ndarray.mean and std(ddof=1), with their arithmetic, without
+            # their Python-level wrappers.
             stacked = np.vstack(rates)
-            mean = stacked.mean(axis=0)
-            err = (
-                stacked.std(axis=0, ddof=1) / math.sqrt(n)
-                if n > 1
-                else np.zeros(len(cfg.snr_db))
-            )
+            mean = np.add.reduce(stacked, axis=0) / n
+            if n > 1:
+                dev = stacked - mean
+                np.multiply(dev, dev, out=dev)
+                err = np.sqrt(np.add.reduce(dev, axis=0) / (n - 1)) / math.sqrt(n)
+            else:
+                err = np.zeros(len(cfg.snr_db))
         for j, snr in enumerate(cfg.snr_db):
             rows.append(
                 ResultRow(

@@ -8,7 +8,11 @@ measurement of the PDM SINR decomposition. None of them feeds a sweep, so
 they live here and not in the package. Three more keep the per-element,
 per-trial and per-matrix forms of kernels the package batches: the OFDM
 subcarrier coefficients, the antenna ranking of the power-based selection,
-and the subcarrier eigen-gains by one LAPACK eigensolve per Gram.
+and the subcarrier eigen-gains by one LAPACK eigensolve per Gram. The
+water-filling rate as a per-budget sum of one log1p per channel, the
+random draws of one realization at a time, and the 3 x 3 closed-form
+eigenvalues as whole-array expressions keep the forms the package had
+before it shared or buffered that work.
 """
 from __future__ import annotations
 
@@ -16,8 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from lensmimo.channel import (
+    DELAY_POWER_EXPONENT,
+    MEAN_PATHLOSS_DB,
+    PER_PATH_SHADOWING_STD_DB,
+    SHADOWING_STD_DB,
+)
 from lensmimo.errors import InvalidInputError
-from lensmimo.numerics import eigen_gains
+from lensmimo.numerics import eigen_gains, water_fill
 from lensmimo.pdm import SinrReport, mrt_precoders
 from lensmimo.upa import GRAM_TOL
 
@@ -182,3 +192,78 @@ def simulate_symbols(support, combiners, powers, n_symbols: int, rng, noise: flo
     with np.errstate(divide="ignore", invalid="ignore"):
         gammas = np.where(denom > 0, desired / np.where(denom > 0, denom, 1.0), np.inf)
     return SinrReport(gammas=gammas, desired=desired, isi=isi, inter_stream=inter)
+
+
+def waterfill_rates(gains, budgets, noise):
+    """The water-filling rate of ``numerics.waterfill_capacity`` from the
+    powers of ``water_fill``: log2(1 + p_i g_i / noise) per channel, budget
+    and link, summed over the channels. A link whose gains are all zero has
+    rate 0."""
+    g = np.asarray(gains, dtype=float)
+    silent = np.all(g == 0, axis=-1, keepdims=True)
+    powers = water_fill(np.where(silent, 1.0, g), budgets, noise)
+    g = g.reshape(g.shape[:-1] + (1,) * np.ndim(budgets) + g.shape[-1:])
+    return (np.log1p(powers * g / noise) / np.log(2.0)).sum(axis=-1)
+
+
+def draw_one(stats, num_paths, rng):
+    """(L,) gains and delays in s of one realization, all of its arithmetic
+    on its own draws, in the order ``channel.sample_paths`` draws them."""
+    shadowing = rng.normal(0.0, SHADOWING_STD_DB)
+    beta_db = -(MEAN_PATHLOSS_DB + shadowing)
+    beta = 10.0 ** (beta_db / 10.0)
+    u = rng.random(num_paths)
+    z = rng.normal(0.0, PER_PATH_SHADOWING_STD_DB, num_paths)
+    raw = u ** (DELAY_POWER_EXPONENT - 1.0) * 10.0 ** (-0.1 * z)
+    kappa = raw / raw.sum()
+    eta = rng.uniform(0.0, 2.0 * np.pi, num_paths)
+    delays = np.sort(rng.uniform(0.0, stats.max_excess_delay_s, num_paths))
+    return np.sqrt(beta * kappa) * np.exp(1j * eta), delays
+
+
+def eigvals3_expressions(a):
+    """``numerics._eigvals3`` of a (..., 3, 3) stack written as whole-array
+    expressions, each step a new array: the reference for its buffered form,
+    which must give the same bits on a stack."""
+    def abs2(c):
+        return c.real * c.real + c.imag * c.imag
+
+    x, y, z = a[..., 0, 0].real, a[..., 1, 1].real, a[..., 2, 2].real
+    u, v, w = a[..., 1, 0], a[..., 2, 0], a[..., 2, 1]
+    s = np.abs(x)
+    for entry in (y, z, u, v, w):
+        s = np.maximum(s, np.abs(entry))
+    s = np.where(s > 0, s, 1.0)
+    q = (x / s + y / s + z / s) / 3
+    x, y, z, u, v, w = x / s - q, y / s - q, z / s - q, u / s, v / s, w / s
+    rest = (x + y + z) / 3
+    x, y, z, q = x - rest, y - rest, z - rest, q + rest
+    p = np.sqrt((x * x + y * y + z * z + 2 * (abs2(u) + abs2(v) + abs2(w))) / 6)
+    unit = np.where(p > 0, p, 1.0)
+    x, y, z, u, v, w = x / unit, y / unit, z / unit, u / unit, v / unit, w / unit
+    uu, vv, ww = abs2(u), abs2(v), abs2(w)
+    rho = (x * (y * z - ww) - y * vv - z * uu) / 2 + (u * w * v.conj()).real
+    top = rho >= 0
+    mu = np.where(top, 2.0, -2.0) * np.cos(np.arccos(np.minimum(np.abs(rho), 1.0)) / 3)
+    trace = x + y + z
+    x, y, z = x - mu, y - mu, z - mu
+    adj0, adj1, adj2 = y * z - ww, x * z - vv, x * y - uu
+    half = (trace - 3 * mu) / 2
+    h = half / (adj0 + adj1 + adj2)
+    k_diag = (x - half + h * adj0) ** 2 + (y - half + h * adj1) ** 2 + (z - half + h * adj2) ** 2
+    k_off = (
+        abs2(u + h * (w.conj() * v - u * z))
+        + abs2(v + h * (u * w - y * v))
+        + abs2(w + h * (u.conj() * v - x * w))
+    )
+    gap = np.sqrt(k_diag / 2 + k_off)
+    mid = (trace - mu) / 2
+    e = np.stack(
+        (
+            np.where(top, mu, mid + gap),
+            np.where(top, mid + gap, mid - gap),
+            np.where(top, mid - gap, mu),
+        ),
+        axis=-1,
+    )
+    return s[..., None] * (q[..., None] + p[..., None] * e)

@@ -17,7 +17,8 @@ from lensmimo.channel import (
     tx_power,
 )
 from lensmimo.errors import InvalidInputError
-from oracles import dense_channel, dense_taps
+from lensmimo.experiments import _Block, preset
+from oracles import dense_channel, dense_taps, draw_one
 
 IDEAL = dict(aoa_spatial_freqs=(0.0, 0.2, -0.2), aod_spatial_freqs=(0.0, 0.2, -0.2))
 
@@ -101,6 +102,22 @@ class TestSamplePaths:
         with pytest.raises(InvalidInputError):
             sample_paths(stats, 0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("num_paths", [1, 3, 8, 9, 17])
+    def test_draws_equal_one_realization_at_a_time(self, num_paths):
+        # A block's arithmetic on (T, L) arrays gives each trial the bits of
+        # its own draws, and sample_paths those of its one generator.
+        stats = ChannelStats(aoa_spread_deg=150.0, aod_spread_deg=60.0)
+        cfg = preset("fig9", stats=stats, num_paths=num_paths, seed=11)
+        for trials in (range(1), range(5, 38)):
+            block = _Block(cfg, trials).paths
+            for i, t in enumerate(trials):
+                gains, delays = draw_one(stats, num_paths, np.random.default_rng([11, t]))
+                assert np.array_equal(block.gains[i], gains)
+                assert np.array_equal(block.delays_s[i], delays)
+        one = sample_paths(stats, num_paths, np.random.default_rng(4))
+        gains, delays = draw_one(stats, num_paths, np.random.default_rng(4))
+        assert np.array_equal(one.gains, gains) and np.array_equal(one.delays_s, delays)
+
 
 class TestPathSet:
     def test_focusing(self):
@@ -123,6 +140,25 @@ class TestPathSet:
             aod_spatial_freqs=np.zeros(2),
         )
         assert list(paths.delay_samples()) == [5, 25]
+
+    def test_shapes_must_agree(self):
+        # Delays must have the gains' shape, and each angle list one entry
+        # per path; a mismatch used to surface later as a bare numpy error.
+        ok = dict(
+            gains=np.ones((4, 3), complex),
+            delays_s=np.zeros((4, 3)),
+            aoa_spatial_freqs=np.zeros(3),
+            aod_spatial_freqs=np.zeros(3),
+        )
+        PathSet(**ok)
+        for field, value in (
+            ("delays_s", np.zeros(3)),
+            ("delays_s", np.zeros((4, 2))),
+            ("aoa_spatial_freqs", np.zeros(2)),
+            ("aod_spatial_freqs", np.zeros((4, 3))),
+        ):
+            with pytest.raises(InvalidInputError):
+                PathSet(**dict(ok, **{field: value}))
 
 
 class TestChannelMatrices:

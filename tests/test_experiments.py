@@ -23,6 +23,7 @@ from lensmimo.experiments import (
     run_experiment,
     sweep,
 )
+from lensmimo.upa import OfdmConfig
 
 
 def _blas_threads(_):
@@ -131,6 +132,15 @@ class TestPresets:
             preset("fig9", stats=replace(preset("fig9").stats, max_excess_delay_s=200e-9))
         # Schemes without a cyclic prefix accept the long delay spread.
         assert preset("fig6", stats=stats, schemes=("OPDM",)).stats is stats
+
+    def test_longest_tap_must_fit_the_ofdm_symbol(self):
+        # 100 ns is 50 samples: within the 50-sample prefix, but not within a
+        # 32-sample symbol, which some trials' delays would reach mid-sweep.
+        for name in ("fig6", "fig9"):
+            with pytest.raises(InvalidInputError, match="OFDM symbol"):
+                preset(name, ofdm=OfdmConfig(32, 50))
+            assert preset(name, ofdm=OfdmConfig(64, 50)).ofdm.subcarriers == 64
+        assert preset("fig6", ofdm=OfdmConfig(32, 50), schemes=("OPDM",)).ofdm.subcarriers == 32
 
 
 class TestRunExperiment:
@@ -249,6 +259,21 @@ class TestRunExperiment:
         rows = run_experiment(preset("fig5", trials=4), workers=1)
         for r in rows:
             assert r.stderr >= 0 and np.isfinite(r.se_bpshz)
+
+    @pytest.mark.parametrize("trials", [1, 2, 70])
+    def test_mean_and_stderr_are_numpys(self, trials):
+        # Bit for bit ndarray.mean and std(ddof=1) / sqrt(n) of the rates.
+        cfg = preset("fig9", trials=trials, seed=2)
+        rows = run_experiment(cfg, workers=1)
+        blocks = experiments._blocks(0, trials, experiments._BLOCK)
+        results = [experiments._run_block(cfg, b) for b in blocks]
+        for scheme in cfg.schemes:
+            rates = np.vstack([r[scheme][0] for r in results])
+            mean = rates.mean(axis=0)
+            err = rates.std(axis=0, ddof=1) / np.sqrt(trials) if trials > 1 else 0 * mean
+            got = [r for r in rows if r.scheme == scheme]
+            assert [r.se_bpshz for r in got] == mean.tolist()
+            assert [r.stderr for r in got] == err.tolist()
 
 
 # Spatial frequencies 0, 1 and -0.5: on two UPA azimuth indices d apart the

@@ -15,7 +15,9 @@ from lensmimo.numerics import (
     water_fill,
     waterfill_capacity,
 )
+from lensmimo.numerics import _eigvals3
 from lensmimo.upa import OfdmConfig, ofdm_capacity
+from oracles import eigvals3_expressions, waterfill_rates
 
 
 def record_linalg(monkeypatch):
@@ -145,6 +147,42 @@ class TestWaterFill:
                 water_fill([[1.0, 2.0], [bad, 1.0]], 1.0, 1.0)
             with pytest.raises(InvalidInputError):
                 waterfill_capacity([[1.0, 2.0], [bad, 0.0]], 1.0, 1.0)
+
+    def test_capacity_takes_one_log1p_per_gain_and_budget(self, monkeypatch):
+        # A (T, n) stack on B budgets: at most T n + T B log1p entries, not
+        # the T B n of a per-budget sum over the powers.
+        rng = np.random.default_rng(8)
+        t, n, b = 4, 50, 9
+        g = rng.uniform(0.0, 2.0, (t, n))
+        budgets = np.logspace(-3, 3, b)
+        seen = []
+        log1p = np.log1p
+
+        def spy(x, *args, **kwargs):
+            seen.append(np.size(x))
+            return log1p(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "log1p", spy)
+        rates = waterfill_capacity(g, budgets, 0.5)
+        monkeypatch.undo()
+        assert 0 < sum(seen) <= t * n + t * b
+        want = waterfill_rates(g, budgets, 0.5)
+        assert np.all(np.abs(rates - want) <= 8 * n * np.finfo(float).eps * want)
+
+    def test_capacity_past_the_float_range_of_gain_ratios(self):
+        # Floors 1e-200 and 1e120: d_2 / f_1 = 1e320 overflows, and so does
+        # the level over f_1. Both channels are active (T_2 = 1e120 < P);
+        # the rate is log2 of the two (f_1 + level) / f_i, taken in logs.
+        f1, f2, budget = 1e-200, 1e120, 1e130
+        level = (budget + (f2 - f1)) / 2
+        want = (2 * math.log(f1 + level) - math.log(f1) - math.log(f2)) / math.log(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rate = waterfill_capacity([1 / f1, 1 / f2], budget, 1.0)
+            low = waterfill_capacity([1 / f1, 1 / f2], 1e100, 1.0)
+        assert rate == pytest.approx(want, rel=1e-15)
+        # Below T_2 only the first channel is active.
+        assert low == pytest.approx((math.log(1e100) - math.log(f1)) / math.log(2), rel=1e-15)
 
     def test_capacity_of_a_tiny_snr_keeps_its_digits(self):
         # log2(1 + 1e-13) loses about 8e-4 of its value to the rounding of 1 + x.
@@ -294,6 +332,26 @@ class TestHermitianEigvals:
         got = hermitian_eigvals(junk)
         assert np.allclose(got, np.linalg.eigvalsh(hermitian)[::-1], rtol=0, atol=1e-14)
         assert np.array_equal(got, hermitian_eigvals(hermitian))
+
+    def test_closed_form_3x3_bits_unchanged_by_its_buffers(self):
+        # The buffered steps give the bits of the whole-array expressions on
+        # near-repeated, rank-1, diagonal, zero and extreme-scale stacks.
+        rng = np.random.default_rng(9)
+        for kind in range(6):
+            for shape in ((1,), (7,), (2, 512), (3, 5)):
+                r = rng.standard_normal(shape + (3, 4)) + 1j * rng.standard_normal(shape + (3, 4))
+                if kind == 1:
+                    r[..., 2, :] = r[..., 1, :] * (1 + 1e-9)
+                if kind == 2:
+                    r[..., 1:, :] = r[..., :1, :] * rng.standard_normal((2, 1))
+                a = r @ r.conj().swapaxes(-1, -2)
+                if kind == 3:
+                    a = np.diag(rng.standard_normal(3)) + np.zeros(shape + (3, 3), complex)
+                if kind == 4:
+                    a *= 10.0 ** rng.uniform(-150, 150, shape + (1, 1))
+                if kind == 5:
+                    a[..., 0, :] = a[..., :, 0] = 0
+                assert np.array_equal(_eigvals3(a), eigvals3_expressions(a))
 
     def test_invalid(self):
         with pytest.raises(InvalidInputError):

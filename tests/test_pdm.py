@@ -83,7 +83,8 @@ class TestBeamformers:
         # (T, L) gains with (T, B, L) powers: every realization's combiners
         # and SINRs are bit for bit those of its own call.
         draws = [sample_paths(STATS, 3, np.random.default_rng([4, t])) for t in range(5)]
-        paths = replace(draws[0], gains=np.stack([p.gains for p in draws]))
+        gains = np.stack([p.gains for p in draws])
+        paths = replace(draws[0], gains=gains, delays_s=np.tile(draws[0].delays_s, (5, 1)))
         block = support_of(paths)
         budgets = np.array([tx_power(s) for s in (-10.0, 10.0, 30.0)])
         noise = NOISE_POWER
@@ -93,7 +94,7 @@ class TestBeamformers:
         mmse_rates = pdm_sinr(block, mmse, powers, noise).sum_rate
         assert mmse.shape == (5, 3, 3, block.rx.shape[1]) and mmse_rates.shape == (5, 3)
         for t in range(5):
-            one = replace(block, gains=block.gains[t])
+            one = replace(block, gains=block.gains[t], delays=block.delays[t])
             assert np.array_equal(mmse[t], mmse_combiners(one, powers[t], noise))
             assert np.array_equal(mrc_rates[t], pdm_sinr(one, mrc, powers[t], noise).sum_rate)
             assert np.array_equal(mmse_rates[t], pdm_sinr(one, mmse[t], powers[t], noise).sum_rate)

@@ -1,5 +1,5 @@
 """Property tests for the factored channel core, the support sets, the
-water-filling kernel and the PDM combiners.
+water-filling kernel, the OFDM capacity and the PDM combiners.
 
 The channel properties draw random lens and UPA array pairs, 1-6 paths,
 quantized delays that often coincide and angles that often repeat, and
@@ -14,7 +14,12 @@ the separation gap. The water-filling properties check the KKT
 conditions, monotonicity in the power budget, that one call over a budget
 grid equals one call per budget, and that one call over a stack of links
 (zero gains, equal floors, all-zero rows) equals one call per link, bit
-for bit, over budgets far wider than the sweeps produce. The Hermitian
+for bit, over budgets far wider than the sweeps produce, and that the rate
+from one cumulated log1p per gain is within a few n eps of the per-budget
+sum of one log1p per channel, for gains over sixty decades. The OFDM
+property checks that with mutually orthogonal responses on one side (as
+on fig6's UPAs) the wideband rate is N / (N + cp) times the narrowband
+one. The Hermitian
 eigenvalue properties check the closed forms for 2 x 2 and 3 x 3 against
 LAPACK's eigvalsh on near-repeated, rank-deficient, diagonal and zero
 matrices over sixty decades of scale, and that 4 x 4 still takes eigvalsh.
@@ -33,21 +38,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lensmimo import experiments
 from lensmimo.arrays import LensArrayConfig, UpaConfig
 from lensmimo.channel import (
     BANDWIDTH_HZ,
     NOISE_POWER,
     ChannelStats,
+    PathResponses,
     PathSet,
     path_responses,
     sample_paths,
     tx_power,
 )
 from lensmimo.errors import DegenerateInputError
+from lensmimo.experiments import preset
 from lensmimo.numerics import RANK_TOL, hermitian_eigvals, water_fill, waterfill_capacity
 from lensmimo.pdm import mmse_combiners, mrc_combiners, mrt_precoders, pdm_sinr
 from lensmimo.selection import support_sets
-from oracles import antenna_indices, dense_taps, support_view
+from lensmimo.upa import OfdmConfig, eigenmode_capacity, ofdm_capacity
+from oracles import antenna_indices, dense_taps, support_view, waterfill_rates
 
 EXAMPLES = settings(max_examples=60, deadline=None)
 
@@ -270,6 +279,25 @@ def gain_stacks(draw):
     return np.array(draw(st.lists(row, min_size=t, max_size=t)))
 
 
+# Largest |rate - oracle| / (oracle n eps) allowed for waterfill_capacity.
+# Over 12000 random stacks (n up to 1536, gains over 60 decades, budgets over
+# 80, many equal floors) the largest seen was 3.9.
+CAPACITY_C = 8
+
+
+@st.composite
+def wide_gain_stacks(draw):
+    """(T, n) gains, n up to 64, over sixty decades: rows mix zero gains,
+    gains drawn from a small pool (equal floors) and free ones, and may be
+    all zero."""
+    decades = st.floats(-30.0, 30.0).map(lambda e: 10.0**e)
+    pool = draw(st.lists(decades, min_size=1, max_size=3))
+    value = st.sampled_from(pool) | decades | st.just(0.0)
+    t, n = draw(st.integers(1, 4)), draw(st.integers(1, 64))
+    row = st.lists(value, min_size=n, max_size=n)
+    return np.array(draw(st.lists(row, min_size=t, max_size=t)))
+
+
 class TestWaterFillProperties:
     @EXAMPLES
     @given(gains=gain_lists, noise=noises, best_snr_db=best_snrs_db)
@@ -339,6 +367,76 @@ class TestWaterFillProperties:
             for t, row in enumerate(gains):
                 assert np.array_equal(powers[t], water_fill(row, budgets, noise))
 
+    @EXAMPLES
+    @given(
+        gains=wide_gain_stacks(),
+        noise=noises,
+        log_budgets=st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=9),
+    )
+    def test_capacity_equals_the_per_budget_log_sum(self, gains, noise, log_budgets):
+        # The cumulated form against one log1p per channel and budget, within
+        # CAPACITY_C n eps relative. Rates below 1e-280 are not compared: their
+        # terms reach the subnormal range, where both forms lose digits.
+        budgets = 10.0 ** np.array(log_budgets)
+        rates = waterfill_capacity(gains, budgets, noise)
+        want = waterfill_rates(gains, budgets, noise)
+        bound = CAPACITY_C * gains.shape[-1] * np.finfo(float).eps
+        normal = want > 1e-280
+        assert np.all(np.abs(rates - want)[normal] <= bound * want[normal])
+        assert np.all(rates[want == 0] == 0)
+
+
+@st.composite
+def orthogonal_side_links(draw):
+    """Path responses whose rows on one side are mutually orthogonal (rows of
+    a unitary, scaled), with free rows on the other side, gains of norm 0.1
+    to 1 and integer delays below N = 2 ... 64 subcarriers, with the N and
+    the cyclic prefix."""
+    n_paths = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = draw(st.integers(n_paths, 8))
+    square = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+    orthogonal = np.linalg.qr(square)[0][:n_paths] * rng.uniform(0.5, 2.0, (n_paths, 1))
+    other = rng.standard_normal((n_paths, draw(st.integers(1, 8)))) * (1 + 0j)
+    other += 1j * rng.standard_normal(other.shape)
+    rx, tx = (orthogonal, other) if draw(st.booleans()) else (other, orthogonal)
+    n = 2 ** draw(st.integers(1, 6))
+    gains = rng.uniform(0.1, 1.0, n_paths) * np.exp(2j * np.pi * rng.random(n_paths))
+    delays = rng.integers(0, n, n_paths)
+    ofdm = OfdmConfig(n, draw(st.integers(0, 20)))
+    return PathResponses(rx=rx, tx=tx, gains=gains, delays=delays), ofdm
+
+
+class TestOfdmProperties:
+    @EXAMPLES
+    @given(
+        link=orthogonal_side_links(),
+        snrs_db=st.lists(st.floats(-20.0, 40.0), min_size=1, max_size=5),
+    )
+    def test_orthogonal_side_gives_the_narrowband_rate(self, link, snrs_db):
+        # With the responses on one side mutually orthogonal, every
+        # subcarrier channel has the narrowband singular values (the phases
+        # drop out of H(k)^H H(k) or H(k) H(k)^H), so the water-fill over all
+        # N subcarriers at N P gives N times the narrowband rate at P.
+        responses, ofdm = link
+        budgets = 10.0 ** (np.array(snrs_db) / 10.0)
+        n = ofdm.subcarriers
+        wideband = ofdm_capacity(responses, budgets, 1.0, ofdm)
+        narrowband = eigenmode_capacity(responses, budgets, 1.0)
+        assert np.allclose(wideband, n / (n + ofdm.cp_samples) * narrowband, rtol=1e-9, atol=0)
+
+    def test_fig6_upa_links_are_this_case(self):
+        # fig6's ideal spatial frequencies 0 and +-0.2 are 2 / n_y apart on
+        # its 20-wide UPAs, so both sides' responses are orthogonal.
+        cfg = preset("fig6", trials=4)
+        upa = experiments._Block(cfg, range(4)).upa
+        for rows in (upa.rx, upa.tx):
+            gram = rows.conj() @ rows.T
+            assert np.allclose(gram, np.diag(np.diag(gram)), rtol=0, atol=1e-12)
+        budgets = np.array([tx_power(s) for s in cfg.snr_db])
+        wideband = ofdm_capacity(upa, budgets, NOISE_POWER, cfg.ofdm)
+        narrowband = eigenmode_capacity(upa, budgets, NOISE_POWER)
+        assert np.allclose(wideband, 512 / 562 * narrowband, rtol=1e-12, atol=0)
 
 
 # Largest |difference| from eigvalsh allowed per eigenvalue, in units of eps
