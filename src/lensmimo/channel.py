@@ -40,52 +40,42 @@ def tx_power(snr_db: float) -> float:
     return 10.0 ** (snr_db / 10.0) * NOISE_POWER / MEAN_BETA
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ChannelStats:
-    """Per-scenario channel settings: excess-delay spread and angle placement.
+    """Per-scenario channel settings: excess-delay spread and path angles.
 
-    Angle placement: exactly one of (fixed spatial-frequency list, angular
-    spread in degrees) must be set per side. With a spread, the L path
-    angles are equally spaced in [-spread/2, spread/2].
+    The length of the AoD spatial-frequency list is the path count L. The
+    AoAs are exactly one of a list of L spatial frequencies or an angular
+    spread in degrees, over which the L AoAs are equally spaced in
+    [-spread/2, spread/2].
     """
 
     max_excess_delay_s: float = 100e-9
     aoa_spatial_freqs: tuple[float, ...] | None = None
     aoa_spread_deg: float | None = None
-    aod_spatial_freqs: tuple[float, ...] | None = None
-    aod_spread_deg: float | None = None
+    aod_spatial_freqs: tuple[float, ...]
 
     def __post_init__(self) -> None:
         if self.max_excess_delay_s < 0:
             raise InvalidInputError("max excess delay must be non-negative")
-        for fixed, spread, name in (
-            (self.aoa_spatial_freqs, self.aoa_spread_deg, "AoA"),
-            (self.aod_spatial_freqs, self.aod_spread_deg, "AoD"),
-        ):
-            if (fixed is None) == (spread is None):
-                raise InvalidInputError(
-                    f"exactly one of fixed list / angular spread must be set for {name}"
-                )
-            if fixed is not None and any(abs(v) > 1.0 for v in fixed):
+        num_paths, aoa = len(self.aod_spatial_freqs), self.aoa_spatial_freqs
+        if num_paths < 1:
+            raise InvalidInputError("the AoD list must give at least one path")
+        if (aoa is None) == (self.aoa_spread_deg is None):
+            raise InvalidInputError("exactly one of AoA list / AoA spread must be set")
+        if aoa is not None and len(aoa) != num_paths:
+            raise InvalidInputError(f"AoA list has {len(aoa)} entries, the AoD list {num_paths}")
+        for fixed, name in ((aoa or (), "AoA"), (self.aod_spatial_freqs, "AoD")):
+            if any(abs(v) > 1.0 for v in fixed):
                 raise InvalidInputError(f"{name} spatial frequencies must lie in [-1, 1]")
 
-    def placed_angles(self, num_paths: int) -> tuple[np.ndarray, np.ndarray]:
+    def placed_angles(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-path AoA and AoD spatial frequencies under the placement rule."""
-        out = []
-        for fixed, spread, name in (
-            (self.aoa_spatial_freqs, self.aoa_spread_deg, "AoA"),
-            (self.aod_spatial_freqs, self.aod_spread_deg, "AoD"),
-        ):
-            if fixed is not None:
-                if len(fixed) != num_paths:
-                    raise InvalidInputError(
-                        f"{name} list has {len(fixed)} entries for {num_paths} paths"
-                    )
-                out.append(np.asarray(fixed, dtype=float))
-            else:
-                angles = np.linspace(-spread / 2.0, spread / 2.0, num_paths)
-                out.append(np.sin(np.deg2rad(angles)))
-        return out[0], out[1]
+        aod = np.asarray(self.aod_spatial_freqs, dtype=float)
+        if self.aoa_spatial_freqs is not None:
+            return np.asarray(self.aoa_spatial_freqs, dtype=float), aod
+        angles = np.linspace(-self.aoa_spread_deg / 2.0, self.aoa_spread_deg / 2.0, len(aod))
+        return np.sin(np.deg2rad(angles)), aod
 
 
 @dataclass(frozen=True)
@@ -284,7 +274,7 @@ def _factor(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s[..., None] * vh, s >= RANK_TOL * s[..., :1]
 
 
-def sample_paths(stats: ChannelStats, num_paths: int, rng) -> PathSet:
+def sample_paths(stats: ChannelStats, rng) -> PathSet:
     """Draw one stochastic channel realization.
 
     alpha_l = sqrt(beta * kappa_l) * exp(j*eta_l) with lognormal-shadowed
@@ -294,14 +284,12 @@ def sample_paths(stats: ChannelStats, num_paths: int, rng) -> PathSet:
     draws only the gains and delays of each trial and places the angles
     once per block.
     """
-    if num_paths < 1:
-        raise InvalidInputError("num_paths must be at least 1")
-    gains, delays = _draw_block(stats, num_paths, [np.random.default_rng(rng)])
-    aoa, aod = stats.placed_angles(num_paths)
+    gains, delays = _draw_block(stats, [np.random.default_rng(rng)])
+    aoa, aod = stats.placed_angles()
     return PathSet(gains=gains[0], delays_s=delays[0], aoa_spatial_freqs=aoa, aod_spatial_freqs=aod)
 
 
-def _draw_block(stats: ChannelStats, num_paths: int, rngs) -> tuple[np.ndarray, np.ndarray]:
+def _draw_block(stats: ChannelStats, rngs) -> tuple[np.ndarray, np.ndarray]:
     """The random part of ``sample_paths`` for T realizations, one generator
     each: (T, L) gains and delays in s.
 
@@ -312,6 +300,7 @@ def _draw_block(stats: ChannelStats, num_paths: int, rngs) -> tuple[np.ndarray, 
     is a Python float power per realization, as numpy's vectorised power
     may round it differently.
     """
+    num_paths = len(stats.aod_spatial_freqs)
     draws = [
         (
             rng.normal(0.0, SHADOWING_STD_DB),

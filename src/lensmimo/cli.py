@@ -45,7 +45,6 @@ _SETTINGS = {
     "snr_db": (_floats, "SNR grid in dB, comma or space separated"),
     "schemes": (_names, "comma-separated schemes to run"),
     "delta": (int, "support-set radius in antenna indices"),
-    "num_paths": (int, "multipath count"),
     "rx_rf": (int, "receive RF chains for UPA antenna selection"),
     "tx_rf": (int, "transmit RF chains for UPA antenna selection"),
 }
@@ -103,7 +102,7 @@ def _cmd_response(args) -> str:
 def _cmd_channel(args) -> str:
     cfg = _build_experiment(args)
     rng = np.random.default_rng([cfg.seed, 0])
-    paths = sample_paths(cfg.stats, cfg.num_paths, rng)
+    paths = sample_paths(cfg.stats, rng)
     lines = ["path,gain_real,gain_imag,delay_s,aoa_spatial_freq,aod_spatial_freq"]
     for l in range(paths.num_paths):
         g = paths.gains[l]

@@ -31,7 +31,6 @@ import itertools
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
@@ -94,7 +93,6 @@ class ExperimentConfig:
     schemes: tuple[str, ...]
     snr_db: tuple[float, ...] = _DEFAULT_SNR_DB
     trials: int = 500
-    num_paths: int = 3
     delta: int = 1
     rx_rf: int | None = None
     tx_rf: int | None = None
@@ -104,9 +102,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise InvalidInputError("trials must be at least 1")
-        if self.num_paths < 1 or self.delta < 1:
-            raise InvalidInputError("num_paths and delta must be positive")
-        self.stats.placed_angles(self.num_paths)  # a fixed angle list must have num_paths entries
+        if self.delta < 1:
+            raise InvalidInputError("delta must be positive")
         if self.seed < 0:
             raise InvalidInputError(f"seed must be non-negative, got {self.seed}")
         if len(self.snr_db) == 0:
@@ -129,16 +126,19 @@ class ExperimentConfig:
                 raise InvalidInputError(f"unknown scheme {s!r}")
             if s in self.schemes[:i]:
                 raise InvalidInputError(f"schemes lists {s!r} more than once")
+        _arrays(self, LensArrayConfig)  # every block builds the lenses
+        if {"UPA-eigenmode", "UPA-OFDM", "UPA-OFDM-selection"} & set(self.schemes):
+            upa_rx, upa_tx = _arrays(self, UpaConfig)
         if "UPA-OFDM-selection" in self.schemes:
             if self.rx_rf is None or self.tx_rf is None:
                 raise InvalidInputError("antenna selection requires rx_rf and tx_rf budgets")
-            for field, rf, aperture, side in (
-                ("rx_rf", self.rx_rf, self.rx_aperture, "receive"),
-                ("tx_rf", self.tx_rf, self.tx_aperture, "transmit"),
+            for field, rf, upa, side in (
+                ("rx_rf", self.rx_rf, upa_rx, "receive"),
+                ("tx_rf", self.tx_rf, upa_tx, "transmit"),
             ):
-                if not 1 <= rf <= 4.0 * aperture:
+                if not 1 <= rf <= upa.element_count:
                     raise InvalidInputError(
-                        f"{field} must be between 1 and {4.0 * aperture:g}, the {side} UPA "
+                        f"{field} must be between 1 and {upa.element_count}, the {side} UPA "
                         f"element count; got {rf}"
                     )
         longest_tap = round(self.stats.max_excess_delay_s * BANDWIDTH_HZ)
@@ -165,6 +165,11 @@ class ResultRow:
     stderr: float
     trials: int
     flags: str = ""
+
+
+def _arrays(cfg: ExperimentConfig, kind: type) -> tuple:
+    """The (receive, transmit) pair of ``kind`` (LensArrayConfig or UpaConfig)."""
+    return kind(cfg.rx_aperture, cfg.rx_azimuth_dim), kind(cfg.tx_aperture, cfg.tx_azimuth_dim)
 
 
 _IDEAL_FREQS = (0.0, 0.2, -0.2)
@@ -240,30 +245,31 @@ class _Block:
     gains and delays, and the geometry each scheme reads, built on first
     use and shared by the schemes. Each trial's generator makes only the
     draws of ``sample_paths``; the rest of their arithmetic runs once on
-    the block's (T, L) arrays, and the block places the angles once."""
+    the block's (T, L) arrays, and the block places the angles once. The
+    UPAs are built only for the UPA schemes."""
 
     def __init__(self, cfg: ExperimentConfig, trials: range) -> None:
-        stats, num_paths = cfg.stats, cfg.num_paths
         rngs = (default_rng([cfg.seed, t]) for t in trials)
-        gains, delays = _draw_block(stats, num_paths, rngs)
-        aoa, aod = stats.placed_angles(num_paths)
+        gains, delays = _draw_block(cfg.stats, rngs)
+        aoa, aod = cfg.stats.placed_angles()
         self.paths = PathSet(
             gains=gains, delays_s=delays, aoa_spatial_freqs=aoa, aod_spatial_freqs=aod
         )
         self.cfg = cfg
         self.budgets = np.array([tx_power(s) for s in cfg.snr_db])
-        self.tx = LensArrayConfig(cfg.tx_aperture, cfg.tx_azimuth_dim)
-        self.rx = LensArrayConfig(cfg.rx_aperture, cfg.rx_azimuth_dim)
-        self.upa_rx = UpaConfig(cfg.rx_aperture, cfg.rx_azimuth_dim)
-        self.upa_tx = UpaConfig(cfg.tx_aperture, cfg.tx_azimuth_dim)
+        self.rx, self.tx = _arrays(cfg, LensArrayConfig)
 
     @cached_property
     def lens(self):
         return path_responses(self.paths, self.tx, self.rx)
 
     @cached_property
+    def upas(self) -> tuple[UpaConfig, UpaConfig]:  # (receive, transmit)
+        return _arrays(self.cfg, UpaConfig)
+
+    @cached_property
     def upa(self):
-        return path_responses(self.paths, self.upa_tx, self.upa_rx)
+        return path_responses(self.paths, self.upas[1], self.upas[0])
 
     @cached_property
     def sets(self):
@@ -322,7 +328,7 @@ class _Block:
         picked link keeps its own (T, L, k) response rows; the trials are
         grouped by their side ranks, one capacity call per group."""
         upa, cfg = self.upa, self.cfg
-        picks = power_select_antennas(upa, self.upa_rx, self.upa_tx, cfg.rx_rf, cfg.tx_rf)
+        picks = power_select_antennas(upa, *self.upas, cfg.rx_rf, cfg.tx_rf)
         rates = np.empty((len(upa.gains), len(self.budgets)))
         for trials, link in upa.restrict(*picks).by_rank():
             rates[trials] = ofdm_capacity(link, self.budgets, NOISE_POWER, cfg.ofdm)
@@ -455,6 +461,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> list[Re
         blocks[1:] = _blocks(len(blocks[0]), cfg.trials, size)
         # About two chunks of blocks per worker: one round trip per chunk.
         chunk = math.ceil((len(blocks) - 1) / (2 * workers))
+        # Imported here: it loads multiprocessing, which no in-process sweep needs.
+        from concurrent.futures import ProcessPoolExecutor
         with _one_blas_thread(), ProcessPoolExecutor(max_workers=workers) as pool:
             results += pool.map(_run_block, itertools.repeat(cfg), blocks[1:], chunksize=chunk)
     else:

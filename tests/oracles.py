@@ -206,9 +206,11 @@ def waterfill_rates(gains, budgets, noise):
     return (np.log1p(powers * g / noise) / np.log(2.0)).sum(axis=-1)
 
 
-def draw_one(stats, num_paths, rng):
+def draw_one(stats, rng):
     """(L,) gains and delays in s of one realization, all of its arithmetic
-    on its own draws, in the order ``channel.sample_paths`` draws them."""
+    on its own draws, in the order ``channel.sample_paths`` draws them; L is
+    the length of the AoD list."""
+    num_paths = len(stats.aod_spatial_freqs)
     shadowing = rng.normal(0.0, SHADOWING_STD_DB)
     beta_db = -(MEAN_PATHLOSS_DB + shadowing)
     beta = 10.0 ** (beta_db / 10.0)

@@ -108,7 +108,7 @@ def test_05_mmse_sinr_never_below_mrc():
     noise = lm.channel.NOISE_POWER
     violations = 0
     for t in range(1000):
-        paths = lm.sample_paths(cfg.stats, 3, np.random.default_rng([101, t]))
+        paths = lm.sample_paths(cfg.stats, np.random.default_rng([101, t]))
         *_, g_mrc = _pdm_gammas(cfg, paths, "MRC", 20.0, noise, tx, rx)
         *_, g_mmse = _pdm_gammas(cfg, paths, "MMSE", 20.0, noise, tx, rx)
         if np.any(g_mmse < g_mrc * (1 - 1e-9)):
@@ -128,7 +128,7 @@ def test_06_analytic_sinr_matches_symbol_simulation():
     noise = lm.channel.NOISE_POWER
     worst = 0.0
     for t in range(20):
-        paths = lm.sample_paths(cfg.stats, 3, np.random.default_rng([202, t]))
+        paths = lm.sample_paths(cfg.stats, np.random.default_rng([202, t]))
         support, comb, powers, analytic = _pdm_gammas(cfg, paths, "MRC", 10.0, noise, tx, rx)
         empirical = simulate_symbols(
             support, comb, powers, 100_000, np.random.default_rng([203, t]), noise
@@ -153,7 +153,7 @@ def test_07_isi_rejected_when_aoas_separated():
     checked = 0
     t = 0
     while checked < 10 and t < 200:
-        paths = lm.sample_paths(cfg.stats, 3, np.random.default_rng([303, t]))
+        paths = lm.sample_paths(cfg.stats, np.random.default_rng([303, t]))
         t += 1
         if not lm.support_sets(paths, tx, rx).rx_separated:
             continue
@@ -223,12 +223,15 @@ def test_08_random_angle_scenarios_scheme_ordering():
 
 
 def test_09_channel_large_scale_statistics():
-    stats = lm.ChannelStats(aoa_spread_deg=150.0, aod_spread_deg=60.0)
+    stats = lm.ChannelStats(
+        aoa_spread_deg=150.0,
+        aod_spatial_freqs=(-0.49999999999999994, 0.0, 0.49999999999999994),  # over 60 degrees
+    )
     rng = np.random.default_rng(909)
     loss_db = np.empty(10_000)
     fractions_ok = True
     for t in range(10_000):
-        paths = lm.sample_paths(stats, 3, rng)
+        paths = lm.sample_paths(stats, rng)
         beta = float(np.sum(np.abs(paths.gains) ** 2))
         loss_db[t] = -10 * math.log10(beta)
         kappa = np.abs(paths.gains) ** 2 / beta

@@ -21,23 +21,33 @@ from lensmimo.experiments import _Block, preset
 from oracles import dense_channel, dense_taps, draw_one
 
 IDEAL = dict(aoa_spatial_freqs=(0.0, 0.2, -0.2), aod_spatial_freqs=(0.0, 0.2, -0.2))
+# sin(-30 deg), 0 and sin(30 deg): three AoDs equally spaced over 60 degrees.
+AODS_60 = (-0.49999999999999994, 0.0, 0.49999999999999994)
+
+
+def spread_aods(num_paths):
+    """num_paths AoDs equally spaced over 60 degrees, placed as a spread places AoAs."""
+    return tuple(np.sin(np.deg2rad(np.linspace(-30.0, 30.0, num_paths))).tolist())
 
 
 class TestChannelStats:
     def test_angle_placement_exclusivity(self):
-        with pytest.raises(InvalidInputError):
-            ChannelStats()  # neither fixed list nor spread
-        with pytest.raises(InvalidInputError):
-            ChannelStats(aoa_spatial_freqs=(0.0,), aoa_spread_deg=10.0, aod_spread_deg=10.0)
+        with pytest.raises(InvalidInputError, match="exactly one of AoA list / AoA spread"):
+            ChannelStats(aod_spatial_freqs=(0.0,))  # neither AoA list nor spread
+        with pytest.raises(InvalidInputError, match="exactly one of AoA list / AoA spread"):
+            ChannelStats(aoa_spatial_freqs=(0.0,), aoa_spread_deg=10.0, aod_spatial_freqs=(0.0,))
+        with pytest.raises(TypeError):
+            ChannelStats(aoa_spread_deg=10.0)  # the AoD list is required
+        with pytest.raises(TypeError):
+            ChannelStats(aoa_spread_deg=10.0, aod_spread_deg=10.0)  # no AoD spread
 
     def test_only_the_scenario_settings_are_fields(self):
-        # The 73 GHz fit is module constants; a preset sets these five.
+        # The 73 GHz fit is module constants; a preset sets these four.
         assert [f.name for f in fields(ChannelStats)] == [
             "max_excess_delay_s",
             "aoa_spatial_freqs",
             "aoa_spread_deg",
             "aod_spatial_freqs",
-            "aod_spread_deg",
         ]
 
     def test_mean_pathloss(self):
@@ -55,22 +65,24 @@ class TestChannelStats:
         assert tx_power(20.0) * MEAN_BETA / NOISE_POWER == pytest.approx(100.0)
 
     def test_spread_placement(self):
-        stats = ChannelStats(aoa_spread_deg=150.0, aod_spread_deg=60.0)
-        aoa, aod = stats.placed_angles(3)
+        stats = ChannelStats(aoa_spread_deg=150.0, aod_spatial_freqs=AODS_60)
+        aoa, aod = stats.placed_angles()
         assert np.allclose(aoa, np.sin(np.deg2rad([-75, 0, 75])))
-        assert np.allclose(aod, np.sin(np.deg2rad([-30, 0, 30])))
+        assert aod.tolist() == list(AODS_60) and spread_aods(3) == AODS_60
 
     def test_fixed_placement_length_check(self):
-        stats = ChannelStats(**IDEAL)
-        with pytest.raises(InvalidInputError):
-            stats.placed_angles(2)
+        # The AoD list gives the path count; an AoA list of another length is refused.
+        with pytest.raises(InvalidInputError, match="AoA list has 2 entries, the AoD list 3"):
+            ChannelStats(aoa_spatial_freqs=(0.0, 0.2), aod_spatial_freqs=(0.0, 0.2, -0.2))
+        with pytest.raises(InvalidInputError, match="AoA list has 3 entries, the AoD list 1"):
+            ChannelStats(aoa_spatial_freqs=(0.0, 0.2, -0.2), aod_spatial_freqs=(0.0,))
 
 
 class TestSamplePaths:
     def test_deterministic_given_seed(self):
         stats = ChannelStats(**IDEAL)
-        a = sample_paths(stats, 3, np.random.default_rng(7))
-        b = sample_paths(stats, 3, np.random.default_rng(7))
+        a = sample_paths(stats, np.random.default_rng(7))
+        b = sample_paths(stats, np.random.default_rng(7))
         assert np.array_equal(a.gains, b.gains)
         assert np.array_equal(a.delays_s, b.delays_s)
 
@@ -78,44 +90,47 @@ class TestSamplePaths:
         stats = ChannelStats(**IDEAL)
         rng = np.random.default_rng(1)
         for _ in range(100):
-            paths = sample_paths(stats, 3, rng)
+            paths = sample_paths(stats, rng)
             beta = np.sum(np.abs(paths.gains) ** 2)
             # kappa fractions are normalized, so |alpha|^2 sums exactly to beta
             kappa = np.abs(paths.gains) ** 2 / beta
             assert kappa.sum() == pytest.approx(1.0)
 
     def test_delays_sorted_in_range(self):
-        stats = ChannelStats(aoa_spread_deg=150.0, aod_spread_deg=60.0)
+        stats = ChannelStats(aoa_spread_deg=150.0, aod_spatial_freqs=spread_aods(4))
         rng = np.random.default_rng(2)
         for _ in range(50):
-            paths = sample_paths(stats, 4, rng)
+            paths = sample_paths(stats, rng)
+            assert paths.num_paths == 4
             assert np.all(np.diff(paths.delays_s) >= 0)
             assert np.all((paths.delays_s >= 0) & (paths.delays_s <= 100e-9))
 
     def test_narrowband_has_zero_delays(self):
         stats = ChannelStats(max_excess_delay_s=0.0, **IDEAL)
-        paths = sample_paths(stats, 3, np.random.default_rng(3))
+        paths = sample_paths(stats, np.random.default_rng(3))
         assert np.all(paths.delays_s == 0)
 
     def test_num_paths_validation(self):
-        stats = ChannelStats(**IDEAL)
-        with pytest.raises(InvalidInputError):
-            sample_paths(stats, 0, np.random.default_rng(0))
+        # The AoD list gives the path count, so an empty one is refused.
+        with pytest.raises(InvalidInputError, match="at least one path"):
+            ChannelStats(aoa_spread_deg=150.0, aod_spatial_freqs=())
 
     @pytest.mark.parametrize("num_paths", [1, 3, 8, 9, 17])
     def test_draws_equal_one_realization_at_a_time(self, num_paths):
         # A block's arithmetic on (T, L) arrays gives each trial the bits of
-        # its own draws, and sample_paths those of its one generator.
-        stats = ChannelStats(aoa_spread_deg=150.0, aod_spread_deg=60.0)
-        cfg = preset("fig9", stats=stats, num_paths=num_paths, seed=11)
+        # its own draws, and sample_paths those of its one generator. The
+        # AoD list of num_paths entries gives the path count.
+        stats = ChannelStats(aoa_spread_deg=150.0, aod_spatial_freqs=spread_aods(num_paths))
+        cfg = preset("fig9", stats=stats, seed=11)
         for trials in (range(1), range(5, 38)):
             block = _Block(cfg, trials).paths
+            assert block.gains.shape == (len(trials), num_paths)
             for i, t in enumerate(trials):
-                gains, delays = draw_one(stats, num_paths, np.random.default_rng([11, t]))
+                gains, delays = draw_one(stats, np.random.default_rng([11, t]))
                 assert np.array_equal(block.gains[i], gains)
                 assert np.array_equal(block.delays_s[i], delays)
-        one = sample_paths(stats, num_paths, np.random.default_rng(4))
-        gains, delays = draw_one(stats, num_paths, np.random.default_rng(4))
+        one = sample_paths(stats, np.random.default_rng(4))
+        gains, delays = draw_one(stats, np.random.default_rng(4))
         assert np.array_equal(one.gains, gains) and np.array_equal(one.delays_s, delays)
 
 

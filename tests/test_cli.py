@@ -250,6 +250,17 @@ class TestMain:
         cfg.write_text("scenario=fig5\ntrials=many\n")
         assert main(["run", "--config", str(cfg)]) == 2
 
+    def test_num_paths_is_not_a_setting(self, tmp_path, capsys):
+        # The path count is the length of the preset's AoD list.
+        with pytest.raises(SystemExit) as info:
+            main(["run", "--scenario", "fig9", "--num-paths", "3"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --num-paths 3" in capsys.readouterr().err
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("scenario=fig9\nnum_paths=3\n")
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "unknown key 'num_paths'" in capsys.readouterr().err
+
     def test_sweep_requires_out(self, capsys):
         assert main(["sweep", "--scenario", "fig5", "--trials", "1"]) == 2
 

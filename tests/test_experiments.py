@@ -1,3 +1,4 @@
+import concurrent.futures
 import itertools
 import os
 import re
@@ -40,7 +41,7 @@ def pools(monkeypatch):
             started.append(max_workers)
             super().__init__(max_workers)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", Spy)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
     return started
 
 
@@ -94,13 +95,24 @@ class TestPresets:
         assert preset("fig9", rx_rf=200, tx_rf=400).rx_rf == 200
         assert preset("fig9", schemes=("PDM-MRC",), **{field: value}).schemes == ("PDM-MRC",)
 
-    def test_num_paths_must_match_a_fixed_angle_list(self):
-        # fig9 fixes three AoDs; the mismatch is refused before any trial is drawn.
-        with pytest.raises(InvalidInputError, match="AoD list has 3 entries for 4 paths"):
-            preset("fig9", num_paths=4)
-        with pytest.raises(InvalidInputError, match="AoA list has 3 entries for 2 paths"):
-            preset("fig5", num_paths=2)
-        assert preset("fig9", num_paths=3).num_paths == 3
+    def test_path_count_is_the_aod_list_length(self):
+        # No setting but the AoD list gives the path count.
+        with pytest.raises(ConfigError, match="num_paths"):
+            preset("fig9", num_paths=3)
+        four = tuple(np.sin(np.deg2rad([-15.0, 10.0, 45.0, 60.0])).tolist())
+        cfg = preset("fig9", stats=replace(preset("fig9").stats, aod_spatial_freqs=four))
+        assert experiments._Block(cfg, range(2)).paths.gains.shape == (2, 4)
+        # fig5 fixes three AoAs too, so four AoDs are refused.
+        with pytest.raises(InvalidInputError, match="AoA list has 3 entries, the AoD list 4"):
+            replace(preset("fig5").stats, aod_spatial_freqs=four)
+
+    def test_arrays_of_the_configured_schemes_checked_when_built(self):
+        # A receive aperture of 20.1 gives a valid lens but a UPA of 80.4
+        # elements, and a receive azimuth of 10.5 a lens of 22 elements.
+        with pytest.raises(InvalidInputError, match=r"4 \* aperture must be an integer"):
+            preset("fig5", rx_aperture=20.1)
+        with pytest.raises(InvalidInputError, match="odd element count"):
+            preset("fig5", schemes=("OPDM",), rx_azimuth_dim=10.5)
 
     def test_repeated_snr_point_refused(self):
         with pytest.raises(InvalidInputError, match="snr_db lists 10 dB more than once"):
@@ -166,6 +178,12 @@ class TestRunExperiment:
         assert serial == parallel
         assert pools == [2]
 
+    def test_lens_only_sweep_builds_no_upa(self):
+        # Only the UPA schemes build the UPAs, which this aperture does not allow.
+        cfg = preset("fig5", rx_aperture=20.1, schemes=("OPDM",), trials=2)
+        rows = run_experiment(cfg, workers=1)
+        assert [r.trials for r in rows] == [2] * len(cfg.snr_db)
+
     def test_short_sweep_starts_no_pool(self, pools):
         run_experiment(preset("fig9", trials=30), workers=2)
         assert pools == []
@@ -205,7 +223,10 @@ class TestRunExperiment:
             rx_aperture=20.0,
             tx_azimuth_dim=10.0,
             rx_azimuth_dim=10.0,
-            stats=ChannelStats(aoa_spread_deg=150.0, aod_spread_deg=60.0),
+            stats=ChannelStats(
+                aoa_spread_deg=150.0,
+                aod_spatial_freqs=(-0.49999999999999994, 0.0, 0.49999999999999994),
+            ),
             schemes=("OPDM",),
             snr_db=(10.0,),
             trials=3,
@@ -238,13 +259,16 @@ class TestRunExperiment:
     def test_sweeps_import_neither_numpy_ma_nor_scipy(self):
         # Either import would add to every sweep's start-up time (numpy.ma
         # alone costs ~15 ms, and np.unique pulls it in), so a fresh process
-        # runs one trial of each preset and reports what got imported.
+        # runs one trial of each preset and reports what got imported. Only
+        # a sweep that forks loads the process pool and multiprocessing.
+        modules = ("numpy.ma", "scipy", "concurrent.futures.process", "multiprocessing")
         script = (
-            "import sys\n"
+            "import sys, lensmimo\n"
+            f"print(sorted(m for m in {modules} if m in sys.modules))\n"
             "from lensmimo.experiments import preset, run_experiment\n"
             "for name in ('fig5', 'fig6', 'fig9', 'fig10'):\n"
             "    run_experiment(preset(name, trials=1), workers=1)\n"
-            "print(sorted(m for m in ('numpy.ma', 'scipy') if m in sys.modules))\n"
+            f"print(sorted(m for m in {modules} if m in sys.modules))\n"
         )
         src = str(Path(__file__).resolve().parents[1] / "src")
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -253,7 +277,7 @@ class TestRunExperiment:
             [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "[]"
+        assert done.stdout.split() == ["[]", "[]"]
 
     def test_stderr_nonnegative_finite(self):
         rows = run_experiment(preset("fig5", trials=4), workers=1)

@@ -253,7 +253,7 @@ class TestGroupedCapacity:
         budget = tx_power(20)
         checked = 0
         for seed in range(10):
-            paths = sample_paths(stats, 3, np.random.default_rng(seed))
+            paths = sample_paths(stats, np.random.default_rng(seed))
             sets = support_sets(paths, tx, rx, 1)
             responses = path_responses(paths, tx, rx)
             try:

@@ -54,20 +54,20 @@ def link(paths, powers, noise, kind="MRC"):
 
 class TestBeamformers:
     def test_unit_norm(self):
-        support = support_of(sample_paths(STATS, 3, np.random.default_rng(0)))
+        support = support_of(sample_paths(STATS, np.random.default_rng(0)))
         prec = mrt_precoders(support)
         comb = mrc_combiners(support)
         assert np.allclose(np.linalg.norm(prec, axis=1), 1.0)
         assert np.allclose(np.linalg.norm(comb, axis=1), 1.0)
 
     def test_pdm_sinr_validates_combiner_norms(self):
-        support = support_of(sample_paths(STATS, 3, np.random.default_rng(0)))
+        support = support_of(sample_paths(STATS, np.random.default_rng(0)))
         comb = 2.0 * mrc_combiners(support)
         with pytest.raises(InvalidInputError):
             pdm_sinr(support, comb, np.ones(3), NOISE_POWER)
 
     def test_mmse_unit_norm(self):
-        support = support_of(sample_paths(STATS, 3, np.random.default_rng(1)))
+        support = support_of(sample_paths(STATS, np.random.default_rng(1)))
         comb = mmse_combiners(support, np.ones(3), 1e-9)
         assert np.allclose(np.linalg.norm(comb, axis=1), 1.0)
 
@@ -75,14 +75,14 @@ class TestBeamformers:
         # Stream powers of 1e200 put the path-space covariance near 1e190,
         # so the solved directions underflow to zero norm: refused rather
         # than divided into nan combiners.
-        support = support_of(sample_paths(STATS, 3, np.random.default_rng(1)))
+        support = support_of(sample_paths(STATS, np.random.default_rng(1)))
         with pytest.raises(NumericalError, match="zero or non-finite norm"):
             mmse_combiners(support, np.full(3, 1e200), NOISE_POWER)
 
     def test_block_of_realizations_equals_one_call_each(self):
         # (T, L) gains with (T, B, L) powers: every realization's combiners
         # and SINRs are bit for bit those of its own call.
-        draws = [sample_paths(STATS, 3, np.random.default_rng([4, t])) for t in range(5)]
+        draws = [sample_paths(STATS, np.random.default_rng([4, t])) for t in range(5)]
         gains = np.stack([p.gains for p in draws])
         paths = replace(draws[0], gains=gains, delays_s=np.tile(draws[0].delays_s, (5, 1)))
         block = support_of(paths)
@@ -108,7 +108,7 @@ class TestBeamformers:
         noise = NOISE_POWER
         cases = [
             (
-                support_of(sample_paths(STATS, 3, np.random.default_rng(seed))),
+                support_of(sample_paths(STATS, np.random.default_rng(seed))),
                 tx_power(20) * np.array([0.5, 0.3, 0.2]),
                 noise,
             )
@@ -188,7 +188,7 @@ class TestAnalyticSinr:
         assert np.allclose(report.gammas, expected, rtol=0.01)
 
     def test_homogeneity(self):
-        paths = sample_paths(STATS, 3, np.random.default_rng(2))
+        paths = sample_paths(STATS, np.random.default_rng(2))
         noise = NOISE_POWER
         powers = water_fill(np.abs(paths.gains) ** 2, tx_power(10), noise)
         support, comb = link(paths, powers, noise)
@@ -199,7 +199,7 @@ class TestAnalyticSinr:
     def test_mmse_never_below_mrc(self):
         noise = NOISE_POWER
         for seed in range(20):
-            paths = sample_paths(STATS, 3, np.random.default_rng(seed))
+            paths = sample_paths(STATS, np.random.default_rng(seed))
             powers = np.full(3, tx_power(15) / 3)
             support, mrc = link(paths, powers, noise)
             _, mmse = link(paths, powers, noise, kind="MMSE")
@@ -208,7 +208,7 @@ class TestAnalyticSinr:
             assert np.all(g_mmse >= g_mrc * (1 - 1e-9))
 
     def test_zero_power_stream_has_zero_sinr(self):
-        paths = sample_paths(STATS, 3, np.random.default_rng(3))
+        paths = sample_paths(STATS, np.random.default_rng(3))
         powers = np.array([1.0, 0.0, 1.0])
         support, comb = link(paths, powers, NOISE_POWER)
         report = pdm_sinr(support, comb, powers, NOISE_POWER)
@@ -224,7 +224,7 @@ class TestMmseExtremeSnr:
         cfg = preset("fig9")
         noise = NOISE_POWER
         for trial in (2, 27):
-            support = support_of(sample_paths(cfg.stats, 3, np.random.default_rng([0, trial])))
+            support = support_of(sample_paths(cfg.stats, np.random.default_rng([0, trial])))
             gains = np.abs(support.gains) ** 2 * RX.aperture * TX.aperture
             powers = water_fill(gains, tx_power(140.0), noise)
             mmse = mmse_combiners(support, powers, noise)
@@ -237,7 +237,7 @@ class TestMmseExtremeSnr:
 
 class TestIpc:
     def test_symmetric_unit_diagonal_bounds(self):
-        support = support_of(sample_paths(STATS, 3, np.random.default_rng(4)))
+        support = support_of(sample_paths(STATS, np.random.default_rng(4)))
         ipc = ipc_coefficients(support, TX, RX)
         for rho in (ipc.rho_t, ipc.rho_r):
             assert np.allclose(rho, rho.T)
@@ -247,7 +247,7 @@ class TestIpc:
 
 class TestSymbolSimulation:
     def test_requires_enough_symbols(self):
-        paths = sample_paths(STATS, 3, np.random.default_rng(5))
+        paths = sample_paths(STATS, np.random.default_rng(5))
         noise = NOISE_POWER
         support, comb = link(paths, np.ones(3), noise)
         with pytest.raises(StatisticalValidityError):
@@ -255,7 +255,7 @@ class TestSymbolSimulation:
 
     def test_matches_analytic_sinr(self):
         noise = NOISE_POWER
-        paths = sample_paths(STATS, 3, np.random.default_rng(6))
+        paths = sample_paths(STATS, np.random.default_rng(6))
         powers = water_fill(
             np.abs(paths.gains) ** 2 * RX.aperture * TX.aperture, tx_power(10), noise
         )
@@ -269,7 +269,7 @@ class TestSymbolSimulation:
         assert np.all(np.abs(ratio_db) < 0.5)
 
     def test_stream_count_must_match_paths(self):
-        paths = sample_paths(STATS, 3, np.random.default_rng(8))
+        paths = sample_paths(STATS, np.random.default_rng(8))
         noise = NOISE_POWER
         _, comb = link(paths, np.ones(3), noise)
         two = PathSet(

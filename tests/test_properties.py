@@ -23,7 +23,9 @@ one. The Hermitian
 eigenvalue properties check the closed forms for 2 x 2 and 3 x 3 against
 LAPACK's eigvalsh on near-repeated, rank-deficient, diagonal and zero
 matrices over sixty decades of scale, and that 4 x 4 still takes eigvalsh.
-The combiner
+The placement property checks that a block places one AoA of a spread
+for each entry of any AoD list, and draws each trial's gains and delays
+as that trial alone would. The combiner
 properties check that the path-space MMSE combiners equal a dense
 M_S x M_S solve, that MMSE never loses to MRC on any stream (up to
 160 dB), and that one MMSE combiner and SINR call over a grid of
@@ -56,7 +58,7 @@ from lensmimo.numerics import RANK_TOL, hermitian_eigvals, water_fill, waterfill
 from lensmimo.pdm import mmse_combiners, mrc_combiners, mrt_precoders, pdm_sinr
 from lensmimo.selection import support_sets
 from lensmimo.upa import OfdmConfig, eigenmode_capacity, ofdm_capacity
-from oracles import antenna_indices, dense_taps, support_view, waterfill_rates
+from oracles import antenna_indices, dense_taps, draw_one, support_view, waterfill_rates
 
 EXAMPLES = settings(max_examples=60, deadline=None)
 
@@ -182,6 +184,30 @@ class TestPathResponses:
         )
         for (_, a), (_, b) in zip(restricted, indexed):
             assert np.allclose(a, b, rtol=0.0, atol=8 * np.finfo(float).eps * term_scale)
+
+
+class TestPlacementProperties:
+    @EXAMPLES
+    @given(
+        aods=st.lists(unit_floats, min_size=1, max_size=12).map(tuple),
+        spread=st.floats(0.0, 180.0),
+        seed=st.integers(0, 2**32 - 1),
+        first=st.integers(0, 100),
+        count=st.integers(1, 5),
+    )
+    def test_block_places_a_spread_over_the_aod_list(self, aods, spread, seed, first, count):
+        # The AoD list alone gives the path count: a block places L AoAs
+        # over the spread, and each trial draws L paths as on its own.
+        stats = ChannelStats(aoa_spread_deg=spread, aod_spatial_freqs=aods)
+        trials = range(first, first + count)
+        paths = experiments._Block(preset("fig9", stats=stats, seed=seed), trials).paths
+        placed = np.sin(np.deg2rad(np.linspace(-spread / 2.0, spread / 2.0, len(aods))))
+        assert np.array_equal(paths.aoa_spatial_freqs, placed)
+        assert paths.aod_spatial_freqs.tolist() == list(aods)
+        for i, t in enumerate(trials):
+            gains, delays = draw_one(stats, np.random.default_rng([seed, t]))
+            assert np.array_equal(paths.gains[i], gains)
+            assert np.array_equal(paths.delays_s[i], delays)
 
 
 @st.composite
@@ -502,7 +528,7 @@ def pdm_link(spread, seed):
         aoa_spread_deg=spread,
         aod_spatial_freqs=tuple(np.sin(np.deg2rad([-15.0, 10.0, 45.0]))),
     )
-    paths = sample_paths(stats, 3, np.random.default_rng(seed))
+    paths = sample_paths(stats, np.random.default_rng(seed))
     sets = support_sets(paths, PDM_TX, PDM_RX, 1)
     return support_view(path_responses(paths, PDM_TX, PDM_RX), sets)
 

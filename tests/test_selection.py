@@ -73,7 +73,7 @@ class TestSupportSets:
         cfg = preset("fig9", delta=5)
         tx = LensArrayConfig(cfg.tx_aperture, cfg.tx_azimuth_dim)
         rx = LensArrayConfig(cfg.rx_aperture, cfg.rx_azimuth_dim)
-        paths = sample_paths(cfg.stats, cfg.num_paths, np.random.default_rng([cfg.seed, 0]))
+        paths = sample_paths(cfg.stats, np.random.default_rng([cfg.seed, 0]))
         sets = support_sets(paths, tx, rx, cfg.delta)
         assert tuple(antenna_indices(rx, row) for row in sets.rx) == (
             tuple(range(-10, -4)),

@@ -99,7 +99,7 @@ def selected_link(cfg, seed, trial, n_rx_rf, n_tx_rf):
     ``seed`` under the given RF budgets."""
     rx = UpaConfig(cfg.rx_aperture, cfg.rx_azimuth_dim)
     tx = UpaConfig(cfg.tx_aperture, cfg.tx_azimuth_dim)
-    paths = sample_paths(cfg.stats, cfg.num_paths, np.random.default_rng([seed, trial]))
+    paths = sample_paths(cfg.stats, np.random.default_rng([seed, trial]))
     responses = path_responses(paths, tx, rx)
     return responses.restrict(*power_select_antennas(responses, rx, tx, n_rx_rf, n_tx_rf))
 
@@ -664,7 +664,7 @@ class TestPowerSelection:
         tx = UpaConfig(cfg.tx_aperture, cfg.tx_azimuth_dim)
         n_z = rx.grid_shape[1], tx.grid_shape[1]
         for seed, trial in itertools.product(range(5), range(30)):
-            paths = sample_paths(cfg.stats, cfg.num_paths, np.random.default_rng([seed, trial]))
+            paths = sample_paths(cfg.stats, np.random.default_rng([seed, trial]))
             responses = path_responses(paths, tx, rx)
             taps = dense_taps(responses)
             for rf in (1, 6, 15):
