@@ -46,8 +46,8 @@ class ChannelStats:
 
     The length of the AoD spatial-frequency list is the path count L. The
     AoAs are exactly one of a list of L spatial frequencies or an angular
-    spread in degrees, over which the L AoAs are equally spaced in
-    [-spread/2, spread/2].
+    spread in degrees, from 0 to 180, over which the L AoAs are equally
+    spaced in [-spread/2, spread/2].
     """
 
     max_excess_delay_s: float = 100e-9
@@ -65,6 +65,9 @@ class ChannelStats:
             raise InvalidInputError("exactly one of AoA list / AoA spread must be set")
         if aoa is not None and len(aoa) != num_paths:
             raise InvalidInputError(f"AoA list has {len(aoa)} entries, the AoD list {num_paths}")
+        spread = self.aoa_spread_deg
+        if spread is not None and not 0.0 <= spread <= 180.0:  # NaN fails too
+            raise InvalidInputError(f"the AoA spread must lie in [0, 180] degrees, got {spread:g}")
         for fixed, name in ((aoa or (), "AoA"), (self.aod_spatial_freqs, "AoD")):
             if any(abs(v) > 1.0 for v in fixed):
                 raise InvalidInputError(f"{name} spatial frequencies must lie in [-1, 1]")
@@ -125,10 +128,11 @@ class PathResponses:
     and delays are of one realization, (L,), or of a block, (T, L) with a
     leading trial axis; every method works on all T at once. The rows,
     (..., L, N), carry none or all of the gains' leading axes and broadcast
-    against them: a block's (L, N) rows are shared and factored once, and
-    (T, L, N) rows give each trial antennas of its own (the selected UPA
-    links), one stacked SVD per side. Every trial must have the same side
-    ranks (``by_rank`` splits a block that does not).
+    against them: a block's (L, N) rows are shared and factored once (and
+    ``with_paths`` pairs them and their factors with other gains and
+    delays), and (T, L, N) rows give each trial antennas of its own (the
+    selected UPA links), one stacked SVD per side. Every trial must have
+    the same side ranks (``by_rank`` splits a block that does not).
 
     Every scheme reads these per-path factors: ``cores`` is the
     rank-revealing path-space reduction that carries the singular values
@@ -173,6 +177,16 @@ class PathResponses:
         if "_svds" in self.__dict__:
             # Seeds the part's cached_property, as its first use would.
             part.__dict__["_svds"] = tuple((pick(f), pick(keep, 1)) for f, keep in self._svds)
+        return part
+
+    def with_paths(self, gains: np.ndarray, delays: np.ndarray) -> PathResponses:
+        """The same response rows with other gains and delays, and with the
+        factors and the Gram kernel taken so far: the rows fix them, so a
+        sweep factors its geometry's rows once and every block reads them."""
+        part = PathResponses(self.rx, self.tx, gains, delays)
+        for name in ("_svds", "_factors", "_kernel"):
+            if name in self.__dict__:
+                part.__dict__[name] = self.__dict__[name]
         return part
 
     def by_rank(self) -> list[tuple[np.ndarray, PathResponses]]:
@@ -244,24 +258,29 @@ class PathResponses:
         P, G = R (W o Gamma) R^H (o the entrywise product). For the
         transmit side both factors are conjugated, which conjugates G and
         keeps its eigenvalues. The stack is one (-1, L^2) @ (L^2, r^2)
-        product per leading index of the rows, over all the other leading
-        axes (trials, subcarriers) at once. A Gram squares the condition
-        number of its core.
+        product with ``_kernel`` per leading index of the rows, over all the
+        other leading axes (trials, subcarriers) at once. A Gram squares
+        the condition number of its core.
         """
+        kernel, n, r = self._kernel, self.num_paths, min(self.ranks)
+        lead = coeffs.shape[:-1]
+        w = coeffs[..., :, None] * coeffs[..., None, :].conj()
+        w = w.reshape(lead[: kernel.ndim - 2] + (-1, n * n))
+        return (w @ kernel).reshape(lead + (r, r))
+
+    @cached_property
+    def _kernel(self) -> np.ndarray:
+        """The (..., L^2, r^2) kernel of ``grams``, computed on first use:
+        kernel[..., (l, m), (i, j)] = R[..., i, l] Gamma[..., l, m] R[..., j, m]^*."""
         r_rx, r_tx = self._factors
         if r_rx.shape[-2] <= r_tx.shape[-2]:
             small, large = r_rx, r_tx
         else:
             small, large = r_tx.conj(), r_rx.conj()
         gamma = large.conj().swapaxes(-1, -2) @ large
-        # kernel[..., (l, m), (i, j)] = R[..., i, l] Gamma[..., l, m] R[..., j, m]^*
         kernel = np.einsum("...il,...lm,...jm->...lmij", small, gamma, small.conj())
-        w = coeffs[..., :, None] * coeffs[..., None, :].conj()
         r, n = small.shape[-2:]
-        lead = coeffs.shape[:-1]
-        kernel = kernel.reshape(kernel.shape[:-4] + (n * n, r * r))
-        w = w.reshape(lead[: kernel.ndim - 2] + (-1, n * n))
-        return (w @ kernel).reshape(lead + (r, r))
+        return kernel.reshape(kernel.shape[:-4] + (n * n, r * r))
 
 
 def _factor(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -282,7 +301,7 @@ def sample_paths(stats: ChannelStats, rng) -> PathSet:
     delays are i.i.d. uniform over [0, T_m], sorted ascending. Angles follow
     the placement rule in ``stats``, which takes no random numbers: a sweep
     draws only the gains and delays of each trial and places the angles
-    once per block.
+    once per config.
     """
     gains, delays = _draw_block(stats, [np.random.default_rng(rng)])
     aoa, aod = stats.placed_angles()

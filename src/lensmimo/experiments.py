@@ -6,11 +6,14 @@ Four scenario presets reproduce the reference comparisons at desk scale:
 narrowband and wideband ideal-angle links (lens vs conventional UPA) and
 two wideband random-angle links with small and large AoA spreads.
 
-Trials run in blocks. Every preset places its path angles the same way in
-every trial, so a block builds the trial geometry once: the lens and UPA
-responses and their factors, the support sets and the support view, the
-path groups and the beamformer couplings. Its trials differ only in their
-gains and delays, which the schemes take as (T, L) stacks.
+Every preset places its path angles the same way in every trial, so a
+config's geometry is fixed by the config alone: the lens and UPA responses
+with their factors and the Gram kernel, OPDM's applicability, the support
+sets and the support view with its beamformers, and the path groups with
+their factored rows. It is built at the config's first block and kept on
+the config object for its later blocks and sweeps. Trials run in blocks,
+which differ only in their gains and delays; the schemes take them as
+(T, L) stacks on the geometry's rows.
 
 Determinism contract: trial t draws its gains and delays from the RNG
 substream seeded by (seed, t), every scheme computes each trial's rates
@@ -22,7 +25,8 @@ Parallelism: a sweep runs in-process unless the pool pays for itself. The
 first block runs in-process and is timed; the other trials go to a pool of
 forked worker processes only if the time that block predicts they save
 exceeds the pool's cost. Each worker runs one thread of numpy's bundled
-OpenBLAS, so the workers do not compete with BLAS threads for the cores.
+OpenBLAS, so the workers do not compete with BLAS threads for the cores,
+and builds the geometry of the config it is sent.
 """
 from __future__ import annotations
 
@@ -56,15 +60,15 @@ from .errors import (
     NumericalError,
     UnsupportedConfigurationError,
 )
-from .grouping import group_channels, grouped_capacity
+from .grouping import grouped_capacity, path_groups
 from .numerics import water_fill, waterfill_capacity
-from .opdm import opdm_decompose
-from .pdm import mmse_combiners, mrc_combiners, pdm_sinr
+from .opdm import check_ideal
+from .pdm import beamformers, mmse_combiners, mrc_combiners, pdm_sinr
 from .selection import support_sets
 from .upa import OfdmConfig, eigenmode_capacity, ofdm_capacity, power_select_antennas
 
-# Trials per block: the geometry is built once per block, and a block's
-# stacks (T x 512 subcarrier Grams on fig6) stay a few MB.
+# Trials per block: a block's stacks (T x 512 subcarrier Grams on fig6)
+# stay a few MB.
 _BLOCK = 32
 
 # What the worker pool costs, per worker, beyond dividing the work. On a
@@ -154,6 +158,16 @@ class ExperimentConfig:
                     f"OFDM symbol ({self.ofdm.subcarriers} samples)"
                 )
 
+    @cached_property
+    def _geometry(self) -> _Geometry:
+        """The geometry of this config object, built at its first block and
+        kept for every later block and sweep of it."""
+        return _Geometry(self)
+
+    def __getstate__(self) -> dict:
+        # The fields only: a pool worker builds the geometry of its own copy.
+        return {k: v for k, v in self.__dict__.items() if k != "_geometry"}
+
 
 @dataclass(frozen=True)
 class ResultRow:
@@ -240,28 +254,86 @@ def preset(name: str, **overrides) -> ExperimentConfig:
         raise ConfigError(str(exc)) from None
 
 
-class _Block:
-    """A block of trials on one geometry: the realizations' stacked (T, L)
-    gains and delays, and the geometry each scheme reads, built on first
-    use and shared by the schemes. Each trial's generator makes only the
-    draws of ``sample_paths``; the rest of their arithmetic runs once on
-    the block's (T, L) arrays, and the block places the angles once. The
-    UPAs are built only for the UPA schemes."""
+def _read_only(value):
+    """``value`` with every array in it made read-only: in its tuples, lists
+    and attributes, cached factors included."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            _read_only(item)
+    elif hasattr(value, "__dict__"):
+        for item in vars(value).values():
+            _read_only(item)
+    return value
 
-    def __init__(self, cfg: ExperimentConfig, trials: range) -> None:
-        rngs = (default_rng([cfg.seed, t]) for t in trials)
-        gains, delays = _draw_block(cfg.stats, rngs)
-        aoa, aod = cfg.stats.placed_angles()
-        self.paths = PathSet(
-            gains=gains, delays_s=delays, aoa_spatial_freqs=aoa, aod_spatial_freqs=aod
-        )
+
+class _Geometry:
+    """What every block of a config reads and no draw changes: the budget
+    vector, the array pairs, and what the path angles fix, which are the
+    lens and UPA responses with their factors and Gram kernel, OPDM's
+    applicability, the support sets, the support view with its combiners
+    and beamformers, and the path groups with their factored rows. Each
+    part is built when a block first asks for it, so only the configured
+    schemes' parts are built, and is read-only from then on. A config
+    object keeps its geometry (``ExperimentConfig._geometry``); it is not
+    pickled, so each pool worker builds its own."""
+
+    def __init__(self, cfg: ExperimentConfig) -> None:
         self.cfg = cfg
-        self.budgets = np.array([tx_power(s) for s in cfg.snr_db])
+        self.budgets = _read_only(np.array([tx_power(s) for s in cfg.snr_db]))
         self.rx, self.tx = _arrays(cfg, LensArrayConfig)
+        aoa, aod = cfg.stats.placed_angles()
+        # The angles, with zero gains and delays: each block has its own.
+        self.paths = _read_only(
+            PathSet(
+                gains=np.zeros(len(aod), dtype=complex),
+                delays_s=np.zeros(len(aod)),
+                aoa_spatial_freqs=aoa,
+                aod_spatial_freqs=aod,
+            )
+        )
+
+    @cached_property
+    def opdm_applies(self) -> bool:
+        try:
+            check_ideal(self.paths, self.tx, self.rx)
+        except IdealAngleError:
+            return False
+        return True
 
     @cached_property
     def lens(self):
-        return path_responses(self.paths, self.tx, self.rx)
+        return _read_only(path_responses(self.paths, self.tx, self.rx))
+
+    @cached_property
+    def sets(self):
+        return _read_only(support_sets(self.paths, self.tx, self.rx, self.cfg.delta))
+
+    @cached_property
+    def support(self):
+        """The lens responses over the unions M_S x Q_S of the support sets."""
+        return _read_only(self.lens.restrict(self.sets.rx.any(axis=0), self.sets.tx.any(axis=0)))
+
+    @cached_property
+    def mrc(self):
+        return _read_only(mrc_combiners(self.support))
+
+    @cached_property
+    def beams(self):
+        return _read_only(beamformers(self.support))
+
+    @cached_property
+    def groups(self):
+        """``grouping.path_groups`` with each group's rows factored, or None
+        where no side is separated."""
+        try:
+            groups = path_groups(self.lens, self.sets)
+        except UnsupportedConfigurationError:
+            return None
+        for _, part in groups:
+            part.ranks  # takes the factors that every block's cores read
+        return _read_only(groups)
 
     @cached_property
     def upas(self) -> tuple[UpaConfig, UpaConfig]:  # (receive, transmit)
@@ -269,57 +341,95 @@ class _Block:
 
     @cached_property
     def upa(self):
-        return path_responses(self.paths, self.upas[1], self.upas[0])
+        """The UPA responses, with the factors and the Gram kernel that
+        UPA-eigenmode and UPA-OFDM read. UPA-OFDM-selection reads only the
+        rows: each block factors its own picked links."""
+        upa = path_responses(self.paths, self.upas[1], self.upas[0])
+        if {"UPA-eigenmode", "UPA-OFDM"} & set(self.cfg.schemes):
+            upa._kernel  # takes the factors too
+        return _read_only(upa)
+
+
+class _Block:
+    """A block of trials on its config's geometry: the realizations' stacked
+    (T, L) gains and delays, which each scheme reads with the geometry's
+    rows and factors (``PathResponses.with_paths``). Each trial's generator
+    makes only the draws of ``sample_paths``; the rest of their arithmetic
+    runs once on the block's (T, L) arrays."""
+
+    def __init__(self, cfg: ExperimentConfig, trials: range) -> None:
+        self.cfg, self.geo = cfg, cfg._geometry
+        rngs = (default_rng([cfg.seed, t]) for t in trials)
+        gains, delays = _draw_block(cfg.stats, rngs)
+        self.paths = PathSet(
+            gains=gains,
+            delays_s=delays,
+            aoa_spatial_freqs=self.geo.paths.aoa_spatial_freqs,
+            aod_spatial_freqs=self.geo.paths.aod_spatial_freqs,
+        )
+        self.delays = self.paths.delay_samples()
+
+    def _on(self, responses):
+        """The geometry's ``responses`` with this block's gains and delays."""
+        return responses.with_paths(self.paths.gains, self.delays)
 
     @cached_property
-    def sets(self):
-        return support_sets(self.paths, self.tx, self.rx, self.cfg.delta)
+    def path_gains(self):
+        """(T, L) |alpha_l|^2 A_R A_T: the OPDM sub-channel gains, and the
+        gains over which PDM water-fills its stream powers."""
+        return np.abs(self.paths.gains) ** 2 * self.geo.rx.aperture * self.geo.tx.aperture
 
     @cached_property
     def support(self):
-        """The lens responses over the unions M_S x Q_S of the support sets."""
-        return self.lens.restrict(self.sets.rx.any(axis=0), self.sets.tx.any(axis=0))
+        return self._on(self.geo.support)
 
     @cached_property
     def pdm_powers(self):
         """(T, B, L) water-filled PDM stream powers, shared by MRC and MMSE."""
-        gains = np.abs(self.support.gains) ** 2 * self.rx.aperture * self.tx.aperture
-        return water_fill(gains, self.budgets, NOISE_POWER)
+        return water_fill(self.path_gains, self.geo.budgets, NOISE_POWER)
 
     def _pdm(self, combiners):
-        return pdm_sinr(self.support, combiners, self.pdm_powers, NOISE_POWER).sum_rate
+        return pdm_sinr(
+            self.support, combiners, self.pdm_powers, NOISE_POWER, self.geo.beams
+        ).sum_rate
 
     def opdm(self):
-        try:
-            gains = opdm_decompose(self.paths, self.tx, self.rx)
-        except IdealAngleError:
+        if not self.geo.opdm_applies:
             return None, "opdm-skip"
-        return waterfill_capacity(gains, self.budgets, NOISE_POWER), None
+        return waterfill_capacity(self.path_gains, self.geo.budgets, NOISE_POWER), None
 
     @cached_property
     def mmse_rates(self):  # PDM-MMSE's, and PDM-grouping's where it falls back
-        return self._pdm(mmse_combiners(self.support, self.pdm_powers, NOISE_POWER))
+        combiners = mmse_combiners(self.support, self.pdm_powers, NOISE_POWER, self.geo.beams)
+        return self._pdm(combiners)
 
     def pdm_mrc(self):
-        return self._pdm(mrc_combiners(self.support)), None
+        return self._pdm(self.geo.mrc), None
 
     def pdm_mmse(self):
         return self.mmse_rates, None
 
     def pdm_grouping(self):
-        try:
-            groups = group_channels(self.lens, self.sets)
-        except UnsupportedConfigurationError:
+        if self.geo.groups is None:
             # No side is separated, so the grouped decomposition does not
             # apply; fall back to the MMSE transceiver and flag the trials.
             return self.mmse_rates, "grouping-fallback"
-        return grouped_capacity(groups, self.budgets, NOISE_POWER), None
+        gains, delays = self.paths.gains, self.delays
+        cores = [
+            part.with_paths(gains[..., paths], delays[..., paths]).cores()
+            for paths, part in self.geo.groups
+        ]
+        return grouped_capacity(cores, self.geo.budgets, NOISE_POWER), None
+
+    @cached_property
+    def upa(self):
+        return self._on(self.geo.upa)
 
     def upa_eigenmode(self):
-        return eigenmode_capacity(self.upa, self.budgets, NOISE_POWER), None
+        return eigenmode_capacity(self.upa, self.geo.budgets, NOISE_POWER), None
 
     def upa_ofdm(self):
-        return ofdm_capacity(self.upa, self.budgets, NOISE_POWER, self.cfg.ofdm), None
+        return ofdm_capacity(self.upa, self.geo.budgets, NOISE_POWER, self.cfg.ofdm), None
 
     def upa_ofdm_selection(self):
         """Antennas picked for the whole block in one ranking, with each
@@ -327,11 +437,11 @@ class _Block:
         depend on the per-trial arithmetic to the last bit). Each trial's
         picked link keeps its own (T, L, k) response rows; the trials are
         grouped by their side ranks, one capacity call per group."""
-        upa, cfg = self.upa, self.cfg
-        picks = power_select_antennas(upa, *self.upas, cfg.rx_rf, cfg.tx_rf)
-        rates = np.empty((len(upa.gains), len(self.budgets)))
+        upa, cfg, budgets = self.upa, self.cfg, self.geo.budgets
+        picks = power_select_antennas(upa, *self.geo.upas, cfg.rx_rf, cfg.tx_rf)
+        rates = np.empty((len(upa.gains), len(budgets)))
         for trials, link in upa.restrict(*picks).by_rank():
-            rates[trials] = ofdm_capacity(link, self.budgets, NOISE_POWER, cfg.ofdm)
+            rates[trials] = ofdm_capacity(link, budgets, NOISE_POWER, cfg.ofdm)
         return rates, None
 
 

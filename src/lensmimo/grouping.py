@@ -27,21 +27,18 @@ def _components(members: np.ndarray) -> list[np.ndarray]:
     return [np.flatnonzero(reach[l]) for l in firsts]
 
 
-def group_channels(responses: PathResponses, sets: SupportSets) -> list[np.ndarray]:
-    """Per-group MIMO channels H_g = sum over group paths of alpha a_R a_T^H
-    restricted to the group's antenna subsets (the union of its rows of the
-    support masks), each as its path-space core (``PathResponses.cores``),
-    which has the singular values of H_g.
+def path_groups(
+    responses: PathResponses, sets: SupportSets
+) -> list[tuple[np.ndarray, PathResponses]]:
+    """The path groups: (path indices, the responses of those paths
+    restricted to the group's antenna subsets, the union of its rows of the
+    support masks) for each group.
 
     Paths are grouped by transmit-subset overlap when the AoAs are
     separated, else by receive-subset overlap when the AoDs are; with
     neither side separated grouping is undefined and
-    UnsupportedConfigurationError is raised. ``responses`` are the
-    full lens responses, of one realization or a block of them: each core
-    is (r_R, r_T) or (T, r_R, r_T). Path delays are removed by
-    per-subset compensation (receive side when the AoAs are separated,
-    transmit-side pre-compensation when the AoDs are), so the matrices
-    describe delay-free MIMO AWGN channels in both cases.
+    UnsupportedConfigurationError is raised. Only the angles fix the groups
+    and their rows, so a sweep forms them once for all its blocks.
     """
     if sets.rx_separated:
         groups = _components(sets.tx)
@@ -52,9 +49,24 @@ def group_channels(responses: PathResponses, sets: SupportSets) -> list[np.ndarr
             "neither side is angle-separated; path grouping is undefined"
         )
     return [
-        responses.restrict(sets.rx[group].any(axis=0), sets.tx[group].any(axis=0), group).cores()
+        (group, responses.restrict(sets.rx[group].any(axis=0), sets.tx[group].any(axis=0), group))
         for group in groups
     ]
+
+
+def group_channels(responses: PathResponses, sets: SupportSets) -> list[np.ndarray]:
+    """Per-group MIMO channels H_g = sum over group paths of alpha a_R a_T^H
+    restricted to the group's antenna subsets (``path_groups``), each as
+    its path-space core (``PathResponses.cores``), which has the singular
+    values of H_g.
+
+    ``responses`` are the full lens responses, of one realization or a
+    block of them: each core is (r_R, r_T) or (T, r_R, r_T). Path delays
+    are removed by per-subset compensation (receive side when the AoAs are
+    separated, transmit-side pre-compensation when the AoDs are), so the
+    matrices describe delay-free MIMO AWGN channels in both cases.
+    """
+    return [part.cores() for _, part in path_groups(responses, sets)]
 
 
 def grouped_capacity(group_channels_list, budgets, noise: float) -> np.ndarray:

@@ -13,16 +13,10 @@ from .errors import IdealAngleError
 _IDEAL_TOL = 1e-9
 
 
-def opdm_decompose(paths: PathSet, tx: LensArrayConfig, rx: LensArrayConfig) -> np.ndarray:
-    """Power gains |alpha_l|^2 A_R A_T of the L parallel SISO sub-channels
-    of an ideal-angle channel: (L,), or (T, L) for a block of realizations.
-
-    Path delays are perfectly compensated at the receiver, so the same
-    gains hold for narrow-band and wide-band operation. Requires every
-    misalignment to vanish (|eps| < 1e-9) and all focusing indices to be
-    distinct on both sides; otherwise raises IdealAngleError (use the PDM
-    transceiver for arbitrary angles).
-    """
+def check_ideal(paths: PathSet, tx: LensArrayConfig, rx: LensArrayConfig) -> None:
+    """Raise IdealAngleError unless the angles are ideal: every misalignment
+    vanishes (|eps| < 1e-9) and the focusing indices are distinct on both
+    sides. Only the angles are read, so a sweep checks once per geometry."""
     m_idx, eps_r = rx.focusing(paths.aoa_spatial_freqs)
     q_idx, eps_t = tx.focusing(paths.aod_spatial_freqs)
     if np.any(np.abs(eps_r) > _IDEAL_TOL) or np.any(np.abs(eps_t) > _IDEAL_TOL):
@@ -31,4 +25,16 @@ def opdm_decompose(paths: PathSet, tx: LensArrayConfig, rx: LensArrayConfig) -> 
         )
     if len(set(m_idx)) < paths.num_paths or len(set(q_idx)) < paths.num_paths:
         raise IdealAngleError("duplicate focusing indices; paths are not separable")
+
+
+def opdm_decompose(paths: PathSet, tx: LensArrayConfig, rx: LensArrayConfig) -> np.ndarray:
+    """Power gains |alpha_l|^2 A_R A_T of the L parallel SISO sub-channels
+    of an ideal-angle channel: (L,), or (T, L) for a block of realizations.
+
+    Path delays are perfectly compensated at the receiver, so the same
+    gains hold for narrow-band and wide-band operation. Angles that are not
+    ideal (``check_ideal``) raise IdealAngleError (use the PDM transceiver
+    for arbitrary angles).
+    """
+    check_ideal(paths, tx, rx)
     return np.abs(paths.gains) ** 2 * rx.aperture * tx.aperture

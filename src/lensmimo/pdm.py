@@ -10,14 +10,16 @@ Every function works on PathResponses restricted to the selected antennas
 M_S x Q_S (the unions of the ``selection.SupportSets`` masks): row l of its
 receive/transmit responses is path l seen by those antennas. Stream l is
 sent on path l with the MRT precoder of that path and detected at that
-path's delay. The MRT precoders, the MRC combiners and the couplings
-|a_T,k^H w_l|^2 depend only on the rows, so they are formed once for every
-realization and budget. The gains are of one realization, (L,), or of a block, (T, L);
-stream powers carry the same leading axes followed by any budget axes,
-(T, B, L) for a block on an SNR grid, and every result broadcasts over
-them. The MMSE combiners of all L streams come from one covariance of rank
-L plus noise per realization and budget, solved in the L-dimensional path
-space of the receive responses, never as an M_S x M_S system.
+path's delay. The MRC combiners, the MRT couplings |a_T,k^H w_l|^2 and
+the thin QR of the receive rows (the last two a ``Beamformers``) depend
+only on the rows, so they are formed once for every realization and
+budget, and a sweep forms them once for all its blocks. The gains are of
+one realization, (L,), or of a block, (T, L); stream powers carry the
+same leading axes followed by any budget axes, (T, B, L) for a block on
+an SNR grid, and every result broadcasts over them. The MMSE combiners of
+all L streams come from one covariance of rank L plus noise per
+realization and budget, solved in the L-dimensional path space of the
+receive responses, never as an M_S x M_S system.
 
 All SINRs here use exactly normalized beamformers.
 """
@@ -68,6 +70,26 @@ def mrc_combiners(support: PathResponses) -> np.ndarray:
     return _normalized_rows(support.rx, "MRC combiner")
 
 
+@dataclass(frozen=True)
+class Beamformers:
+    """What the SINRs and the MMSE combiners read of a support view's rows
+    alone, the same for every realization on that view."""
+
+    coupling: np.ndarray  # (L, L): coupling[k, l] = |a_T,k^H w_l|^2, w the MRT precoders
+    q: np.ndarray  # (M_S, r) and (r, L): the thin QR A^T = Q R of the receive rows
+    r: np.ndarray
+
+
+def _coupling(support: PathResponses) -> np.ndarray:
+    return np.abs(support.tx.conj() @ mrt_precoders(support).T) ** 2
+
+
+def beamformers(support: PathResponses) -> Beamformers:
+    """The ``Beamformers`` of a support view."""
+    q, r = np.linalg.qr(support.rx.T)
+    return Beamformers(coupling=_coupling(support), q=q, r=r)
+
+
 def _path_power(support: PathResponses, powers: np.ndarray) -> np.ndarray:
     """|alpha_k|^2 with an axis for each budget axis of ``powers``, so that it
     broadcasts over their (trials..., budgets..., L) shape."""
@@ -75,13 +97,14 @@ def _path_power(support: PathResponses, powers: np.ndarray) -> np.ndarray:
     return g2.reshape(g2.shape[:-1] + (1,) * (powers.ndim - g2.ndim) + g2.shape[-1:])
 
 
-def _launched(support: PathResponses, powers) -> np.ndarray:
+def _launched(coupling: np.ndarray, powers) -> np.ndarray:
     """launched[..., k, l'] = p_l' |a_{T,k}^H w_l'|^2: stream l' launched into path k."""
-    coupling = np.abs(support.tx.conj() @ mrt_precoders(support).T) ** 2
     return np.asarray(powers, dtype=float)[..., None, :] * coupling
 
 
-def mmse_combiners(support: PathResponses, powers, noise: float) -> np.ndarray:
+def mmse_combiners(
+    support: PathResponses, powers, noise: float, beams: Beamformers | None = None
+) -> np.ndarray:
     """Per-stream MMSE combiners v_l proportional to C_l^{-1} a_{R,l}.
 
     C_l, the ISI and inter-stream interference of stream l plus noise, is
@@ -93,14 +116,16 @@ def mmse_combiners(support: PathResponses, powers, noise: float) -> np.ndarray:
     with the L columns of R as right-hand sides. ``PathResponses.cores``
     does not keep the basis Q, so this is the one other path-space
     factorization. ``powers`` has the gains' leading axes followed by any
-    budget axes, (..., L); the result is (..., L, M_S). A system still
+    budget axes, (..., L); the result is (..., L, M_S). ``beams`` are those
+    of the support view, formed here when not given. A system still
     singular in double precision, or a combiner direction whose norm is
     zero or not finite (at budgets so large that the solution underflows),
     raises NumericalError.
     """
+    beams = beamformers(support) if beams is None else beams
     powers = np.asarray(powers, dtype=float)
-    through = _path_power(support, powers) * _launched(support, powers).sum(axis=-1)
-    q, r = np.linalg.qr(support.rx.T)
+    through = _path_power(support, powers) * _launched(beams.coupling, powers).sum(axis=-1)
+    q, r = beams.q, beams.r
     cov = (r * through[..., None, :]) @ r.conj().T + noise * np.eye(r.shape[0])
     rhs = np.broadcast_to(r, cov.shape[:-2] + r.shape)
     directions = hermitian_solve(cov, rhs).swapaxes(-2, -1) @ q.T
@@ -110,7 +135,9 @@ def mmse_combiners(support: PathResponses, powers, noise: float) -> np.ndarray:
     return directions / norms
 
 
-def pdm_sinr(support: PathResponses, combiners, powers, noise: float) -> SinrReport:
+def pdm_sinr(
+    support: PathResponses, combiners, powers, noise: float, beams: Beamformers | None = None
+) -> SinrReport:
     """Exact analytic per-stream SINR under per-path MRT precoding.
 
     Stream l' reaches detector l via path k with power |alpha_k|^2
@@ -118,7 +145,8 @@ def pdm_sinr(support: PathResponses, combiners, powers, noise: float) -> SinrRep
     collects k != l for stream l, inter-stream all paths of every other
     stream. ``powers`` has the gains' leading axes followed by any budget
     axes, (..., L), and ``combiners`` is (L, M_S) or (..., L, M_S); every
-    report field has the broadcast shape (..., L).
+    report field has the broadcast shape (..., L). ``beams`` are those of the
+    support view; without them the MRT couplings are formed here.
     """
     combiners = np.asarray(combiners)
     powers = np.asarray(powers, dtype=float)
@@ -132,7 +160,7 @@ def pdm_sinr(support: PathResponses, combiners, powers, noise: float) -> SinrRep
     # reach[..., l, k] = |alpha_k|^2 |v_l^H a_{R,k}|^2: path k at detector l.
     alpha2 = _path_power(support, powers)[..., None, :]
     reach = alpha2 * np.abs(combiners.conj() @ support.rx.T) ** 2
-    launched = _launched(support, powers)
+    launched = _launched(_coupling(support) if beams is None else beams.coupling, powers)
     own = reach * launched.swapaxes(-2, -1)  # own[..., l, k]: stream l via path k
     desired = np.diagonal(own, axis1=-2, axis2=-1)
     # Masked sums, not totals minus the desired term: a strong stream's own

@@ -70,6 +70,18 @@ class TestChannelStats:
         assert np.allclose(aoa, np.sin(np.deg2rad([-75, 0, 75])))
         assert aod.tolist() == list(AODS_60) and spread_aods(3) == AODS_60
 
+    @pytest.mark.parametrize("spread", [360.0, 190.0, -20.0, math.nan, math.inf])
+    def test_spread_outside_half_circle_refused(self, spread):
+        # Beyond 180 degrees the sine folds the AoAs back (360 places all
+        # three at 0), and a negative spread mirrors the placement.
+        with pytest.raises(InvalidInputError, match=r"AoA spread must lie in \[0, 180\] degrees"):
+            ChannelStats(aoa_spread_deg=spread, aod_spatial_freqs=AODS_60)
+
+    @pytest.mark.parametrize("spread", [0.0, 180.0])
+    def test_spread_bounds_accepted(self, spread):
+        aoa, _ = ChannelStats(aoa_spread_deg=spread, aod_spatial_freqs=AODS_60).placed_angles()
+        assert np.allclose(aoa, np.sin(np.deg2rad([-spread / 2, 0.0, spread / 2])))
+
     def test_fixed_placement_length_check(self):
         # The AoD list gives the path count; an AoA list of another length is refused.
         with pytest.raises(InvalidInputError, match="AoA list has 2 entries, the AoD list 3"):

@@ -11,6 +11,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lensmimo import channel, experiments
 from lensmimo.channel import ChannelStats
@@ -344,14 +346,14 @@ class TestBlocks:
         if "delta" in overrides:  # no side separated at delta 5: every trial falls back
             assert "grouping-fallback:16" in texts[0]
 
-    def test_geometry_built_once_per_block(self, monkeypatch):
-        # A sweep of three blocks makes three support_sets calls and three
-        # times the rank-revealing factors of a one-trial sweep: on fig9's
-        # lens schemes a pair for each of its three single-path groups, on
-        # fig6's UPA-OFDM the pair of the UPA responses, on fig9's
-        # UPA-OFDM-selection one stacked pair for the block's picked links
-        # (one side-rank group per block, also at 15 RF chains), not a pair
-        # per distinct pick.
+    def test_geometry_built_once_per_config(self, monkeypatch):
+        # A config builds its geometry at its first block: the support sets
+        # once, and the rank-revealing factors on fig9's lens schemes as a
+        # pair for each of its three single-path groups, on fig6 as the pair
+        # of the UPA responses. Later blocks and sweeps of the same config
+        # object build none. UPA-OFDM-selection's picked links still take one
+        # stacked pair per block (one side-rank group per block, also at 15
+        # RF chains), not a pair per distinct pick.
         counts = {}
 
         def spy(module, name):
@@ -366,19 +368,22 @@ class TestBlocks:
         spy(experiments, "support_sets")
         spy(channel, "_factor")
 
-        def count(name, trials, schemes, **overrides):
+        def count(cfg):
             counts.update(support_sets=0, _factor=0)
-            run_experiment(preset(name, trials=trials, schemes=schemes, **overrides), workers=1)
+            run_experiment(cfg, workers=1)
             return dict(counts)
 
-        lens = ("PDM-MRC", "PDM-MMSE", "PDM-grouping")
         three = 3 * experiments._BLOCK
-        assert count("fig9", 1, lens) == {"support_sets": 1, "_factor": 6}
-        assert count("fig9", three, lens) == {"support_sets": 3, "_factor": 18}
-        assert count("fig6", three, ("UPA-OFDM",)) == {"support_sets": 0, "_factor": 6}
+        lens = preset("fig9", trials=three, schemes=("PDM-MRC", "PDM-MMSE", "PDM-grouping"))
+        assert count(lens) == {"support_sets": 1, "_factor": 6}
+        assert count(lens) == {"support_sets": 0, "_factor": 0}
+        assert count(preset("fig6", trials=three)) == {"support_sets": 0, "_factor": 2}
         selection = ("UPA-OFDM-selection",)
-        assert count("fig9", three, selection) == {"support_sets": 0, "_factor": 6}
-        rf15 = count("fig9", three, selection, rx_rf=15, tx_rf=15)
+        assert count(preset("fig9", trials=three, schemes=selection)) == {
+            "support_sets": 0,
+            "_factor": 6,
+        }
+        rf15 = count(preset("fig9", trials=three, schemes=selection, rx_rf=15, tx_rf=15))
         assert rf15 == {"support_sets": 0, "_factor": 6}
 
     def test_mmse_evaluated_once_per_block(self, monkeypatch):
@@ -417,6 +422,67 @@ class TestBlocks:
         message = f"UPA-OFDM-selection rate at {cfg.snr_db[3]:g} dB SNR is not finite (trial 5)"
         with pytest.raises(NumericalError, match=re.escape(message)):
             experiments._run_block(cfg, range(4, 8))
+
+
+def _csv(cfg, workers=1):
+    return rows_to_csv(run_experiment(cfg, workers=workers))
+
+
+# Config objects kept for the whole session, so that their geometries are
+# reused across sweeps, examples and tests; each differs in its geometry.
+_REUSED = (
+    preset("fig6", trials=3, seed=1),
+    preset("fig9", trials=experiments._BLOCK + 3, seed=2),
+    preset("fig9", trials=3, seed=2, delta=5),
+    preset("fig9", trials=3, seed=2, rx_rf=15, tx_rf=15),
+    preset("fig10", trials=3, seed=2),
+    preset("fig9", trials=3, seed=2, stats=replace(preset("fig9").stats, aoa_spread_deg=40.0)),
+)
+
+
+class TestGeometry:
+    @settings(max_examples=25, deadline=None)
+    @given(order=st.lists(st.integers(0, len(_REUSED) - 1), min_size=2, max_size=8))
+    def test_reused_configs_match_fresh_copies(self, order):
+        # A fresh copy has no geometry yet: the sweeps of config objects
+        # reused in any order must not read another config's geometry.
+        for i in order:
+            assert _csv(_REUSED[i]) == _csv(replace(_REUSED[i]))
+
+    def test_cached_arrays_are_read_only(self):
+        cfg = preset("fig9", trials=2, schemes=experiments.SCHEMES)
+        run_experiment(cfg, workers=1)
+        geo = cfg._geometry
+        kept = [
+            geo.budgets,
+            geo.paths.aoa_spatial_freqs,
+            geo.lens.rx,
+            geo.sets.rx,
+            geo.support.tx,
+            geo.mrc,
+            geo.beams.coupling,
+            geo.beams.q,
+            geo.groups[0][0],
+            geo.groups[0][1]._svds[0][0],
+            geo.upa.tx,
+            geo.upa._svds[1][1],
+            geo.upa._kernel,
+        ]
+        for array in kept:
+            with pytest.raises(ValueError, match="read-only"):
+                array.flat[0] = array.flat[0]
+
+    @pytest.mark.parametrize("name", ["fig6", "fig9"])
+    def test_config_with_geometry_forks_and_matches_serial(self, monkeypatch, pools, name):
+        # The pool pickles the config with every chunk of blocks; the
+        # geometry stays behind and each worker builds its own.
+        monkeypatch.setattr(experiments, "_BLOCK", 2)
+        monkeypatch.setattr(experiments, "_WORKER_COST_S", 0.0)
+        cfg = preset(name, trials=6, seed=5)
+        serial = _csv(cfg)
+        assert "_geometry" in vars(cfg)
+        assert _csv(cfg, workers=2) == serial
+        assert pools == [2]
 
 
 class TestSweep:
