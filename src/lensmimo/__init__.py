@@ -28,7 +28,7 @@ from .experiments import (
     run_experiment,
     sweep,
 )
-from .grouping import group_channels, grouped_capacity
+from .grouping import group_channels, grouped_capacity, path_groups
 from .numerics import eigen_gains, hermitian_solve, water_fill, waterfill_capacity
 from .opdm import opdm_decompose
 from .pdm import (

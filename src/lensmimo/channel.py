@@ -129,8 +129,7 @@ class PathResponses:
     leading trial axis; every method works on all T at once. The rows,
     (..., L, N), carry none or all of the gains' leading axes and broadcast
     against them: a block's (L, N) rows are shared and factored once (and
-    ``with_paths`` pairs them and their factors with other gains and
-    delays), and (T, L, N) rows give each trial antennas of its own (the
+    ``with_paths`` pairs them with other gains and delays), and (T, L, N) rows give each trial antennas of its own (the
     selected UPA links), one stacked SVD per side. Every trial must have
     the same side ranks (``by_rank`` splits a block that does not).
 
@@ -174,19 +173,18 @@ class PathResponses:
             return a[index[len(index) + core - a.ndim :]]
 
         part = PathResponses(pick(self.rx), pick(self.tx), self.gains[index], self.delays[index])
-        if "_svds" in self.__dict__:
+        if "svds" in vars(self._rows):
             # Seeds the part's cached_property, as its first use would.
-            part.__dict__["_svds"] = tuple((pick(f), pick(keep, 1)) for f, keep in self._svds)
+            svds = tuple((pick(f), pick(keep, 1)) for f, keep in self._rows.svds)
+            part._rows.__dict__["svds"] = svds
         return part
 
     def with_paths(self, gains: np.ndarray, delays: np.ndarray) -> PathResponses:
-        """The same response rows with other gains and delays, and with the
-        factors and the Gram kernel taken so far: the rows fix them, so a
-        sweep factors its geometry's rows once and every block reads them."""
+        """The same response rows with other gains and delays, sharing what
+        the rows fix (``_Rows``): whichever of them first needs a factor
+        computes it for all, so a sweep factors its geometry's rows once."""
         part = PathResponses(self.rx, self.tx, gains, delays)
-        for name in ("_svds", "_factors", "_kernel"):
-            if name in self.__dict__:
-                part.__dict__[name] = self.__dict__[name]
+        part.__dict__["_rows"] = self._rows
         return part
 
     def by_rank(self) -> list[tuple[np.ndarray, PathResponses]]:
@@ -196,35 +194,20 @@ class PathResponses:
         Shared (L, N) rows give one group of every trial."""
         lead = self.gains.shape[:-1]
         ranks = np.stack(
-            [np.broadcast_to(keep.sum(axis=-1), lead) for _, keep in self._svds], axis=-1
+            [np.broadcast_to(keep.sum(axis=-1), lead) for _, keep in self._rows.svds], axis=-1
         )
         pairs = sorted(set(map(tuple, ranks.tolist())))
         groups = (np.flatnonzero((ranks == pair).all(axis=-1)) for pair in pairs)
         return [(index, self.trials((index,))) for index in groups]
 
     @cached_property
-    def _svds(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-        """``_factor`` of the receive and transmit rows, computed on first
-        use; the rows must not be changed in place after that."""
-        return _factor(self.rx), _factor(self.tx)
-
-    @cached_property
-    def _factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """The rank-revealing factors (R_R, R_T) of the receive and transmit
-        rows, shared by ``ranks``, ``cores`` and ``grams``: the rows of
-        S V^H kept by ``_factor``, (..., r, L) with the rows' leading axes."""
-        out = []
-        for factor, keep in self._svds:
-            rank = keep.sum(axis=-1)
-            if np.any(rank != rank.flat[0]):
-                raise InvalidInputError("the trials' response ranks differ; split them by_rank")
-            out.append(factor[..., : rank.flat[0], :])
-        return out[0], out[1]
+    def _rows(self) -> _Rows:
+        return _Rows(self.rx, self.tx)
 
     @property
     def ranks(self) -> tuple[int, int]:
         """Numerical ranks (r_R, r_T) of the receive and transmit responses."""
-        r_rx, r_tx = self._factors
+        r_rx, r_tx = self._rows.factors
         return r_rx.shape[-2], r_tx.shape[-2]
 
     def cores(self, coeffs=None) -> np.ndarray:
@@ -240,7 +223,7 @@ class PathResponses:
         ignored). An OFDM subcarrier k takes c = alpha * phases[k]. With
         (T, L, N) rows, ``coeffs`` is (T, ..., L).
         """
-        r_rx, r_tx = self._factors
+        r_rx, r_tx = self._rows.factors
         c = self.gains if coeffs is None else coeffs
         # The coefficients' extra (subcarrier) axes go just before (r, L).
         axes = tuple(range(r_rx.ndim - 2, c.ndim - 1))
@@ -258,21 +241,53 @@ class PathResponses:
         P, G = R (W o Gamma) R^H (o the entrywise product). For the
         transmit side both factors are conjugated, which conjugates G and
         keeps its eigenvalues. The stack is one (-1, L^2) @ (L^2, r^2)
-        product with ``_kernel`` per leading index of the rows, over all the
-        other leading axes (trials, subcarriers) at once. A Gram squares
-        the condition number of its core.
+        product with ``_Rows.kernel`` per leading index of the rows, over
+        all the other leading axes (trials, subcarriers) at once. A Gram
+        squares the condition number of its core.
         """
-        kernel, n, r = self._kernel, self.num_paths, min(self.ranks)
+        kernel, n, r = self._rows.kernel, self.num_paths, min(self.ranks)
         lead = coeffs.shape[:-1]
         w = coeffs[..., :, None] * coeffs[..., None, :].conj()
         w = w.reshape(lead[: kernel.ndim - 2] + (-1, n * n))
         return (w @ kernel).reshape(lead + (r, r))
 
+
+class _Rows:
+    """What the response rows of a PathResponses alone fix, each part
+    computed on first use and read-only: the ``_factor`` SVDs, the
+    rank-revealing factors and the Gram kernel. Every PathResponses on the
+    same rows (``with_paths``) shares one. The rows must not be changed in
+    place after first use."""
+
+    def __init__(self, rx: np.ndarray, tx: np.ndarray) -> None:
+        self.rx, self.tx = rx, tx
+
     @cached_property
-    def _kernel(self) -> np.ndarray:
-        """The (..., L^2, r^2) kernel of ``grams``, computed on first use:
+    def svds(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+        """``_factor`` of the receive and transmit rows."""
+        svds = _factor(self.rx), _factor(self.tx)
+        for factor, keep in svds:
+            factor.flags.writeable = keep.flags.writeable = False
+        return svds
+
+    @cached_property
+    def factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rank-revealing factors (R_R, R_T) of the receive and transmit
+        rows, shared by ``ranks``, ``cores`` and ``grams``: the rows of
+        S V^H kept by ``_factor``, (..., r, L) with the rows' leading axes."""
+        out = []
+        for factor, keep in self.svds:
+            rank = keep.sum(axis=-1)
+            if np.any(rank != rank.flat[0]):
+                raise InvalidInputError("the trials' response ranks differ; split them by_rank")
+            out.append(factor[..., : rank.flat[0], :])
+        return out[0], out[1]
+
+    @cached_property
+    def kernel(self) -> np.ndarray:
+        """The (..., L^2, r^2) kernel of ``PathResponses.grams``:
         kernel[..., (l, m), (i, j)] = R[..., i, l] Gamma[..., l, m] R[..., j, m]^*."""
-        r_rx, r_tx = self._factors
+        r_rx, r_tx = self.factors
         if r_rx.shape[-2] <= r_tx.shape[-2]:
             small, large = r_rx, r_tx
         else:
@@ -280,7 +295,9 @@ class PathResponses:
         gamma = large.conj().swapaxes(-1, -2) @ large
         kernel = np.einsum("...il,...lm,...jm->...lmij", small, gamma, small.conj())
         r, n = small.shape[-2:]
-        return kernel.reshape(kernel.shape[:-4] + (n * n, r * r))
+        kernel = kernel.reshape(kernel.shape[:-4] + (n * n, r * r))
+        kernel.flags.writeable = False
+        return kernel
 
 
 def _factor(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -25,8 +25,9 @@ Parallelism: a sweep runs in-process unless the pool pays for itself. The
 first block runs in-process and is timed; the other trials go to a pool of
 forked worker processes only if the time that block predicts they save
 exceeds the pool's cost. Each worker runs one thread of numpy's bundled
-OpenBLAS, so the workers do not compete with BLAS threads for the cores,
-and builds the geometry of the config it is sent.
+OpenBLAS, so the workers do not compete with BLAS threads for the cores.
+The config is pickled with each chunk of blocks sent to a worker, and its
+geometry, built by the first block, with it: a worker builds none.
 """
 from __future__ import annotations
 
@@ -60,9 +61,9 @@ from .errors import (
     NumericalError,
     UnsupportedConfigurationError,
 )
-from .grouping import grouped_capacity, path_groups
+from .grouping import group_channels, grouped_capacity, path_groups
 from .numerics import water_fill, waterfill_capacity
-from .opdm import check_ideal
+from .opdm import check_ideal, path_gains
 from .pdm import beamformers, mmse_combiners, mrc_combiners, pdm_sinr
 from .selection import support_sets
 from .upa import OfdmConfig, eigenmode_capacity, ofdm_capacity, power_select_antennas
@@ -163,10 +164,6 @@ class ExperimentConfig:
         """The geometry of this config object, built at its first block and
         kept for every later block and sweep of it."""
         return _Geometry(self)
-
-    def __getstate__(self) -> dict:
-        # The fields only: a pool worker builds the geometry of its own copy.
-        return {k: v for k, v in self.__dict__.items() if k != "_geometry"}
 
 
 @dataclass(frozen=True)
@@ -275,9 +272,11 @@ class _Geometry:
     applicability, the support sets, the support view with its combiners
     and beamformers, and the path groups with their factored rows. Each
     part is built when a block first asks for it, so only the configured
-    schemes' parts are built, and is read-only from then on. A config
-    object keeps its geometry (``ExperimentConfig._geometry``); it is not
-    pickled, so each pool worker builds its own."""
+    schemes' parts are built, and the rows' factors are taken at the first
+    read of any block (``PathResponses.with_paths``). Its arrays are
+    read-only in the process that built them. A config object keeps its
+    geometry (``ExperimentConfig._geometry``) and pickles it with its
+    fields."""
 
     def __init__(self, cfg: ExperimentConfig) -> None:
         self.cfg = cfg
@@ -325,15 +324,11 @@ class _Geometry:
 
     @cached_property
     def groups(self):
-        """``grouping.path_groups`` with each group's rows factored, or None
-        where no side is separated."""
+        """``grouping.path_groups``, or None where no side is separated."""
         try:
-            groups = path_groups(self.lens, self.sets)
+            return _read_only(path_groups(self.lens, self.sets))
         except UnsupportedConfigurationError:
             return None
-        for _, part in groups:
-            part.ranks  # takes the factors that every block's cores read
-        return _read_only(groups)
 
     @cached_property
     def upas(self) -> tuple[UpaConfig, UpaConfig]:  # (receive, transmit)
@@ -341,13 +336,7 @@ class _Geometry:
 
     @cached_property
     def upa(self):
-        """The UPA responses, with the factors and the Gram kernel that
-        UPA-eigenmode and UPA-OFDM read. UPA-OFDM-selection reads only the
-        rows: each block factors its own picked links."""
-        upa = path_responses(self.paths, self.upas[1], self.upas[0])
-        if {"UPA-eigenmode", "UPA-OFDM"} & set(self.cfg.schemes):
-            upa._kernel  # takes the factors too
-        return _read_only(upa)
+        return _read_only(path_responses(self.paths, self.upas[1], self.upas[0]))
 
 
 class _Block:
@@ -377,7 +366,7 @@ class _Block:
     def path_gains(self):
         """(T, L) |alpha_l|^2 A_R A_T: the OPDM sub-channel gains, and the
         gains over which PDM water-fills its stream powers."""
-        return np.abs(self.paths.gains) ** 2 * self.geo.rx.aperture * self.geo.tx.aperture
+        return path_gains(self.paths.gains, self.geo.tx, self.geo.rx)
 
     @cached_property
     def support(self):
@@ -414,11 +403,7 @@ class _Block:
             # No side is separated, so the grouped decomposition does not
             # apply; fall back to the MMSE transceiver and flag the trials.
             return self.mmse_rates, "grouping-fallback"
-        gains, delays = self.paths.gains, self.delays
-        cores = [
-            part.with_paths(gains[..., paths], delays[..., paths]).cores()
-            for paths, part in self.geo.groups
-        ]
+        cores = group_channels(self.geo.groups, self.paths.gains)
         return grouped_capacity(cores, self.geo.budgets, NOISE_POWER), None
 
     @cached_property

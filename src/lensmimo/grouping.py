@@ -54,19 +54,19 @@ def path_groups(
     ]
 
 
-def group_channels(responses: PathResponses, sets: SupportSets) -> list[np.ndarray]:
+def group_channels(groups: list[tuple[np.ndarray, PathResponses]], gains) -> list[np.ndarray]:
     """Per-group MIMO channels H_g = sum over group paths of alpha a_R a_T^H
-    restricted to the group's antenna subsets (``path_groups``), each as
-    its path-space core (``PathResponses.cores``), which has the singular
-    values of H_g.
+    restricted to the group's antenna subsets, for the groups of
+    ``path_groups`` and path gains alpha of one realization, (L,), or of a
+    block, (T, L): each group's path-space core (``PathResponses.cores``),
+    (r_R, r_T) or (T, r_R, r_T), which has the singular values of H_g.
 
-    ``responses`` are the full lens responses, of one realization or a
-    block of them: each core is (r_R, r_T) or (T, r_R, r_T). Path delays
-    are removed by per-subset compensation (receive side when the AoAs are
-    separated, transmit-side pre-compensation when the AoDs are), so the
-    matrices describe delay-free MIMO AWGN channels in both cases.
+    Path delays are removed by per-subset compensation (receive side when
+    the AoAs are separated, transmit-side pre-compensation when the AoDs
+    are), so the matrices describe delay-free MIMO AWGN channels in both
+    cases.
     """
-    return [part.cores() for _, part in path_groups(responses, sets)]
+    return [part.cores(gains[..., paths]) for paths, part in groups]
 
 
 def grouped_capacity(group_channels_list, budgets, noise: float) -> np.ndarray:

@@ -27,9 +27,16 @@ def check_ideal(paths: PathSet, tx: LensArrayConfig, rx: LensArrayConfig) -> Non
         raise IdealAngleError("duplicate focusing indices; paths are not separable")
 
 
+def path_gains(gains: np.ndarray, tx: LensArrayConfig, rx: LensArrayConfig) -> np.ndarray:
+    """|alpha_l|^2 A_R A_T for path gains alpha of shape (L,) or (T, L): the
+    OPDM sub-channel gains, and the gains PDM water-fills its powers over."""
+    return np.abs(gains) ** 2 * rx.aperture * tx.aperture
+
+
 def opdm_decompose(paths: PathSet, tx: LensArrayConfig, rx: LensArrayConfig) -> np.ndarray:
-    """Power gains |alpha_l|^2 A_R A_T of the L parallel SISO sub-channels
-    of an ideal-angle channel: (L,), or (T, L) for a block of realizations.
+    """Power gains |alpha_l|^2 A_R A_T (``path_gains``) of the L parallel
+    SISO sub-channels of an ideal-angle channel: (L,), or (T, L) for a
+    block of realizations.
 
     Path delays are perfectly compensated at the receiver, so the same
     gains hold for narrow-band and wide-band operation. Angles that are not
@@ -37,4 +44,4 @@ def opdm_decompose(paths: PathSet, tx: LensArrayConfig, rx: LensArrayConfig) -> 
     for arbitrary angles).
     """
     check_ideal(paths, tx, rx)
-    return np.abs(paths.gains) ** 2 * rx.aperture * tx.aperture
+    return path_gains(paths.gains, tx, rx)

@@ -80,14 +80,11 @@ class Beamformers:
     r: np.ndarray
 
 
-def _coupling(support: PathResponses) -> np.ndarray:
-    return np.abs(support.tx.conj() @ mrt_precoders(support).T) ** 2
-
-
 def beamformers(support: PathResponses) -> Beamformers:
     """The ``Beamformers`` of a support view."""
+    coupling = np.abs(support.tx.conj() @ mrt_precoders(support).T) ** 2
     q, r = np.linalg.qr(support.rx.T)
-    return Beamformers(coupling=_coupling(support), q=q, r=r)
+    return Beamformers(coupling=coupling, q=q, r=r)
 
 
 def _path_power(support: PathResponses, powers: np.ndarray) -> np.ndarray:
@@ -146,7 +143,7 @@ def pdm_sinr(
     stream. ``powers`` has the gains' leading axes followed by any budget
     axes, (..., L), and ``combiners`` is (L, M_S) or (..., L, M_S); every
     report field has the broadcast shape (..., L). ``beams`` are those of the
-    support view; without them the MRT couplings are formed here.
+    support view, formed here when not given.
     """
     combiners = np.asarray(combiners)
     powers = np.asarray(powers, dtype=float)
@@ -160,7 +157,8 @@ def pdm_sinr(
     # reach[..., l, k] = |alpha_k|^2 |v_l^H a_{R,k}|^2: path k at detector l.
     alpha2 = _path_power(support, powers)[..., None, :]
     reach = alpha2 * np.abs(combiners.conj() @ support.rx.T) ** 2
-    launched = _launched(_coupling(support) if beams is None else beams.coupling, powers)
+    beams = beamformers(support) if beams is None else beams
+    launched = _launched(beams.coupling, powers)
     own = reach * launched.swapaxes(-2, -1)  # own[..., l, k]: stream l via path k
     desired = np.diagonal(own, axis1=-2, axis2=-1)
     # Masked sums, not totals minus the desired term: a strong stream's own

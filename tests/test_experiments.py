@@ -463,10 +463,10 @@ class TestGeometry:
             geo.beams.coupling,
             geo.beams.q,
             geo.groups[0][0],
-            geo.groups[0][1]._svds[0][0],
+            geo.groups[0][1]._rows.svds[0][0],
             geo.upa.tx,
-            geo.upa._svds[1][1],
-            geo.upa._kernel,
+            geo.upa._rows.svds[1][1],
+            geo.upa._rows.kernel,
         ]
         for array in kept:
             with pytest.raises(ValueError, match="read-only"):
@@ -474,8 +474,8 @@ class TestGeometry:
 
     @pytest.mark.parametrize("name", ["fig6", "fig9"])
     def test_config_with_geometry_forks_and_matches_serial(self, monkeypatch, pools, name):
-        # The pool pickles the config with every chunk of blocks; the
-        # geometry stays behind and each worker builds its own.
+        # The pool pickles the config with every chunk of blocks, and the
+        # geometry the serial sweep built with it.
         monkeypatch.setattr(experiments, "_BLOCK", 2)
         monkeypatch.setattr(experiments, "_WORKER_COST_S", 0.0)
         cfg = preset(name, trials=6, seed=5)

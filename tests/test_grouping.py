@@ -15,7 +15,7 @@ from lensmimo.channel import (
     tx_power,
 )
 from lensmimo.errors import UnsupportedConfigurationError
-from lensmimo.grouping import _components, group_channels, grouped_capacity
+from lensmimo.grouping import _components, group_channels, grouped_capacity, path_groups
 from lensmimo.numerics import eigen_gains, water_fill, waterfill_capacity
 from lensmimo.pdm import mmse_combiners, pdm_sinr
 from lensmimo.selection import SupportSets, support_sets
@@ -84,7 +84,9 @@ class TestGroupChannels:
 
     def test_reference_partition(self):
         responses = path_responses(REFERENCE, TX, RX)
-        mats = group_channels(responses, support_sets(REFERENCE, TX, RX, 1))
+        mats = group_channels(
+            path_groups(responses, support_sets(REFERENCE, TX, RX, 1)), responses.gains
+        )
         expected = (
             restricted_matrix(responses, (0,), (3, 4), (-2,)),
             restricted_matrix(responses, (1, 2), (-3, -2, 0, 1), (1, 2, 3)),
@@ -97,7 +99,7 @@ class TestGroupChannels:
         paths = make_paths([-0.8, 0.0, 0.8], [-0.8, 0.0, 0.8])
         sets = support_sets(paths, TX, RX, 1)
         responses = path_responses(paths, TX, RX)
-        mats = group_channels(responses, sets)
+        mats = group_channels(path_groups(responses, sets), responses.gains)
         assert len(mats) == 3
         for l, got in enumerate(mats):
             rx_sub, tx_sub = antenna_indices(RX, sets.rx[l]), antenna_indices(TX, sets.tx[l])
@@ -109,7 +111,7 @@ class TestGroupChannels:
         paths = make_paths([0.0, 0.05, 0.5], [-0.8, 0.0, 0.8])
         sets = support_sets(paths, TX, RX, 1)
         responses = path_responses(paths, TX, RX)
-        mats = group_channels(responses, sets)
+        mats = group_channels(path_groups(responses, sets), responses.gains)
         expected = (
             restricted_matrix(responses, (0, 1), (0, 1), (-8, 0)),
             restricted_matrix(responses, (2,), (5,), (8,)),
@@ -123,7 +125,7 @@ class TestGroupChannels:
         tight = make_paths([0.0, 0.05, 0.1], [0.0, 0.05, 0.1])
         sets = support_sets(tight, TX, RX, 1)
         with pytest.raises(UnsupportedConfigurationError):
-            group_channels(path_responses(tight, TX, RX), sets)
+            path_groups(path_responses(tight, TX, RX), sets)
 
 
 def union_find_components(members):
@@ -164,12 +166,12 @@ def sparse_masks(draw, num_paths=None):
 
 class _RecordingResponses:
     """Stands in for PathResponses: each group's ``cores()`` returns the
-    positions (``group_channels`` passes them as boolean masks) and paths it
+    positions (``path_groups`` passes them as boolean masks) and paths it
     was restricted to."""
 
     def restrict(self, rx_pos, tx_pos, paths):
         picked = (np.flatnonzero(rx_pos).tolist(), np.flatnonzero(tx_pos).tolist(), list(paths))
-        return SimpleNamespace(cores=lambda: picked)
+        return SimpleNamespace(cores=lambda coeffs: picked)
 
 
 class TestComponents:
@@ -208,7 +210,8 @@ class TestComponents:
             )
             for group in groups
         ]
-        assert group_channels(_RecordingResponses(), sets) == want
+        groups = path_groups(_RecordingResponses(), sets)
+        assert group_channels(groups, np.zeros(len(rx))) == want
 
 
 class TestGroupedCapacity:
@@ -226,7 +229,7 @@ class TestGroupedCapacity:
         # Cross-group leakage through the discarded antennas is small.
         sets = support_sets(REFERENCE, TX, RX, 1)
         responses = path_responses(REFERENCE, TX, RX)
-        mats = group_channels(responses, sets)
+        mats = group_channels(path_groups(responses, sets), responses.gains)
         support = support_view(responses, sets)
         rx_resp, tx_resp = support.rx, support.tx
         h_full = sum(
@@ -257,7 +260,7 @@ class TestGroupedCapacity:
             sets = support_sets(paths, tx, rx, 1)
             responses = path_responses(paths, tx, rx)
             try:
-                mats = group_channels(responses, sets)
+                mats = group_channels(path_groups(responses, sets), responses.gains)
             except UnsupportedConfigurationError:
                 continue
             checked += 1

@@ -5,7 +5,7 @@ from lensmimo.arrays import LensArrayConfig
 from lensmimo.channel import PathSet, path_responses, sample_paths
 from lensmimo.errors import InvalidInputError, UnsupportedConfigurationError
 from lensmimo.experiments import preset
-from lensmimo.grouping import group_channels
+from lensmimo.grouping import path_groups
 from lensmimo.selection import support_sets
 from oracles import antenna_indices, support_view
 
@@ -82,7 +82,7 @@ class TestSupportSets:
         )
         assert not sets.rx_separated and not sets.tx_separated
         with pytest.raises(UnsupportedConfigurationError):
-            group_channels(path_responses(paths, tx, rx), sets)
+            path_groups(path_responses(paths, tx, rx), sets)
 
 
 class TestRestrictToSupport:
