@@ -14,7 +14,6 @@ from .channel import ChannelStats, PathResponses, PathSet, path_responses, sampl
 from .errors import (
     ConfigError,
     DegenerateInputError,
-    IdealAngleError,
     InvalidInputError,
     LensMimoError,
     NumericalError,
@@ -30,9 +29,10 @@ from .experiments import (
 )
 from .grouping import group_channels, grouped_capacity, path_groups
 from .numerics import eigen_gains, hermitian_solve, water_fill, waterfill_capacity
-from .opdm import opdm_decompose
+from .opdm import is_ideal, path_gains
 from .pdm import (
     SinrReport,
+    beamformers,
     mmse_combiners,
     mrc_combiners,
     mrt_precoders,

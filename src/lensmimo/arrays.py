@@ -24,8 +24,8 @@ from .errors import InvalidInputError
 
 def _spatial_freqs(spatial_freqs) -> np.ndarray:
     f = np.asarray(spatial_freqs, dtype=float)
-    if not np.all(np.abs(f) <= 1.0):
-        raise InvalidInputError("spatial frequency must lie in [-1, 1]")
+    if not np.all(np.abs(f) <= 1.0):  # NaN fails too
+        raise InvalidInputError(f"spatial frequencies must lie in [-1, 1], got {f.tolist()}")
     return f
 
 
@@ -41,8 +41,8 @@ class LensArrayConfig:
     azimuth_dim: float
 
     def __post_init__(self) -> None:
-        if self.aperture <= 0 or self.azimuth_dim <= 0:
-            raise InvalidInputError("aperture and azimuth_dim must be positive")
+        if not (0 < self.aperture < math.inf and 0 < self.azimuth_dim < math.inf):  # NaN fails
+            raise InvalidInputError("aperture and azimuth_dim must be positive and finite")
         if self.element_count % 2 == 0:
             raise InvalidInputError(
                 "azimuth_dim must give an odd element count (1 + floor(2*azimuth_dim))"
@@ -87,8 +87,8 @@ class UpaConfig:
     azimuth_dim: float
 
     def __post_init__(self) -> None:
-        if self.aperture <= 0 or self.azimuth_dim <= 0:
-            raise InvalidInputError("aperture and azimuth_dim must be positive")
+        if not (0 < self.aperture < math.inf and 0 < self.azimuth_dim < math.inf):  # NaN fails
+            raise InvalidInputError("aperture and azimuth_dim must be positive and finite")
         count = 4.0 * self.aperture
         if abs(count - round(count)) > 1e-9:
             raise InvalidInputError("4 * aperture must be an integer element count")

@@ -11,7 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .arrays import LensArrayConfig, UpaConfig
+from .arrays import LensArrayConfig, UpaConfig, _spatial_freqs
 from .errors import InvalidInputError
 from .numerics import RANK_TOL
 
@@ -56,8 +56,10 @@ class ChannelStats:
     aod_spatial_freqs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.max_excess_delay_s < 0:
-            raise InvalidInputError("max excess delay must be non-negative")
+        if not 0.0 <= self.max_excess_delay_s < math.inf:  # NaN fails too
+            raise InvalidInputError(
+                f"max excess delay must be finite and non-negative, got {self.max_excess_delay_s:g}"
+            )
         num_paths, aoa = len(self.aod_spatial_freqs), self.aoa_spatial_freqs
         if num_paths < 1:
             raise InvalidInputError("the AoD list must give at least one path")
@@ -68,9 +70,8 @@ class ChannelStats:
         spread = self.aoa_spread_deg
         if spread is not None and not 0.0 <= spread <= 180.0:  # NaN fails too
             raise InvalidInputError(f"the AoA spread must lie in [0, 180] degrees, got {spread:g}")
-        for fixed, name in ((aoa or (), "AoA"), (self.aod_spatial_freqs, "AoD")):
-            if any(abs(v) > 1.0 for v in fixed):
-                raise InvalidInputError(f"{name} spatial frequencies must lie in [-1, 1]")
+        for fixed in (aoa or (), self.aod_spatial_freqs):
+            _spatial_freqs(fixed)
 
     def placed_angles(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-path AoA and AoD spatial frequencies under the placement rule."""
@@ -107,8 +108,8 @@ class PathSet:
                     f"{name} of shape {np.shape(getattr(self, name))} does not list one angle "
                     f"for each of the {self.num_paths} paths"
                 )
-        if np.any(self.delays_s < 0):
-            raise InvalidInputError("path delays must be non-negative")
+        if not np.all((self.delays_s >= 0) & (self.delays_s < np.inf)):  # NaN fails too
+            raise InvalidInputError("path delays must be finite and non-negative")
 
     @property
     def num_paths(self) -> int:

@@ -17,14 +17,9 @@ class NumericalError(LensMimoError):
     """A numerical routine failed (singular/indefinite matrix, ...)."""
 
 
-class IdealAngleError(InvalidInputError):
-    """Angles are not ideal (nonzero misalignment or duplicate focusing
-    indices); the caller should use the general PDM transceiver instead."""
-
-
 class UnsupportedConfigurationError(LensMimoError):
-    """Neither the receive nor the transmit side is angle-separated, so
-    path grouping is undefined."""
+    """``upa.ofdm_capacity`` met a channel tap that reaches or exceeds the
+    OFDM symbol length, which its subcarrier model cannot represent."""
 
 
 class ConfigError(LensMimoError):

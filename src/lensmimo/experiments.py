@@ -54,16 +54,10 @@ from .channel import (
     path_responses,
     tx_power,
 )
-from .errors import (
-    ConfigError,
-    IdealAngleError,
-    InvalidInputError,
-    NumericalError,
-    UnsupportedConfigurationError,
-)
+from .errors import ConfigError, InvalidInputError, NumericalError
 from .grouping import group_channels, grouped_capacity, path_groups
 from .numerics import water_fill, waterfill_capacity
-from .opdm import check_ideal, path_gains
+from .opdm import is_ideal, path_gains
 from .pdm import beamformers, mmse_combiners, mrc_combiners, pdm_sinr
 from .selection import support_sets
 from .upa import OfdmConfig, eigenmode_capacity, ofdm_capacity, power_select_antennas
@@ -295,11 +289,7 @@ class _Geometry:
 
     @cached_property
     def opdm_applies(self) -> bool:
-        try:
-            check_ideal(self.paths, self.tx, self.rx)
-        except IdealAngleError:
-            return False
-        return True
+        return is_ideal(self.paths, self.tx, self.rx)
 
     @cached_property
     def lens(self):
@@ -324,11 +314,8 @@ class _Geometry:
 
     @cached_property
     def groups(self):
-        """``grouping.path_groups``, or None where no side is separated."""
-        try:
-            return _read_only(path_groups(self.lens, self.sets))
-        except UnsupportedConfigurationError:
-            return None
+        """``grouping.path_groups``: None where no side is separated."""
+        return _read_only(path_groups(self.lens, self.sets))
 
     @cached_property
     def upas(self) -> tuple[UpaConfig, UpaConfig]:  # (receive, transmit)

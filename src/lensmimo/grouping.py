@@ -2,13 +2,13 @@
 ``selection.SupportSets``), paths whose supporting subset masks overlap on
 the other side are merged into groups, reducing the link to parallel small
 MIMO AWGN channels (one per group) with eigenmode transmission and a single
-global power budget."""
+global power budget. With neither side separated there are no groups
+(``path_groups`` gives None) and grouping does not apply."""
 from __future__ import annotations
 
 import numpy as np
 
 from .channel import PathResponses
-from .errors import UnsupportedConfigurationError
 from .numerics import eigen_gains, waterfill_capacity
 from .selection import SupportSets
 
@@ -29,25 +29,23 @@ def _components(members: np.ndarray) -> list[np.ndarray]:
 
 def path_groups(
     responses: PathResponses, sets: SupportSets
-) -> list[tuple[np.ndarray, PathResponses]]:
+) -> list[tuple[np.ndarray, PathResponses]] | None:
     """The path groups: (path indices, the responses of those paths
     restricted to the group's antenna subsets, the union of its rows of the
     support masks) for each group.
 
     Paths are grouped by transmit-subset overlap when the AoAs are
     separated, else by receive-subset overlap when the AoDs are; with
-    neither side separated grouping is undefined and
-    UnsupportedConfigurationError is raised. Only the angles fix the groups
-    and their rows, so a sweep forms them once for all its blocks.
+    neither side separated grouping is undefined and the result is None.
+    Only the angles fix the groups and their rows, so a sweep forms them
+    once for all its blocks.
     """
     if sets.rx_separated:
         groups = _components(sets.tx)
     elif sets.tx_separated:
         groups = _components(sets.rx)
     else:
-        raise UnsupportedConfigurationError(
-            "neither side is angle-separated; path grouping is undefined"
-        )
+        return None
     return [
         (group, responses.restrict(sets.rx[group].any(axis=0), sets.tx[group].any(axis=0), group))
         for group in groups

@@ -11,15 +11,16 @@ M_S x Q_S (the unions of the ``selection.SupportSets`` masks): row l of its
 receive/transmit responses is path l seen by those antennas. Stream l is
 sent on path l with the MRT precoder of that path and detected at that
 path's delay. The MRC combiners, the MRT couplings |a_T,k^H w_l|^2 and
-the thin QR of the receive rows (the last two a ``Beamformers``) depend
-only on the rows, so they are formed once for every realization and
-budget, and a sweep forms them once for all its blocks. The gains are of
-one realization, (L,), or of a block, (T, L); stream powers carry the
-same leading axes followed by any budget axes, (T, B, L) for a block on
-an SNR grid, and every result broadcasts over them. The MMSE combiners of
-all L streams come from one covariance of rank L plus noise per
-realization and budget, solved in the L-dimensional path space of the
-receive responses, never as an M_S x M_S system.
+the thin QR of the receive rows (the last two a ``Beamformers``, from
+``beamformers``) depend only on the rows, so they are formed once for
+every realization and budget, and a sweep forms them once for all its
+blocks; ``mmse_combiners`` and ``pdm_sinr`` take them as an argument.
+The gains are of one realization, (L,), or of a block, (T, L); stream
+powers carry the same leading axes followed by any budget axes, (T, B, L)
+for a block on an SNR grid, and every result broadcasts over them. The
+MMSE combiners of all L streams come from one covariance of rank L plus
+noise per realization and budget, solved in the L-dimensional path space
+of the receive responses, never as an M_S x M_S system.
 
 All SINRs here use exactly normalized beamformers.
 """
@@ -99,9 +100,7 @@ def _launched(coupling: np.ndarray, powers) -> np.ndarray:
     return np.asarray(powers, dtype=float)[..., None, :] * coupling
 
 
-def mmse_combiners(
-    support: PathResponses, powers, noise: float, beams: Beamformers | None = None
-) -> np.ndarray:
+def mmse_combiners(support: PathResponses, powers, noise: float, beams: Beamformers) -> np.ndarray:
     """Per-stream MMSE combiners v_l proportional to C_l^{-1} a_{R,l}.
 
     C_l, the ISI and inter-stream interference of stream l plus noise, is
@@ -113,13 +112,11 @@ def mmse_combiners(
     with the L columns of R as right-hand sides. ``PathResponses.cores``
     does not keep the basis Q, so this is the one other path-space
     factorization. ``powers`` has the gains' leading axes followed by any
-    budget axes, (..., L); the result is (..., L, M_S). ``beams`` are those
-    of the support view, formed here when not given. A system still
-    singular in double precision, or a combiner direction whose norm is
-    zero or not finite (at budgets so large that the solution underflows),
-    raises NumericalError.
+    budget axes, (..., L); the result is (..., L, M_S). ``beams`` are
+    ``beamformers(support)``. A system still singular in double precision,
+    or a combiner direction whose norm is zero or not finite (at budgets so
+    large that the solution underflows), raises NumericalError.
     """
-    beams = beamformers(support) if beams is None else beams
     powers = np.asarray(powers, dtype=float)
     through = _path_power(support, powers) * _launched(beams.coupling, powers).sum(axis=-1)
     q, r = beams.q, beams.r
@@ -133,7 +130,7 @@ def mmse_combiners(
 
 
 def pdm_sinr(
-    support: PathResponses, combiners, powers, noise: float, beams: Beamformers | None = None
+    support: PathResponses, combiners, powers, noise: float, beams: Beamformers
 ) -> SinrReport:
     """Exact analytic per-stream SINR under per-path MRT precoding.
 
@@ -142,8 +139,8 @@ def pdm_sinr(
     collects k != l for stream l, inter-stream all paths of every other
     stream. ``powers`` has the gains' leading axes followed by any budget
     axes, (..., L), and ``combiners`` is (L, M_S) or (..., L, M_S); every
-    report field has the broadcast shape (..., L). ``beams`` are those of the
-    support view, formed here when not given.
+    report field has the broadcast shape (..., L). ``beams`` are
+    ``beamformers(support)``.
     """
     combiners = np.asarray(combiners)
     powers = np.asarray(powers, dtype=float)
@@ -157,7 +154,6 @@ def pdm_sinr(
     # reach[..., l, k] = |alpha_k|^2 |v_l^H a_{R,k}|^2: path k at detector l.
     alpha2 = _path_power(support, powers)[..., None, :]
     reach = alpha2 * np.abs(combiners.conj() @ support.rx.T) ** 2
-    beams = beamformers(support) if beams is None else beams
     launched = _launched(beams.coupling, powers)
     own = reach * launched.swapaxes(-2, -1)  # own[..., l, k]: stream l via path k
     desired = np.diagonal(own, axis1=-2, axis2=-1)

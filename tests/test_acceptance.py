@@ -94,11 +94,12 @@ def _pdm_gammas(cfg, paths, kind, snr_db, noise, tx, rx):
     support = support_view(responses, sets)
     gains = np.abs(paths.gains) ** 2 * rx.aperture * tx.aperture
     powers = lm.water_fill(gains, lm.channel.tx_power(snr_db), noise)
+    beams = lm.beamformers(support)
     if kind == "MMSE":
-        comb = lm.mmse_combiners(support, powers, noise)
+        comb = lm.mmse_combiners(support, powers, noise, beams)
     else:
         comb = lm.mrc_combiners(support)
-    return support, comb, powers, lm.pdm_sinr(support, comb, powers, noise).gammas
+    return support, comb, powers, lm.pdm_sinr(support, comb, powers, noise, beams).gammas
 
 
 def test_05_mmse_sinr_never_below_mrc():

@@ -6,6 +6,7 @@ import pytest
 from lens_oracle import AccuracyError, LensOracleConfig, lens_response_oracle
 from lensmimo.arrays import LensArrayConfig, UpaConfig
 from lensmimo.errors import InvalidInputError
+from lensmimo.experiments import preset
 
 
 class TestLensArrayConfig:
@@ -22,6 +23,27 @@ class TestLensArrayConfig:
     def test_positive_required(self):
         with pytest.raises(InvalidInputError):
             LensArrayConfig(aperture=-1.0, azimuth_dim=10.0)
+
+    @pytest.mark.parametrize(
+        "kind, aperture, azimuth_dim",
+        [
+            (LensArrayConfig, math.nan, 10.0),
+            (LensArrayConfig, math.inf, 10.0),
+            (LensArrayConfig, 20.0, math.nan),
+            (LensArrayConfig, 20.0, math.inf),
+            (UpaConfig, math.nan, 10.0),
+            (UpaConfig, 20.0, math.inf),
+        ],
+    )
+    def test_non_finite_geometry_refused(self, kind, aperture, azimuth_dim):
+        # Refused as invalid input, not accepted (a NaN aperture) or left to
+        # a bare ValueError or OverflowError from the element count.
+        with pytest.raises(InvalidInputError, match="positive and finite"):
+            kind(aperture, azimuth_dim)
+
+    def test_non_finite_preset_geometry_refused(self):
+        with pytest.raises(InvalidInputError, match="positive and finite"):
+            preset("fig9", rx_azimuth_dim=math.nan)
 
 
 class TestLensResponse:

@@ -82,6 +82,35 @@ class TestChannelStats:
         aoa, _ = ChannelStats(aoa_spread_deg=spread, aod_spatial_freqs=AODS_60).placed_angles()
         assert np.allclose(aoa, np.sin(np.deg2rad([-spread / 2, 0.0, spread / 2])))
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ChannelStats(max_excess_delay_s=math.nan, **IDEAL),
+            lambda: ChannelStats(max_excess_delay_s=math.inf, **IDEAL),
+            lambda: ChannelStats(aoa_spatial_freqs=(0.0, math.nan, 0.2), aod_spatial_freqs=AODS_60),
+            lambda: ChannelStats(aoa_spread_deg=10.0, aod_spatial_freqs=(0.0, math.nan, 0.2)),
+            lambda: PathSet(
+                gains=np.ones(2, complex),
+                delays_s=np.array([0.0, math.nan]),
+                aoa_spatial_freqs=np.zeros(2),
+                aod_spatial_freqs=np.zeros(2),
+            ),
+            lambda: PathSet(
+                gains=np.ones(2, complex),
+                delays_s=np.array([math.inf, 0.0]),
+                aoa_spatial_freqs=np.zeros(2),
+                aod_spatial_freqs=np.zeros(2),
+            ),
+        ],
+        ids=["max-delay-nan", "max-delay-inf", "aoa-nan", "aod-nan", "delay-nan", "delay-inf"],
+    )
+    def test_non_finite_parameters_refused(self, build):
+        # NaN passes every ordering test that it fails to refuse, so a NaN
+        # delay spread, angle or path delay used to be accepted and fail
+        # later as a bare ValueError, OverflowError or a cast warning.
+        with pytest.raises(InvalidInputError):
+            build()
+
     def test_fixed_placement_length_check(self):
         # The AoD list gives the path count; an AoA list of another length is refused.
         with pytest.raises(InvalidInputError, match="AoA list has 2 entries, the AoD list 3"):

@@ -14,10 +14,10 @@ from lensmimo.channel import (
     sample_paths,
     tx_power,
 )
-from lensmimo.errors import UnsupportedConfigurationError
+from lensmimo.experiments import _Geometry, preset, run_experiment
 from lensmimo.grouping import _components, group_channels, grouped_capacity, path_groups
 from lensmimo.numerics import eigen_gains, water_fill, waterfill_capacity
-from lensmimo.pdm import mmse_combiners, pdm_sinr
+from lensmimo.pdm import beamformers, mmse_combiners, pdm_sinr
 from lensmimo.selection import SupportSets, support_sets
 from oracles import antenna_indices, dense_channel, support_view
 
@@ -124,8 +124,18 @@ class TestGroupChannels:
     def test_rejects_unseparated_claim(self):
         tight = make_paths([0.0, 0.05, 0.1], [0.0, 0.05, 0.1])
         sets = support_sets(tight, TX, RX, 1)
-        with pytest.raises(UnsupportedConfigurationError):
-            path_groups(path_responses(tight, TX, RX), sets)
+        assert path_groups(path_responses(tight, TX, RX), sets) is None
+
+    @pytest.mark.parametrize(
+        "name, overrides",
+        [("fig9", {}), ("fig10", {}), ("fig9", {"delta": 5}), ("fig10", {"delta": 5})],
+    )
+    def test_no_groups_exactly_where_the_sweep_falls_back(self, name, overrides):
+        cfg = preset(name, schemes=("PDM-grouping",), trials=2, snr_db=(0.0,), **overrides)
+        geo = _Geometry(cfg)
+        groups = path_groups(geo.lens, geo.sets)
+        (row,) = run_experiment(cfg, workers=1)
+        assert row.flags == ("grouping-fallback:2" if groups is None else "")
 
 
 def union_find_components(members):
@@ -259,15 +269,16 @@ class TestGroupedCapacity:
             paths = sample_paths(stats, np.random.default_rng(seed))
             sets = support_sets(paths, tx, rx, 1)
             responses = path_responses(paths, tx, rx)
-            try:
-                mats = group_channels(path_groups(responses, sets), responses.gains)
-            except UnsupportedConfigurationError:
+            groups = path_groups(responses, sets)
+            if groups is None:
                 continue
+            mats = group_channels(groups, responses.gains)
             checked += 1
             support = support_view(responses, sets)
             grouped = grouped_capacity(mats, budget, noise)
             powers = water_fill(np.abs(paths.gains) ** 2 * rx.aperture * tx.aperture, budget, noise)
-            comb = mmse_combiners(support, powers, noise)
-            mmse_rate = pdm_sinr(support, comb, powers, noise).sum_rate
+            beams = beamformers(support)
+            comb = mmse_combiners(support, powers, noise, beams)
+            mmse_rate = pdm_sinr(support, comb, powers, noise, beams).sum_rate
             assert grouped >= mmse_rate * (1 - 1e-9)
         assert checked > 0

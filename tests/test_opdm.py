@@ -5,9 +5,9 @@ import pytest
 
 from lensmimo.arrays import LensArrayConfig
 from lensmimo.channel import PathSet, path_responses
-from lensmimo.errors import IdealAngleError
+from lensmimo.experiments import _Geometry, preset, run_experiment
 from lensmimo.numerics import waterfill_capacity
-from lensmimo.opdm import opdm_decompose
+from lensmimo.opdm import is_ideal, path_gains
 from lensmimo.upa import eigenmode_capacity
 
 
@@ -24,9 +24,15 @@ TX = LensArrayConfig(20.0, 10.0)
 RX = LensArrayConfig(20.0, 10.0)
 
 
+def opdm_gains(paths):
+    """The OPDM sub-channel gains of ideal-angle paths."""
+    assert is_ideal(paths, TX, RX)
+    return path_gains(paths.gains, TX, RX)
+
+
 class TestDecompose:
     def test_gains(self):
-        gains = opdm_decompose(ideal_paths(), TX, RX)
+        gains = opdm_gains(ideal_paths())
         assert np.allclose(gains, np.array([1.0, 0.25, 0.0625]) * 400.0)
 
     def test_misaligned_angles_rejected(self):
@@ -36,8 +42,7 @@ class TestDecompose:
             aoa_spatial_freqs=np.array([0.0, 0.25]),
             aod_spatial_freqs=np.array([0.0, 0.2]),
         )
-        with pytest.raises(IdealAngleError):
-            opdm_decompose(paths, TX, RX)
+        assert is_ideal(paths, TX, RX) is False
 
     def test_duplicate_indices_rejected(self):
         paths = PathSet(
@@ -46,14 +51,25 @@ class TestDecompose:
             aoa_spatial_freqs=np.array([0.2, 0.2]),
             aod_spatial_freqs=np.array([0.0, 0.2]),
         )
-        with pytest.raises(IdealAngleError):
-            opdm_decompose(paths, TX, RX)
+        assert is_ideal(paths, TX, RX) is False
+
+    @pytest.mark.parametrize(
+        "name, ideal", [("fig5", True), ("fig6", True), ("fig9", False), ("fig10", False)]
+    )
+    def test_presets_match_their_opdm_skip_flags(self, name, ideal):
+        # A sweep skips OPDM, and flags every trial, exactly where the
+        # preset's angles are not ideal.
+        cfg = preset(name, schemes=("OPDM",), trials=2, snr_db=(0.0,))
+        geo = _Geometry(cfg)
+        assert is_ideal(geo.paths, geo.tx, geo.rx) is ideal
+        (row,) = run_experiment(cfg, workers=1)
+        assert row.flags == ("" if ideal else "opdm-skip:2")
 
 
 class TestCapacity:
     def test_equal_gains_closed_form(self):
         paths = ideal_paths(gains=(1.0, 1.0, 1.0))
-        c = waterfill_capacity(opdm_decompose(paths, TX, RX), 3.0, 1.0)
+        c = waterfill_capacity(opdm_gains(paths), 3.0, 1.0)
         assert c == pytest.approx(3 * math.log2(1 + 1.0 * 400.0), rel=1e-12)
 
     def test_matches_full_matrix_eigenmode(self):
@@ -64,9 +80,9 @@ class TestCapacity:
             gains = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             paths = ideal_paths(gains)
             direct = eigenmode_capacity(path_responses(paths, TX, RX), 2.0, 1.0)
-            decoupled = waterfill_capacity(opdm_decompose(paths, TX, RX), 2.0, 1.0)
+            decoupled = waterfill_capacity(opdm_gains(paths), 2.0, 1.0)
             assert direct == pytest.approx(decoupled, rel=1e-9)
 
     def test_capacity_monotone_in_power(self):
-        caps = waterfill_capacity(opdm_decompose(ideal_paths(), TX, RX), [0.1, 1.0, 10.0], 1.0)
+        caps = waterfill_capacity(opdm_gains(ideal_paths()), [0.1, 1.0, 10.0], 1.0)
         assert caps[0] < caps[1] < caps[2]

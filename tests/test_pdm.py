@@ -17,7 +17,7 @@ from lensmimo.channel import (
 from lensmimo.errors import InvalidInputError, NumericalError
 from lensmimo.experiments import preset, run_experiment
 from lensmimo.numerics import water_fill
-from lensmimo.pdm import mmse_combiners, mrc_combiners, mrt_precoders, pdm_sinr
+from lensmimo.pdm import beamformers, mmse_combiners, mrc_combiners, mrt_precoders, pdm_sinr
 from lensmimo.selection import support_sets
 from oracles import StatisticalValidityError, ipc_coefficients, simulate_symbols, support_view
 
@@ -48,7 +48,7 @@ def link(paths, powers, noise, kind="MRC"):
     """The support view and the MRC or MMSE combiners of one realization."""
     support = support_of(paths)
     if kind == "MMSE":
-        return support, mmse_combiners(support, powers, noise)
+        return support, mmse_combiners(support, powers, noise, beamformers(support))
     return support, mrc_combiners(support)
 
 
@@ -64,11 +64,11 @@ class TestBeamformers:
         support = support_of(sample_paths(STATS, np.random.default_rng(0)))
         comb = 2.0 * mrc_combiners(support)
         with pytest.raises(InvalidInputError):
-            pdm_sinr(support, comb, np.ones(3), NOISE_POWER)
+            pdm_sinr(support, comb, np.ones(3), NOISE_POWER, beamformers(support))
 
     def test_mmse_unit_norm(self):
         support = support_of(sample_paths(STATS, np.random.default_rng(1)))
-        comb = mmse_combiners(support, np.ones(3), 1e-9)
+        comb = mmse_combiners(support, np.ones(3), 1e-9, beamformers(support))
         assert np.allclose(np.linalg.norm(comb, axis=1), 1.0)
 
     def test_underflowing_combiner_direction_is_refused(self):
@@ -77,7 +77,7 @@ class TestBeamformers:
         # than divided into nan combiners.
         support = support_of(sample_paths(STATS, np.random.default_rng(1)))
         with pytest.raises(NumericalError, match="zero or non-finite norm"):
-            mmse_combiners(support, np.full(3, 1e200), NOISE_POWER)
+            mmse_combiners(support, np.full(3, 1e200), NOISE_POWER, beamformers(support))
 
     def test_block_of_realizations_equals_one_call_each(self):
         # (T, L) gains with (T, B, L) powers: every realization's combiners
@@ -89,15 +89,19 @@ class TestBeamformers:
         budgets = np.array([tx_power(s) for s in (-10.0, 10.0, 30.0)])
         noise = NOISE_POWER
         powers = water_fill(np.abs(block.gains) ** 2 * RX.aperture * TX.aperture, budgets, noise)
-        mrc, mmse = mrc_combiners(block), mmse_combiners(block, powers, noise)
-        mrc_rates = pdm_sinr(block, mrc, powers, noise).sum_rate
-        mmse_rates = pdm_sinr(block, mmse, powers, noise).sum_rate
+        beams = beamformers(block)
+        mrc, mmse = mrc_combiners(block), mmse_combiners(block, powers, noise, beams)
+        mrc_rates = pdm_sinr(block, mrc, powers, noise, beams).sum_rate
+        mmse_rates = pdm_sinr(block, mmse, powers, noise, beams).sum_rate
         assert mmse.shape == (5, 3, 3, block.rx.shape[1]) and mmse_rates.shape == (5, 3)
         for t in range(5):
             one = replace(block, gains=block.gains[t], delays=block.delays[t])
-            assert np.array_equal(mmse[t], mmse_combiners(one, powers[t], noise))
-            assert np.array_equal(mrc_rates[t], pdm_sinr(one, mrc, powers[t], noise).sum_rate)
-            assert np.array_equal(mmse_rates[t], pdm_sinr(one, mmse[t], powers[t], noise).sum_rate)
+            beams = beamformers(one)
+            assert np.array_equal(mmse[t], mmse_combiners(one, powers[t], noise, beams))
+            mrc_rate = pdm_sinr(one, mrc, powers[t], noise, beams).sum_rate
+            mmse_rate = pdm_sinr(one, mmse[t], powers[t], noise, beams).sum_rate
+            assert np.array_equal(mrc_rates[t], mrc_rate)
+            assert np.array_equal(mmse_rates[t], mmse_rate)
 
     def test_mmse_matches_per_stream_loop(self):
         # Reference: the interference weights of detector l summed term by
@@ -149,7 +153,7 @@ class TestBeamformers:
             return reference
 
         for support, powers, noise in cases:
-            comb = mmse_combiners(support, powers, noise)
+            comb = mmse_combiners(support, powers, noise, beamformers(support))
             assert comb.shape == powers.shape + support.rx.shape[1:]
             for budget in np.ndindex(powers.shape[:-1]):
                 reference = per_stream(support, powers[budget], noise)
@@ -183,7 +187,7 @@ class TestAnalyticSinr:
         noise = 1e-7
         powers = np.array([1.0, 2.0, 0.5])
         support, comb = link(paths, powers, noise)
-        report = pdm_sinr(support, comb, powers, noise)
+        report = pdm_sinr(support, comb, powers, noise, beamformers(support))
         expected = powers * np.abs(paths.gains) ** 2 * RX.aperture * TX.aperture / noise
         assert np.allclose(report.gammas, expected, rtol=0.01)
 
@@ -192,8 +196,9 @@ class TestAnalyticSinr:
         noise = NOISE_POWER
         powers = water_fill(np.abs(paths.gains) ** 2, tx_power(10), noise)
         support, comb = link(paths, powers, noise)
-        base = pdm_sinr(support, comb, powers, noise).gammas
-        scaled = pdm_sinr(support, comb, powers * 7.0, 7.0 * noise).gammas
+        beams = beamformers(support)
+        base = pdm_sinr(support, comb, powers, noise, beams).gammas
+        scaled = pdm_sinr(support, comb, powers * 7.0, 7.0 * noise, beams).gammas
         assert np.allclose(base, scaled, rtol=1e-9)
 
     def test_mmse_never_below_mrc(self):
@@ -203,15 +208,16 @@ class TestAnalyticSinr:
             powers = np.full(3, tx_power(15) / 3)
             support, mrc = link(paths, powers, noise)
             _, mmse = link(paths, powers, noise, kind="MMSE")
-            g_mrc = pdm_sinr(support, mrc, powers, noise).gammas
-            g_mmse = pdm_sinr(support, mmse, powers, noise).gammas
+            beams = beamformers(support)
+            g_mrc = pdm_sinr(support, mrc, powers, noise, beams).gammas
+            g_mmse = pdm_sinr(support, mmse, powers, noise, beams).gammas
             assert np.all(g_mmse >= g_mrc * (1 - 1e-9))
 
     def test_zero_power_stream_has_zero_sinr(self):
         paths = sample_paths(STATS, np.random.default_rng(3))
         powers = np.array([1.0, 0.0, 1.0])
         support, comb = link(paths, powers, NOISE_POWER)
-        report = pdm_sinr(support, comb, powers, NOISE_POWER)
+        report = pdm_sinr(support, comb, powers, NOISE_POWER, beamformers(support))
         assert report.gammas[1] == 0.0
 
 
@@ -227,10 +233,11 @@ class TestMmseExtremeSnr:
             support = support_of(sample_paths(cfg.stats, np.random.default_rng([0, trial])))
             gains = np.abs(support.gains) ** 2 * RX.aperture * TX.aperture
             powers = water_fill(gains, tx_power(140.0), noise)
-            mmse = mmse_combiners(support, powers, noise)
+            beams = beamformers(support)
+            mmse = mmse_combiners(support, powers, noise, beams)
             assert np.all(np.isfinite(mmse))
-            g_mmse = pdm_sinr(support, mmse, powers, noise).gammas
-            g_mrc = pdm_sinr(support, mrc_combiners(support), powers, noise).gammas
+            g_mmse = pdm_sinr(support, mmse, powers, noise, beams).gammas
+            g_mrc = pdm_sinr(support, mrc_combiners(support), powers, noise, beams).gammas
             assert np.all(np.isfinite(g_mmse))
             assert np.all(g_mmse >= g_mrc * (1 - 1e-9))
 
@@ -260,7 +267,7 @@ class TestSymbolSimulation:
             np.abs(paths.gains) ** 2 * RX.aperture * TX.aperture, tx_power(10), noise
         )
         support, comb = link(paths, powers, noise)
-        analytic = pdm_sinr(support, comb, powers, noise).gammas
+        analytic = pdm_sinr(support, comb, powers, noise, beamformers(support)).gammas
         empirical = simulate_symbols(
             support, comb, powers, 100_000, np.random.default_rng(7), noise
         ).gammas

@@ -55,7 +55,7 @@ from lensmimo.channel import (
 from lensmimo.errors import DegenerateInputError
 from lensmimo.experiments import preset
 from lensmimo.numerics import RANK_TOL, hermitian_eigvals, water_fill, waterfill_capacity
-from lensmimo.pdm import mmse_combiners, mrc_combiners, mrt_precoders, pdm_sinr
+from lensmimo.pdm import beamformers, mmse_combiners, mrc_combiners, mrt_precoders, pdm_sinr
 from lensmimo.selection import support_sets
 from lensmimo.upa import OfdmConfig, eigenmode_capacity, ofdm_capacity
 from oracles import antenna_indices, dense_taps, draw_one, support_view, waterfill_rates
@@ -564,12 +564,13 @@ class TestCombinerProperties:
         support = pdm_link(spread, seed)
         noise = NOISE_POWER
         powers = tx_power(snr_db) * np.array(shares)
-        got = mmse_combiners(support, powers, noise)
+        beams = beamformers(support)
+        got = mmse_combiners(support, powers, noise, beams)
         want = dense_mmse_combiners(support, powers, noise)
         overlap = np.abs(np.sum(got.conj() * want, axis=-1))
         assert np.all(1.0 - overlap <= 1e-12)
-        rate = pdm_sinr(support, got, powers, noise).sum_rate
-        dense_rate = pdm_sinr(support, want, powers, noise).sum_rate
+        rate = pdm_sinr(support, got, powers, noise, beams).sum_rate
+        dense_rate = pdm_sinr(support, want, powers, noise, beams).sum_rate
         assert math.isclose(rate, dense_rate, rel_tol=1e-12)
 
     @EXAMPLES
@@ -583,8 +584,10 @@ class TestCombinerProperties:
         support = pdm_link(spread, seed)
         noise = NOISE_POWER
         powers = tx_power(snr_db) * np.array(shares)
-        g_mrc = pdm_sinr(support, mrc_combiners(support), powers, noise).gammas
-        g_mmse = pdm_sinr(support, mmse_combiners(support, powers, noise), powers, noise).gammas
+        beams = beamformers(support)
+        g_mrc = pdm_sinr(support, mrc_combiners(support), powers, noise, beams).gammas
+        mmse = mmse_combiners(support, powers, noise, beams)
+        g_mmse = pdm_sinr(support, mmse, powers, noise, beams).gammas
         assert np.all(g_mmse >= g_mrc * (1 - 1e-9))
 
     @EXAMPLES
@@ -599,16 +602,17 @@ class TestCombinerProperties:
         gains = np.abs(support.gains) ** 2 * PDM_RX.aperture * PDM_TX.aperture
         budgets = np.array([tx_power(s) for s in snrs_db])
         powers = water_fill(gains, budgets, noise)
+        beams = beamformers(support)
         mrc = mrc_combiners(support)
-        mmse = mmse_combiners(support, powers, noise)
+        mmse = mmse_combiners(support, powers, noise, beams)
         for kind, combiners in (("MRC", mrc), ("MMSE", mmse)):
-            grid = pdm_sinr(support, combiners, powers, noise)
+            grid = pdm_sinr(support, combiners, powers, noise, beams)
             assert grid.sum_rate.shape == budgets.shape
             for i, p in enumerate(powers):
-                single_comb = mrc if kind == "MRC" else mmse_combiners(support, p, noise)
+                single_comb = mrc if kind == "MRC" else mmse_combiners(support, p, noise, beams)
                 if kind == "MMSE":
                     assert np.array_equal(mmse[i], single_comb)
-                single = pdm_sinr(support, single_comb, p, noise)
+                single = pdm_sinr(support, single_comb, p, noise, beams)
                 for field in ("gammas", "desired", "isi", "inter_stream"):
                     assert np.array_equal(getattr(grid, field)[i], getattr(single, field))
                 assert grid.sum_rate[i] == single.sum_rate
