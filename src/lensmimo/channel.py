@@ -5,9 +5,10 @@ delay line is built; the tests keep a dense oracle of their own.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property, reduce
 
 import numpy as np
 
@@ -137,9 +138,9 @@ class PathResponses:
     Every scheme reads these per-path factors: ``cores`` is the
     rank-revealing path-space reduction that carries the singular values
     of H = A_R^T diag(alpha) A_T^* (and of each OFDM subcarrier channel) in
-    an r_R x r_T matrix, ``grams`` the Hermitian Grams of the subcarrier
-    cores that carry their squared singular values, and ``restrict`` the
-    same paths seen by fewer antennas.
+    an r_R x r_T matrix, ``charpoly`` the characteristic polynomials of the
+    subcarrier cores' Grams, whose roots are their squared singular values,
+    and ``restrict`` the same paths seen by fewer antennas.
     """
 
     rx: np.ndarray  # (..., L, M) receive response rows a_R,l
@@ -231,32 +232,66 @@ class PathResponses:
         r_rx, r_tx = np.expand_dims(r_rx, axes), np.expand_dims(r_tx, axes)
         return (r_rx * c[..., None, :]) @ r_tx.conj().swapaxes(-1, -2)
 
-    def grams(self, coeffs) -> np.ndarray:
-        """Hermitian Grams of the smaller side of each core of
-        ``cores(coeffs)``: for coefficients of shape (..., L) a (..., r, r)
-        stack, r = min(r_R, r_T), whose eigenvalues are the squared
-        singular values of the cores.
+    def charpoly(self, table) -> np.ndarray:
+        """The elementary symmetric functions e_1 ... e_r of the squared
+        singular values of the OFDM subcarrier cores, ``cores(coeffs)`` for
+        c_l(k) = alpha_l table[n_l, k] with table[d, k] = e^{-j 2 pi k d / N}:
+        the coefficients of their characteristic polynomials, (..., N, r),
+        r = min(r_R, r_T), for L <= 3 paths.
 
-        With c the coefficients of one core, W = c c^H, R the smaller side's
-        factor and Gamma = P^H P the L x L Gram of the larger side's factor
-        P, G = R (W o Gamma) R^H (o the entrywise product). For the
-        transmit side both factors are conjugated, which conjugates G and
-        keeps its eigenvalues. The stack is one (-1, L^2) @ (L^2, r^2)
-        product with ``_Rows.kernel`` per leading index of the rows, over
-        all the other leading axes (trials, subcarriers) at once. A Gram
-        squares the condition number of its core.
+        By Cauchy-Binet, e_j(k) = sum_{S, S'} c_S conj(c_S') M[S, S'] over
+        the j-subsets of the paths (c_S the product over S, M from
+        ``_Rows.compounds``), and two j-subsets of L <= 3 paths differ in one
+        path each, l in S and m in S'. So e_j(k) is a constant plus
+        2 Re sum_p z_jp e^{-j 2 pi k d_p / N} over the path pairs p = (l, m),
+        l < m, d_p = n_l - n_m (e_L is constant): one (r, P) @ (P, N) product
+        per trial on P table rows, conjugated where d_p < 0.
         """
-        kernel, n, r = self._rows.kernel, self.num_paths, min(self.ranks)
-        lead = coeffs.shape[:-1]
-        w = coeffs[..., :, None] * coeffs[..., None, :].conj()
-        w = w.reshape(lead[: kernel.ndim - 2] + (-1, n * n))
-        return (w @ kernel).reshape(lead + (r, r))
+        if self.num_paths > 3:
+            raise InvalidInputError("charpoly takes at most three paths")
+        m, rank = self._rows.compounds, min(self.ranks)
+        subsets, starts, diff, left, right = _charpoly_plan(self.num_paths, rank)
+        d = self.delays @ diff
+        padded = np.concatenate((self.gains, np.ones(self.gains.shape[:-1] + (1,))), axis=-1)
+        a = reduce(np.multiply, (padded[..., path] for path in subsets.T))  # alpha_S
+        const = np.add.reduceat((a * a.conj()).real * m.diagonal(0, -2, -1).real, starts, axis=-1)
+        # M's weights copied out to the trials' shape: numpy's complex
+        # multiply rounds a broadcast operand unlike a whole one.
+        weights = np.broadcast_to(m[..., left, right], a.shape[:-1] + left.shape).copy()
+        z = (a[..., left] * a[..., right].conj() * weights).reshape(a.shape[:-1] + (rank, -1))
+        z = 2 * np.where(d[..., None, :] < 0, z.conj(), z)
+        # Formed as (..., r, N), so that each e_j is contiguous.
+        return np.add((z @ table[np.abs(d)]).real, const[..., None]).swapaxes(-1, -2)
+
+
+@cache
+def _charpoly_plan(n: int, r: int) -> tuple[np.ndarray, ...]:
+    """Read-only index arrays of ``PathResponses.charpoly`` for n <= 3 paths
+    and rank r: the subsets of ``_Rows.compounds`` padded to r paths with
+    -1, the first subset of each size, the (n, P) delay differences of the
+    path pairs, and the subsets (S, S') of each z_jp. Where e_j has no term
+    on p (j = n), they are of two sizes, where M is 0."""
+    subsets = [s for j in range(1, r + 1) for s in itertools.combinations(range(n), j)]
+    pairs = list(itertools.combinations(range(n), 2))
+    diff = np.array([[(i == l) - (i == o) for l, o in pairs] for i in range(n)], dtype=int)
+    left, right = np.zeros((r, len(pairs)), dtype=int), np.full((r, len(pairs)), len(subsets) - 1)
+    for (i, s), (k, t) in itertools.combinations(enumerate(subsets), 2):
+        if len(s) == len(t):
+            (l,), (o,) = set(s) - set(t), set(t) - set(s)
+            p = pairs.index((min(l, o), max(l, o)))
+            left[len(s) - 1, p], right[len(s) - 1, p] = (i, k) if l < o else (k, i)
+    padded = np.array([s + (-1,) * (r - len(s)) for s in subsets])
+    starts = np.cumsum([0] + [math.comb(n, j) for j in range(1, r)])
+    plan = padded, starts, diff, left.reshape(-1), right.reshape(-1)
+    for a in plan:
+        a.flags.writeable = False
+    return plan
 
 
 class _Rows:
     """What the response rows of a PathResponses alone fix, each part
     computed on first use and read-only: the ``_factor`` SVDs, the
-    rank-revealing factors and the Gram kernel. Every PathResponses on the
+    rank-revealing factors and the compound Grams. Every PathResponses on the
     same rows (``with_paths``) shares one. The rows must not be changed in
     place after first use."""
 
@@ -274,7 +309,7 @@ class _Rows:
     @cached_property
     def factors(self) -> tuple[np.ndarray, np.ndarray]:
         """The rank-revealing factors (R_R, R_T) of the receive and transmit
-        rows, shared by ``ranks``, ``cores`` and ``grams``: the rows of
+        rows, shared by ``ranks``, ``cores`` and ``compounds``: the rows of
         S V^H kept by ``_factor``, (..., r, L) with the rows' leading axes."""
         out = []
         for factor, keep in self.svds:
@@ -285,20 +320,33 @@ class _Rows:
         return out[0], out[1]
 
     @cached_property
-    def kernel(self) -> np.ndarray:
-        """The (..., L^2, r^2) kernel of ``PathResponses.grams``:
-        kernel[..., (l, m), (i, j)] = R[..., i, l] Gamma[..., l, m] R[..., j, m]^*."""
+    def compounds(self) -> np.ndarray:
+        """M of ``PathResponses.charpoly``, (..., n_S, n_S) over the
+        j-subsets S of the L <= 3 paths, j = 1 ... min(r_R, r_T), in the
+        order of ``_charpoly_plan``: M_j = conj(P_j(R_R)) o P_j(R_T)
+        (o entrywise) on the block of the j-subsets, 0 across sizes, where
+        P_j(R) = C_j(R)^H C_j(R) for the j x j minors C_j(R) of the factor R
+        itself, Leibniz sums that give stacked factors each one's bits."""
         r_rx, r_tx = self.factors
-        if r_rx.shape[-2] <= r_tx.shape[-2]:
-            small, large = r_rx, r_tx
-        else:
-            small, large = r_tx.conj(), r_rx.conj()
-        gamma = large.conj().swapaxes(-1, -2) @ large
-        kernel = np.einsum("...il,...lm,...jm->...lmij", small, gamma, small.conj())
-        r, n = small.shape[-2:]
-        kernel = kernel.reshape(kernel.shape[:-4] + (n * n, r * r))
-        kernel.flags.writeable = False
-        return kernel
+        subsets, starts = _charpoly_plan(r_rx.shape[-1], min(r_rx.shape[-2], r_tx.shape[-2]))[:2]
+        m = np.zeros(r_rx.shape[:-2] + (len(subsets),) * 2, dtype=complex)
+        for j, start in enumerate(starts, 1):
+            gram = []  # P_j of each side
+            for factor in self.factors:
+                rows, cols = (
+                    np.array(list(itertools.combinations(range(k), j))) for k in factor.shape[-2:]
+                )
+                sub = factor[..., rows[:, None, :, None], cols[None, :, None, :]]
+                minors = sum(
+                    (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+                    * reduce(np.multiply, (sub[..., i, k] for i, k in enumerate(perm)))
+                    for perm in itertools.permutations(range(j))
+                )
+                gram.append((minors.conj()[..., None] * minors[..., None, :]).sum(axis=-3))
+            end = start + gram[0].shape[-1]
+            m[..., start:end, start:end] = gram[0].conj() * gram[1]
+        m.flags.writeable = False
+        return m
 
 
 def _factor(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -8,7 +8,7 @@ two wideband random-angle links with small and large AoA spreads.
 
 Every preset places its path angles the same way in every trial, so a
 config's geometry is fixed by the config alone: the lens and UPA responses
-with their factors and the Gram kernel, OPDM's applicability, the support
+with their factors and compound Grams, OPDM's applicability, the support
 sets and the support view with its beamformers, and the path groups with
 their factored rows. It is built at the config's first block and kept on
 the config object for its later blocks and sweeps. Trials run in blocks,
@@ -34,6 +34,7 @@ from __future__ import annotations
 import ctypes
 import itertools
 import math
+import numbers
 import os
 import time
 from contextlib import contextmanager
@@ -62,8 +63,8 @@ from .pdm import beamformers, mmse_combiners, mrc_combiners, pdm_sinr
 from .selection import support_sets
 from .upa import OfdmConfig, eigenmode_capacity, ofdm_capacity, power_select_antennas
 
-# Trials per block: a block's stacks (T x 512 subcarrier Grams on fig6)
-# stay a few MB.
+# Trials per block: a block's stacks (T x 512 subcarriers on fig6) stay a
+# few MB.
 _BLOCK = 32
 
 # What the worker pool costs, per worker, beyond dividing the work. On a
@@ -99,12 +100,10 @@ class ExperimentConfig:
     ofdm: OfdmConfig = OfdmConfig()
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise InvalidInputError("trials must be at least 1")
-        if self.delta < 1:
-            raise InvalidInputError("delta must be positive")
-        if self.seed < 0:
-            raise InvalidInputError(f"seed must be non-negative, got {self.seed}")
+        for field, least in (("trials", 1), ("delta", 1), ("seed", 0)):
+            value = getattr(self, field)
+            if not (isinstance(value, numbers.Integral) and value >= least):  # NaN fails
+                raise InvalidInputError(f"{field} must be an integer >= {least}, got {value!r}")
         if len(self.snr_db) == 0:
             raise InvalidInputError("snr_db must list at least one SNR point")
         if not all(math.isfinite(s) for s in self.snr_db):
@@ -262,7 +261,7 @@ def _read_only(value):
 class _Geometry:
     """What every block of a config reads and no draw changes: the budget
     vector, the array pairs, and what the path angles fix, which are the
-    lens and UPA responses with their factors and Gram kernel, OPDM's
+    lens and UPA responses with their factors and compound Grams, OPDM's
     applicability, the support sets, the support view with its combiners
     and beamformers, and the path groups with their factored rows. Each
     part is built when a block first asks for it, so only the configured

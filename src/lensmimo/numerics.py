@@ -1,5 +1,5 @@
-"""Shared numerical kernels: eigen-gains, Hermitian eigenvalues, exact
-water-filling, Hermitian solve.
+"""Shared numerical kernels: eigen-gains, roots of characteristic
+polynomials, exact water-filling, Hermitian solve.
 
 Every capacity the sweeps report is water-filling over parallel gains:
 OPDM's per-path gains, and the eigenmodes of the path-space cores
@@ -7,10 +7,9 @@ OPDM's per-path gains, and the eigenmodes of the path-space cores
 path group and of the UPA channels; the PDM stream powers are water-filled
 the same way. ``eigen_gains`` turns a stack of matrices into squared
 singular values under one rank rule; the UPA-OFDM subcarriers take theirs
-from Hermitian Grams instead (``upa.ofdm_capacity``), as the
-``hermitian_eigvals`` of the stack: closed forms for r <= 3, with no LAPACK
-call per matrix, and ``np.linalg.eigvalsh`` above that. Where a Gram is
-ill-conditioned they fall back to ``eigen_gains``. ``water_fill`` and
+as the ``charpoly_roots`` of the coefficients of their characteristic
+polynomials instead (``upa.ofdm_capacity``), closed forms for r <= 3 with
+no matrix and no LAPACK call. ``water_fill`` and
 ``waterfill_capacity`` take a whole grid of power budgets, and a stack of
 links (the trials of a block), at once, and share one finite-step threshold
 search (Palomar and Fonollosa, IEEE TSP 2005): a sort and cumulative sums
@@ -31,6 +30,8 @@ from .errors import DegenerateInputError, InvalidInputError, NumericalError
 # Singular values below RANK_TOL * s_max of their own matrix are treated as
 # exact zeros in downstream capacity sums.
 RANK_TOL = 1e-12
+
+_TINY = np.finfo(float).tiny
 
 
 def eigen_gains(mats) -> np.ndarray:
@@ -54,184 +55,62 @@ def eigen_gains(mats) -> np.ndarray:
     return s**2
 
 
-def hermitian_eigvals(mats) -> np.ndarray:
-    """Eigenvalues of each Hermitian matrix of a (..., r, r) stack, of shape
-    (..., r) and non-increasing along the last axis. Like
-    ``np.linalg.eigvalsh``, it reads the lower triangle and the real part of
-    the diagonal.
+def charpoly_roots(e) -> np.ndarray:
+    """Roots lambda_1 >= ... >= lambda_r >= 0 of
+    lambda^r - e_1 lambda^(r-1) + ... + (-1)^r e_r, r <= 3, given the
+    elementary symmetric functions of non-negative roots as a (..., r)
+    stack, e[..., j - 1] = e_j: the eigenvalues of Hermitian positive
+    semidefinite matrices from their characteristic polynomials. Returns
+    (..., r) in e's memory order, from a few ufunc passes per root and no
+    LAPACK call; e_1^r must not overflow.
 
-    For r = 2 and 3 the eigenvalues come from closed forms, in a few ufunc
-    passes over the whole stack: r = 2 from the roots of the quadratic,
-    r = 3 as in ``_eigvals3``. Each is within a few eps of the largest
-    eigenvalue magnitude of its matrix, for repeated eigenvalues too. Other
-    sizes take ``eigvalsh``, which makes one LAPACK call per matrix.
+    r = 2 takes the larger root from the quadratic formula, the smaller as
+    e_2 / lambda_1. r = 3 takes the largest as m + 2 sqrt(p) cos(arccos(rho)
+    / 3), m = e_1 / 3, for t^3 - 3 p t - 2 q in t = lambda - m and
+    rho = q / p^(3/2) (Smith, CACM 1961), bounded in rho unless the two
+    largest roots meet, and the other two as the roots of the quadratic of
+    their sum e_1 - lambda_1 and product e_3 / lambda_1. Each is within a
+    few eps of lambda_1, the smallest within a few eps of itself times
+    lambda_1 / lambda_2. Nearly equal roots lose digits, as any polynomial's
+    do (half of them if double), but not their sum and product, and may
+    come out of order. What rounding puts below 0 is read as 0.
     """
-    a = np.asarray(mats)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise InvalidInputError("hermitian_eigvals expects a (..., r, r) stack")
-    r = a.shape[-1]
-    if r not in (2, 3):
-        return np.linalg.eigvalsh(a)[..., ::-1]
-    if r == 2:
-        x, y = a[..., 0, 0].real, a[..., 1, 1].real
-        mid = x / 2 + y / 2
-        radius = np.hypot(x / 2 - y / 2, np.abs(a[..., 1, 0]))
-        return np.stack((mid + radius, mid - radius), axis=-1)
-    return _eigvals3(a)
+    e = np.asarray(e, dtype=float)
+    if e.ndim < 1 or not 1 <= e.shape[-1] <= 3 or not np.isfinite(e).all():
+        raise InvalidInputError("charpoly_roots expects a finite (..., r) stack, 1 <= r <= 3")
+    e = np.maximum(e, 0.0)
+    if e.shape[-1] == 1:
+        return e
+    roots = np.empty_like(e)  # each root contiguous where each e_j is
+    if e.shape[-1] == 2:
+        _quadratic_roots(e[..., 0], e[..., 1], roots[..., 0], roots[..., 1])
+        return roots
+    e1, e2, e3 = e[..., 0], e[..., 1], e[..., 2]
+    m = e1 / 3.0
+    mm = m * m
+    p = np.maximum(mm - e2 / 3.0, 0.0)
+    q = m * (mm - e2 / 2.0) + e3 / 2.0
+    root_p = np.sqrt(p)
+    # rho clipped to [-1, 1] by its denominator; t = 0 where p = 0.
+    rho = q / np.maximum(np.maximum(p * root_p, np.abs(q)), _TINY)
+    first = np.cos(np.arccos(rho) / 3.0, out=roots[..., 0])
+    first *= 2.0 * root_p
+    first += m
+    rest = np.maximum(e1 - first, 0.0)
+    _quadratic_roots(rest, e3 / np.maximum(first, _TINY), roots[..., 1], roots[..., 2])
+    return roots
 
 
-def _eigvals3(a: np.ndarray) -> np.ndarray:
-    """``hermitian_eigvals`` of a (..., 3, 3) stack.
-
-    Each matrix is scaled by its largest entry s, so that the squares and
-    cubes below neither overflow nor underflow, and shifted by its mean
-    eigenvalue q: D = (A / s - q I) / p with p^2 = tr(C^2) / 6 for C the
-    shifted matrix has trace 0 and tr D^2 = 6. Its eigenvalues are
-    2 cos(theta / 3 + 2 pi k / 3) with cos(theta) = det(D) / 2 (Smith, CACM
-    1961), the determinant written out. Only the eigenvalue farthest from
-    the other two, mu = 2 sign(rho) cos(arccos(|rho|) / 3) for rho = det(D)
-    / 2, is taken that way: its derivative in rho is bounded, while near
-    |rho| = 1 (two close eigenvalues, or a rank-1 matrix) the other two
-    would lose half the digits to arccos. For those two: M = D - mu I has
-    rank 2, its other eigenvalues m_1, m_2 are both at least sqrt(3) from
-    0 on the same side, so adj(M) = m_1 m_2 v v^H for the unit eigenvector
-    v of mu, and P = I - adj(M) / tr(adj(M)) projects onto their plane.
-    K = M - (tr(M) / 2) P has eigenvalues +-(m_1 - m_2) / 2 there and 0 on
-    v, so the two are (tr(D) - mu) / 2 +- ||K||_F / sqrt(2), the norm taken
-    from K's entries without a cancelling difference.
-
-    Every step writes into buffers of the stack's shape, in the order of
-    the expressions in the comments, which give each step's value (x, y, z,
-    u, v, w name the current diagonal and lower entries).
-    """
-    stack = a.reshape(-1, 3, 3)
-    shape = stack.shape[:1]
-    x0, y0, z0 = stack[:, 0, 0].real, stack[:, 1, 1].real, stack[:, 2, 2].real
-    u0, v0, w0 = stack[:, 1, 0], stack[:, 2, 0], stack[:, 2, 1]
-    t1, t2, t3 = np.empty(shape), np.empty(shape), np.empty(shape)
-    c1, c2 = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
-    s = np.abs(x0)
-    for entry in (y0, z0, u0, v0, w0):
-        np.maximum(s, np.abs(entry, out=t1), out=s)
-    s[~(s > 0)] = 1.0
-    # q = (x / s + y / s + z / s) / 3
-    q = np.divide(x0, s)
-    q += np.divide(y0, s, out=t1)
-    q += np.divide(z0, s, out=t1)
-    q /= 3
-    # x, y, z, u, v, w = x / s - q, y / s - q, z / s - q, u / s, v / s, w / s
-    x, y, z = np.divide(x0, s), np.divide(y0, s), np.divide(z0, s)
-    x -= q
-    y -= q
-    z -= q
-    u, v, w = np.divide(u0, s), np.divide(v0, s), np.divide(w0, s)
-    # q is rounded, so the shifted trace need not vanish next to p when the
-    # three eigenvalues nearly coincide: shift once more by what is left.
-    # rest = (x + y + z) / 3; x, y, z, q = x - rest, y - rest, z - rest, q + rest
-    rest = np.add(x, y, out=t1)
-    rest += z
-    rest /= 3
-    x -= rest
-    y -= rest
-    z -= rest
-    q += rest
-    # p = sqrt((x * x + y * y + z * z + 2 * (|u|^2 + |v|^2 + |w|^2)) / 6)
-    p = np.multiply(x, x)
-    p += np.multiply(y, y, out=t1)
-    p += np.multiply(z, z, out=t1)
-    off = _abs2(u, t1, t2)
-    off += _abs2(v, t2, t3)
-    off += _abs2(w, t2, t3)
-    off *= 2
-    p += off
-    p /= 6
-    np.sqrt(p, out=p)
-    # x, y, z, u, v, w = x / unit, ..., w / unit, unit = p where p > 0, else 1
-    unit = t1
-    unit[...] = p
-    unit[~(p > 0)] = 1.0
-    for entry in (x, y, z, u, v, w):
-        entry /= unit
-    uu, vv, ww = _abs2(u, None, t1), _abs2(v, None, t1), _abs2(w, None, t1)
-    # rho = (x * (y * z - ww) - y * vv - z * uu) / 2 + (u * w * v.conj()).real
-    rho = np.multiply(y, z)
-    rho -= ww
-    rho *= x
-    rho -= np.multiply(y, vv, out=t1)
-    rho -= np.multiply(z, uu, out=t1)
-    rho /= 2
-    np.multiply(u, w, out=c1)
-    c1 *= np.conjugate(v, out=c2)
-    rho += c1.real
-    top = rho >= 0  # mu is the largest eigenvalue, else the smallest
-    # mu = (2 if top else -2) * cos(arccos(min(|rho|, 1)) / 3)
-    angle = np.abs(rho, out=t1)
-    np.minimum(angle, 1.0, out=angle)
-    np.arccos(angle, out=angle)
-    angle /= 3
-    mu = np.where(top, 2.0, -2.0)
-    mu *= np.cos(angle, out=angle)
-    # trace = x + y + z; x, y, z = x - mu, y - mu, z - mu, now M
-    trace = np.add(x, y)
-    trace += z
-    x -= mu
-    y -= mu
-    z -= mu
-    # adj0, adj1, adj2 = y * z - ww, x * z - vv, x * y - uu, over ww, vv, uu
-    adj0 = np.subtract(np.multiply(y, z, out=t1), ww, out=ww)
-    adj1 = np.subtract(np.multiply(x, z, out=t1), vv, out=vv)
-    adj2 = np.subtract(np.multiply(x, y, out=t1), uu, out=uu)
-    # half = (trace - 3 * mu) / 2; h = half / (adj0 + adj1 + adj2)
-    half = np.subtract(trace, np.multiply(3, mu, out=t1))
-    half /= 2
-    h = np.add(adj0, adj1)
-    h += adj2
-    np.divide(half, h, out=h)
-    # k_diag = (x - half + h * adj0) ** 2 + (y - half + h * adj1) ** 2
-    #     + (z - half + h * adj2) ** 2
-    k_diag = np.zeros(shape)
-    for diag, adj in ((x, adj0), (y, adj1), (z, adj2)):
-        term = np.subtract(diag, half, out=t1)
-        term += np.multiply(h, adj, out=t2)
-        k_diag += np.square(term, out=term)
-    # k_off = |u + h * (w.conj() * v - u * z)|^2 + |v + h * (u * w - y * v)|^2
-    #     + |w + h * (u.conj() * v - x * w)|^2
-    k_off = np.zeros(shape)
-    for entry, (a1, b1), (a2, b2) in (
-        (u, (np.conjugate(w), v), (u, z)),
-        (v, (u, w), (y, v)),
-        (w, (np.conjugate(u), v), (x, w)),
-    ):
-        np.multiply(a1, b1, out=c1)
-        c1 -= np.multiply(a2, b2, out=c2)
-        np.multiply(h, c1, out=c1)
-        np.add(entry, c1, out=c1)
-        k_off += _abs2(c1, t1, t2)
-    # gap = sqrt(k_diag / 2 + k_off); mid = (trace - mu) / 2
-    gap = np.divide(k_diag, 2, out=k_diag)
-    gap += k_off
-    np.sqrt(gap, out=gap)
-    mid = np.subtract(trace, mu, out=trace)
-    mid /= 2
-    hi, lo = np.add(mid, gap, out=t1), np.subtract(mid, gap, out=t2)
-    # e = (mu, mid + gap, mid - gap) where top, else (mid + gap, mid - gap, mu)
-    e = np.empty(shape + (3,))
-    for k, (first, second) in enumerate(((mu, hi), (hi, lo), (lo, mu))):
-        np.copyto(e[..., k], second)
-        np.copyto(e[..., k], first, where=top)
-    # s * (q + p * e)
-    e *= p[..., None]
-    e += q[..., None]
-    e *= s[..., None]
-    return e.reshape(a.shape[:-1])
-
-
-def _abs2(c: np.ndarray, out: np.ndarray | None, scratch: np.ndarray) -> np.ndarray:
-    """|c|^2 of a complex array, without the square root of np.abs, into
-    ``out`` (or a new array) with ``scratch`` for the imaginary part."""
-    out = np.multiply(c.real, c.real, out=out)
-    out += np.multiply(c.imag, c.imag, out=scratch)
-    return out
+def _quadratic_roots(total, product, larger, smaller) -> None:
+    """The roots of x^2 - total x + product >= 0 into ``larger`` (the
+    formula) and ``smaller`` (product / larger, which does not cancel), the
+    product clipped to the square of half the total."""
+    half = total / 2.0
+    square = half * half
+    product = np.minimum(product, square)
+    np.sqrt(square - product, out=larger)
+    larger += half
+    np.divide(product, np.maximum(larger, _TINY), out=smaller)
 
 
 def water_fill(gains, budgets, noise: float) -> np.ndarray:

@@ -6,12 +6,12 @@ The UPA channel itself is ``channel.path_responses`` on a UpaConfig pair,
 and no M x Q matrix is formed. The eigenmode capacity takes its singular
 values from the path-space core of ``PathResponses.cores`` (r_R x r_T, the
 numerical ranks of the receive and transmit responses). The OFDM capacity
-takes them per subcarrier as the eigenvalues of the r x r Grams of
-``PathResponses.grams`` (r = min(r_R, r_T)), from
-``numerics.hermitian_eigvals`` over the whole stack: closed forms for
-r <= 3, with no LAPACK call per subcarrier, and ``eigvalsh`` above that. A
-rank-1 link, or a subcarrier whose Gram is too ill-conditioned (GRAM_TOL),
-takes its cores instead. Its subcarrier
+takes them per subcarrier, for at most three paths, as the roots of the
+characteristic polynomial of each core's Gram (``PathResponses.charpoly``,
+``numerics.charpoly_roots``): a few ufunc passes over (trials,
+subcarriers) arrays, no matrix per subcarrier. A subcarrier whose roots
+are ill-separated (GRAM_TOL), or a link of more paths, takes the SVD of its
+cores. Its subcarrier
 phases e^{-j 2 pi k n / N} come from a cached read-only table per
 subcarrier count N, one row per integer delay n up to the longest met so
 far (at most N rows; 51 x 512 at the presets, 418 KB). Both capacities
@@ -33,10 +33,10 @@ import numpy as np
 from .arrays import UpaConfig
 from .channel import PathResponses
 from .errors import InvalidInputError, UnsupportedConfigurationError
-from .numerics import eigen_gains, hermitian_eigvals, waterfill_capacity
+from .numerics import charpoly_roots, eigen_gains, waterfill_capacity
 
-# Smallest eigenvalue of a subcarrier Gram, relative to its largest, that
-# ofdm_capacity takes from the Gram (a core singular-value ratio of 1e-3).
+# Smallest second root, relative to the first, that ofdm_capacity takes from a
+# subcarrier's characteristic polynomial (a core singular-value ratio of 1e-3).
 GRAM_TOL = 1e-6
 
 
@@ -80,16 +80,15 @@ def ofdm_capacity(
     a_R,l a_T,l^H, and the sum rate is discounted by the CP overhead factor
     N/(N+cp). A path delay of N samples or more is refused, and so is a
     negative one. With (T, L) gains and delays the T realizations share the
-    factors of the response rows, and their T * N subcarrier Grams take one
-    ``hermitian_eigvals`` call: closed forms for r <= 3, ``eigvalsh`` for a
-    larger r, and the SVD of the core where a Gram is ill-conditioned
-    (GRAM_TOL).
+    factors of the response rows and the compound Grams of
+    ``PathResponses.charpoly``, and their T * N subcarriers take one
+    ``charpoly_roots`` call (see ``_subcarrier_gains``).
 
     The phases are rows of the table of N, built with the per-entry
-    expression -2j pi (k n), divided by N, exponentiated, so every
-    coefficient is bit for bit the one-exponential-per-entry value. The
-    table grows to the longest delay + 1 rows and never shrinks, whatever
-    the cyclic prefix; a pool worker forked after a call inherits it.
+    expression -2j pi (k d), divided by N, exponentiated, so every phase is
+    bit for bit the one-exponential-per-entry value. The table grows to
+    the longest delay + 1 rows and never shrinks, whatever the cyclic
+    prefix; a pool worker forked after a call inherits it.
     """
     n, delays = ofdm.subcarriers, responses.delays
     if np.any(delays >= n):
@@ -98,18 +97,7 @@ def ofdm_capacity(
         )
     if np.any(delays < 0):
         raise InvalidInputError("path delays must be non-negative")
-    # coeffs[..., k, l] = alpha_l e^{-j 2 pi k n_l / N}, the phases copied
-    # from the table's rows. The stack is C-ordered and alpha is the first
-    # operand, as the rounding depends on both: numpy's contiguous complex
-    # multiply may fuse a multiply-add where its strided loop does not.
-    coeffs = _phase_table(n, int(delays.max()))[delays].swapaxes(-1, -2).copy()
-    np.multiply(responses.gains[..., None, :], coeffs, out=coeffs)
-    if min(responses.ranks) == 1:
-        # One singular value per subcarrier: eigen_gains takes the norm.
-        gains = eigen_gains(responses.cores(coeffs))
-    else:
-        gains = _gram_eigen_gains(responses, coeffs)
-    del coeffs  # released before the water-fill allocates its own arrays
+    gains = _subcarrier_gains(responses, _phase_table(n, int(delays.max())))
     rate = waterfill_capacity(
         gains.reshape(gains.shape[:-2] + (-1,)), n * np.asarray(budgets, dtype=float), noise
     )
@@ -138,24 +126,30 @@ def _phase_table(n: int, longest: int) -> np.ndarray:
     return table
 
 
-def _gram_eigen_gains(responses: PathResponses, coeffs: np.ndarray) -> np.ndarray:
-    """eigen_gains of ``responses.cores(coeffs)``, from the eigenvalues of
-    ``responses.grams(coeffs)``: (..., r) non-increasing, clipped at 0.
-
-    A Gram squares its core's condition number, so a subcarrier whose
-    smallest eigenvalue is below GRAM_TOL times its largest takes the SVD of
-    its core instead, under the RANK_TOL rule of ``eigen_gains``. Above that
-    threshold every singular value is far above RANK_TOL of the largest.
+def _subcarrier_gains(responses: PathResponses, table: np.ndarray) -> np.ndarray:
+    """eigen_gains of the cores of every subcarrier, (..., N, r), for the
+    phase table of N subcarriers. Up to three paths they are the roots of
+    ``responses.charpoly(table)``, each trial's gains scaled exactly, by a
+    power of two, to a largest magnitude in [1/2, 1), so that no product of
+    six gains overflows or underflows. A subcarrier whose second root is
+    below GRAM_TOL times its first takes the SVD of its core instead (the
+    RANK_TOL rule of ``eigen_gains``); above that, every root is accurate
+    relative to itself. More paths take the SVD on every subcarrier.
     """
-    grams = responses.grams(coeffs)
-    if not np.all(np.isfinite(grams)):
-        raise InvalidInputError("eigen_gains input contains non-finite entries")
-    gains = hermitian_eigvals(grams)
-    ill = gains[..., -1] < GRAM_TOL * gains[..., 0]
-    gains = np.maximum(gains, 0.0)
+    if responses.num_paths > 3:
+        # C-ordered with alpha first: numpy's complex multiply rounds by layout.
+        coeffs = table[responses.delays].swapaxes(-1, -2).copy()
+        np.multiply(responses.gains[..., None, :], coeffs, out=coeffs)
+        return eigen_gains(responses.cores(coeffs))
+    _, exponent = np.frexp(np.abs(responses.gains).max(axis=-1, keepdims=True))
+    scaled = responses.with_paths(responses.gains * np.ldexp(1.0, -exponent), responses.delays)
+    gains = np.ldexp(charpoly_roots(scaled.charpoly(table)), 2 * exponent[..., None])
+    ill = (gains[..., 1:2] < GRAM_TOL * gains[..., :1]).any(axis=-1)  # none at rank 1
     if ill.any():
-        part = responses.trials(np.nonzero(ill)[:-1])
-        gains[ill] = eigen_gains(part.cores(coeffs[ill]))
+        *lead, k = np.nonzero(ill)
+        part = responses.trials(tuple(lead))
+        coeffs = np.multiply(part.gains, table[part.delays, k[:, None]])
+        gains[ill] = eigen_gains(part.cores(coeffs))
     return gains
 
 

@@ -8,14 +8,16 @@ measurement of the PDM SINR decomposition. None of them feeds a sweep, so
 they live here and not in the package. Three more keep the per-element,
 per-trial and per-matrix forms of kernels the package batches: the OFDM
 subcarrier coefficients, the antenna ranking of the power-based selection,
-and the subcarrier eigen-gains by one LAPACK eigensolve per Gram. The
-water-filling rate as a per-budget sum of one log1p per channel, the
-random draws of one realization at a time, and the 3 x 3 closed-form
-eigenvalues as whole-array expressions keep the forms the package had
-before it shared or buffered that work.
+and the subcarrier eigen-gains by one LAPACK eigensolve per subcarrier;
+the characteristic polynomials of Hermitian matrices as sums of principal
+minors.
+The water-filling rate as a per-budget sum of one log1p per channel and
+the random draws of one realization at a time keep the forms the package
+had before it shared that work.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,9 +29,8 @@ from lensmimo.channel import (
     SHADOWING_STD_DB,
 )
 from lensmimo.errors import InvalidInputError
-from lensmimo.numerics import eigen_gains, water_fill
+from lensmimo.numerics import RANK_TOL, water_fill
 from lensmimo.pdm import SinrReport, mrt_precoders
-from lensmimo.upa import GRAM_TOL
 
 
 class StatisticalValidityError(InvalidInputError):
@@ -79,18 +80,37 @@ def ofdm_coefficients(gains, delays, subcarriers):
     return coeffs
 
 
-def eigvalsh_gram_gains(responses, coeffs):
-    """The (..., N, r) subcarrier eigen-gains of ``upa._gram_eigen_gains``
-    with LAPACK's eigvalsh, one call per Gram, in place of the closed forms:
-    the same GRAM_TOL guard sends an ill-conditioned subcarrier to the SVD
-    of its core."""
-    gains = np.linalg.eigvalsh(responses.grams(coeffs))[..., ::-1]
-    ill = gains[..., -1] < GRAM_TOL * gains[..., 0]
-    gains = np.maximum(gains, 0.0)
-    if ill.any():
-        part = responses.trials(np.nonzero(ill)[:-1])
-        gains[ill] = eigen_gains(part.cores(coeffs[ill]))
-    return gains
+def eigvalsh_subcarrier_gains(responses, coeffs):
+    """The (..., N, r) subcarrier eigen-gains of the cores of ``coeffs`` by
+    one LAPACK eigensolve per subcarrier: eigvalsh of the Gram of each core
+    on its smaller side, r = min(r_R, r_T), descending, clipped at 0, and
+    under the RANK_TOL rule of ``eigen_gains`` on the singular values."""
+    cores = responses.cores(coeffs)
+    if cores.shape[-2] > cores.shape[-1]:
+        cores = cores.conj().swapaxes(-1, -2)
+    gains = np.maximum(np.linalg.eigvalsh(cores @ cores.conj().swapaxes(-1, -2))[..., ::-1], 0.0)
+    return np.where(gains < RANK_TOL**2 * gains[..., :1], 0.0, gains)
+
+
+def principal_minor_sums(mats):
+    """(..., r) coefficients e_1 ... e_r of the characteristic polynomials
+    of (..., r, r) Hermitian matrices: the sums of their principal j x j
+    minors, each a Leibniz sum (np.linalg.det goes through a logarithm,
+    which loses digits at extreme scales)."""
+    def det(a):
+        j = a.shape[-1]
+        return sum(
+            (-1) ** sum(x > y for x, y in itertools.combinations(perm, 2))
+            * np.prod([a[..., i, k] for i, k in enumerate(perm)], axis=0)
+            for perm in itertools.permutations(range(j))
+        ).real
+
+    r = mats.shape[-1]
+    e = [
+        sum(det(mats[..., s, :][..., s]) for s in itertools.combinations(range(r), j))
+        for j in range(1, r + 1)
+    ]
+    return np.stack(e, axis=-1)
 
 
 def rank_per_trial(energy, z_rx, z_tx, n_rx_rf, n_tx_rf):
@@ -221,51 +241,3 @@ def draw_one(stats, rng):
     eta = rng.uniform(0.0, 2.0 * np.pi, num_paths)
     delays = np.sort(rng.uniform(0.0, stats.max_excess_delay_s, num_paths))
     return np.sqrt(beta * kappa) * np.exp(1j * eta), delays
-
-
-def eigvals3_expressions(a):
-    """``numerics._eigvals3`` of a (..., 3, 3) stack written as whole-array
-    expressions, each step a new array: the reference for its buffered form,
-    which must give the same bits on a stack."""
-    def abs2(c):
-        return c.real * c.real + c.imag * c.imag
-
-    x, y, z = a[..., 0, 0].real, a[..., 1, 1].real, a[..., 2, 2].real
-    u, v, w = a[..., 1, 0], a[..., 2, 0], a[..., 2, 1]
-    s = np.abs(x)
-    for entry in (y, z, u, v, w):
-        s = np.maximum(s, np.abs(entry))
-    s = np.where(s > 0, s, 1.0)
-    q = (x / s + y / s + z / s) / 3
-    x, y, z, u, v, w = x / s - q, y / s - q, z / s - q, u / s, v / s, w / s
-    rest = (x + y + z) / 3
-    x, y, z, q = x - rest, y - rest, z - rest, q + rest
-    p = np.sqrt((x * x + y * y + z * z + 2 * (abs2(u) + abs2(v) + abs2(w))) / 6)
-    unit = np.where(p > 0, p, 1.0)
-    x, y, z, u, v, w = x / unit, y / unit, z / unit, u / unit, v / unit, w / unit
-    uu, vv, ww = abs2(u), abs2(v), abs2(w)
-    rho = (x * (y * z - ww) - y * vv - z * uu) / 2 + (u * w * v.conj()).real
-    top = rho >= 0
-    mu = np.where(top, 2.0, -2.0) * np.cos(np.arccos(np.minimum(np.abs(rho), 1.0)) / 3)
-    trace = x + y + z
-    x, y, z = x - mu, y - mu, z - mu
-    adj0, adj1, adj2 = y * z - ww, x * z - vv, x * y - uu
-    half = (trace - 3 * mu) / 2
-    h = half / (adj0 + adj1 + adj2)
-    k_diag = (x - half + h * adj0) ** 2 + (y - half + h * adj1) ** 2 + (z - half + h * adj2) ** 2
-    k_off = (
-        abs2(u + h * (w.conj() * v - u * z))
-        + abs2(v + h * (u * w - y * v))
-        + abs2(w + h * (u.conj() * v - x * w))
-    )
-    gap = np.sqrt(k_diag / 2 + k_off)
-    mid = (trace - mu) / 2
-    e = np.stack(
-        (
-            np.where(top, mu, mid + gap),
-            np.where(top, mid + gap, mid - gap),
-            np.where(top, mid - gap, mu),
-        ),
-        axis=-1,
-    )
-    return s[..., None] * (q[..., None] + p[..., None] * e)

@@ -1,5 +1,6 @@
 import concurrent.futures
 import itertools
+import math
 import os
 import re
 import subprocess
@@ -75,6 +76,28 @@ class TestPresets:
             preset("fig5", schemes=("OPDM", "magic"))
         with pytest.raises(InvalidInputError):
             preset("fig5", schemes=("UPA-OFDM-selection",))  # no RF budgets
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("trials", math.nan),
+            ("trials", 2.5),
+            ("trials", 2.0),
+            ("trials", 0),
+            ("delta", math.nan),
+            ("delta", 1.5),
+            ("seed", math.nan),
+            ("seed", 3.0),
+            ("seed", -1),
+        ],
+    )
+    def test_integer_fields_must_be_integers(self, field, value):
+        # NaN passes every comparison with a bound, and a float, integral or
+        # not, is no trial count, seed or support width: all are refused
+        # before a sweep starts. numpy integers are integers.
+        with pytest.raises(InvalidInputError, match=f"^{field} must be an integer >= "):
+            preset("fig9", **{field: value})
+        assert preset("fig9", **{field: np.int64(3)}).__dict__[field] == 3
 
     @pytest.mark.parametrize(
         "field, value, count, side",
@@ -333,8 +356,8 @@ class TestBlocks:
         ],
     )
     def test_csv_independent_of_block_size(self, monkeypatch, name, overrides):
-        # At 15 RF chains (> n_z = 10) the selected links have rank 2 and take
-        # the Gram route; at 1 they have rank 1. At 12 chains with
+        # At 15 RF chains (> n_z = 10) the selected links have rank 2, whose
+        # subcarriers take a quadratic; at 1 they have rank 1. At 12 chains with
         # _COMMENSURATE angles the 16 selected links have side ranks (1, 2),
         # (2, 1) and (2, 2), one capacity call each.
         cfg = preset(name, trials=16, seed=3, **overrides)
@@ -345,6 +368,24 @@ class TestBlocks:
         assert texts[0] == texts[1] == texts[2]
         if "delta" in overrides:  # no side separated at delta 5: every trial falls back
             assert "grouping-fallback:16" in texts[0]
+
+    @pytest.mark.parametrize(
+        "name, overrides",
+        [("fig6", {}), ("fig9", {"rx_rf": 15, "tx_rf": 15})],
+        ids=["fig6", "fig9-rf15"],
+    )
+    def test_full_precision_rates_independent_of_block_size(self, name, overrides):
+        # The CSV keeps 12 digits; the rates of every scheme must keep all
+        # of theirs in blocks of 1, 7 and 32 trials: fig6's UPA-OFDM from
+        # the characteristic polynomials on shared rows, and the rank-2
+        # selected links of fig9 at 15 RF chains on rows per trial.
+        cfg = preset(name, trials=32, seed=3, **overrides)
+        rates = []
+        for size in (1, 7, 32):
+            blocks = [experiments._run_block(cfg, b) for b in experiments._blocks(0, 32, size)]
+            rates.append([np.vstack([b[s][0] for b in blocks]) for s in cfg.schemes])
+        for scheme, one, seven, whole in zip(cfg.schemes, *rates):
+            assert np.array_equal(one, seven) and np.array_equal(one, whole), scheme
 
     def test_geometry_built_once_per_config(self, monkeypatch):
         # A config builds its geometry at its first block: the support sets
@@ -466,7 +507,7 @@ class TestGeometry:
             geo.groups[0][1]._rows.svds[0][0],
             geo.upa.tx,
             geo.upa._rows.svds[1][1],
-            geo.upa._rows.kernel,
+            geo.upa._rows.compounds,
         ]
         for array in kept:
             with pytest.raises(ValueError, match="read-only"):

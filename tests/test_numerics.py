@@ -9,15 +9,14 @@ from lensmimo.errors import DegenerateInputError, InvalidInputError, NumericalEr
 from lensmimo.experiments import preset, run_experiment
 from lensmimo.numerics import (
     RANK_TOL,
+    charpoly_roots,
     eigen_gains,
-    hermitian_eigvals,
     hermitian_solve,
     water_fill,
     waterfill_capacity,
 )
-from lensmimo.numerics import _eigvals3
 from lensmimo.upa import OfdmConfig, ofdm_capacity
-from oracles import eigvals3_expressions, waterfill_rates
+from oracles import principal_minor_sums, waterfill_rates
 
 
 def record_linalg(monkeypatch):
@@ -243,9 +242,10 @@ class TestEigenGains:
         assert all(min(shape[-2:]) > 1 for shape in shapes), shapes
 
     def test_ofdm_sweep_calls_no_svd_on_a_subcarrier_stack(self, monkeypatch):
-        # fig6's UPA-OFDM link has side ranks 3 and 3, so its subcarrier
-        # eigen-gains are the closed-form eigenvalues of the block's
-        # (trials, 512, 3, 3) Gram stack. No np.linalg function (eigvalsh,
+        # fig6's UPA-OFDM link has three paths and side ranks 3 and 3, so its
+        # subcarrier eigen-gains are the roots of the characteristic
+        # polynomials of the block's (trials, 512) subcarrier cores, formed
+        # with no matrix per subcarrier. No np.linalg function (eigvalsh,
         # eigh, svd or any other) sees a subcarrier stack: the only calls
         # left are the SVDs of the two per-side factors.
         calls = record_linalg(monkeypatch)
@@ -253,10 +253,10 @@ class TestEigenGains:
         assert [name for name, _ in calls] == ["svd", "svd"], calls
         assert all(len(shape) == 2 for _, shape in calls), calls
 
-    def test_ofdm_grams_above_three_take_one_eigvalsh(self, monkeypatch):
+    def test_ofdm_above_three_paths_take_the_core_svds(self, monkeypatch):
         # Four paths and more antennas than that on both sides give 4 x 4
-        # Grams, which have no closed form here: the (T, N, 4, 4) stack takes
-        # one eigvalsh call, besides the two factor SVDs.
+        # cores, which take no characteristic polynomial here: the (T, N, 4,
+        # 4) stack takes one SVD call, besides the two factor SVDs.
         rng = np.random.default_rng(13)
 
         def cn(*shape):
@@ -267,7 +267,7 @@ class TestEigenGains:
         )
         calls = record_linalg(monkeypatch)
         ofdm_capacity(responses, 1.0, 1.0, OfdmConfig(subcarriers=8, cp_samples=0))
-        assert calls == [("svd", (5, 4)), ("svd", (6, 4)), ("eigvalsh", (2, 8, 4, 4))], calls
+        assert calls == [("svd", (5, 4)), ("svd", (6, 4)), ("svd", (2, 8, 4, 4))], calls
 
     def test_zero_matrix(self):
         assert np.array_equal(eigen_gains(np.zeros((3, 2))), [0.0, 0.0])
@@ -279,85 +279,52 @@ class TestEigenGains:
             eigen_gains(np.array([[np.inf, 0.0]]))
 
 
+def random_grams(rng, shape, r):
+    g = rng.standard_normal(shape + (r, r)) + 1j * rng.standard_normal(shape + (r, r))
+    return g @ g.conj().swapaxes(-1, -2)
+
+
 class TestHermitianEigvals:
+    """Eigenvalues of Hermitian positive semidefinite matrices from the
+    coefficients of their characteristic polynomials (``charpoly_roots``)."""
+
     def test_diagonal_matrices_sorted(self):
-        got = hermitian_eigvals(np.diag([2.0, -1.0, 5.0]))
-        assert np.allclose(got, [5.0, 2.0, -1.0], rtol=0, atol=4 * np.finfo(float).eps * 5.0)
-        assert np.array_equal(hermitian_eigvals(np.diag([1.0, 3.0])), [3.0, 1.0])
-        assert np.array_equal(hermitian_eigvals([[[4.0 + 0j]]]), [[4.0]])
-        assert np.array_equal(hermitian_eigvals(np.zeros((2, 3, 3))), np.zeros((2, 3)))
+        got = charpoly_roots(principal_minor_sums(np.diag([2.0, 0.5, 5.0])))
+        assert np.allclose(got, [5.0, 2.0, 0.5], rtol=0, atol=4 * np.finfo(float).eps * 5.0)
+        assert np.array_equal(charpoly_roots([4.0, 3.0]), [3.0, 1.0])
+        assert np.array_equal(charpoly_roots([[4.0]]), [[4.0]])
+        assert np.array_equal(charpoly_roots(np.zeros((2, 3))), np.zeros((2, 3)))
 
     @pytest.mark.parametrize("r", [2, 3])
     def test_small_matrices_make_no_linalg_call(self, monkeypatch, r):
-        rng = np.random.default_rng(r)
-        g = rng.standard_normal((4, 7, r, r)) + 1j * rng.standard_normal((4, 7, r, r))
-        grams = g @ g.conj().swapaxes(-1, -2)
+        grams = random_grams(np.random.default_rng(r), (4, 7), r)
         want = np.linalg.eigvalsh(grams)[..., ::-1]
+        e = principal_minor_sums(grams)
         calls = record_linalg(monkeypatch)
-        got = hermitian_eigvals(grams)
+        got = charpoly_roots(e)
         assert calls == []
         assert got.shape == (4, 7, r)
         assert np.all(np.abs(got - want) <= 32 * np.finfo(float).eps * want[..., :1])
 
-    @pytest.mark.parametrize("r", [1, 4])
-    def test_other_sizes_take_eigvalsh(self, monkeypatch, r):
-        rng = np.random.default_rng(4)
-        g = rng.standard_normal((3, r, r)) + 1j * rng.standard_normal((3, r, r))
-        grams = g @ g.conj().swapaxes(-1, -2)
-        want = np.linalg.eigvalsh(grams)[..., ::-1]
-        calls = record_linalg(monkeypatch)
-        assert np.array_equal(hermitian_eigvals(grams), want)
-        assert calls == [("eigvalsh", (3, r, r))]
-
     @pytest.mark.parametrize("scale", [1e-150, 1e150])
     def test_extreme_scales_without_overflow(self, scale):
-        # Squares of 1e150 and cubes of 1e-150 leave double precision; each
-        # matrix is scaled by its largest entry first.
+        # Matrices scaled by s^(2 / r) have an e_r of about s^2 = 1e+-300,
+        # near either end of double range: no step may overflow or
+        # underflow on the way to the roots.
         rng = np.random.default_rng(6)
         for r in (2, 3):
-            g = rng.standard_normal((5, r, r)) + 1j * rng.standard_normal((5, r, r))
-            grams = scale * (g @ g.conj().swapaxes(-1, -2))
+            grams = scale ** (2 / r) * random_grams(rng, (5,), r)
+            want = np.linalg.eigvalsh(grams)[..., ::-1]
+            e = principal_minor_sums(grams)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                got = hermitian_eigvals(grams)
-            want = np.linalg.eigvalsh(grams)[..., ::-1]
+                got = charpoly_roots(e)
             assert np.all(np.abs(got - want) <= 32 * np.finfo(float).eps * want[..., :1])
 
-    def test_reads_the_lower_triangle(self):
-        # As eigvalsh does: the upper triangle and the imaginary part of the
-        # diagonal are never read.
-        lower = np.array([[2.0, 0, 0], [1 - 1j, 3.0, 0], [0.5j, 2.0, 1.0]])
-        hermitian = np.tril(lower) + np.tril(lower, -1).conj().T
-        junk = lower + np.triu(np.full((3, 3), 7.0 + 9j), 1) + 9j * np.eye(3)
-        got = hermitian_eigvals(junk)
-        assert np.allclose(got, np.linalg.eigvalsh(hermitian)[::-1], rtol=0, atol=1e-14)
-        assert np.array_equal(got, hermitian_eigvals(hermitian))
-
-    def test_closed_form_3x3_bits_unchanged_by_its_buffers(self):
-        # The buffered steps give the bits of the whole-array expressions on
-        # near-repeated, rank-1, diagonal, zero and extreme-scale stacks.
-        rng = np.random.default_rng(9)
-        for kind in range(6):
-            for shape in ((1,), (7,), (2, 512), (3, 5)):
-                r = rng.standard_normal(shape + (3, 4)) + 1j * rng.standard_normal(shape + (3, 4))
-                if kind == 1:
-                    r[..., 2, :] = r[..., 1, :] * (1 + 1e-9)
-                if kind == 2:
-                    r[..., 1:, :] = r[..., :1, :] * rng.standard_normal((2, 1))
-                a = r @ r.conj().swapaxes(-1, -2)
-                if kind == 3:
-                    a = np.diag(rng.standard_normal(3)) + np.zeros(shape + (3, 3), complex)
-                if kind == 4:
-                    a *= 10.0 ** rng.uniform(-150, 150, shape + (1, 1))
-                if kind == 5:
-                    a[..., 0, :] = a[..., :, 0] = 0
-                assert np.array_equal(_eigvals3(a), eigvals3_expressions(a))
-
     def test_invalid(self):
-        with pytest.raises(InvalidInputError):
-            hermitian_eigvals(np.zeros((2, 3)))
-        with pytest.raises(InvalidInputError):
-            hermitian_eigvals(np.zeros(3))
+        for e in (np.zeros((2, 4)), np.zeros(()), np.zeros((2, 0)), [1.0, np.nan], [np.inf]):
+            with pytest.raises(InvalidInputError):
+                charpoly_roots(e)
 
 
 class TestHermitianSolve:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from lensmimo import experiments
 from lensmimo import upa as upa_module
 from lensmimo.arrays import UpaConfig
 from lensmimo.channel import (
@@ -25,7 +26,7 @@ from lensmimo.upa import OfdmConfig, eigenmode_capacity, ofdm_capacity, power_se
 from oracles import (
     dense_channel,
     dense_taps,
-    eigvalsh_gram_gains,
+    eigvalsh_subcarrier_gains,
     ofdm_coefficients,
     rank_per_trial,
 )
@@ -64,20 +65,28 @@ def oracle_ofdm_capacity(responses, budget, noise, cfg):
     return (n / (n + cfg.cp_samples)) * rate / n
 
 
-def per_element_ofdm_capacity(responses, budgets, noise, cfg, gram_gains=None):
-    """ofdm_capacity with one complex exponential per (trial, subcarrier,
-    path) coefficient, from ``ofdm_coefficients``; ``gram_gains`` replaces
-    ``upa._gram_eigen_gains`` if given."""
+def per_element_ofdm_capacity(responses, budgets, noise, cfg):
+    """ofdm_capacity on a phase table built in one piece for the longest
+    delay, one complex exponential per entry (``ofdm_coefficients`` of unit
+    gains), in place of the cached table that grows by rows."""
     n = cfg.subcarriers
-    coeffs = ofdm_coefficients(responses.gains, responses.delays, n)
-    if min(responses.ranks) == 1:
-        gains = eigen_gains(responses.cores(coeffs))
-    else:
-        gains = (gram_gains or upa_module._gram_eigen_gains)(responses, coeffs)
+    rows = int(responses.delays.max()) + 1
+    table = ofdm_coefficients(np.ones(rows), np.arange(rows), n).T
+    gains = upa_module._subcarrier_gains(responses, table)
     rate = waterfill_capacity(
         gains.reshape(gains.shape[:-2] + (-1,)), n * np.asarray(budgets, dtype=float), noise
     )
     return (n / (n + cfg.cp_samples)) * rate / n
+
+
+def repeat_path_half_a_symbol_later(responses, n):
+    """Path 1 made a copy of path 0, N/2 samples later: the two cancel on
+    every odd subcarrier, whose core keeps the other paths alone, so those
+    subcarriers lose a rank and fall back to the SVD of their cores."""
+    responses.rx[..., 1, :] = responses.rx[..., 0, :]
+    responses.tx[..., 1, :] = responses.tx[..., 0, :]
+    responses.gains[..., 1] = responses.gains[..., 0]
+    responses.delays[..., 1] = (responses.delays[..., 0] + n // 2) % n
 
 
 def block_responses(rng, lead, num_paths, n_rx, n_tx, subcarriers, longest=None):
@@ -242,12 +251,12 @@ class TestOfdmCapacity:
         assert all(count > 0 for count in seen.values()), seen
 
     def test_singular_subcarriers_take_the_svd(self, monkeypatch):
-        # A subcarrier Gram squares its core's condition number. Path 1
-        # duplicates path 0 (directions and gain) with a delay of N/2, so the
-        # two cancel on every odd subcarrier and leave a rank-1 core, whose
-        # second singular value is rounding noise. Those 8 subcarriers must
-        # take the SVD of their cores under the RANK_TOL rule: from the Gram,
-        # the noise would count as a mode at budgets 200 dB above the noise.
+        # Path 1 duplicates path 0 (directions and gain) with a delay of N/2,
+        # so the two cancel on every odd subcarrier and leave a rank-1 core,
+        # whose second singular value is rounding noise. Those 8 subcarriers
+        # must take the SVD of their cores under the RANK_TOL rule: from the
+        # characteristic polynomial, the noise would count as a mode at
+        # budgets 200 dB above the noise.
         rng = np.random.default_rng(10)
         cfg = OfdmConfig(subcarriers=16, cp_samples=4)
         responses = random_responses(rng, 3, 4, 5, delays=(0, 8, 3))
@@ -266,6 +275,25 @@ class TestOfdmCapacity:
         oracle = [oracle_ofdm_capacity(responses, b, 1.0, cfg) for b in budgets]
         assert np.allclose(got, oracle, rtol=1e-9, atol=0.0)
         assert responses.ranks == (2, 2) and svd_stacks == [8]
+
+    def test_weak_path_takes_no_fallback(self, monkeypatch):
+        # fig6 seed 103, trial 1 has path powers 1 : 0.075 : 7.8e-8, so its
+        # third squared singular values are about 7.8e-8 of the first, far
+        # below GRAM_TOL. They are quotients accurate relative to
+        # themselves, so no subcarrier falls back to the SVD of its core,
+        # and each is within 1e-11 of itself of the SVD's, on phases reduced
+        # modulo N.
+        responses = experiments._Block(preset("fig6", trials=2, seed=103), range(1, 2)).upa
+        n = 512
+        table = upa_module._phase_table(n, int(responses.delays.max()))
+        monkeypatch.setattr(PathResponses, "cores", None)  # any fallback fails
+        got = upa_module._subcarrier_gains(responses, table)
+        monkeypatch.undo()
+        k = np.arange(n)[:, None]
+        phases = np.exp(-2j * np.pi * ((k * responses.delays[..., None, :]) % n) / n)
+        want = eigen_gains(responses.cores(responses.gains[..., None, :] * phases))
+        assert np.max(want[..., 2] / want[..., 0]) < 1e-7
+        assert np.all(np.abs(got - want) <= 1e-11 * want)
 
     def test_non_finite_gains_refused(self):
         responses = random_responses(np.random.default_rng(11), 3, 4, 4)
@@ -287,50 +315,51 @@ class TestOfdmCapacity:
     def test_equals_the_per_element_coefficients(
         self, n, lead, num_paths, n_rx, n_tx, duplicate, seed
     ):
-        # The phase table against one exponential per coefficient, bit for
-        # bit: both routes (rank 1 and Grams), and with a duplicated path
-        # half a symbol later the Gram-guard subcarriers too. The examples
-        # share the tables of one process, so their largest delays rise and
-        # fall and the subcarrier counts alternate.
+        # The cached phase table against one built in one piece, one
+        # exponential per entry, bit for bit: one to four paths (the
+        # characteristic polynomial up to three, the SVD of the cores at
+        # four), and with a duplicated path half a symbol later the
+        # GRAM_TOL fallback subcarriers too. The examples share the tables of
+        # one process, so their largest delays rise and fall and the
+        # subcarrier counts alternate.
         rng = np.random.default_rng(seed)
         responses = block_responses(rng, lead, num_paths, n_rx, n_tx, n)
         if duplicate and num_paths > 1:
-            responses.rx[1], responses.tx[1] = responses.rx[0], responses.tx[0]
-            responses.gains[..., 1] = responses.gains[..., 0]
-            responses.delays[..., 1] = (responses.delays[..., 0] + n // 2) % n
+            repeat_path_half_a_symbol_later(responses, n)
         cfg = OfdmConfig(subcarriers=n, cp_samples=4)
         budgets = np.array([1e-3, 1.0, 1e3, 1e12])
         got = ofdm_capacity(responses, budgets, 0.5, cfg)
         assert np.array_equal(got, per_element_ofdm_capacity(responses, budgets, 0.5, cfg))
 
-    @pytest.mark.parametrize("route", ["rank-2", "rank-3", "gram-guard"])
+    @pytest.mark.parametrize("route", ["rank-2", "rank-3", "gram-guard", "four-paths"])
     @settings(max_examples=30, deadline=None)
     @given(st.data())
     def test_rates_match_the_eigvalsh_oracle(self, route, data):
-        # The closed-form Gram eigenvalues against one LAPACK eigensolve per
-        # Gram, through the water-fill: 2 x 2 and 3 x 3 Grams, and 3 x 3 from
-        # four paths, path 1 repeating path 0 half a symbol later, which
-        # sends the odd subcarriers to the SVD of their cores.
+        # The roots of the characteristic polynomials against one LAPACK
+        # eigensolve per subcarrier, through the water-fill: ranks 2 and 3,
+        # and path 1 repeating path 0 half a symbol later, which leaves
+        # ranks 2 of three paths, and sends the odd subcarriers to the SVD
+        # of their cores, or 3 of four paths, which take the SVD on every
+        # subcarrier.
         n = data.draw(st.sampled_from([8, 64, 512]))
         lead = data.draw(st.sampled_from([(), (3,)]))
-        rank = 2 if route == "rank-2" else 3
+        rank = 2 if route in ("rank-2", "gram-guard") else 3
         n_rx, n_tx = (data.draw(st.integers(rank, 5)) for _ in range(2))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        num_paths = rank + (route == "gram-guard")
+        num_paths = {"gram-guard": 3, "four-paths": 4}.get(route, rank)
         responses = block_responses(rng, lead, num_paths, n_rx, n_tx, n)
-        if route == "gram-guard":
-            responses.rx[1], responses.tx[1] = responses.rx[0], responses.tx[0]
-            responses.gains[..., 1] = responses.gains[..., 0]
-            responses.delays[..., 1] = (responses.delays[..., 0] + n // 2) % n
-            coeffs = ofdm_coefficients(responses.gains, responses.delays, n)
-            ev = np.linalg.eigvalsh(responses.grams(coeffs))
-            assert np.any(ev[..., 0] < upa_module.GRAM_TOL * ev[..., -1])
+        if num_paths > rank:
+            repeat_path_half_a_symbol_later(responses, n)
         assert responses.ranks == (rank, rank)
+        coeffs = ofdm_coefficients(responses.gains, responses.delays, n)
+        oracle = eigvalsh_subcarrier_gains(responses, coeffs)
+        if route == "gram-guard":
+            assert np.any(oracle[..., 1] < upa_module.GRAM_TOL * oracle[..., 0])
         cfg = OfdmConfig(subcarriers=n, cp_samples=4)
         budgets = np.array([1e-3, 1.0, 1e3, 1e12])
         got = ofdm_capacity(responses, budgets, 0.5, cfg)
-        want = per_element_ofdm_capacity(responses, budgets, 0.5, cfg, eigvalsh_gram_gains)
-        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+        want = waterfill_capacity(oracle.reshape(oracle.shape[:-2] + (-1,)), n * budgets, 0.5)
+        assert np.allclose(got, n / (n + cfg.cp_samples) * want / n, rtol=1e-12, atol=0.0)
 
     def test_successive_calls_equal_the_per_element_coefficients(self, monkeypatch):
         # From empty tables: rising and falling largest delays, alternating
@@ -474,21 +503,19 @@ class TestRowForms:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         shared = block_responses(rng, (t,), *dims, n)
         if route == "gram-guard":
-            # Path 1 repeats path 0 half a symbol later, as in the by_rank
-            # test: the two cancel on every odd subcarrier, whose core keeps
-            # path 2 alone.
-            shared.rx[1], shared.tx[1] = shared.rx[0], shared.tx[0]
-            shared.gains[:, 1] = shared.gains[:, 0]
-            shared.delays[:, 1] = (shared.delays[:, 0] + n // 2) % n
+            # Path 2 alone on every odd subcarrier, as in the by_rank test.
+            repeat_path_half_a_symbol_later(shared, n)
         stacked = replace(shared, rx=np.stack([shared.rx] * t), tx=np.stack([shared.tx] * t))
         coeffs = ofdm_coefficients(shared.gains, shared.delays, n)
         assert (min(shared.ranks) == 1) == (route == "rank-1")
         if route == "gram-guard":
-            ev = np.linalg.eigvalsh(shared.grams(coeffs))
-            assert np.any(ev[..., 0] < upa_module.GRAM_TOL * ev[..., -1])
+            oracle = eigvalsh_subcarrier_gains(shared, coeffs)
+            assert np.any(oracle[..., 1] < upa_module.GRAM_TOL * oracle[..., 0])
         assert np.array_equal(stacked.cores(), shared.cores())
         assert np.array_equal(stacked.cores(coeffs), shared.cores(coeffs))
-        assert np.array_equal(stacked.grams(coeffs), shared.grams(coeffs))
+        if dims[0] <= 3:
+            table = upa_module._phase_table(n, int(shared.delays.max()))
+            assert np.array_equal(stacked.charpoly(table), shared.charpoly(table))
         budgets = np.array([1e-3, 1.0, 1e3, 1e12])
         assert np.array_equal(
             eigenmode_capacity(stacked, budgets, 0.5), eigenmode_capacity(shared, budgets, 0.5)
