@@ -17,7 +17,6 @@ from .errors import (
     InvalidInputError,
     LensMimoError,
     NumericalError,
-    UnsupportedConfigurationError,
 )
 from .experiments import (
     ExperimentConfig,

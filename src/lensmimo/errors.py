@@ -17,10 +17,5 @@ class NumericalError(LensMimoError):
     """A numerical routine failed (singular/indefinite matrix, ...)."""
 
 
-class UnsupportedConfigurationError(LensMimoError):
-    """``upa.ofdm_capacity`` met a channel tap that reaches or exceeds the
-    OFDM symbol length, which its subcarrier model cannot represent."""
-
-
 class ConfigError(LensMimoError):
     """Bad experiment configuration (unknown key, missing value, ...)."""

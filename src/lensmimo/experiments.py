@@ -24,23 +24,22 @@ regardless of the block size and the worker count.
 Parallelism: a sweep runs in-process unless the pool pays for itself. The
 first block runs in-process and is timed; the other trials go to a pool of
 forked worker processes only if the time that block predicts they save
-exceeds the pool's cost. Each worker runs one thread of numpy's bundled
-OpenBLAS, so the workers do not compete with BLAS threads for the cores.
+exceeds the pool's cost. The workers inherit the caller's BLAS thread
+count. A block's BLAS products are too small for a threaded BLAS to split
+(an in-process sweep of any preset keeps to one core at the default
+count), so the workers do not compete with BLAS threads for the cores.
 The config is pickled with each chunk of blocks sent to a worker, and its
 geometry, built by the first block, with it: a worker builds none.
 """
 from __future__ import annotations
 
-import ctypes
 import itertools
 import math
 import numbers
 import os
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
-from pathlib import Path
 
 import numpy as np
 from numpy.random import default_rng  # numpy 2 imports its random module on first use
@@ -134,10 +133,10 @@ class ExperimentConfig:
                 ("rx_rf", self.rx_rf, upa_rx, "receive"),
                 ("tx_rf", self.tx_rf, upa_tx, "transmit"),
             ):
-                if not 1 <= rf <= upa.element_count:
+                if not (isinstance(rf, numbers.Integral) and 1 <= rf <= upa.element_count):
                     raise InvalidInputError(
-                        f"{field} must be between 1 and {upa.element_count}, the {side} UPA "
-                        f"element count; got {rf}"
+                        f"{field} must be an integer between 1 and {upa.element_count}, the "
+                        f"{side} UPA element count; got {rf}"
                     )
         longest_tap = round(self.stats.max_excess_delay_s * BANDWIDTH_HZ)
         if {"UPA-OFDM", "UPA-OFDM-selection"} & set(self.schemes):
@@ -460,49 +459,6 @@ def _blocks(start: int, stop: int, size: int) -> list[range]:
     return [range(t, min(t + size, stop)) for t in range(start, stop, size)]
 
 
-@cache
-def _openblas_threads():
-    """(get, set) for the thread count of the OpenBLAS bundled in numpy's
-    wheel, or None where numpy links another BLAS."""
-    # numpy's Linux wheels bundle their OpenBLAS in numpy.libs.
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("lib*openblas*.so*")):
-        try:
-            lib = ctypes.CDLL(str(path))
-        except OSError:
-            continue
-        for prefix, suffix in itertools.product(("scipy_", ""), ("64_", "")):
-            try:
-                get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}")
-                put = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}")
-            except AttributeError:
-                continue
-            get.argtypes, get.restype = [], ctypes.c_int
-            put.argtypes, put.restype = [ctypes.c_int], None
-            return get, put
-    return None
-
-
-@contextmanager
-def _one_blas_thread():
-    """numpy's OpenBLAS held at one thread, the caller's count restored on
-    exit, so that each worker of a pool forked inside runs one BLAS thread.
-
-    The count is set before the fork and inherited: set in a worker
-    instead, it would start a BLAS thread there (the fork stops the
-    parent's), and that thread spins for about 0.1 s.
-    """
-    get, put = _openblas_threads() or (lambda: 1, None)
-    before = get()
-    if before != 1:
-        put(1)
-    try:
-        yield
-    finally:
-        if before != 1:
-            put(before)
-
-
 def resolve_workers(workers: int | None = None) -> int:
     """Worker count: explicit argument, else SIM_THREADS, else CPU count."""
     if workers is None:
@@ -511,8 +467,8 @@ def resolve_workers(workers: int | None = None) -> int:
             workers = int(env) if env else (os.cpu_count() or 1)
         except ValueError:
             raise ConfigError(f"SIM_THREADS must be an integer, got {env!r}") from None
-    if workers < 1:
-        raise InvalidInputError("worker count must be at least 1")
+    if not (isinstance(workers, numbers.Integral) and workers >= 1):  # NaN fails
+        raise InvalidInputError(f"worker count must be an integer >= 1, got {workers!r}")
     return workers
 
 
@@ -544,7 +500,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> list[Re
         chunk = math.ceil((len(blocks) - 1) / (2 * workers))
         # Imported here: it loads multiprocessing, which no in-process sweep needs.
         from concurrent.futures import ProcessPoolExecutor
-        with _one_blas_thread(), ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results += pool.map(_run_block, itertools.repeat(cfg), blocks[1:], chunksize=chunk)
     else:
         results += [_run_block(cfg, b) for b in blocks[1:]]

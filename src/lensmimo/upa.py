@@ -32,7 +32,7 @@ import numpy as np
 
 from .arrays import UpaConfig
 from .channel import PathResponses
-from .errors import InvalidInputError, UnsupportedConfigurationError
+from .errors import InvalidInputError
 from .numerics import charpoly_roots, eigen_gains, waterfill_capacity
 
 # Smallest second root, relative to the first, that ofdm_capacity takes from a
@@ -92,9 +92,7 @@ def ofdm_capacity(
     """
     n, delays = ofdm.subcarriers, responses.delays
     if np.any(delays >= n):
-        raise UnsupportedConfigurationError(
-            "channel tap delay reaches or exceeds the OFDM symbol length"
-        )
+        raise InvalidInputError("channel tap delay reaches or exceeds the OFDM symbol length")
     if np.any(delays < 0):
         raise InvalidInputError("path delays must be non-negative")
     gains = _subcarrier_gains(responses, _phase_table(n, int(delays.max())))

@@ -135,9 +135,9 @@ class TestMain:
     @pytest.mark.parametrize(
         "flag, value, message",
         [
-            ("--rx-rf", "500", "rx_rf must be between 1 and 200, the receive UPA element count"),
-            ("--rx-rf", "0", "rx_rf must be between 1 and 200, the receive UPA element count"),
-            ("--tx-rf", "-3", "tx_rf must be between 1 and 400, the transmit UPA element count"),
+            ("--rx-rf", "500", "rx_rf must be an integer between 1 and 200, the receive UPA"),
+            ("--rx-rf", "0", "rx_rf must be an integer between 1 and 200, the receive UPA"),
+            ("--tx-rf", "-3", "tx_rf must be an integer between 1 and 400, the transmit UPA"),
         ],
         ids=["rx-rf-500", "rx-rf-0", "tx-rf-minus-3"],
     )
@@ -150,7 +150,7 @@ class TestMain:
         assert main(["run", "--scenario", "fig9", flag, value]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: {message}; got {value}\n"
+        assert captured.err == f"error: {message} element count; got {value}\n"
 
     def test_extreme_snr_sweep_prints_every_row(self, capsys):
         # At 140 dB the antenna-space MMSE covariances of some fig9 trials

@@ -30,10 +30,6 @@ from lensmimo.experiments import (
 from lensmimo.upa import OfdmConfig
 
 
-def _blas_threads(_):
-    return experiments._openblas_threads()[0]()
-
-
 @pytest.fixture
 def pools(monkeypatch):
     """The worker counts of the pools the sweeps start."""
@@ -106,14 +102,17 @@ class TestPresets:
             ("rx_rf", 0, 200, "receive"),
             ("tx_rf", -3, 400, "transmit"),
             ("tx_rf", 401, 400, "transmit"),
+            ("rx_rf", 2.5, 200, "receive"),
         ],
     )
     def test_rf_budgets_beyond_the_upa_refused(self, field, value, count, side):
-        # fig9's UPAs have 4 * 50 receive and 4 * 100 transmit elements.
+        # fig9's UPAs have 4 * 50 receive and 4 * 100 transmit elements. A
+        # fractional budget is no count of RF chains.
         with pytest.raises(InvalidInputError) as info:
             preset("fig9", **{field: value})
         assert str(info.value) == (
-            f"{field} must be between 1 and {count}, the {side} UPA element count; got {value}"
+            f"{field} must be an integer between 1 and {count}, the {side} UPA element count; "
+            f"got {value}"
         )
         # Full budgets are accepted, and the budgets are not checked when no
         # scheme selects antennas.
@@ -213,6 +212,16 @@ class TestRunExperiment:
         run_experiment(preset("fig9", trials=30), workers=2)
         assert pools == []
 
+    @pytest.mark.parametrize("workers", [2.5, math.nan, 0])
+    def test_bad_worker_count_refused(self, monkeypatch, workers):
+        # Refused before the first block runs: a float is no process count.
+        def no_block(*args):
+            raise AssertionError("a block ran before the worker count was checked")
+
+        monkeypatch.setattr(experiments, "_run_block", no_block)
+        with pytest.raises(InvalidInputError, match="^worker count must be an integer >= 1, got "):
+            run_experiment(preset("fig9", trials=2000), workers=workers)
+
     @pytest.mark.parametrize("factor, started", [(0.9, []), (1.1, [2])])
     def test_pool_only_when_it_saves_its_cost(self, monkeypatch, pools, factor, started):
         # The first block's 32 trials take block_s, so the pool is predicted
@@ -225,21 +234,6 @@ class TestRunExperiment:
         rows = run_experiment(cfg, workers=2)
         assert pools == started
         assert rows == run_experiment(cfg, workers=1)
-
-    def test_pool_workers_run_one_blas_thread(self):
-        threads = experiments._openblas_threads()
-        if threads is None:
-            pytest.skip("numpy links a BLAS other than its bundled OpenBLAS")
-        get, put = threads
-        before = get()
-        put(2)
-        try:
-            with experiments._one_blas_thread(), ProcessPoolExecutor(max_workers=2) as pool:
-                assert get() == 1
-                assert list(pool.map(_blas_threads, range(2))) == [1, 1]
-            assert get() == 2
-        finally:
-            put(before)
 
     def test_opdm_skip_flag_on_random_angles(self):
         cfg = ExperimentConfig(

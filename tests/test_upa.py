@@ -19,7 +19,7 @@ from lensmimo.channel import (
     sample_paths,
     tx_power,
 )
-from lensmimo.errors import InvalidInputError, UnsupportedConfigurationError
+from lensmimo.errors import InvalidInputError
 from lensmimo.experiments import preset
 from lensmimo.numerics import RANK_TOL, eigen_gains, waterfill_capacity
 from lensmimo.upa import OfdmConfig, eigenmode_capacity, ofdm_capacity, power_select_antennas
@@ -191,7 +191,7 @@ class TestOfdmOracle:
 
     def test_tap_beyond_symbol_rejected(self):
         responses = random_responses(np.random.default_rng(1), 2, 1, 1, delays=(0, 8))
-        with pytest.raises(UnsupportedConfigurationError):
+        with pytest.raises(InvalidInputError, match="exceeds the OFDM symbol length"):
             ofdm_capacity(responses, 1.0, 1.0, OfdmConfig(subcarriers=8, cp_samples=0))
 
 
