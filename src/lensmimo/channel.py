@@ -35,6 +35,20 @@ MEAN_BETA = 10.0 ** (-MEAN_PATHLOSS_DB / 10.0) * math.exp(
 )
 NOISE_POWER = 10.0 ** (NOISE_DENSITY_DBM_HZ / 10.0) * BANDWIDTH_HZ
 
+# tol: the largest |a_l^H a_m| / (|a_l| |a_m|), l != m, of response rows that
+# count as mutually orthogonal (``PathResponses.orthogonal``). With receive rows
+# within it, their Gram is N (I + F) N, N = diag |a_R,l|, F zero on the
+# diagonal and ||F||_2 <= (L - 1) tol by its row sums, and every subcarrier's
+# H(k)^H H(k) is the phase-free P = sum_l |alpha_l|^2 |a_R,l|^2 a_T,l a_T,l^H
+# plus B^H F B with B^H B = P (transmit rows the same way round). By Weyl each
+# squared singular value, narrowband or of a subcarrier, is within
+# (L - 1) tol ||P|| of P's, so the narrowband gains are within
+# 2 (L - 1) tol / (1 - (L - 1) tol) of a trial's largest gain of every
+# subcarrier's: 4e-14 at three paths, inside the 1e-12 that the subcarrier
+# route is held to up to 50 paths. fig5 and fig6's UPA rows reach 2e-16, the
+# rounding of their exactly orthogonal grid; fig9 and fig10's 0.035 or more.
+ORTHO_TOL = 1e-14
+
 
 def tx_power(snr_db: float) -> float:
     """Transmit power (mW) for a target average SNR = P * E[beta] / sigma^2."""
@@ -140,7 +154,9 @@ class PathResponses:
     of H = A_R^T diag(alpha) A_T^* (and of each OFDM subcarrier channel) in
     an r_R x r_T matrix, ``charpoly`` the characteristic polynomials of the
     subcarrier cores' Grams, whose roots are their squared singular values,
-    and ``restrict`` the same paths seen by fewer antennas.
+    ``orthogonal`` whether one side's rows make every subcarrier's singular
+    values the narrowband ones, and ``restrict`` the same paths seen by
+    fewer antennas.
     """
 
     rx: np.ndarray  # (..., L, M) receive response rows a_R,l
@@ -211,6 +227,13 @@ class PathResponses:
         """Numerical ranks (r_R, r_T) of the receive and transmit responses."""
         r_rx, r_tx = self._rows.factors
         return r_rx.shape[-2], r_tx.shape[-2]
+
+    @property
+    def orthogonal(self) -> np.ndarray:
+        """Whether the response rows of either side are mutually orthogonal
+        within ORTHO_TOL: one bool for shared (L, N) rows, (T,) for rows per
+        trial, each trial's from its own rows alone."""
+        return self._rows.orthogonal
 
     def cores(self, coeffs=None) -> np.ndarray:
         """Path-space cores R_R diag(c) R_T^H for per-path coefficients c.
@@ -291,7 +314,8 @@ def _charpoly_plan(n: int, r: int) -> tuple[np.ndarray, ...]:
 class _Rows:
     """What the response rows of a PathResponses alone fix, each part
     computed on first use and read-only: the ``_factor`` SVDs, the
-    rank-revealing factors and the compound Grams. Every PathResponses on the
+    rank-revealing factors, the compound Grams and whether a side's rows are
+    orthogonal. Every PathResponses on the
     same rows (``with_paths``) shares one. The rows must not be changed in
     place after first use."""
 
@@ -318,6 +342,22 @@ class _Rows:
                 raise InvalidInputError("the trials' response ranks differ; split them by_rank")
             out.append(factor[..., : rank.flat[0], :])
         return out[0], out[1]
+
+    @cached_property
+    def orthogonal(self) -> np.ndarray:
+        """``PathResponses.orthogonal``: per side, the Gram of the rows as
+        entrywise products summed over contiguous antenna rows, so that a
+        trial's decision takes the same bits in any stack."""
+        def side(rows):
+            rows = np.ascontiguousarray(rows)
+            gram = (rows.conj()[..., :, None, :] * rows[..., None, :, :]).sum(axis=-1)
+            norms = np.sqrt(gram.diagonal(0, -2, -1).real)
+            small = np.abs(gram) <= ORTHO_TOL * norms[..., :, None] * norms[..., None, :]
+            return (small | np.eye(rows.shape[-2], dtype=bool)).all(axis=(-2, -1))
+
+        orthogonal = np.asarray(side(self.rx) | side(self.tx))
+        orthogonal.flags.writeable = False
+        return orthogonal
 
     @cached_property
     def compounds(self) -> np.ndarray:

@@ -8,7 +8,8 @@ two wideband random-angle links with small and large AoA spreads.
 
 Every preset places its path angles the same way in every trial, so a
 config's geometry is fixed by the config alone: the lens and UPA responses
-with their factors and compound Grams, OPDM's applicability, the support
+with their factors and compound Grams, the UPA-OFDM route (whether a
+side's UPA responses are orthogonal), OPDM's applicability, the support
 sets and the support view with its beamformers, and the path groups with
 their factored rows. It is built at the config's first block and kept on
 the config object for its later blocks and sweeps. Trials run in blocks,
@@ -62,8 +63,8 @@ from .pdm import beamformers, mmse_combiners, mrc_combiners, pdm_sinr
 from .selection import support_sets
 from .upa import OfdmConfig, eigenmode_capacity, ofdm_capacity, power_select_antennas
 
-# Trials per block: a block's stacks (T x 512 subcarriers on fig6) stay a
-# few MB.
+# Trials per block: a block's stacks (T x 512 subcarriers of the selected
+# UPA links on fig9 and fig10) stay a few MB.
 _BLOCK = 32
 
 # What the worker pool costs, per worker, beyond dividing the work. On a

@@ -5,13 +5,16 @@ power-based antenna selection under an RF-chain budget.
 The UPA channel itself is ``channel.path_responses`` on a UpaConfig pair,
 and no M x Q matrix is formed. The eigenmode capacity takes its singular
 values from the path-space core of ``PathResponses.cores`` (r_R x r_T, the
-numerical ranks of the receive and transmit responses). The OFDM capacity
-takes them per subcarrier, for at most three paths, as the roots of the
-characteristic polynomial of each core's Gram (``PathResponses.charpoly``,
-``numerics.charpoly_roots``): a few ufunc passes over (trials,
-subcarriers) arrays, no matrix per subcarrier. A subcarrier whose roots
-are ill-separated (GRAM_TOL), or a link of more paths, takes the SVD of its
-cores. Its subcarrier
+numerical ranks of the receive and transmit responses). Where the
+responses of either side are mutually orthogonal (within
+``channel.ORTHO_TOL``, as on fig5 and fig6), every OFDM subcarrier has the
+narrowband singular values, and the OFDM capacity is N / (N + cp) times
+the eigenmode capacity. Elsewhere it takes them per subcarrier, for at
+most three paths, as the roots of the characteristic polynomial of each
+core's Gram (``PathResponses.charpoly``, ``numerics.charpoly_roots``): a
+few ufunc passes over (trials, subcarriers) arrays, no matrix per
+subcarrier. A subcarrier whose roots are ill-separated (GRAM_TOL), or a
+link of more paths, takes the SVD of its cores. Its subcarrier
 phases e^{-j 2 pi k n / N} come from a cached read-only table per
 subcarrier count N, one row per integer delay n up to the longest met so
 far (at most N rows; 51 x 512 at the presets, 418 KB). Both capacities
@@ -26,6 +29,7 @@ which ``ofdm_capacity`` reads as it reads a block's shared rows.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +58,10 @@ class OfdmConfig:
     cp_samples: int = 50
 
     def __post_init__(self) -> None:
+        for field in ("subcarriers", "cp_samples"):
+            value = getattr(self, field)
+            if not isinstance(value, numbers.Integral):  # NaN, inf and 512.0 fail
+                raise InvalidInputError(f"{field} must be an integer, got {value!r}")
         n = self.subcarriers
         if n < 2 or (n & (n - 1)) != 0:
             raise InvalidInputError("subcarrier count must be a power of two, at least 2")
@@ -79,7 +87,20 @@ def ofdm_capacity(
     N subcarrier channels H_k = sum_l alpha_l e^{-j 2 pi k n_l / N}
     a_R,l a_T,l^H, and the sum rate is discounted by the CP overhead factor
     N/(N+cp). A path delay of N samples or more is refused, and so is a
-    negative one. With (T, L) gains and delays the T realizations share the
+    negative one.
+
+    Where the response rows of either side are mutually orthogonal
+    (``PathResponses.orthogonal``, within ``channel.ORTHO_TOL``) the path
+    phases drop out of H_k^H H_k or H_k H_k^H, so every subcarrier has the
+    narrowband gains: N copies of them water-filled at N P give N times the
+    narrowband rate at P, and the rate is N/(N+cp) times
+    ``eigenmode_capacity``, within the Weyl bound of ORTHO_TOL's comment (4e-14
+    of the largest gain at three paths). The rows decide, so a block's
+    shared rows decide once for every trial and sweep of them; rows per
+    trial decide per trial, and each part of a mixed stack takes its own
+    route.
+
+    Elsewhere, with (T, L) gains and delays the T realizations share the
     factors of the response rows and the compound Grams of
     ``PathResponses.charpoly``, and their T * N subcarriers take one
     ``charpoly_roots`` call (see ``_subcarrier_gains``).
@@ -95,7 +116,28 @@ def ofdm_capacity(
         raise InvalidInputError("channel tap delay reaches or exceeds the OFDM symbol length")
     if np.any(delays < 0):
         raise InvalidInputError("path delays must be non-negative")
-    gains = _subcarrier_gains(responses, _phase_table(n, int(delays.max())))
+    narrow = np.broadcast_to(responses.orthogonal, delays.shape[:-1])
+    if narrow.all():
+        return (n / (n + ofdm.cp_samples)) * eigenmode_capacity(responses, budgets, noise)
+    if narrow.any():  # rows per trial, some orthogonal: each part takes its route
+        rates = np.empty(narrow.shape + np.shape(budgets))
+        for part in (narrow, ~narrow):
+            index = np.nonzero(part)
+            rates[index] = ofdm_capacity(responses.trials(index), budgets, noise, ofdm)
+        return rates
+    return _subcarrier_capacity(responses, budgets, noise, ofdm)
+
+
+def _subcarrier_capacity(
+    responses: PathResponses, budgets, noise: float, ofdm: OfdmConfig, table=None
+) -> np.ndarray:
+    """``ofdm_capacity`` by its subcarrier route, whatever the rows: N P
+    water-filled over the eigen-gains of every subcarrier on the cached
+    phase table of N, or on ``table``, and discounted by N/(N+cp)."""
+    n = ofdm.subcarriers
+    if table is None:
+        table = _phase_table(n, int(responses.delays.max()))
+    gains = _subcarrier_gains(responses, table)
     rate = waterfill_capacity(
         gains.reshape(gains.shape[:-2] + (-1,)), n * np.asarray(budgets, dtype=float), noise
     )

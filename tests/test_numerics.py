@@ -242,14 +242,26 @@ class TestEigenGains:
         assert all(min(shape[-2:]) > 1 for shape in shapes), shapes
 
     def test_ofdm_sweep_calls_no_svd_on_a_subcarrier_stack(self, monkeypatch):
-        # fig6's UPA-OFDM link has three paths and side ranks 3 and 3, so its
-        # subcarrier eigen-gains are the roots of the characteristic
-        # polynomials of the block's (trials, 512) subcarrier cores, formed
-        # with no matrix per subcarrier. No np.linalg function (eigvalsh,
-        # eigh, svd or any other) sees a subcarrier stack: the only calls
-        # left are the SVDs of the two per-side factors.
+        # fig6's UPA responses are orthogonal on both sides, so every
+        # subcarrier has the narrowband singular values: the sweep takes no
+        # characteristic polynomial and no np.linalg function (eigvalsh,
+        # eigh, svd or any other) sees a subcarrier stack. The calls are
+        # the SVDs of the two per-side factors and of the block's (1, 3, 3)
+        # narrowband core.
+        monkeypatch.setattr(PathResponses, "charpoly", None)  # any call fails
         calls = record_linalg(monkeypatch)
         run_experiment(preset("fig6", trials=1, schemes=("UPA-OFDM",)), workers=1)
+        assert calls == [("svd", (80, 3)), ("svd", (80, 3)), ("svd", (1, 3, 3))], calls
+
+    def test_ofdm_sweep_of_a_non_orthogonal_link_calls_no_svd_on_it(self, monkeypatch):
+        # fig9's full-array UPA link has three paths, side ranks 3 and 3 and
+        # responses orthogonal on neither side, so its subcarrier eigen-gains
+        # are the roots of the characteristic polynomials of the block's
+        # (trials, 512) subcarrier cores, formed with no matrix per
+        # subcarrier: the only calls left are the SVDs of the two per-side
+        # factors.
+        calls = record_linalg(monkeypatch)
+        run_experiment(preset("fig9", trials=1, schemes=("UPA-OFDM",)), workers=1)
         assert [name for name, _ in calls] == ["svd", "svd"], calls
         assert all(len(shape) == 2 for _, shape in calls), calls
 
@@ -284,7 +296,7 @@ def random_grams(rng, shape, r):
     return g @ g.conj().swapaxes(-1, -2)
 
 
-class TestHermitianEigvals:
+class TestCharpolyRoots:
     """Eigenvalues of Hermitian positive semidefinite matrices from the
     coefficients of their characteristic polynomials (``charpoly_roots``)."""
 

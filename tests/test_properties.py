@@ -17,12 +17,15 @@ grid equals one call per budget, and that one call over a stack of links
 for bit, over budgets far wider than the sweeps produce, and that the rate
 from one cumulated log1p per gain is within a few n eps of the per-budget
 sum of one log1p per channel, for gains over sixty decades. The OFDM
-property checks that with mutually orthogonal responses on one side (as
-on fig6's UPAs) the wideband rate is N / (N + cp) times the narrowband
-one, and that the subcarrier eigen-gains from the characteristic
-polynomials match a per-subcarrier SVD of the cores. The Hermitian
-eigenvalue properties check the roots of the characteristic polynomials of
-1 x 1 to 3 x 3 matrices against LAPACK's eigvalsh, as far as the
+properties check that with mutually orthogonal responses on one side (as
+on fig6's UPAs) the wideband rate, N / (N + cp) times the narrowband one,
+equals the water-fill over every subcarrier; that with one side's rows
+just within ORTHO_TOL of orthogonal the narrowband gains stay within the
+Weyl bound of every subcarrier's, and just beyond it the subcarrier route
+is taken; and that the subcarrier eigen-gains from the characteristic
+polynomials match a per-subcarrier SVD of the cores. The
+``charpoly_roots`` properties check the roots of the characteristic
+polynomials of 1 x 1 to 3 x 3 matrices against LAPACK's eigvalsh, as far as the
 polynomial's conditioning allows, on near-repeated, rank-deficient,
 diagonal and zero matrices over sixty decades of scale.
 The placement property checks that a block places one AoA of a spread
@@ -48,6 +51,7 @@ from lensmimo.arrays import LensArrayConfig, UpaConfig
 from lensmimo.channel import (
     BANDWIDTH_HZ,
     NOISE_POWER,
+    ORTHO_TOL,
     ChannelStats,
     PathResponses,
     PathSet,
@@ -450,6 +454,37 @@ def orthogonal_side_links(draw):
 
 
 @st.composite
+def near_orthogonal_links(draw):
+    """Path responses of L = 2 ... 4 paths whose rows on one side all have
+    the normalized Gram off-diagonal rho = ratio * ORTHO_TOL, as a function
+    of the ratio, with the subcarrier count N: rows (u_l + s e^{j phi_l} w)
+    times 0.5 ... 2 for orthonormal u_l and w, so that
+    |a_l^H a_m| / (|a_l| |a_m|) = s^2 / (1 + s^2) = rho. The other side's
+    rows are free, the gains of norm 0.1 to 1 and the delays below N."""
+    n_paths = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = draw(st.integers(n_paths + 1, 8))
+    square = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+    basis = np.linalg.qr(square)[0][: n_paths + 1]
+    phases = np.exp(2j * np.pi * rng.random((n_paths, 1)))
+    scale = rng.uniform(0.5, 2.0, (n_paths, 1))
+    other = rng.standard_normal((n_paths, draw(st.integers(1, 8)))) * (1 + 0j)
+    other += 1j * rng.standard_normal(other.shape)
+    on_rx = draw(st.booleans())
+    n = 2 ** draw(st.integers(1, 6))
+    gains = rng.uniform(0.1, 1.0, n_paths) * np.exp(2j * np.pi * rng.random(n_paths))
+    delays = rng.integers(0, n, n_paths)
+
+    def make(ratio):
+        rho = ratio * ORTHO_TOL
+        near = (basis[:-1] + np.sqrt(rho / (1 - rho)) * phases * basis[-1]) * scale
+        rx, tx = (near, other) if on_rx else (other, near)
+        return PathResponses(rx=rx, tx=tx, gains=gains, delays=delays)
+
+    return make, n
+
+
+@st.composite
 def subcarrier_links(draw):
     """Responses of L = 1 ... 3 paths for the OFDM subcarrier eigen-gains,
     with their subcarrier count N: one trial's (L,) gains, a block's (T, L)
@@ -508,25 +543,62 @@ class TestOfdmProperties:
         # subcarrier channel has the narrowband singular values (the phases
         # drop out of H(k)^H H(k) or H(k) H(k)^H), so the water-fill over all
         # N subcarriers at N P gives N times the narrowband rate at P.
+        # ofdm_capacity takes the narrowband rate on such links; here it is
+        # checked against the water-fill over every subcarrier.
         responses, ofdm = link
         budgets = 10.0 ** (np.array(snrs_db) / 10.0)
         n = ofdm.subcarriers
-        wideband = ofdm_capacity(responses, budgets, 1.0, ofdm)
+        assert responses.orthogonal
+        got = ofdm_capacity(responses, budgets, 1.0, ofdm)
         narrowband = eigenmode_capacity(responses, budgets, 1.0)
-        assert np.allclose(wideband, n / (n + ofdm.cp_samples) * narrowband, rtol=1e-9, atol=0)
+        assert np.array_equal(got, n / (n + ofdm.cp_samples) * narrowband)
+        wideband = upa_module._subcarrier_capacity(responses, budgets, 1.0, ofdm)
+        assert np.allclose(got, wideband, rtol=1e-9, atol=0)
 
     def test_fig6_upa_links_are_this_case(self):
         # fig6's ideal spatial frequencies 0 and +-0.2 are 2 / n_y apart on
-        # its 20-wide UPAs, so both sides' responses are orthogonal.
+        # its 20-wide UPAs, so both sides' responses are orthogonal, and the
+        # narrowband route gives the water-fill over every subcarrier.
         cfg = preset("fig6", trials=4)
         upa = experiments._Block(cfg, range(4)).upa
         for rows in (upa.rx, upa.tx):
             gram = rows.conj() @ rows.T
             assert np.allclose(gram, np.diag(np.diag(gram)), rtol=0, atol=1e-12)
+        assert upa.orthogonal
         budgets = np.array([tx_power(s) for s in cfg.snr_db])
-        wideband = ofdm_capacity(upa, budgets, NOISE_POWER, cfg.ofdm)
-        narrowband = eigenmode_capacity(upa, budgets, NOISE_POWER)
-        assert np.allclose(wideband, 512 / 562 * narrowband, rtol=1e-12, atol=0)
+        got = ofdm_capacity(upa, budgets, NOISE_POWER, cfg.ofdm)
+        wideband = upa_module._subcarrier_capacity(upa, budgets, NOISE_POWER, cfg.ofdm)
+        assert np.allclose(got, wideband, rtol=1e-12, atol=0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(link=near_orthogonal_links(), over=st.booleans())
+    def test_near_orthogonal_links_take_the_route_of_their_side(self, link, over):
+        # Every off-diagonal of one side's normalized Gram at half or twice
+        # ORTHO_TOL. Under it, ofdm_capacity is the narrowband rate, whose
+        # gains are within the Weyl bound of ORTHO_TOL's comment,
+        # 2 (L - 1) tol / (1 - (L - 1) tol) of the trial's largest gain,
+        # of the SVD of every subcarrier's core on phases reduced modulo N,
+        # give or take a few eps of rounding. Over it, the subcarrier route.
+        make, n = link
+        responses = make(2.0 if over else 0.5)
+        assert responses.orthogonal == (not over)
+        ofdm = OfdmConfig(n, 4)
+        budgets = np.array([1e-3, 1.0, 1e3])
+        got = ofdm_capacity(responses, budgets, 1.0, ofdm)
+        if over:
+            wideband = upa_module._subcarrier_capacity(responses, budgets, 1.0, ofdm)
+            assert np.array_equal(got, wideband)
+            return
+        rate = eigenmode_capacity(responses, budgets, 1.0)
+        assert np.array_equal(got, n / (n + ofdm.cp_samples) * rate)
+        k = np.arange(n)[:, None]
+        phases = np.exp(-2j * np.pi * ((k * responses.delays[..., None, :]) % n) / n)
+        want = eigen_gains(responses.cores(responses.gains[..., None, :] * phases))
+        narrowband = eigen_gains(responses.cores())
+        spread = (responses.num_paths - 1) * ORTHO_TOL
+        bound = 2 * spread / (1 - spread) + 16 * np.finfo(float).eps
+        assert bound <= 1e-12  # the subcarrier route's own allowance
+        assert np.all(np.abs(narrowband - want) <= bound * want.max())
 
 
 # Largest error allowed per root, in units of eps times lambda_1 plus eps
@@ -570,7 +642,7 @@ def hermitian_stacks(draw):
     return (u * lam[:, None, :]) @ u.conj().swapaxes(-1, -2)
 
 
-class TestHermitianEigvalsProperties:
+class TestCharpolyRootsProperties:
     @settings(max_examples=300, deadline=None)
     @given(mats=hermitian_stacks())
     def test_matches_eigvalsh(self, mats):

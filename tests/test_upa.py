@@ -66,17 +66,13 @@ def oracle_ofdm_capacity(responses, budget, noise, cfg):
 
 
 def per_element_ofdm_capacity(responses, budgets, noise, cfg):
-    """ofdm_capacity on a phase table built in one piece for the longest
-    delay, one complex exponential per entry (``ofdm_coefficients`` of unit
-    gains), in place of the cached table that grows by rows."""
-    n = cfg.subcarriers
+    """The subcarrier route of ofdm_capacity on a phase table built in one
+    piece for the longest delay, one complex exponential per entry
+    (``ofdm_coefficients`` of unit gains), in place of the cached table
+    that grows by rows."""
     rows = int(responses.delays.max()) + 1
-    table = ofdm_coefficients(np.ones(rows), np.arange(rows), n).T
-    gains = upa_module._subcarrier_gains(responses, table)
-    rate = waterfill_capacity(
-        gains.reshape(gains.shape[:-2] + (-1,)), n * np.asarray(budgets, dtype=float), noise
-    )
-    return (n / (n + cfg.cp_samples)) * rate / n
+    table = ofdm_coefficients(np.ones(rows), np.arange(rows), cfg.subcarriers).T
+    return upa_module._subcarrier_capacity(responses, budgets, noise, cfg, table)
 
 
 def repeat_path_half_a_symbol_later(responses, n):
@@ -125,6 +121,15 @@ class TestOfdmConfig:
         with pytest.raises(InvalidInputError, match="at least 2"):
             OfdmConfig(subcarriers=1)
         assert OfdmConfig(subcarriers=2).subcarriers == 2
+
+    @pytest.mark.parametrize("field", ["subcarriers", "cp_samples"])
+    @pytest.mark.parametrize("value", [math.nan, 2.5, 512.0, math.inf])
+    def test_numerology_must_be_integers(self, field, value):
+        # NaN passes every comparison check, and a float count fails in the
+        # power-of-two test with a bare TypeError.
+        with pytest.raises(InvalidInputError, match=f"{field} must be an integer"):
+            OfdmConfig(**{field: value})
+        assert OfdmConfig(**{field: np.int64(64)}) == OfdmConfig(**{field: 64})
 
 
 class TestEigenmodeCapacity:
@@ -315,21 +320,27 @@ class TestOfdmCapacity:
     def test_equals_the_per_element_coefficients(
         self, n, lead, num_paths, n_rx, n_tx, duplicate, seed
     ):
-        # The cached phase table against one built in one piece, one
-        # exponential per entry, bit for bit: one to four paths (the
-        # characteristic polynomial up to three, the SVD of the cores at
-        # four), and with a duplicated path half a symbol later the
+        # The subcarrier route on the cached phase table against one built
+        # in one piece, one exponential per entry, bit for bit: one to four
+        # paths (the characteristic polynomial up to three, the SVD of the
+        # cores at four), and with a duplicated path half a symbol later the
         # GRAM_TOL fallback subcarriers too. The examples share the tables of
         # one process, so their largest delays rise and fall and the
-        # subcarrier counts alternate.
+        # subcarrier counts alternate. A single path's rows are trivially
+        # orthogonal, so ofdm_capacity takes the narrowband route there;
+        # every other draw is orthogonal on neither side, and ofdm_capacity
+        # is this route.
         rng = np.random.default_rng(seed)
         responses = block_responses(rng, lead, num_paths, n_rx, n_tx, n)
         if duplicate and num_paths > 1:
             repeat_path_half_a_symbol_later(responses, n)
         cfg = OfdmConfig(subcarriers=n, cp_samples=4)
         budgets = np.array([1e-3, 1.0, 1e3, 1e12])
-        got = ofdm_capacity(responses, budgets, 0.5, cfg)
+        got = upa_module._subcarrier_capacity(responses, budgets, 0.5, cfg)
         assert np.array_equal(got, per_element_ofdm_capacity(responses, budgets, 0.5, cfg))
+        assert responses.orthogonal == (num_paths == 1)
+        if num_paths > 1:
+            assert np.array_equal(ofdm_capacity(responses, budgets, 0.5, cfg), got)
 
     @pytest.mark.parametrize("route", ["rank-2", "rank-3", "gram-guard", "four-paths"])
     @settings(max_examples=30, deadline=None)
@@ -360,6 +371,40 @@ class TestOfdmCapacity:
         got = ofdm_capacity(responses, budgets, 0.5, cfg)
         want = waterfill_capacity(oracle.reshape(oracle.shape[:-2] + (-1,)), n * budgets, 0.5)
         assert np.allclose(got, n / (n + cfg.cp_samples) * want / n, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mixed_stack_rates_equal_each_trial_alone(self, seed):
+        # Rows per trial, (T, L, k) as the selected links have them, laid out
+        # as ``restrict`` leaves them (a view of (L, T, k) rows). Some trials'
+        # receive rows are orthogonal (rows of a unitary, scaled) and take
+        # the narrowband route, the others the subcarrier route: each
+        # trial's rates are bit for bit those of a call on it alone.
+        rng = np.random.default_rng(seed)
+        t, num_paths, n_rx, n_tx, n = 6, 3, 4, 5, 64
+
+        def cn(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        rx, tx = cn(num_paths, t, n_rx), cn(num_paths, t, n_tx)
+        orthogonal = rng.permutation([True, False] + list(rng.random(t - 2) < 0.5))
+        for i in np.flatnonzero(orthogonal):
+            unitary = np.linalg.qr(cn(n_rx, n_rx))[0]
+            rx[:, i] = unitary[:num_paths] * rng.uniform(0.5, 2.0, (num_paths, 1))
+        gains, delays = cn(t, num_paths), rng.integers(0, n, (t, num_paths))
+        responses = PathResponses(np.moveaxis(rx, 0, -2), np.moveaxis(tx, 0, -2), gains, delays)
+        assert np.array_equal(responses.orthogonal, orthogonal)
+        cfg = OfdmConfig(subcarriers=n, cp_samples=4)
+        budgets = np.array([1e-3, 1.0, 1e3, 1e12])
+        got = ofdm_capacity(responses, budgets, 0.5, cfg)
+        for i in range(t):
+            one = np.s_[i : i + 1]
+            alone = PathResponses(
+                np.moveaxis(rx[:, one], 0, -2).copy(),
+                np.moveaxis(tx[:, one], 0, -2).copy(),
+                gains[one],
+                delays[one],
+            )
+            assert np.array_equal(got[one], ofdm_capacity(alone, budgets, 0.5, cfg))
 
     def test_successive_calls_equal_the_per_element_coefficients(self, monkeypatch):
         # From empty tables: rising and falling largest delays, alternating
