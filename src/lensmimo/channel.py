@@ -145,9 +145,11 @@ class PathResponses:
     leading trial axis; every method works on all T at once. The rows,
     (..., L, N), carry none or all of the gains' leading axes and broadcast
     against them: a block's (L, N) rows are shared and factored once (and
-    ``with_paths`` pairs them with other gains and delays), and (T, L, N) rows give each trial antennas of its own (the
-    selected UPA links), one stacked SVD per side. Every trial must have
-    the same side ranks (``by_rank`` splits a block that does not).
+    ``with_paths`` pairs them with other gains and delays), and (T, L, N)
+    rows give each trial antennas of its own (the selected UPA links), one
+    stacked SVD per side, or none for a side of one column (``_factor``).
+    Every trial must have the same side ranks (``by_rank`` splits a block
+    that does not).
 
     Every scheme reads these per-path factors: ``cores`` is the
     rank-revealing path-space reduction that carries the singular values
@@ -209,12 +211,15 @@ class PathResponses:
         """Responses with (T, L) gains split into groups of trials with the
         same side ranks (r_R, r_T): (trial indices, their responses) pairs
         in ascending rank order, all factored from one stacked SVD per side.
-        Shared (L, N) rows give one group of every trial."""
+        A block of one rank pair, as shared (L, N) rows always are, is its
+        own group of every trial."""
         lead = self.gains.shape[:-1]
         ranks = np.stack(
             [np.broadcast_to(keep.sum(axis=-1), lead) for _, keep in self._rows.svds], axis=-1
         )
         pairs = sorted(set(map(tuple, ranks.tolist())))
+        if len(pairs) == 1:
+            return [(np.arange(len(self.gains)), self)]
         groups = (np.flatnonzero((ranks == pair).all(axis=-1)) for pair in pairs)
         return [(index, self.trials((index,))) for index in groups]
 
@@ -394,7 +399,11 @@ def _factor(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rows, n = min(L, N), and the mask of its rows whose singular values are
     at or above RANK_TOL times the largest (a leading run, as S is sorted).
     A (T, L, N) stack takes one stacked SVD and gives (T, n, L) and (T, n).
+    Rows of one antenna, N = 1, are their own factor, rows^T = 1 R with
+    R = rows^T, of rank 1: no SVD (the one-row rule of ``eigen_gains``).
     """
+    if rows.shape[-1] == 1:
+        return rows.swapaxes(-1, -2).copy(), np.ones(rows.shape[:-2] + (1,), dtype=bool)
     _, s, vh = np.linalg.svd(rows.swapaxes(-1, -2), full_matrices=False)
     return s[..., None] * vh, s >= RANK_TOL * s[..., :1]
 

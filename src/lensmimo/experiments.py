@@ -61,7 +61,13 @@ from .numerics import water_fill, waterfill_capacity
 from .opdm import is_ideal, path_gains
 from .pdm import beamformers, mmse_combiners, mrc_combiners, pdm_sinr
 from .selection import support_sets
-from .upa import OfdmConfig, eigenmode_capacity, ofdm_capacity, power_select_antennas
+from .upa import (
+    OfdmConfig,
+    eigenmode_capacity,
+    ofdm_capacity,
+    power_select_antennas,
+    selected_link,
+)
 
 # Trials per block: a block's stacks (T x 512 subcarriers of the selected
 # UPA links on fig9 and fig10) stay a few MB.
@@ -78,6 +84,11 @@ _BLOCK = 32
 _WORKER_COST_S = 0.025
 
 _DEFAULT_SNR_DB = tuple(float(s) for s in range(-10, 31, 5))
+
+
+def _is_count(value) -> bool:
+    """Whether ``value`` is an integer and not a bool (True is no count)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -102,7 +113,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         for field, least in (("trials", 1), ("delta", 1), ("seed", 0)):
             value = getattr(self, field)
-            if not (isinstance(value, numbers.Integral) and value >= least):  # NaN fails
+            if not (_is_count(value) and value >= least):  # NaN fails
                 raise InvalidInputError(f"{field} must be an integer >= {least}, got {value!r}")
         if len(self.snr_db) == 0:
             raise InvalidInputError("snr_db must list at least one SNR point")
@@ -134,7 +145,7 @@ class ExperimentConfig:
                 ("rx_rf", self.rx_rf, upa_rx, "receive"),
                 ("tx_rf", self.tx_rf, upa_tx, "transmit"),
             ):
-                if not (isinstance(rf, numbers.Integral) and 1 <= rf <= upa.element_count):
+                if not (_is_count(rf) and 1 <= rf <= upa.element_count):
                     raise InvalidInputError(
                         f"{field} must be an integer between 1 and {upa.element_count}, the "
                         f"{side} UPA element count; got {rf}"
@@ -406,12 +417,15 @@ class _Block:
         """Antennas picked for the whole block in one ranking, with each
         trial's picks bit for bit those of its own call (the near-tied picks
         depend on the per-trial arithmetic to the last bit). Each trial's
-        picked link keeps its own (T, L, k) response rows; the trials are
-        grouped by their side ranks, one capacity call per group."""
+        picked link is carried at azimuth resolution (``selected_link``),
+        (T, L, g) rows of its own with one weighted column per distinct
+        azimuth index; the trials are grouped by their side ranks, one
+        capacity call per group. At the fig9/fig10 budgets g = 1 on both
+        sides, so the link is rank 1 and makes no LAPACK call."""
         upa, cfg, budgets = self.upa, self.cfg, self.geo.budgets
         picks = power_select_antennas(upa, *self.geo.upas, cfg.rx_rf, cfg.tx_rf)
         rates = np.empty((len(upa.gains), len(budgets)))
-        for trials, link in upa.restrict(*picks).by_rank():
+        for trials, link in selected_link(upa, *self.geo.upas, *picks).by_rank():
             rates[trials] = ofdm_capacity(link, budgets, NOISE_POWER, cfg.ofdm)
         return rates, None
 
@@ -468,7 +482,7 @@ def resolve_workers(workers: int | None = None) -> int:
             workers = int(env) if env else (os.cpu_count() or 1)
         except ValueError:
             raise ConfigError(f"SIM_THREADS must be an integer, got {env!r}") from None
-    if not (isinstance(workers, numbers.Integral) and workers >= 1):  # NaN fails
+    if not (_is_count(workers) and workers >= 1):  # NaN fails
         raise InvalidInputError(f"worker count must be an integer >= 1, got {workers!r}")
     return workers
 
@@ -521,7 +535,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> list[Re
         else:
             # ndarray.mean and std(ddof=1), with their arithmetic, without
             # their Python-level wrappers.
-            stacked = np.vstack(rates)
+            stacked = np.concatenate(rates)
             mean = np.add.reduce(stacked, axis=0) / n
             if n > 1:
                 dev = stacked - mean
@@ -529,17 +543,10 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> list[Re
                 err = np.sqrt(np.add.reduce(dev, axis=0) / (n - 1)) / math.sqrt(n)
             else:
                 err = np.zeros(len(cfg.snr_db))
-        for j, snr in enumerate(cfg.snr_db):
-            rows.append(
-                ResultRow(
-                    scheme=scheme,
-                    snr_db=float(snr),
-                    se_bpshz=float(mean[j]),
-                    stderr=float(err[j]),
-                    trials=n,
-                    flags=flags,
-                )
-            )
+        rows += (
+            ResultRow(scheme, float(snr), se, se_err, n, flags)
+            for snr, se, se_err in zip(cfg.snr_db, mean.tolist(), err.tolist())
+        )
     return rows
 
 

@@ -13,10 +13,11 @@ no matrix and no LAPACK call. ``water_fill`` and
 ``waterfill_capacity`` take a whole grid of power budgets, and a stack of
 links (the trials of a block), at once, and share one finite-step threshold
 search (Palomar and Fonollosa, IEEE TSP 2005): a sort and cumulative sums
-per link, and one ``searchsorted`` of the budgets per link. ``water_fill``
-returns the powers; ``waterfill_capacity`` forms none, and takes its rates
-from one cumulated log1p per gain and one per link and budget, so no step
-of it builds a (links, budgets, n) array. ``hermitian_solve`` solves a
+per link, and one ``searchsorted`` of every link's budgets among the
+thresholds of all links. ``water_fill`` returns the powers;
+``waterfill_capacity`` forms none, and takes its rates from one cumulated
+log1p per gain and one per link and budget, so no step of it builds a
+(links, budgets, n) array. ``hermitian_solve`` solves a
 stack of Hermitian positive definite systems (the PDM MMSE covariances in path
 space, one per trial and budget, with a column per stream) in one call and
 refuses a singular one. All functions are pure and thread-safe.
@@ -161,14 +162,16 @@ def waterfill_capacity(gains, budgets, noise: float) -> np.ndarray:
     """
     g = np.asarray(gains, dtype=float)
     silent = (g == 0).all(axis=-1, keepdims=True)
-    g, b = _checked(np.where(silent, 1.0, g), budgets, noise)
+    quiet = silent.any()
+    g, b = _checked(np.where(silent, 1.0, g) if quiet else g, budgets, noise)
     _, lowest, d, active, level = _water_levels(g, b, noise)
     links = np.arange(len(d))[:, None]
     spent = np.add.accumulate(_log1p_ratio(d, lowest), axis=-1)[links, active - 1]
     rates = active * _log1p_ratio(level, lowest)
     rates -= spent
     rates /= np.log(2.0)
-    rates[silent.reshape(-1)] = 0.0
+    if quiet:
+        rates[silent.reshape(-1)] = 0.0
     return rates.reshape(g.shape[:-1] + b.shape)[()]
 
 
@@ -178,11 +181,15 @@ def _checked(gains, budgets, noise: float) -> tuple[np.ndarray, np.ndarray]:
     budgets and the noise positive."""
     g = np.asarray(gains, dtype=float)
     b = np.asarray(budgets, dtype=float)
-    if g.ndim == 0 or g.size == 0 or not np.isfinite(g).all() or (g < 0).any():
+    if g.ndim == 0 or g.size == 0:
         raise InvalidInputError("gains must be a (..., n) array of finite non-negative reals")
-    if not (b > 0).all() or noise <= 0:
+    peaks = g.max(axis=-1)
+    # min and max carry a NaN through, which fails both comparisons.
+    if not (g.min() >= 0 and peaks.max() < np.inf):
+        raise InvalidInputError("gains must be a (..., n) array of finite non-negative reals")
+    if not ((b.size == 0 or b.min() > 0) and noise > 0):
         raise InvalidInputError("budgets and noise must be positive")
-    if not (g > 0).any(axis=-1).all():
+    if not peaks.all():
         raise DegenerateInputError("water_fill: all channel gains are zero")
     return g, b
 
@@ -197,9 +204,10 @@ def _water_levels(g: np.ndarray, b: np.ndarray, noise: float):
     and per link and budget the active count k and the water level above
     f_1, (links, B). The k best channels are active exactly when
     P > T_k = sum_{j<=k} (d_k - d_j), and the level is then
-    (P + sum_{j<=k} d_j) / k. Each link's thresholds are searched on their
-    own, one ``searchsorted`` per link. A zero gain has an infinite floor:
-    it sorts last, and its threshold is never below a budget.
+    (P + sum_{j<=k} d_j) / k. The count k of every link and budget comes
+    from one ``searchsorted`` over the sorted thresholds of all links, the
+    integers of a search per link. A zero gain has an infinite floor: it
+    sorts last, and its threshold is never below a budget.
     """
     n = g.shape[-1]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -209,18 +217,23 @@ def _water_levels(g: np.ndarray, b: np.ndarray, noise: float):
         d = ranked - lowest
         # T_{k+1} - T_k = k (d_{k+1} - d_k) >= 0, so the thresholds are
         # sorted; past the last positive gain they are inf, then nan where two
-        # infinite floors meet, which searchsorted orders last: neither is
-        # below a budget.
+        # infinite floors meet: neither is below a budget.
         thresholds = np.empty_like(d)
         thresholds[:, 0] = 0.0
         steps = np.multiply(np.arange(1, n), d[:, 1:] - d[:, :-1], out=thresholds[:, 1:])
         np.add.accumulate(steps, axis=-1, out=steps)
     flat = b.reshape(-1)
     # The count of thresholds below each budget, >= 1 as every budget
-    # exceeds T_1 = 0.
-    active = np.empty((len(d), flat.size), dtype=np.intp)
-    for row, count in zip(thresholds, active):
-        count[:] = np.searchsorted(row, flat)
+    # exceeds T_1 = 0, from one search of every link at once: numpy orders
+    # complex numbers by real part, then imaginary part, so the keys
+    # link + j T, nan read as inf, are sorted, and a budget's query
+    # link + j P lands after its link's thresholds below P and no others.
+    links = np.arange(len(d))[:, None]
+    keys = np.empty(d.shape, dtype=complex)
+    keys.real, keys.imag = links, np.fmin(thresholds, np.inf)
+    queries = np.empty((len(d), flat.size), dtype=complex)
+    queries.real, queries.imag = links, flat
+    active = np.searchsorted(keys.reshape(-1), queries) - links * n
     filled = np.add.accumulate(d, axis=-1)[np.arange(len(d))[:, None], active - 1]
     level = (flat + filled) / active
     return floors, lowest, d, active, level

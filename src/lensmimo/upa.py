@@ -22,13 +22,18 @@ take a block of realizations at once, and so does the antenna
 selection: it ranks the channel energy of one antenna per azimuth index
 on both sides, from an n_y,R x n_y,T tap per distinct path delay formed
 from the path terms, with no loop over the realizations and each one's
-picks bit for bit those of its own call. The link it selects at the
-fig9/fig10 budgets has rank 1, so its subcarrier cores are 1 x 1; each
-realization's picked link keeps response rows of its own, (T, L, k),
-which ``ofdm_capacity`` reads as it reads a block's shared rows.
+picks bit for bit those of its own call; it sorts the azimuth indices,
+not the antennas. Each realization's picked link is carried at azimuth
+resolution (``selected_link``): response rows of its own, (T, L, g), one
+column per distinct azimuth index among its picks, weighted by the square
+root of its pick count, which ``ofdm_capacity`` reads as it reads a
+block's shared rows. At the fig9/fig10 budgets every pick of a side shares
+one index, so each side has one column, its own rank-1 factor, and the
+link makes no LAPACK call: its subcarrier cores are 1 x 1.
 """
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -60,7 +65,8 @@ class OfdmConfig:
     def __post_init__(self) -> None:
         for field in ("subcarriers", "cp_samples"):
             value = getattr(self, field)
-            if not isinstance(value, numbers.Integral):  # NaN, inf and 512.0 fail
+            # NaN, inf and 512.0 fail, and so does a bool, which is no count.
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise InvalidInputError(f"{field} must be an integer, got {value!r}")
         n = self.subcarriers
         if n < 2 or (n & (n - 1)) != 0:
@@ -215,13 +221,18 @@ def power_select_antennas(
     picks are bit for bit those of its own call. The row sums (numpy's
     pairwise sum over each contiguous full transmit row), the sorts, the
     gather of the picked rows and their column sums all take the whole
-    block at once, each trial reduced in the order of its own call.
+    block at once, each trial reduced in the order of its own call. The
+    sorts rank the n_y azimuth indices and expand their stable order into
+    antennas (``_strongest``), the picks of a sort of every antenna.
 
     So with each budget at most its array's n_z (6 of 10 on fig9/fig10),
     the lower-index rule takes every pick of a side from one azimuth index,
     each side sees every path with one phase on all its picks, and the
     selected link has rank 1: UPA-OFDM-selection is a single-stream
     baseline. ROADMAP's "A fair conventional baseline" keeps several.
+    ``selected_link`` carries the picked link at azimuth resolution, one
+    weighted column per distinct index, so that rank-1 link has one column
+    per side and is factored with no LAPACK call.
     """
     n_rx, n_tx = responses.rx.shape[-1], responses.tx.shape[-1]
     if n_rx != rx_array.element_count:
@@ -235,11 +246,58 @@ def power_select_antennas(
     # Row i of energy stands for receive antennas i*n_z,R ... and its
     # column j for transmit antennas j*n_z,T ...; the row sums run over the
     # full transmit rows, the column sums over the picked rows.
-    row_sums = np.repeat(energy, z_tx, axis=-1).sum(axis=-1)
-    rows = _strongest(np.repeat(row_sums, z_rx, axis=-1), n_rx_rf)
+    rows = _strongest(np.repeat(energy, z_tx, axis=-1).sum(axis=-1), z_rx, n_rx_rf)
     picked = np.take_along_axis(energy, rows[..., None] // z_rx, axis=-2)
-    cols = _strongest(np.repeat(picked.sum(axis=-2), z_tx, axis=-1), n_tx_rf)
+    cols = _strongest(picked.sum(axis=-2), z_tx, n_tx_rf)
     return rows, cols
+
+
+def selected_link(
+    responses: PathResponses, rx_array: UpaConfig, tx_array: UpaConfig, rows, cols
+) -> PathResponses:
+    """The link of the picked receive rows and transmit columns (of
+    ``power_select_antennas``, (T, k) each, ascending) at azimuth
+    resolution, on a block's shared UPA rows: (T, L, g) rows per side, one
+    column per distinct azimuth index among a trial's picks, scaled by the
+    square root of its number of picks m, and zero columns up to the
+    block's largest g. Picks of ``power_select_antennas`` span
+    ceil(k / n_z) indices in every trial, so none is padded, and each
+    trial's rows are those of its own call.
+
+    The picked antennas' rows are E D for the rows D of their distinct
+    indices and a 0/1 E of disjoint columns of norms sqrt(m), so
+    E = Q diag(sqrt(m)) with orthonormal Q: the link has the singular
+    values, on every subcarrier, and the Gram of ``restrict(rows, cols)``,
+    with k / g times fewer antennas. A side whose picks share one index
+    has one column and is factored without an SVD (``channel._factor``).
+    """
+    if responses.rx.ndim != 2:
+        raise InvalidInputError("selected_link takes shared (L, N) rows, not rows per trial")
+    return PathResponses(
+        rx=_azimuth_rows(responses.rx, rows, rx_array.grid_shape[1]),
+        tx=_azimuth_rows(responses.tx, cols, tx_array.grid_shape[1]),
+        gains=responses.gains,
+        delays=responses.delays,
+    )
+
+
+def _azimuth_rows(rows: np.ndarray, picks: np.ndarray, z: int) -> np.ndarray:
+    """(..., L, g) rows of (L, N) UPA rows at the ascending (..., k)
+    antenna picks: column j of a trial is the row of its j-th distinct
+    azimuth index (antenna index // z) times the square root of its pick
+    count, or zero past the trial's distinct indices."""
+    index = picks // z
+    new = np.ones(index.shape, dtype=bool)
+    new[..., 1:] = index[..., 1:] != index[..., :-1]
+    slot = np.cumsum(new, axis=-1) - 1  # the column of each pick
+    shape = index.shape[:-1] + (slot[..., -1].max() + 1,)
+    trials = np.arange(math.prod(index.shape[:-1])).reshape(index.shape[:-1] + (1,))
+    column = (slot + shape[-1] * trials).ravel()  # into the flattened columns
+    counts = np.bincount(column, minlength=math.prod(shape)).reshape(shape)
+    first = np.zeros(math.prod(shape), dtype=index.dtype)
+    first[column] = index.ravel()
+    columns = rows.T[first.reshape(shape) * z].swapaxes(-1, -2)
+    return columns * np.sqrt(counts)[..., None, :]
 
 
 def _tap_energy(responses: PathResponses, z_rx: int, z_tx: int) -> np.ndarray:
@@ -265,7 +323,13 @@ def _tap_energy(responses: PathResponses, z_rx: int, z_tx: int) -> np.ndarray:
     return energy
 
 
-def _strongest(power: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k largest entries along the last axis, ascending;
-    ties go to the lower index (a stable sort of the negated powers)."""
-    return np.sort(np.argsort(-power, axis=-1, kind="stable")[..., :k], axis=-1)
+def _strongest(power: np.ndarray, z: int, k: int) -> np.ndarray:
+    """The k antennas of largest power, ascending, ties to the lower
+    antenna, where the (..., n_y) ``power`` of each azimuth index is that of
+    its z antennas: the stable sort of the n_y * z repeated powers, taken
+    as the stable sort of the indices expanded into their antennas. The
+    copies of one power are contiguous and tie with each other, so either
+    order puts them in the same places."""
+    order = np.argsort(-power, axis=-1, kind="stable")[..., : -(-k // z)]
+    antennas = (order[..., None] * z + np.arange(z)).reshape(order.shape[:-1] + (-1,))
+    return np.sort(antennas[..., :k], axis=-1)

@@ -11,9 +11,11 @@ subcarrier coefficients, the antenna ranking of the power-based selection,
 and the subcarrier eigen-gains by one LAPACK eigensolve per subcarrier;
 the characteristic polynomials of Hermitian matrices as sums of principal
 minors.
-The water-filling rate as a per-budget sum of one log1p per channel and
-the random draws of one realization at a time keep the forms the package
-had before it shared that work.
+The water-filling rate as a per-budget sum of one log1p per channel, its
+threshold search by one ``searchsorted`` per link, the random draws of one
+realization at a time, the antenna-level forms of the selection (a sort
+of every antenna, and a picked link of one row per picked antenna) keep
+the forms the package had before it shared or reduced that work.
 """
 from __future__ import annotations
 
@@ -31,6 +33,7 @@ from lensmimo.channel import (
 from lensmimo.errors import InvalidInputError
 from lensmimo.numerics import RANK_TOL, water_fill
 from lensmimo.pdm import SinrReport, mrt_precoders
+from lensmimo.upa import ofdm_capacity
 
 
 class StatisticalValidityError(InvalidInputError):
@@ -127,6 +130,47 @@ def rank_per_trial(energy, z_rx, z_tx, n_rx_rf, n_tx_rf):
         col_power = np.repeat(energy[t][rows[t] // z_rx].sum(axis=0), z_tx)
         cols[t] = np.sort(np.lexsort((np.arange(n_tx), -col_power))[:n_tx_rf])
     return rows, cols
+
+
+def strongest_antennas(power, z, k):
+    """The k antennas of largest power, ascending, ties to the lower
+    antenna, for the (..., n_y) powers of azimuth indices of z antennas
+    each: a stable sort of the n_y * z antennas' repeated powers."""
+    antennas = np.argsort(-np.repeat(power, z, axis=-1), axis=-1, kind="stable")
+    return np.sort(antennas[..., :k], axis=-1)
+
+
+def antenna_link_rates(responses, rows, cols, budgets, noise, ofdm):
+    """(T, B) UPA-OFDM rates of the picked antennas' link with one response
+    row per picked antenna, ``responses.restrict(rows, cols)``, each group
+    of trials of equal side ranks (``by_rank``) in one capacity call."""
+    rates = np.empty((len(responses.gains), len(budgets)))
+    for trials, link in responses.restrict(rows, cols).by_rank():
+        rates[trials] = ofdm_capacity(link, budgets, noise, ofdm)
+    return rates
+
+
+def water_levels_by_search(g, b, noise):
+    """``numerics._water_levels`` with one ``searchsorted`` of the budgets
+    per link for the active counts, in place of one search of every link
+    at once: the same five arrays."""
+    n = g.shape[-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        floors = noise / g.reshape(-1, n)
+        ranked = np.sort(floors, axis=-1)
+        lowest = ranked[:, :1]
+        d = ranked - lowest
+        thresholds = np.empty_like(d)
+        thresholds[:, 0] = 0.0
+        steps = np.multiply(np.arange(1, n), d[:, 1:] - d[:, :-1], out=thresholds[:, 1:])
+        np.add.accumulate(steps, axis=-1, out=steps)
+    flat = b.reshape(-1)
+    active = np.empty((len(d), flat.size), dtype=np.intp)
+    for row, count in zip(thresholds, active):
+        count[:] = np.searchsorted(row, flat)
+    filled = np.add.accumulate(d, axis=-1)[np.arange(len(d))[:, None], active - 1]
+    level = (flat + filled) / active
+    return floors, lowest, d, active, level
 
 
 def dense_channel(responses):

@@ -18,6 +18,7 @@ from lensmimo.channel import (
 )
 from lensmimo.errors import InvalidInputError
 from lensmimo.experiments import _Block, preset
+from lensmimo.numerics import RANK_TOL
 from oracles import dense_channel, dense_taps, draw_one
 
 IDEAL = dict(aoa_spatial_freqs=(0.0, 0.2, -0.2), aod_spatial_freqs=(0.0, 0.2, -0.2))
@@ -253,6 +254,29 @@ class TestChannelMatrices:
         assert taps[0][0] == 5
         assert resp.num_paths == 2
         assert np.allclose(taps[0][1], dense_channel(resp))
+
+    def test_one_column_factor_gives_the_cores_of_the_svd(self):
+        # Rows of one antenna are their own rank-1 factor, rows^T, where the
+        # SVD gives S V^H = conj(u) rows^T for a unit u: the cores agree up
+        # to that phase on each side. Trial 1 has a zero row (path 1 gives
+        # no response), and trial 2 is all zero, of rank 1 either way.
+        rng = np.random.default_rng(7)
+
+        def cn(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        rx, tx, gains = cn(3, 3, 1), cn(3, 3, 4), cn(3, 3)
+        rx[1, 1] = 0.0
+        rx[2] = 0.0
+        responses = PathResponses(rx=rx, tx=tx, gains=gains, delays=np.zeros((3, 3), int))
+        assert responses.ranks == (1, 3)
+        u, s, vh = np.linalg.svd(rx.swapaxes(-1, -2), full_matrices=False)
+        assert (s >= RANK_TOL * s[..., :1]).all()
+        r_tx = responses._rows.factors[1]
+        want = (s[..., None] * vh * gains[:, None, :]) @ r_tx.conj().swapaxes(-1, -2)
+        assert np.allclose(u.conj() * responses.cores(), want, rtol=1e-14, atol=1e-15)
+        assert np.array_equal(responses._rows.factors[0], rx.swapaxes(-1, -2))
+        assert not responses.cores()[2].any()
 
     def test_restrict_refuses_rows_per_trial(self):
         # Indexing (T, L, N) rows as (L, N) would take the trials for the

@@ -119,6 +119,13 @@ class TestPresets:
         assert preset("fig9", rx_rf=200, tx_rf=400).rx_rf == 200
         assert preset("fig9", schemes=("PDM-MRC",), **{field: value}).schemes == ("PDM-MRC",)
 
+    @pytest.mark.parametrize("field", ["trials", "delta", "seed", "rx_rf", "tx_rf"])
+    def test_bools_are_no_integers(self, field):
+        # bool is an Integral, and True would act as 1 (False as seed 0).
+        for value in (True, False):
+            with pytest.raises(InvalidInputError, match=f"^{field} must be an integer"):
+                preset("fig9", **{field: value})
+
     def test_path_count_is_the_aod_list_length(self):
         # No setting but the AoD list gives the path count.
         with pytest.raises(ConfigError, match="num_paths"):
@@ -221,6 +228,19 @@ class TestRunExperiment:
         monkeypatch.setattr(experiments, "_run_block", no_block)
         with pytest.raises(InvalidInputError, match="^worker count must be an integer >= 1, got "):
             run_experiment(preset("fig9", trials=2000), workers=workers)
+
+    def test_bool_worker_count_refused(self, monkeypatch):
+        # True would run one worker: a bool is no process count, whether
+        # given as the argument or reached through resolve_workers.
+        def no_block(*args):
+            raise AssertionError("a block ran before the worker count was checked")
+
+        monkeypatch.setattr(experiments, "_run_block", no_block)
+        for workers in (True, False):
+            with pytest.raises(InvalidInputError, match="^worker count must be an integer >= 1"):
+                run_experiment(preset("fig9", trials=2000), workers=workers)
+            with pytest.raises(InvalidInputError, match="^worker count must be an integer >= 1"):
+                experiments.resolve_workers(workers)
 
     @pytest.mark.parametrize("factor, started", [(0.9, []), (1.1, [2])])
     def test_pool_only_when_it_saves_its_cost(self, monkeypatch, pools, factor, started):

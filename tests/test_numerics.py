@@ -225,21 +225,21 @@ class TestEigenGains:
         assert np.array_equal(gains, np.zeros((3, 1)))
 
     def test_selection_sweep_calls_no_svd_on_a_vector_stack(self, monkeypatch):
-        # The selected fig9 link has rank 1 at the default budgets, so its 512
-        # subcarrier cores are 1 x 1, and their singular values are absolute
-        # values that need no LAPACK call. Record the shape of every SVD the
-        # sweep makes.
-        shapes = []
-        svd = np.linalg.svd
-
-        def counting_svd(a, *args, **kwargs):
-            shapes.append(np.shape(a))
-            return svd(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        run_experiment(preset("fig9", trials=1, schemes=("UPA-OFDM-selection",)), workers=1)
-        assert shapes, "the sweep made no SVD call at all"
-        assert all(min(shape[-2:]) > 1 for shape in shapes), shapes
+        # At the default budgets (6 of n_z = 10 per side) every pick of a
+        # side shares one azimuth index, so the selected fig9 link has one
+        # column per side: its factors are its rows, with no SVD, and its
+        # 512 subcarrier cores are 1 x 1, whose singular values are absolute
+        # values. So the sweep makes no np.linalg call at all. At 15 RF
+        # chains the picks span two indices per side, and the only SVDs are
+        # of stacks with two antenna columns, (T, 2, L), or 2 x 2 cores.
+        calls = record_linalg(monkeypatch)
+        run_experiment(preset("fig9", trials=32, schemes=("UPA-OFDM-selection",)), workers=1)
+        assert calls == [], calls
+        cfg = preset("fig9", trials=32, rx_rf=15, tx_rf=15, schemes=("UPA-OFDM-selection",))
+        run_experiment(cfg, workers=1)
+        assert calls, "the sweep at 15 RF chains made no np.linalg call"
+        assert all(name == "svd" and shape[-2] == 2 for name, shape in calls), calls
+        assert (32, 2, 3) in [shape for _, shape in calls], calls
 
     def test_ofdm_sweep_calls_no_svd_on_a_subcarrier_stack(self, monkeypatch):
         # fig6's UPA responses are orthogonal on both sides, so every

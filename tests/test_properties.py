@@ -16,7 +16,9 @@ grid equals one call per budget, and that one call over a stack of links
 (zero gains, equal floors, all-zero rows) equals one call per link, bit
 for bit, over budgets far wider than the sweeps produce, and that the rate
 from one cumulated log1p per gain is within a few n eps of the per-budget
-sum of one log1p per channel, for gains over sixty decades. The OFDM
+sum of one log1p per channel, for gains over sixty decades, and that
+the threshold search's one search of every link at once gives the bits
+of one ``searchsorted`` per link. The OFDM
 properties check that with mutually orthogonal responses on one side (as
 on fig6's UPAs) the wideband rate, N / (N + cp) times the narrowband one,
 equals the water-fill over every subcarrier; that with one side's rows
@@ -45,7 +47,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lensmimo import experiments
+from lensmimo import experiments, numerics
 from lensmimo import upa as upa_module
 from lensmimo.arrays import LensArrayConfig, UpaConfig
 from lensmimo.channel import (
@@ -77,6 +79,7 @@ from oracles import (
     draw_one,
     principal_minor_sums,
     support_view,
+    water_levels_by_search,
     waterfill_rates,
 )
 
@@ -344,6 +347,23 @@ def wide_gain_stacks(draw):
     return np.array(draw(st.lists(row, min_size=t, max_size=t)))
 
 
+@st.composite
+def threshold_cases(draw):
+    """(T, n) gains, (B,) budgets and the noise for the threshold search:
+    ``wide_gain_stacks`` with budgets over eighty decades, or gains 2^-e
+    and zeros at unit noise with small integer budgets, which meet the
+    thresholds (sums of products of small integers) exactly."""
+    if draw(st.booleans()):
+        gains, noise = draw(wide_gain_stacks()), draw(noises)
+        log_budgets = draw(st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=9))
+        return gains, 10.0 ** np.array(log_budgets), noise
+    t, n = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    value = st.integers(0, 4).map(lambda e: 2.0**-e) | st.just(0.0)
+    rows = st.lists(st.lists(value, min_size=n, max_size=n), min_size=t, max_size=t)
+    budgets = st.lists(st.integers(1, 64).map(float), min_size=1, max_size=9)
+    return np.array(draw(rows)), np.array(draw(budgets)), 1.0
+
+
 class TestWaterFillProperties:
     @EXAMPLES
     @given(gains=gain_lists, noise=noises, best_snr_db=best_snrs_db)
@@ -412,6 +432,24 @@ class TestWaterFillProperties:
             powers = water_fill(gains, budgets, noise)
             for t, row in enumerate(gains):
                 assert np.array_equal(powers[t], water_fill(row, budgets, noise))
+
+    @EXAMPLES
+    @given(case=threshold_cases())
+    def test_threshold_count_equals_the_search_per_link(self, case):
+        # One search of every link at once against one searchsorted per
+        # link: the same active counts, so every output of the threshold
+        # search bit for bit, also where a budget equals a threshold. Zero
+        # gains give infinite floors and nan thresholds; all-zero links are
+        # read as waterfill_capacity reads them, as unit gains; the budgets
+        # come unsorted.
+        gains, budgets, noise = case
+        silent = (gains == 0).all(axis=-1, keepdims=True)
+        g = np.where(silent, 1.0, gains)
+        got = numerics._water_levels(g, budgets, noise)
+        want = water_levels_by_search(g, budgets, noise)
+        assert got[3].dtype == want[3].dtype
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
 
     @EXAMPLES
     @given(

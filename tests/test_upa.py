@@ -24,11 +24,13 @@ from lensmimo.experiments import preset
 from lensmimo.numerics import RANK_TOL, eigen_gains, waterfill_capacity
 from lensmimo.upa import OfdmConfig, eigenmode_capacity, ofdm_capacity, power_select_antennas
 from oracles import (
+    antenna_link_rates,
     dense_channel,
     dense_taps,
     eigvalsh_subcarrier_gains,
     ofdm_coefficients,
     rank_per_trial,
+    strongest_antennas,
 )
 
 
@@ -130,6 +132,14 @@ class TestOfdmConfig:
         with pytest.raises(InvalidInputError, match=f"{field} must be an integer"):
             OfdmConfig(**{field: value})
         assert OfdmConfig(**{field: np.int64(64)}) == OfdmConfig(**{field: 64})
+
+    @pytest.mark.parametrize("field", ["subcarriers", "cp_samples"])
+    def test_numerology_refuses_bools(self, field):
+        # bool is an Integral, and True would act as 1: no count of
+        # subcarriers or prefix samples.
+        for value in (True, False):
+            with pytest.raises(InvalidInputError, match=f"{field} must be an integer, got {value}"):
+                OfdmConfig(**{field: value})
 
 
 class TestEigenmodeCapacity:
@@ -519,6 +529,73 @@ class TestSelectedLink:
             got = ofdm_capacity(part, budgets, 1.0, cfg)
             for row, t in zip(got, index):
                 assert np.array_equal(row, ofdm_capacity(trials[t], budgets, 1.0, cfg))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_grouped_ranking_equals_the_antenna_sort(self, data):
+        # The ranking sorts the n_y azimuth indices and expands their order
+        # into antennas; it must give, for every k, the picks of a stable
+        # sort of every antenna's repeated power, bit for bit. Powers drawn
+        # from a small pool tie often, across indices and stacks.
+        n_y, z = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 5))
+        lead = data.draw(st.sampled_from([(), (1,), (4,)]))
+        pool = data.draw(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=3))
+        value = st.sampled_from(pool) | st.floats(0.0, 10.0)
+        count = math.prod(lead) * n_y
+        draws = data.draw(st.lists(value, min_size=count, max_size=count))
+        power = np.array(draws).reshape(lead + (n_y,))
+        for k in range(1, n_y * z + 1):
+            got = upa_module._strongest(power, z, k)
+            assert np.array_equal(got, strongest_antennas(power, z, k)), k
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        name=st.sampled_from(["fig9", "fig10"]),
+        budgets=st.sampled_from([(6, 6), (15, 15), (1, 11), (25, 3)]),
+        seed=st.integers(0, 2**16),
+        t=st.integers(1, 8),
+        tied=st.sampled_from([(), (0, 1), (1, 2), (0, 1, 2)]),
+    )
+    def test_azimuth_link_rates_equal_the_antenna_link(self, name, budgets, seed, t, tied):
+        # The link at azimuth resolution, one weighted column per distinct
+        # index, against one row per picked antenna: the same singular
+        # values on every subcarrier, so the same rates but for rounding.
+        # ``tied`` paths share the first one's delay, and so one tap.
+        cfg = preset(name, rx_rf=budgets[0], tx_rf=budgets[1], seed=seed)
+        block = experiments._Block(cfg, range(t))
+        upa = block.upa
+        if tied:
+            delays = upa.delays.copy()
+            delays[:, list(tied)] = delays[:, tied[:1]]
+            upa = upa.with_paths(upa.gains, delays)
+        rx, tx = cfg._geometry.upas
+        picks = power_select_antennas(upa, rx, tx, *budgets)
+        snr = cfg._geometry.budgets
+        got = np.empty((t, len(snr)))
+        for index, link in upa_module.selected_link(upa, rx, tx, *picks).by_rank():
+            got[index] = ofdm_capacity(link, snr, NOISE_POWER, cfg.ofdm)
+        want = antenna_link_rates(upa, *picks, snr, NOISE_POWER, cfg.ofdm)
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+        if not tied:  # the sweep's own route
+            assert np.array_equal(block.upa_ofdm_selection()[0], got)
+
+    def test_azimuth_link_columns(self):
+        # Picks at indices 0 (twice), 2 (once) and 1 (three times) of a
+        # 3 x 3 UPA: columns in index order, weighted by the square roots
+        # of the counts; the second trial's single index leaves two zero
+        # columns.
+        upa = UpaConfig(aperture=9 / 4, azimuth_dim=1.5)
+        rows = upa.responses([0.1, -0.3])
+        responses = PathResponses(rows, rows, np.ones((2, 2), complex), np.zeros((2, 2), int))
+        picks = np.array([[0, 1, 3, 4, 5, 6], [6, 7, 8, 6, 7, 8]])
+        picks.sort(axis=-1)
+        link = upa_module.selected_link(responses, upa, upa, picks, picks)
+        assert link.rx.shape == (2, 2, 3)
+        want = rows[:, [0, 3, 6]] * np.sqrt([2.0, 3.0, 1.0])
+        assert np.array_equal(link.rx[0], want) and np.array_equal(link.tx[0], want)
+        assert np.array_equal(link.rx[1], np.sqrt(6.0) * rows[:, [6, 0, 0]] * [1.0, 0.0, 0.0])
+        with pytest.raises(InvalidInputError, match="rows per trial"):
+            upa_module.selected_link(link, upa, upa, picks, picks)
 
     def test_by_rank_on_shared_rows_gives_one_group(self):
         rng = np.random.default_rng(3)
