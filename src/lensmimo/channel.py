@@ -207,21 +207,21 @@ class PathResponses:
         part.__dict__["_rows"] = self._rows
         return part
 
-    def by_rank(self) -> list[tuple[np.ndarray, PathResponses]]:
-        """Responses with (T, L) gains split into groups of trials with the
-        same side ranks (r_R, r_T): (trial indices, their responses) pairs
-        in ascending rank order, all factored from one stacked SVD per side.
-        A block of one rank pair, as shared (L, N) rows always are, is its
-        own group of every trial."""
-        lead = self.gains.shape[:-1]
-        ranks = np.stack(
-            [np.broadcast_to(keep.sum(axis=-1), lead) for _, keep in self._rows.svds], axis=-1
-        )
-        pairs = sorted(set(map(tuple, ranks.tolist())))
-        if len(pairs) == 1:
-            return [(np.arange(len(self.gains)), self)]
-        groups = (np.flatnonzero((ranks == pair).all(axis=-1)) for pair in pairs)
-        return [(index, self.trials((index,))) for index in groups]
+    def by_rank(self) -> list[tuple[tuple, PathResponses]]:
+        """The trials split into groups of the same side ranks (r_R, r_T)
+        and ``orthogonal`` decision: (index, responses) pairs in ascending
+        order, the index a tuple as ``trials`` takes, all factored from one
+        stacked SVD per side. Shared (L, N) rows, or rows per trial of one
+        key, are one group of index ()."""
+        if self.rx.ndim == 2:
+            return [((), self)]
+        (_, keep_rx), (_, keep_tx) = self._rows.svds
+        keys = np.stack((keep_rx.sum(axis=-1), keep_tx.sum(axis=-1), self.orthogonal), axis=-1)
+        unique = sorted(set(map(tuple, keys.tolist())))
+        if len(unique) == 1:
+            return [((), self)]
+        groups = ((np.flatnonzero((keys == key).all(axis=-1)),) for key in unique)
+        return [(index, self.trials(index)) for index in groups]
 
     @cached_property
     def _rows(self) -> _Rows:
@@ -352,8 +352,12 @@ class _Rows:
     def orthogonal(self) -> np.ndarray:
         """``PathResponses.orthogonal``: per side, the Gram of the rows as
         entrywise products summed over contiguous antenna rows, so that a
-        trial's decision takes the same bits in any stack."""
+        trial's decision takes the same bits in any stack. A side of more
+        rows L than antennas N and no zero row is not, and forms no Gram:
+        its normalized Gram I + F has rank N < L, so some |F_lm| >= 1/(L-1)."""
         def side(rows):
+            if rows.shape[-2] > rows.shape[-1] and rows.any(axis=-1).all():
+                return np.zeros(rows.shape[:-2], dtype=bool)
             rows = np.ascontiguousarray(rows)
             gram = (rows.conj()[..., :, None, :] * rows[..., None, :, :]).sum(axis=-1)
             norms = np.sqrt(gram.diagonal(0, -2, -1).real)

@@ -59,6 +59,8 @@ def parse_config_file(path: str) -> dict:
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path!r} is not UTF-8 text: {exc}") from None
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:

@@ -14,7 +14,9 @@ sets and the support view with its beamformers, and the path groups with
 their factored rows. It is built at the config's first block and kept on
 the config object for its later blocks and sweeps. Trials run in blocks,
 which differ only in their gains and delays; the schemes take them as
-(T, L) stacks on the geometry's rows.
+(T, L) stacks on the geometry's rows. UPA-OFDM-selection alone forms rows
+per trial in each block: it picks (index, count) per side, builds the
+picked links from them, and scores the block in one capacity call.
 
 Determinism contract: trial t draws its gains and delays from the RNG
 substream seeded by (seed, t), every scheme computes each trial's rates
@@ -41,6 +43,7 @@ import os
 import time
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
+from typing import ClassVar
 
 import numpy as np
 from numpy.random import default_rng  # numpy 2 imports its random module on first use
@@ -108,7 +111,7 @@ class ExperimentConfig:
     rx_rf: int | None = None
     tx_rf: int | None = None
     seed: int = 0
-    ofdm: OfdmConfig = OfdmConfig()
+    ofdm: ClassVar[OfdmConfig] = OfdmConfig()
 
     def __post_init__(self) -> None:
         for field, least in (("trials", 1), ("delta", 1), ("seed", 0)):
@@ -156,11 +159,6 @@ class ExperimentConfig:
                 raise InvalidInputError(
                     f"the cyclic prefix ({self.ofdm.cp_samples} samples) is shorter than the "
                     f"longest channel tap ({longest_tap} samples)"
-                )
-            if longest_tap >= self.ofdm.subcarriers:
-                raise InvalidInputError(
-                    f"the longest channel tap ({longest_tap} samples) does not fit in the "
-                    f"OFDM symbol ({self.ofdm.subcarriers} samples)"
                 )
 
     @cached_property
@@ -414,20 +412,19 @@ class _Block:
         return ofdm_capacity(self.upa, self.geo.budgets, NOISE_POWER, self.cfg.ofdm), None
 
     def upa_ofdm_selection(self):
-        """Antennas picked for the whole block in one ranking, with each
-        trial's picks bit for bit those of its own call (the near-tied picks
-        depend on the per-trial arithmetic to the last bit). Each trial's
-        picked link is carried at azimuth resolution (``selected_link``),
-        (T, L, g) rows of its own with one weighted column per distinct
-        azimuth index; the trials are grouped by their side ranks, one
-        capacity call per group. At the fig9/fig10 budgets g = 1 on both
-        sides, so the link is rank 1 and makes no LAPACK call."""
-        upa, cfg, budgets = self.upa, self.cfg, self.geo.budgets
+        """Pick, link, capacity: the antennas picked for the whole block in
+        one ranking, as (index, count) per side, with each trial's picks bit
+        for bit those of its own call (the near-tied picks depend on the
+        per-trial arithmetic to the last bit); each trial's picked link at
+        azimuth resolution (``selected_link``), (T, L, g) rows of its own
+        with one weighted column per picked azimuth index; and one
+        ``ofdm_capacity`` call, which splits the links by side ranks and
+        route. At the fig9/fig10 budgets g = 1 on both sides, so the link
+        is rank 1 and makes no LAPACK call."""
+        upa, cfg = self.upa, self.cfg
         picks = power_select_antennas(upa, *self.geo.upas, cfg.rx_rf, cfg.tx_rf)
-        rates = np.empty((len(upa.gains), len(budgets)))
-        for trials, link in selected_link(upa, *self.geo.upas, *picks).by_rank():
-            rates[trials] = ofdm_capacity(link, budgets, NOISE_POWER, cfg.ofdm)
-        return rates, None
+        link = selected_link(upa, *self.geo.upas, *picks)
+        return ofdm_capacity(link, self.geo.budgets, NOISE_POWER, cfg.ofdm), None
 
 
 _EVALUATE = {

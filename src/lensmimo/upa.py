@@ -22,18 +22,19 @@ take a block of realizations at once, and so does the antenna
 selection: it ranks the channel energy of one antenna per azimuth index
 on both sides, from an n_y,R x n_y,T tap per distinct path delay formed
 from the path terms, with no loop over the realizations and each one's
-picks bit for bit those of its own call; it sorts the azimuth indices,
-not the antennas. Each realization's picked link is carried at azimuth
-resolution (``selected_link``): response rows of its own, (T, L, g), one
-column per distinct azimuth index among its picks, weighted by the square
-root of its pick count, which ``ofdm_capacity`` reads as it reads a
-block's shared rows. At the fig9/fig10 budgets every pick of a side shares
-one index, so each side has one column, its own rank-1 factor, and the
-link makes no LAPACK call: its subcarrier cores are 1 x 1.
+picks bit for bit those of its own call. It sorts the azimuth indices,
+not the antennas, and a side's picks are (index, count): its picked
+azimuth indices with their pick counts. Each realization's picked link is
+carried at azimuth resolution (``selected_link``): response rows of its
+own, (T, L, g), one column per picked index weighted by the square root
+of its count, and the block's links take one ``ofdm_capacity`` call,
+which splits them by side ranks and route. At the fig9/fig10 budgets
+every pick of a side shares one index, so each side has one column, its
+own rank-1 factor, and the link makes no LAPACK call: its subcarrier
+cores are 1 x 1.
 """
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 
@@ -102,9 +103,9 @@ def ofdm_capacity(
     narrowband rate at P, and the rate is N/(N+cp) times
     ``eigenmode_capacity``, within the Weyl bound of ORTHO_TOL's comment (4e-14
     of the largest gain at three paths). The rows decide, so a block's
-    shared rows decide once for every trial and sweep of them; rows per
-    trial decide per trial, and each part of a mixed stack takes its own
-    route.
+    shared rows decide once for every trial and sweep of them. A stack of
+    rows per trial is split once, by side ranks and route
+    (``PathResponses.by_rank``), and each group takes its own route.
 
     Elsewhere, with (T, L) gains and delays the T realizations share the
     factors of the response rows and the compound Grams of
@@ -122,16 +123,13 @@ def ofdm_capacity(
         raise InvalidInputError("channel tap delay reaches or exceeds the OFDM symbol length")
     if np.any(delays < 0):
         raise InvalidInputError("path delays must be non-negative")
-    narrow = np.broadcast_to(responses.orthogonal, delays.shape[:-1])
-    if narrow.all():
-        return (n / (n + ofdm.cp_samples)) * eigenmode_capacity(responses, budgets, noise)
-    if narrow.any():  # rows per trial, some orthogonal: each part takes its route
-        rates = np.empty(narrow.shape + np.shape(budgets))
-        for part in (narrow, ~narrow):
-            index = np.nonzero(part)
-            rates[index] = ofdm_capacity(responses.trials(index), budgets, noise, ofdm)
-        return rates
-    return _subcarrier_capacity(responses, budgets, noise, ofdm)
+    rates = np.empty(delays.shape[:-1] + np.shape(budgets))
+    for index, part in responses.by_rank():
+        if part.orthogonal.all():  # one decision per group
+            rates[index] = (n / (n + ofdm.cp_samples)) * eigenmode_capacity(part, budgets, noise)
+        else:
+            rates[index] = _subcarrier_capacity(part, budgets, noise, ofdm)
+    return rates[()]  # a scalar for one trial at one budget
 
 
 def _subcarrier_capacity(
@@ -201,11 +199,12 @@ def _subcarrier_gains(responses: PathResponses, table: np.ndarray) -> np.ndarray
 
 def power_select_antennas(
     responses: PathResponses, rx_array: UpaConfig, tx_array: UpaConfig, n_rx_rf: int, n_tx_rf: int
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """Two-stage power-based selection under RF-chain budgets, on the UPA
     responses of one realization, (L,) gains and delays, or of a block,
-    (T, L), and the two arrays: (..., n_rx_rf) receive rows and
-    (..., n_tx_rf) transmit columns, ascending.
+    (T, L), and the two arrays: the receive picks, then the transmit picks,
+    each as (index, count), (..., g) each, the g = ceil(k / n_z) picked
+    azimuth indices ascending with their pick counts (``_strongest``).
 
     Picks the n_rx_rf receive antennas with the largest squared channel
     magnitude summed over path delays and transmit antennas, then the n_tx_rf
@@ -214,16 +213,16 @@ def power_select_antennas(
 
     The UPA carries no elevation phase, so the n_z antennas of one azimuth
     index (i_y-major: i_y*n_z ... i_y*n_z + n_z - 1) have identical
-    responses and powers, on either side. The taps are formed once per
-    block over one antenna per azimuth index on both sides (n_y,R x n_y,T
-    per delay) and repeated back to full transmit rows before the row
-    sums, so that they round as they would on the whole array; a trial's
-    picks are bit for bit those of its own call. The row sums (numpy's
-    pairwise sum over each contiguous full transmit row), the sorts, the
-    gather of the picked rows and their column sums all take the whole
-    block at once, each trial reduced in the order of its own call. The
-    sorts rank the n_y azimuth indices and expand their stable order into
-    antennas (``_strongest``), the picks of a sort of every antenna.
+    responses and powers, on either side, and a side's picks are its
+    azimuth indices, each with the count of its lowest antennas picked. The
+    taps are formed once per block over one antenna per azimuth index on
+    both sides (n_y,R x n_y,T per delay) and repeated back to full transmit
+    rows before the row sums, so that they round as they would on the whole
+    array; a trial's picks are bit for bit those of its own call. The row
+    sums (numpy's pairwise sum over each contiguous full transmit row), the
+    sorts, the gather of the picked rows (one per picked antenna, ascending)
+    and their column sums all take the whole block at once, each trial
+    reduced in the order of its own call.
 
     So with each budget at most its array's n_z (6 of 10 on fig9/fig10),
     the lower-index rule takes every pick of a side from one azimuth index,
@@ -231,7 +230,7 @@ def power_select_antennas(
     selected link has rank 1: UPA-OFDM-selection is a single-stream
     baseline. ROADMAP's "A fair conventional baseline" keeps several.
     ``selected_link`` carries the picked link at azimuth resolution, one
-    weighted column per distinct index, so that rank-1 link has one column
+    weighted column per picked index, so that rank-1 link has one column
     per side and is factored with no LAPACK call.
     """
     n_rx, n_tx = responses.rx.shape[-1], responses.tx.shape[-1]
@@ -246,58 +245,43 @@ def power_select_antennas(
     # Row i of energy stands for receive antennas i*n_z,R ... and its
     # column j for transmit antennas j*n_z,T ...; the row sums run over the
     # full transmit rows, the column sums over the picked rows.
-    rows = _strongest(np.repeat(energy, z_tx, axis=-1).sum(axis=-1), z_rx, n_rx_rf)
-    picked = np.take_along_axis(energy, rows[..., None] // z_rx, axis=-2)
-    cols = _strongest(picked.sum(axis=-2), z_tx, n_tx_rf)
+    index, count = rows = _strongest(np.repeat(energy, z_tx, axis=-1).sum(axis=-1), z_rx, n_rx_rf)
+    picked = np.repeat(index.ravel(), count.ravel()).reshape(index.shape[:-1] + (n_rx_rf, 1))
+    cols = _strongest(np.take_along_axis(energy, picked, axis=-2).sum(axis=-2), z_tx, n_tx_rf)
     return rows, cols
 
 
 def selected_link(
-    responses: PathResponses, rx_array: UpaConfig, tx_array: UpaConfig, rows, cols
+    responses: PathResponses, rx_array: UpaConfig, tx_array: UpaConfig, rx_picks, tx_picks
 ) -> PathResponses:
-    """The link of the picked receive rows and transmit columns (of
-    ``power_select_antennas``, (T, k) each, ascending) at azimuth
-    resolution, on a block's shared UPA rows: (T, L, g) rows per side, one
-    column per distinct azimuth index among a trial's picks, scaled by the
-    square root of its number of picks m, and zero columns up to the
-    block's largest g. Picks of ``power_select_antennas`` span
-    ceil(k / n_z) indices in every trial, so none is padded, and each
-    trial's rows are those of its own call.
+    """The link of the picked receive and transmit antennas (of
+    ``power_select_antennas``, (index, count) per side, (T, g) each) at
+    azimuth resolution, on a block's shared UPA rows: (T, L, g) rows per
+    side, the row of each picked azimuth index's first antenna scaled by
+    the square root of its pick count m. Every trial of a block picks
+    g = ceil(k / n_z) indices per side, so each trial's rows are those of
+    its own call.
 
-    The picked antennas' rows are E D for the rows D of their distinct
-    indices and a 0/1 E of disjoint columns of norms sqrt(m), so
-    E = Q diag(sqrt(m)) with orthonormal Q: the link has the singular
-    values, on every subcarrier, and the Gram of ``restrict(rows, cols)``,
-    with k / g times fewer antennas. A side whose picks share one index
-    has one column and is factored without an SVD (``channel._factor``).
+    The picked antennas' rows are E D for the rows D of their indices and
+    a 0/1 E of disjoint columns of norms sqrt(m), so E = Q diag(sqrt(m))
+    with orthonormal Q: the link has the singular values, on every
+    subcarrier, and the Gram of the link of one row per picked antenna,
+    with k / g times fewer antennas. A side of one picked index has one
+    column and is factored without an SVD (``channel._factor``).
     """
     if responses.rx.ndim != 2:
         raise InvalidInputError("selected_link takes shared (L, N) rows, not rows per trial")
+
+    def side(rows, picks, z):
+        index, count = picks
+        return rows.T[index * z].swapaxes(-1, -2) * np.sqrt(count)[..., None, :]
+
     return PathResponses(
-        rx=_azimuth_rows(responses.rx, rows, rx_array.grid_shape[1]),
-        tx=_azimuth_rows(responses.tx, cols, tx_array.grid_shape[1]),
+        rx=side(responses.rx, rx_picks, rx_array.grid_shape[1]),
+        tx=side(responses.tx, tx_picks, tx_array.grid_shape[1]),
         gains=responses.gains,
         delays=responses.delays,
     )
-
-
-def _azimuth_rows(rows: np.ndarray, picks: np.ndarray, z: int) -> np.ndarray:
-    """(..., L, g) rows of (L, N) UPA rows at the ascending (..., k)
-    antenna picks: column j of a trial is the row of its j-th distinct
-    azimuth index (antenna index // z) times the square root of its pick
-    count, or zero past the trial's distinct indices."""
-    index = picks // z
-    new = np.ones(index.shape, dtype=bool)
-    new[..., 1:] = index[..., 1:] != index[..., :-1]
-    slot = np.cumsum(new, axis=-1) - 1  # the column of each pick
-    shape = index.shape[:-1] + (slot[..., -1].max() + 1,)
-    trials = np.arange(math.prod(index.shape[:-1])).reshape(index.shape[:-1] + (1,))
-    column = (slot + shape[-1] * trials).ravel()  # into the flattened columns
-    counts = np.bincount(column, minlength=math.prod(shape)).reshape(shape)
-    first = np.zeros(math.prod(shape), dtype=index.dtype)
-    first[column] = index.ravel()
-    columns = rows.T[first.reshape(shape) * z].swapaxes(-1, -2)
-    return columns * np.sqrt(counts)[..., None, :]
 
 
 def _tap_energy(responses: PathResponses, z_rx: int, z_tx: int) -> np.ndarray:
@@ -323,13 +307,15 @@ def _tap_energy(responses: PathResponses, z_rx: int, z_tx: int) -> np.ndarray:
     return energy
 
 
-def _strongest(power: np.ndarray, z: int, k: int) -> np.ndarray:
-    """The k antennas of largest power, ascending, ties to the lower
-    antenna, where the (..., n_y) ``power`` of each azimuth index is that of
-    its z antennas: the stable sort of the n_y * z repeated powers, taken
-    as the stable sort of the indices expanded into their antennas. The
-    copies of one power are contiguous and tie with each other, so either
-    order puts them in the same places."""
-    order = np.argsort(-power, axis=-1, kind="stable")[..., : -(-k // z)]
-    antennas = (order[..., None] * z + np.arange(z)).reshape(order.shape[:-1] + (-1,))
-    return np.sort(antennas[..., :k], axis=-1)
+def _strongest(power: np.ndarray, z: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k antennas of largest power, ties to the lower antenna, where the
+    (..., n_y) ``power`` of each azimuth index is that of its z antennas, as
+    (index, count): the g = ceil(k / z) strongest indices, ascending, each
+    with z picks but the weakest of them, which has k - (g - 1) z. These are
+    the picks of the stable sort of the n_y * z repeated powers: the copies
+    of one power are contiguous and tie with each other, so the stable sort
+    of the indices puts them in the same places."""
+    g = -(-k // z)
+    order = np.argsort(-power, axis=-1, kind="stable")[..., :g]
+    index = np.sort(order, axis=-1)
+    return index, np.where(index == order[..., -1:], k - (g - 1) * z, z)

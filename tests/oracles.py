@@ -14,8 +14,9 @@ minors.
 The water-filling rate as a per-budget sum of one log1p per channel, its
 threshold search by one ``searchsorted`` per link, the random draws of one
 realization at a time, the antenna-level forms of the selection (a sort
-of every antenna, and a picked link of one row per picked antenna) keep
-the forms the package had before it shared or reduced that work.
+of every antenna, the antennas of azimuth picks, and a picked link of one
+row per picked antenna) keep the forms the package had before it shared
+or reduced that work.
 """
 from __future__ import annotations
 
@@ -140,14 +141,22 @@ def strongest_antennas(power, z, k):
     return np.sort(antennas[..., :k], axis=-1)
 
 
+def antennas(index, count, z):
+    """The ascending (..., k) antenna picks of (..., g) picked azimuth
+    indices of z antennas each and their pick counts: the count lowest
+    antennas i*z, i*z + 1, ... of each index i."""
+    g = index.shape[-1]
+    flat = [
+        np.concatenate([i * z + np.arange(m) for i, m in zip(row, counts)])
+        for row, counts in zip(index.reshape(-1, g), count.reshape(-1, g))
+    ]
+    return np.array(flat).reshape(index.shape[:-1] + (-1,))
+
+
 def antenna_link_rates(responses, rows, cols, budgets, noise, ofdm):
     """(T, B) UPA-OFDM rates of the picked antennas' link with one response
-    row per picked antenna, ``responses.restrict(rows, cols)``, each group
-    of trials of equal side ranks (``by_rank``) in one capacity call."""
-    rates = np.empty((len(responses.gains), len(budgets)))
-    for trials, link in responses.restrict(rows, cols).by_rank():
-        rates[trials] = ofdm_capacity(link, budgets, noise, ofdm)
-    return rates
+    row per picked antenna, ``responses.restrict(rows, cols)``."""
+    return ofdm_capacity(responses.restrict(rows, cols), budgets, noise, ofdm)
 
 
 def water_levels_by_search(g, b, noise):

@@ -46,6 +46,14 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             parse_config_file("/no/such/file.cfg")
 
+    def test_file_not_utf8(self, tmp_path, capsys):
+        p = tmp_path / "c.cfg"
+        p.write_bytes(b"scenario = fig5\n# caf\xe9\n")
+        with pytest.raises(ConfigError, match=r"c\.cfg' is not UTF-8 text"):
+            parse_config_file(str(p))
+        assert main(["run", "--config", str(p)]) == 2
+        assert "is not UTF-8 text" in capsys.readouterr().err
+
 
 class TestMain:
     def test_sweep_writes_csv(self, tmp_path):

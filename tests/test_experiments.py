@@ -176,14 +176,12 @@ class TestPresets:
         # Schemes without a cyclic prefix accept the long delay spread.
         assert preset("fig6", stats=stats, schemes=("OPDM",)).stats is stats
 
-    def test_longest_tap_must_fit_the_ofdm_symbol(self):
-        # 100 ns is 50 samples: within the 50-sample prefix, but not within a
-        # 32-sample symbol, which some trials' delays would reach mid-sweep.
-        for name in ("fig6", "fig9"):
-            with pytest.raises(InvalidInputError, match="OFDM symbol"):
-                preset(name, ofdm=OfdmConfig(32, 50))
-            assert preset(name, ofdm=OfdmConfig(64, 50)).ofdm.subcarriers == 64
-        assert preset("fig6", ofdm=OfdmConfig(32, 50), schemes=("OPDM",)).ofdm.subcarriers == 32
+    def test_ofdm_numerology_is_no_setting(self):
+        # One numerology for every sweep, whose 50-sample prefix is shorter
+        # than its 512-sample symbol: the prefix check covers the symbol's.
+        assert preset("fig6").ofdm == preset("fig9").ofdm == OfdmConfig(512, 50)
+        with pytest.raises(ConfigError, match="unexpected keyword argument 'ofdm'"):
+            preset("fig6", ofdm=OfdmConfig(64, 50))
 
 
 class TestRunExperiment:
@@ -357,6 +355,8 @@ class TestBlocks:
             ("fig9", {"rx_rf": 15, "tx_rf": 15}),
             ("fig10", {"rx_rf": 1, "tx_rf": 1}),
             ("fig9", {"rx_rf": 12, "tx_rf": 12, "stats": _COMMENSURATE}),
+            ("fig6", {"schemes": ("UPA-OFDM-selection",), "rx_rf": 6, "tx_rf": 6}),
+            ("fig6", {"schemes": ("UPA-OFDM-selection",), "rx_rf": 40, "tx_rf": 40}),
         ],
         ids=[
             "fig5",
@@ -367,13 +367,18 @@ class TestBlocks:
             "fig9-rf15",
             "fig10-rf1",
             "fig9-mixed-ranks",
+            "fig6-selection-rf6",
+            "fig6-selection-rf40",
         ],
     )
     def test_csv_independent_of_block_size(self, monkeypatch, name, overrides):
         # At 15 RF chains (> n_z = 10) the selected links have rank 2, whose
         # subcarriers take a quadratic; at 1 they have rank 1. At 12 chains with
         # _COMMENSURATE angles the 16 selected links have side ranks (1, 2),
-        # (2, 1) and (2, 2), one capacity call each.
+        # (2, 1) and (2, 2). On fig6's orthogonal grid, 3 of the 16 links
+        # at 6 chains have side ranks (2, 1), the rest (2, 2); at 40 chains
+        # 8 of them take the narrowband route. Each block's links take one
+        # capacity call, which splits them by side ranks and route.
         cfg = preset(name, trials=16, seed=3, **overrides)
         texts = []
         for size in (1, 7, cfg.trials):

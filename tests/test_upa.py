@@ -25,6 +25,7 @@ from lensmimo.numerics import RANK_TOL, eigen_gains, waterfill_capacity
 from lensmimo.upa import OfdmConfig, eigenmode_capacity, ofdm_capacity, power_select_antennas
 from oracles import (
     antenna_link_rates,
+    antennas,
     dense_channel,
     dense_taps,
     eigvalsh_subcarrier_gains,
@@ -101,14 +102,21 @@ def block_responses(rng, lead, num_paths, n_rx, n_tx, subcarriers, longest=None)
     return replace(responses, gains=gains, delays=delays)
 
 
+def select(responses, rx, tx, n_rx_rf, n_tx_rf):
+    """The (..., n_rx_rf) receive and (..., n_tx_rf) transmit antennas that
+    ``power_select_antennas`` picks, ascending."""
+    rows, cols = power_select_antennas(responses, rx, tx, n_rx_rf, n_tx_rf)
+    return antennas(*rows, rx.grid_shape[1]), antennas(*cols, tx.grid_shape[1])
+
+
 def selected_link(cfg, seed, trial, n_rx_rf, n_tx_rf):
     """The UPA link a sweep of ``cfg`` selects in trial ``trial`` of seed
-    ``seed`` under the given RF budgets."""
+    ``seed`` under the given RF budgets, one row per picked antenna."""
     rx = UpaConfig(cfg.rx_aperture, cfg.rx_azimuth_dim)
     tx = UpaConfig(cfg.tx_aperture, cfg.tx_azimuth_dim)
     paths = sample_paths(cfg.stats, np.random.default_rng([seed, trial]))
     responses = path_responses(paths, tx, rx)
-    return responses.restrict(*power_select_antennas(responses, rx, tx, n_rx_rf, n_tx_rf))
+    return responses.restrict(*select(responses, rx, tx, n_rx_rf, n_tx_rf))
 
 
 class TestOfdmConfig:
@@ -385,36 +393,47 @@ class TestOfdmCapacity:
     @pytest.mark.parametrize("seed", range(4))
     def test_mixed_stack_rates_equal_each_trial_alone(self, seed):
         # Rows per trial, (T, L, k) as the selected links have them, laid out
-        # as ``restrict`` leaves them (a view of (L, T, k) rows). Some trials'
-        # receive rows are orthogonal (rows of a unitary, scaled) and take
-        # the narrowband route, the others the subcarrier route: each
-        # trial's rates are bit for bit those of a call on it alone.
+        # as ``restrict`` leaves them (a view of (L, T, k) rows), of both
+        # routes and four side-rank pairs. Receive rows of a unitary, scaled,
+        # take the narrowband route, at transmit ranks 3 and 2. Of the
+        # others, path 1 arrives along path 0 (ranks 2, 3), duplicates it
+        # with a delay of N/2 (ranks 2, 2, so its odd subcarriers take the
+        # SVD of their cores), or neither (ranks 3, 3). One call on the
+        # stack splits it once; each trial's rates are bit for bit those of
+        # a call on it alone, with shared rows and with rows per trial.
         rng = np.random.default_rng(seed)
-        t, num_paths, n_rx, n_tx, n = 6, 3, 4, 5, 64
-
-        def cn(*shape):
-            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-        rx, tx = cn(num_paths, t, n_rx), cn(num_paths, t, n_tx)
-        orthogonal = rng.permutation([True, False] + list(rng.random(t - 2) < 0.5))
-        for i in np.flatnonzero(orthogonal):
-            unitary = np.linalg.qr(cn(n_rx, n_rx))[0]
-            rx[:, i] = unitary[:num_paths] * rng.uniform(0.5, 2.0, (num_paths, 1))
-        gains, delays = cn(t, num_paths), rng.integers(0, n, (t, num_paths))
-        responses = PathResponses(np.moveaxis(rx, 0, -2), np.moveaxis(tx, 0, -2), gains, delays)
-        assert np.array_equal(responses.orthogonal, orthogonal)
+        t, n = 8, 64
+        kinds = ["orthogonal", "orthogonal-rank-2", "parallel", "half-symbol", "generic"]
+        kinds = rng.permutation(kinds + list(rng.choice(kinds, t - len(kinds))))
+        trials = [random_responses(rng, 3, 4, 5, delays=rng.integers(0, n, 3)) for _ in kinds]
+        for kind, trial in zip(kinds, trials):
+            if kind.startswith("orthogonal"):
+                unitary = np.linalg.qr(trial.rx.T)[0].T  # rows of a 3 x 4 unitary
+                trial.rx[:] = unitary * rng.uniform(0.5, 2.0, (3, 1))
+            if kind == "orthogonal-rank-2":
+                trial.tx[1] = (1 - 2j) * trial.tx[0]
+            elif kind == "parallel":
+                trial.rx[1] = 2.0 * trial.rx[0]
+            elif kind == "half-symbol":
+                repeat_path_half_a_symbol_later(trial, n)
+        keys = [(trial.ranks, bool(trial.orthogonal)) for trial in trials]
+        assert {route for _, route in keys} == {False, True}
+        assert {ranks for ranks, _ in keys} == {(3, 3), (3, 2), (2, 3), (2, 2)}
+        rx, tx, gains, delays = (
+            np.stack([getattr(trial, f) for trial in trials], axis=axis)
+            for f, axis in (("rx", 1), ("tx", 1), ("gains", 0), ("delays", 0))
+        )
+        block = PathResponses(np.moveaxis(rx, 0, -2), np.moveaxis(tx, 0, -2), gains, delays)
+        assert len(block.by_rank()) == len(set(keys))
         cfg = OfdmConfig(subcarriers=n, cp_samples=4)
-        budgets = np.array([1e-3, 1.0, 1e3, 1e12])
-        got = ofdm_capacity(responses, budgets, 0.5, cfg)
-        for i in range(t):
-            one = np.s_[i : i + 1]
-            alone = PathResponses(
-                np.moveaxis(rx[:, one], 0, -2).copy(),
-                np.moveaxis(tx[:, one], 0, -2).copy(),
-                gains[one],
-                delays[one],
+        budgets = np.array([1e-3, 1.0, 1e3, 1e12, 1e20])
+        got = ofdm_capacity(block, budgets, 0.5, cfg)
+        for i, trial in enumerate(trials):
+            stacked = PathResponses(
+                trial.rx[None].copy(), trial.tx[None].copy(), gains[i : i + 1], delays[i : i + 1]
             )
-            assert np.array_equal(got[one], ofdm_capacity(alone, budgets, 0.5, cfg))
+            assert np.array_equal(got[i : i + 1], ofdm_capacity(stacked, budgets, 0.5, cfg)), i
+            assert np.array_equal(got[i], ofdm_capacity(trial, budgets, 0.5, cfg)), i
 
     def test_successive_calls_equal_the_per_element_coefficients(self, monkeypatch):
         # From empty tables: rising and falling largest delays, alternating
@@ -502,41 +521,38 @@ class TestSelectedLink:
             phases = np.exp(-2j * np.pi * np.outer(np.arange(n), picked.delays) / n)
             assert picked.cores(picked.gains * phases).shape == (n, 1, 1)
 
-    def test_by_rank_splits_trials_and_keeps_their_rates(self):
-        # Per-trial rows of three side-rank pairs. Trial 1 sees paths 0 and
-        # 1 along one receive direction (ranks 2, 3). In trials 2 and 4 path
-        # 1 duplicates path 0 with a delay of N/2 (ranks 2, 2), so their odd
-        # subcarriers take the SVD of their cores. Each group's capacity is
-        # bit for bit that of the trial's own call.
+    def test_by_rank_groups_trials_by_ranks_and_route(self):
+        # Per-trial rows of three side-rank pairs and both routes. Trial 1
+        # sees paths 0 and 1 along one receive direction (ranks 2, 3). In
+        # trials 2 and 4 path 1 duplicates path 0 (ranks 2, 2). Trial 5's
+        # receive rows are orthogonal (ranks 3, 3, the narrowband route).
+        # test_mixed_stack_rates_equal_each_trial_alone checks the rates.
         rng = np.random.default_rng(12)
-        cfg = OfdmConfig(subcarriers=16, cp_samples=4)
-        trials = [random_responses(rng, 3, 4, 5, delays=(0, 2, 3)) for _ in range(5)]
+        trials = [random_responses(rng, 3, 4, 5, delays=(0, 2, 3)) for _ in range(6)]
         trials[1].rx[1] = 2.0 * trials[1].rx[0]
         for t in (2, 4):
             trials[t].rx[1], trials[t].tx[1] = trials[t].rx[0], trials[t].tx[0]
-            trials[t].gains[1] = trials[t].gains[0]
-            trials[t].delays[1] = 8
+        trials[5].rx[:] = np.linalg.qr(trials[5].rx.T)[0].T
         fields = ("rx", "tx", "gains", "delays")
         block = PathResponses(*(np.stack([getattr(t, f) for t in trials]) for f in fields))
         with pytest.raises(InvalidInputError, match="by_rank"):
             block.cores()
         groups = block.by_rank()
-        assert [(list(i), part.ranks) for i, part in groups] == [
-            ([2, 4], (2, 2)), ([1], (2, 3)), ([0, 3], (3, 3))
+        assert [(list(i), part.ranks, bool(part.orthogonal.all())) for (i,), part in groups] == [
+            ([2, 4], (2, 2), False), ([1], (2, 3), False), ([0, 3], (3, 3), False),
+            ([5], (3, 3), True),
         ]
-        budgets = np.array([1e-2, 1.0, 1e20])
-        for index, part in groups:
-            got = ofdm_capacity(part, budgets, 1.0, cfg)
-            for row, t in zip(got, index):
-                assert np.array_equal(row, ofdm_capacity(trials[t], budgets, 1.0, cfg))
+        for (index,), part in groups:
+            assert np.array_equal(part.gains, block.gains[index])
+            assert np.array_equal(part.orthogonal, block.orthogonal[index])
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_grouped_ranking_equals_the_antenna_sort(self, data):
-        # The ranking sorts the n_y azimuth indices and expands their order
-        # into antennas; it must give, for every k, the picks of a stable
-        # sort of every antenna's repeated power, bit for bit. Powers drawn
-        # from a small pool tie often, across indices and stacks.
+        # The ranking sorts the n_y azimuth indices and gives them with
+        # their pick counts; expanded into antennas, they must be, for every
+        # k, the picks of a stable sort of every antenna's repeated power.
+        # Powers drawn from a small pool tie often, across indices and stacks.
         n_y, z = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 5))
         lead = data.draw(st.sampled_from([(), (1,), (4,)]))
         pool = data.draw(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=3))
@@ -545,7 +561,9 @@ class TestSelectedLink:
         draws = data.draw(st.lists(value, min_size=count, max_size=count))
         power = np.array(draws).reshape(lead + (n_y,))
         for k in range(1, n_y * z + 1):
-            got = upa_module._strongest(power, z, k)
+            index, count = upa_module._strongest(power, z, k)
+            assert np.all(np.diff(index, axis=-1) > 0) and np.all(count.sum(axis=-1) == k)
+            got = antennas(index, count, z)
             assert np.array_equal(got, strongest_antennas(power, z, k)), k
 
     @settings(max_examples=40, deadline=None)
@@ -571,29 +589,27 @@ class TestSelectedLink:
         rx, tx = cfg._geometry.upas
         picks = power_select_antennas(upa, rx, tx, *budgets)
         snr = cfg._geometry.budgets
-        got = np.empty((t, len(snr)))
-        for index, link in upa_module.selected_link(upa, rx, tx, *picks).by_rank():
-            got[index] = ofdm_capacity(link, snr, NOISE_POWER, cfg.ofdm)
-        want = antenna_link_rates(upa, *picks, snr, NOISE_POWER, cfg.ofdm)
+        link = upa_module.selected_link(upa, rx, tx, *picks)
+        got = ofdm_capacity(link, snr, NOISE_POWER, cfg.ofdm)
+        rows, cols = antennas(*picks[0], rx.grid_shape[1]), antennas(*picks[1], tx.grid_shape[1])
+        want = antenna_link_rates(upa, rows, cols, snr, NOISE_POWER, cfg.ofdm)
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)
         if not tied:  # the sweep's own route
             assert np.array_equal(block.upa_ofdm_selection()[0], got)
 
     def test_azimuth_link_columns(self):
-        # Picks at indices 0 (twice), 2 (once) and 1 (three times) of a
-        # 3 x 3 UPA: columns in index order, weighted by the square roots
-        # of the counts; the second trial's single index leaves two zero
-        # columns.
+        # Picks of a 3 x 3 UPA at indices 0 (twice) and 2 (three times) in
+        # one trial, 1 (three times) and 2 (once) in the other: each column
+        # the row of an index's first antenna, weighted by the square root
+        # of its count.
         upa = UpaConfig(aperture=9 / 4, azimuth_dim=1.5)
         rows = upa.responses([0.1, -0.3])
         responses = PathResponses(rows, rows, np.ones((2, 2), complex), np.zeros((2, 2), int))
-        picks = np.array([[0, 1, 3, 4, 5, 6], [6, 7, 8, 6, 7, 8]])
-        picks.sort(axis=-1)
+        picks = np.array([[0, 2], [1, 2]]), np.array([[2, 3], [3, 1]])
         link = upa_module.selected_link(responses, upa, upa, picks, picks)
-        assert link.rx.shape == (2, 2, 3)
-        want = rows[:, [0, 3, 6]] * np.sqrt([2.0, 3.0, 1.0])
-        assert np.array_equal(link.rx[0], want) and np.array_equal(link.tx[0], want)
-        assert np.array_equal(link.rx[1], np.sqrt(6.0) * rows[:, [6, 0, 0]] * [1.0, 0.0, 0.0])
+        assert link.rx.shape == (2, 2, 2)
+        want = rows[:, [0, 6]] * np.sqrt([2.0, 3.0]), rows[:, [3, 6]] * np.sqrt([3.0, 1.0])
+        assert np.array_equal(link.rx, want) and np.array_equal(link.tx, want)
         with pytest.raises(InvalidInputError, match="rows per trial"):
             upa_module.selected_link(link, upa, upa, picks, picks)
 
@@ -603,7 +619,7 @@ class TestSelectedLink:
         gains = np.stack([one.gains, 2j * one.gains])
         block = PathResponses(one.rx, one.tx, gains, np.zeros((2, 3), int))
         [(index, part)] = block.by_rank()
-        assert list(index) == [0, 1]
+        assert index == () and part is block
         assert np.array_equal(part.cores(), block.cores())
 
 
@@ -625,7 +641,7 @@ class TestRowForms:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         shared = block_responses(rng, (t,), *dims, n)
         if route == "gram-guard":
-            # Path 2 alone on every odd subcarrier, as in the by_rank test.
+            # Path 2 alone on every odd subcarrier, as in the mixed-stack test.
             repeat_path_half_a_symbol_later(shared, n)
         stacked = replace(shared, rx=np.stack([shared.rx] * t), tx=np.stack([shared.tx] * t))
         coeffs = ofdm_coefficients(shared.gains, shared.delays, n)
@@ -729,20 +745,20 @@ def single_path(a_rx, a_tx):
 class TestPowerSelection:
     def test_full_budget_is_identity(self):
         responses = random_responses(np.random.default_rng(5), 4, 4, 5)
-        rows, cols = power_select_antennas(responses, upa_with(4), upa_with(5), 4, 5)
+        rows, cols = select(responses, upa_with(4), upa_with(5), 4, 5)
         assert list(rows) == [0, 1, 2, 3]
         assert list(cols) == [0, 1, 2, 3, 4]
 
     def test_rank_one_separable(self):
         a = np.array([1.0, 3.0, 2.0, 0.5])
         b = np.array([0.2, 1.0, 0.7])
-        rows, cols = power_select_antennas(single_path(a, b), upa_with(4), upa_with(3), 2, 2)
+        rows, cols = select(single_path(a, b), upa_with(4), upa_with(3), 2, 2)
         assert set(rows) == {1, 2}
         assert set(cols) == {1, 2}
 
     def test_ties_prefer_lower_index(self):
         three = upa_with(3)
-        rows, cols = power_select_antennas(single_path(np.ones(3), np.ones(3)), three, three, 2, 2)
+        rows, cols = select(single_path(np.ones(3), np.ones(3)), three, three, 2, 2)
         assert list(rows) == [0, 1]
         assert list(cols) == [0, 1]
         # A UPA has no elevation phase, so the n_z antennas of one azimuth
@@ -755,7 +771,7 @@ class TestPowerSelection:
                 aoa_spatial_freqs=np.array([phi]),
                 aod_spatial_freqs=np.array([-phi]),
             )
-            rows, cols = power_select_antennas(path_responses(paths, tx, rx), rx, tx, 3, 2)
+            rows, cols = select(path_responses(paths, tx, rx), rx, tx, 3, 2)
             # The first three of one azimuth index, the first two of another.
             assert list(rows) == [4 * (rows[0] // 4) + i for i in range(3)]
             assert list(cols) == [3 * (cols[0] // 3) + i for i in range(2)]
@@ -774,7 +790,7 @@ class TestPowerSelection:
             rx=ramps[0], tx=ramps[1], gains=rng.standard_normal(3) + 0j, delays=np.zeros(3, int)
         )
         h = dense_channel(responses)
-        rows, cols = power_select_antennas(responses, upa_with(8), upa_with(8), 4, 4)
+        rows, cols = select(responses, upa_with(8), upa_with(8), 4, 4)
         greedy = np.linalg.norm(h[np.ix_(rows, cols)]) ** 2
         best = max(
             np.linalg.norm(h[np.ix_(r, c)]) ** 2
@@ -788,7 +804,7 @@ class TestPowerSelection:
         cfg = OfdmConfig(subcarriers=16, cp_samples=4)
         caps = []
         for k in (2, 4, 6):
-            rows, cols = power_select_antennas(responses, upa_with(6), upa_with(6), k, k)
+            rows, cols = select(responses, upa_with(6), upa_with(6), k, k)
             caps.append(ofdm_capacity(responses.restrict(rows, cols), 1.0, 1.0, cfg))
         assert caps[0] <= caps[1] <= caps[2]
 
@@ -817,7 +833,7 @@ class TestPowerSelection:
             responses = path_responses(paths, tx, rx)
             taps = dense_taps(responses)
             for rf in (1, 6, 15):
-                rows, cols = power_select_antennas(responses, rx, tx, rf, rf)
+                rows, cols = select(responses, rx, tx, rf, rf)
                 want_rows, want_cols = oracle_power_select(taps, rf, rf)
                 assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
                 if rf <= min(n_z):
@@ -853,7 +869,7 @@ class TestPowerSelection:
         responses = path_responses(paths, tx, rx)
         k_rx = data.draw(st.integers(1, rx.element_count))
         k_tx = data.draw(st.integers(1, tx.element_count))
-        rows, cols = power_select_antennas(responses, rx, tx, k_rx, k_tx)
+        rows, cols = select(responses, rx, tx, k_rx, k_tx)
         energy = dense_energy(dense_taps(responses))
         assert_top_up_to_ulps(rows, energy.sum(axis=1), k_rx)
         assert_top_up_to_ulps(cols, energy[rows].sum(axis=0), k_tx)
@@ -883,7 +899,7 @@ class TestPowerSelection:
         block = path_responses(paths, tx, rx)
         k_rx = data.draw(st.integers(1, rx.element_count))
         k_tx = data.draw(st.integers(1, tx.element_count))
-        rows, cols = power_select_antennas(block, rx, tx, k_rx, k_tx)
+        rows, cols = select(block, rx, tx, k_rx, k_tx)
         z_rx, z_tx = rx.grid_shape[1], tx.grid_shape[1]
         energy = upa_module._tap_energy(block, z_rx, z_tx)
         want_rows, want_cols = rank_per_trial(energy, z_rx, z_tx, k_rx, k_tx)
@@ -893,9 +909,9 @@ class TestPowerSelection:
     @given(st.data())
     def test_block_picks_and_rates_equal_the_one_trial_calls(self, data):
         # The block route of UPA-OFDM-selection: one ranking of T trials,
-        # their picked links split by side rank, one capacity call per
-        # group. Every pick and rate must be bit for bit those of the
-        # trial's own calls. Random UPA shapes with n_z > 1 on both sides
+        # their picked links at azimuth resolution, one capacity call.
+        # Every pick and rate must be bit for bit those of the trial's own
+        # calls. Random UPA shapes with n_z > 1 on both sides
         # and n_y,R * n_y,T not a multiple of 8, so no kernel lane width
         # divides the ranked taps; unsorted delays that often share a tap.
         def upa():
@@ -922,14 +938,14 @@ class TestPowerSelection:
         block = path_responses(paths, tx, rx)
         k_rx = data.draw(st.integers(1, rx.element_count))
         k_tx = data.draw(st.integers(1, tx.element_count))
-        rows, cols = power_select_antennas(block, rx, tx, k_rx, k_tx)
+        picks = power_select_antennas(block, rx, tx, k_rx, k_tx)
         cfg = OfdmConfig(subcarriers=8, cp_samples=2)
-        rates = np.empty((t, 2))
-        for index, link in block.restrict(rows, cols).by_rank():
-            rates[index] = ofdm_capacity(link, np.array([1e-2, 1e2]), 1.0, cfg)
+        budgets = np.array([1e-2, 1e2])
+        rates = ofdm_capacity(upa_module.selected_link(block, rx, tx, *picks), budgets, 1.0, cfg)
         for i in range(t):
             trial = replace(block, gains=block.gains[i], delays=block.delays[i])
             one = power_select_antennas(trial, rx, tx, k_rx, k_tx)
-            assert np.array_equal(rows[i], one[0]) and np.array_equal(cols[i], one[1])
-            rate = ofdm_capacity(trial.restrict(*one), np.array([1e-2, 1e2]), 1.0, cfg)
+            for side, own in zip(picks, one):
+                assert all(np.array_equal(a[i], b) for a, b in zip(side, own))
+            rate = ofdm_capacity(upa_module.selected_link(trial, rx, tx, *one), budgets, 1.0, cfg)
             assert np.array_equal(rates[i], rate)
