@@ -62,7 +62,7 @@ from .errors import ConfigError, InvalidInputError, NumericalError
 from .grouping import group_channels, grouped_capacity, path_groups
 from .numerics import water_fill, waterfill_capacity
 from .opdm import is_ideal, path_gains
-from .pdm import beamformers, mmse_combiners, mrc_combiners, pdm_sinr
+from .pdm import beamformers, mmse_sinr, mrc_combiners, pdm_sinr, sum_rate
 from .selection import support_sets
 from .upa import (
     OfdmConfig,
@@ -372,11 +372,6 @@ class _Block:
         """(T, B, L) water-filled PDM stream powers, shared by MRC and MMSE."""
         return water_fill(self.path_gains, self.geo.budgets, NOISE_POWER)
 
-    def _pdm(self, combiners):
-        return pdm_sinr(
-            self.support, combiners, self.pdm_powers, NOISE_POWER, self.geo.beams
-        ).sum_rate
-
     def opdm(self):
         if not self.geo.opdm_applies:
             return None, "opdm-skip"
@@ -384,11 +379,11 @@ class _Block:
 
     @cached_property
     def mmse_rates(self):  # PDM-MMSE's, and PDM-grouping's where it falls back
-        combiners = mmse_combiners(self.support, self.pdm_powers, NOISE_POWER, self.geo.beams)
-        return self._pdm(combiners)
+        return sum_rate(mmse_sinr(self.support, self.pdm_powers, NOISE_POWER, self.geo.beams))
 
     def pdm_mrc(self):
-        return self._pdm(self.geo.mrc), None
+        report = pdm_sinr(self.support, self.geo.mrc, self.pdm_powers, NOISE_POWER, self.geo.beams)
+        return report.sum_rate, None
 
     def pdm_mmse(self):
         return self.mmse_rates, None
@@ -446,16 +441,18 @@ def _run_block(cfg: ExperimentConfig, trials: range) -> dict:
     Returns scheme -> (rates of shape (len(trials), len(snr_db)) or None,
     flag or None); the flag and the None hold for every trial of the block,
     as both follow from the geometry. A rate that is not finite raises
-    NumericalError naming the first such trial, and so does a scheme that
-    meets a numerical failure.
+    NumericalError naming the first such trial, and a scheme that meets a
+    numerical failure, an overflow or an invalid operation (at budgets so
+    large that a product leaves double range) raises it naming the scheme.
     """
     block = _Block(cfg, trials)
     out = {}
-    for scheme in cfg.schemes:
-        try:
-            out[scheme] = _EVALUATE[scheme](block)
-        except NumericalError as exc:
-            raise NumericalError(f"{scheme}: {exc}") from None
+    with np.errstate(over="raise", invalid="raise"):
+        for scheme in cfg.schemes:
+            try:
+                out[scheme] = _EVALUATE[scheme](block)
+            except (NumericalError, FloatingPointError) as exc:
+                raise NumericalError(f"{scheme}: {exc}") from None
     if all(np.isfinite(rates).all() for rates, _ in out.values() if rates is not None):
         return out
     for i, trial in enumerate(trials):  # name the first trial with a non-finite rate

@@ -1,5 +1,5 @@
 """Shared numerical kernels: eigen-gains, roots of characteristic
-polynomials, exact water-filling, Hermitian solve.
+polynomials, exact water-filling, Hermitian positive definite solves.
 
 Every capacity the sweeps report is water-filling over parallel gains:
 OPDM's per-path gains, and the eigenmodes of the path-space cores
@@ -17,10 +17,12 @@ per link, and one ``searchsorted`` of every link's budgets among the
 thresholds of all links. ``water_fill`` returns the powers;
 ``waterfill_capacity`` forms none, and takes its rates from one cumulated
 log1p per gain and one per link and budget, so no step of it builds a
-(links, budgets, n) array. ``hermitian_solve`` solves a
-stack of Hermitian positive definite systems (the PDM MMSE covariances in path
-space, one per trial and budget, with a column per stream) in one call and
-refuses a singular one. All functions are pure and thread-safe.
+(links, budgets, n) array. ``normalized_solve`` solves a stack of
+Hermitian positive definite systems (the PDM MMSE covariances in path
+space, one per trial and budget, against a right-hand side per stream)
+through a Cholesky factorization written out entry by entry, with no
+LAPACK call, scales each solution to unit norm in its own matrix, and
+refuses a singular matrix. All functions are pure and thread-safe.
 """
 from __future__ import annotations
 
@@ -252,31 +254,48 @@ def _log1p_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return logs
 
 
-def hermitian_solve(c, b) -> np.ndarray:
-    """Solve C X = B for each Hermitian positive definite C of a (..., m, m)
-    stack, with k right-hand sides as the columns of B, of shape (..., m, k).
-
-    Raises NumericalError if any matrix of the stack is singular or
-    indefinite in double precision.
+def normalized_solve(c, b) -> np.ndarray:
+    """C^{-1} b / sqrt(b^H C^{-1} b), of order |C|^(-1/2) (0 where b = 0),
+    for each Hermitian positive definite C of a (..., m, m) stack and b of a
+    (..., m) stack broadcast with it. C's lower triangle is factored as
+    L L^H by hand, a ufunc step per entry over the stack and no LAPACK
+    call; y = L^{-1} b, then L^{-H} y / |y|. A pivot that is not positive
+    (NaN included) raises NumericalError.
     """
-    cm = np.asarray(c, dtype=complex)
-    bm = np.asarray(b, dtype=complex)
-    if cm.ndim < 2 or cm.shape[-1] != cm.shape[-2] or bm.shape[:-1] != cm.shape[:-1]:
-        raise InvalidInputError("hermitian_solve expects C of (..., m, m) and B of (..., m, k)")
-    if not (np.all(np.isfinite(cm)) and np.all(np.isfinite(bm))):
-        raise InvalidInputError("hermitian_solve input contains non-finite entries")
-    # Frobenius norms of each matrix scaled by its largest entry, so that
-    # squaring entries beyond 1e154 cannot overflow.
-    peak = np.abs(cm).max(axis=(-2, -1), keepdims=True)
-    unit = cm / np.where(peak > 0, peak, 1.0)
-    scale = np.linalg.norm(unit, axis=(-2, -1))
-    skew = np.linalg.norm(unit - unit.conj().swapaxes(-2, -1), axis=(-2, -1))
-    if np.any(skew > 1e-12 * scale):
-        raise InvalidInputError("C is not Hermitian to within 1e-12")
-    try:
-        np.linalg.cholesky(cm)  # positive definiteness check
-        return np.linalg.solve(cm, bm)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"C is singular or indefinite (condition number {np.linalg.cond(cm).max():.3e})"
-        ) from exc
+    cm, bm = np.asarray(c), np.asarray(b)
+    m = cm.shape[-1] if cm.ndim >= 2 else 0
+    if m == 0 or cm.shape[-2] != m or bm.shape[-1:] != (m,):
+        raise InvalidInputError("normalized_solve expects C of (..., m, m) and b of (..., m)")
+    if not (np.isfinite(cm).all() and np.isfinite(bm).all()):
+        raise InvalidInputError("normalized_solve input contains non-finite entries")
+    # An axis of one, so that no step meets numpy's scalar arithmetic, whose
+    # complex product rounds unlike its array loops.
+    cm, bm = cm[..., None, :, :], bm[..., None, :]
+    conj = np.conj if np.iscomplexobj(cm) else (lambda v: v)
+    low, y = {}, []  # L[i, j] for i >= j, and L^{-1} b
+    for j in range(m):
+        pivot = cm[..., j, j].real
+        for k in range(j):
+            pivot = pivot - (low[j, k] * conj(low[j, k])).real
+        if not pivot.min() > 0:  # a NaN fails
+            raise NumericalError("C is singular or indefinite in double precision")
+        low[j, j] = np.sqrt(pivot)
+        for i in range(j + 1, m):
+            entry = cm[..., i, j]
+            for k in range(j):
+                entry = entry - low[i, k] * conj(low[j, k])
+            low[i, j] = entry / low[j, j]
+        entry = bm[..., j]
+        for k in range(j):
+            entry = entry - low[j, k] * y[k]
+        y.append(entry / low[j, j])
+    norm = np.sqrt(sum((v * np.conj(v)).real for v in y))
+    norm[norm == 0] = 1.0
+    x = [None] * m
+    for i in reversed(range(m)):
+        entry = y[i] / norm
+        for k in range(i + 1, m):
+            entry = entry - conj(low[k, i]) * x[k]
+        x[i] = entry / low[i, i]
+    return np.stack(x, axis=-1)[..., 0, :]
+

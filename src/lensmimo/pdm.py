@@ -3,24 +3,25 @@
 Per-path maximal-ratio transmission (MRT) at the transmitter, per-stream MRC
 or MMSE combining at the receiver, and the exact per-stream SINR
 decomposition (desired / inter-symbol / inter-stream / noise). The
-symbol-level Monte Carlo check of that decomposition and the inter-path
-contamination coefficients are test oracles and live with the tests.
+symbol-level Monte Carlo check of that decomposition, the inter-path
+contamination coefficients and the MMSE combiners themselves are test
+oracles and live with the tests.
 
 Every function works on PathResponses restricted to the selected antennas
 M_S x Q_S (the unions of the ``selection.SupportSets`` masks): row l of its
 receive/transmit responses is path l seen by those antennas. Stream l is
 sent on path l with the MRT precoder of that path and detected at that
 path's delay. The MRC combiners, the MRT couplings |a_T,k^H w_l|^2 and
-the thin QR of the receive rows (the last two a ``Beamformers``, from
-``beamformers``) depend only on the rows, so they are formed once for
-every realization and budget, and a sweep forms them once for all its
-blocks; ``mmse_combiners`` and ``pdm_sinr`` take them as an argument.
-The gains are of one realization, (L,), or of a block, (T, L); stream
-powers carry the same leading axes followed by any budget axes, (T, B, L)
-for a block on an SNR grid, and every result broadcasts over them. The
-MMSE combiners of all L streams come from one covariance of rank L plus
-noise per realization and budget, solved in the L-dimensional path space
-of the receive responses, never as an M_S x M_S system.
+the R factor of the thin QR of the receive rows with its outer-product
+table (the last two a ``Beamformers``, from ``beamformers``) depend only on
+the rows, so they are formed once for every realization and budget, and a
+sweep forms them once for all its blocks; ``mmse_sinr`` and ``pdm_sinr``
+take them as an argument. The gains are of one realization, (L,), or of a
+block, (T, L); stream powers carry the same leading axes followed by any
+budget axes, (T, B, L) for a block on an SNR grid, and every result
+broadcasts over them. The MMSE SINR is the form s_l a_{R,l}^H C_l^{-1}
+a_{R,l} of stream l's interference plus noise covariance C_l (Tse and
+Viswanath, Fundamentals of Wireless Communication, 2005, sec. 8.3.3).
 
 All SINRs here use exactly normalized beamformers.
 """
@@ -31,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import PathResponses
-from .errors import DegenerateInputError, InvalidInputError, NumericalError
-from .numerics import hermitian_solve
+from .errors import DegenerateInputError, InvalidInputError
+from .numerics import normalized_solve
 
 _UNIT_TOL = 1e-12
 
@@ -49,9 +50,13 @@ class SinrReport:
 
     @property
     def sum_rate(self) -> np.ndarray:
-        """Achievable sum rate sum_l log2(1 + gamma_l) in bps/Hz, one value
-        per leading index of the stream powers."""
-        return (np.log1p(self.gammas) / np.log(2.0)).sum(axis=-1)
+        return sum_rate(self.gammas)
+
+
+def sum_rate(gammas) -> np.ndarray:
+    """Achievable sum rate sum_l log2(1 + gamma_l) in bps/Hz, one value per
+    leading index of the (..., L) SINRs."""
+    return (np.log1p(gammas) / np.log(2.0)).sum(axis=-1)
 
 
 def _normalized_rows(rows: np.ndarray, what: str) -> np.ndarray:
@@ -73,19 +78,23 @@ def mrc_combiners(support: PathResponses) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Beamformers:
-    """What the SINRs and the MMSE combiners read of a support view's rows
-    alone, the same for every realization on that view."""
+    """What the SINRs read of a support view's rows alone, the same for
+    every realization on that view."""
 
     coupling: np.ndarray  # (L, L): coupling[k, l] = |a_T,k^H w_l|^2, w the MRT precoders
-    q: np.ndarray  # (M_S, r) and (r, L): the thin QR A^T = Q R of the receive rows
-    r: np.ndarray
+    r: np.ndarray  # (r, L): A^T = Q R, the thin QR of the receive rows A, r = min(L, M_S)
+    outer: np.ndarray  # (L, r * r): outer[k, i r + j] = R_ik conj(R_jk)
 
 
 def beamformers(support: PathResponses) -> Beamformers:
-    """The ``Beamformers`` of a support view."""
+    """The ``Beamformers`` of a support view. Real receive rows (the lens
+    responses) give a real R, and real products downstream."""
     coupling = np.abs(support.tx.conj() @ mrt_precoders(support).T) ** 2
-    q, r = np.linalg.qr(support.rx.T)
-    return Beamformers(coupling=coupling, q=q, r=r)
+    r = np.linalg.qr(support.rx.T, mode="r")
+    if not r.imag.any():
+        r = r.real
+    outer = (r[:, None, :] * r.conj()).reshape(-1, r.shape[1]).T.copy()
+    return Beamformers(coupling=coupling, r=r, outer=outer)
 
 
 def _path_power(support: PathResponses, powers: np.ndarray) -> np.ndarray:
@@ -100,33 +109,59 @@ def _launched(coupling: np.ndarray, powers) -> np.ndarray:
     return np.asarray(powers, dtype=float)[..., None, :] * coupling
 
 
-def mmse_combiners(support: PathResponses, powers, noise: float, beams: Beamformers) -> np.ndarray:
-    """Per-stream MMSE combiners v_l proportional to C_l^{-1} a_{R,l}.
-
-    C_l, the ISI and inter-stream interference of stream l plus noise, is
-    C = A^T diag(t) A^* + sigma^2 I (A the L x M_S receive responses, t_k
-    all power through path k) less stream l's desired term, so by the
-    matrix inversion lemma C_l^{-1} a_{R,l} is a positive multiple of
-    C^{-1} a_{R,l}. With the thin QR A^T = Q R (r = min(L, M_S)) that is
-    Q (R diag(t) R^H + sigma^2 I_r)^{-1} R e_l: one r x r system per budget,
-    with the L columns of R as right-hand sides. ``PathResponses.cores``
-    does not keep the basis Q, so this is the one other path-space
-    factorization. ``powers`` has the gains' leading axes followed by any
-    budget axes, (..., L); the result is (..., L, M_S). ``beams`` are
-    ``beamformers(support)``. A system still singular in double precision,
-    or a combiner direction whose norm is zero or not finite (at budgets so
-    large that the solution underflows), raises NumericalError.
-    """
+def _checked_powers(support: PathResponses, powers) -> np.ndarray:
     powers = np.asarray(powers, dtype=float)
-    through = _path_power(support, powers) * _launched(beams.coupling, powers).sum(axis=-1)
-    q, r = beams.q, beams.r
-    cov = (r * through[..., None, :]) @ r.conj().T + noise * np.eye(r.shape[0])
-    rhs = np.broadcast_to(r, cov.shape[:-2] + r.shape)
-    directions = hermitian_solve(cov, rhs).swapaxes(-2, -1) @ q.T
-    norms = np.linalg.norm(directions, axis=-1, keepdims=True)
-    if not np.all((norms > 0) & np.isfinite(norms)):
-        raise NumericalError("an MMSE combiner direction has zero or non-finite norm")
-    return directions / norms
+    if powers.shape[-1:] != (support.num_paths,):
+        raise InvalidInputError("PDM expects one stream per path")
+    if np.any(powers < 0):
+        raise InvalidInputError("stream powers must be non-negative")
+    return powers
+
+
+def mmse_sinr(support: PathResponses, powers, noise: float, beams: Beamformers) -> np.ndarray:
+    """Per-stream SINR of PDM-MMSE detection, with no M_S-long combiner.
+
+    Stream l's interference plus noise covariance in the path space of A^T
+    = Q R is C_l = R diag(t^(l)) R^H + sigma^2 I, t_k^(l) = |alpha_k|^2
+    sum_l' p_l' |a_T,k^H w_l'|^2 over every (k, l') but (l, l). Its MMSE
+    direction C_l^{-1} R_l is parallel to x_l = C^{-1} R_l, C that of
+    everything received (the matrix inversion lemma): one factor per trial
+    and budget for every stream, and a C_l singular in double precision
+    (where path l carries no interference) is never factored. gamma_l =
+    s_l R_l^H C_l^{-1} R_l is taken as the SINR of x_l, s_l |x_l^H R_l|^2 /
+    (sum_k t_k^(l) |x_l^H R_k|^2 + sigma^2 |x_l|^2), s_l the (l, l) term:
+    non-negative sums, stationary at the optimum, so x_l's rounding enters
+    squared, unlike in the form itself or in 1 - s u from C. ``powers`` is
+    (..., L), the gains' leading axes then any budget axes, as is the
+    result. A singular C raises NumericalError.
+    """
+    powers = _checked_powers(support, powers)
+    # launched[..., k, l'] = |alpha_k|^2 p_l' |a_T,k^H w_l'|^2.
+    launched = _launched(beams.coupling, powers) * _path_power(support, powers)[..., None]
+    r, m = beams.r, beams.r.shape[0]
+    total = _sum_last(launched)
+    cov = noise * np.eye(m).ravel()
+    for k, row in enumerate(beams.outer):  # C = R diag(total) R^H + sigma^2 I
+        cov = cov + total[..., k, None] * row
+    x = normalized_solve(cov.reshape(cov.shape[:-1] + (1, m, m)), r.T)
+    reach = np.abs(x.conj() @ r) ** 2  # reach[..., l, k] = |x_l^H R_k|^2
+    # through[..., l, k] = t_k^(l): masked sums, not totals less stream l's
+    # own term, which could swamp the interference it is compared with.
+    own = np.eye(support.num_paths)
+    through = _sum_last(launched[..., None, :, :] * (1.0 - own[:, :, None] * own[:, None, :]))
+    signal = np.diagonal(launched * reach, axis1=-2, axis2=-1)
+    interference = _sum_last(through * reach) + noise * _sum_last(np.abs(x) ** 2)
+    # 0 / 0 only where R_l = 0: that stream is not received.
+    return signal / np.where(interference > 0, interference, 1.0)
+
+
+def _sum_last(terms: np.ndarray) -> np.ndarray:
+    """terms.sum(axis=-1) added term by term in order: for a few terms
+    several times faster than numpy's reduction."""
+    total = terms[..., 0]
+    for j in range(1, terms.shape[-1]):
+        total = total + terms[..., j]
+    return total
 
 
 def pdm_sinr(
@@ -143,14 +178,11 @@ def pdm_sinr(
     ``beamformers(support)``.
     """
     combiners = np.asarray(combiners)
-    powers = np.asarray(powers, dtype=float)
-    streams = (support.num_paths,)
-    if powers.shape[-1:] != streams or combiners.shape[-2:-1] != streams:
+    powers = _checked_powers(support, powers)
+    if combiners.shape[-2:-1] != (support.num_paths,):
         raise InvalidInputError("PDM expects one stream per path")
     if np.any(np.abs(np.linalg.norm(combiners, axis=-1) - 1.0) > _UNIT_TOL):
         raise InvalidInputError("every combiner must be unit-norm")
-    if np.any(powers < 0):
-        raise InvalidInputError("stream powers must be non-negative")
     # reach[..., l, k] = |alpha_k|^2 |v_l^H a_{R,k}|^2: path k at detector l.
     alpha2 = _path_power(support, powers)[..., None, :]
     reach = alpha2 * np.abs(combiners.conj() @ support.rx.T) ** 2

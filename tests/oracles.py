@@ -16,7 +16,9 @@ threshold search by one ``searchsorted`` per link, the random draws of one
 realization at a time, the antenna-level forms of the selection (a sort
 of every antenna, the antennas of azimuth picks, and a picked link of one
 row per picked antenna) keep the forms the package had before it shared
-or reduced that work.
+or reduced that work. The PDM-MMSE combiners, from one Hermitian solve
+per realization and budget in path space, keep the long form of the
+closed-form SINR ``pdm.mmse_sinr``.
 """
 from __future__ import annotations
 
@@ -31,9 +33,9 @@ from lensmimo.channel import (
     PER_PATH_SHADOWING_STD_DB,
     SHADOWING_STD_DB,
 )
-from lensmimo.errors import InvalidInputError
+from lensmimo.errors import InvalidInputError, NumericalError
 from lensmimo.numerics import RANK_TOL, water_fill
-from lensmimo.pdm import SinrReport, mrt_precoders
+from lensmimo.pdm import SinrReport, _launched, _path_power, mrt_precoders
 from lensmimo.upa import ofdm_capacity
 
 
@@ -294,3 +296,62 @@ def draw_one(stats, rng):
     eta = rng.uniform(0.0, 2.0 * np.pi, num_paths)
     delays = np.sort(rng.uniform(0.0, stats.max_excess_delay_s, num_paths))
     return np.sqrt(beta * kappa) * np.exp(1j * eta), delays
+
+
+def hermitian_solve(c, b) -> np.ndarray:
+    """Solve C X = B for each Hermitian positive definite C of a (..., m, m)
+    stack, with k right-hand sides as the columns of B, of shape (..., m, k).
+
+    Raises NumericalError if any matrix of the stack is singular or
+    indefinite in double precision.
+    """
+    cm = np.asarray(c, dtype=complex)
+    bm = np.asarray(b, dtype=complex)
+    if cm.ndim < 2 or cm.shape[-1] != cm.shape[-2] or bm.shape[:-1] != cm.shape[:-1]:
+        raise InvalidInputError("hermitian_solve expects C of (..., m, m) and B of (..., m, k)")
+    if not (np.all(np.isfinite(cm)) and np.all(np.isfinite(bm))):
+        raise InvalidInputError("hermitian_solve input contains non-finite entries")
+    # Frobenius norms of each matrix scaled by its largest entry, so that
+    # squaring entries beyond 1e154 cannot overflow.
+    peak = np.abs(cm).max(axis=(-2, -1), keepdims=True)
+    unit = cm / np.where(peak > 0, peak, 1.0)
+    scale = np.linalg.norm(unit, axis=(-2, -1))
+    skew = np.linalg.norm(unit - unit.conj().swapaxes(-2, -1), axis=(-2, -1))
+    if np.any(skew > 1e-12 * scale):
+        raise InvalidInputError("C is not Hermitian to within 1e-12")
+    try:
+        np.linalg.cholesky(cm)  # positive definiteness check
+        return np.linalg.solve(cm, bm)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(
+            f"C is singular or indefinite (condition number {np.linalg.cond(cm).max():.3e})"
+        ) from exc
+
+
+def mmse_combiners(support, powers, noise: float, beams) -> np.ndarray:
+    """Per-stream MMSE combiners v_l proportional to C_l^{-1} a_{R,l}, whose
+    ``pdm.pdm_sinr`` is the SINR ``pdm.mmse_sinr`` takes in closed form.
+
+    C_l, the ISI and inter-stream interference of stream l plus noise, is
+    C = A^T diag(t) A^* + sigma^2 I (A the L x M_S receive responses, t_k
+    all power through path k) less stream l's desired term, so by the
+    matrix inversion lemma C_l^{-1} a_{R,l} is a positive multiple of
+    C^{-1} a_{R,l}. With the thin QR A^T = Q R (r = min(L, M_S)) that is
+    Q (R diag(t) R^H + sigma^2 I_r)^{-1} R e_l: one r x r system per budget,
+    with the L columns of R as right-hand sides. ``powers`` has the gains'
+    leading axes followed by any budget axes, (..., L); the result is
+    (..., L, M_S). Of ``beams`` (``pdm.beamformers(support)``) only the MRT
+    couplings are read. A system still singular in double precision, or a
+    combiner direction whose norm is zero or not finite (at budgets so
+    large that the solution underflows), raises NumericalError.
+    """
+    powers = np.asarray(powers, dtype=float)
+    through = _path_power(support, powers) * _launched(beams.coupling, powers).sum(axis=-1)
+    q, r = np.linalg.qr(support.rx.T)
+    cov = (r * through[..., None, :]) @ r.conj().T + noise * np.eye(r.shape[0])
+    rhs = np.broadcast_to(r, cov.shape[:-2] + r.shape)
+    directions = hermitian_solve(cov, rhs).swapaxes(-2, -1) @ q.T
+    norms = np.linalg.norm(directions, axis=-1, keepdims=True)
+    if not np.all((norms > 0) & np.isfinite(norms)):
+        raise NumericalError("an MMSE combiner direction has zero or non-finite norm")
+    return directions / norms

@@ -95,10 +95,9 @@ def _pdm_gammas(cfg, paths, kind, snr_db, noise, tx, rx):
     gains = np.abs(paths.gains) ** 2 * rx.aperture * tx.aperture
     powers = lm.water_fill(gains, lm.channel.tx_power(snr_db), noise)
     beams = lm.beamformers(support)
-    if kind == "MMSE":
-        comb = lm.mmse_combiners(support, powers, noise, beams)
-    else:
-        comb = lm.mrc_combiners(support)
+    if kind == "MMSE":  # in closed form, with no combiner
+        return support, None, powers, lm.mmse_sinr(support, powers, noise, beams)
+    comb = lm.mrc_combiners(support)
     return support, comb, powers, lm.pdm_sinr(support, comb, powers, noise, beams).gammas
 
 

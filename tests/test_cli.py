@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -207,27 +208,28 @@ class TestMain:
         assert "Traceback" not in captured.err
 
     def test_non_finite_rate_exit_code(self):
-        # At 2000 dB the transmit power is finite, but the PDM-MMSE
-        # covariance entries pass 1e190 and the combiner directions
-        # underflow to zero norm. The sweep is refused, naming the scheme,
-        # instead of printing inf or nan. A fresh process runs the command
-        # as a user would, with its worker pool; the error is all of stderr,
-        # with no numpy warning before it.
+        # The transmit power is finite at these points, but a product leaves
+        # double range: at 3020 dB the UPA-OFDM-selection budget times its
+        # 512 subcarriers, at 3030 dB PDM-MRC's launched stream powers. The
+        # sweep is refused, naming the scheme, instead of printing inf or
+        # nan. A fresh process runs the command as a user would, with its
+        # worker pool; the error is all of stderr, with no numpy warning
+        # before it.
         src = str(Path(__file__).resolve().parents[1] / "src")
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        args = ["run", "--scenario", "fig9", "--trials", "2", "--snr-db=2000"]
-        done = subprocess.run(
-            [sys.executable, "-m", "lensmimo.cli", *args],
-            env=dict(os.environ, PYTHONPATH=path),
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert done.returncode == 2, done.stderr
-        assert done.stdout == ""
-        assert done.stderr == (
-            "error: PDM-MMSE: an MMSE combiner direction has zero or non-finite norm\n"
-        )
+        for snr, scheme in (("3020", "UPA-OFDM-selection"), ("3030", "PDM-MRC")):
+            args = ["run", "--scenario", "fig9", "--trials", "2", f"--snr-db={snr}"]
+            done = subprocess.run(
+                [sys.executable, "-m", "lensmimo.cli", *args],
+                env=dict(os.environ, PYTHONPATH=path),
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert done.returncode == 2, done.stderr
+            assert done.stdout == ""
+            message = rf"error: {scheme}: overflow encountered in \w+\n"
+            assert re.fullmatch(message, done.stderr), done.stderr
 
     def test_malformed_sweep_grid_in_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"

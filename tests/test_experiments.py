@@ -450,13 +450,13 @@ class TestBlocks:
         # At delta 5 no side is separated, so PDM-grouping falls back on
         # every trial to the MMSE rates that PDM-MMSE computed.
         calls = []
-        original = experiments.mmse_combiners
+        original = experiments.mmse_sinr
 
         def spy(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(experiments, "mmse_combiners", spy)
+        monkeypatch.setattr(experiments, "mmse_sinr", spy)
         out = experiments._run_block(preset("fig9", delta=5), range(4))
         assert len(calls) == 1
         assert out["PDM-grouping"][1] == "grouping-fallback"
@@ -482,6 +482,17 @@ class TestBlocks:
         message = f"UPA-OFDM-selection rate at {cfg.snr_db[3]:g} dB SNR is not finite (trial 5)"
         with pytest.raises(NumericalError, match=re.escape(message)):
             experiments._run_block(cfg, range(4, 8))
+
+    @pytest.mark.parametrize(
+        "snr_db, scheme", [(3020.0, "UPA-OFDM-selection"), (3030.0, "PDM-MRC")]
+    )
+    def test_overflow_names_the_scheme(self, snr_db, scheme):
+        # A finite budget whose products leave double range: the scheme's
+        # overflow is an error that names it, not a numpy warning followed
+        # by an inf rate. The schemes before it are scored.
+        cfg = preset("fig9", trials=2, snr_db=(snr_db,))
+        with pytest.raises(NumericalError, match=f"^{scheme}: overflow encountered in "):
+            experiments._run_block(cfg, range(2))
 
 
 def _csv(cfg, workers=1):
@@ -521,7 +532,8 @@ class TestGeometry:
             geo.support.tx,
             geo.mrc,
             geo.beams.coupling,
-            geo.beams.q,
+            geo.beams.r,
+            geo.beams.outer,
             geo.groups[0][0],
             geo.groups[0][1]._rows.svds[0][0],
             geo.upa.tx,

@@ -11,12 +11,12 @@ from lensmimo.numerics import (
     RANK_TOL,
     charpoly_roots,
     eigen_gains,
-    hermitian_solve,
+    normalized_solve,
     water_fill,
     waterfill_capacity,
 )
 from lensmimo.upa import OfdmConfig, ofdm_capacity
-from oracles import principal_minor_sums, waterfill_rates
+from oracles import hermitian_solve, principal_minor_sums, waterfill_rates
 
 
 def record_linalg(monkeypatch):
@@ -340,6 +340,7 @@ class TestCharpolyRoots:
 
 
 class TestHermitianSolve:
+    # The LAPACK solve of the MMSE combiner oracle (tests/oracles.py).
     def test_solves(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
@@ -412,3 +413,92 @@ class TestHermitianSolve:
         a = np.array([[3 - 1j, 2], [-3 + 1j, 3], [3 - 2j, -2 + 3j]])
         with pytest.raises(NumericalError):
             hermitian_solve(a @ a.conj().T, np.ones((3, 1)))
+
+
+def unit_solution(c, b):
+    """C^{-1} b / sqrt(b^H C^{-1} b) by LAPACK, one system at a time."""
+    x = np.linalg.solve(c, b[..., None])[..., 0]
+    return x / np.sqrt(np.sum(b.conj() * x, axis=-1).real)[..., None]
+
+
+class TestNormalizedSolve:
+    def test_solves_to_unit_norm_in_c(self):
+        rng = np.random.default_rng(3)
+        for m in (1, 2, 3, 5):
+            a = rng.standard_normal((4, m, m)) + 1j * rng.standard_normal((4, m, m))
+            c = a @ a.conj().swapaxes(-2, -1) + np.eye(m)
+            b = rng.standard_normal((4, m)) + 1j * rng.standard_normal((4, m))
+            x = normalized_solve(c, b)
+            assert x.shape == b.shape
+            assert np.allclose(x, unit_solution(c, b), rtol=1e-12, atol=0.0)
+            assert np.allclose(np.einsum("ti,tij,tj->t", x.conj(), c, x), 1.0)
+            real = normalized_solve(c.real + m * np.eye(m), b.real)
+            assert real.dtype == float
+            assert np.allclose(real, unit_solution(c.real + m * np.eye(m), b.real))
+
+    def test_reads_only_the_lower_triangle(self):
+        c = np.array([[4.0, 99.0], [1.0, 3.0]])
+        hermitian = np.tril(c) + np.tril(c, -1).T
+        assert np.array_equal(normalized_solve(c, np.ones(2)), normalized_solve(hermitian, np.ones(2)))
+
+    def test_zero_right_hand_side_gives_zero(self):
+        x = normalized_solve(np.eye(3), np.zeros(3))
+        assert np.array_equal(x, np.zeros(3))
+
+    def test_rejects_singular(self):
+        with pytest.raises(NumericalError):
+            normalized_solve(np.zeros((2, 2)), np.ones(2))
+        # Rank two: the third pivot is a rounding residue, zero or negative.
+        a = np.array([[3 - 1j, 2], [-3 + 1j, 3], [3 - 2j, -2 + 3j]])
+        c = a @ a.conj().T
+        c[2, 2] -= abs(c[2, 2]) * 1e-15
+        with pytest.raises(NumericalError):
+            normalized_solve(c, np.ones(3))
+
+    def test_rejects_indefinite_and_nan_pivots(self):
+        with pytest.raises(NumericalError):
+            normalized_solve(np.array([[1.0, 0.0], [2.0, 1.0]]), np.ones(2))
+        with pytest.raises(NumericalError):
+            normalized_solve(np.diag([1.0, -1.0]), np.ones(2))
+
+    def test_one_singular_matrix_fails_the_stack(self):
+        c = np.stack([np.eye(3), np.eye(3), np.diag([1.0, 1.0, 0.0])]).astype(complex)
+        with pytest.raises(NumericalError):
+            normalized_solve(c, np.ones((3, 3)))
+
+    def test_stack_equals_single_calls(self):
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal((3, 2, 4, 4)) + 1j * rng.standard_normal((3, 2, 4, 4))
+        c = a @ a.conj().swapaxes(-2, -1) + np.eye(4)
+        b = rng.standard_normal((3, 2, 4)) + 1j * rng.standard_normal((3, 2, 4))
+        x = normalized_solve(c, b)
+        for i in np.ndindex(3, 2):
+            assert np.array_equal(x[i], normalized_solve(c[i], b[i]))
+        # One matrix against several right-hand sides, broadcast.
+        x = normalized_solve(c[0, 0], b.reshape(-1, 4))
+        for i, row in enumerate(b.reshape(-1, 4)):
+            assert np.array_equal(x[i], normalized_solve(c[0, 0], row))
+
+    @pytest.mark.parametrize("scale", [1e-190, 1e190, 1e300])
+    def test_extreme_scales_without_overflow(self, scale):
+        # Entries near 1e190 square past double range, and C^{-1} b near
+        # 1e-190 would square below it; the factor's entries are of order
+        # sqrt(scale) and the scaled solution of order 1 / sqrt(scale).
+        c = scale * np.array([[2.0, 1.0 + 1j], [1.0 - 1j, 3.0]])
+        b = np.array([1.0, 2.0j])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = normalized_solve(c, b)
+        assert np.allclose(x * math.sqrt(scale), unit_solution(c / scale, b), rtol=1e-14)
+
+    def test_rejects_bad_input(self):
+        for c, b in (
+            (np.ones(3), np.ones(3)),
+            (np.ones((2, 3)), np.ones(3)),
+            (np.eye(2), np.ones(3)),
+            (np.zeros((0, 0)), np.ones(0)),
+            (np.diag([1.0, np.inf]), np.ones(2)),
+            (np.eye(2), np.array([1.0, np.nan])),
+        ):
+            with pytest.raises(InvalidInputError):
+                normalized_solve(c, b)

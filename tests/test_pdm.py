@@ -1,9 +1,10 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from lensmimo import pdm
+from lensmimo import experiments
 from lensmimo.arrays import LensArrayConfig
 from lensmimo.channel import (
     NOISE_POWER,
@@ -17,9 +18,15 @@ from lensmimo.channel import (
 from lensmimo.errors import InvalidInputError, NumericalError
 from lensmimo.experiments import preset, run_experiment
 from lensmimo.numerics import water_fill
-from lensmimo.pdm import beamformers, mmse_combiners, mrc_combiners, mrt_precoders, pdm_sinr
+from lensmimo.pdm import beamformers, mmse_sinr, mrc_combiners, mrt_precoders, pdm_sinr
 from lensmimo.selection import support_sets
-from oracles import StatisticalValidityError, ipc_coefficients, simulate_symbols, support_view
+from oracles import (
+    StatisticalValidityError,
+    ipc_coefficients,
+    mmse_combiners,
+    simulate_symbols,
+    support_view,
+)
 
 TX = LensArrayConfig(100.0, 20.0)
 RX = LensArrayConfig(50.0, 10.0)
@@ -159,25 +166,129 @@ class TestBeamformers:
                 reference = per_stream(support, powers[budget], noise)
                 assert np.allclose(comb[budget], reference, rtol=0.0, atol=1e-9)
 
-    def test_fig9_trial_makes_one_solve(self, monkeypatch):
-        # One covariance per trial and budget: a fig9 trial's PDM-MMSE
-        # combiners come from a single call on the (1, 9, r, r) stack of its
-        # block (one trial) and default grid, with the L = 3 streams as the
-        # columns of the right-hand sides.
+    def test_fig9_block_mmse_rate_makes_no_linalg_call(self, monkeypatch):
+        # The geometry's QR and the water-filled powers aside, the PDM-MMSE
+        # rates of a fig9 block come from ufuncs and products alone: every
+        # numpy.linalg function and LAPACK gufunc raises while they run.
+        block = experiments._Block(preset("fig9", trials=30), range(30))
+        block.geo.beams, block.pdm_powers, block.support  # built beforehand
         calls = []
-        original = pdm.hermitian_solve
 
-        def recording(c, b):
-            calls.append((np.shape(c), np.shape(b)))
-            return original(c, b)
+        def refuse(name):
+            def call(*args, **kwargs):
+                calls.append(name)
+                raise AssertionError(f"numpy.linalg.{name} called")
 
-        monkeypatch.setattr(pdm, "hermitian_solve", recording)
-        run_experiment(preset("fig9", trials=1), workers=1)
-        assert len(calls) == 1, calls
-        (c_shape, b_shape), = calls
-        r = c_shape[-1]
-        assert 1 <= r <= 3
-        assert c_shape == (1, 9, r, r) and b_shape == (1, 9, r, 3), calls
+            return call
+
+        for space in (np.linalg, np.linalg._umath_linalg):
+            for name, value in list(vars(space).items()):
+                if callable(value) and not name.startswith("_") and name != "LinAlgError":
+                    monkeypatch.setattr(space, name, refuse(name))
+        rates = block.mmse_rates
+        monkeypatch.undo()
+        assert calls == []
+        assert rates.shape == (30, len(block.cfg.snr_db)) and np.all(np.isfinite(rates))
+
+
+class TestMmseSinr:
+    def test_equals_the_oracle_on_complex_supports(self):
+        # Complex responses with L above, equal to and below M_S (r < L),
+        # L = 1 to 5, on one budget and on a grid of budgets: the closed
+        # form matches the SINR of the oracle's combiners, and is never
+        # below MRC's.
+        rng = np.random.default_rng(12)
+
+        def cn(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        shapes = ((3, 5, 4), (4, 2, 6), (5, 3, 7), (5, 8, 5), (4, 4, 4), (2, 6, 1), (1, 3, 3))
+        for num_paths, n_rx, n_tx in shapes:
+            support = PathResponses(
+                rx=cn(num_paths, n_rx),
+                tx=cn(num_paths, n_tx),
+                gains=cn(num_paths),
+                delays=np.zeros(num_paths, int),
+            )
+            beams = beamformers(support)
+            assert beams.r.shape == (min(num_paths, n_rx), num_paths)
+            for powers in (rng.uniform(0.5, 2.0, num_paths), rng.uniform(0.0, 2.0, (3, num_paths))):
+                got = mmse_sinr(support, powers, 0.1, beams)
+                comb = mmse_combiners(support, powers, 0.1, beams)
+                want = pdm_sinr(support, comb, powers, 0.1, beams).gammas
+                assert got.shape == powers.shape
+                assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+                mrc = pdm_sinr(support, mrc_combiners(support), powers, 0.1, beams).gammas
+                assert np.all(got >= mrc * (1 - 1e-12))
+
+    def test_block_of_realizations_equals_one_call_each(self):
+        draws = [sample_paths(STATS, np.random.default_rng([4, t])) for t in range(5)]
+        gains = np.stack([p.gains for p in draws])
+        paths = replace(draws[0], gains=gains, delays_s=np.tile(draws[0].delays_s, (5, 1)))
+        block = support_of(paths)
+        budgets = np.array([tx_power(s) for s in (-10.0, 10.0, 30.0)])
+        gains = np.abs(block.gains) ** 2 * RX.aperture * TX.aperture
+        powers = water_fill(gains, budgets, NOISE_POWER)
+        beams = beamformers(block)
+        gammas = mmse_sinr(block, powers, NOISE_POWER, beams)
+        assert gammas.shape == (5, 3, 3)
+        for t in range(5):
+            one = replace(block, gains=block.gains[t], delays=block.delays[t])
+            assert np.array_equal(gammas[t], mmse_sinr(one, powers[t], NOISE_POWER, beams))
+
+    def test_zero_power_and_unreceived_streams_have_zero_sinr(self):
+        support = support_of(sample_paths(STATS, np.random.default_rng(3)))
+        powers = np.array([1.0, 0.0, 1.0])
+        gammas = mmse_sinr(support, powers, NOISE_POWER, beamformers(support))
+        assert gammas[1] == 0.0 and np.all(gammas[[0, 2]] > 0)
+        # A path no receive antenna sees: R_l = 0, so its detector gets
+        # nothing and the others are scored as usual.
+        dark = replace(support, rx=support.rx * np.array([[1.0], [0.0], [1.0]]))
+        gammas = mmse_sinr(dark, np.ones(3), NOISE_POWER, beamformers(dark))
+        assert gammas[1] == 0.0 and np.all(np.isfinite(gammas))
+
+    def test_refuses_bad_powers_and_a_singular_covariance(self):
+        support = support_of(sample_paths(STATS, np.random.default_rng(3)))
+        beams = beamformers(support)
+        with pytest.raises(InvalidInputError):
+            mmse_sinr(support, np.ones(2), NOISE_POWER, beams)
+        with pytest.raises(InvalidInputError):
+            mmse_sinr(support, np.array([1.0, -1.0, 1.0]), NOISE_POWER, beams)
+        # With no noise and no power, every covariance is zero.
+        with pytest.raises(NumericalError):
+            mmse_sinr(support, np.zeros(3), 0.0, beams)
+
+
+class TestMmseSaturation:
+    @pytest.mark.parametrize("name", ["fig9", "fig10"])
+    def test_2000_db_equals_200_db(self, name):
+        # From 200 dB up PDM-MMSE is interference limited: its rate no
+        # longer moves with the budget. At 2000 dB the covariances pass
+        # 1e190 and C_l^{-1} R_l near 1e-190; the directions scaled to unit
+        # C_l-norm stay near 1e-95, and the rate is scored.
+        cfg = preset(name, trials=200, snr_db=(200.0, 2000.0), schemes=("PDM-MMSE",))
+        low, high = run_experiment(cfg, workers=1)
+        assert math.isfinite(high.se_bpshz)
+        assert math.isclose(high.se_bpshz, low.se_bpshz, rel_tol=1e-12)
+
+    def test_streams_whose_own_path_carries_no_interference(self):
+        # Orthogonal AoDs: no stream leaks into another's path, so stream
+        # l's own covariance C_l lacks path l, and with fig10's overlapping
+        # AoAs it is singular in double precision from 130 dB. The
+        # covariance of everything received is not, and gives the same
+        # directions: every point is scored, and MMSE stays above MRC.
+        base = preset("fig10")
+        cfg = preset(
+            "fig10",
+            trials=64,
+            snr_db=(30.0, 130.0, 200.0),
+            schemes=("PDM-MRC", "PDM-MMSE"),
+            stats=replace(base.stats, aod_spatial_freqs=(0.0, 0.2, -0.2)),
+        )
+        rows = run_experiment(cfg, workers=1)
+        mrc, mmse = rows[:3], rows[3:]
+        for a, b in zip(mrc, mmse):
+            assert math.isfinite(b.se_bpshz) and b.se_bpshz >= a.se_bpshz
 
 
 class TestAnalyticSinr:
