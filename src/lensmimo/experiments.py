@@ -62,7 +62,7 @@ from .errors import ConfigError, InvalidInputError, NumericalError
 from .grouping import group_channels, grouped_capacity, path_groups
 from .numerics import water_fill, waterfill_capacity
 from .opdm import is_ideal, path_gains
-from .pdm import beamformers, mmse_sinr, mrc_combiners, pdm_sinr, sum_rate
+from .pdm import beamformers, mmse_sinr, mrc_sinr, sum_rate
 from .selection import support_sets
 from .upa import (
     OfdmConfig,
@@ -271,14 +271,14 @@ class _Geometry:
     """What every block of a config reads and no draw changes: the budget
     vector, the array pairs, and what the path angles fix, which are the
     lens and UPA responses with their factors and compound Grams, OPDM's
-    applicability, the support sets, the support view with its combiners
-    and beamformers, and the path groups with their factored rows. Each
-    part is built when a block first asks for it, so only the configured
-    schemes' parts are built, and the rows' factors are taken at the first
-    read of any block (``PathResponses.with_paths``). Its arrays are
-    read-only in the process that built them. A config object keeps its
-    geometry (``ExperimentConfig._geometry``) and pickles it with its
-    fields."""
+    applicability, the support sets, the support view with its
+    beamformers (no combiner: both PDM SINRs are taken in path space), and
+    the path groups with their factored rows. Each part is built when a
+    block first asks for it, so only the configured schemes' parts are
+    built, and the rows' factors are taken at the first read of any block
+    (``PathResponses.with_paths``). Its arrays are read-only in the
+    process that built them. A config object keeps its geometry
+    (``ExperimentConfig._geometry``) and pickles it with its fields."""
 
     def __init__(self, cfg: ExperimentConfig) -> None:
         self.cfg = cfg
@@ -311,10 +311,6 @@ class _Geometry:
     def support(self):
         """The lens responses over the unions M_S x Q_S of the support sets."""
         return _read_only(self.lens.restrict(self.sets.rx.any(axis=0), self.sets.tx.any(axis=0)))
-
-    @cached_property
-    def mrc(self):
-        return _read_only(mrc_combiners(self.support))
 
     @cached_property
     def beams(self):
@@ -382,8 +378,7 @@ class _Block:
         return sum_rate(mmse_sinr(self.support, self.pdm_powers, NOISE_POWER, self.geo.beams))
 
     def pdm_mrc(self):
-        report = pdm_sinr(self.support, self.geo.mrc, self.pdm_powers, NOISE_POWER, self.geo.beams)
-        return report.sum_rate, None
+        return sum_rate(mrc_sinr(self.support, self.pdm_powers, NOISE_POWER, self.geo.beams)), None
 
     def pdm_mmse(self):
         return self.mmse_rates, None

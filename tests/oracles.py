@@ -2,10 +2,10 @@
 
 Dense forms of the factored channel (the tapped delay line and the
 narrowband matrix, as sums of per-path outer products), the paper's
-antenna indices m of a support mask row, the PDM support view, the inter-path contamination
-coefficients of the PDM support view, and a symbol-level Monte Carlo
-measurement of the PDM SINR decomposition. None of them feeds a sweep, so
-they live here and not in the package. Three more keep the per-element,
+antenna indices m of a support mask row, the PDM support view, the
+inter-path contamination coefficients of the PDM support view, and a
+symbol-level Monte Carlo measurement of the PDM SINR decomposition. None
+of them feeds a sweep, so they live here and not in the package. Three more keep the per-element,
 per-trial and per-matrix forms of kernels the package batches: the OFDM
 subcarrier coefficients, the antenna ranking of the power-based selection,
 and the subcarrier eigen-gains by one LAPACK eigensolve per subcarrier;
@@ -16,9 +16,13 @@ threshold search by one ``searchsorted`` per link, the random draws of one
 realization at a time, the antenna-level forms of the selection (a sort
 of every antenna, the antennas of azimuth picks, and a picked link of one
 row per picked antenna) keep the forms the package had before it shared
-or reduced that work. The PDM-MMSE combiners, from one Hermitian solve
-per realization and budget in path space, keep the long form of the
-closed-form SINR ``pdm.mmse_sinr``.
+or reduced that work. The PDM SINRs keep their antenna-space long form:
+the MRC combiners a_R,l / |a_R,l| and the PDM-MMSE combiners, from one
+Hermitian solve per realization and budget in path space, each M_S long,
+scored by ``pdm_sinr``, the exact per-stream decomposition into desired,
+inter-symbol and inter-stream power of any unit-norm combiners, which
+``simulate_symbols`` measures symbol by symbol. ``pdm.mrc_sinr`` and
+``pdm.mmse_sinr`` take the same SINRs in path space with no combiner.
 """
 from __future__ import annotations
 
@@ -35,12 +39,79 @@ from lensmimo.channel import (
 )
 from lensmimo.errors import InvalidInputError, NumericalError
 from lensmimo.numerics import RANK_TOL, water_fill
-from lensmimo.pdm import SinrReport, _launched, _path_power, mrt_precoders
+from lensmimo.pdm import (
+    _checked_powers,
+    _launched,
+    _normalized_rows,
+    _path_power,
+    mrt_precoders,
+    sum_rate,
+)
 from lensmimo.upa import ofdm_capacity
 
 
 class StatisticalValidityError(InvalidInputError):
     """Too few Monte Carlo samples for a statistically meaningful result."""
+
+
+_UNIT_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class SinrReport:
+    """Per-stream SINR and its signal and interference powers (linear
+    units); the noise term is the noise power the caller passed."""
+
+    gammas: np.ndarray
+    desired: np.ndarray
+    isi: np.ndarray
+    inter_stream: np.ndarray
+
+    @property
+    def sum_rate(self) -> np.ndarray:
+        return sum_rate(self.gammas)
+
+
+def mrc_combiners(support) -> np.ndarray:
+    """Unit-norm per-path MRC combiners over M_S."""
+    return _normalized_rows(support.rx, "MRC combiner")
+
+
+def pdm_sinr(support, combiners, powers, noise: float, beams) -> SinrReport:
+    """Exact analytic per-stream SINR under per-path MRT precoding.
+
+    Stream l' reaches detector l via path k with power |alpha_k|^2
+    |v_l^H a_{R,k}|^2 p_l' |a_{T,k}^H w_{l'}|^2; desired is (l, l, l), ISI
+    collects k != l for stream l, inter-stream all paths of every other
+    stream. ``powers`` has the gains' leading axes followed by any budget
+    axes, (..., L), and ``combiners`` is (L, M_S) or (..., L, M_S); every
+    report field has the broadcast shape (..., L). ``beams`` are
+    ``pdm.beamformers(support)``, of which only the MRT couplings are read.
+    """
+    combiners = np.asarray(combiners)
+    powers = _checked_powers(support, powers)
+    if combiners.shape[-2:-1] != (support.num_paths,):
+        raise InvalidInputError("PDM expects one stream per path")
+    if np.any(np.abs(np.linalg.norm(combiners, axis=-1) - 1.0) > _UNIT_TOL):
+        raise InvalidInputError("every combiner must be unit-norm")
+    # reach[..., l, k] = |alpha_k|^2 |v_l^H a_{R,k}|^2: path k at detector l.
+    alpha2 = _path_power(support, powers)[..., None, :]
+    reach = alpha2 * np.abs(combiners.conj() @ support.rx.T) ** 2
+    launched = _launched(beams.coupling, powers)
+    own = reach * launched.swapaxes(-2, -1)  # own[..., l, k]: stream l via path k
+    desired = np.diagonal(own, axis1=-2, axis2=-1)
+    # Masked sums, not totals minus the desired term: a strong stream's own
+    # power would swamp the interference and noise it is compared with.
+    off = 1.0 - np.eye(support.num_paths)
+    isi = (own * off).sum(axis=-1)
+    # others[..., k, l] = sum over l' != l of launched[..., k, l'].
+    others = launched @ off
+    inter = (reach * others.swapaxes(-2, -1)).sum(axis=-1)
+    denom = isi + inter + noise
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gammas = np.where(denom > 0, desired / np.where(denom > 0, denom, 1.0), np.inf)
+    gammas = np.where(desired == 0, 0.0, gammas)
+    return SinrReport(gammas=gammas, desired=desired, isi=isi, inter_stream=inter)
 
 
 def antenna_indices(config, row):
@@ -330,7 +401,7 @@ def hermitian_solve(c, b) -> np.ndarray:
 
 def mmse_combiners(support, powers, noise: float, beams) -> np.ndarray:
     """Per-stream MMSE combiners v_l proportional to C_l^{-1} a_{R,l}, whose
-    ``pdm.pdm_sinr`` is the SINR ``pdm.mmse_sinr`` takes in closed form.
+    ``pdm_sinr`` is the SINR ``pdm.mmse_sinr`` takes in closed form.
 
     C_l, the ISI and inter-stream interference of stream l plus noise, is
     C = A^T diag(t) A^* + sigma^2 I (A the L x M_S receive responses, t_k

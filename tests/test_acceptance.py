@@ -14,7 +14,13 @@ import pytest
 
 import lensmimo as lm
 from lens_oracle import LensOracleConfig, lens_response_oracle
-from oracles import antenna_indices, ipc_coefficients, simulate_symbols, support_view
+from oracles import (
+    antenna_indices,
+    ipc_coefficients,
+    mrc_combiners,
+    simulate_symbols,
+    support_view,
+)
 from lensmimo.experiments import _BLOCK, _run_block, preset, rows_to_csv, run_experiment, sweep
 
 
@@ -95,10 +101,11 @@ def _pdm_gammas(cfg, paths, kind, snr_db, noise, tx, rx):
     gains = np.abs(paths.gains) ** 2 * rx.aperture * tx.aperture
     powers = lm.water_fill(gains, lm.channel.tx_power(snr_db), noise)
     beams = lm.beamformers(support)
-    if kind == "MMSE":  # in closed form, with no combiner
+    # Both in closed form, with no combiner; the MRC combiners (an oracle)
+    # feed only the symbol-level simulation.
+    if kind == "MMSE":
         return support, None, powers, lm.mmse_sinr(support, powers, noise, beams)
-    comb = lm.mrc_combiners(support)
-    return support, comb, powers, lm.pdm_sinr(support, comb, powers, noise, beams).gammas
+    return support, mrc_combiners(support), powers, lm.mrc_sinr(support, powers, noise, beams)
 
 
 def test_05_mmse_sinr_never_below_mrc():

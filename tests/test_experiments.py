@@ -530,10 +530,10 @@ class TestGeometry:
             geo.lens.rx,
             geo.sets.rx,
             geo.support.tx,
-            geo.mrc,
             geo.beams.coupling,
             geo.beams.r,
             geo.beams.outer,
+            geo.beams.mrc_reach,
             geo.groups[0][0],
             geo.groups[0][1]._rows.svds[0][0],
             geo.upa.tx,

@@ -18,12 +18,14 @@ from lensmimo.channel import (
 from lensmimo.errors import InvalidInputError, NumericalError
 from lensmimo.experiments import preset, run_experiment
 from lensmimo.numerics import water_fill
-from lensmimo.pdm import beamformers, mmse_sinr, mrc_combiners, mrt_precoders, pdm_sinr
+from lensmimo.pdm import beamformers, mmse_sinr, mrc_sinr, mrt_precoders
 from lensmimo.selection import support_sets
 from oracles import (
     StatisticalValidityError,
     ipc_coefficients,
     mmse_combiners,
+    mrc_combiners,
+    pdm_sinr,
     simulate_symbols,
     support_view,
 )
@@ -168,8 +170,9 @@ class TestBeamformers:
 
     def test_fig9_block_mmse_rate_makes_no_linalg_call(self, monkeypatch):
         # The geometry's QR and the water-filled powers aside, the PDM-MMSE
-        # rates of a fig9 block come from ufuncs and products alone: every
-        # numpy.linalg function and LAPACK gufunc raises while they run.
+        # and PDM-MRC rates of a fig9 block come from ufuncs and products
+        # alone: every numpy.linalg function and LAPACK gufunc raises while
+        # they run.
         block = experiments._Block(preset("fig9", trials=30), range(30))
         block.geo.beams, block.pdm_powers, block.support  # built beforehand
         calls = []
@@ -185,18 +188,19 @@ class TestBeamformers:
             for name, value in list(vars(space).items()):
                 if callable(value) and not name.startswith("_") and name != "LinAlgError":
                     monkeypatch.setattr(space, name, refuse(name))
-        rates = block.mmse_rates
+        rates = [block.mmse_rates, block.pdm_mrc()[0]]
         monkeypatch.undo()
         assert calls == []
-        assert rates.shape == (30, len(block.cfg.snr_db)) and np.all(np.isfinite(rates))
+        for rate in rates:
+            assert rate.shape == (30, len(block.cfg.snr_db)) and np.all(np.isfinite(rate))
 
 
 class TestMmseSinr:
     def test_equals_the_oracle_on_complex_supports(self):
         # Complex responses with L above, equal to and below M_S (r < L),
-        # L = 1 to 5, on one budget and on a grid of budgets: the closed
-        # form matches the SINR of the oracle's combiners, and is never
-        # below MRC's.
+        # L = 1 to 5, on one budget and on a grid of budgets: both closed
+        # forms match the SINR of the oracle's combiners, and MMSE's is
+        # never below MRC's.
         rng = np.random.default_rng(12)
 
         def cn(*shape):
@@ -218,7 +222,9 @@ class TestMmseSinr:
                 want = pdm_sinr(support, comb, powers, 0.1, beams).gammas
                 assert got.shape == powers.shape
                 assert np.allclose(got, want, rtol=1e-12, atol=0.0)
-                mrc = pdm_sinr(support, mrc_combiners(support), powers, 0.1, beams).gammas
+                mrc = mrc_sinr(support, powers, 0.1, beams)
+                want = pdm_sinr(support, mrc_combiners(support), powers, 0.1, beams).gammas
+                assert np.allclose(mrc, want, rtol=1e-12, atol=0.0)
                 assert np.all(got >= mrc * (1 - 1e-12))
 
     def test_block_of_realizations_equals_one_call_each(self):
@@ -237,15 +243,17 @@ class TestMmseSinr:
             assert np.array_equal(gammas[t], mmse_sinr(one, powers[t], NOISE_POWER, beams))
 
     def test_zero_power_and_unreceived_streams_have_zero_sinr(self):
+        # MMSE and MRC alike. A path no receive antenna sees: R_l = 0, so
+        # its detector gets nothing and the others are scored as usual.
         support = support_of(sample_paths(STATS, np.random.default_rng(3)))
-        powers = np.array([1.0, 0.0, 1.0])
-        gammas = mmse_sinr(support, powers, NOISE_POWER, beamformers(support))
-        assert gammas[1] == 0.0 and np.all(gammas[[0, 2]] > 0)
-        # A path no receive antenna sees: R_l = 0, so its detector gets
-        # nothing and the others are scored as usual.
         dark = replace(support, rx=support.rx * np.array([[1.0], [0.0], [1.0]]))
-        gammas = mmse_sinr(dark, np.ones(3), NOISE_POWER, beamformers(dark))
-        assert gammas[1] == 0.0 and np.all(np.isfinite(gammas))
+        beams = beamformers(dark)
+        assert np.all(beams.mrc_reach[1] == 0.0)
+        for sinr in (mmse_sinr, mrc_sinr):
+            gammas = sinr(support, np.array([1.0, 0.0, 1.0]), NOISE_POWER, beamformers(support))
+            assert gammas[1] == 0.0 and np.all(gammas[[0, 2]] > 0)
+            gammas = sinr(dark, np.ones(3), NOISE_POWER, beams)
+            assert gammas[1] == 0.0 and np.all(gammas[[0, 2]] > 0)
 
     def test_refuses_bad_powers_and_a_singular_covariance(self):
         support = support_of(sample_paths(STATS, np.random.default_rng(3)))
@@ -257,6 +265,17 @@ class TestMmseSinr:
         # With no noise and no power, every covariance is zero.
         with pytest.raises(NumericalError):
             mmse_sinr(support, np.zeros(3), 0.0, beams)
+
+    @pytest.mark.parametrize("sinr", [mmse_sinr, mrc_sinr])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_refuses_non_finite_powers_before_any_arithmetic(self, sinr, bad):
+        # One InvalidInputError of the power check, on one power and on a
+        # budget grid, with every floating-point warning an error.
+        support = support_of(sample_paths(STATS, np.random.default_rng(3)))
+        beams = beamformers(support)
+        for powers in (np.array([1.0, bad, 1.0]), np.array([[1.0, 1.0, 1.0], [1.0, 1.0, bad]])):
+            with np.errstate(all="raise"), pytest.raises(InvalidInputError, match="^stream powers"):
+                sinr(support, powers, NOISE_POWER, beams)
 
 
 class TestMmseSaturation:
@@ -298,9 +317,11 @@ class TestAnalyticSinr:
         noise = 1e-7
         powers = np.array([1.0, 2.0, 0.5])
         support, comb = link(paths, powers, noise)
-        report = pdm_sinr(support, comb, powers, noise, beamformers(support))
+        beams = beamformers(support)
+        report = pdm_sinr(support, comb, powers, noise, beams)
         expected = powers * np.abs(paths.gains) ** 2 * RX.aperture * TX.aperture / noise
         assert np.allclose(report.gammas, expected, rtol=0.01)
+        assert np.allclose(mrc_sinr(support, powers, noise, beams), expected, rtol=0.01)
 
     def test_homogeneity(self):
         paths = sample_paths(STATS, np.random.default_rng(2))
@@ -311,6 +332,8 @@ class TestAnalyticSinr:
         base = pdm_sinr(support, comb, powers, noise, beams).gammas
         scaled = pdm_sinr(support, comb, powers * 7.0, 7.0 * noise, beams).gammas
         assert np.allclose(base, scaled, rtol=1e-9)
+        base = mrc_sinr(support, powers, noise, beams)
+        assert np.allclose(mrc_sinr(support, powers * 7.0, 7.0 * noise, beams), base, rtol=1e-9)
 
     def test_mmse_never_below_mrc(self):
         noise = NOISE_POWER

@@ -75,7 +75,7 @@ from lensmimo.numerics import (
     water_fill,
     waterfill_capacity,
 )
-from lensmimo.pdm import beamformers, mmse_sinr, mrc_combiners, mrt_precoders, pdm_sinr
+from lensmimo.pdm import beamformers, mmse_sinr, mrc_sinr, mrt_precoders
 from lensmimo.selection import support_sets
 from lensmimo.upa import OfdmConfig, eigenmode_capacity, ofdm_capacity
 from oracles import (
@@ -83,6 +83,8 @@ from oracles import (
     dense_taps,
     draw_one,
     mmse_combiners,
+    mrc_combiners,
+    pdm_sinr,
     principal_minor_sums,
     support_view,
     water_levels_by_search,
@@ -775,9 +777,8 @@ class TestCombinerProperties:
         noise = NOISE_POWER
         powers = tx_power(snr_db) * np.array(shares)
         beams = beamformers(support)
-        g_mrc = pdm_sinr(support, mrc_combiners(support), powers, noise, beams).gammas
-        mmse = mmse_combiners(support, powers, noise, beams)
-        g_mmse = pdm_sinr(support, mmse, powers, noise, beams).gammas
+        g_mrc = mrc_sinr(support, powers, noise, beams)
+        g_mmse = mmse_sinr(support, powers, noise, beams)
         assert np.all(g_mmse >= g_mrc * (1 - 1e-9))
 
     @EXAMPLES
@@ -831,13 +832,12 @@ class TestCombinerProperties:
         if snr_db <= 30.0:
             cases.append(budget * np.array(shares))
         beams = beamformers(support)
-        mrc = mrc_combiners(support)
         for powers in cases:
             got = mmse_sinr(support, powers, noise, beams)
             comb = mmse_combiners(support, powers, noise, beams)
             want = pdm_sinr(support, comb, powers, noise, beams).gammas
             assert np.all(np.abs(got - want) <= 1e-12 * want + 1e-300)
-            g_mrc = pdm_sinr(support, mrc, powers, noise, beams).gammas
+            g_mrc = mrc_sinr(support, powers, noise, beams)
             assert np.all(got >= g_mrc * (1 - 1e-12) - 1e-300)
 
     @EXAMPLES
@@ -847,12 +847,59 @@ class TestCombinerProperties:
         snrs_db=st.lists(st.floats(-10.0, 200.0), min_size=1, max_size=12),
     )
     def test_closed_form_grid_equals_one_call_per_budget(self, spread, seed, snrs_db):
+        # MMSE and MRC on a block of 3 realizations of one draw's rows (its
+        # gains times complex normal draws): the block call equals one call
+        # per trial, and each trial's grid call one call per budget, bit for
+        # bit.
         support = pdm_link(spread, seed)
+        rng = np.random.default_rng(seed)
+        draws = rng.standard_normal((2, 3, support.num_paths))
+        gains = support.gains * (draws[0] + 1j * draws[1])
+        block = replace(support, gains=gains, delays=np.tile(support.delays, (3, 1)))
         noise = NOISE_POWER
-        gains = np.abs(support.gains) ** 2 * PDM_RX.aperture * PDM_TX.aperture
-        powers = water_fill(gains, np.array([tx_power(s) for s in snrs_db]), noise)
+        path_gains = np.abs(gains) ** 2 * PDM_RX.aperture * PDM_TX.aperture
+        powers = water_fill(path_gains, np.array([tx_power(s) for s in snrs_db]), noise)
         beams = beamformers(support)
-        grid = mmse_sinr(support, powers, noise, beams)
-        assert grid.shape == powers.shape
-        for i, p in enumerate(powers):
-            assert np.array_equal(grid[i], mmse_sinr(support, p, noise, beams))
+        for sinr in (mmse_sinr, mrc_sinr):
+            stack = sinr(block, powers, noise, beams)
+            assert stack.shape == powers.shape
+            for t in range(3):
+                one = replace(block, gains=gains[t], delays=support.delays)
+                grid = sinr(one, powers[t], noise, beams)
+                assert np.array_equal(stack[t], grid)
+                for i, p in enumerate(powers[t]):
+                    assert np.array_equal(grid[i], sinr(one, p, noise, beams))
+
+    @EXAMPLES
+    @given(
+        shape=st.tuples(st.integers(1, 5), st.integers(1, 6), st.integers(1, 6)),
+        seed=st.integers(0, 2**32 - 1),
+        off=st.lists(st.booleans(), min_size=5, max_size=5),
+    )
+    def test_mrc_sinr_equals_the_oracle(self, shape, seed, off):
+        # Complex responses of L = 1 to 5 paths on 1 to 6 antennas a side
+        # (r < L where M_S < L), with the streams of ``off`` silent, on one
+        # budget and on a grid of 3: the path-space SINR equals that of the
+        # M_S-long MRC combiners within 1e-12 relative, and a silent
+        # stream's is 0 in both.
+        num_paths, n_rx, n_tx = shape
+        rng = np.random.default_rng(seed)
+
+        def cn(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        support = PathResponses(
+            rx=cn(num_paths, n_rx),
+            tx=cn(num_paths, n_tx),
+            gains=cn(num_paths),
+            delays=np.zeros(num_paths, int),
+        )
+        beams = beamformers(support)
+        on = ~np.array(off[:num_paths])
+        combiners = mrc_combiners(support)
+        for powers in (rng.uniform(0.5, 2.0, num_paths), rng.uniform(0.0, 2.0, (3, num_paths))):
+            powers = powers * on
+            got = mrc_sinr(support, powers, 0.1, beams)
+            want = pdm_sinr(support, combiners, powers, 0.1, beams).gammas
+            assert got.shape == powers.shape
+            assert np.all(np.abs(got - want) <= 1e-12 * want)
