@@ -7,8 +7,8 @@ ideal-angle form, MRC/MMSE combining, path grouping), a conventional
 uniform-planar-array benchmark, and a Monte Carlo experiment harness with
 CLI and CSV output. The package holds only what a sweep runs; the
 antenna-space SINR decomposition and its symbol-level simulation, the
-inter-path coupling, the dense channel and the MRC and MMSE combiners are
-test oracles kept next to the tests.
+inter-path coupling, the dense channel, the MRT precoders and the MRC and
+MMSE combiners are test oracles kept next to the tests.
 """
 from .arrays import LensArrayConfig, UpaConfig
 from .channel import ChannelStats, PathResponses, PathSet, path_responses, sample_paths
@@ -30,7 +30,7 @@ from .experiments import (
 from .grouping import group_channels, grouped_capacity, path_groups
 from .numerics import eigen_gains, normalized_solve, water_fill, waterfill_capacity
 from .opdm import is_ideal, path_gains
-from .pdm import beamformers, mmse_sinr, mrc_sinr, mrt_precoders, sum_rate
+from .pdm import mmse_sinr, mrc_sinr, sum_rate
 from .selection import SupportSets, support_sets
 from .upa import (
     OfdmConfig,

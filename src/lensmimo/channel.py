@@ -85,7 +85,7 @@ class ChannelStats:
         spread = self.aoa_spread_deg
         if spread is not None and not 0.0 <= spread <= 180.0:  # NaN fails too
             raise InvalidInputError(f"the AoA spread must lie in [0, 180] degrees, got {spread:g}")
-        for fixed in (aoa or (), self.aod_spatial_freqs):
+        for fixed in (() if aoa is None else aoa, self.aod_spatial_freqs):
             _spatial_freqs(fixed)
 
     def placed_angles(self) -> tuple[np.ndarray, np.ndarray]:
@@ -151,14 +151,15 @@ class PathResponses:
     Every trial must have the same side ranks (``by_rank`` splits a block
     that does not).
 
-    Every scheme reads these per-path factors: ``cores`` is the
-    rank-revealing path-space reduction that carries the singular values
-    of H = A_R^T diag(alpha) A_T^* (and of each OFDM subcarrier channel) in
-    an r_R x r_T matrix, ``charpoly`` the characteristic polynomials of the
-    subcarrier cores' Grams, whose roots are their squared singular values,
-    ``orthogonal`` whether one side's rows make every subcarrier's singular
-    values the narrowband ones, and ``restrict`` the same paths seen by
-    fewer antennas.
+    Every scheme reads these per-path factors: ``factors`` and ``grams``
+    (PDM's couplings) are the rank-revealing factors and the Grams of each
+    side's rows, ``cores`` the path-space reduction that carries the
+    singular values of H = A_R^T diag(alpha) A_T^* (and of each OFDM
+    subcarrier channel) in an r_R x r_T matrix, ``charpoly`` the
+    characteristic polynomials of the subcarrier cores' Grams, whose roots
+    are their squared singular values, ``orthogonal`` whether one side's
+    rows make every subcarrier's singular values the narrowband ones, and
+    ``restrict`` the same paths seen by fewer antennas.
     """
 
     rx: np.ndarray  # (..., L, M) receive response rows a_R,l
@@ -232,6 +233,19 @@ class PathResponses:
         """Numerical ranks (r_R, r_T) of the receive and transmit responses."""
         r_rx, r_tx = self._rows.factors
         return r_rx.shape[-2], r_tx.shape[-2]
+
+    @property
+    def factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rank-revealing factors (R_R, R_T) of the receive and transmit
+        rows, A^T = U R with orthonormal U (``cores``): (..., r, L) with the
+        rows' leading axes, read-only."""
+        return self._rows.factors
+
+    @property
+    def grams(self) -> tuple[np.ndarray, np.ndarray]:
+        """The Grams (G_R, G_T) of the receive and transmit rows, G[l, m] =
+        a_l^H a_m: (..., L, L) with the rows' leading axes, read-only."""
+        return self._rows.grams
 
     @property
     def orthogonal(self) -> np.ndarray:
@@ -319,10 +333,10 @@ def _charpoly_plan(n: int, r: int) -> tuple[np.ndarray, ...]:
 class _Rows:
     """What the response rows of a PathResponses alone fix, each part
     computed on first use and read-only: the ``_factor`` SVDs, the
-    rank-revealing factors, the compound Grams and whether a side's rows are
-    orthogonal. Every PathResponses on the
-    same rows (``with_paths``) shares one. The rows must not be changed in
-    place after first use."""
+    rank-revealing factors, the Grams of the rows, the compound Grams and
+    whether a side's rows are orthogonal; no part is of one scheme. Every
+    PathResponses on the same rows (``with_paths``) shares one. The rows
+    must not be changed in place after first use."""
 
     def __init__(self, rx: np.ndarray, tx: np.ndarray) -> None:
         self.rx, self.tx = rx, tx
@@ -349,22 +363,33 @@ class _Rows:
         return out[0], out[1]
 
     @cached_property
-    def orthogonal(self) -> np.ndarray:
-        """``PathResponses.orthogonal``: per side, the Gram of the rows as
-        entrywise products summed over contiguous antenna rows, so that a
-        trial's decision takes the same bits in any stack. A side of more
-        rows L than antennas N and no zero row is not, and forms no Gram:
-        its normalized Gram I + F has rank N < L, so some |F_lm| >= 1/(L-1)."""
-        def side(rows):
-            if rows.shape[-2] > rows.shape[-1] and rows.any(axis=-1).all():
-                return np.zeros(rows.shape[:-2], dtype=bool)
+    def grams(self) -> tuple[np.ndarray, np.ndarray]:
+        """The Grams (G_R, G_T) of the receive and transmit rows, G[l, m] =
+        a_l^H a_m, (..., L, L) with the rows' leading axes: entrywise
+        products summed over contiguous antenna rows, so that a trial's
+        Gram takes the same bits in any stack."""
+        grams = []
+        for rows in (self.rx, self.tx):
             rows = np.ascontiguousarray(rows)
             gram = (rows.conj()[..., :, None, :] * rows[..., None, :, :]).sum(axis=-1)
+            gram.flags.writeable = False
+            grams.append(gram)
+        return grams[0], grams[1]
+
+    @cached_property
+    def orthogonal(self) -> np.ndarray:
+        """``PathResponses.orthogonal``, from the Grams. A side of more rows L
+        than antennas N and no zero row is not, and reads no Gram: its
+        normalized Gram I + F has rank N < L, so some |F_lm| >= 1/(L-1)."""
+        def side(rows, k):
+            if rows.shape[-2] > rows.shape[-1] and rows.any(axis=-1).all():
+                return np.zeros(rows.shape[:-2], dtype=bool)
+            gram = self.grams[k]
             norms = np.sqrt(gram.diagonal(0, -2, -1).real)
             small = np.abs(gram) <= ORTHO_TOL * norms[..., :, None] * norms[..., None, :]
             return (small | np.eye(rows.shape[-2], dtype=bool)).all(axis=(-2, -1))
 
-        orthogonal = np.asarray(side(self.rx) | side(self.tx))
+        orthogonal = np.asarray(side(self.rx, 0) | side(self.tx, 1))
         orthogonal.flags.writeable = False
         return orthogonal
 

@@ -10,8 +10,8 @@ Every preset places its path angles the same way in every trial, so a
 config's geometry is fixed by the config alone: the lens and UPA responses
 with their factors and compound Grams, the UPA-OFDM route (whether a
 side's UPA responses are orthogonal), OPDM's applicability, the support
-sets and the support view with its beamformers, and the path groups with
-their factored rows. It is built at the config's first block and kept on
+sets and the support view with its Grams and factors, and the path groups
+with their factored rows. It is built at the config's first block and kept on
 the config object for its later blocks and sweeps. Trials run in blocks,
 which differ only in their gains and delays; the schemes take them as
 (T, L) stacks on the geometry's rows. UPA-OFDM-selection alone forms rows
@@ -62,7 +62,7 @@ from .errors import ConfigError, InvalidInputError, NumericalError
 from .grouping import group_channels, grouped_capacity, path_groups
 from .numerics import water_fill, waterfill_capacity
 from .opdm import is_ideal, path_gains
-from .pdm import beamformers, mmse_sinr, mrc_sinr, sum_rate
+from .pdm import mmse_sinr, mrc_sinr, sum_rate
 from .selection import support_sets
 from .upa import (
     OfdmConfig,
@@ -271,9 +271,9 @@ class _Geometry:
     """What every block of a config reads and no draw changes: the budget
     vector, the array pairs, and what the path angles fix, which are the
     lens and UPA responses with their factors and compound Grams, OPDM's
-    applicability, the support sets, the support view with its
-    beamformers (no combiner: both PDM SINRs are taken in path space), and
-    the path groups with their factored rows. Each part is built when a
+    applicability, the support sets, the support view with its Grams and
+    factors (no combiner: both PDM SINRs are taken in path space), and the
+    path groups with their factored rows. Each part is built when a
     block first asks for it, so only the configured schemes' parts are
     built, and the rows' factors are taken at the first read of any block
     (``PathResponses.with_paths``). Its arrays are read-only in the
@@ -311,10 +311,6 @@ class _Geometry:
     def support(self):
         """The lens responses over the unions M_S x Q_S of the support sets."""
         return _read_only(self.lens.restrict(self.sets.rx.any(axis=0), self.sets.tx.any(axis=0)))
-
-    @cached_property
-    def beams(self):
-        return _read_only(beamformers(self.support))
 
     @cached_property
     def groups(self):
@@ -375,10 +371,10 @@ class _Block:
 
     @cached_property
     def mmse_rates(self):  # PDM-MMSE's, and PDM-grouping's where it falls back
-        return sum_rate(mmse_sinr(self.support, self.pdm_powers, NOISE_POWER, self.geo.beams))
+        return sum_rate(mmse_sinr(self.support, self.pdm_powers, NOISE_POWER))
 
     def pdm_mrc(self):
-        return sum_rate(mrc_sinr(self.support, self.pdm_powers, NOISE_POWER, self.geo.beams)), None
+        return sum_rate(mrc_sinr(self.support, self.pdm_powers, NOISE_POWER)), None
 
     def pdm_mmse(self):
         return self.mmse_rates, None

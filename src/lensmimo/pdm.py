@@ -4,23 +4,22 @@ Per-path maximal-ratio transmission (MRT) at the transmitter, per-stream MRC
 or MMSE combining at the receiver, and their per-stream SINRs. The
 antenna-space SINR decomposition (desired / inter-symbol / inter-stream /
 noise) with its symbol-level Monte Carlo check, the inter-path
-contamination coefficients and the MRC and MMSE combiners themselves are
-test oracles and live with the tests.
+contamination coefficients and the MRT precoders and MRC and MMSE
+combiners themselves are test oracles and live with the tests.
 
 Every function works on PathResponses restricted to the selected antennas
 M_S x Q_S (the unions of the ``selection.SupportSets`` masks): row l of its
 receive/transmit responses is path l seen by those antennas. Stream l is
-sent on path l with the MRT precoder of that path and detected at that
-path's delay. The MRT couplings |a_T,k^H w_l|^2, the R factor of the thin
-QR of the receive rows with its outer-product table, and the MRC reach
-table (a ``Beamformers``, from ``beamformers``) depend only on the rows,
-so they are formed once for every realization and budget, and a sweep
-forms them once for all its blocks; ``mrc_sinr`` and ``mmse_sinr`` take
-them as an argument. The gains are of one realization, (L,), or of a
-block, (T, L); stream powers carry the same leading axes followed by any
-budget axes, (T, B, L) for a block on an SNR grid, and every result
+sent on path l with the MRT precoder w_l = a_T,l / |a_T,l| and detected at
+that path's delay. Both SINRs take the view, the powers and the noise, and
+read what the view's rows fix, formed once per sweep: the Grams G[l, m] =
+a_l^H a_m (``grams``), which give the MRT couplings |a_T,k^H w_l|^2 =
+|G_T[k, l]|^2 / G_T[l, l], and the receive factor A^T = U R, U
+orthonormal (``factors``). The gains are of one realization, (L,), or of
+a block, (T, L); stream powers carry the same leading axes followed by
+any budget axes, (T, B, L) for a block on an SNR grid, and every result
 broadcasts over them. Both SINRs are those of a path-space direction x_l
-(a_R,l = Q R_l): s_l |x_l^H R_l|^2 / (sum_k t_k^(l) |x_l^H R_k|^2 +
+(a_R,l = U R_l): s_l |x_l^H R_l|^2 / (sum_k t_k^(l) |x_l^H R_k|^2 +
 sigma^2 |x_l|^2), s_l the power stream l sends through path l and
 t_k^(l) all other power through path k. MRC's x_l = R_l / |R_l| does not
 depend on the powers; MMSE's maximizes the ratio, which is then the form
@@ -29,8 +28,6 @@ covariance C_l (Tse and Viswanath, Fundamentals of Wireless
 Communication, 2005, sec. 8.3).
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,99 +42,68 @@ def sum_rate(gammas) -> np.ndarray:
     return (np.log1p(gammas) / np.log(2.0)).sum(axis=-1)
 
 
-def _normalized_rows(rows: np.ndarray, what: str) -> np.ndarray:
-    norms = np.linalg.norm(rows, axis=1)
-    if np.any(norms == 0):
-        raise DegenerateInputError(f"zero restricted response; cannot form {what}")
-    return rows / norms[:, None]
-
-
-def mrt_precoders(support: PathResponses) -> np.ndarray:
-    """Unit-norm per-path MRT precoders over Q_S (exact normalization)."""
-    return _normalized_rows(support.tx, "MRT precoder")
-
-
-@dataclass(frozen=True)
-class Beamformers:
-    """What the SINRs read of a support view's rows alone, the same for
-    every realization on that view."""
-
-    coupling: np.ndarray  # (L, L): coupling[k, l] = |a_T,k^H w_l|^2, w the MRT precoders
-    r: np.ndarray  # (r, L): A^T = Q R, the thin QR of the receive rows A, r = min(L, M_S)
-    outer: np.ndarray  # (L, r * r): outer[k, i r + j] = R_ik conj(R_jk)
-    mrc_reach: np.ndarray  # (L, L): |R_l^H R_k|^2 / |R_l|^2 at [l, k], row l 0 where R_l = 0
-
-
-def beamformers(support: PathResponses) -> Beamformers:
-    """The ``Beamformers`` of a support view. Real receive rows (the lens
-    responses) give a real R, and real products downstream."""
-    coupling = np.abs(support.tx.conj() @ mrt_precoders(support).T) ** 2
-    r = np.linalg.qr(support.rx.T, mode="r")
-    if not r.imag.any():
-        r = r.real
-    outer = (r[:, None, :] * r.conj()).reshape(-1, r.shape[1]).T.copy()
-    inner = r.conj().T @ r  # inner[l, k] = R_l^H R_k = a_R,l^H a_R,k
-    norms = inner.diagonal().real
-    mrc_reach = np.abs(inner) ** 2 / np.where(norms > 0, norms, 1.0)[:, None]
-    return Beamformers(coupling=coupling, r=r, outer=outer, mrc_reach=mrc_reach)
-
-
-def _path_power(support: PathResponses, powers: np.ndarray) -> np.ndarray:
-    """|alpha_k|^2 with an axis for each budget axis of ``powers``, so that it
-    broadcasts over their (trials..., budgets..., L) shape."""
-    g2 = np.abs(support.gains) ** 2
-    return g2.reshape(g2.shape[:-1] + (1,) * (powers.ndim - g2.ndim) + g2.shape[-1:])
-
-
-def _launched(coupling: np.ndarray, powers) -> np.ndarray:
-    """launched[..., k, l'] = p_l' |a_{T,k}^H w_l'|^2: stream l' launched into path k."""
-    return np.asarray(powers, dtype=float)[..., None, :] * coupling
-
-
-def _checked_powers(support: PathResponses, powers) -> np.ndarray:
+def _launched(support: PathResponses, powers, noise) -> np.ndarray:
+    """The checked powers launched into the paths, [..., k, l'] = |alpha_k|^2
+    p_l' |a_T,k^H w_l'|^2, with MRT couplings |G_T[k, l']|^2 / G_T[l', l']."""
     powers = np.asarray(powers, dtype=float)
     if powers.shape[-1:] != (support.num_paths,):
         raise InvalidInputError("PDM expects one stream per path")
     if not np.all((powers >= 0) & (powers < np.inf)):  # NaN fails both
         raise InvalidInputError("stream powers must be finite and non-negative")
-    return powers
+    if not 0.0 < noise < np.inf:  # NaN fails too
+        raise InvalidInputError(f"the noise power must be positive and finite, got {noise:g}")
+    gram = support.grams[1]
+    norms = gram.diagonal(0, -2, -1).real
+    if not norms.all():
+        raise DegenerateInputError("zero restricted response; cannot form MRT precoder")
+    coupling = np.abs(gram) ** 2 / norms[..., None, :]
+    g2 = np.abs(support.gains) ** 2  # |alpha_k|^2, with an axis for each budget axis
+    g2 = g2.reshape(g2.shape[:-1] + (1,) * (powers.ndim - g2.ndim) + g2.shape[-1:])
+    return powers[..., None, :] * coupling * g2[..., None]
 
 
-def mrc_sinr(support: PathResponses, powers, noise: float, beams: Beamformers) -> np.ndarray:
+def mrc_sinr(support: PathResponses, powers, noise: float) -> np.ndarray:
     """Per-stream SINR of PDM-MRC detection, v_l = a_R,l / |a_R,l|: that of
-    the path-space direction x_l = R_l / |R_l|, whose reach is the geometry's
-    ``beams.mrc_reach``. An unreceived path (R_l = 0) has SINR 0. ``powers``
-    is (..., L), the gains' leading axes then any budget axes, as is the
-    result; ``noise`` is positive.
+    the path-space direction x_l = R_l / |R_l|, whose reach |R_l^H R_k|^2 /
+    |R_l|^2 is |G_R[l, k]|^2 / G_R[l, l]. An unreceived path (R_l = 0) has
+    SINR 0. ``powers`` is (..., L), the gains' leading axes then any budget
+    axes, as is the result; ``noise`` is positive and finite.
     """
-    powers = _checked_powers(support, powers)
-    launched = _launched(beams.coupling, powers) * _path_power(support, powers)[..., None]
-    return _sinr(launched, beams.mrc_reach, noise)
+    launched = _launched(support, powers, noise)
+    gram = support.grams[0]
+    norms = gram.diagonal(0, -2, -1).real
+    reach = np.abs(gram) ** 2 / np.where(norms > 0, norms, 1.0)[..., :, None]
+    return _sinr(launched, reach, noise)
 
 
-def mmse_sinr(support: PathResponses, powers, noise: float, beams: Beamformers) -> np.ndarray:
+def mmse_sinr(support: PathResponses, powers, noise: float) -> np.ndarray:
     """Per-stream SINR of PDM-MMSE detection, with no M_S-long combiner.
 
     Stream l's interference plus noise covariance in the path space of A^T
-    = Q R is C_l = R diag(t^(l)) R^H + sigma^2 I, t_k^(l) = |alpha_k|^2
-    sum_l' p_l' |a_T,k^H w_l'|^2 over every (k, l') but (l, l). Its MMSE
-    direction C_l^{-1} R_l is parallel to x_l = C^{-1} R_l, C that of
-    everything received (the matrix inversion lemma): one factor per trial
-    and budget for every stream, and a C_l singular in double precision
-    (where path l carries no interference) is never factored. gamma_l =
-    s_l R_l^H C_l^{-1} R_l is taken as the SINR of x_l, s_l |x_l^H R_l|^2 /
-    (sum_k t_k^(l) |x_l^H R_k|^2 + sigma^2 |x_l|^2), s_l the (l, l) term:
+    = U R (the receive factor of ``PathResponses.factors``) is C_l = R
+    diag(t^(l)) R^H + sigma^2 I, t_k^(l) = |alpha_k|^2 sum_l' p_l'
+    |a_T,k^H w_l'|^2 over every (k, l') but (l, l). Its MMSE direction
+    C_l^{-1} R_l is parallel to x_l = C^{-1} R_l, C that of everything
+    received (the matrix inversion lemma): one factor per trial and budget
+    for every stream, and a C_l singular in double precision (where path l
+    carries no interference) is never factored. gamma_l = s_l R_l^H
+    C_l^{-1} R_l is taken as the SINR of x_l, s_l |x_l^H R_l|^2 / (sum_k
+    t_k^(l) |x_l^H R_k|^2 + sigma^2 |x_l|^2), s_l the (l, l) term:
     non-negative sums, stationary at the optimum, so x_l's rounding enters
     squared, unlike in the form itself or in 1 - s u from C. ``powers`` is
     (..., L), the gains' leading axes then any budget axes, as is the
-    result. A singular C raises NumericalError.
+    result; ``noise`` is positive and finite. A singular C raises
+    NumericalError.
     """
-    powers = _checked_powers(support, powers)
-    launched = _launched(beams.coupling, powers) * _path_power(support, powers)[..., None]
-    r, m = beams.r, beams.r.shape[0]
+    launched = _launched(support, powers, noise)
+    r = support.factors[0]
+    if not r.imag.any():  # real receive rows (the lens responses): real products
+        r = r.real
+    m = r.shape[0]
     total = _sum_last(launched)
     cov = noise * np.eye(m).ravel()
-    for k, row in enumerate(beams.outer):  # C = R diag(total) R^H + sigma^2 I
+    # C = R diag(total) R^H + sigma^2 I, one path's outer product R_k R_k^H at a time.
+    for k, row in enumerate((r[:, None, :] * r.conj()).reshape(-1, r.shape[1]).T):
         cov = cov + total[..., k, None] * row
     x = normalized_solve(cov.reshape(cov.shape[:-1] + (1, m, m)), r.T)
     reach = np.abs(x.conj() @ r) ** 2  # reach[..., l, k] = |x_l^H R_k|^2

@@ -17,7 +17,8 @@ realization at a time, the antenna-level forms of the selection (a sort
 of every antenna, the antennas of azimuth picks, and a picked link of one
 row per picked antenna) keep the forms the package had before it shared
 or reduced that work. The PDM SINRs keep their antenna-space long form:
-the MRC combiners a_R,l / |a_R,l| and the PDM-MMSE combiners, from one
+the MRT precoders a_T,l / |a_T,l| with their couplings, the MRC combiners
+a_R,l / |a_R,l| and the PDM-MMSE combiners, from one
 Hermitian solve per realization and budget in path space, each M_S long,
 scored by ``pdm_sinr``, the exact per-stream decomposition into desired,
 inter-symbol and inter-stream power of any unit-norm combiners, which
@@ -36,17 +37,11 @@ from lensmimo.channel import (
     MEAN_PATHLOSS_DB,
     PER_PATH_SHADOWING_STD_DB,
     SHADOWING_STD_DB,
+    PathResponses,
 )
-from lensmimo.errors import InvalidInputError, NumericalError
+from lensmimo.errors import DegenerateInputError, InvalidInputError, NumericalError
 from lensmimo.numerics import RANK_TOL, water_fill
-from lensmimo.pdm import (
-    _checked_powers,
-    _launched,
-    _normalized_rows,
-    _path_power,
-    mrt_precoders,
-    sum_rate,
-)
+from lensmimo.pdm import sum_rate
 from lensmimo.upa import ofdm_capacity
 
 
@@ -72,12 +67,38 @@ class SinrReport:
         return sum_rate(self.gammas)
 
 
+def _path_power(support, powers: np.ndarray) -> np.ndarray:
+    """|alpha_k|^2 with an axis for each budget axis of ``powers``, so that it
+    broadcasts over their (trials..., budgets..., L) shape."""
+    g2 = np.abs(support.gains) ** 2
+    return g2.reshape(g2.shape[:-1] + (1,) * (powers.ndim - g2.ndim) + g2.shape[-1:])
+
+
+def _normalized_rows(rows: np.ndarray, what: str) -> np.ndarray:
+    norms = np.linalg.norm(rows, axis=1)
+    if np.any(norms == 0):
+        raise DegenerateInputError(f"zero restricted response; cannot form {what}")
+    return rows / norms[:, None]
+
+
+def mrt_precoders(support: PathResponses) -> np.ndarray:
+    """Unit-norm per-path MRT precoders over Q_S (exact normalization)."""
+    return _normalized_rows(support.tx, "MRT precoder")
+
+
+def mrt_launched(support, powers) -> np.ndarray:
+    """launched[..., k, l'] = p_l' |a_{T,k}^H w_l'|^2, stream l' launched
+    into path k, of the antenna-space MRT precoders w."""
+    coupling = np.abs(support.tx.conj() @ mrt_precoders(support).T) ** 2
+    return np.asarray(powers, dtype=float)[..., None, :] * coupling
+
+
 def mrc_combiners(support) -> np.ndarray:
     """Unit-norm per-path MRC combiners over M_S."""
     return _normalized_rows(support.rx, "MRC combiner")
 
 
-def pdm_sinr(support, combiners, powers, noise: float, beams) -> SinrReport:
+def pdm_sinr(support, combiners, powers, noise: float) -> SinrReport:
     """Exact analytic per-stream SINR under per-path MRT precoding.
 
     Stream l' reaches detector l via path k with power |alpha_k|^2
@@ -85,19 +106,21 @@ def pdm_sinr(support, combiners, powers, noise: float, beams) -> SinrReport:
     collects k != l for stream l, inter-stream all paths of every other
     stream. ``powers`` has the gains' leading axes followed by any budget
     axes, (..., L), and ``combiners`` is (L, M_S) or (..., L, M_S); every
-    report field has the broadcast shape (..., L). ``beams`` are
-    ``pdm.beamformers(support)``, of which only the MRT couplings are read.
+    report field has the broadcast shape (..., L). The MRT couplings are
+    those of the antenna-space precoders (``mrt_launched``).
     """
     combiners = np.asarray(combiners)
-    powers = _checked_powers(support, powers)
-    if combiners.shape[-2:-1] != (support.num_paths,):
+    powers = np.asarray(powers, dtype=float)
+    if combiners.shape[-2:-1] + powers.shape[-1:] != (support.num_paths,) * 2:
         raise InvalidInputError("PDM expects one stream per path")
+    if not np.all((powers >= 0) & (powers < np.inf)):
+        raise InvalidInputError("stream powers must be finite and non-negative")
     if np.any(np.abs(np.linalg.norm(combiners, axis=-1) - 1.0) > _UNIT_TOL):
         raise InvalidInputError("every combiner must be unit-norm")
     # reach[..., l, k] = |alpha_k|^2 |v_l^H a_{R,k}|^2: path k at detector l.
     alpha2 = _path_power(support, powers)[..., None, :]
     reach = alpha2 * np.abs(combiners.conj() @ support.rx.T) ** 2
-    launched = _launched(beams.coupling, powers)
+    launched = mrt_launched(support, powers)
     own = reach * launched.swapaxes(-2, -1)  # own[..., l, k]: stream l via path k
     desired = np.diagonal(own, axis1=-2, axis2=-1)
     # Masked sums, not totals minus the desired term: a strong stream's own
@@ -399,7 +422,7 @@ def hermitian_solve(c, b) -> np.ndarray:
         ) from exc
 
 
-def mmse_combiners(support, powers, noise: float, beams) -> np.ndarray:
+def mmse_combiners(support, powers, noise: float) -> np.ndarray:
     """Per-stream MMSE combiners v_l proportional to C_l^{-1} a_{R,l}, whose
     ``pdm_sinr`` is the SINR ``pdm.mmse_sinr`` takes in closed form.
 
@@ -411,13 +434,13 @@ def mmse_combiners(support, powers, noise: float, beams) -> np.ndarray:
     Q (R diag(t) R^H + sigma^2 I_r)^{-1} R e_l: one r x r system per budget,
     with the L columns of R as right-hand sides. ``powers`` has the gains'
     leading axes followed by any budget axes, (..., L); the result is
-    (..., L, M_S). Of ``beams`` (``pdm.beamformers(support)``) only the MRT
-    couplings are read. A system still singular in double precision, or a
-    combiner direction whose norm is zero or not finite (at budgets so
-    large that the solution underflows), raises NumericalError.
+    (..., L, M_S). The MRT couplings are those of ``mrt_launched``. A
+    system still singular in double precision, or a combiner direction
+    whose norm is zero or not finite (at budgets so large that the solution
+    underflows), raises NumericalError.
     """
     powers = np.asarray(powers, dtype=float)
-    through = _path_power(support, powers) * _launched(beams.coupling, powers).sum(axis=-1)
+    through = _path_power(support, powers) * mrt_launched(support, powers).sum(axis=-1)
     q, r = np.linalg.qr(support.rx.T)
     cov = (r * through[..., None, :]) @ r.conj().T + noise * np.eye(r.shape[0])
     rhs = np.broadcast_to(r, cov.shape[:-2] + r.shape)

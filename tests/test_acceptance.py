@@ -100,12 +100,11 @@ def _pdm_gammas(cfg, paths, kind, snr_db, noise, tx, rx):
     support = support_view(responses, sets)
     gains = np.abs(paths.gains) ** 2 * rx.aperture * tx.aperture
     powers = lm.water_fill(gains, lm.channel.tx_power(snr_db), noise)
-    beams = lm.beamformers(support)
     # Both in closed form, with no combiner; the MRC combiners (an oracle)
     # feed only the symbol-level simulation.
     if kind == "MMSE":
-        return support, None, powers, lm.mmse_sinr(support, powers, noise, beams)
-    return support, mrc_combiners(support), powers, lm.mrc_sinr(support, powers, noise, beams)
+        return support, None, powers, lm.mmse_sinr(support, powers, noise)
+    return support, mrc_combiners(support), powers, lm.mrc_sinr(support, powers, noise)
 
 
 def test_05_mmse_sinr_never_below_mrc():

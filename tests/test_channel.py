@@ -17,7 +17,7 @@ from lensmimo.channel import (
     tx_power,
 )
 from lensmimo.errors import InvalidInputError
-from lensmimo.experiments import _Block, preset
+from lensmimo.experiments import _Block, preset, rows_to_csv, run_experiment
 from lensmimo.numerics import RANK_TOL
 from oracles import dense_channel, dense_taps, draw_one
 
@@ -111,6 +111,25 @@ class TestChannelStats:
         # later as a bare ValueError, OverflowError or a cast warning.
         with pytest.raises(InvalidInputError):
             build()
+
+    def test_array_angle_lists_equal_tuples(self):
+        # An ndarray AoA or AoD list places the angles a tuple places, and
+        # gives fig10 the sweep of its own spread.
+        aoa, aod = preset("fig10").stats.placed_angles()
+        lists = [
+            ChannelStats(aoa_spatial_freqs=tuple(aoa), aod_spatial_freqs=tuple(aod)),
+            ChannelStats(aoa_spatial_freqs=aoa, aod_spatial_freqs=tuple(aod)),
+            ChannelStats(aoa_spatial_freqs=aoa, aod_spatial_freqs=aod),
+        ]
+        for stats in lists:
+            placed = stats.placed_angles()
+            assert np.array_equal(placed[0], aoa) and np.array_equal(placed[1], aod)
+
+        def csv(**overrides):
+            return rows_to_csv(run_experiment(preset("fig10", trials=3, **overrides), workers=1))
+
+        spread = csv()
+        assert all(csv(stats=stats) == spread for stats in lists)
 
     def test_fixed_placement_length_check(self):
         # The AoD list gives the path count; an AoA list of another length is refused.

@@ -197,6 +197,7 @@ class TestRunExperiment:
             se = [r.se_bpshz for r in rows if r.scheme == scheme]
             assert all(a <= b + 1e-12 for a, b in zip(se, se[1:]))
 
+    @pytest.mark.blas_threads
     def test_worker_count_invariance(self, monkeypatch, pools):
         # Blocks of 2 and a free pool: trials 2 and 3 run in the workers.
         monkeypatch.setattr(experiments, "_BLOCK", 2)
@@ -344,6 +345,7 @@ _COMMENSURATE = ChannelStats(aoa_spatial_freqs=(0.0, 1.0, -0.5), aod_spatial_fre
 
 
 class TestBlocks:
+    @pytest.mark.blas_threads
     @pytest.mark.parametrize(
         "name, overrides",
         [
@@ -388,6 +390,7 @@ class TestBlocks:
         if "delta" in overrides:  # no side separated at delta 5: every trial falls back
             assert "grouping-fallback:16" in texts[0]
 
+    @pytest.mark.blas_threads
     @pytest.mark.parametrize(
         "name, overrides",
         [("fig6", {}), ("fig9", {"rx_rf": 15, "tx_rf": 15})],
@@ -409,8 +412,9 @@ class TestBlocks:
     def test_geometry_built_once_per_config(self, monkeypatch):
         # A config builds its geometry at its first block: the support sets
         # once, and the rank-revealing factors on fig9's lens schemes as a
-        # pair for each of its three single-path groups, on fig6 as the pair
-        # of the UPA responses. Later blocks and sweeps of the same config
+        # pair for each of its three single-path groups and for the support
+        # view (PDM-MMSE's path space), on fig6 as the pair of the UPA
+        # responses. Later blocks and sweeps of the same config
         # object build none. UPA-OFDM-selection's picked links still take one
         # stacked pair per block (one side-rank group per block, also at 15
         # RF chains), not a pair per distinct pick.
@@ -435,7 +439,7 @@ class TestBlocks:
 
         three = 3 * experiments._BLOCK
         lens = preset("fig9", trials=three, schemes=("PDM-MRC", "PDM-MMSE", "PDM-grouping"))
-        assert count(lens) == {"support_sets": 1, "_factor": 6}
+        assert count(lens) == {"support_sets": 1, "_factor": 8}
         assert count(lens) == {"support_sets": 0, "_factor": 0}
         assert count(preset("fig6", trials=three)) == {"support_sets": 0, "_factor": 2}
         selection = ("UPA-OFDM-selection",)
@@ -511,6 +515,7 @@ _REUSED = (
 )
 
 
+@pytest.mark.blas_threads
 class TestGeometry:
     @settings(max_examples=25, deadline=None)
     @given(order=st.lists(st.integers(0, len(_REUSED) - 1), min_size=2, max_size=8))
@@ -530,10 +535,9 @@ class TestGeometry:
             geo.lens.rx,
             geo.sets.rx,
             geo.support.tx,
-            geo.beams.coupling,
-            geo.beams.r,
-            geo.beams.outer,
-            geo.beams.mrc_reach,
+            geo.support.grams[0],
+            geo.support.grams[1],
+            geo.support.factors[0],
             geo.groups[0][0],
             geo.groups[0][1]._rows.svds[0][0],
             geo.upa.tx,

@@ -17,7 +17,7 @@ from lensmimo.channel import (
 from lensmimo.experiments import _Geometry, preset, run_experiment
 from lensmimo.grouping import _components, group_channels, grouped_capacity, path_groups
 from lensmimo.numerics import eigen_gains, water_fill, waterfill_capacity
-from lensmimo.pdm import beamformers, mmse_sinr, sum_rate
+from lensmimo.pdm import mmse_sinr, sum_rate
 from lensmimo.selection import SupportSets, support_sets
 from oracles import antenna_indices, dense_channel, support_view
 
@@ -277,6 +277,6 @@ class TestGroupedCapacity:
             support = support_view(responses, sets)
             grouped = grouped_capacity(mats, budget, noise)
             powers = water_fill(np.abs(paths.gains) ** 2 * rx.aperture * tx.aperture, budget, noise)
-            mmse_rate = sum_rate(mmse_sinr(support, powers, noise, beamformers(support)))
+            mmse_rate = sum_rate(mmse_sinr(support, powers, noise))
             assert grouped >= mmse_rate * (1 - 1e-9)
         assert checked > 0

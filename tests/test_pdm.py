@@ -15,16 +15,17 @@ from lensmimo.channel import (
     sample_paths,
     tx_power,
 )
-from lensmimo.errors import InvalidInputError, NumericalError
+from lensmimo.errors import DegenerateInputError, InvalidInputError, NumericalError
 from lensmimo.experiments import preset, run_experiment
 from lensmimo.numerics import water_fill
-from lensmimo.pdm import beamformers, mmse_sinr, mrc_sinr, mrt_precoders
+from lensmimo.pdm import mmse_sinr, mrc_sinr
 from lensmimo.selection import support_sets
 from oracles import (
     StatisticalValidityError,
     ipc_coefficients,
     mmse_combiners,
     mrc_combiners,
+    mrt_precoders,
     pdm_sinr,
     simulate_symbols,
     support_view,
@@ -57,7 +58,7 @@ def link(paths, powers, noise, kind="MRC"):
     """The support view and the MRC or MMSE combiners of one realization."""
     support = support_of(paths)
     if kind == "MMSE":
-        return support, mmse_combiners(support, powers, noise, beamformers(support))
+        return support, mmse_combiners(support, powers, noise)
     return support, mrc_combiners(support)
 
 
@@ -73,11 +74,11 @@ class TestBeamformers:
         support = support_of(sample_paths(STATS, np.random.default_rng(0)))
         comb = 2.0 * mrc_combiners(support)
         with pytest.raises(InvalidInputError):
-            pdm_sinr(support, comb, np.ones(3), NOISE_POWER, beamformers(support))
+            pdm_sinr(support, comb, np.ones(3), NOISE_POWER)
 
     def test_mmse_unit_norm(self):
         support = support_of(sample_paths(STATS, np.random.default_rng(1)))
-        comb = mmse_combiners(support, np.ones(3), 1e-9, beamformers(support))
+        comb = mmse_combiners(support, np.ones(3), 1e-9)
         assert np.allclose(np.linalg.norm(comb, axis=1), 1.0)
 
     def test_underflowing_combiner_direction_is_refused(self):
@@ -86,7 +87,7 @@ class TestBeamformers:
         # than divided into nan combiners.
         support = support_of(sample_paths(STATS, np.random.default_rng(1)))
         with pytest.raises(NumericalError, match="zero or non-finite norm"):
-            mmse_combiners(support, np.full(3, 1e200), NOISE_POWER, beamformers(support))
+            mmse_combiners(support, np.full(3, 1e200), NOISE_POWER)
 
     def test_block_of_realizations_equals_one_call_each(self):
         # (T, L) gains with (T, B, L) powers: every realization's combiners
@@ -98,17 +99,15 @@ class TestBeamformers:
         budgets = np.array([tx_power(s) for s in (-10.0, 10.0, 30.0)])
         noise = NOISE_POWER
         powers = water_fill(np.abs(block.gains) ** 2 * RX.aperture * TX.aperture, budgets, noise)
-        beams = beamformers(block)
-        mrc, mmse = mrc_combiners(block), mmse_combiners(block, powers, noise, beams)
-        mrc_rates = pdm_sinr(block, mrc, powers, noise, beams).sum_rate
-        mmse_rates = pdm_sinr(block, mmse, powers, noise, beams).sum_rate
+        mrc, mmse = mrc_combiners(block), mmse_combiners(block, powers, noise)
+        mrc_rates = pdm_sinr(block, mrc, powers, noise).sum_rate
+        mmse_rates = pdm_sinr(block, mmse, powers, noise).sum_rate
         assert mmse.shape == (5, 3, 3, block.rx.shape[1]) and mmse_rates.shape == (5, 3)
         for t in range(5):
             one = replace(block, gains=block.gains[t], delays=block.delays[t])
-            beams = beamformers(one)
-            assert np.array_equal(mmse[t], mmse_combiners(one, powers[t], noise, beams))
-            mrc_rate = pdm_sinr(one, mrc, powers[t], noise, beams).sum_rate
-            mmse_rate = pdm_sinr(one, mmse[t], powers[t], noise, beams).sum_rate
+            assert np.array_equal(mmse[t], mmse_combiners(one, powers[t], noise))
+            mrc_rate = pdm_sinr(one, mrc, powers[t], noise).sum_rate
+            mmse_rate = pdm_sinr(one, mmse[t], powers[t], noise).sum_rate
             assert np.array_equal(mrc_rates[t], mrc_rate)
             assert np.array_equal(mmse_rates[t], mmse_rate)
 
@@ -162,19 +161,19 @@ class TestBeamformers:
             return reference
 
         for support, powers, noise in cases:
-            comb = mmse_combiners(support, powers, noise, beamformers(support))
+            comb = mmse_combiners(support, powers, noise)
             assert comb.shape == powers.shape + support.rx.shape[1:]
             for budget in np.ndindex(powers.shape[:-1]):
                 reference = per_stream(support, powers[budget], noise)
                 assert np.allclose(comb[budget], reference, rtol=0.0, atol=1e-9)
 
     def test_fig9_block_mmse_rate_makes_no_linalg_call(self, monkeypatch):
-        # The geometry's QR and the water-filled powers aside, the PDM-MMSE
-        # and PDM-MRC rates of a fig9 block come from ufuncs and products
-        # alone: every numpy.linalg function and LAPACK gufunc raises while
-        # they run.
+        # The support view's factor and Grams and the water-filled powers
+        # aside, the PDM-MMSE and PDM-MRC rates of a fig9 block come from
+        # ufuncs and products alone: every numpy.linalg function and LAPACK
+        # gufunc raises while they run.
         block = experiments._Block(preset("fig9", trials=30), range(30))
-        block.geo.beams, block.pdm_powers, block.support  # built beforehand
+        block.support.factors, block.support.grams, block.pdm_powers  # built beforehand
         calls = []
 
         def refuse(name):
@@ -214,16 +213,15 @@ class TestMmseSinr:
                 gains=cn(num_paths),
                 delays=np.zeros(num_paths, int),
             )
-            beams = beamformers(support)
-            assert beams.r.shape == (min(num_paths, n_rx), num_paths)
+            assert support.factors[0].shape == (min(num_paths, n_rx), num_paths)
             for powers in (rng.uniform(0.5, 2.0, num_paths), rng.uniform(0.0, 2.0, (3, num_paths))):
-                got = mmse_sinr(support, powers, 0.1, beams)
-                comb = mmse_combiners(support, powers, 0.1, beams)
-                want = pdm_sinr(support, comb, powers, 0.1, beams).gammas
+                got = mmse_sinr(support, powers, 0.1)
+                comb = mmse_combiners(support, powers, 0.1)
+                want = pdm_sinr(support, comb, powers, 0.1).gammas
                 assert got.shape == powers.shape
                 assert np.allclose(got, want, rtol=1e-12, atol=0.0)
-                mrc = mrc_sinr(support, powers, 0.1, beams)
-                want = pdm_sinr(support, mrc_combiners(support), powers, 0.1, beams).gammas
+                mrc = mrc_sinr(support, powers, 0.1)
+                want = pdm_sinr(support, mrc_combiners(support), powers, 0.1).gammas
                 assert np.allclose(mrc, want, rtol=1e-12, atol=0.0)
                 assert np.all(got >= mrc * (1 - 1e-12))
 
@@ -235,47 +233,59 @@ class TestMmseSinr:
         budgets = np.array([tx_power(s) for s in (-10.0, 10.0, 30.0)])
         gains = np.abs(block.gains) ** 2 * RX.aperture * TX.aperture
         powers = water_fill(gains, budgets, NOISE_POWER)
-        beams = beamformers(block)
-        gammas = mmse_sinr(block, powers, NOISE_POWER, beams)
+        gammas = mmse_sinr(block, powers, NOISE_POWER)
         assert gammas.shape == (5, 3, 3)
         for t in range(5):
             one = replace(block, gains=block.gains[t], delays=block.delays[t])
-            assert np.array_equal(gammas[t], mmse_sinr(one, powers[t], NOISE_POWER, beams))
+            assert np.array_equal(gammas[t], mmse_sinr(one, powers[t], NOISE_POWER))
 
     def test_zero_power_and_unreceived_streams_have_zero_sinr(self):
         # MMSE and MRC alike. A path no receive antenna sees: R_l = 0, so
         # its detector gets nothing and the others are scored as usual.
         support = support_of(sample_paths(STATS, np.random.default_rng(3)))
         dark = replace(support, rx=support.rx * np.array([[1.0], [0.0], [1.0]]))
-        beams = beamformers(dark)
-        assert np.all(beams.mrc_reach[1] == 0.0)
+        assert np.all(dark.grams[0][1] == 0.0)
         for sinr in (mmse_sinr, mrc_sinr):
-            gammas = sinr(support, np.array([1.0, 0.0, 1.0]), NOISE_POWER, beamformers(support))
+            gammas = sinr(support, np.array([1.0, 0.0, 1.0]), NOISE_POWER)
             assert gammas[1] == 0.0 and np.all(gammas[[0, 2]] > 0)
-            gammas = sinr(dark, np.ones(3), NOISE_POWER, beams)
+            gammas = sinr(dark, np.ones(3), NOISE_POWER)
             assert gammas[1] == 0.0 and np.all(gammas[[0, 2]] > 0)
 
     def test_refuses_bad_powers_and_a_singular_covariance(self):
         support = support_of(sample_paths(STATS, np.random.default_rng(3)))
-        beams = beamformers(support)
         with pytest.raises(InvalidInputError):
-            mmse_sinr(support, np.ones(2), NOISE_POWER, beams)
+            mmse_sinr(support, np.ones(2), NOISE_POWER)
         with pytest.raises(InvalidInputError):
-            mmse_sinr(support, np.array([1.0, -1.0, 1.0]), NOISE_POWER, beams)
-        # With no noise and no power, every covariance is zero.
-        with pytest.raises(NumericalError):
-            mmse_sinr(support, np.zeros(3), 0.0, beams)
+            mmse_sinr(support, np.array([1.0, -1.0, 1.0]), NOISE_POWER)
+        # A noise power that is not positive is refused before the
+        # covariance it would leave singular is formed.
+        with pytest.raises(InvalidInputError):
+            mmse_sinr(support, np.zeros(3), 0.0)
 
     @pytest.mark.parametrize("sinr", [mmse_sinr, mrc_sinr])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_refuses_non_finite_powers_before_any_arithmetic(self, sinr, bad):
         # One InvalidInputError of the power check, on one power and on a
-        # budget grid, with every floating-point warning an error.
+        # budget grid, with every floating-point warning an error; and of
+        # the noise check, for a noise power that is not positive and finite.
         support = support_of(sample_paths(STATS, np.random.default_rng(3)))
-        beams = beamformers(support)
         for powers in (np.array([1.0, bad, 1.0]), np.array([[1.0, 1.0, 1.0], [1.0, 1.0, bad]])):
             with np.errstate(all="raise"), pytest.raises(InvalidInputError, match="^stream powers"):
-                sinr(support, powers, NOISE_POWER, beams)
+                sinr(support, powers, NOISE_POWER)
+        for noise in (bad, 0.0, -NOISE_POWER):
+            for powers in (np.ones(3), np.ones((2, 3))):
+                with np.errstate(all="raise"), pytest.raises(
+                    InvalidInputError, match="^the noise power"
+                ):
+                    sinr(support, powers, noise)
+
+    @pytest.mark.parametrize("sinr", [mmse_sinr, mrc_sinr])
+    def test_refuses_a_zero_transmit_row(self, sinr):
+        # A path that no selected transmit antenna sees has no MRT precoder.
+        support = support_of(sample_paths(STATS, np.random.default_rng(3)))
+        dark = replace(support, tx=support.tx * np.array([[1.0], [0.0], [1.0]]))
+        with pytest.raises(DegenerateInputError, match="cannot form MRT precoder"):
+            sinr(dark, np.ones(3), NOISE_POWER)
 
 
 class TestMmseSaturation:
@@ -317,23 +327,21 @@ class TestAnalyticSinr:
         noise = 1e-7
         powers = np.array([1.0, 2.0, 0.5])
         support, comb = link(paths, powers, noise)
-        beams = beamformers(support)
-        report = pdm_sinr(support, comb, powers, noise, beams)
+        report = pdm_sinr(support, comb, powers, noise)
         expected = powers * np.abs(paths.gains) ** 2 * RX.aperture * TX.aperture / noise
         assert np.allclose(report.gammas, expected, rtol=0.01)
-        assert np.allclose(mrc_sinr(support, powers, noise, beams), expected, rtol=0.01)
+        assert np.allclose(mrc_sinr(support, powers, noise), expected, rtol=0.01)
 
     def test_homogeneity(self):
         paths = sample_paths(STATS, np.random.default_rng(2))
         noise = NOISE_POWER
         powers = water_fill(np.abs(paths.gains) ** 2, tx_power(10), noise)
         support, comb = link(paths, powers, noise)
-        beams = beamformers(support)
-        base = pdm_sinr(support, comb, powers, noise, beams).gammas
-        scaled = pdm_sinr(support, comb, powers * 7.0, 7.0 * noise, beams).gammas
+        base = pdm_sinr(support, comb, powers, noise).gammas
+        scaled = pdm_sinr(support, comb, powers * 7.0, 7.0 * noise).gammas
         assert np.allclose(base, scaled, rtol=1e-9)
-        base = mrc_sinr(support, powers, noise, beams)
-        assert np.allclose(mrc_sinr(support, powers * 7.0, 7.0 * noise, beams), base, rtol=1e-9)
+        base = mrc_sinr(support, powers, noise)
+        assert np.allclose(mrc_sinr(support, powers * 7.0, 7.0 * noise), base, rtol=1e-9)
 
     def test_mmse_never_below_mrc(self):
         noise = NOISE_POWER
@@ -342,16 +350,15 @@ class TestAnalyticSinr:
             powers = np.full(3, tx_power(15) / 3)
             support, mrc = link(paths, powers, noise)
             _, mmse = link(paths, powers, noise, kind="MMSE")
-            beams = beamformers(support)
-            g_mrc = pdm_sinr(support, mrc, powers, noise, beams).gammas
-            g_mmse = pdm_sinr(support, mmse, powers, noise, beams).gammas
+            g_mrc = pdm_sinr(support, mrc, powers, noise).gammas
+            g_mmse = pdm_sinr(support, mmse, powers, noise).gammas
             assert np.all(g_mmse >= g_mrc * (1 - 1e-9))
 
     def test_zero_power_stream_has_zero_sinr(self):
         paths = sample_paths(STATS, np.random.default_rng(3))
         powers = np.array([1.0, 0.0, 1.0])
         support, comb = link(paths, powers, NOISE_POWER)
-        report = pdm_sinr(support, comb, powers, NOISE_POWER, beamformers(support))
+        report = pdm_sinr(support, comb, powers, NOISE_POWER)
         assert report.gammas[1] == 0.0
 
 
@@ -367,11 +374,10 @@ class TestMmseExtremeSnr:
             support = support_of(sample_paths(cfg.stats, np.random.default_rng([0, trial])))
             gains = np.abs(support.gains) ** 2 * RX.aperture * TX.aperture
             powers = water_fill(gains, tx_power(140.0), noise)
-            beams = beamformers(support)
-            mmse = mmse_combiners(support, powers, noise, beams)
+            mmse = mmse_combiners(support, powers, noise)
             assert np.all(np.isfinite(mmse))
-            g_mmse = pdm_sinr(support, mmse, powers, noise, beams).gammas
-            g_mrc = pdm_sinr(support, mrc_combiners(support), powers, noise, beams).gammas
+            g_mmse = pdm_sinr(support, mmse, powers, noise).gammas
+            g_mrc = pdm_sinr(support, mrc_combiners(support), powers, noise).gammas
             assert np.all(np.isfinite(g_mmse))
             assert np.all(g_mmse >= g_mrc * (1 - 1e-9))
 
@@ -401,7 +407,7 @@ class TestSymbolSimulation:
             np.abs(paths.gains) ** 2 * RX.aperture * TX.aperture, tx_power(10), noise
         )
         support, comb = link(paths, powers, noise)
-        analytic = pdm_sinr(support, comb, powers, noise, beamformers(support)).gammas
+        analytic = pdm_sinr(support, comb, powers, noise).gammas
         empirical = simulate_symbols(
             support, comb, powers, 100_000, np.random.default_rng(7), noise
         ).gammas

@@ -75,7 +75,7 @@ from lensmimo.numerics import (
     water_fill,
     waterfill_capacity,
 )
-from lensmimo.pdm import beamformers, mmse_sinr, mrc_sinr, mrt_precoders
+from lensmimo.pdm import mmse_sinr, mrc_sinr
 from lensmimo.selection import support_sets
 from lensmimo.upa import OfdmConfig, eigenmode_capacity, ofdm_capacity
 from oracles import (
@@ -84,6 +84,7 @@ from oracles import (
     draw_one,
     mmse_combiners,
     mrc_combiners,
+    mrt_precoders,
     pdm_sinr,
     principal_minor_sums,
     support_view,
@@ -441,6 +442,7 @@ class TestWaterFillProperties:
             for t, row in enumerate(gains):
                 assert np.array_equal(powers[t], water_fill(row, budgets, noise))
 
+    @pytest.mark.blas_threads
     @EXAMPLES
     @given(case=threshold_cases())
     def test_threshold_count_equals_the_search_per_link(self, case):
@@ -561,6 +563,7 @@ def subcarrier_links(draw):
 
 
 class TestOfdmProperties:
+    @pytest.mark.blas_threads
     @settings(max_examples=200, deadline=None)
     @given(link=subcarrier_links())
     def test_subcarrier_gains_match_the_svd_oracle(self, link):
@@ -756,13 +759,12 @@ class TestCombinerProperties:
         support = pdm_link(spread, seed)
         noise = NOISE_POWER
         powers = tx_power(snr_db) * np.array(shares)
-        beams = beamformers(support)
-        got = mmse_combiners(support, powers, noise, beams)
+        got = mmse_combiners(support, powers, noise)
         want = dense_mmse_combiners(support, powers, noise)
         overlap = np.abs(np.sum(got.conj() * want, axis=-1))
         assert np.all(1.0 - overlap <= 1e-12)
-        rate = pdm_sinr(support, got, powers, noise, beams).sum_rate
-        dense_rate = pdm_sinr(support, want, powers, noise, beams).sum_rate
+        rate = pdm_sinr(support, got, powers, noise).sum_rate
+        dense_rate = pdm_sinr(support, want, powers, noise).sum_rate
         assert math.isclose(rate, dense_rate, rel_tol=1e-12)
 
     @EXAMPLES
@@ -776,9 +778,8 @@ class TestCombinerProperties:
         support = pdm_link(spread, seed)
         noise = NOISE_POWER
         powers = tx_power(snr_db) * np.array(shares)
-        beams = beamformers(support)
-        g_mrc = mrc_sinr(support, powers, noise, beams)
-        g_mmse = mmse_sinr(support, powers, noise, beams)
+        g_mrc = mrc_sinr(support, powers, noise)
+        g_mmse = mmse_sinr(support, powers, noise)
         assert np.all(g_mmse >= g_mrc * (1 - 1e-9))
 
     @EXAMPLES
@@ -793,21 +794,21 @@ class TestCombinerProperties:
         gains = np.abs(support.gains) ** 2 * PDM_RX.aperture * PDM_TX.aperture
         budgets = np.array([tx_power(s) for s in snrs_db])
         powers = water_fill(gains, budgets, noise)
-        beams = beamformers(support)
         mrc = mrc_combiners(support)
-        mmse = mmse_combiners(support, powers, noise, beams)
+        mmse = mmse_combiners(support, powers, noise)
         for kind, combiners in (("MRC", mrc), ("MMSE", mmse)):
-            grid = pdm_sinr(support, combiners, powers, noise, beams)
+            grid = pdm_sinr(support, combiners, powers, noise)
             assert grid.sum_rate.shape == budgets.shape
             for i, p in enumerate(powers):
-                single_comb = mrc if kind == "MRC" else mmse_combiners(support, p, noise, beams)
+                single_comb = mrc if kind == "MRC" else mmse_combiners(support, p, noise)
                 if kind == "MMSE":
                     assert np.array_equal(mmse[i], single_comb)
-                single = pdm_sinr(support, single_comb, p, noise, beams)
+                single = pdm_sinr(support, single_comb, p, noise)
                 for field in ("gammas", "desired", "isi", "inter_stream"):
                     assert np.array_equal(getattr(grid, field)[i], getattr(single, field))
                 assert grid.sum_rate[i] == single.sum_rate
 
+    @pytest.mark.blas_threads
     @EXAMPLES
     @given(
         spread=st.sampled_from([10.0, 150.0]),
@@ -831,15 +832,15 @@ class TestCombinerProperties:
         cases = [water_fill(gains, budget, noise)]
         if snr_db <= 30.0:
             cases.append(budget * np.array(shares))
-        beams = beamformers(support)
         for powers in cases:
-            got = mmse_sinr(support, powers, noise, beams)
-            comb = mmse_combiners(support, powers, noise, beams)
-            want = pdm_sinr(support, comb, powers, noise, beams).gammas
+            got = mmse_sinr(support, powers, noise)
+            comb = mmse_combiners(support, powers, noise)
+            want = pdm_sinr(support, comb, powers, noise).gammas
             assert np.all(np.abs(got - want) <= 1e-12 * want + 1e-300)
-            g_mrc = mrc_sinr(support, powers, noise, beams)
+            g_mrc = mrc_sinr(support, powers, noise)
             assert np.all(got >= g_mrc * (1 - 1e-12) - 1e-300)
 
+    @pytest.mark.blas_threads
     @EXAMPLES
     @given(
         spread=st.sampled_from([10.0, 150.0]),
@@ -859,17 +860,17 @@ class TestCombinerProperties:
         noise = NOISE_POWER
         path_gains = np.abs(gains) ** 2 * PDM_RX.aperture * PDM_TX.aperture
         powers = water_fill(path_gains, np.array([tx_power(s) for s in snrs_db]), noise)
-        beams = beamformers(support)
         for sinr in (mmse_sinr, mrc_sinr):
-            stack = sinr(block, powers, noise, beams)
+            stack = sinr(block, powers, noise)
             assert stack.shape == powers.shape
             for t in range(3):
                 one = replace(block, gains=gains[t], delays=support.delays)
-                grid = sinr(one, powers[t], noise, beams)
+                grid = sinr(one, powers[t], noise)
                 assert np.array_equal(stack[t], grid)
                 for i, p in enumerate(powers[t]):
-                    assert np.array_equal(grid[i], sinr(one, p, noise, beams))
+                    assert np.array_equal(grid[i], sinr(one, p, noise))
 
+    @pytest.mark.blas_threads
     @EXAMPLES
     @given(
         shape=st.tuples(st.integers(1, 5), st.integers(1, 6), st.integers(1, 6)),
@@ -894,12 +895,11 @@ class TestCombinerProperties:
             gains=cn(num_paths),
             delays=np.zeros(num_paths, int),
         )
-        beams = beamformers(support)
         on = ~np.array(off[:num_paths])
         combiners = mrc_combiners(support)
         for powers in (rng.uniform(0.5, 2.0, num_paths), rng.uniform(0.0, 2.0, (3, num_paths))):
             powers = powers * on
-            got = mrc_sinr(support, powers, 0.1, beams)
-            want = pdm_sinr(support, combiners, powers, 0.1, beams).gammas
+            got = mrc_sinr(support, powers, 0.1)
+            want = pdm_sinr(support, combiners, powers, 0.1).gammas
             assert got.shape == powers.shape
             assert np.all(np.abs(got - want) <= 1e-12 * want)

@@ -12,6 +12,8 @@ import pytest
 
 from lensmimo.experiments import preset, rows_to_csv, run_experiment
 
+pytestmark = pytest.mark.blas_threads
+
 CHECKS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "checks.py"
 
 

@@ -390,6 +390,7 @@ class TestOfdmCapacity:
         want = waterfill_capacity(oracle.reshape(oracle.shape[:-2] + (-1,)), n * budgets, 0.5)
         assert np.allclose(got, n / (n + cfg.cp_samples) * want / n, rtol=1e-12, atol=0.0)
 
+    @pytest.mark.blas_threads
     @pytest.mark.parametrize("seed", range(4))
     def test_mixed_stack_rates_equal_each_trial_alone(self, seed):
         # Rows per trial, (T, L, k) as the selected links have them, laid out
@@ -546,6 +547,7 @@ class TestSelectedLink:
             assert np.array_equal(part.gains, block.gains[index])
             assert np.array_equal(part.orthogonal, block.orthogonal[index])
 
+    @pytest.mark.blas_threads
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_grouped_ranking_equals_the_antenna_sort(self, data):
@@ -566,6 +568,7 @@ class TestSelectedLink:
             got = antennas(index, count, z)
             assert np.array_equal(got, strongest_antennas(power, z, k)), k
 
+    @pytest.mark.blas_threads
     @settings(max_examples=40, deadline=None)
     @given(
         name=st.sampled_from(["fig9", "fig10"]),
@@ -905,6 +908,7 @@ class TestPowerSelection:
         want_rows, want_cols = rank_per_trial(energy, z_rx, z_tx, k_rx, k_tx)
         assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
 
+    @pytest.mark.blas_threads
     @settings(max_examples=80, deadline=None)
     @given(st.data())
     def test_block_picks_and_rates_equal_the_one_trial_calls(self, data):
