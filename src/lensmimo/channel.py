@@ -85,8 +85,10 @@ class ChannelStats:
         spread = self.aoa_spread_deg
         if spread is not None and not 0.0 <= spread <= 180.0:  # NaN fails too
             raise InvalidInputError(f"the AoA spread must lie in [0, 180] degrees, got {spread:g}")
-        for fixed in (() if aoa is None else aoa, self.aod_spatial_freqs):
-            _spatial_freqs(fixed)
+        # Stored as tuples of floats, so that equal lists compare and hash equal.
+        for name in ("aoa_spatial_freqs", "aod_spatial_freqs"):
+            if (fixed := getattr(self, name)) is not None:
+                object.__setattr__(self, name, tuple(_spatial_freqs(fixed).tolist()))
 
     def placed_angles(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-path AoA and AoD spatial frequencies under the placement rule."""

@@ -9,30 +9,30 @@ two wideband random-angle links with small and large AoA spreads.
 Every preset places its path angles the same way in every trial, so a
 config's geometry is fixed by the config alone: the lens and UPA responses
 with their factors and compound Grams, the UPA-OFDM route (whether a
-side's UPA responses are orthogonal), OPDM's applicability, the support
-sets and the support view with its Grams and factors, and the path groups
-with their factored rows. It is built at the config's first block and kept on
-the config object for its later blocks and sweeps. Trials run in blocks,
+side's UPA responses are orthogonal), the flags, the support sets and the
+support view with its Grams and factors, and the path groups with their
+factored rows. It is built at the config's first block and kept on the
+config object for its later blocks and sweeps. Trials run in blocks,
 which differ only in their gains and delays; the schemes take them as
 (T, L) stacks on the geometry's rows. UPA-OFDM-selection alone forms rows
 per trial in each block: it picks (index, count) per side, builds the
 picked links from them, and scores the block in one capacity call.
 
 Determinism contract: trial t draws its gains and delays from the RNG
-substream seeded by (seed, t), every scheme computes each trial's rates
-with the same arithmetic whatever block holds it, and results are reduced
-in trial order. So identical (config, seed) give identical output
-regardless of the block size and the worker count.
+substream seeded by (seed, t), and every scheme computes each trial's
+rates with the same arithmetic whatever block holds it. Each block fills
+its trials' slice of one (trial, scheme, SNR) rate array, reduced once in
+trial order. So identical (config, seed) give identical output regardless
+of the block size and the worker count.
 
 Parallelism: a sweep runs in-process unless the pool pays for itself. The
 first block runs in-process and is timed; the other trials go to a pool of
 forked worker processes only if the time that block predicts they save
 exceeds the pool's cost. The workers inherit the caller's BLAS thread
-count. A block's BLAS products are too small for a threaded BLAS to split
-(an in-process sweep of any preset keeps to one core at the default
-count), so the workers do not compete with BLAS threads for the cores.
-The config is pickled with each chunk of blocks sent to a worker, and its
-geometry, built by the first block, with it: a worker builds none.
+count; a block's BLAS products are too small for a threaded BLAS to split,
+so the workers do not compete with BLAS threads for the cores. The config
+is pickled with each chunk of blocks sent to a worker, and its geometry,
+built by the first block, with it: a worker builds none.
 """
 from __future__ import annotations
 
@@ -85,6 +85,8 @@ _BLOCK = 32
 # where this rule predicted a saving of 30-55 ms, so the pool starts only
 # for a predicted saving above 50 ms at 2 workers.
 _WORKER_COST_S = 0.025
+
+_SKIP = "opdm-skip"  # the flag of a scheme whose rates are not taken
 
 _DEFAULT_SNR_DB = tuple(float(s) for s in range(-10, 31, 5))
 
@@ -270,8 +272,8 @@ def _read_only(value):
 class _Geometry:
     """What every block of a config reads and no draw changes: the budget
     vector, the array pairs, and what the path angles fix, which are the
-    lens and UPA responses with their factors and compound Grams, OPDM's
-    applicability, the support sets, the support view with its Grams and
+    lens and UPA responses with their factors and compound Grams, the
+    flags, the support sets, the support view with its Grams and
     factors (no combiner: both PDM SINRs are taken in path space), and the
     path groups with their factored rows. Each part is built when a
     block first asks for it, so only the configured schemes' parts are
@@ -296,8 +298,15 @@ class _Geometry:
         )
 
     @cached_property
-    def opdm_applies(self) -> bool:
-        return is_ideal(self.paths, self.tx, self.rx)
+    def flags(self) -> dict[str, str]:
+        """Scheme -> the flag of all its trials: OPDM is skipped off the focused
+        grid, PDM-grouping takes the MMSE rates where no side is separated."""
+        schemes, flags = self.cfg.schemes, {}
+        if "OPDM" in schemes and not is_ideal(self.paths, self.tx, self.rx):
+            flags["OPDM"] = _SKIP
+        if "PDM-grouping" in schemes and self.groups is None:
+            flags["PDM-grouping"] = "grouping-fallback"
+        return flags
 
     @cached_property
     def lens(self):
@@ -365,37 +374,33 @@ class _Block:
         return water_fill(self.path_gains, self.geo.budgets, NOISE_POWER)
 
     def opdm(self):
-        if not self.geo.opdm_applies:
-            return None, "opdm-skip"
-        return waterfill_capacity(self.path_gains, self.geo.budgets, NOISE_POWER), None
+        return waterfill_capacity(self.path_gains, self.geo.budgets, NOISE_POWER)
 
     @cached_property
     def mmse_rates(self):  # PDM-MMSE's, and PDM-grouping's where it falls back
         return sum_rate(mmse_sinr(self.support, self.pdm_powers, NOISE_POWER))
 
     def pdm_mrc(self):
-        return sum_rate(mrc_sinr(self.support, self.pdm_powers, NOISE_POWER)), None
+        return sum_rate(mrc_sinr(self.support, self.pdm_powers, NOISE_POWER))
 
     def pdm_mmse(self):
-        return self.mmse_rates, None
+        return self.mmse_rates
 
     def pdm_grouping(self):
-        if self.geo.groups is None:
-            # No side is separated, so the grouped decomposition does not
-            # apply; fall back to the MMSE transceiver and flag the trials.
-            return self.mmse_rates, "grouping-fallback"
+        if self.geo.groups is None:  # no side separated: the geometry flags the fallback
+            return self.mmse_rates
         cores = group_channels(self.geo.groups, self.paths.gains)
-        return grouped_capacity(cores, self.geo.budgets, NOISE_POWER), None
+        return grouped_capacity(cores, self.geo.budgets, NOISE_POWER)
 
     @cached_property
     def upa(self):
         return self._on(self.geo.upa)
 
     def upa_eigenmode(self):
-        return eigenmode_capacity(self.upa, self.geo.budgets, NOISE_POWER), None
+        return eigenmode_capacity(self.upa, self.geo.budgets, NOISE_POWER)
 
     def upa_ofdm(self):
-        return ofdm_capacity(self.upa, self.geo.budgets, NOISE_POWER, self.cfg.ofdm), None
+        return ofdm_capacity(self.upa, self.geo.budgets, NOISE_POWER, self.cfg.ofdm)
 
     def upa_ofdm_selection(self):
         """Pick, link, capacity: the antennas picked for the whole block in
@@ -410,7 +415,7 @@ class _Block:
         upa, cfg = self.upa, self.cfg
         picks = power_select_antennas(upa, *self.geo.upas, cfg.rx_rf, cfg.tx_rf)
         link = selected_link(upa, *self.geo.upas, *picks)
-        return ofdm_capacity(link, self.geo.budgets, NOISE_POWER, cfg.ofdm), None
+        return ofdm_capacity(link, self.geo.budgets, NOISE_POWER, cfg.ofdm)
 
 
 _EVALUATE = {
@@ -425,34 +430,32 @@ _EVALUATE = {
 SCHEMES = tuple(_EVALUATE)
 
 
-def _run_block(cfg: ExperimentConfig, trials: range) -> dict:
+def _run_block(cfg: ExperimentConfig, trials: range) -> np.ndarray:
     """The given trials, evaluated under every configured scheme on one
-    geometry.
+    geometry: their rates as one (len(trials), len(schemes), len(snr_db))
+    array, with 0 in the columns of a scheme the geometry skips.
 
-    Returns scheme -> (rates of shape (len(trials), len(snr_db)) or None,
-    flag or None); the flag and the None hold for every trial of the block,
-    as both follow from the geometry. A rate that is not finite raises
-    NumericalError naming the first such trial, and a scheme that meets a
+    A rate that is not finite raises NumericalError naming the first such
+    trial, in (trial, scheme, SNR) order, and a scheme that meets a
     numerical failure, an overflow or an invalid operation (at budgets so
     large that a product leaves double range) raises it naming the scheme.
     """
     block = _Block(cfg, trials)
-    out = {}
+    out = np.zeros((len(trials), len(cfg.schemes), len(cfg.snr_db)))
     with np.errstate(over="raise", invalid="raise"):
-        for scheme in cfg.schemes:
+        for k, scheme in enumerate(cfg.schemes):
             try:
-                out[scheme] = _EVALUATE[scheme](block)
+                if block.geo.flags.get(scheme) != _SKIP:
+                    out[:, k] = _EVALUATE[scheme](block)
             except (NumericalError, FloatingPointError) as exc:
                 raise NumericalError(f"{scheme}: {exc}") from None
-    if all(np.isfinite(rates).all() for rates, _ in out.values() if rates is not None):
-        return out
-    for i, trial in enumerate(trials):  # name the first trial with a non-finite rate
-        for scheme, (rates, _) in out.items():
-            if rates is not None and not np.all(np.isfinite(rates[i])):
-                snr = cfg.snr_db[np.flatnonzero(~np.isfinite(rates[i]))[0]]
-                raise NumericalError(
-                    f"{scheme} rate at {snr:g} dB SNR is not finite (trial {trial})"
-                )
+    bad = np.argwhere(~np.isfinite(out))
+    if len(bad):
+        i, k, j = bad[0]
+        raise NumericalError(
+            f"{cfg.schemes[k]} rate at {cfg.snr_db[j]:g} dB SNR is not finite (trial {trials[i]})"
+        )
+    return out
 
 
 def _blocks(start: int, stop: int, size: int) -> list[range]:
@@ -475,8 +478,9 @@ def resolve_workers(workers: int | None = None) -> int:
 def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> list[ResultRow]:
     """Monte Carlo sweep: one ResultRow per (scheme, SNR).
 
-    Rates are averaged over the trials where the scheme applies; skipped or
-    fallback trials are counted in the flags column as name:count pairs.
+    Every block fills its trials' slice of one (trial, scheme, SNR) rate
+    array, reduced once, in trial order. A flag holds for every trial
+    (``_Geometry.flags``); a skipped scheme reports 0 trials.
 
     The first block runs in-process and is timed. The other trials go to a
     pool of worker processes only if the time this predicts the pool saves
@@ -484,8 +488,9 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> list[Re
     """
     workers = resolve_workers(workers)
     blocks = _blocks(0, cfg.trials, _BLOCK)
+    rates = np.empty((cfg.trials, len(cfg.schemes), len(cfg.snr_db)))
     start = time.perf_counter()
-    results = [_run_block(cfg, blocks[0])]
+    rates[: len(blocks[0])] = _run_block(cfg, blocks[0])
     block_s = time.perf_counter() - start
     rest = cfg.trials - len(blocks[0])
     workers = min(workers, rest)
@@ -501,36 +506,27 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> list[Re
         # Imported here: it loads multiprocessing, which no in-process sweep needs.
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results += pool.map(_run_block, itertools.repeat(cfg), blocks[1:], chunksize=chunk)
+            done = pool.map(_run_block, itertools.repeat(cfg), blocks[1:], chunksize=chunk)
+            for b, block_rates in zip(blocks[1:], done):
+                rates[b.start : b.stop] = block_rates
     else:
-        results += [_run_block(cfg, b) for b in blocks[1:]]
+        for b in blocks[1:]:
+            rates[b.start : b.stop] = _run_block(cfg, b)
+    # ndarray.mean and std(ddof=1) of every column, with their arithmetic
+    # (sums down the trials in trial order), without their Python-level
+    # wrappers; the deviations overwrite the rates, and are 0 at one trial.
+    n = cfg.trials
+    mean = np.add.reduce(rates, axis=0) / n
+    np.subtract(rates, mean, out=rates)
+    np.multiply(rates, rates, out=rates)
+    err = np.sqrt(np.add.reduce(rates, axis=0) / max(n - 1, 1)) / math.sqrt(n)
     rows: list[ResultRow] = []
-    for scheme in cfg.schemes:
-        rates = [r[scheme][0] for r in results if r[scheme][0] is not None]
-        flag_counts: dict[str, int] = {}
-        for r, b in zip(results, blocks):
-            f = r[scheme][1]
-            if f is not None:
-                flag_counts[f] = flag_counts.get(f, 0) + len(b)
-        flags = ";".join(f"{k}:{v}" for k, v in sorted(flag_counts.items()))
-        n = sum(len(r) for r in rates)
-        if n == 0:
-            mean = np.zeros(len(cfg.snr_db))
-            err = np.zeros(len(cfg.snr_db))
-        else:
-            # ndarray.mean and std(ddof=1), with their arithmetic, without
-            # their Python-level wrappers.
-            stacked = np.concatenate(rates)
-            mean = np.add.reduce(stacked, axis=0) / n
-            if n > 1:
-                dev = stacked - mean
-                np.multiply(dev, dev, out=dev)
-                err = np.sqrt(np.add.reduce(dev, axis=0) / (n - 1)) / math.sqrt(n)
-            else:
-                err = np.zeros(len(cfg.snr_db))
+    for scheme, se, se_err in zip(cfg.schemes, mean.tolist(), err.tolist()):
+        flag = cfg._geometry.flags.get(scheme)
+        count = 0 if flag == _SKIP else n
         rows += (
-            ResultRow(scheme, float(snr), se, se_err, n, flags)
-            for snr, se, se_err in zip(cfg.snr_db, mean.tolist(), err.tolist())
+            ResultRow(scheme, float(snr), m, e, count, f"{flag}:{n}" if flag else "")
+            for snr, m, e in zip(cfg.snr_db, se, se_err)
         )
     return rows
 

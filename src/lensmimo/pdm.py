@@ -42,9 +42,11 @@ def sum_rate(gammas) -> np.ndarray:
     return (np.log1p(gammas) / np.log(2.0)).sum(axis=-1)
 
 
-def _launched(support: PathResponses, powers, noise) -> np.ndarray:
-    """The checked powers launched into the paths, [..., k, l'] = |alpha_k|^2
-    p_l' |a_T,k^H w_l'|^2, with MRT couplings |G_T[k, l']|^2 / G_T[l', l']."""
+def _launched(support: PathResponses, powers, noise) -> tuple[np.ndarray, ...]:
+    """The checked powers p (..., L), the power a watt of stream l launches
+    into path l, |alpha_l|^2 G_T[l, l] (broadcast with p), and the powers
+    launched into the paths, [..., k, l'] = |alpha_k|^2 p_l' |a_T,k^H
+    w_l'|^2, with MRT couplings |G_T[k, l']|^2 / G_T[l', l']."""
     powers = np.asarray(powers, dtype=float)
     if powers.shape[-1:] != (support.num_paths,):
         raise InvalidInputError("PDM expects one stream per path")
@@ -59,7 +61,8 @@ def _launched(support: PathResponses, powers, noise) -> np.ndarray:
     coupling = np.abs(gram) ** 2 / norms[..., None, :]
     g2 = np.abs(support.gains) ** 2  # |alpha_k|^2, with an axis for each budget axis
     g2 = g2.reshape(g2.shape[:-1] + (1,) * (powers.ndim - g2.ndim) + g2.shape[-1:])
-    return powers[..., None, :] * coupling * g2[..., None]
+    own = np.diagonal(coupling, axis1=-2, axis2=-1) * g2
+    return powers, own, powers[..., None, :] * coupling * g2[..., None]
 
 
 def mrc_sinr(support: PathResponses, powers, noise: float) -> np.ndarray:
@@ -69,11 +72,11 @@ def mrc_sinr(support: PathResponses, powers, noise: float) -> np.ndarray:
     SINR 0. ``powers`` is (..., L), the gains' leading axes then any budget
     axes, as is the result; ``noise`` is positive and finite.
     """
-    launched = _launched(support, powers, noise)
+    powers, own, launched = _launched(support, powers, noise)
     gram = support.grams[0]
     norms = gram.diagonal(0, -2, -1).real
     reach = np.abs(gram) ** 2 / np.where(norms > 0, norms, 1.0)[..., :, None]
-    return _sinr(launched, reach, noise)
+    return _sinr(powers, own, launched, reach, noise)
 
 
 def mmse_sinr(support: PathResponses, powers, noise: float) -> np.ndarray:
@@ -95,7 +98,7 @@ def mmse_sinr(support: PathResponses, powers, noise: float) -> np.ndarray:
     result; ``noise`` is positive and finite. A singular C raises
     NumericalError.
     """
-    launched = _launched(support, powers, noise)
+    powers, own, launched = _launched(support, powers, noise)
     r = support.factors[0]
     if not r.imag.any():  # real receive rows (the lens responses): real products
         r = r.real
@@ -107,22 +110,25 @@ def mmse_sinr(support: PathResponses, powers, noise: float) -> np.ndarray:
         cov = cov + total[..., k, None] * row
     x = normalized_solve(cov.reshape(cov.shape[:-1] + (1, m, m)), r.T)
     reach = np.abs(x.conj() @ r) ** 2  # reach[..., l, k] = |x_l^H R_k|^2
-    return _sinr(launched, reach, noise * _sum_last(np.abs(x) ** 2))
+    return _sinr(powers, own, launched, reach, noise * _sum_last(np.abs(x) ** 2))
 
 
-def _sinr(launched: np.ndarray, reach: np.ndarray, noise) -> np.ndarray:
+def _sinr(powers, own, launched: np.ndarray, reach: np.ndarray, noise) -> np.ndarray:
     """s_l |x_l^H R_l|^2 / (sum_k t_k^(l) |x_l^H R_k|^2 + sigma^2 |x_l|^2) of
     launched[..., k, l'] = |alpha_k|^2 p_l' |a_T,k^H w_l'|^2 (s_l its (l, l)
     entry, t_k^(l) the sum of its row k but (l, l)), reach[..., l, k] =
-    |x_l^H R_k|^2 and noise = sigma^2 |x_l|^2, broadcast together."""
+    |x_l^H R_k|^2 and noise = sigma^2 |x_l|^2, broadcast together, with
+    s_l = powers[..., l] own[..., l]."""
     # through[..., l, k] = t_k^(l): masked sums, not totals less stream l's
     # own term, which could swamp the interference it is compared with.
-    own = np.eye(launched.shape[-1])
-    through = _sum_last(launched[..., None, :, :] * (1.0 - own[:, :, None] * own[:, None, :]))
-    signal = np.diagonal(launched * reach, axis1=-2, axis2=-1)
+    eye = np.eye(launched.shape[-1])
+    through = _sum_last(launched[..., None, :, :] * (1.0 - eye[:, :, None] * eye[:, None, :]))
     interference = _sum_last(through * reach) + noise
+    # p_l multiplies last: a subnormal p_l leaves the SINR one rounding
+    # off, not the many of a subnormal s_l times |x_l^H R_l|^2.
+    signal = own * np.diagonal(reach, axis1=-2, axis2=-1)
     # With sigma > 0, 0 / 0 only where R_l = 0: that stream is not received.
-    return signal / np.where(interference > 0, interference, 1.0)
+    return powers * (signal / np.where(interference > 0, interference, 1.0))
 
 
 def _sum_last(terms: np.ndarray) -> np.ndarray:

@@ -197,14 +197,14 @@ def test_08_random_angle_scenarios_scheme_ordering():
         cfg = preset(name, trials=500)
         per_scheme = {s: [] for s in cfg.schemes}
         for start in range(0, cfg.trials, _BLOCK):
-            # Rows of a block's (trials, SNR) rates are its trials' rates.
+            # A block's (trials, schemes, SNR) rates: row t is trial t's.
             result = _run_block(cfg, range(start, min(start + _BLOCK, cfg.trials)))
-            for s in cfg.schemes:
-                per_scheme[s].append(result[s][0])
+            for k, s in enumerate(cfg.schemes):
+                per_scheme[s].append(result[:, k])
             mrc, mmse, grp = (
-                result["PDM-MRC"][0],
-                result["PDM-MMSE"][0],
-                result["PDM-grouping"][0],
+                result[:, cfg.schemes.index("PDM-MRC")],
+                result[:, cfg.schemes.index("PDM-MMSE")],
+                result[:, cfg.schemes.index("PDM-grouping")],
             )
             worst_grp = max(worst_grp, float((mmse - grp).max()))
             if not (np.all(grp >= mmse - 0.01) and np.all(mmse >= mrc * (1 - 1e-9))):

@@ -131,6 +131,18 @@ class TestChannelStats:
         spread = csv()
         assert all(csv(stats=stats) == spread for stats in lists)
 
+    def test_array_angle_lists_compare_and_hash_as_tuples(self):
+        # Stats from ndarrays equal and hash as stats from tuples, so a
+        # config holding either can be compared and put in a set.
+        aoa, aod = preset("fig10").stats.placed_angles()
+        arrays = ChannelStats(aoa_spatial_freqs=aoa, aod_spatial_freqs=aod)
+        tuples = ChannelStats(aoa_spatial_freqs=tuple(aoa), aod_spatial_freqs=tuple(aod))
+        spread = ChannelStats(aoa_spread_deg=10.0, aod_spatial_freqs=aod)
+        assert arrays == tuples and hash(arrays) == hash(tuples)
+        assert spread.aod_spatial_freqs == tuples.aod_spatial_freqs
+        configs = {preset("fig10", stats=arrays), preset("fig10", stats=tuples)}
+        assert configs == {preset("fig10", stats=tuples)}
+
     def test_fixed_placement_length_check(self):
         # The AoD list gives the path count; an AoA list of another length is refused.
         with pytest.raises(InvalidInputError, match="AoA list has 2 entries, the AoD list 3"):

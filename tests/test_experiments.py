@@ -294,6 +294,39 @@ class TestRunExperiment:
         assert "grouping-fallback:2" in grouping.flags
         assert grouping.se_bpshz == pytest.approx(mmse.se_bpshz)
 
+    @pytest.mark.parametrize("size", [1, 7, 32])
+    @pytest.mark.parametrize(
+        "overrides, scheme, flag",
+        [
+            ({"delta": 5}, "PDM-grouping", "grouping-fallback"),
+            ({"schemes": ("OPDM",) + preset("fig9").schemes}, "OPDM", "opdm-skip"),
+        ],
+        ids=["fig9-delta5", "fig9-opdm"],
+    )
+    def test_geometry_flags_through_the_pool(
+        self, monkeypatch, pools, overrides, scheme, flag, size
+    ):
+        # A flag follows from the geometry, so it counts all 40 trials,
+        # in blocks of any size and through a forced 2-worker pool that the
+        # first block of a fresh config object pickles its geometry to.
+        # PDM-grouping falls back to the PDM-MMSE rates; OPDM reports 0
+        # trials and rates of 0. The other schemes carry no flag.
+        monkeypatch.setattr(experiments, "_BLOCK", size)
+        monkeypatch.setattr(experiments, "_WORKER_COST_S", 0.0)
+        cfg = preset("fig9", trials=40, seed=6, **overrides)
+        serial = run_experiment(cfg, workers=1)
+        parallel = run_experiment(replace(cfg), workers=2)
+        assert rows_to_csv(parallel) == rows_to_csv(serial)
+        assert pools == [2]
+        for row in serial:
+            assert row.flags == (f"{flag}:40" if row.scheme == scheme else "")
+        flagged = [r for r in serial if r.scheme == scheme]
+        if flag == "opdm-skip":
+            assert all((r.trials, r.se_bpshz, r.stderr) == (0, 0.0, 0.0) for r in flagged)
+        else:
+            mmse = [(r.se_bpshz, r.stderr, r.trials) for r in serial if r.scheme == "PDM-MMSE"]
+            assert [(r.se_bpshz, r.stderr, r.trials) for r in flagged] == mmse
+
     def test_sweeps_import_neither_numpy_ma_nor_scipy(self):
         # Either import would add to every sweep's start-up time (numpy.ma
         # alone costs ~15 ms, and np.unique pulls it in), so a fresh process
@@ -328,9 +361,9 @@ class TestRunExperiment:
         cfg = preset("fig9", trials=trials, seed=2)
         rows = run_experiment(cfg, workers=1)
         blocks = experiments._blocks(0, trials, experiments._BLOCK)
-        results = [experiments._run_block(cfg, b) for b in blocks]
-        for scheme in cfg.schemes:
-            rates = np.vstack([r[scheme][0] for r in results])
+        results = np.concatenate([experiments._run_block(cfg, b) for b in blocks])
+        for k, scheme in enumerate(cfg.schemes):
+            rates = results[:, k]
             mean = rates.mean(axis=0)
             err = rates.std(axis=0, ddof=1) / np.sqrt(trials) if trials > 1 else 0 * mean
             got = [r for r in rows if r.scheme == scheme]
@@ -405,7 +438,7 @@ class TestBlocks:
         rates = []
         for size in (1, 7, 32):
             blocks = [experiments._run_block(cfg, b) for b in experiments._blocks(0, 32, size)]
-            rates.append([np.vstack([b[s][0] for b in blocks]) for s in cfg.schemes])
+            rates.append([np.concatenate(blocks)[:, k] for k in range(len(cfg.schemes))])
         for scheme, one, seven, whole in zip(cfg.schemes, *rates):
             assert np.array_equal(one, seven) and np.array_equal(one, whole), scheme
 
@@ -461,10 +494,12 @@ class TestBlocks:
             return original(*args)
 
         monkeypatch.setattr(experiments, "mmse_sinr", spy)
-        out = experiments._run_block(preset("fig9", delta=5), range(4))
+        cfg = preset("fig9", delta=5)
+        out = experiments._run_block(cfg, range(4))
         assert len(calls) == 1
-        assert out["PDM-grouping"][1] == "grouping-fallback"
-        assert np.array_equal(out["PDM-grouping"][0], out["PDM-MMSE"][0])
+        assert cfg._geometry.flags == {"PDM-grouping": "grouping-fallback"}
+        mmse, grouping = (cfg.schemes.index(s) for s in ("PDM-MMSE", "PDM-grouping"))
+        assert np.array_equal(out[:, grouping], out[:, mmse])
 
     def test_non_finite_rate_names_the_first_trial(self, monkeypatch):
         # Trials 4..7 in one block: a NaN for PDM-MRC in trial 6 and an inf
@@ -474,9 +509,9 @@ class TestBlocks:
             original = experiments._EVALUATE[scheme]
 
             def evaluate(block):
-                rates, flag = original(block)
+                rates = original(block)
                 rates[row, column] = value
-                return rates, flag
+                return rates
 
             monkeypatch.setitem(experiments._EVALUATE, scheme, evaluate)
 

@@ -187,7 +187,7 @@ class TestBeamformers:
             for name, value in list(vars(space).items()):
                 if callable(value) and not name.startswith("_") and name != "LinAlgError":
                     monkeypatch.setattr(space, name, refuse(name))
-        rates = [block.mmse_rates, block.pdm_mrc()[0]]
+        rates = [block.mmse_rates, block.pdm_mrc()]
         monkeypatch.undo()
         assert calls == []
         for rate in rates:
@@ -250,6 +250,17 @@ class TestMmseSinr:
             assert gammas[1] == 0.0 and np.all(gammas[[0, 2]] > 0)
             gammas = sinr(dark, np.ones(3), NOISE_POWER)
             assert gammas[1] == 0.0 and np.all(gammas[[0, 2]] > 0)
+
+    def test_subnormal_power_scales_the_sinr_exactly(self):
+        # Far below the noise a lone stream's SINR is linear in its power,
+        # and a power-of-two scale is exact: p 2^-1000 (subnormal) gives
+        # the SINR of p times 2^-1000 to one rounding, MMSE and MRC alike.
+        support = support_of(sample_paths(STATS, np.random.default_rng(0)))
+        powers = np.array([0.0, 0.0, 2.0**-40])
+        for sinr in (mmse_sinr, mrc_sinr):
+            tiny = sinr(support, powers * 2.0**-1000, NOISE_POWER)
+            want = sinr(support, powers, NOISE_POWER) * 2.0**-1000
+            assert tiny[2] > 0 and np.allclose(tiny, want, rtol=1e-12, atol=0.0)
 
     def test_refuses_bad_powers_and_a_singular_covariance(self):
         support = support_of(sample_paths(STATS, np.random.default_rng(3)))

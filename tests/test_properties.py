@@ -41,11 +41,13 @@ closed-form MMSE SINR equals the SINR of the oracle's combiners within
 1e-12 relative on every stream (water-filled powers up to 200 dB, any
 split of the budget up to 30 dB), is never below MRC's,
 and from one call over a grid of budgets equals one call per budget, bit
-for bit.
+for bit. The scale property checks that a block's rates of every scheme
+with its gains scaled by 2^k equal those with its budgets scaled by 4^k.
 """
 import itertools
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -216,6 +218,38 @@ class TestPathResponses:
         )
         for (_, a), (_, b) in zip(restricted, indexed):
             assert np.allclose(a, b, rtol=0.0, atol=8 * np.finfo(float).eps * term_scale)
+
+
+class TestScaleProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        name=st.sampled_from(["fig5", "fig6", "fig9", "fig10"]),
+        seed=st.integers(0, 2**16),
+        first=st.integers(0, 100),
+        count=st.integers(1, 4),
+        k=st.integers(-3, 3),
+    )
+    def test_gains_times_two_to_the_k_equal_budgets_times_four_to_the_k(
+        self, name, seed, first, count, k
+    ):
+        # Every rate reads the gains only through |alpha|^2 times a budget.
+        # Powers of two scale exactly, so the selection's near-tied picks
+        # stay put and the seven schemes' rates agree to rounding (OPDM is
+        # skipped, and 0 both ways, off fig5 and fig6's ideal angles).
+        cfg = preset(name, seed=seed, schemes=experiments.SCHEMES, rx_rf=6, tx_rf=6)
+        trials = range(first, first + count)
+        draw = experiments._draw_block
+
+        def scaled_draw(stats, rngs):
+            gains, delays = draw(stats, rngs)
+            return gains * 2.0**k, delays
+
+        with mock.patch.object(experiments, "_draw_block", scaled_draw):
+            scaled_gains = experiments._run_block(replace(cfg), trials)
+        budgets_cfg = replace(cfg)
+        budgets_cfg._geometry.budgets = budgets_cfg._geometry.budgets * 4.0**k
+        scaled_budgets = experiments._run_block(budgets_cfg, trials)
+        assert np.allclose(scaled_gains, scaled_budgets, rtol=1e-12, atol=0.0)
 
 
 class TestPlacementProperties:

@@ -598,7 +598,7 @@ class TestSelectedLink:
         want = antenna_link_rates(upa, rows, cols, snr, NOISE_POWER, cfg.ofdm)
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)
         if not tied:  # the sweep's own route
-            assert np.array_equal(block.upa_ofdm_selection()[0], got)
+            assert np.array_equal(block.upa_ofdm_selection(), got)
 
     def test_azimuth_link_columns(self):
         # Picks of a 3 x 3 UPA at indices 0 (twice) and 2 (three times) in
