@@ -47,6 +47,16 @@ NOISE_POWER = 10.0 ** (NOISE_DENSITY_DBM_HZ / 10.0) * BANDWIDTH_HZ
 # subcarrier's: 4e-14 at three paths, inside the 1e-12 that the subcarrier
 # route is held to up to 50 paths. fig5 and fig6's UPA rows reach 2e-16, the
 # rounding of their exactly orthogonal grid; fig9 and fig10's 0.035 or more.
+# With the rows of both sides within it (``PathResponses.diagonal``), G_T =
+# N_T (I + E) N_T as well, and the squared singular values are the
+# eigenvalues of (I + F)^(1/2) Z (I + E) Z^H (I + F)^(1/2) for the diagonal
+# Z = N_R diag(alpha) N_T. By Weyl those of Z (I + E) Z^H are within
+# ||E|| g of the diagonal gains |Z_ll|^2 = |alpha_l|^2 G_R[l, l] G_T[l, l]
+# (``PathResponses.diagonal_gains``), g the largest of them, and by
+# Ostrowski the outer factors scale each by at most 1 +- ||F||. So with
+# x = (L - 1) tol the diagonal gains are within (2 x + x^2) g, less than
+# 2 x / (1 - x) g, of the squared singular values: 4e-14 at three paths,
+# about 8e-16 on fig5 and fig6.
 ORTHO_TOL = 1e-14
 
 
@@ -75,6 +85,15 @@ class ChannelStats:
             raise InvalidInputError(
                 f"max excess delay must be finite and non-negative, got {self.max_excess_delay_s:g}"
             )
+        # Stored as tuples of floats, so that equal lists compare and hash equal.
+        for name in ("aoa_spatial_freqs", "aod_spatial_freqs"):
+            if (fixed := getattr(self, name)) is not None:
+                freqs = _spatial_freqs(fixed)
+                if freqs.ndim != 1:
+                    raise InvalidInputError(
+                        f"{name} must list one spatial frequency per path, got shape {freqs.shape}"
+                    )
+                object.__setattr__(self, name, tuple(freqs.tolist()))
         num_paths, aoa = len(self.aod_spatial_freqs), self.aoa_spatial_freqs
         if num_paths < 1:
             raise InvalidInputError("the AoD list must give at least one path")
@@ -85,10 +104,6 @@ class ChannelStats:
         spread = self.aoa_spread_deg
         if spread is not None and not 0.0 <= spread <= 180.0:  # NaN fails too
             raise InvalidInputError(f"the AoA spread must lie in [0, 180] degrees, got {spread:g}")
-        # Stored as tuples of floats, so that equal lists compare and hash equal.
-        for name in ("aoa_spatial_freqs", "aod_spatial_freqs"):
-            if (fixed := getattr(self, name)) is not None:
-                object.__setattr__(self, name, tuple(_spatial_freqs(fixed).tolist()))
 
     def placed_angles(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-path AoA and AoD spatial frequencies under the placement rule."""
@@ -160,8 +175,11 @@ class PathResponses:
     subcarrier channel) in an r_R x r_T matrix, ``charpoly`` the
     characteristic polynomials of the subcarrier cores' Grams, whose roots
     are their squared singular values, ``orthogonal`` whether one side's
-    rows make every subcarrier's singular values the narrowband ones, and
-    ``restrict`` the same paths seen by fewer antennas.
+    rows make every subcarrier's singular values the narrowband ones,
+    ``diagonal`` whether both sides' rows make them the path terms of
+    ``diagonal_gains``, taken with no factor, and ``restrict`` the same
+    paths seen by fewer antennas. Each side's factor is taken when that
+    side is first read.
     """
 
     rx: np.ndarray  # (..., L, M) receive response rows a_R,l
@@ -191,15 +209,17 @@ class PathResponses:
 
     def trials(self, index: tuple) -> PathResponses:
         """The given trials, a tuple of index arrays into the gains' leading
-        axes, with the SVDs taken so far; rows without those axes stay shared."""
+        axes, with each side's SVD if taken so far; rows without those axes
+        stay shared."""
         def pick(a, core=2):  # a has all of the indexed leading axes or none
             return a[index[len(index) + core - a.ndim :]]
 
         part = PathResponses(pick(self.rx), pick(self.tx), self.gains[index], self.delays[index])
-        if "svds" in vars(self._rows):
-            # Seeds the part's cached_property, as its first use would.
-            svds = tuple((pick(f), pick(keep, 1)) for f, keep in self._rows.svds)
-            part._rows.__dict__["svds"] = svds
+        for side, whole in zip(part._rows.sides, self._rows.sides):
+            if "svd" in vars(whole):
+                # Seeds the part's cached_property, as its first use would.
+                factor, keep = whole.svd
+                side.__dict__["svd"] = pick(factor), pick(keep, 1)
         return part
 
     def with_paths(self, gains: np.ndarray, delays: np.ndarray) -> PathResponses:
@@ -212,14 +232,15 @@ class PathResponses:
 
     def by_rank(self) -> list[tuple[tuple, PathResponses]]:
         """The trials split into groups of the same side ranks (r_R, r_T)
-        and ``orthogonal`` decision: (index, responses) pairs in ascending
-        order, the index a tuple as ``trials`` takes, all factored from one
-        stacked SVD per side. Shared (L, N) rows, or rows per trial of one
-        key, are one group of index ()."""
+        and ``orthogonal`` and ``diagonal`` decisions: (index, responses)
+        pairs in ascending order, the index a tuple as ``trials`` takes, all
+        factored from one stacked SVD per side. Shared (L, N) rows, or rows
+        per trial of one key, are one group of index ()."""
         if self.rx.ndim == 2:
             return [((), self)]
         (_, keep_rx), (_, keep_tx) = self._rows.svds
-        keys = np.stack((keep_rx.sum(axis=-1), keep_tx.sum(axis=-1), self.orthogonal), axis=-1)
+        ranks = keep_rx.sum(axis=-1), keep_tx.sum(axis=-1)
+        keys = np.stack(ranks + (self.orthogonal, self.diagonal), axis=-1)
         unique = sorted(set(map(tuple, keys.tolist())))
         if len(unique) == 1:
             return [((), self)]
@@ -247,14 +268,43 @@ class PathResponses:
     def grams(self) -> tuple[np.ndarray, np.ndarray]:
         """The Grams (G_R, G_T) of the receive and transmit rows, G[l, m] =
         a_l^H a_m: (..., L, L) with the rows' leading axes, read-only."""
-        return self._rows.grams
+        rx, tx = self._rows.sides
+        return rx.gram, tx.gram
+
+    @property
+    def rx_factor(self) -> np.ndarray:
+        """R_R of ``factors`` alone: no SVD of the transmit rows."""
+        return self._rows.sides[0].factor
 
     @property
     def orthogonal(self) -> np.ndarray:
         """Whether the response rows of either side are mutually orthogonal
         within ORTHO_TOL: one bool for shared (L, N) rows, (T,) for rows per
         trial, each trial's from its own rows alone."""
-        return self._rows.orthogonal
+        rx, tx = self._rows.sides
+        return rx.orthogonal | tx.orthogonal
+
+    @property
+    def diagonal(self) -> np.ndarray:
+        """Whether the response rows of both sides are mutually orthogonal
+        within ORTHO_TOL, so that H = A_R^T diag(alpha) A_T^* has the path
+        terms for singular values (``diagonal_gains``): per trial as
+        ``orthogonal``."""
+        rx, tx = self._rows.sides
+        return rx.orthogonal & tx.orthogonal
+
+    def diagonal_gains(self) -> np.ndarray:
+        """The squared singular values of the narrowband H where ``diagonal``
+        holds, (..., L) in path order: |alpha_l|^2 G_R[l, l] G_T[l, l], with no
+        factor and no SVD. A path whose row on either side has a norm below
+        RANK_TOL times that side's largest (a singular value ``_factor``
+        drops) gets 0, and so does a gain whose square root is below
+        RANK_TOL times the largest one's (``eigen_gains``); both rules are
+        compared in squares. They are the gains of ``eigen_gains(cores())``
+        in another order with zeros added, within the bound of ORTHO_TOL's
+        comment."""
+        gains = np.abs(self.gains) ** 2 * self._rows.weights
+        return np.where(gains < RANK_TOL**2 * gains.max(axis=-1, keepdims=True), 0.0, gains)
 
     def cores(self, coeffs=None) -> np.ndarray:
         """Path-space cores R_R diag(c) R_T^H for per-path coefficients c.
@@ -334,66 +384,39 @@ def _charpoly_plan(n: int, r: int) -> tuple[np.ndarray, ...]:
 
 class _Rows:
     """What the response rows of a PathResponses alone fix, each part
-    computed on first use and read-only: the ``_factor`` SVDs, the
-    rank-revealing factors, the Grams of the rows, the compound Grams and
-    whether a side's rows are orthogonal; no part is of one scheme. Every
-    PathResponses on the same rows (``with_paths``) shares one. The rows
-    must not be changed in place after first use."""
+    computed on first use and read-only: each side's share (``sides``,
+    receive then transmit, ``_Side``), and the weights of
+    ``diagonal_gains`` and the compound Grams of both. No
+    part is of one scheme, and a side's SVD is taken only when that side's
+    factor is read. Every PathResponses on the same rows (``with_paths``)
+    shares one. The rows must not be changed in place after first use."""
 
     def __init__(self, rx: np.ndarray, tx: np.ndarray) -> None:
-        self.rx, self.tx = rx, tx
+        self.sides = _Side(rx), _Side(tx)
 
-    @cached_property
+    @property
     def svds(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
         """``_factor`` of the receive and transmit rows."""
-        svds = _factor(self.rx), _factor(self.tx)
-        for factor, keep in svds:
-            factor.flags.writeable = keep.flags.writeable = False
-        return svds
+        return self.sides[0].svd, self.sides[1].svd
 
-    @cached_property
+    @property
     def factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """The rank-revealing factors (R_R, R_T) of the receive and transmit
-        rows, shared by ``ranks``, ``cores`` and ``compounds``: the rows of
-        S V^H kept by ``_factor``, (..., r, L) with the rows' leading axes."""
-        out = []
-        for factor, keep in self.svds:
-            rank = keep.sum(axis=-1)
-            if np.any(rank != rank.flat[0]):
-                raise InvalidInputError("the trials' response ranks differ; split them by_rank")
-            out.append(factor[..., : rank.flat[0], :])
-        return out[0], out[1]
+        """The rank-revealing factors (R_R, R_T), shared by ``ranks``,
+        ``cores`` and ``compounds``."""
+        return self.sides[0].factor, self.sides[1].factor
 
     @cached_property
-    def grams(self) -> tuple[np.ndarray, np.ndarray]:
-        """The Grams (G_R, G_T) of the receive and transmit rows, G[l, m] =
-        a_l^H a_m, (..., L, L) with the rows' leading axes: entrywise
-        products summed over contiguous antenna rows, so that a trial's
-        Gram takes the same bits in any stack."""
-        grams = []
-        for rows in (self.rx, self.tx):
-            rows = np.ascontiguousarray(rows)
-            gram = (rows.conj()[..., :, None, :] * rows[..., None, :, :]).sum(axis=-1)
-            gram.flags.writeable = False
-            grams.append(gram)
-        return grams[0], grams[1]
-
-    @cached_property
-    def orthogonal(self) -> np.ndarray:
-        """``PathResponses.orthogonal``, from the Grams. A side of more rows L
-        than antennas N and no zero row is not, and reads no Gram: its
-        normalized Gram I + F has rank N < L, so some |F_lm| >= 1/(L-1)."""
-        def side(rows, k):
-            if rows.shape[-2] > rows.shape[-1] and rows.any(axis=-1).all():
-                return np.zeros(rows.shape[:-2], dtype=bool)
-            gram = self.grams[k]
-            norms = np.sqrt(gram.diagonal(0, -2, -1).real)
-            small = np.abs(gram) <= ORTHO_TOL * norms[..., :, None] * norms[..., None, :]
-            return (small | np.eye(rows.shape[-2], dtype=bool)).all(axis=(-2, -1))
-
-        orthogonal = np.asarray(side(self.rx, 0) | side(self.tx, 1))
-        orthogonal.flags.writeable = False
-        return orthogonal
+    def weights(self) -> np.ndarray:
+        """G_R[l, l] G_T[l, l] of ``PathResponses.diagonal_gains``, 0 for a
+        path whose row on either side has a norm below RANK_TOL times that
+        side's largest, (..., L) with the rows' leading axes."""
+        weights = 1.0
+        for side in self.sides:
+            norms = side.gram.diagonal(0, -2, -1).real
+            keep = norms >= RANK_TOL**2 * norms.max(axis=-1, keepdims=True)
+            weights = weights * np.where(keep, norms, 0.0)
+        weights.flags.writeable = False
+        return weights
 
     @cached_property
     def compounds(self) -> np.ndarray:
@@ -423,6 +446,58 @@ class _Rows:
             m[..., start:end, start:end] = gram[0].conj() * gram[1]
         m.flags.writeable = False
         return m
+
+
+class _Side:
+    """One side's share of ``_Rows``: its (..., L, N) response rows and what
+    they alone fix, each part computed on first read and read-only."""
+
+    def __init__(self, rows: np.ndarray) -> None:
+        self.rows = rows
+
+    @cached_property
+    def svd(self) -> tuple[np.ndarray, np.ndarray]:
+        """``_factor`` of the rows."""
+        factor, keep = _factor(self.rows)
+        factor.flags.writeable = keep.flags.writeable = False
+        return factor, keep
+
+    @cached_property
+    def factor(self) -> np.ndarray:
+        """The rank-revealing factor R: the rows of S V^H kept by
+        ``_factor``, (..., r, L) with the rows' leading axes."""
+        factor, keep = self.svd
+        rank = keep.sum(axis=-1)
+        if np.any(rank != rank.flat[0]):
+            raise InvalidInputError("the trials' response ranks differ; split them by_rank")
+        return factor[..., : rank.flat[0], :]
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """G[l, m] = a_l^H a_m, (..., L, L) with the rows' leading axes:
+        entrywise products summed over contiguous antenna rows, so that a
+        trial's Gram takes the same bits in any stack."""
+        rows = np.ascontiguousarray(self.rows)
+        gram = (rows.conj()[..., :, None, :] * rows[..., None, :, :]).sum(axis=-1)
+        gram.flags.writeable = False
+        return gram
+
+    @cached_property
+    def orthogonal(self) -> np.ndarray:
+        """Whether the rows are mutually orthogonal within ORTHO_TOL, from
+        the Gram: one bool for (L, N) rows, (T,) for (T, L, N). Rows of more
+        paths L than antennas N and no zero row are not, and read no Gram:
+        their normalized Gram I + F has rank N < L, so some |F_lm| >= 1/(L-1)."""
+        rows = self.rows
+        if rows.shape[-2] > rows.shape[-1] and rows.any(axis=-1).all():
+            orthogonal = np.zeros(rows.shape[:-2], dtype=bool)
+        else:
+            norms = np.sqrt(self.gram.diagonal(0, -2, -1).real)
+            small = np.abs(self.gram) <= ORTHO_TOL * norms[..., :, None] * norms[..., None, :]
+            small |= np.eye(rows.shape[-2], dtype=bool)
+            orthogonal = np.asarray(small.all(axis=(-2, -1)))
+        orthogonal.flags.writeable = False
+        return orthogonal
 
 
 def _factor(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -455,33 +530,33 @@ def sample_paths(stats: ChannelStats, rng) -> PathSet:
 
 
 def _draw_block(stats: ChannelStats, rngs) -> tuple[np.ndarray, np.ndarray]:
-    """The random part of ``sample_paths`` for T realizations, one generator
-    each: (T, L) gains and delays in s.
+    """The random part of ``sample_paths`` for T realizations, a sequence
+    of one generator each: (T, L) gains and delays in s.
 
-    Each generator makes only its five draws: the shadowing, then L each of
-    the delay-power uniforms, the per-path shadowings, the phases and the
-    delays. The rest runs once on the block's arrays, each realization's
-    values bit for bit those of a block of one. beta = 10^(beta_dB / 10)
-    is a Python float power per realization, as numpy's vectorised power
-    may round it differently.
+    Each generator makes four draws, each into its row of the block's
+    arrays where numpy takes an output: the shadowing, then L delay-power
+    uniforms, L standard normals of the per-path shadowings and 2L
+    uniforms, the phases then the delays. numpy's normal(0, s) is 0 + s z
+    and its uniform(0, c) is 0 + c u, so scaling them on the block gives
+    each realization's draws bit for bit. The rest runs once on the
+    block's arrays, each realization's values bit for bit those of a block
+    of one. beta = 10^(beta_dB / 10) is a Python float power per
+    realization, as numpy's vectorised power may round it differently.
     """
     num_paths = len(stats.aod_spatial_freqs)
-    draws = [
-        (
-            rng.normal(0.0, SHADOWING_STD_DB),
-            rng.random(num_paths),
-            rng.normal(0.0, PER_PATH_SHADOWING_STD_DB, num_paths),
-            rng.uniform(0.0, 2.0 * np.pi, num_paths),
-            rng.uniform(0.0, stats.max_excess_delay_s, num_paths),
-        )
-        for rng in rngs
-    ]
-    shadowing, u, z, eta, delays = zip(*draws)
-    beta = np.array([10.0 ** (-(MEAN_PATHLOSS_DB + s) / 10.0) for s in shadowing])
-    raw = np.array(u) ** (DELAY_POWER_EXPONENT - 1.0) * 10.0 ** (-0.1 * np.array(z))
+    beta = np.empty(len(rngs))
+    u, z = np.empty((2, len(rngs), num_paths))
+    uniforms = np.empty((len(rngs), 2, num_paths))
+    for t, rng in enumerate(rngs):
+        beta[t] = 10.0 ** (-(MEAN_PATHLOSS_DB + rng.normal(0.0, SHADOWING_STD_DB)) / 10.0)
+        rng.random(out=u[t])
+        rng.standard_normal(out=z[t])
+        rng.random(out=uniforms[t])
+    z *= PER_PATH_SHADOWING_STD_DB
+    raw = u ** (DELAY_POWER_EXPONENT - 1.0) * 10.0 ** (-0.1 * z)
     kappa = raw / raw.sum(axis=-1, keepdims=True)
-    gains = np.sqrt(beta[:, None] * kappa) * np.exp(1j * np.array(eta))
-    return gains, np.sort(np.array(delays), axis=-1)
+    gains = np.sqrt(beta[:, None] * kappa) * np.exp(1j * (uniforms[:, 0] * (2.0 * np.pi)))
+    return gains, np.sort(uniforms[:, 1] * stats.max_excess_delay_s, axis=-1)
 
 
 def path_responses(

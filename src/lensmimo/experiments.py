@@ -8,15 +8,20 @@ two wideband random-angle links with small and large AoA spreads.
 
 Every preset places its path angles the same way in every trial, so a
 config's geometry is fixed by the config alone: the lens and UPA responses
-with their factors and compound Grams, the UPA-OFDM route (whether a
-side's UPA responses are orthogonal), the flags, the support sets and the
-support view with its Grams and factors, and the path groups with their
-factored rows. It is built at the config's first block and kept on the
-config object for its later blocks and sweeps. Trials run in blocks,
-which differ only in their gains and delays; the schemes take them as
-(T, L) stacks on the geometry's rows. UPA-OFDM-selection alone forms rows
-per trial in each block: it picks (index, count) per side, builds the
-picked links from them, and scores the block in one capacity call.
+with their Grams, and with the factors and compound Grams that the
+configured schemes read, the UPA routes (whether the UPA responses of
+either side are orthogonal, which makes every subcarrier narrowband, and
+of both, which makes the narrowband gains the Gram diagonals' path terms,
+as on fig5 and fig6, where no factor is taken), the flags, the support
+sets and the support view with its Grams and receive factor, and the
+path groups with their factored rows. It is built at the config's first
+block and kept on the config object for its later blocks and sweeps.
+Trials run in blocks, which differ only in their gains and delays: each
+trial's generator writes its four draws into the block's arrays, and the
+schemes take them as (T, L) stacks on the geometry's rows.
+UPA-OFDM-selection alone forms rows per trial in each block: it picks
+(index, count) per side, builds the picked links from them, and scores
+the block in one capacity call.
 
 Determinism contract: trial t draws its gains and delays from the RNG
 substream seeded by (seed, t), and every scheme computes each trial's
@@ -272,13 +277,13 @@ def _read_only(value):
 class _Geometry:
     """What every block of a config reads and no draw changes: the budget
     vector, the array pairs, and what the path angles fix, which are the
-    lens and UPA responses with their factors and compound Grams, the
-    flags, the support sets, the support view with its Grams and
-    factors (no combiner: both PDM SINRs are taken in path space), and the
-    path groups with their factored rows. Each part is built when a
-    block first asks for it, so only the configured schemes' parts are
-    built, and the rows' factors are taken at the first read of any block
-    (``PathResponses.with_paths``). Its arrays are read-only in the
+    lens and UPA responses with their Grams, factors and compound Grams,
+    the flags, the support sets, the support view with its Grams and
+    receive factor (no combiner: both PDM SINRs are taken in path space),
+    and the path groups with their factored rows. Each part is built when
+    a block first asks for it, so only the configured schemes' parts are
+    built, and each side's factor is taken at the first read of it by any
+    block (``PathResponses.with_paths``). Its arrays are read-only in the
     process that built them. A config object keeps its geometry
     (``ExperimentConfig._geometry``) and pickles it with its fields."""
 
@@ -339,12 +344,12 @@ class _Block:
     """A block of trials on its config's geometry: the realizations' stacked
     (T, L) gains and delays, which each scheme reads with the geometry's
     rows and factors (``PathResponses.with_paths``). Each trial's generator
-    makes only the draws of ``sample_paths``; the rest of their arithmetic
-    runs once on the block's (T, L) arrays."""
+    makes only the draws of ``sample_paths``, into the block's arrays; the
+    rest of their arithmetic runs once on the block's (T, L) arrays."""
 
     def __init__(self, cfg: ExperimentConfig, trials: range) -> None:
         self.cfg, self.geo = cfg, cfg._geometry
-        rngs = (default_rng([cfg.seed, t]) for t in trials)
+        rngs = [default_rng([cfg.seed, t]) for t in trials]
         gains, delays = _draw_block(cfg.stats, rngs)
         self.paths = PathSet(
             gains=gains,

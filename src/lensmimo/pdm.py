@@ -15,7 +15,7 @@ that path's delay. Both SINRs take the view, the powers and the noise, and
 read what the view's rows fix, formed once per sweep: the Grams G[l, m] =
 a_l^H a_m (``grams``), which give the MRT couplings |a_T,k^H w_l|^2 =
 |G_T[k, l]|^2 / G_T[l, l], and the receive factor A^T = U R, U
-orthonormal (``factors``). The gains are of one realization, (L,), or of
+orthonormal (``rx_factor``). The gains are of one realization, (L,), or of
 a block, (T, L); stream powers carry the same leading axes followed by
 any budget axes, (T, B, L) for a block on an SNR grid, and every result
 broadcasts over them. Both SINRs are those of a path-space direction x_l
@@ -83,7 +83,7 @@ def mmse_sinr(support: PathResponses, powers, noise: float) -> np.ndarray:
     """Per-stream SINR of PDM-MMSE detection, with no M_S-long combiner.
 
     Stream l's interference plus noise covariance in the path space of A^T
-    = U R (the receive factor of ``PathResponses.factors``) is C_l = R
+    = U R (``PathResponses.rx_factor``) is C_l = R
     diag(t^(l)) R^H + sigma^2 I, t_k^(l) = |alpha_k|^2 sum_l' p_l'
     |a_T,k^H w_l'|^2 over every (k, l') but (l, l). Its MMSE direction
     C_l^{-1} R_l is parallel to x_l = C^{-1} R_l, C that of everything
@@ -99,7 +99,7 @@ def mmse_sinr(support: PathResponses, powers, noise: float) -> np.ndarray:
     NumericalError.
     """
     powers, own, launched = _launched(support, powers, noise)
-    r = support.factors[0]
+    r = support.rx_factor
     if not r.imag.any():  # real receive rows (the lens responses): real products
         r = r.real
     m = r.shape[0]

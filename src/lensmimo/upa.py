@@ -5,9 +5,12 @@ power-based antenna selection under an RF-chain budget.
 The UPA channel itself is ``channel.path_responses`` on a UpaConfig pair,
 and no M x Q matrix is formed. The eigenmode capacity takes its singular
 values from the path-space core of ``PathResponses.cores`` (r_R x r_T, the
-numerical ranks of the receive and transmit responses). Where the
-responses of either side are mutually orthogonal (within
-``channel.ORTHO_TOL``, as on fig5 and fig6), every OFDM subcarrier has the
+numerical ranks of the receive and transmit responses), or, where the
+responses of both sides are mutually orthogonal (within
+``channel.ORTHO_TOL``, as on fig5 and fig6), from the Gram diagonals
+(``PathResponses.diagonal_gains``), with no factor and no SVD: fig5's
+UPA-eigenmode and fig6's UPA-OFDM make no ``np.linalg`` call. Where the
+responses of either side are orthogonal, every OFDM subcarrier has the
 narrowband singular values, and the OFDM capacity is N / (N + cp) times
 the eigenmode capacity. Elsewhere it takes them per subcarrier, for at
 most three paths, as the roots of the characteristic polynomial of each
@@ -80,8 +83,19 @@ def eigenmode_capacity(responses: PathResponses, budgets, noise: float) -> np.nd
     """SVD eigenmode transmission with water-filling over the narrowband
     channel H = sum_l alpha_l a_R,l a_T,l^H (delays ignored): sum of
     log2(1 + p_i s_i^2 / sigma^2), for each budget (and each realization of
-    a block)."""
-    return waterfill_capacity(eigen_gains(responses.cores()), budgets, noise)
+    a block).
+
+    Where the response rows of both sides are mutually orthogonal
+    (``PathResponses.diagonal``, within ``channel.ORTHO_TOL``) the s_i^2
+    are the path terms of ``PathResponses.diagonal_gains``, taken with no
+    factor and no SVD; elsewhere the eigen-gains of the path-space core.
+    Rows per trial are split by side ranks and route
+    (``PathResponses.by_rank``), so each trial takes its own route."""
+    rates = np.empty(responses.delays.shape[:-1] + np.shape(budgets))
+    for index, part in responses.by_rank():
+        gains = part.diagonal_gains() if part.diagonal.all() else eigen_gains(part.cores())
+        rates[index] = waterfill_capacity(gains, budgets, noise)
+    return rates[()]  # a scalar for one trial at one budget
 
 
 def ofdm_capacity(
@@ -119,9 +133,9 @@ def ofdm_capacity(
     prefix; a pool worker forked after a call inherits it.
     """
     n, delays = ofdm.subcarriers, responses.delays
-    if np.any(delays >= n):
+    if (delays >= n).any():
         raise InvalidInputError("channel tap delay reaches or exceeds the OFDM symbol length")
-    if np.any(delays < 0):
+    if (delays < 0).any():
         raise InvalidInputError("path delays must be non-negative")
     rates = np.empty(delays.shape[:-1] + np.shape(budgets))
     for index, part in responses.by_rank():

@@ -13,7 +13,8 @@ the characteristic polynomials of Hermitian matrices as sums of principal
 minors.
 The water-filling rate as a per-budget sum of one log1p per channel, its
 threshold search by one ``searchsorted`` per link, the random draws of one
-realization at a time, the antenna-level forms of the selection (a sort
+realization at a time and of a block by five draws per generator, the
+antenna-level forms of the selection (a sort
 of every antenna, the antennas of azimuth picks, and a picked link of one
 row per picked antenna) keep the forms the package had before it shared
 or reduced that work. The PDM SINRs keep their antenna-space long form:
@@ -390,6 +391,30 @@ def draw_one(stats, rng):
     eta = rng.uniform(0.0, 2.0 * np.pi, num_paths)
     delays = np.sort(rng.uniform(0.0, stats.max_excess_delay_s, num_paths))
     return np.sqrt(beta * kappa) * np.exp(1j * eta), delays
+
+
+def draw_block_by_five_calls(stats, rngs):
+    """(T, L) gains and delays in s of ``channel._draw_block`` in the form
+    it had before it filled the block's arrays in place: five draws per
+    generator, normal, random, normal and two uniforms, each a new array,
+    stacked through tuples, then the same arithmetic on the block."""
+    num_paths = len(stats.aod_spatial_freqs)
+    draws = [
+        (
+            rng.normal(0.0, SHADOWING_STD_DB),
+            rng.random(num_paths),
+            rng.normal(0.0, PER_PATH_SHADOWING_STD_DB, num_paths),
+            rng.uniform(0.0, 2.0 * np.pi, num_paths),
+            rng.uniform(0.0, stats.max_excess_delay_s, num_paths),
+        )
+        for rng in rngs
+    ]
+    shadowing, u, z, eta, delays = zip(*draws)
+    beta = np.array([10.0 ** (-(MEAN_PATHLOSS_DB + s) / 10.0) for s in shadowing])
+    raw = np.array(u) ** (DELAY_POWER_EXPONENT - 1.0) * 10.0 ** (-0.1 * np.array(z))
+    kappa = raw / raw.sum(axis=-1, keepdims=True)
+    gains = np.sqrt(beta[:, None] * kappa) * np.exp(1j * np.array(eta))
+    return gains, np.sort(np.array(delays), axis=-1)
 
 
 def hermitian_solve(c, b) -> np.ndarray:

@@ -12,6 +12,7 @@ from lensmimo.channel import (
     ChannelStats,
     PathResponses,
     PathSet,
+    _draw_block,
     path_responses,
     sample_paths,
     tx_power,
@@ -19,7 +20,7 @@ from lensmimo.channel import (
 from lensmimo.errors import InvalidInputError
 from lensmimo.experiments import _Block, preset, rows_to_csv, run_experiment
 from lensmimo.numerics import RANK_TOL
-from oracles import dense_channel, dense_taps, draw_one
+from oracles import dense_channel, dense_taps, draw_block_by_five_calls, draw_one
 
 IDEAL = dict(aoa_spatial_freqs=(0.0, 0.2, -0.2), aod_spatial_freqs=(0.0, 0.2, -0.2))
 # sin(-30 deg), 0 and sin(30 deg): three AoDs equally spaced over 60 degrees.
@@ -183,6 +184,21 @@ class TestSamplePaths:
         paths = sample_paths(stats, np.random.default_rng(3))
         assert np.all(paths.delays_s == 0)
 
+    @pytest.mark.parametrize(
+        "lists",
+        [
+            dict(aoa_spread_deg=10.0, aod_spatial_freqs=np.zeros((3, 1))),
+            dict(aoa_spread_deg=10.0, aod_spatial_freqs=np.float64(0.2)),
+            dict(aoa_spatial_freqs=np.zeros((1, 3)), aod_spatial_freqs=(0.0, 0.2, -0.2)),
+        ],
+        ids=["aod-column", "aod-scalar", "aoa-row"],
+    )
+    def test_angle_lists_must_be_flat(self, lists):
+        # A (3, 1) list used to pass the length check, and was stored as a
+        # tuple of lists, which does not hash.
+        with pytest.raises(InvalidInputError, match="one spatial frequency per path"):
+            ChannelStats(**lists)
+
     def test_num_paths_validation(self):
         # The AoD list gives the path count, so an empty one is refused.
         with pytest.raises(InvalidInputError, match="at least one path"):
@@ -205,6 +221,28 @@ class TestSamplePaths:
         one = sample_paths(stats, np.random.default_rng(4))
         gains, delays = draw_one(stats, np.random.default_rng(4))
         assert np.array_equal(one.gains, gains) and np.array_equal(one.delays_s, delays)
+
+
+    @pytest.mark.parametrize("num_paths", [1, 3, 7])
+    @pytest.mark.parametrize("seed", [0, 2**40 + 3])
+    def test_block_draw_equals_the_five_call_draw(self, seed, num_paths):
+        # Four draws per generator into the block's arrays, scaled on the
+        # block, give the bits of the five separate draws, also with no
+        # delay spread.
+        for delay in (100e-9, 0.0):
+            stats = ChannelStats(
+                max_excess_delay_s=delay,
+                aoa_spread_deg=150.0,
+                aod_spatial_freqs=spread_aods(num_paths),
+            )
+            for count in (1, 2, 32):
+                gains, delays = _draw_block(
+                    stats, [np.random.default_rng([seed, t]) for t in range(count)]
+                )
+                want = draw_block_by_five_calls(
+                    stats, [np.random.default_rng([seed, t]) for t in range(count)]
+                )
+                assert np.array_equal(gains, want[0]) and np.array_equal(delays, want[1])
 
 
 class TestPathSet:

@@ -445,12 +445,13 @@ class TestBlocks:
     def test_geometry_built_once_per_config(self, monkeypatch):
         # A config builds its geometry at its first block: the support sets
         # once, and the rank-revealing factors on fig9's lens schemes as a
-        # pair for each of its three single-path groups and for the support
-        # view (PDM-MMSE's path space), on fig6 as the pair of the UPA
-        # responses. Later blocks and sweeps of the same config
-        # object build none. UPA-OFDM-selection's picked links still take one
-        # stacked pair per block (one side-rank group per block, also at 15
-        # RF chains), not a pair per distinct pick.
+        # pair for each of its three single-path groups and the receive
+        # factor alone of the support view (PDM-MMSE's path space). fig6's
+        # UPA responses are orthogonal on both sides and take no factor.
+        # Later blocks and sweeps of the same config object build none.
+        # UPA-OFDM-selection's picked links still take one stacked pair per
+        # block (one side-rank group per block, also at 15 RF chains), not a
+        # pair per distinct pick.
         counts = {}
 
         def spy(module, name):
@@ -472,9 +473,9 @@ class TestBlocks:
 
         three = 3 * experiments._BLOCK
         lens = preset("fig9", trials=three, schemes=("PDM-MRC", "PDM-MMSE", "PDM-grouping"))
-        assert count(lens) == {"support_sets": 1, "_factor": 8}
+        assert count(lens) == {"support_sets": 1, "_factor": 7}
         assert count(lens) == {"support_sets": 0, "_factor": 0}
-        assert count(preset("fig6", trials=three)) == {"support_sets": 0, "_factor": 2}
+        assert count(preset("fig6", trials=three)) == {"support_sets": 0, "_factor": 0}
         selection = ("UPA-OFDM-selection",)
         assert count(preset("fig9", trials=three, schemes=selection)) == {
             "support_sets": 0,

@@ -243,15 +243,25 @@ class TestEigenGains:
 
     def test_ofdm_sweep_calls_no_svd_on_a_subcarrier_stack(self, monkeypatch):
         # fig6's UPA responses are orthogonal on both sides, so every
-        # subcarrier has the narrowband singular values: the sweep takes no
-        # characteristic polynomial and no np.linalg function (eigvalsh,
-        # eigh, svd or any other) sees a subcarrier stack. The calls are
-        # the SVDs of the two per-side factors and of the block's (1, 3, 3)
-        # narrowband core.
+        # subcarrier has the narrowband singular values, and those are the
+        # path terms of the Gram diagonals: the sweep takes no
+        # characteristic polynomial, no factor and no core, and calls no
+        # np.linalg function (eigvalsh, eigh, svd or any other) at all.
         monkeypatch.setattr(PathResponses, "charpoly", None)  # any call fails
         calls = record_linalg(monkeypatch)
         run_experiment(preset("fig6", trials=1, schemes=("UPA-OFDM",)), workers=1)
-        assert calls == [("svd", (80, 3)), ("svd", (80, 3)), ("svd", (1, 3, 3))], calls
+        assert calls == [], calls
+
+    @pytest.mark.parametrize("name", ["fig5", "fig6"])
+    def test_ideal_preset_sweeps_call_no_linalg(self, monkeypatch, name):
+        # The UPA responses of fig5 and fig6 are orthogonal on both sides:
+        # UPA-eigenmode and UPA-OFDM take their gains from the Gram
+        # diagonals, and OPDM from the path gains, so a sweep of every
+        # scheme of the preset, over several blocks, calls no np.linalg
+        # function.
+        calls = record_linalg(monkeypatch)
+        run_experiment(preset(name, trials=40), workers=1)
+        assert calls == [], calls
 
     def test_ofdm_sweep_of_a_non_orthogonal_link_calls_no_svd_on_it(self, monkeypatch):
         # fig9's full-array UPA link has three paths, side ranks 3 and 3 and

@@ -24,7 +24,10 @@ on fig6's UPAs) the wideband rate, N / (N + cp) times the narrowband one,
 equals the water-fill over every subcarrier; that with one side's rows
 just within ORTHO_TOL of orthogonal the narrowband gains stay within the
 Weyl bound of every subcarrier's, and just beyond it the subcarrier route
-is taken; and that the subcarrier eigen-gains from the characteristic
+is taken; that with both sides' rows within half of it the path terms of
+the Gram diagonals are within the bound of ORTHO_TOL's comment of the
+core's SVD, weak paths dropped by the same RANK_TOL rules; and that the
+subcarrier eigen-gains from the characteristic
 polynomials match a per-subcarrier SVD of the cores. The
 ``charpoly_roots`` properties check the roots of the characteristic
 polynomials of 1 x 1 to 3 x 3 matrices against LAPACK's eigvalsh, as far as the
@@ -567,6 +570,44 @@ def near_orthogonal_links(draw):
 
 
 @st.composite
+def diagonal_links(draw):
+    """Path responses of L = 1 ... 4 paths whose rows on each side have
+    every normalized Gram off-diagonal at rho = ratio * ORTHO_TOL, as a
+    function of the receive and transmit ratios: each side's rows built as
+    in ``near_orthogonal_links``. The gains are of norm 0.1 to 1, (L,) or a
+    block's (T, L), and one path may be weak: its row on one side, or its
+    gain, scaled by 1e-14, so that the core's rank rules (RANK_TOL) drop
+    it. A weak row's gain may be scaled by 1e6, so that its path term
+    is not small against the others' and only the rule of its side drops
+    it."""
+    n_paths = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from([(), (3,)])) + (n_paths,)
+    gains = rng.uniform(0.1, 1.0, shape) * np.exp(2j * np.pi * rng.random(shape))
+    weak, path = draw(st.sampled_from(["none", "rx", "tx", "gain"])), draw(st.integers(0, 3))
+    if weak != "none":
+        gains[..., path % n_paths] *= 1e-14 if weak == "gain" else draw(st.sampled_from([1, 1e6]))
+    sides = []
+    for _ in range(2):
+        size = draw(st.integers(n_paths + 1, 8))
+        square = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+        basis = np.linalg.qr(square)[0][: n_paths + 1]
+        phases = np.exp(2j * np.pi * rng.random((n_paths, 1)))
+        sides.append((basis, phases, rng.uniform(0.5, 2.0, (n_paths, 1))))
+
+    def make(ratio_rx, ratio_tx):
+        rows = []
+        for ratio, (basis, phases, scale), side in zip((ratio_rx, ratio_tx), sides, ("rx", "tx")):
+            rho = ratio * ORTHO_TOL
+            rows.append((basis[:-1] + np.sqrt(rho / (1 - rho)) * phases * basis[-1]) * scale)
+            if weak == side:
+                rows[-1][path % n_paths] *= 1e-14
+        return PathResponses(rx=rows[0], tx=rows[1], gains=gains, delays=np.zeros(shape, int))
+
+    return make
+
+
+@st.composite
 def subcarrier_links(draw):
     """Responses of L = 1 ... 3 paths for the OFDM subcarrier eigen-gains,
     with their subcarrier count N: one trial's (L,) gains, a block's (T, L)
@@ -682,6 +723,39 @@ class TestOfdmProperties:
         bound = 2 * spread / (1 - spread) + 16 * np.finfo(float).eps
         assert bound <= 1e-12  # the subcarrier route's own allowance
         assert np.all(np.abs(narrowband - want) <= bound * want.max())
+
+    @settings(max_examples=150, deadline=None)
+    @given(link=diagonal_links(), ratio=st.sampled_from([0.0, 0.5]), over=st.booleans())
+    def test_rows_orthogonal_on_both_sides_give_the_diagonal_gains(self, link, ratio, over):
+        # Within ORTHO_TOL of orthogonal on both sides (here at 0 or half of
+        # it) the squared singular values are the path terms |alpha_l|^2
+        # G_R[l, l] G_T[l, l], within the bound of ORTHO_TOL's comment,
+        # 2 x / (1 - x) of the largest gain for x = (L - 1) rho, of the SVD
+        # of the core, and 0 where the core's rank rules drop a weak path;
+        # eigenmode_capacity water-fills them. The 32 eps are the SVD
+        # route's own rounding: against 40-digit eigenvalues of the same
+        # rows the diagonal gains erred by up to 2.8 eps of the largest, the
+        # core's SVD by up to 12 (600 examples at rho = 0), and the two
+        # differed by up to 17 beyond the bound over 4000. At twice
+        # ORTHO_TOL on one side it takes the core's SVD.
+        responses = link(ratio, ratio)
+        assert responses.diagonal.all()
+        got = np.sort(responses.diagonal_gains(), axis=-1)[..., ::-1]
+        want = eigen_gains(responses.cores())
+        rank = want.shape[-1]
+        assert np.all(got[..., rank:] == 0.0)
+        x = (responses.num_paths - 1) * ratio * ORTHO_TOL
+        bound = 2 * x / (1 - x) + 32 * np.finfo(float).eps
+        assert np.all(np.abs(got[..., :rank] - want) <= bound * want[..., :1])
+        assert np.array_equal(got[..., :rank] == 0.0, want == 0.0)
+        budgets = np.array([1e-3, 1.0, 1e3])
+        rates = eigenmode_capacity(responses, budgets, 1.0)
+        assert np.array_equal(rates, waterfill_capacity(got, budgets, 1.0))
+        if over and responses.num_paths > 1:
+            one_side = link(2.0, ratio) if ratio else link(ratio, 2.0)
+            assert one_side.orthogonal.all() and not one_side.diagonal.any()
+            want = waterfill_capacity(eigen_gains(one_side.cores()), budgets, 1.0)
+            assert np.array_equal(eigenmode_capacity(one_side, budgets, 1.0), want)
 
 
 # Largest error allowed per root, in units of eps times lambda_1 plus eps

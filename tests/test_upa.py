@@ -436,6 +436,41 @@ class TestOfdmCapacity:
             assert np.array_equal(got[i : i + 1], ofdm_capacity(stacked, budgets, 0.5, cfg)), i
             assert np.array_equal(got[i], ofdm_capacity(trial, budgets, 0.5, cfg)), i
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_stack_with_diagonal_trials_equals_each_trial_alone(self, seed):
+        # Rows per trial of which some are orthogonal on both sides (rows of
+        # unitaries, scaled, one with a transmit row below RANK_TOL), some on
+        # the receive side alone, some on neither. The diagonal trials take
+        # the Gram diagonals, the others the core's SVD, each trial its own
+        # route: its rates are bit for bit those of a call on it alone.
+        rng = np.random.default_rng(seed)
+        kinds = ["diagonal", "diagonal-weak", "receive", "generic"]
+        kinds = rng.permutation(kinds + list(rng.choice(kinds, 4)))
+        trials = [random_responses(rng, 3, 4, 5, delays=rng.integers(0, 8, 3)) for _ in kinds]
+        for kind, trial in zip(kinds, trials):
+            if kind != "generic":
+                trial.rx[:] = np.linalg.qr(trial.rx.T)[0].T * rng.uniform(0.5, 2.0, (3, 1))
+            if kind.startswith("diagonal"):
+                trial.tx[:] = np.linalg.qr(trial.tx.T)[0].T * rng.uniform(0.5, 2.0, (3, 1))
+            if kind == "diagonal-weak":
+                trial.tx[2] *= 1e-14
+        rx, tx, gains, delays = (
+            np.stack([getattr(trial, f) for trial in trials])
+            for f in ("rx", "tx", "gains", "delays")
+        )
+        block = PathResponses(rx, tx, gains, delays)
+        want = [kind.startswith("diagonal") for kind in kinds]
+        assert np.array_equal(block.diagonal, want)
+        assert np.array_equal(block.orthogonal, [kind != "generic" for kind in kinds])
+        cfg = OfdmConfig(subcarriers=8, cp_samples=2)
+        budgets = np.array([1e-3, 1.0, 1e3, 1e12])
+        narrowband = eigenmode_capacity(block, budgets, 0.5)
+        wideband = ofdm_capacity(block, budgets, 0.5, cfg)
+        for i, trial in enumerate(trials):
+            assert bool(trial.diagonal) == want[i]
+            assert np.array_equal(narrowband[i], eigenmode_capacity(trial, budgets, 0.5)), i
+            assert np.array_equal(wideband[i], ofdm_capacity(trial, budgets, 0.5, cfg)), i
+
     def test_successive_calls_equal_the_per_element_coefficients(self, monkeypatch):
         # From empty tables: rising and falling largest delays, alternating
         # subcarrier counts, with and without a trial axis.
