@@ -18,10 +18,16 @@ path groups with their factored rows. It is built at the config's first
 block and kept on the config object for its later blocks and sweeps.
 Trials run in blocks, which differ only in their gains and delays: each
 trial's generator writes its four draws into the block's arrays, and the
-schemes take them as (T, L) stacks on the geometry's rows.
+schemes take them as (T, L) stacks on the geometry's rows. The geometry
+also fixes the route of the shared UPA rows (``upa.link_route``), so a
+block only forms their gains. Every scheme whose rate is a water-fill
+over parallel gains (OPDM, PDM-grouping and the three UPA schemes) hands
+its gains to the block as parts, and the block fills them together, in
+one ``numerics.waterfill_parts`` call: one water-fill per gain width and
+budget factor, so fig5's and fig6's two schemes share one.
 UPA-OFDM-selection alone forms rows per trial in each block: it picks
-(index, count) per side, builds the picked links from them, and scores
-the block in one capacity call.
+(index, count) per side, builds the picked links from them, and splits
+them once by side ranks and route.
 
 Determinism contract: trial t draws its gains and delays from the RNG
 substream seeded by (seed, t), and every scheme computes each trial's
@@ -64,18 +70,12 @@ from .channel import (
     tx_power,
 )
 from .errors import ConfigError, InvalidInputError, NumericalError
-from .grouping import group_channels, grouped_capacity, path_groups
-from .numerics import water_fill, waterfill_capacity
+from .grouping import group_channels, grouped_part, path_groups
+from .numerics import water_fill, waterfill_parts
 from .opdm import is_ideal, path_gains
 from .pdm import mmse_sinr, mrc_sinr, sum_rate
 from .selection import support_sets
-from .upa import (
-    OfdmConfig,
-    eigenmode_capacity,
-    ofdm_capacity,
-    power_select_antennas,
-    selected_link,
-)
+from .upa import OfdmConfig, link_parts, link_route, power_select_antennas, selected_link
 
 # Trials per block: a block's stacks (T x 512 subcarriers of the selected
 # UPA links on fig9 and fig10) stay a few MB.
@@ -278,7 +278,7 @@ class _Geometry:
     """What every block of a config reads and no draw changes: the budget
     vector, the array pairs, and what the path angles fix, which are the
     lens and UPA responses with their Grams, factors and compound Grams,
-    the flags, the support sets, the support view with its Grams and
+    the routes of the UPA rows, the flags, the support sets, the support view with its Grams and
     receive factor (no combiner: both PDM SINRs are taken in path space),
     and the path groups with their factored rows. Each part is built when
     a block first asks for it, so only the configured schemes' parts are
@@ -339,6 +339,16 @@ class _Geometry:
     def upa(self):
         return _read_only(path_responses(self.paths, self.upas[1], self.upas[0]))
 
+    @cached_property
+    def eigenmode_route(self):
+        """``upa.link_route`` of the shared UPA rows, narrowband."""
+        return link_route(self.upa)
+
+    @cached_property
+    def ofdm_route(self):
+        """``upa.link_route`` of the shared UPA rows for the config's OFDM."""
+        return link_route(self.upa, self.cfg.ofdm)
+
 
 class _Block:
     """A block of trials on its config's geometry: the realizations' stacked
@@ -349,7 +359,12 @@ class _Block:
 
     def __init__(self, cfg: ExperimentConfig, trials: range) -> None:
         self.cfg, self.geo = cfg, cfg._geometry
-        rngs = [default_rng([cfg.seed, t]) for t in trials]
+        if cfg.seed < 2**32 and trials[-1] < 2**32:
+            # numpy takes a uint32 array as its entropy words unchanged, and
+            # an int below 2**32 as one word: the same generators, set up faster.
+            rngs = [default_rng(np.array([cfg.seed, t], dtype=np.uint32)) for t in trials]
+        else:
+            rngs = [default_rng([cfg.seed, t]) for t in trials]
         gains, delays = _draw_block(cfg.stats, rngs)
         self.paths = PathSet(
             gains=gains,
@@ -379,7 +394,7 @@ class _Block:
         return water_fill(self.path_gains, self.geo.budgets, NOISE_POWER)
 
     def opdm(self):
-        return waterfill_capacity(self.path_gains, self.geo.budgets, NOISE_POWER)
+        return [((), (self.path_gains, 1, 1))]
 
     @cached_property
     def mmse_rates(self):  # PDM-MMSE's, and PDM-grouping's where it falls back
@@ -394,18 +409,20 @@ class _Block:
     def pdm_grouping(self):
         if self.geo.groups is None:  # no side separated: the geometry flags the fallback
             return self.mmse_rates
-        cores = group_channels(self.geo.groups, self.paths.gains)
-        return grouped_capacity(cores, self.geo.budgets, NOISE_POWER)
+        return [((), grouped_part(group_channels(self.geo.groups, self.paths.gains)))]
 
     @cached_property
     def upa(self):
         return self._on(self.geo.upa)
 
     def upa_eigenmode(self):
-        return eigenmode_capacity(self.upa, self.geo.budgets, NOISE_POWER)
+        return [((), self.geo.eigenmode_route(self.upa))]
 
     def upa_ofdm(self):
-        return ofdm_capacity(self.upa, self.geo.budgets, NOISE_POWER, self.cfg.ofdm)
+        # ofdm_capacity's delay refusals cannot fire here, nor for the
+        # selection: the config refuses a longest tap past the cyclic
+        # prefix, which is shorter than the symbol, and draws no negative delay.
+        return [((), self.geo.ofdm_route(self.upa, self.cfg.ofdm))]
 
     def upa_ofdm_selection(self):
         """Pick, link, capacity: the antennas picked for the whole block in
@@ -413,14 +430,13 @@ class _Block:
         for bit those of its own call (the near-tied picks depend on the
         per-trial arithmetic to the last bit); each trial's picked link at
         azimuth resolution (``selected_link``), (T, L, g) rows of its own
-        with one weighted column per picked azimuth index; and one
-        ``ofdm_capacity`` call, which splits the links by side ranks and
-        route. At the fig9/fig10 budgets g = 1 on both sides, so the link
-        is rank 1 and makes no LAPACK call."""
+        with one weighted column per picked azimuth index; and the parts of
+        ``ofdm_capacity``, the links split by side ranks and route. At the
+        fig9/fig10 budgets g = 1 on both sides, so the link is rank 1 and
+        makes no LAPACK call."""
         upa, cfg = self.upa, self.cfg
         picks = power_select_antennas(upa, *self.geo.upas, cfg.rx_rf, cfg.tx_rf)
-        link = selected_link(upa, *self.geo.upas, *picks)
-        return ofdm_capacity(link, self.geo.budgets, NOISE_POWER, cfg.ofdm)
+        return link_parts(selected_link(upa, *self.geo.upas, *picks), cfg.ofdm)
 
 
 _EVALUATE = {
@@ -440,20 +456,39 @@ def _run_block(cfg: ExperimentConfig, trials: range) -> np.ndarray:
     geometry: their rates as one (len(trials), len(schemes), len(snr_db))
     array, with 0 in the columns of a scheme the geometry skips.
 
+    A scheme whose rate is a water-fill over parallel gains (OPDM, PDM-
+    grouping, and the UPA schemes) returns its parts, (index into the
+    trials, part of ``numerics.waterfill_parts``), and the block fills the
+    parts of every scheme in one call, so schemes of one gain width and
+    budget factor share a water-fill; the others return their rates.
+
     A rate that is not finite raises NumericalError naming the first such
     trial, in (trial, scheme, SNR) order, and a scheme that meets a
     numerical failure, an overflow or an invalid operation (at budgets so
-    large that a product leaves double range) raises it naming the scheme.
+    large that a product leaves double range) raises it naming the scheme,
+    or, in the shared fill, every scheme of the failed water-fill.
     """
     block = _Block(cfg, trials)
     out = np.zeros((len(trials), len(cfg.schemes), len(cfg.snr_db)))
+    parts = []  # (scheme column, trial index, part)
     with np.errstate(over="raise", invalid="raise"):
         for k, scheme in enumerate(cfg.schemes):
             try:
                 if block.geo.flags.get(scheme) != _SKIP:
-                    out[:, k] = _EVALUATE[scheme](block)
+                    rates = _EVALUATE[scheme](block)
+                    if isinstance(rates, list):
+                        parts += [(k, index, part) for index, part in rates]
+                    else:
+                        out[:, k] = rates
             except (NumericalError, FloatingPointError) as exc:
                 raise NumericalError(f"{scheme}: {exc}") from None
+        try:
+            filled = waterfill_parts([part for *_, part in parts], block.geo.budgets, NOISE_POWER)
+        except (NumericalError, FloatingPointError) as exc:
+            names = dict.fromkeys(cfg.schemes[parts[i][0]] for i in exc.parts)
+            raise NumericalError(f"{', '.join(names)}: {exc}") from None
+    for (k, index, _), rates in zip(parts, filled):
+        out[:, k][index] = rates
     bad = np.argwhere(~np.isfinite(out))
     if len(bad):
         i, k, j = bad[0]

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import PathResponses
-from .numerics import eigen_gains, waterfill_capacity
+from .numerics import eigen_gains, waterfill_parts
 from .selection import SupportSets
 
 
@@ -69,10 +69,13 @@ def group_channels(groups: list[tuple[np.ndarray, PathResponses]], gains) -> lis
 
 def grouped_capacity(group_channels_list, budgets, noise: float) -> np.ndarray:
     """Eigenmode water-filling capacity across all groups under one budget,
-    for each budget (and each realization of a block).
+    for each budget (and each realization of a block): the fill of the one
+    part of ``grouped_part``."""
+    return waterfill_parts([grouped_part(group_channels_list)], budgets, noise)[0]
 
-    Pools the eigen-gains of every group channel and water-fills the total
-    transmit power over them globally.
-    """
-    gains = np.concatenate([eigen_gains(h) for h in group_channels_list], axis=-1)
-    return waterfill_capacity(gains, budgets, noise)
+
+def grouped_part(group_channels_list) -> tuple:
+    """The part (gains, 1, 1) of ``numerics.waterfill_parts`` of the group
+    channels: the eigen-gains of every group channel, pooled, so that one
+    water-fill spreads the total transmit power over them globally."""
+    return np.concatenate([eigen_gains(h) for h in group_channels_list], axis=-1), 1, 1

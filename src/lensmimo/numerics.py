@@ -17,7 +17,12 @@ per link, and one ``searchsorted`` of every link's budgets among the
 thresholds of all links. ``water_fill`` returns the powers;
 ``waterfill_capacity`` forms none, and takes its rates from one cumulated
 log1p per gain and one per link and budget, so no step of it builds a
-(links, budgets, n) array. ``normalized_solve`` solves a stack of
+(links, budgets, n) array. Each link's rates are bit for bit those of its
+own call, so ``waterfill_parts`` fills the gains of several schemes
+(parts, each with a budget factor and a rate scale) in one
+``waterfill_capacity`` call per gain width and budget factor: a sweep's
+block makes one such call for all its water-filled schemes of one width.
+``normalized_solve`` solves a stack of
 Hermitian positive definite systems (the PDM MMSE covariances in path
 space, one per trial and budget, against a right-hand side per stream)
 through a Cholesky factorization written out entry by entry, with no
@@ -133,7 +138,9 @@ def water_fill(gains, budgets, noise: float) -> np.ndarray:
     p_i = level - (f_i - f_1), so a budget far below the floors is never
     lost to cancellation.
     """
-    g, b = _checked(gains, budgets, noise)
+    g, b, peaks = _checked(gains, budgets, noise)
+    if not peaks.all():
+        raise DegenerateInputError("water_fill: all channel gains are zero")
     floors, lowest, d, active, level = _water_levels(g, b, noise)
     # Equal floors have equal thresholds, so they are active together: the
     # active channels are those whose floor is at most the k-th lowest.
@@ -162,10 +169,11 @@ def waterfill_capacity(gains, budgets, noise: float) -> np.ndarray:
     most the first channel's, which bounds the rate from below, so the
     difference loses at most a few k eps relative.
     """
-    g = np.asarray(gains, dtype=float)
-    silent = (g == 0).all(axis=-1, keepdims=True)
-    quiet = silent.any()
-    g, b = _checked(np.where(silent, 1.0, g) if quiet else g, budgets, noise)
+    g, b, peaks = _checked(gains, budgets, noise)
+    silent = peaks == 0
+    quiet = not peaks.all()
+    if quiet:
+        g = np.where(silent[..., None], 1.0, g)
     _, lowest, d, active, level = _water_levels(g, b, noise)
     links = np.arange(len(d))[:, None]
     spent = np.add.accumulate(_log1p_ratio(d, lowest), axis=-1)[links, active - 1]
@@ -177,9 +185,44 @@ def waterfill_capacity(gains, budgets, noise: float) -> np.ndarray:
     return rates.reshape(g.shape[:-1] + b.shape)[()]
 
 
-def _checked(gains, budgets, noise: float) -> tuple[np.ndarray, np.ndarray]:
-    """``gains`` and ``budgets`` as float arrays, refused unless the gains
-    are finite and non-negative with a positive one per link, and the
+def waterfill_parts(parts, budgets, noise: float) -> list:
+    """The rates of several water-filled links at once: for each part
+    (gains, f, c) of ``parts``, (c * C) / f with C = ``waterfill_capacity``
+    of its (..., n) gains at the budgets times the budget factor f, of shape
+    gains.shape[:-1] + budgets.shape, in part order. A plain water-fill has
+    f = c = 1; an OFDM link water-fills N subcarriers at N P, f = N, and
+    scales by its cyclic-prefix share c = N / (N + cp).
+
+    The parts of one width n and one factor f share one
+    ``waterfill_capacity`` call, their links stacked in part order; each
+    link's rates are bit for bit those of its own call, so each part's are
+    those of a call of its own. An error of a call is raised with the
+    attribute ``parts``, the indices of the parts that shared it.
+    """
+    b = np.asarray(budgets, dtype=float)
+    groups: dict[tuple, list[int]] = {}
+    for i, (gains, f, _) in enumerate(parts):
+        groups.setdefault((np.shape(gains)[-1], f), []).append(i)
+    rates = [None] * len(parts)
+    for (n, f), members in groups.items():
+        links = [np.reshape(parts[i][0], (-1, n)) for i in members]
+        try:
+            filled = waterfill_capacity(np.concatenate(links), f * b, noise)
+        except (NumericalError, FloatingPointError) as exc:
+            exc.parts = members
+            raise
+        start = 0
+        for i, part_links in zip(members, links):
+            gains, _, c = parts[i]
+            stop = start + len(part_links)
+            rates[i] = (c * filled[start:stop].reshape(np.shape(gains)[:-1] + b.shape)) / f
+            start = stop
+    return rates
+
+
+def _checked(gains, budgets, noise: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``gains`` and ``budgets`` as float arrays, with each link's largest
+    gain, refused unless the gains are finite and non-negative, and the
     budgets and the noise positive."""
     g = np.asarray(gains, dtype=float)
     b = np.asarray(budgets, dtype=float)
@@ -191,9 +234,7 @@ def _checked(gains, budgets, noise: float) -> tuple[np.ndarray, np.ndarray]:
         raise InvalidInputError("gains must be a (..., n) array of finite non-negative reals")
     if not ((b.size == 0 or b.min() > 0) and noise > 0):
         raise InvalidInputError("budgets and noise must be positive")
-    if not peaks.all():
-        raise DegenerateInputError("water_fill: all channel gains are zero")
-    return g, b
+    return g, b, peaks
 
 
 def _water_levels(g: np.ndarray, b: np.ndarray, noise: float):

@@ -20,7 +20,14 @@ subcarrier. A subcarrier whose roots are ill-separated (GRAM_TOL), or a
 link of more paths, takes the SVD of its cores. Its subcarrier
 phases e^{-j 2 pi k n / N} come from a cached read-only table per
 subcarrier count N, one row per integer delay n up to the longest met so
-far (at most N rows; 51 x 512 at the presets, 418 KB). Both capacities
+far (at most N rows; 51 x 512 at the presets, 418 KB). The route of a
+group of links is decided from its rows alone, in one place
+(``link_route``): the diagonal gains, the eigen-gains of the cores, or
+the gains of every subcarrier at N times the budget. ``link_parts`` gives
+each group's gains as a part of ``numerics.waterfill_parts``, so both
+capacities fill all their groups together, and a sweep, which decides the
+route of its shared UPA rows once per config, fills them with the parts of
+its other schemes. Both capacities
 take a block of realizations at once, and so does the antenna
 selection: it ranks the channel energy of one antenna per azimuth index
 on both sides, from an n_y,R x n_y,T tap per distinct path delay formed
@@ -30,8 +37,8 @@ not the antennas, and a side's picks are (index, count): its picked
 azimuth indices with their pick counts. Each realization's picked link is
 carried at azimuth resolution (``selected_link``): response rows of its
 own, (T, L, g), one column per picked index weighted by the square root
-of its count, and the block's links take one ``ofdm_capacity`` call,
-which splits them by side ranks and route. At the fig9/fig10 budgets
+of its count, and the block's links are split once by side ranks and
+route (``link_parts``) and water-filled in one call. At the fig9/fig10 budgets
 every pick of a side shares one index, so each side has one column, its
 own rank-1 factor, and the link makes no LAPACK call: its subcarrier
 cores are 1 x 1.
@@ -46,7 +53,7 @@ import numpy as np
 from .arrays import UpaConfig
 from .channel import PathResponses
 from .errors import InvalidInputError
-from .numerics import charpoly_roots, eigen_gains, waterfill_capacity
+from .numerics import charpoly_roots, eigen_gains, waterfill_parts
 
 # Smallest second root, relative to the first, that ofdm_capacity takes from a
 # subcarrier's characteristic polynomial (a core singular-value ratio of 1e-3).
@@ -90,12 +97,9 @@ def eigenmode_capacity(responses: PathResponses, budgets, noise: float) -> np.nd
     are the path terms of ``PathResponses.diagonal_gains``, taken with no
     factor and no SVD; elsewhere the eigen-gains of the path-space core.
     Rows per trial are split by side ranks and route
-    (``PathResponses.by_rank``), so each trial takes its own route."""
-    rates = np.empty(responses.delays.shape[:-1] + np.shape(budgets))
-    for index, part in responses.by_rank():
-        gains = part.diagonal_gains() if part.diagonal.all() else eigen_gains(part.cores())
-        rates[index] = waterfill_capacity(gains, budgets, noise)
-    return rates[()]  # a scalar for one trial at one budget
+    (``PathResponses.by_rank``), so each trial takes its own route
+    (``link_route``), and the groups are water-filled together."""
+    return _capacity(responses, budgets, noise)
 
 
 def ofdm_capacity(
@@ -116,10 +120,11 @@ def ofdm_capacity(
     narrowband gains: N copies of them water-filled at N P give N times the
     narrowband rate at P, and the rate is N/(N+cp) times
     ``eigenmode_capacity``, within the Weyl bound of ORTHO_TOL's comment (4e-14
-    of the largest gain at three paths). The rows decide, so a block's
-    shared rows decide once for every trial and sweep of them. A stack of
-    rows per trial is split once, by side ranks and route
-    (``PathResponses.by_rank``), and each group takes its own route.
+    of the largest gain at three paths). The rows decide (``link_route``),
+    so a block's shared rows decide once for every trial and sweep of them.
+    A stack of rows per trial is split once, by side ranks and route
+    (``PathResponses.by_rank``), and each group takes its own route; the
+    groups are water-filled together.
 
     Elsewhere, with (T, L) gains and delays the T realizations share the
     factors of the response rows and the compound Grams of
@@ -132,34 +137,79 @@ def ofdm_capacity(
     the longest delay + 1 rows and never shrinks, whatever the cyclic
     prefix; a pool worker forked after a call inherits it.
     """
-    n, delays = ofdm.subcarriers, responses.delays
-    if (delays >= n).any():
+    delays = responses.delays
+    if (delays >= ofdm.subcarriers).any():
         raise InvalidInputError("channel tap delay reaches or exceeds the OFDM symbol length")
     if (delays < 0).any():
         raise InvalidInputError("path delays must be non-negative")
-    rates = np.empty(delays.shape[:-1] + np.shape(budgets))
-    for index, part in responses.by_rank():
-        if part.orthogonal.all():  # one decision per group
-            rates[index] = (n / (n + ofdm.cp_samples)) * eigenmode_capacity(part, budgets, noise)
-        else:
-            rates[index] = _subcarrier_capacity(part, budgets, noise, ofdm)
+    return _capacity(responses, budgets, noise, ofdm)
+
+
+def link_route(rows: PathResponses, ofdm: OfdmConfig | None = None):
+    """The route of a group of links that share one ``PathResponses.by_rank``
+    key, decided from their rows alone: the function that forms the
+    group's part (gains, budget factor f, rate scale c) of
+    ``numerics.waterfill_parts`` from these rows with any gains and delays,
+    called as route(link, ofdm); ``ofdm`` None for the narrowband link of
+    ``eigenmode_capacity``, else the OFDM link of ``ofdm_capacity``.
+
+    Rows orthogonal on both sides (``diagonal``) take the diagonal gains,
+    an OFDM link orthogonal on neither side the gains of every subcarrier
+    at f = N, and the rest the eigen-gains of the cores. An OFDM link's
+    c is N/(N+cp) on each route. Shared rows decide once for every block:
+    a sweep's geometry keeps the route of its UPA rows. The functions are
+    module-level, so a route pickles with the geometry."""
+    if ofdm is not None and not rows.orthogonal.all():
+        return _subcarrier_part
+    return _diagonal_part if rows.diagonal.all() else _core_part
+
+
+def link_parts(responses: PathResponses, ofdm: OfdmConfig | None = None) -> list:
+    """(index, part) for each ``PathResponses.by_rank`` group of the links,
+    the index as ``PathResponses.trials`` takes it and the part on the
+    group's ``link_route``, with no delay refusal."""
+    return [(index, link_route(part, ofdm)(part, ofdm)) for index, part in responses.by_rank()]
+
+
+def _capacity(responses: PathResponses, budgets, noise: float, ofdm=None) -> np.ndarray:
+    """The rates of the ``link_parts`` of ``responses``, filled in one
+    ``numerics.waterfill_parts`` call, over the trials of the links."""
+    parts = link_parts(responses, ofdm)
+    filled = waterfill_parts([part for _, part in parts], budgets, noise)
+    rates = np.empty(responses.delays.shape[:-1] + np.shape(budgets))
+    for (index, _), part_rates in zip(parts, filled):
+        rates[index] = part_rates
     return rates[()]  # a scalar for one trial at one budget
+
+
+def _cp_share(ofdm: OfdmConfig | None):
+    """N/(N+cp), the share of an OFDM symbol that carries data; 1 narrowband."""
+    return 1 if ofdm is None else ofdm.subcarriers / (ofdm.subcarriers + ofdm.cp_samples)
+
+
+def _diagonal_part(link: PathResponses, ofdm: OfdmConfig | None = None) -> tuple:
+    return link.diagonal_gains(), 1, _cp_share(ofdm)
+
+
+def _core_part(link: PathResponses, ofdm: OfdmConfig | None = None) -> tuple:
+    return eigen_gains(link.cores()), 1, _cp_share(ofdm)
+
+
+def _subcarrier_part(link: PathResponses, ofdm: OfdmConfig, table=None) -> tuple:
+    """The eigen-gains of all N subcarriers of each link, (..., N r), on the
+    cached phase table of N, or on ``table``, whatever the rows."""
+    n = ofdm.subcarriers
+    if table is None:
+        table = _phase_table(n, int(link.delays.max()))
+    gains = _subcarrier_gains(link, table)
+    return gains.reshape(gains.shape[:-2] + (-1,)), n, _cp_share(ofdm)
 
 
 def _subcarrier_capacity(
     responses: PathResponses, budgets, noise: float, ofdm: OfdmConfig, table=None
 ) -> np.ndarray:
-    """``ofdm_capacity`` by its subcarrier route, whatever the rows: N P
-    water-filled over the eigen-gains of every subcarrier on the cached
-    phase table of N, or on ``table``, and discounted by N/(N+cp)."""
-    n = ofdm.subcarriers
-    if table is None:
-        table = _phase_table(n, int(responses.delays.max()))
-    gains = _subcarrier_gains(responses, table)
-    rate = waterfill_capacity(
-        gains.reshape(gains.shape[:-2] + (-1,)), n * np.asarray(budgets, dtype=float), noise
-    )
-    return (n / (n + ofdm.cp_samples)) * rate / n
+    """``ofdm_capacity`` by its subcarrier route, whatever the rows."""
+    return waterfill_parts([_subcarrier_part(responses, ofdm, table)], budgets, noise)[0]
 
 
 # Subcarrier count N -> read-only table of exp(-j 2 pi k d / N), row d for

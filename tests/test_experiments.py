@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lensmimo import channel, experiments
-from lensmimo.channel import ChannelStats
+from lensmimo import channel, experiments, numerics
+from lensmimo.channel import BANDWIDTH_HZ, NOISE_POWER, ChannelStats
 from lensmimo.errors import ConfigError, InvalidInputError, NumericalError
 from lensmimo.experiments import (
     CSV_HEADER,
@@ -27,7 +27,16 @@ from lensmimo.experiments import (
     run_experiment,
     sweep,
 )
-from lensmimo.upa import OfdmConfig
+from lensmimo.grouping import group_channels, grouped_capacity
+from lensmimo.numerics import waterfill_capacity
+from lensmimo.opdm import path_gains
+from lensmimo.upa import (
+    OfdmConfig,
+    eigenmode_capacity,
+    ofdm_capacity,
+    power_select_antennas,
+    selected_link,
+)
 
 
 @pytest.fixture
@@ -506,18 +515,24 @@ class TestBlocks:
         # Trials 4..7 in one block: a NaN for PDM-MRC in trial 6 and an inf
         # for UPA-OFDM-selection at the fourth SNR point of trial 5. The
         # error names the earlier trial, though PDM-MRC is listed first.
-        def poison(scheme, row, column, value):
-            original = experiments._EVALUATE[scheme]
+        # PDM-MRC returns its rates; the selection returns its one part,
+        # whose rates come from the block's fill.
+        original = experiments._EVALUATE["PDM-MRC"]
 
-            def evaluate(block):
-                rates = original(block)
-                rates[row, column] = value
-                return rates
+        def evaluate(block):
+            rates = original(block)
+            rates[2, 0] = np.nan
+            return rates
 
-            monkeypatch.setitem(experiments._EVALUATE, scheme, evaluate)
+        fill = experiments.waterfill_parts
 
-        poison("PDM-MRC", 2, 0, np.nan)
-        poison("UPA-OFDM-selection", 1, 3, np.inf)
+        def poisoned_fill(parts, budgets, noise):
+            rates = fill(parts, budgets, noise)
+            rates[0][1, 3] = np.inf
+            return rates
+
+        monkeypatch.setitem(experiments._EVALUATE, "PDM-MRC", evaluate)
+        monkeypatch.setattr(experiments, "waterfill_parts", poisoned_fill)
         cfg = preset("fig9", trials=8, schemes=("PDM-MRC", "UPA-OFDM-selection"))
         message = f"UPA-OFDM-selection rate at {cfg.snr_db[3]:g} dB SNR is not finite (trial 5)"
         with pytest.raises(NumericalError, match=re.escape(message)):
@@ -533,6 +548,162 @@ class TestBlocks:
         cfg = preset("fig9", trials=2, snr_db=(snr_db,))
         with pytest.raises(NumericalError, match=f"^{scheme}: overflow encountered in "):
             experiments._run_block(cfg, range(2))
+
+
+def public_rates(cfg, trials):
+    """Scheme -> the rates of each water-filled scheme of ``cfg`` from its
+    public function, on a fresh copy of the config and its own geometry."""
+    block = experiments._Block(replace(cfg), trials)
+    geo, budgets = block.geo, block.geo.budgets
+    rates = {}
+    for scheme in cfg.schemes:
+        if scheme == "OPDM" and scheme not in geo.flags:
+            gains = path_gains(block.paths.gains, geo.tx, geo.rx)
+            rates[scheme] = waterfill_capacity(gains, budgets, NOISE_POWER)
+        elif scheme == "PDM-grouping" and scheme not in geo.flags:
+            cores = group_channels(geo.groups, block.paths.gains)
+            rates[scheme] = grouped_capacity(cores, budgets, NOISE_POWER)
+        elif scheme == "UPA-eigenmode":
+            rates[scheme] = eigenmode_capacity(block.upa, budgets, NOISE_POWER)
+        elif scheme == "UPA-OFDM":
+            rates[scheme] = ofdm_capacity(block.upa, budgets, NOISE_POWER, cfg.ofdm)
+        elif scheme == "UPA-OFDM-selection":
+            picks = power_select_antennas(block.upa, *geo.upas, cfg.rx_rf, cfg.tx_rf)
+            link = selected_link(block.upa, *geo.upas, *picks)
+            rates[scheme] = ofdm_capacity(link, budgets, NOISE_POWER, cfg.ofdm)
+    return rates
+
+
+class TestSharedFill:
+    @pytest.mark.blas_threads
+    @pytest.mark.parametrize(
+        "name, overrides",
+        [
+            ("fig5", {}),
+            ("fig6", {}),
+            ("fig9", {}),
+            ("fig10", {}),
+            ("fig9", {"rx_rf": 15, "tx_rf": 15}),
+            ("fig9", {"schemes": ("UPA-OFDM", "UPA-eigenmode", "PDM-grouping")}),
+            ("fig6", {"schemes": experiments.SCHEMES, "rx_rf": 40, "tx_rf": 40}),
+        ],
+        ids=["fig5", "fig6", "fig9", "fig10", "fig9-rf15", "fig9-full-array", "fig6-all"],
+    )
+    def test_block_rates_equal_the_public_functions(self, name, overrides):
+        # Each water-filled scheme's parts, filled with the other schemes'
+        # in the block, give its public function's rates bit for bit. On
+        # fig6 at 40 RF chains some selected links take the narrowband
+        # route and some the subcarrier route: groups of other widths and
+        # budget factors in one fill.
+        cfg = preset(name, seed=4, **overrides)
+        trials = range(3, 3 + 2 * experiments._BLOCK // 3)
+        out = experiments._run_block(cfg, trials)
+        if overrides.get("rx_rf") == 40:
+            parts = experiments._Block(cfg, trials).upa_ofdm_selection()
+            assert {(gains.shape[-1], f) for _, (gains, f, _) in parts} == {(3, 1), (1536, 512)}
+        want = public_rates(cfg, trials)
+        assert want
+        for scheme, rates in want.items():
+            assert np.array_equal(out[:, cfg.schemes.index(scheme)], rates), scheme
+
+    @pytest.mark.parametrize(
+        "name, calls", [("fig5", 1), ("fig6", 1), ("fig9", 2), ("fig10", 2)]
+    )
+    def test_one_waterfill_per_width_and_factor(self, monkeypatch, name, calls):
+        # fig5 and fig6's two schemes water-fill L gains each at the budgets;
+        # fig9 and fig10's grouping (L gains) and selection (512 subcarriers
+        # at 512 times the budgets) take one call each, and the PDM stream
+        # powers come from water_fill.
+        seen = []
+        original = numerics.waterfill_capacity
+
+        def spy(*args):
+            seen.append(np.shape(args[0]))
+            return original(*args)
+
+        monkeypatch.setattr(numerics, "waterfill_capacity", spy)
+        cfg = preset(name, trials=64)
+        run_experiment(cfg, workers=1)
+        assert len(seen) == calls * 2  # two blocks
+
+    def test_error_in_the_shared_fill_names_both_schemes(self, monkeypatch):
+        def broken(*args):
+            raise NumericalError("forced")
+
+        monkeypatch.setattr(numerics, "waterfill_capacity", broken)
+        with pytest.raises(NumericalError, match="^OPDM, UPA-OFDM: forced$"):
+            experiments._run_block(preset("fig6"), range(2))
+        # On fig9 the fills are the schemes' own: the first in part order fails.
+        cfg = preset("fig9", schemes=("UPA-OFDM-selection", "PDM-grouping"))
+        with pytest.raises(NumericalError, match="^UPA-OFDM-selection: forced$"):
+            experiments._run_block(cfg, range(2))
+
+    def test_error_while_forming_gains_names_the_scheme_alone(self, monkeypatch):
+        def broken(block):
+            raise NumericalError("forced")
+
+        monkeypatch.setitem(experiments._EVALUATE, "UPA-OFDM", broken)
+        with pytest.raises(NumericalError, match="^UPA-OFDM: forced$"):
+            experiments._run_block(preset("fig6"), range(2))
+
+    def test_block_route_needs_no_delay_refusal(self):
+        # The block's UPA-OFDM skips ofdm_capacity's delay refusals: the
+        # config refuses a longest tap past the cyclic prefix, the prefix is
+        # shorter than the symbol, and no delay is negative. At the longest
+        # tap a config admits the rates are the public function's.
+        cp, n = ExperimentConfig.ofdm.cp_samples, ExperimentConfig.ofdm.subcarriers
+        assert cp < n
+        stats = replace(preset("fig9").stats, max_excess_delay_s=(cp + 0.49) / BANDWIDTH_HZ)
+        with pytest.raises(InvalidInputError, match="cyclic prefix"):
+            preset("fig9", stats=replace(stats, max_excess_delay_s=(cp + 0.51) / BANDWIDTH_HZ))
+        cfg = preset("fig9", stats=stats, schemes=("UPA-OFDM", "UPA-OFDM-selection"))
+        trials = range(experiments._BLOCK)
+        delays = experiments._Block(cfg, trials).delays
+        assert delays.min() >= 0 and delays.max() <= cp
+        out = experiments._run_block(cfg, trials)
+        for scheme, rates in public_rates(cfg, trials).items():
+            assert np.array_equal(out[:, cfg.schemes.index(scheme)], rates), scheme
+
+    def test_routes_of_the_shared_rows_decided_once_per_config(self, monkeypatch):
+        decided = []
+        original = experiments.link_route
+
+        def spy(*args):
+            decided.append(args[1:])
+            return original(*args)
+
+        monkeypatch.setattr(experiments, "link_route", spy)
+        cfg = preset("fig5", trials=3 * experiments._BLOCK, schemes=("UPA-eigenmode", "UPA-OFDM"))
+        run_experiment(cfg, workers=1)
+        run_experiment(cfg, workers=1)
+        assert decided == [(), (cfg.ofdm,)]
+
+
+class TestSeeding:
+    def test_uint32_words_give_the_list_form_generators(self):
+        # numpy takes a uint32 array as its entropy words unchanged, and an
+        # int below 2**32 as one word.
+        for seed in (0, 1, 7, 12345, 2**31, 2**32 - 1):
+            for t in (0, 1, 31, 32, 999, 2**20, 2**32 - 1):
+                words = np.random.default_rng(np.array([seed, t], dtype=np.uint32))
+                assert np.array_equal(
+                    words.random(8), np.random.default_rng([seed, t]).random(8)
+                ), (seed, t)
+
+    @pytest.mark.parametrize(
+        "seed, first",
+        [(0, 0), (2**32 - 1, 2**32 - 3), (2**32, 5), (3, 2**32 - 1), (7, 2**40 + 3)],
+    )
+    def test_block_draws_are_those_of_the_list_form(self, seed, first):
+        # Below 2**32 the block seeds from uint32 words; at or above it,
+        # from the list, as README's determinism contract states.
+        cfg = preset("fig9", seed=seed)
+        trials = range(first, first + 3)
+        paths = experiments._Block(cfg, trials).paths
+        rngs = [np.random.default_rng([seed, t]) for t in trials]
+        gains, delays = channel._draw_block(cfg.stats, rngs)
+        assert np.array_equal(paths.gains, gains)
+        assert np.array_equal(paths.delays_s, delays)
 
 
 def _csv(cfg, workers=1):

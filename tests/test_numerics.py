@@ -14,7 +14,9 @@ from lensmimo.numerics import (
     normalized_solve,
     water_fill,
     waterfill_capacity,
+    waterfill_parts,
 )
+from lensmimo import numerics
 from lensmimo.upa import OfdmConfig, ofdm_capacity
 from oracles import hermitian_solve, principal_minor_sums, waterfill_rates
 
@@ -187,6 +189,68 @@ class TestWaterFill:
         # log2(1 + 1e-13) loses about 8e-4 of its value to the rounding of 1 + x.
         rate = waterfill_capacity([1.0], 1e-13, 1.0)
         assert rate == pytest.approx(math.log1p(1e-13) / math.log(2), rel=1e-15)
+
+
+class TestWaterfillParts:
+    def parts(self, rng):
+        """Parts of widths 3 and 8 and factors 1 and 16, with a silent link,
+        of leading shapes (), (2,) and (2, 3)."""
+        gains = [
+            rng.uniform(0.0, 2.0, (2, 3)),
+            rng.uniform(0.0, 2.0, 3),
+            rng.uniform(0.0, 2.0, (2, 3, 8)),
+            rng.uniform(0.0, 2.0, (2, 8)),
+            np.concatenate((rng.uniform(0.0, 2.0, (1, 3)), np.zeros((1, 3)))),
+        ]
+        return [(gains[0], 1, 1), (gains[1], 1, 0.8), (gains[2], 16, 16 / 20), (gains[3], 1, 1),
+                (gains[4], 16, 1)]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_each_part_equals_its_own_call(self, seed):
+        rng = np.random.default_rng(seed)
+        budgets = np.logspace(-3, 4, 6)
+        parts = self.parts(rng)
+        for part, rates in zip(parts, waterfill_parts(parts, budgets, 0.5)):
+            gains, f, c = part
+            want = (c * waterfill_capacity(gains, f * budgets, 0.5)) / f
+            assert rates.shape == gains.shape[:-1] + budgets.shape
+            assert np.array_equal(rates, want)
+        assert np.all(waterfill_parts(parts, budgets, 0.5)[-1][1] == 0.0)
+
+    def test_one_call_per_width_and_factor(self, monkeypatch):
+        calls = []
+        original = numerics.waterfill_capacity
+
+        def spy(gains, budgets, noise):
+            calls.append((np.shape(gains), float(np.asarray(budgets)[0])))
+            return original(gains, budgets, noise)
+
+        monkeypatch.setattr(numerics, "waterfill_capacity", spy)
+        waterfill_parts(self.parts(np.random.default_rng(0)), [1.0, 2.0], 0.5)
+        # Widths 3 at factors 1 and 16, and 8 at 16 and 1, in order of first
+        # part, each call on its parts' links stacked as (links, n).
+        assert calls == [((3, 3), 1.0), ((6, 8), 16.0), ((2, 8), 1.0), ((2, 3), 16.0)]
+
+    def test_error_names_the_parts_of_the_failed_call(self):
+        # 2e307 times the factor 16 overflows; the factor-1 parts are filled.
+        parts = self.parts(np.random.default_rng(1))
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError) as info:
+                waterfill_parts(parts, [2e307], 0.5)
+        assert info.value.parts == [2]
+
+    def test_scalar_budget_of_one_link(self):
+        assert waterfill_parts([([1.0, 3.0], 4, 0.5)], 2.0, 1.0) == [
+            (0.5 * waterfill_capacity([1.0, 3.0], 8.0, 1.0)) / 4
+        ]
+
+    def test_refusals_of_waterfill_capacity(self):
+        with pytest.raises(InvalidInputError):
+            waterfill_parts([([1.0, np.nan], 1, 1)], [1.0], 1.0)
+        with pytest.raises(InvalidInputError):
+            waterfill_parts([([1.0], 1, 1), ([-1.0], 1, 1)], [1.0], 1.0)
+        with pytest.raises(InvalidInputError):
+            waterfill_parts([([1.0], 1, 1)], [0.0], 1.0)
 
 
 class TestEigenGains:

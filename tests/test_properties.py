@@ -237,8 +237,9 @@ class TestScaleProperties:
     ):
         # Every rate reads the gains only through |alpha|^2 times a budget.
         # Powers of two scale exactly, so the selection's near-tied picks
-        # stay put and the seven schemes' rates agree to rounding (OPDM is
-        # skipped, and 0 both ways, off fig5 and fig6's ideal angles).
+        # stay put and the seven schemes' rates agree bit for bit (OPDM is
+        # skipped, and 0 both ways, off fig5 and fig6's ideal angles): a
+        # guard on the arithmetic of the block's shared water-fill.
         cfg = preset(name, seed=seed, schemes=experiments.SCHEMES, rx_rf=6, tx_rf=6)
         trials = range(first, first + count)
         draw = experiments._draw_block
@@ -252,7 +253,7 @@ class TestScaleProperties:
         budgets_cfg = replace(cfg)
         budgets_cfg._geometry.budgets = budgets_cfg._geometry.budgets * 4.0**k
         scaled_budgets = experiments._run_block(budgets_cfg, trials)
-        assert np.allclose(scaled_gains, scaled_budgets, rtol=1e-12, atol=0.0)
+        assert np.array_equal(scaled_gains, scaled_budgets)
 
 
 class TestPlacementProperties:

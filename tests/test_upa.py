@@ -632,8 +632,9 @@ class TestSelectedLink:
         rows, cols = antennas(*picks[0], rx.grid_shape[1]), antennas(*picks[1], tx.grid_shape[1])
         want = antenna_link_rates(upa, rows, cols, snr, NOISE_POWER, cfg.ofdm)
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)
-        if not tied:  # the sweep's own route
-            assert np.array_equal(block.upa_ofdm_selection(), got)
+        if not tied:  # the sweep's own route: the block's parts, filled with the others
+            column = cfg.schemes.index("UPA-OFDM-selection")
+            assert np.array_equal(experiments._run_block(cfg, range(t))[:, column], got)
 
     def test_azimuth_link_columns(self):
         # Picks of a 3 x 3 UPA at indices 0 (twice) and 2 (three times) in
